@@ -20,10 +20,12 @@ from typing import Optional
 from .engine import (EngineError, ModelChecker, UnassignedParameter,
                      build_prf, _resolve_term)
 from .logic import (Coop, Quant, StateFormula, free_agent_vars,
-                    merge_quantifiers, params_of, simplify_vacuous, Next)
+                    merge_quantifiers, params_of, props_of, simplify_vacuous,
+                    Next)
 from .model import check_wellformed
 from .normalform import nf
-from .oracle import EnumerationCapExceeded, Oracle, QuantifiedFormula
+from .oracle import (BadEnumCap, EnumerationCapExceeded, Oracle,
+                     QuantifiedFormula)
 from .parsing import (ParseError, SemanticError, formula_to_str, guard_to_str,
                       parse_formula, parse_model)
 from .qe import QeStats
@@ -100,6 +102,10 @@ def _verify(config: RunConfig) -> int:
 
     if config.state is not None and config.state not in model.states:
         raise SemanticError(f"unknown state {config.state!r}")
+    unknown = props_of(phi) - set(model.props)
+    if unknown:
+        raise SemanticError("unknown propositions in the formula: "
+                            + ", ".join(sorted(unknown)))
 
     normal = merge_quantifiers(simplify_vacuous(nf(phi)))
 
@@ -175,7 +181,7 @@ def run(config: RunConfig) -> int:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except (SemanticError, UnassignedParameter, QuantifiedFormula,
-            EngineError) as err:
+            EngineError, BadEnumCap) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SEMANTIC
     except EnumerationCapExceeded as err:

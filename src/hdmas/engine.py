@@ -143,14 +143,25 @@ def build_prf(model: HdmasModel, state: str, t1: Union[int, str],
 class ModelChecker:
     """Caching evaluator for one model.
 
-    Decisions and subformula extensions are memoised; the instance is
-    reusable across formulas and assignments.
+    Pre-image verdicts are cached on two levels.  The first is keyed before
+    any formula is built, on ``(actions available at the state, ids of the
+    guards into the target set, t1, t2, prefix)``: that key fixes the
+    per-state formula up to the order of its disjuncts, whichever state it
+    came from.  Only a miss builds the formula, which is then decided through
+    the second level, keyed on the simplified formula itself.
+
+    The G and U fixpoints iterate semi-naively: after the first round only
+    the predecessors of states whose membership changed are re-examined,
+    so every round yields the same set as the plain Kleene iteration.
+    Subformula extensions are memoised too; the instance is reusable
+    across formulas and assignments.
     """
 
     model: HdmasModel
     stats: QeStats = field(default_factory=QeStats)
     resolve_availability: bool = True
     _decisions: dict[PresFormula, bool] = field(default_factory=dict)
+    _verdicts: dict[tuple, bool] = field(default_factory=dict)
     _extents: dict = field(default_factory=dict)
 
     def _decide(self, phi: PresFormula) -> bool:
@@ -160,23 +171,52 @@ class ModelChecker:
             self._decisions[phi] = hit
         return hit
 
-    def pre_image(self, t1: Term, t2: Term, targets: StateSet,
-                  theta: Assignment, pfix: QuantPrefix) -> StateSet:
-        """States where the prefixed controllability formula is true."""
+    def _pre_states(self, t1: Term, t2: Term, targets: StateSet,
+                    theta: Assignment, pfix: QuantPrefix, pre: StateSet,
+                    dirty: StateSet) -> StateSet:
+        """``pre`` with the states in ``dirty`` re-examined against targets."""
         if pfix not in PFIXES:
             raise EngineError(f"unsupported quantifier prefix {pfix}")
         r1 = _resolve_term(t1, theta, pfix)
         r2 = _resolve_term(t2, theta, pfix)
+        model = self.model
+        out_edges = model.adjacency.out
+        while dirty:
+            low = dirty & -dirty
+            dirty ^= low
+            i = low.bit_length() - 1
+            state = model.states[i]
+            key = (model.avail[state],
+                   frozenset(gid for d, gid in out_edges[i] if targets >> d & 1),
+                   r1, r2, pfix)
+            hit = self._verdicts.get(key)
+            if hit is None:
+                phi = build_prf(model, state, r1, r2, targets,
+                                self.resolve_availability)
+                for q, y in reversed(pfix):
+                    name = f"y{y}"
+                    phi = Exists(name, phi) if q == EXISTS else Forall(name, phi)
+                hit = self._verdicts[key] = self._decide(phi)
+            pre = pre | low if hit else pre & ~low
+        return pre
+
+    def _predecessors(self, changed: StateSet) -> StateSet:
+        """States with an edge into ``changed``: the only ones whose
+        pre-image verdict can differ after those states changed."""
+        pred = self.model.adjacency.pred
         out = 0
-        for i, s in enumerate(self.model.states):
-            phi = build_prf(self.model, s, r1, r2, targets,
-                            self.resolve_availability)
-            for q, y in reversed(pfix):
-                name = f"y{y}"
-                phi = Exists(name, phi) if q == EXISTS else Forall(name, phi)
-            if self._decide(phi):
+        while changed:
+            low = changed & -changed
+            changed ^= low
+            for i in pred[low.bit_length() - 1]:
                 out |= 1 << i
         return out
+
+    def pre_image(self, t1: Term, t2: Term, targets: StateSet,
+                  theta: Assignment, pfix: QuantPrefix) -> StateSet:
+        """States where the prefixed controllability formula is true."""
+        return self._pre_states(t1, t2, targets, theta, pfix, 0,
+                                self.model.all_states())
 
     def g_fixpoint(self, t1: Term, t2: Term, psi: StateFormula,
                    theta: Assignment, pfix: QuantPrefix,
@@ -187,9 +227,12 @@ class ModelChecker:
         z = targets
         if trace is not None:
             trace.append(z)
+        pre, dirty = 0, self.model.all_states()
         while w & ~z:
             w = z
-            z = self.pre_image(t1, t2, w, theta, pfix) & targets
+            pre = self._pre_states(t1, t2, w, theta, pfix, pre, dirty)
+            z = pre & targets
+            dirty = self._predecessors(w ^ z)
             if trace is not None:
                 trace.append(z)
         return z
@@ -204,9 +247,12 @@ class ModelChecker:
         z = q2
         if trace is not None:
             trace.append(z)
+        pre, dirty = 0, self.model.all_states()
         while z & ~w:
             w = z
-            z = q2 | (self.pre_image(t1, t2, w, theta, pfix) & q1)
+            pre = self._pre_states(t1, t2, w, theta, pfix, pre, dirty)
+            z = q2 | (pre & q1)
+            dirty = self._predecessors(w ^ z)
             if trace is not None:
                 trace.append(z)
         return z

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .presburger import (PresFormula, FALSE, disj, evaluate, free_vars,
@@ -93,6 +94,34 @@ def oplus(a: ActionDistribution, b: ActionDistribution) -> ActionDistribution:
 
 
 @dataclass(frozen=True)
+class Adjacency:
+    """Guard matrix by state index, built once per model.
+
+    Equal guard formulas share one guard id, so a set of guard ids names
+    a disjunction up to the order of its disjuncts.
+    """
+
+    index: Mapping[str, int]
+    out: tuple[tuple[tuple[int, int], ...], ...]   # (dst index, guard id), by dst
+    guard_by_id: tuple[PresFormula, ...]
+    pred: tuple[tuple[int, ...], ...]
+
+    @staticmethod
+    def build(states: tuple[str, ...],
+              guards: Mapping[tuple[str, str], PresFormula]) -> "Adjacency":
+        index = {s: i for i, s in enumerate(states)}
+        ids: dict[PresFormula, int] = {}
+        out: list[list[tuple[int, int]]] = [[] for _ in states]
+        pred: list[list[int]] = [[] for _ in states]
+        for (src, dst), g in guards.items():
+            i, d = index[src], index[dst]
+            out[i].append((d, ids.setdefault(g, len(ids))))
+            pred[d].append(i)
+        return Adjacency(index, tuple(tuple(sorted(e)) for e in out),
+                         tuple(ids), tuple(tuple(p) for p in pred))
+
+
+@dataclass(frozen=True)
 class HdmasModel:
     """States, availability, guard matrix and labelling."""
 
@@ -107,13 +136,14 @@ class HdmasModel:
         if len(set(self.states)) != len(self.states):
             raise ValueError("duplicate state names")
 
+    @cached_property
+    def adjacency(self) -> Adjacency:
+        return Adjacency.build(self.states, self.guards)
+
     # -- state sets as bitmasks ----------------------------------------
 
     def index(self, state: str) -> int:
-        try:
-            return self.states.index(state)
-        except ValueError:
-            raise KeyError(state) from None
+        return self.adjacency.index[state]
 
     def all_states(self) -> StateSet:
         return (1 << len(self.states)) - 1
@@ -146,7 +176,10 @@ class HdmasModel:
         return self.guards.get((src, dst), FALSE)
 
     def edges_from(self, src: str) -> list[tuple[str, PresFormula]]:
-        return [(dst, g) for (s, dst), g in self.guards.items() if s == src]
+        """Outgoing edges in state order."""
+        adj = self.adjacency
+        return [(self.states[d], adj.guard_by_id[gid])
+                for d, gid in adj.out[adj.index[src]]]
 
     def to_json(self) -> dict:
         from .parsing import guard_to_str
@@ -165,13 +198,9 @@ class HdmasModel:
 
 def guard_union(model: HdmasModel, state: str, targets: StateSet) -> PresFormula:
     """Disjunction of the guards from ``state`` into the target set."""
-    parts = []
-    for i, dst in enumerate(model.states):
-        if targets >> i & 1:
-            g = model.guards.get((state, dst))
-            if g is not None:
-                parts.append(g)
-    return disj(parts)
+    adj = model.adjacency
+    return disj([adj.guard_by_id[gid] for d, gid in adj.out[adj.index[state]]
+                 if targets >> d & 1])
 
 
 def distributions(model: HdmasModel, state: str, m: int) -> Iterator[ActionDistribution]:

@@ -28,9 +28,21 @@ class QuantifiedFormula(Exception):
     """The enumeration oracle cannot range over all of N."""
 
 
+class BadEnumCap(Exception):
+    """HDMAS_ENUM_CAP is set but is not a natural number."""
+
+
 def configured_cap() -> int:
     raw = os.environ.get("HDMAS_ENUM_CAP")
-    return int(raw) if raw else DEFAULT_CAP
+    if not raw:
+        return DEFAULT_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 0:
+        raise BadEnumCap(f"HDMAS_ENUM_CAP={raw!r} is not a natural number")
+    return cap
 
 
 def _term_value(t: Term, theta: Mapping[str, int]) -> int:

@@ -680,13 +680,15 @@ def _literal_vs_window(lit: PresFormula, ctx: dict) -> Optional[bool]:
 def _condition_clauses(children: list[PresFormula]) -> Optional[list[PresFormula]]:
     """Evaluate clause literals against sibling atom windows.
 
-    Returns the rewritten child list or None when a clause became empty
-    (the conjunction is unsatisfiable).
+    Returns the rewritten child list, ``children`` itself when no clause
+    changed, or None when a clause became empty (the conjunction is
+    unsatisfiable).
     """
     ctx = _window_context(children)
     if not ctx:
         return children
     out: list[PresFormula] = []
+    changed = False
     for ch in children:
         if isinstance(ch, Or):
             keep: list[PresFormula] = []
@@ -702,13 +704,15 @@ def _condition_clauses(children: list[PresFormula]) -> Optional[list[PresFormula
                     continue
                 keep.append(lit)
             if clause_true:
+                changed = True
                 continue
             if not keep:
                 return None
+            changed = changed or dropped
             out.append(disj(keep) if dropped else ch)
         else:
             out.append(ch)
-    return out
+    return out if changed else children
 
 
 _SUBSUME_LIMIT = 800
@@ -772,21 +776,30 @@ def simplify(phi: PresFormula) -> PresFormula:
         if not isinstance(base, And):
             return base
         kids = list(base.args)
-        seen = set(kids)
-        for k in kids:
-            if isinstance(k, Not) and k.arg in seen:
+        while True:
+            seen = set(kids)
+            for k in kids:
+                if isinstance(k, Not) and k.arg in seen:
+                    return FALSE
+            combined = _combine_and(kids)
+            if combined is None:
                 return FALSE
-        combined = _combine_and(kids)
-        if combined is None:
-            return FALSE
-        conditioned = _condition_clauses(combined)
-        if conditioned is None:
-            return FALSE
-        if conditioned is not combined:
+            conditioned = _condition_clauses(combined)
+            if conditioned is combined:
+                break
+            if conditioned is None:
+                return FALSE
+            # a conditioned clause may have shrunk to an atom that narrows
+            # a window and so conditions further clauses; every pass drops
+            # a literal, so this ends
             conditioned = [simplify(c) if isinstance(c, Or) else c
                            for c in conditioned]
             if any(isinstance(c, FalseF) for c in conditioned):
                 return FALSE
+            base = conj(tuple(conditioned))
+            if not isinstance(base, And):
+                return base
+            kids = list(base.args)
         return conj(_subsume(conditioned, Or))
     if isinstance(phi, Or):
         base = disj(tuple(simplify(a) for a in phi.args))

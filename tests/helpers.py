@@ -2,10 +2,12 @@
 
 import numpy as np
 
-from hdmas.presburger import (DVD, EQ, LT, And, AtomF, FalseF, Implies,
-                              LinTerm, Not, Or, TrueF, atom_eq, atom_ge,
-                              atom_gt, atom_le, atom_lt, atom_ne, conj, disj,
-                              neg, num)
+from hdmas.engine import _resolve_term, build_prf
+from hdmas.logic import EXISTS
+from hdmas.presburger import (DVD, EQ, LT, And, AtomF, Exists, FalseF, Forall,
+                              Implies, LinTerm, Not, Or, TrueF, atom_eq,
+                              atom_ge, atom_gt, atom_le, atom_lt, atom_ne,
+                              conj, disj, neg, num)
 from hdmas.qe import cooper_bound, decide
 
 
@@ -101,3 +103,63 @@ def random_matrix(rng, names, max_coeff=5, max_const=20, atoms=3):
     if rng.random() < 0.3:
         out = neg(out)
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference model checking: the per-state loop and the plain Kleene rounds
+
+
+def reference_pre_image(model, t1, t2, targets, theta, pfix, decisions,
+                        resolve_availability=True):
+    """Pre-image by building and deciding every state's formula afresh.
+
+    ``decisions`` memoises verdicts on the built formula across calls.
+    """
+    r1 = _resolve_term(t1, theta, pfix)
+    r2 = _resolve_term(t2, theta, pfix)
+    out = 0
+    for i, s in enumerate(model.states):
+        phi = build_prf(model, s, r1, r2, targets, resolve_availability)
+        for q, y in reversed(pfix):
+            phi = Exists(f"y{y}", phi) if q == EXISTS else Forall(f"y{y}", phi)
+        if phi not in decisions:
+            decisions[phi] = decide(phi)
+        if decisions[phi]:
+            out |= 1 << i
+    return out
+
+
+def reference_g_fixpoint(model, t1, t2, targets, theta, pfix, decisions):
+    """Greatest fixpoint with every state re-examined each round."""
+    w, z = model.all_states(), targets
+    trace = [z]
+    while w & ~z:
+        w = z
+        z = reference_pre_image(model, t1, t2, w, theta, pfix, decisions) & targets
+        trace.append(z)
+    return z, trace
+
+
+def reference_u_fixpoint(model, t1, t2, q1, q2, theta, pfix, decisions):
+    """Least fixpoint with every state re-examined each round."""
+    w, z = 0, q2
+    trace = [z]
+    while z & ~w:
+        w = z
+        z = q2 | (reference_pre_image(model, t1, t2, w, theta, pfix,
+                                      decisions) & q1)
+        trace.append(z)
+    return z, trace
+
+
+def ring_text(n):
+    """Ring of n states: ``s_i`` moves on to ``s_{i+1 mod n}`` when
+    ``#a > #b`` and stays otherwise; ``goal`` labels the last state."""
+    lines = ["actions a b;", "props goal;"]
+    for i in range(n):
+        label = "goal" if i == n - 1 else ""
+        lines.append(f"state s{i} {{ avail: a b; label: {label}; }}")
+    for i in range(n):
+        lines.append(f"guard s{i} -> s{(i + 1) % n} : #a > #b;")
+        lines.append(f"guard s{i} -> s{i} : else;")
+    return "\n".join(lines) + "\n"

@@ -1,6 +1,8 @@
 import json
 import pathlib
 
+import pytest
+
 from hdmas.cli import main
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "hdmas" / "fixtures"
@@ -126,6 +128,24 @@ def test_verify_oracle_cap(capsys, monkeypatch):
                            "--oracle")
     assert code == 4
     assert "cap" in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--oracle",), ("--dump-prf", "s=s1")])
+def test_verify_unknown_proposition(capsys, extra):
+    code, out, err = run_cli(capsys, "verify", FIG2, "-f", "<<1,1>> X (qq | p | aa)",
+                             *extra)
+    assert code == 2
+    assert "unknown propositions in the formula: aa, qq" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3"])
+def test_verify_oracle_bad_cap(capsys, monkeypatch, raw):
+    monkeypatch.setenv("HDMAS_ENUM_CAP", raw)
+    code, out, err = run_cli(capsys, "verify", FIG2, "-f", "<<5,5>> X p",
+                             "--oracle")
+    assert code == 2
+    assert err.count("\n") == 1 and "HDMAS_ENUM_CAP" in err
 
 
 def test_dump_nf(capsys):

@@ -1,10 +1,14 @@
 import pytest
 
+import hdmas.engine
+from helpers import (reference_g_fixpoint, reference_pre_image,
+                     reference_u_fixpoint, ring_text)
 from hdmas.engine import (ModelChecker, NotNormalForm, UnassignedParameter,
                           build_prf, check, global_mc, pre_image)
 from hdmas.logic import (EXISTS, FORALL, Coop, Globally, Nat, Next, NotF,
                          Param, Prop, Quant, Top, Y1, Y2)
-from hdmas.parsing import parse_formula
+from hdmas.normalform import nf
+from hdmas.parsing import parse_formula, parse_model
 from hdmas.presburger import Exists, Forall
 from hdmas.qe import decide
 
@@ -201,3 +205,85 @@ def test_memoisation_reuses_extents(fig2):
     second = mc.global_mc(phi, {})
     assert first == second
     assert len(mc._decisions) == decided
+
+
+# -- the cached, semi-naive engine against the per-state reference ---------
+
+# (t1, t2, prefix) for concrete counts, pairs sharing either count, and
+# each quantifier prefix
+PREFIXED_TERMS = [(Nat(7), Nat(5), ()), (Nat(7), Nat(11), ()),
+                  (Nat(2), Nat(5), ()), (Nat(2), Nat(3), ()),
+                  (Y1, Nat(4), EY1), (Nat(3), Y2, AY2),
+                  (Y1, Y2, EA), (Y1, Y2, AE)]
+
+
+@pytest.mark.parametrize("fixture", ["fig2", "fortress"])
+def test_pre_image_matches_per_state_loop(fixture, request):
+    model = request.getfixturevalue(fixture)
+    mc = ModelChecker(model)
+    decisions = {}
+    for t1, t2, pfix in PREFIXED_TERMS:
+        for targets in range(model.all_states() + 1):
+            want = reference_pre_image(model, t1, t2, targets, {}, pfix,
+                                       decisions)
+            assert mc.pre_image(t1, t2, targets, {}, pfix) == want, \
+                (t1, t2, pfix, model.names_of(targets))
+
+
+def test_pre_image_matches_per_state_loop_verbatim_encoding(fortress):
+    mc = ModelChecker(fortress, resolve_availability=False)
+    decisions = {}
+    for t1, t2, pfix in [(Nat(3), Nat(4), ()), (Y1, Nat(3), EY1)]:
+        for targets in range(fortress.all_states() + 1):
+            want = reference_pre_image(fortress, t1, t2, targets, {}, pfix,
+                                       decisions, resolve_availability=False)
+            assert mc.pre_image(t1, t2, targets, {}, pfix) == want
+
+
+def ring(n):
+    return parse_model(ring_text(n)).model
+
+
+@pytest.mark.parametrize("model_name", ["fig2", "ring7"])
+def test_fixpoints_match_kleene_rounds(model_name, request):
+    model = ring(7) if model_name == "ring7" else request.getfixturevalue("fig2")
+    props = [Top(), NotF(Top())] + [Prop(name) for name in model.props]
+    props += [NotF(Prop(name)) for name in model.props]
+    terms = PREFIXED_TERMS + [(Nat(1), Nat(1), ()), (Nat(3), Nat(1), ())]
+    mc = ModelChecker(model)
+    decisions = {}
+    for t1, t2, pfix in terms:
+        for psi in props:
+            targets = mc.global_mc(psi, {})
+            trace = []
+            got = mc.g_fixpoint(t1, t2, psi, {}, pfix, trace)
+            want, want_trace = reference_g_fixpoint(model, t1, t2, targets,
+                                                    {}, pfix, decisions)
+            assert (got, trace) == (want, want_trace), ("G", t1, t2, pfix, psi)
+            for psi2 in props:
+                q2 = mc.global_mc(psi2, {})
+                trace = []
+                got = mc.u_fixpoint(t1, t2, psi, psi2, {}, pfix, trace)
+                want, want_trace = reference_u_fixpoint(
+                    model, t1, t2, targets, q2, {}, pfix, decisions)
+                assert (got, trace) == (want, want_trace), \
+                    ("U", t1, t2, pfix, psi, psi2)
+
+
+def test_formula_builds_do_not_grow_with_ring_size(monkeypatch):
+    calls = []
+    original = hdmas.engine.build_prf
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hdmas.engine, "build_prf", counting)
+    phi = nf(parse_formula("<<3,1>> F goal"))
+    builds = []
+    for n in (10, 40):
+        model = ring(n)
+        calls.clear()
+        assert global_mc(model, phi, {}) == model.all_states()
+        builds.append(len(calls))
+    assert builds[0] == builds[1] > 0

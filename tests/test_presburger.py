@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdmas.presburger import (CaptureViolation, Exists, LinTerm,
@@ -143,6 +143,7 @@ def test_nnf_and_simplify_preserve_truth(phi, val):
 
 
 @given(formulas())
+@example(conj((disj((atom_gt(X1, 0), atom_lt(X1, 0))), atom_lt(X1, 1))))
 @settings(max_examples=200, deadline=None)
 def test_simplify_idempotent(phi):
     once = simplify(phi)
