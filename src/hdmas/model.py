@@ -261,7 +261,12 @@ class CheckOutcome:
 
 @dataclass
 class WellformednessReport:
-    """Verdicts for every state and every ordered pair of successors."""
+    """Verdicts for every state and every ordered pair of declared edges
+    out of a state.
+
+    ``determinism`` is keyed (source, dst1, dst2) and lists both orders of
+    each pair, the pairs in the state order of their destinations.
+    """
 
     idle: dict[str, CheckOutcome] = field(default_factory=dict)
     scoping: dict[str, CheckOutcome] = field(default_factory=dict)
@@ -321,46 +326,65 @@ def _bounded_witness(phi: PresFormula, counters: tuple[str, ...],
 def check_wellformed(model: HdmasModel) -> WellformednessReport:
     """Idle availability, guard scoping, totality and determinism checks.
 
+    Scoping and totality are checked per state over its declared edges,
+    determinism per ordered pair of declared edges out of a state; a
+    missing guard is false, so a pair with one is disjoint by definition.
+    Each distinct check is decided once per call: totality by the set of
+    guard ids out of a state, determinism by the two guard ids, each with
+    the counters of the state, which name the witness's keys.
+
     Failures are reported, never raised; totality and determinism failures
     carry a concrete counterexample valuation found by bounded search.
     """
+    adj = model.adjacency
     report = WellformednessReport()
-    for s in model.states:
+    syntax: dict[int, tuple[frozenset[str], bool]] = {}
+    totality: dict[tuple[frozenset[int], tuple[str, ...]], CheckOutcome] = {}
+    overlap: dict[tuple[int, int, tuple[str, ...]], CheckOutcome] = {}
+    for i, s in enumerate(model.states):
         report.idle[s] = CheckOutcome(IDLE in model.avail[s])
 
-        legal = set(model.counters_at(s)) - {IDLE_COUNTER}
+        counters = tuple(c for c in model.counters_at(s) if c != IDLE_COUNTER)
+        legal = set(counters)
+        edges = adj.out[i]
         offending = []
-        for dst, g in model.edges_from(s):
-            extra = free_vars(g) - legal
-            if extra or not is_quantifier_free(g):
-                offending.append((dst, sorted(extra)))
+        for dst, gid in edges:
+            if gid not in syntax:
+                g = adj.guard_by_id[gid]
+                syntax[gid] = (free_vars(g), is_quantifier_free(g))
+            names, quantifier_free = syntax[gid]
+            extra = names - legal
+            if extra or not quantifier_free:
+                offending.append((model.states[dst], sorted(extra)))
         report.scoping[s] = CheckOutcome(not offending, detail=str(offending))
         if offending:
             # the arithmetic checks below would be meaningless
             report.totality[s] = CheckOutcome(False, detail="skipped: bad scoping")
             continue
 
-        counters = tuple(c for c in model.counters_at(s) if c != IDLE_COUNTER)
-        union = guard_union(model, s, model.all_states())
-        if is_valid(union, counters):
-            report.totality[s] = CheckOutcome(True)
-        else:
-            witness = _bounded_witness(union, counters, want=False)
-            report.totality[s] = CheckOutcome(False, witness=witness)
+        # the order and repeats of the disjuncts change neither the verdict
+        # nor the witness search's bound, so the set of guard ids will do
+        key = (frozenset(gid for _, gid in edges), counters)
+        if key not in totality:
+            union = guard_union(model, s, model.all_states())
+            if is_valid(union, counters):
+                totality[key] = CheckOutcome(True)
+            else:
+                witness = _bounded_witness(union, counters, want=False)
+                totality[key] = CheckOutcome(False, witness=witness)
+        report.totality[s] = totality[key]
 
-        for i, d1 in enumerate(model.states):
-            for d2 in model.states[i + 1:]:
-                g1 = model.guards.get((s, d1))
-                g2 = model.guards.get((s, d2))
-                if g1 is None or g2 is None:
-                    outcome = CheckOutcome(True)
-                else:
-                    both = conj((g1, g2))
+        for j, (d1, g1) in enumerate(edges):
+            for d2, g2 in edges[j + 1:]:
+                pair = (g1, g2, counters)
+                if pair not in overlap:
+                    both = conj((adj.guard_by_id[g1], adj.guard_by_id[g2]))
                     if is_valid(neg(both), counters):
-                        outcome = CheckOutcome(True)
+                        overlap[pair] = CheckOutcome(True)
                     else:
                         witness = _bounded_witness(both, counters, want=True)
-                        outcome = CheckOutcome(False, witness=witness)
-                report.determinism[(s, d1, d2)] = outcome
-                report.determinism[(s, d2, d1)] = outcome
+                        overlap[pair] = CheckOutcome(False, witness=witness)
+                outcome = overlap[pair]
+                report.determinism[(s, model.states[d1], model.states[d2])] = outcome
+                report.determinism[(s, model.states[d2], model.states[d1])] = outcome
     return report

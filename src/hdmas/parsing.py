@@ -117,10 +117,23 @@ def tokenize(text: str) -> list[Token]:
     return out
 
 
+# Deeper guards and formulas are parse errors: the parsers and the tree
+# walkers after them recurse once or more per level.
+MAX_DEPTH = 100
+
+
+def _within_depth(depth: int, tok: Token) -> int:
+    if depth > MAX_DEPTH:
+        raise ParseError(f"nested deeper than {MAX_DEPTH} levels",
+                         tok.line, tok.col)
+    return depth
+
+
 class _Stream:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0      # sub-expressions open around the current token
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -144,6 +157,13 @@ class _Stream:
         if tok.kind == kind and (text is None or tok.text == text):
             return self.next()
         return None
+
+    def descend(self, tok: Token) -> None:
+        """Open a sub-expression at ``tok``; close it with ``ascend``."""
+        self.depth = _within_depth(self.depth + 1, tok)
+
+    def ascend(self) -> None:
+        self.depth -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +198,17 @@ _CMP = {"=": atom_eq, "<": atom_lt, "<=": atom_le,
 
 
 def _parse_guard_atom(ts: _Stream) -> PresFormula:
+    tok = ts.peek()
     if ts.accept("sym", "!"):
-        return neg(_parse_guard_atom(ts))
+        ts.descend(tok)
+        out = neg(_parse_guard_atom(ts))
+        ts.ascend()
+        return out
     if ts.accept("sym", "("):
+        ts.descend(tok)
         inner = _parse_guard_expr(ts)
         ts.expect("sym", ")")
+        ts.ascend()
         return inner
     lhs = _parse_guard_sum(ts)
     tok = ts.peek()
@@ -195,8 +221,12 @@ def _parse_guard_atom(ts: _Stream) -> PresFormula:
 
 def _parse_guard_expr(ts: _Stream) -> PresFormula:
     lhs = _parse_guard_or(ts)
+    tok = ts.peek()
     if ts.accept("sym", "->"):
-        return implies(lhs, _parse_guard_expr(ts))
+        ts.descend(tok)
+        out = implies(lhs, _parse_guard_expr(ts))
+        ts.ascend()
+        return out
     return lhs
 
 
@@ -384,31 +414,43 @@ def _parse_quants(ts: _Stream) -> tuple:
     return tuple(prefix)
 
 
-def _parse_path(ts: _Stream) -> logic.PathFormula:
+# The formula parsers return the parsed formula with its height, so that
+# the left-folded & and | chains, which open no sub-expression, stay within
+# the depth limit too.
+
+
+def _parse_path(ts: _Stream) -> tuple[logic.PathFormula, int]:
     tok = ts.peek()
     if tok.kind == "name" and tok.text in ("X", "G", "F"):
         ts.next()
-        arg = _parse_formula_expr(ts)
+        ts.descend(tok)
+        arg, height = _parse_formula_expr(ts)
+        ts.ascend()
         if tok.text == "X":
-            return Next(arg)
+            return Next(arg), height + 1
         if tok.text == "G":
-            return Globally(arg)
-        return eventually(arg)
+            return Globally(arg), height + 1
+        return eventually(arg), height + 1
     if tok.kind == "sym" and tok.text == "(":
         ts.next()
-        lhs = _parse_formula_expr(ts)
+        ts.descend(tok)
+        lhs, left = _parse_formula_expr(ts)
         ts.expect("name", "U")
-        rhs = _parse_formula_expr(ts)
+        rhs, right = _parse_formula_expr(ts)
         ts.expect("sym", ")")
-        return Until(lhs, rhs)
+        ts.ascend()
+        return Until(lhs, rhs), max(left, right) + 1
     raise ParseError(f"expected a temporal operator, found {tok.text!r}",
                      tok.line, tok.col)
 
 
-def _parse_formula_unary(ts: _Stream) -> StateFormula:
+def _parse_formula_unary(ts: _Stream) -> tuple[StateFormula, int]:
     tok = ts.peek()
     if ts.accept("sym", "!"):
-        return NotF(_parse_formula_unary(ts))
+        ts.descend(tok)
+        arg, height = _parse_formula_unary(ts)
+        ts.ascend()
+        return NotF(arg), _within_depth(height + 1, tok)
     quants = _parse_quants(ts)
     if quants or (tok.kind == "sym" and tok.text == "<<"):
         ts.expect("sym", "<<")
@@ -416,58 +458,71 @@ def _parse_formula_unary(ts: _Stream) -> StateFormula:
         ts.expect("sym", ",")
         t2 = _parse_term(ts)
         ts.expect("sym", ">>")
-        coop = Coop(t1, t2, _parse_path(ts))
+        path, height = _parse_path(ts)
+        coop = Coop(t1, t2, path)
         if t1 == Y2:
             raise SemanticError("y2 cannot stand in the first position",
                                 tok.line, tok.col)
         if t2 == Y1:
             raise SemanticError("y1 cannot stand in the second position",
                                 tok.line, tok.col)
-        return Quant(quants, coop) if quants else coop
+        if quants:
+            return Quant(quants, coop), _within_depth(height + 2, tok)
+        return coop, _within_depth(height + 1, tok)
     if ts.accept("sym", "("):
-        inner = _parse_formula_expr(ts)
+        ts.descend(tok)
+        inner, height = _parse_formula_expr(ts)
         ts.expect("sym", ")")
-        return inner
+        ts.ascend()
+        return inner, height
     if tok.kind == "name" and tok.text == "true":
         ts.next()
-        return Top()
+        return Top(), 0
     if tok.kind == "name" and tok.text not in RESERVED \
             and tok.text not in ("y1", "y2") and not _Z_PATTERN.match(tok.text):
         ts.next()
-        return Prop(tok.text)
+        return Prop(tok.text), 0
     raise ParseError(f"expected a formula, found {tok.text or 'end of input'!r}",
                      tok.line, tok.col)
 
 
-def _parse_formula_and(ts: _Stream) -> StateFormula:
-    out = _parse_formula_unary(ts)
-    while ts.accept("sym", "&"):
-        out = AndF(out, _parse_formula_unary(ts))
-    return out
+def _parse_formula_and(ts: _Stream) -> tuple[StateFormula, int]:
+    out, height = _parse_formula_unary(ts)
+    while tok := ts.accept("sym", "&"):
+        rhs, right = _parse_formula_unary(ts)
+        out, height = AndF(out, rhs), _within_depth(max(height, right) + 1, tok)
+    return out, height
 
 
-def _parse_formula_or(ts: _Stream) -> StateFormula:
-    out = _parse_formula_and(ts)
-    while ts.accept("sym", "|"):
-        out = OrF(out, _parse_formula_and(ts))
-    return out
+def _parse_formula_or(ts: _Stream) -> tuple[StateFormula, int]:
+    out, height = _parse_formula_and(ts)
+    while tok := ts.accept("sym", "|"):
+        rhs, right = _parse_formula_and(ts)
+        out, height = OrF(out, rhs), _within_depth(max(height, right) + 1, tok)
+    return out, height
 
 
-def _parse_formula_expr(ts: _Stream) -> StateFormula:
-    lhs = _parse_formula_or(ts)
+def _parse_formula_expr(ts: _Stream) -> tuple[StateFormula, int]:
+    lhs, left = _parse_formula_or(ts)
+    tok = ts.peek()
     if ts.accept("sym", "->"):
-        rhs = _parse_formula_expr(ts)
-        return OrF(NotF(lhs), rhs)
+        ts.descend(tok)
+        rhs, right = _parse_formula_expr(ts)
+        ts.ascend()
+        return OrF(NotF(lhs), rhs), _within_depth(max(left + 2, right + 1), tok)
     if ts.accept("sym", "<->"):
-        rhs = _parse_formula_expr(ts)
-        return AndF(OrF(NotF(lhs), rhs), OrF(NotF(rhs), lhs))
-    return lhs
+        ts.descend(tok)
+        rhs, right = _parse_formula_expr(ts)
+        ts.ascend()
+        return (AndF(OrF(NotF(lhs), rhs), OrF(NotF(rhs), lhs)),
+                _within_depth(max(left, right) + 3, tok))
+    return lhs, left
 
 
 def parse_formula(text: str) -> StateFormula:
     """Parse a state formula; the result passes the syntactic checks."""
     ts = _Stream(tokenize(text))
-    out = _parse_formula_expr(ts)
+    out, _ = _parse_formula_expr(ts)
     ts.expect("eof")
     issues = check_syntax(out)
     if issues:

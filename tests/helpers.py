@@ -4,11 +4,14 @@ import numpy as np
 
 from hdmas.engine import _resolve_term, build_prf
 from hdmas.logic import EXISTS
+from hdmas.model import (IDLE, IDLE_COUNTER, CheckOutcome,
+                         WellformednessReport, _bounded_witness, guard_union)
 from hdmas.presburger import (DVD, EQ, LT, And, AtomF, Exists, FalseF, Forall,
                               Implies, LinTerm, Not, Or, TrueF, atom_eq,
                               atom_ge, atom_gt, atom_le, atom_lt, atom_ne,
-                              conj, disj, neg, num)
-from hdmas.qe import cooper_bound, decide
+                              conj, disj, free_vars, is_quantifier_free, neg,
+                              num)
+from hdmas.qe import cooper_bound, decide, is_valid
 
 
 def np_eval(phi, arrays):
@@ -152,14 +155,68 @@ def reference_u_fixpoint(model, t1, t2, q1, q2, theta, pfix, decisions):
     return z, trace
 
 
-def ring_text(n):
+def ring_text(n, broken=None):
     """Ring of n states: ``s_i`` moves on to ``s_{i+1 mod n}`` when
-    ``#a > #b`` and stays otherwise; ``goal`` labels the last state."""
+    ``#a > #b`` and stays otherwise; ``goal`` labels the last state.
+    ``broken`` maps a state index to a guard text replacing its ``else``."""
+    broken = broken or {}
     lines = ["actions a b;", "props goal;"]
     for i in range(n):
         label = "goal" if i == n - 1 else ""
         lines.append(f"state s{i} {{ avail: a b; label: {label}; }}")
     for i in range(n):
         lines.append(f"guard s{i} -> s{(i + 1) % n} : #a > #b;")
-        lines.append(f"guard s{i} -> s{i} : else;")
+        lines.append(f"guard s{i} -> s{i} : {broken.get(i, 'else')};")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# reference well-formedness check: every ordered pair of states per source
+
+
+def reference_check_wellformed(model):
+    """The all-pairs check that ``check_wellformed`` replaced, verbatim.
+
+    Its determinism table has an entry for every ordered pair of distinct
+    states per source state, ok where either guard is missing.
+    """
+    report = WellformednessReport()
+    for s in model.states:
+        report.idle[s] = CheckOutcome(IDLE in model.avail[s])
+
+        legal = set(model.counters_at(s)) - {IDLE_COUNTER}
+        offending = []
+        for dst, g in model.edges_from(s):
+            extra = free_vars(g) - legal
+            if extra or not is_quantifier_free(g):
+                offending.append((dst, sorted(extra)))
+        report.scoping[s] = CheckOutcome(not offending, detail=str(offending))
+        if offending:
+            # the arithmetic checks below would be meaningless
+            report.totality[s] = CheckOutcome(False, detail="skipped: bad scoping")
+            continue
+
+        counters = tuple(c for c in model.counters_at(s) if c != IDLE_COUNTER)
+        union = guard_union(model, s, model.all_states())
+        if is_valid(union, counters):
+            report.totality[s] = CheckOutcome(True)
+        else:
+            witness = _bounded_witness(union, counters, want=False)
+            report.totality[s] = CheckOutcome(False, witness=witness)
+
+        for i, d1 in enumerate(model.states):
+            for d2 in model.states[i + 1:]:
+                g1 = model.guards.get((s, d1))
+                g2 = model.guards.get((s, d2))
+                if g1 is None or g2 is None:
+                    outcome = CheckOutcome(True)
+                else:
+                    both = conj((g1, g2))
+                    if is_valid(neg(both), counters):
+                        outcome = CheckOutcome(True)
+                    else:
+                        witness = _bounded_witness(both, counters, want=True)
+                        outcome = CheckOutcome(False, witness=witness)
+                report.determinism[(s, d1, d2)] = outcome
+                report.determinism[(s, d2, d1)] = outcome
+    return report

@@ -3,7 +3,9 @@ import pathlib
 
 import pytest
 
+from helpers import ring_text
 from hdmas.cli import main
+from hdmas.parsing import MAX_DEPTH
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "hdmas" / "fixtures"
 FIG2 = str(FIXTURES / "fig2.hdmas")
@@ -47,6 +49,48 @@ def test_check_model_reports_failure(tmp_path, capsys):
     assert code == 2
     assert "NOT well-formed" in out
     assert "witness" in out
+
+
+def _passing_lines(states):
+    return ([f"idle-availability {s}: ok" for s in states]
+            + [f"guard-scoping     {s}: ok" for s in states]
+            + [f"totality          {s}: ok" for s in states])
+
+
+# both orders of the one overlapping pair, in the order the report lists them
+OVERLAP_REPORTS = {
+    "fig2-overlap": _passing_lines([f"s{i}" for i in range(1, 7)]) + [
+        "determinism       s1: edges to s2 and s3 overlap,"
+        " witness {'#a1': 0, '#a2': 0, '#a3': 0}",
+        "determinism       s1: edges to s3 and s2 overlap,"
+        " witness {'#a1': 0, '#a2': 0, '#a3': 0}"],
+    "overlapping-ring-6": _passing_lines([f"s{i}" for i in range(6)]) + [
+        "determinism       s2: edges to s2 and s3 overlap,"
+        " witness {'#a': 1, '#b': 0}",
+        "determinism       s2: edges to s3 and s2 overlap,"
+        " witness {'#a': 1, '#b': 0}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERLAP_REPORTS))
+def test_check_model_overlap_report_is_pinned(tmp_path, capsys, name):
+    if name == "fig2-overlap":
+        text = (FIXTURES / "fig2.hdmas").read_text().replace(
+            "#a1 + #a2 + #a3 <= 10 && #a3 > 3",
+            "#a1 + #a2 + #a3 <= 10 && #a3 >= 0")
+    else:
+        text = ring_text(6, {2: "#a <= #b + 1"})
+    path = tmp_path / f"{name}.hdmas"
+    path.write_text(text)
+    expected = OVERLAP_REPORTS[name]
+    code, out, _ = run_cli(capsys, "check-model", str(path))
+    assert code == 2
+    assert out.splitlines() == expected + ["NOT well-formed"]
+    code, out, _ = run_cli(capsys, "check-model", str(path), "--json")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["wellformed"] is False
+    assert payload["report"] == expected
 
 
 def test_verify_extension(capsys):
@@ -187,3 +231,23 @@ def test_fortress_formula(capsys):
                            "--state", "s1")
     assert code == 0
     assert "s1: satisfied" in out
+
+
+@pytest.mark.parametrize("text", ["!" * 1500 + "p",
+                                  "(" * 1500 + "p" + ")" * 1500],
+                         ids=["not", "parentheses"])
+def test_deep_formula_file_is_a_parse_error(tmp_path, capsys, text):
+    source = tmp_path / "formula.txt"
+    source.write_text(text)
+    code, _, err = run_cli(capsys, "verify", FIG2, "--formula-file", str(source))
+    assert code == 1
+    assert err == f"parse error: 1:{MAX_DEPTH + 1}: nested deeper than {MAX_DEPTH} levels\n"
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"], ["--dump-nf"], ["--oracle"]])
+def test_formula_at_the_depth_limit_is_checked(capsys, mode):
+    # as deep as the parser admits, both by nesting and by a chain
+    half = MAX_DEPTH // 2
+    text = "!" * half + "(" + " & ".join(["p"] * (MAX_DEPTH - half + 1)) + ")"
+    code, out, err = run_cli(capsys, "verify", FIG2, "-f", text, *mode)
+    assert (code, err) == (0, "")

@@ -1,8 +1,11 @@
 import math
+import pathlib
 import random
 
 import pytest
 
+from helpers import reference_check_wellformed, ring_text
+from hdmas import model as model_module
 from hdmas.model import (ActionDistribution, ActionTable, DomainMismatch,
                          HdmasModel, IDLE, MalformedModel, check_wellformed,
                          distribution_count, distributions, guard_union,
@@ -124,14 +127,106 @@ def test_fig2_is_wellformed(fig2):
     assert report.ok
     assert set(report.idle) == set(fig2.states)
     assert set(report.totality) == set(fig2.states)
-    # every ordered pair of distinct states is covered per source state
+    # exactly the ordered pairs of distinct declared edges per source state
+    sizes = []
     for s in fig2.states:
+        dsts = [d for d, _ in fig2.edges_from(s)]
         pairs = {(d1, d2) for (src, d1, d2) in report.determinism if src == s}
-        assert len(pairs) == 6 * 5
+        assert pairs == {(d1, d2) for d1 in dsts for d2 in dsts if d1 != d2}
+        sizes.append(len(pairs))
+    assert sizes == [6, 2, 2, 2, 2, 0]
 
 
 def test_fortress_is_wellformed(fortress):
     assert check_wellformed(fortress).ok
+
+
+FIG2_OVERLAP = ("#a1 + #a2 + #a3 <= 10 && #a3 > 3",
+                "#a1 + #a2 + #a3 <= 10 && #a3 >= 0")
+
+# both states have the guards #a > 0 and #a > 1, in the same destination
+# order, but s2 lacks action b: a check decided for s1 and reused for s2
+# would give s2 a witness that names #b
+SAME_GUARDS_OTHER_COUNTERS = """
+    actions a b;
+    props ;
+    state s1 { avail: a b; label: ; }
+    state s2 { avail: a; label: ; }
+    guard s1 -> s1 : #a > 0;
+    guard s1 -> s2 : #a > 1;
+    guard s2 -> s1 : #a > 0;
+    guard s2 -> s2 : #a > 1;
+"""
+
+
+def _bad_scoping_and_overlap():
+    table = ActionTable(("a1", "a2"))
+    return HdmasModel(states=("s1", "s2"), table=table,
+                      avail={"s1": frozenset({"a1", IDLE}),
+                             "s2": frozenset({"a1", "a2", IDLE})},
+                      guards={("s1", "s1"): atom_gt(var("#a2"), 0),
+                              ("s1", "s2"): TRUE,
+                              ("s2", "s1"): atom_gt(var("#a1"), 0),
+                              ("s2", "s2"): atom_gt(var("#a2"), 0)},
+                      props=(), labels={"s1": frozenset(), "s2": frozenset()})
+
+
+def _seeded_ring(kind, seed):
+    rng = random.Random(seed)
+    n = rng.randint(3, 12)
+    guard = "#a < #b" if kind == "not-total" else f"#a <= #b + {rng.randint(1, 3)}"
+    return parse_model(ring_text(n, {rng.randrange(n): guard})).model
+
+
+def _wellformed_cases():
+    fixtures = pathlib.Path(__file__).resolve().parent.parent / "src" / "hdmas" / "fixtures"
+    fig2_text = (fixtures / "fig2.hdmas").read_text()
+    yield pytest.param(parse_model(fig2_text).model, id="fig2")
+    yield pytest.param(parse_model((fixtures / "fortress.hdmas").read_text()).model,
+                       id="fortress")
+    yield pytest.param(parse_model(fig2_text.replace(*FIG2_OVERLAP)).model,
+                       id="fig2-overlap")
+    for seed in range(3):
+        yield pytest.param(_seeded_ring("not-total", seed), id=f"not-total-ring-{seed}")
+        yield pytest.param(_seeded_ring("overlapping", seed),
+                           id=f"overlapping-ring-{seed}")
+    yield pytest.param(parse_model(SAME_GUARDS_OTHER_COUNTERS).model,
+                       id="same-guards-other-counters")
+    yield pytest.param(_bad_scoping_and_overlap(), id="bad-scoping")
+
+
+@pytest.mark.parametrize("model", _wellformed_cases())
+def test_wellformed_matches_all_pairs_reference(model):
+    got, ref = check_wellformed(model), reference_check_wellformed(model)
+    assert got.ok == ref.ok
+    for table in ("idle", "scoping", "totality"):
+        assert list(getattr(got, table).items()) == list(getattr(ref, table).items())
+    declared = [(key, v) for key, v in ref.determinism.items()
+                if (key[0], key[1]) in model.guards
+                and (key[0], key[2]) in model.guards]
+    assert list(got.determinism.items()) == declared
+    failing = {key for key, v in ref.determinism.items() if not v.ok}
+    assert failing <= {key for key, v in got.determinism.items() if not v.ok}
+    assert got.lines() == ref.lines()
+
+
+def test_wellformed_decides_each_distinct_check_once(monkeypatch):
+    calls = []
+    real = model_module.is_valid
+
+    def counting(phi, variables, *rest):
+        calls.append(phi)
+        return real(phi, variables, *rest)
+
+    monkeypatch.setattr(model_module, "is_valid", counting)
+    counts = []
+    for n in (10, 40):
+        calls.clear()
+        assert check_wellformed(parse_model(ring_text(n)).model).ok
+        counts.append(len(calls))
+    # one totality check and the two orders of (move, stay) among the
+    # ring's destinations, whatever the ring's size
+    assert counts == [3, 3]
 
 
 def test_determinism_failure_with_witness():

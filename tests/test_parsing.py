@@ -4,7 +4,7 @@ import pytest
 
 from hdmas.logic import (EXISTS, FORALL, AndF, Coop, Globally, Nat, Next,
                          NotF, OrF, Param, Prop, Quant, Top, Until, Y1, Y2)
-from hdmas.parsing import (ParseError, SemanticError, formula_to_str,
+from hdmas.parsing import (MAX_DEPTH, ParseError, SemanticError, formula_to_str,
                            guard_to_str, model_to_text, parse_formula,
                            parse_guard, parse_model)
 from hdmas.presburger import (atom_eq, atom_ge, atom_gt, atom_le, atom_lt,
@@ -275,3 +275,51 @@ def test_model_roundtrip(fig2, fortress):
         assert again.avail == model.avail
         assert again.labels == model.labels
         assert again.guards == model.guards
+
+
+# -- nesting depth ------------------------------------------------------------
+
+DEEP = 1500
+
+
+@pytest.mark.parametrize("text,col", [
+    ("!" * DEEP + "p", MAX_DEPTH + 1),
+    ("(" * DEEP + "p" + ")" * DEEP, MAX_DEPTH + 1),
+    ("<<1,1>> X " * DEEP + "p", 10 * MAX_DEPTH + 9),
+    ("p -> " * DEEP + "p", 5 * MAX_DEPTH + 3),
+    # a left-folded chain opens no sub-expression but deepens the tree,
+    # also over a deep first operand
+    (" & ".join(["p"] * DEEP), 4 * MAX_DEPTH + 3),
+    ("!" * 60 + "p" + " | p" * DEEP, 4 * (MAX_DEPTH - 60) + 63),
+], ids=["not", "parentheses", "next", "implication", "and-chain", "or-chain"])
+def test_deep_formula_is_a_parse_error(text, col):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert f"nested deeper than {MAX_DEPTH} levels" in str(err.value)
+
+
+@pytest.mark.parametrize("text", [
+    "(" * DEEP + "#a > 0" + ")" * DEEP,
+    "!" * DEEP + "#a > 0",
+    "#a > 0 -> " * DEEP + "#a > 0",
+    "!(#a > 0 && " * DEEP + "#a > 1" + ")" * DEEP,
+], ids=["parentheses", "not", "implication", "mixed"])
+def test_deep_guard_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_guard(text)
+    with pytest.raises(ParseError) as err:
+        parse_model("actions a;\nprops ;\nstate s { avail: a; label: ; }\n"
+                    f"guard s -> s : {text};\n")
+    assert err.value.line == 4
+
+
+def test_depth_limit_admits_its_own_depth():
+    limit = MAX_DEPTH
+    assert parse_formula("!" * limit + "p") is not None
+    assert parse_formula("(" * limit + "p" + ")" * limit) == Prop("p")
+    chain = parse_formula(" & ".join(["p"] * (limit + 1)))
+    assert formula_to_str(chain) == " & ".join(["p"] * (limit + 1))
+    assert parse_formula("<<1,1>> X " * (limit // 2) + "p") is not None
+    assert parse_guard("(" * limit + "#a > 0" + ")" * limit) == atom_gt(var("#a"), 0)
+    assert parse_guard("!" * limit + "#a > 0") == atom_gt(var("#a"), 0)
