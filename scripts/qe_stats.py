@@ -45,6 +45,8 @@ def main():
                                          stats.peak_divisor_lcm)
             grand.peak_atoms = max(grand.peak_atoms, stats.peak_atoms)
             grand.elapsed += stats.elapsed
+            grand.cap_fallbacks += stats.cap_fallbacks
+            grand.early_exits += stats.early_exits
             print(f"  {state}: {str(verdict):5s}  {elapsed * 1000:7.1f} ms  "
                   f"quantifiers={stats.eliminated:2d}  "
                   f"peak_atoms={stats.peak_atoms}")

@@ -9,7 +9,7 @@ second, and a quantifier may only bind occurrences of positive polarity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Union
 
 EXISTS = "E"
@@ -48,6 +48,35 @@ def term_symbol(t: Term) -> Optional[str]:
 
 
 # -- formulas ----------------------------------------------------------------
+#
+# The parser shares subtrees (``a <-> b`` holds ``a`` and ``b`` twice), so
+# a formula is a DAG whose tree can be exponentially larger.  Node hashes
+# are computed once per node, and the walkers below memoise on node
+# identity within one call, so both stay linear in the distinct nodes.
+
+
+def _formula_node(cls):
+    """Frozen dataclass whose hash is cached on the node.
+
+    The cache is left out of pickles: string hashes differ between
+    processes.
+    """
+    cls = dataclass(frozen=True)(cls)
+    plain = cls.__hash__
+    names = tuple(f.name for f in fields(cls))
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = plain(self)
+        return cached
+
+    def __reduce__(self):
+        return cls, tuple(getattr(self, n) for n in names)
+
+    cls.__hash__ = __hash__
+    cls.__reduce__ = __reduce__
+    return cls
 
 
 class StateFormula:
@@ -58,34 +87,34 @@ class PathFormula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_formula_node
 class Top(StateFormula):
     pass
 
 
-@dataclass(frozen=True)
+@_formula_node
 class Prop(StateFormula):
     name: str
 
 
-@dataclass(frozen=True)
+@_formula_node
 class NotF(StateFormula):
     arg: StateFormula
 
 
-@dataclass(frozen=True)
+@_formula_node
 class AndF(StateFormula):
     lhs: StateFormula
     rhs: StateFormula
 
 
-@dataclass(frozen=True)
+@_formula_node
 class OrF(StateFormula):
     lhs: StateFormula
     rhs: StateFormula
 
 
-@dataclass(frozen=True)
+@_formula_node
 class Coop(StateFormula):
     """Strategic operator <<t1, t2>> applied to a temporal objective."""
 
@@ -98,23 +127,23 @@ QuantSpec = tuple[str, int]              # (quantifier, agent-variable index)
 QuantPrefix = tuple[QuantSpec, ...]      # length 1 or 2
 
 
-@dataclass(frozen=True)
+@_formula_node
 class Quant(StateFormula):
     prefix: QuantPrefix
     body: StateFormula
 
 
-@dataclass(frozen=True)
+@_formula_node
 class Next(PathFormula):
     arg: StateFormula
 
 
-@dataclass(frozen=True)
+@_formula_node
 class Globally(PathFormula):
     arg: StateFormula
 
 
-@dataclass(frozen=True)
+@_formula_node
 class Until(PathFormula):
     lhs: StateFormula
     rhs: StateFormula
@@ -154,9 +183,17 @@ def size(phi: Formula) -> int:
 
 
 def subformulas(phi: Formula) -> Iterator[Formula]:
-    yield phi
-    for c in children(phi):
-        yield from subformulas(c)
+    """Subformulas in preorder; a node shared by several parents is
+    yielded once."""
+    seen: set[int] = set()
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
+        yield f
+        stack.extend(reversed(children(f)))
 
 
 def props_of(phi: Formula) -> frozenset[str]:
@@ -173,35 +210,26 @@ def params_of(phi: Formula) -> frozenset[int]:
     return frozenset(out)
 
 
-def _occurrences(phi: Formula, y: int, bound: bool, negations: int,
-                 acc: list[int]) -> None:
-    """Collect negation parities of free occurrences of an agent variable."""
-    if isinstance(phi, Coop):
-        if not bound:
-            for t in (phi.t1, phi.t2):
-                if isinstance(t, AgentVar) and t.index == y:
-                    acc.append(negations)
-        _occurrences(phi.objective, y, bound, negations, acc)
-        return
+def _parities(phi: Formula, y: int, memo: dict) -> frozenset[int]:
+    """Negation parities (0 or 1) of the free occurrences of an agent
+    variable."""
+    hit = memo.get(id(phi))
+    if hit is not None:
+        return hit
+    out: frozenset[int] = frozenset()
     if isinstance(phi, NotF):
-        _occurrences(phi.arg, y, bound, negations + 1, acc)
-        return
-    if isinstance(phi, Quant):
-        now_bound = bound or any(i == y for _, i in phi.prefix)
-        _occurrences(phi.body, y, now_bound, negations, acc)
-        return
-    for c in children(phi):
-        _occurrences(c, y, bound, negations, acc)
+        out = frozenset(1 - n for n in _parities(phi.arg, y, memo))
+    elif not (isinstance(phi, Quant) and any(i == y for _, i in phi.prefix)):
+        if isinstance(phi, Coop) and AgentVar(y) in (phi.t1, phi.t2):
+            out = frozenset((0,))
+        for c in children(phi):
+            out |= _parities(c, y, memo)
+    memo[id(phi)] = out
+    return out
 
 
 def free_agent_vars(phi: Formula) -> frozenset[int]:
-    out = set()
-    for y in (1, 2):
-        acc: list[int] = []
-        _occurrences(phi, y, False, 0, acc)
-        if acc:
-            out.add(y)
-    return frozenset(out)
+    return frozenset(y for y in (1, 2) if _parities(phi, y, {}))
 
 
 def polarity(phi: Formula, y: int) -> str:
@@ -209,15 +237,58 @@ def polarity(phi: Formula, y: int) -> str:
 
     Returns one of ``all-positive``, ``all-negative``, ``mixed``, ``absent``.
     """
-    acc: list[int] = []
-    _occurrences(phi, y, False, 0, acc)
-    if not acc:
+    found = _parities(phi, y, {})
+    if not found:
         return "absent"
-    if all(n % 2 == 0 for n in acc):
+    if found == {0}:
         return "all-positive"
-    if all(n % 2 == 1 for n in acc):
+    if found == {1}:
         return "all-negative"
     return "mixed"
+
+
+# -- shared-node walks -------------------------------------------------------
+
+
+def map_children(phi: Formula, fn) -> Formula:
+    """The node rebuilt with ``fn`` applied to each direct subformula."""
+    if isinstance(phi, (Top, Prop)):
+        return phi
+    if isinstance(phi, NotF):
+        return NotF(fn(phi.arg))
+    if isinstance(phi, AndF):
+        return AndF(fn(phi.lhs), fn(phi.rhs))
+    if isinstance(phi, OrF):
+        return OrF(fn(phi.lhs), fn(phi.rhs))
+    if isinstance(phi, Coop):
+        return Coop(phi.t1, phi.t2, fn(phi.objective))
+    if isinstance(phi, Quant):
+        return Quant(phi.prefix, fn(phi.body))
+    if isinstance(phi, Next):
+        return Next(fn(phi.arg))
+    if isinstance(phi, Globally):
+        return Globally(fn(phi.arg))
+    if isinstance(phi, Until):
+        return Until(fn(phi.lhs), fn(phi.rhs))
+    raise TypeError(phi)
+
+
+def memo_walk(phi: Formula, step):
+    """``step(node, recurse)`` evaluated once per distinct node.
+
+    ``recurse`` memoises on node identity for the duration of the call;
+    the memo holds each node it has seen, so no identity is reused while
+    it runs, not even one of a node that ``step`` builds on the fly.
+    """
+    memo: dict[int, tuple] = {}
+
+    def recurse(f: Formula):
+        hit = memo.get(id(f))
+        if hit is None:
+            hit = memo[id(f)] = (f, step(f, recurse))
+        return hit[1]
+
+    return recurse(phi)
 
 
 # -- substitution ------------------------------------------------------------
@@ -227,36 +298,17 @@ def subst_term(phi: Formula, target: Term, k: int) -> Formula:
     """Uniform substitution of the free occurrences of a term by a numeral."""
     replacement = Nat(k)
 
-    def sub(t: Term, bound: frozenset[int]) -> Term:
-        if t != target:
-            return t
-        if isinstance(t, AgentVar) and t.index in bound:
-            return t
-        return replacement
-
-    def walk(f: Formula, bound: frozenset[int]) -> Formula:
-        if isinstance(f, (Top, Prop)):
-            return f
-        if isinstance(f, NotF):
-            return NotF(walk(f.arg, bound))
-        if isinstance(f, AndF):
-            return AndF(walk(f.lhs, bound), walk(f.rhs, bound))
-        if isinstance(f, OrF):
-            return OrF(walk(f.lhs, bound), walk(f.rhs, bound))
+    def step(f: Formula, recurse) -> Formula:
         if isinstance(f, Coop):
-            return Coop(sub(f.t1, bound), sub(f.t2, bound),
-                        walk(f.objective, bound))
-        if isinstance(f, Quant):
-            return Quant(f.prefix, walk(f.body, bound | {i for _, i in f.prefix}))
-        if isinstance(f, Next):
-            return Next(walk(f.arg, bound))
-        if isinstance(f, Globally):
-            return Globally(walk(f.arg, bound))
-        if isinstance(f, Until):
-            return Until(walk(f.lhs, bound), walk(f.rhs, bound))
-        raise TypeError(f)
+            return Coop(replacement if f.t1 == target else f.t1,
+                        replacement if f.t2 == target else f.t2,
+                        recurse(f.objective))
+        if (isinstance(f, Quant) and isinstance(target, AgentVar)
+                and any(i == target.index for _, i in f.prefix)):
+            return f            # every occurrence below is bound here
+        return map_children(f, recurse)
 
-    return walk(phi, frozenset())
+    return memo_walk(phi, step)
 
 
 # -- vacuous quantifiers and canonical shape ---------------------------------
@@ -264,92 +316,57 @@ def subst_term(phi: Formula, target: Term, k: int) -> Formula:
 
 def simplify_vacuous(phi: Formula) -> Formula:
     """Drop quantifiers over variables with no free occurrence in their body."""
-    if isinstance(phi, Quant):
-        body = simplify_vacuous(phi.body)
-        free = free_agent_vars(body)
-        kept = tuple(q for q in phi.prefix if q[1] in free)
-        return Quant(kept, body) if kept else body
-    if isinstance(phi, (Top, Prop)):
-        return phi
-    if isinstance(phi, NotF):
-        return NotF(simplify_vacuous(phi.arg))
-    if isinstance(phi, AndF):
-        return AndF(simplify_vacuous(phi.lhs), simplify_vacuous(phi.rhs))
-    if isinstance(phi, OrF):
-        return OrF(simplify_vacuous(phi.lhs), simplify_vacuous(phi.rhs))
-    if isinstance(phi, Coop):
-        return Coop(phi.t1, phi.t2, simplify_vacuous(phi.objective))
-    if isinstance(phi, Next):
-        return Next(simplify_vacuous(phi.arg))
-    if isinstance(phi, Globally):
-        return Globally(simplify_vacuous(phi.arg))
-    if isinstance(phi, Until):
-        return Until(simplify_vacuous(phi.lhs), simplify_vacuous(phi.rhs))
-    raise TypeError(phi)
+    def step(f: Formula, recurse) -> Formula:
+        if isinstance(f, Quant):
+            body = recurse(f.body)
+            free = free_agent_vars(body)
+            kept = tuple(q for q in f.prefix if q[1] in free)
+            return Quant(kept, body) if kept else body
+        return map_children(f, recurse)
+
+    return memo_walk(phi, step)
 
 
 def merge_quantifiers(phi: Formula) -> Formula:
     """Fuse nested quantifier nodes into maximal admissible prefixes."""
-    if isinstance(phi, Quant):
-        body = merge_quantifiers(phi.body)
-        prefix = phi.prefix
-        while (isinstance(body, Quant) and len(prefix) + len(body.prefix) <= 2
-               and {i for _, i in prefix}.isdisjoint(i for _, i in body.prefix)):
-            prefix = prefix + body.prefix
-            body = body.body
-        return Quant(prefix, body)
-    if isinstance(phi, (Top, Prop)):
-        return phi
-    if isinstance(phi, NotF):
-        return NotF(merge_quantifiers(phi.arg))
-    if isinstance(phi, AndF):
-        return AndF(merge_quantifiers(phi.lhs), merge_quantifiers(phi.rhs))
-    if isinstance(phi, OrF):
-        return OrF(merge_quantifiers(phi.lhs), merge_quantifiers(phi.rhs))
-    if isinstance(phi, Coop):
-        return Coop(phi.t1, phi.t2, merge_quantifiers(phi.objective))
-    if isinstance(phi, Next):
-        return Next(merge_quantifiers(phi.arg))
-    if isinstance(phi, Globally):
-        return Globally(merge_quantifiers(phi.arg))
-    if isinstance(phi, Until):
-        return Until(merge_quantifiers(phi.lhs), merge_quantifiers(phi.rhs))
-    raise TypeError(phi)
+    def step(f: Formula, recurse) -> Formula:
+        if isinstance(f, Quant):
+            body = recurse(f.body)
+            prefix = f.prefix
+            while (isinstance(body, Quant)
+                   and len(prefix) + len(body.prefix) <= 2
+                   and {i for _, i in prefix}.isdisjoint(
+                       i for _, i in body.prefix)):
+                prefix = prefix + body.prefix
+                body = body.body
+            return Quant(prefix, body)
+        return map_children(f, recurse)
+
+    return memo_walk(phi, step)
 
 
 def _reassoc(phi: Formula) -> Formula:
     """Right-nest chains of the same binary connective, preserving order."""
-    if isinstance(phi, (AndF, OrF)):
-        ctor = AndF if isinstance(phi, AndF) else OrF
+    def step(f: Formula, recurse) -> Formula:
+        if not isinstance(f, (AndF, OrF)):
+            return map_children(f, recurse)
+        ctor = AndF if isinstance(f, AndF) else OrF
         parts: list[StateFormula] = []
 
-        def flatten(f: StateFormula) -> None:
-            if isinstance(f, ctor):
-                flatten(f.lhs)
-                flatten(f.rhs)
+        def flatten(g: StateFormula) -> None:
+            if isinstance(g, ctor):
+                flatten(g.lhs)
+                flatten(g.rhs)
             else:
-                parts.append(_reassoc(f))
+                parts.append(recurse(g))
 
-        flatten(phi)
+        flatten(f)
         out = parts[-1]
         for p in reversed(parts[:-1]):
             out = ctor(p, out)
         return out
-    if isinstance(phi, (Top, Prop)):
-        return phi
-    if isinstance(phi, NotF):
-        return NotF(_reassoc(phi.arg))
-    if isinstance(phi, Coop):
-        return Coop(phi.t1, phi.t2, _reassoc(phi.objective))
-    if isinstance(phi, Quant):
-        return Quant(phi.prefix, _reassoc(phi.body))
-    if isinstance(phi, Next):
-        return Next(_reassoc(phi.arg))
-    if isinstance(phi, Globally):
-        return Globally(_reassoc(phi.arg))
-    if isinstance(phi, Until):
-        return Until(_reassoc(phi.lhs), _reassoc(phi.rhs))
-    raise TypeError(phi)
+
+    return memo_walk(phi, step)
 
 
 def canonical(phi: Formula) -> Formula:
@@ -390,8 +407,13 @@ def check_syntax(phi: StateFormula) -> list[SyntaxIssue]:
     the convention that such quantification is removed automatically.
     """
     issues: list[SyntaxIssue] = []
+    # shared nodes whose subtree raised nothing are not walked again
+    clean: set[int] = set()
 
     def walk(f: Formula, path: tuple[int, ...]) -> None:
+        if id(f) in clean:
+            return
+        before = len(issues)
         if isinstance(f, Coop):
             if f.t1 == Y2:
                 issues.append(PositionViolation(path, 1))
@@ -410,6 +432,8 @@ def check_syntax(phi: StateFormula) -> list[SyntaxIssue]:
                     issues.append(PolarityViolation(path, i, found))
         for idx, c in enumerate(children(f)):
             walk(c, path + (idx,))
+        if len(issues) == before:
+            clean.add(id(f))
 
     walk(simplify_vacuous(phi), ())
     return issues
@@ -426,12 +450,15 @@ def is_normal_form(phi: StateFormula) -> bool:
     target = merge_quantifiers(phi)
 
     ok = True
+    seen: set[tuple] = set()
 
     def walk(f: Formula, bound: frozenset[int],
              parent_prefix: Optional[QuantPrefix]) -> None:
         nonlocal ok
-        if not ok:
+        key = (id(f), bound, parent_prefix)
+        if not ok or key in seen:
             return
+        seen.add(key)
         if isinstance(f, Quant):
             for q, i in f.prefix:
                 if (q, i) in ((FORALL, 1), (EXISTS, 2)):

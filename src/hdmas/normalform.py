@@ -10,9 +10,8 @@ operator it quantifies; it is equivalent to the input on finite models.
 
 from __future__ import annotations
 
-from .logic import (EXISTS, FORALL, AndF, Coop, Formula, Globally, Nat,
-                    Next, NotF, OrF, Prop, Quant, QuantPrefix, Top, Until,
-                    Y1, Y2, subst_term)
+from .logic import (EXISTS, FORALL, Coop, Formula, Nat, NotF, Quant,
+                    QuantPrefix, Y1, Y2, map_children, memo_walk, subst_term)
 
 _ZERO = Nat(0)
 
@@ -38,28 +37,14 @@ def _dual(prefix: QuantPrefix) -> QuantPrefix:
 
 def pqe(xi: Formula) -> Formula:
     """Replace trivialisable quantifier patterns by their closed forms."""
-    if isinstance(xi, (Top, Prop)):
-        return xi
-    if isinstance(xi, NotF):
-        return NotF(pqe(xi.arg))
-    if isinstance(xi, AndF):
-        return AndF(pqe(xi.lhs), pqe(xi.rhs))
-    if isinstance(xi, OrF):
-        return OrF(pqe(xi.lhs), pqe(xi.rhs))
-    if isinstance(xi, Coop):
-        return Coop(xi.t1, xi.t2, pqe(xi.objective))
-    if isinstance(xi, Next):
-        return Next(pqe(xi.arg))
-    if isinstance(xi, Globally):
-        return Globally(pqe(xi.arg))
-    if isinstance(xi, Until):
-        return Until(pqe(xi.lhs), pqe(xi.rhs))
-    if isinstance(xi, Quant):
-        quants, core = _peel(xi)
+    def step(f: Formula, recurse) -> Formula:
+        if not isinstance(f, Quant):
+            return map_children(f, recurse)
+        quants, core = _peel(f)
         if len(quants) == 2 and isinstance(core, Coop) \
                 and core.t1 == Y1 and core.t2 == Y2:
             pair = (quants[0], quants[1])
-            chi = pqe(core.objective)
+            chi = recurse(core.objective)
             if pair in (((FORALL, 1), (EXISTS, 2)), ((EXISTS, 2), (FORALL, 1))):
                 chi = subst_term(subst_term(chi, Y1, 0), Y2, 0)
                 return Coop(_ZERO, _ZERO, chi)
@@ -73,12 +58,13 @@ def pqe(xi: Formula) -> Formula:
             q = quants[0]
             if q == (FORALL, 1) and core.t1 == Y1:
                 return Coop(_ZERO, core.t2,
-                            subst_term(pqe(core.objective), Y1, 0))
+                            subst_term(recurse(core.objective), Y1, 0))
             if q == (EXISTS, 2) and core.t2 == Y2:
                 return Coop(core.t1, _ZERO,
-                            subst_term(pqe(core.objective), Y2, 0))
-        return Quant((quants[0],), pqe(_rebuild(quants[1:], core)))
-    raise TypeError(xi)
+                            subst_term(recurse(core.objective), Y2, 0))
+        return Quant((quants[0],), recurse(_rebuild(quants[1:], core)))
+
+    return memo_walk(xi, step)
 
 
 def push(prefix: QuantPrefix, xi: Formula) -> Formula:
@@ -89,69 +75,57 @@ def push(prefix: QuantPrefix, xi: Formula) -> Formula:
     is also pushed into the temporal objective; at an inner quantifier the
     shadowed part of the prefix is dropped.
     """
-    if isinstance(xi, (Top, Prop)):
-        return xi
-    if isinstance(xi, NotF):
-        return NotF(push(_dual(prefix), xi.arg))
-    if isinstance(xi, AndF):
-        return AndF(push(prefix, xi.lhs), push(prefix, xi.rhs))
-    if isinstance(xi, OrF):
-        return OrF(push(prefix, xi.lhs), push(prefix, xi.rhs))
-    if isinstance(xi, Next):
-        return Next(push(prefix, xi.arg))
-    if isinstance(xi, Globally):
-        return Globally(push(prefix, xi.arg))
-    if isinstance(xi, Until):
-        return Until(push(prefix, xi.lhs), push(prefix, xi.rhs))
-    if isinstance(xi, Coop):
-        body = Coop(xi.t1, xi.t2, push(prefix, xi.objective))
-        if len(prefix) == 1:
-            q, i = prefix[0]
-            matches = (xi.t1 == Y1) if i == 1 else (xi.t2 == Y2)
-            return Quant(prefix, body) if matches else body
-        m1 = xi.t1 == Y1
-        m2 = xi.t2 == Y2
-        if m1 and m2:
-            return Quant(prefix, body)
-        if not m1 and not m2:
-            return body
-        keep = 1 if m1 else 2
-        entry = next(q for q in prefix if q[1] == keep)
-        return Quant((entry,), body)
-    if isinstance(xi, Quant):
-        head = xi.prefix[0]
-        rest: Formula = xi.body if len(xi.prefix) == 1 \
-            else Quant(xi.prefix[1:], xi.body)
-        if len(prefix) == 1:
-            if prefix[0][1] == head[1]:
-                return push((head,), rest)
-            return push((prefix[0], head), rest)
-        first, second = prefix
-        if first[1] == head[1]:
-            return push((second, head), rest)
-        return push((first, head), rest)
-    raise TypeError(xi)
+    # memoised on (prefix, node identity); the memo keeps each node alive
+    memo: dict[tuple, tuple] = {}
+
+    def go(prefix: QuantPrefix, xi: Formula) -> Formula:
+        key = (prefix, id(xi))
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = (xi, step(prefix, xi))
+        return hit[1]
+
+    def step(prefix: QuantPrefix, xi: Formula) -> Formula:
+        if isinstance(xi, NotF):
+            return NotF(go(_dual(prefix), xi.arg))
+        if isinstance(xi, Coop):
+            body = Coop(xi.t1, xi.t2, go(prefix, xi.objective))
+            if len(prefix) == 1:
+                q, i = prefix[0]
+                matches = (xi.t1 == Y1) if i == 1 else (xi.t2 == Y2)
+                return Quant(prefix, body) if matches else body
+            m1 = xi.t1 == Y1
+            m2 = xi.t2 == Y2
+            if m1 and m2:
+                return Quant(prefix, body)
+            if not m1 and not m2:
+                return body
+            keep = 1 if m1 else 2
+            entry = next(q for q in prefix if q[1] == keep)
+            return Quant((entry,), body)
+        if isinstance(xi, Quant):
+            head = xi.prefix[0]
+            rest: Formula = xi.body if len(xi.prefix) == 1 \
+                else Quant(xi.prefix[1:], xi.body)
+            if len(prefix) == 1:
+                if prefix[0][1] == head[1]:
+                    return go((head,), rest)
+                return go((prefix[0], head), rest)
+            first, second = prefix
+            if first[1] == head[1]:
+                return go((second, head), rest)
+            return go((first, head), rest)
+        return map_children(xi, lambda c: go(prefix, c))
+
+    return go(prefix, xi)
 
 
 def nf(xi: Formula) -> Formula:
     """Normal form: push the prefix through the recursively normalised body,
     then eliminate the trivialisable patterns."""
-    if isinstance(xi, (Top, Prop)):
-        return xi
-    if isinstance(xi, NotF):
-        return NotF(nf(xi.arg))
-    if isinstance(xi, AndF):
-        return AndF(nf(xi.lhs), nf(xi.rhs))
-    if isinstance(xi, OrF):
-        return OrF(nf(xi.lhs), nf(xi.rhs))
-    if isinstance(xi, Coop):
-        return Coop(xi.t1, xi.t2, nf(xi.objective))
-    if isinstance(xi, Quant):
-        return pqe(push(xi.prefix, nf(xi.body)))
-    if isinstance(xi, Next):
-        return Next(nf(xi.arg))
-    if isinstance(xi, Globally):
-        return Globally(nf(xi.arg))
-    if isinstance(xi, Until):
-        return Until(nf(xi.lhs), nf(xi.rhs))
-    raise TypeError(xi)
+    def step(f: Formula, recurse) -> Formula:
+        if isinstance(f, Quant):
+            return pqe(push(f.prefix, recurse(f.body)))
+        return map_children(f, recurse)
+
+    return memo_walk(xi, step)

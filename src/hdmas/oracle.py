@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .logic import (AndF, Coop, Globally, Nat, Next, NotF, OrF, Prop, Quant,
-                    StateFormula, Term, Top, Until, term_symbol)
+                    StateFormula, Term, Top, Until, memo_walk,
+                    term_symbol)
 from .model import (ActionDistribution, HdmasModel, StateSet,
                     distribution_count, distributions, oplus, successor)
 
@@ -103,17 +104,21 @@ class Oracle:
 
     def global_mc(self, phi: StateFormula, theta: Mapping[str, int]) -> StateSet:
         """Extension of a formula whose strategic operators are concrete."""
+        return memo_walk(phi, lambda f, ext: self._extension(f, theta, ext))
+
+    def _extension(self, phi: StateFormula, theta: Mapping[str, int],
+                   ext) -> StateSet:
         model = self.model
         if isinstance(phi, Top):
             return model.all_states()
         if isinstance(phi, Prop):
             return model.prop_mask(phi.name)
         if isinstance(phi, NotF):
-            return model.all_states() & ~self.global_mc(phi.arg, theta)
+            return model.all_states() & ~ext(phi.arg)
         if isinstance(phi, AndF):
-            return self.global_mc(phi.lhs, theta) & self.global_mc(phi.rhs, theta)
+            return ext(phi.lhs) & ext(phi.rhs)
         if isinstance(phi, OrF):
-            return self.global_mc(phi.lhs, theta) | self.global_mc(phi.rhs, theta)
+            return ext(phi.lhs) | ext(phi.rhs)
         if isinstance(phi, Quant):
             raise QuantifiedFormula("enumeration cannot decide quantified formulas")
         if isinstance(phi, Coop):
@@ -121,10 +126,9 @@ class Oracle:
             n = _term_value(phi.t2, theta)
             objective = phi.objective
             if isinstance(objective, Next):
-                return self.concrete_pre_image(c, n,
-                                               self.global_mc(objective.arg, theta))
+                return self.concrete_pre_image(c, n, ext(objective.arg))
             if isinstance(objective, Globally):
-                targets = self.global_mc(objective.arg, theta)
+                targets = ext(objective.arg)
                 w = model.all_states()
                 z = targets
                 while w & ~z:
@@ -132,8 +136,8 @@ class Oracle:
                     z = self.concrete_pre_image(c, n, w) & targets
                 return z
             if isinstance(objective, Until):
-                q1 = self.global_mc(objective.lhs, theta)
-                q2 = self.global_mc(objective.rhs, theta)
+                q1 = ext(objective.lhs)
+                q2 = ext(objective.rhs)
                 w = 0
                 z = q2
                 while z & ~w:

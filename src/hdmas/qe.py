@@ -1,13 +1,19 @@
 """Deciding truth of Presburger formulas over the naturals.
 
 The procedure is Cooper-style quantifier elimination over the integers
-with every quantified variable relativised by ``var >= 0``.  Universal
-quantifiers are handled by duality, elimination runs innermost-first, and
-within a same-quantifier block variables are eliminated cheapest-first.
-Between steps the formula is kept aggressively simplified; conjunctions
-of literals take exact shortcuts (equality pivoting, unit-coefficient
-bound combination, interval refutation) and full Cooper elimination is
-the fallback.
+with every quantified variable relativised by ``var >= 0``.  Elimination
+runs innermost-first, one block of same-kind quantifiers at a time, and
+within a block variables are eliminated cheapest-first.  An existential
+block expands its body into cells (conjunctions of literals) depth-first,
+splitting one conjunct at a time as DPLL(T) case splitting does, and
+closes at once when a cell over block variables only is satisfiable.  A
+universal block is eliminated existentially on its negated body and
+returns the negated cells as clauses, which the enclosing block expands
+lazily instead of their complement being multiplied out.  Between steps
+the formula is kept aggressively simplified; conjunctions of literals
+take exact shortcuts (equality pivoting, unit-coefficient bound
+combination, interval refutation) and full Cooper elimination is the
+fallback.
 """
 
 from __future__ import annotations
@@ -36,6 +42,10 @@ class QeStats:
     peak_divisor_lcm: int = 1
     peak_atoms: int = 0
     elapsed: float = 0.0
+    # blocks that left the cell pipeline for the tree pipeline
+    cap_fallbacks: int = 0
+    # existential blocks closed by a satisfiable leaf over block variables
+    early_exits: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -43,6 +53,8 @@ class QeStats:
             "peak_divisor_lcm": self.peak_divisor_lcm,
             "peak_atom_count": self.peak_atoms,
             "elapsed_seconds": self.elapsed,
+            "cap_fallbacks": self.cap_fallbacks,
+            "early_exits": self.early_exits,
         }
 
 
@@ -66,13 +78,20 @@ def eliminate_exists(v: str, phi: PresFormula,
     return out
 
 
+def eliminate_quantifiers(phi: PresFormula,
+                          stats: Optional[QeStats] = None) -> PresFormula:
+    """Quantifier-free formula equivalent over N to ``phi``, with every
+    quantifier relativised to >= 0.  Free variables stay free."""
+    return simplify(_close(rename_apart(phi), stats))
+
+
 def decide(phi: PresFormula, stats: Optional[QeStats] = None) -> bool:
     """Truth over N of a closed formula, all quantifiers relativised to >= 0."""
     fv = free_vars(phi)
     if fv:
         raise FreeVariableError(sorted(fv))
     started = time.perf_counter()
-    result = simplify(_close(rename_apart(phi), stats))
+    result = eliminate_quantifiers(phi, stats)
     if stats is not None:
         stats.elapsed += time.perf_counter() - started
     if isinstance(result, TrueF):
@@ -199,6 +218,8 @@ def _eliminate_block(names: list[str], phi: PresFormula,
     cells = _block_via_cells(names, phi, stats, negate=False)
     if cells is not None:
         return cells
+    if stats is not None:
+        stats.cap_fallbacks += 1
     remaining = list(names)
     out = phi
     while remaining:
@@ -213,6 +234,8 @@ def _forall_block(names: list[str], phi: PresFormula,
     cells = _block_via_cells(names, phi, stats, negate=True)
     if cells is not None:
         return cells
+    if stats is not None:
+        stats.cap_fallbacks += 1
     remaining = list(names)
     out = phi
     while remaining:
@@ -226,14 +249,17 @@ def _forall_block(names: list[str], phi: PresFormula,
 # ---------------------------------------------------------------------------
 # flat cell pipeline
 #
-# Inside a quantifier block the formula is a frontier of cells (window
-# maps plus divisibility literals).  Eliminating a variable maps cells to
-# cells and the frontier is deduplicated and subsumption-pruned globally
-# after every step, which keeps alternating prefixes tractable.  A
-# universal block complements into cells, eliminates existentially, and
-# complements back.
+# Inside a quantifier block the formula is a set of cells (window maps
+# plus divisibility literals).  An existential block expands its body
+# into cells depth-first, then eliminates its variables cell by cell; the
+# cells are deduplicated and subsumption-pruned globally after every
+# step, which keeps alternating prefixes tractable.  A universal block
+# eliminates existentially on the negated body and returns the negated
+# cells as clauses, which the enclosing block expands lazily.
 
 _CELL_CAP = 30_000
+# nodes the depth-first expansion may visit before giving up
+_NODE_CAP = 10 * _CELL_CAP
 
 
 def _smart_dnf_reps(phi: PresFormula, cap: int) -> Optional[dict]:
@@ -271,15 +297,136 @@ def _merge_rep(target: dict, lits) -> None:
         target.setdefault(_cell_key(*ext), ext)
 
 
-def _complement_reps(reps: dict, cap: int) -> Optional[dict]:
-    clauses = tuple(simplify(to_nnf(neg(conj(tuple(_cell_literals(w, d))))))
-                    for w, d in reps.values())
-    body = conj(clauses) if len(clauses) != 1 else clauses[0]
-    if isinstance(body, FalseF):
-        return {}
-    if isinstance(body, TrueF):
-        return {_cell_key({}, frozenset()): ({}, frozenset())}
-    return _smart_dnf_reps(body, cap)
+def _negated_literals(lit: PresFormula) -> list[PresFormula]:
+    """Literals whose disjunction is the complement of one cell literal."""
+    if isinstance(lit, Not):
+        return [lit.arg]
+    a = lit.atom                                           # type: ignore[union-attr]
+    if a.kind == LT:
+        # not (t < 0)  iff  -t - 1 < 0
+        return [_fold_atom(Atom(LT, a.term.scale(-1).shift(-1)))]
+    if a.kind == EQ:
+        return [_fold_atom(Atom(LT, a.term)),
+                _fold_atom(Atom(LT, a.term.scale(-1)))]
+    return [Not(lit)]
+
+
+def _blocking_literal(alt: list[PresFormula]) -> Optional[PresFormula]:
+    """Complement of an alternative that is one literal over one variable,
+    when that complement is itself a literal."""
+    if len(alt) != 1:
+        return None
+    lit = alt[0]
+    if len(_literal_atom(lit).term.coeffs) != 1:
+        return None
+    negated = _negated_literals(lit)
+    return negated[0] if len(negated) == 1 else None
+
+
+def _cell_vars(windows: dict, divs: frozenset) -> set[str]:
+    out = {v for part in windows for v, _ in part}
+    for d in divs:
+        out |= _literal_atom(d).term.vars()
+    return out
+
+
+def _cell_refuted(windows: dict, naturals: list[Atom]) -> bool:
+    """Interval refutation of a cell, with the block variables >= 0."""
+    atoms = list(naturals)
+    for part, (lo, hi, eq) in windows.items():
+        if eq is not None:
+            atoms.append(Atom(EQ, LinTerm(part, -eq)))
+            continue
+        if hi is not None:
+            atoms.append(Atom(LT, LinTerm(part, -hi)))
+        if lo is not None:
+            atoms.append(Atom(LT, LinTerm(tuple((v, -c) for v, c in part), lo)))
+    return _refute_intervals(atoms)
+
+
+def _open_conjuncts(cell: tuple, pending: list) -> Optional[list]:
+    """Live alternatives of each conjunct the cell does not entail; None
+    when some conjunct has none left."""
+    windows, divs = cell
+    out = []
+    for alts in pending:
+        live = []
+        for alt in alts:
+            ext = _cell_extend(windows, divs, alt)
+            if ext == cell:
+                break
+            if ext is not None:
+                live.append(alt)
+        else:
+            if not live:
+                return None
+            out.append(live)
+    return out
+
+
+def _expand_depth_first(names: list[str], body: PresFormula,
+                        stats: Optional[QeStats]) -> Optional[dict]:
+    """Cells of ``body`` for the existential block over ``names``.
+
+    Walks the conjuncts depth-first, each with its own DNF as the
+    alternatives, in the style of DPLL(T) case splitting: a conjunct the
+    cell entails is skipped, an alternative that empties the cell is
+    dropped, the conjunct with the fewest live alternatives is split
+    first, and after a one-literal one-variable alternative its complement
+    joins the cell for the alternatives after it.  Returns the leaves;
+    only the empty cell when a leaf over block variables only is
+    satisfiable, since the block then holds whatever the free variables
+    are; None when a cap is hit.
+    """
+    conjuncts = []
+    for child in (body.args if isinstance(body, And) else (body,)):
+        alts = _to_dnf(child, _CELL_CAP)
+        if alts is None:
+            return None
+        conjuncts.append(alts)
+    block = set(names)
+    naturals = [Atom(LT, LinTerm(((v, -1),), -1)) for v in names]
+    leaves: dict = {}
+    stack = [(({}, frozenset()), conjuncts)]
+    visited = 0
+    while stack:
+        visited += 1
+        if visited > _NODE_CAP:
+            return None
+        cell, pending = stack.pop()
+        if _cell_refuted(cell[0], naturals):
+            continue
+        open_ = _open_conjuncts(cell, pending)
+        if open_ is None:
+            continue
+        windows, divs = cell
+        if not open_:
+            key = _cell_key(windows, divs)
+            if _cell_vars(windows, divs) <= block:
+                if _exists_block_reps(names, {key: cell}, stats):
+                    if stats is not None:
+                        stats.early_exits += 1
+                    return {_cell_key({}, frozenset()): ({}, frozenset())}
+                continue
+            leaves.setdefault(key, cell)
+            if len(leaves) > _CELL_CAP:
+                return None
+            continue
+        split = min(range(len(open_)), key=lambda i: len(open_[i]))
+        rest = open_[:split] + open_[split + 1:]
+        children = []
+        for alt in open_[split]:
+            ext = _cell_extend(windows, divs, alt)
+            if ext is not None:
+                children.append((ext, rest))
+            blocking = _blocking_literal(alt)
+            if blocking is not None:
+                grown = _cell_extend(windows, divs, [blocking])
+                if grown is None:
+                    break
+                windows, divs = grown
+        stack.extend(reversed(children))
+    return leaves
 
 
 def _reps_cost(v: str, lists: list[list[PresFormula]]) -> tuple:
@@ -324,7 +471,6 @@ def _exists_block_reps(names: list[str], reps: dict,
                 return None
         reps = _cells_prune_reps(nxt) if len(nxt) > 1 else nxt
         if stats is not None:
-            stats.eliminated += 1
             stats.peak_atoms = max(stats.peak_atoms,
                                    sum(len(w) * 2 + len(d)
                                        for w, d in reps.values()))
@@ -336,22 +482,29 @@ def _reps_formula(reps: dict) -> PresFormula:
                                for w, d in reps.values())))
 
 
+def _reps_clauses(reps: dict) -> PresFormula:
+    """Conjunction of the negated cells, one clause per cell."""
+    return simplify(conj(tuple(
+        disj(tuple(n for lit in _cell_literals(w, d)
+                   for n in _negated_literals(lit)))
+        for w, d in reps.values())))
+
+
 def _block_via_cells(names: list[str], phi: PresFormula,
                      stats: Optional[QeStats],
                      negate: bool) -> Optional[PresFormula]:
     body = simplify(to_nnf(neg(phi) if negate else phi))
-    reps = _smart_dnf_reps(body, _CELL_CAP)
-    if reps is None:
+    leaves = _expand_depth_first(names, body, stats)
+    if leaves is None:
         return None
-    out = _exists_block_reps(names, reps, stats)
+    if len(leaves) > 1:
+        leaves = _cells_prune_reps(leaves)
+    out = _exists_block_reps(names, leaves, stats)
     if out is None:
         return None
-    if negate:
-        flipped = _complement_reps(out, _CELL_CAP)
-        if flipped is None:
-            return simplify(neg(_reps_formula(out)))
-        out = flipped
-    return _reps_formula(out)
+    if stats is not None:
+        stats.eliminated += len(names)
+    return _reps_clauses(out) if negate else _reps_formula(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 import pathlib
 
 import pytest
@@ -251,3 +252,23 @@ def test_formula_at_the_depth_limit_is_checked(capsys, mode):
     text = "!" * half + "(" + " & ".join(["p"] * (MAX_DEPTH - half + 1)) + ")"
     code, out, err = run_cli(capsys, "verify", FIG2, "-f", text, *mode)
     assert (code, err) == (0, "")
+
+
+def _iff_chain(leaves, n):
+    return " <-> ".join(leaves[i % len(leaves)] for i in range(n + 1))
+
+
+@pytest.mark.parametrize("text", [
+    _iff_chain(["p"], 33),
+    _iff_chain(["(<<1,1>> X p)", "q", "(<<2,0>> G !q)", "(<<1,2>> F p)"], 31)],
+    ids=["props", "strategic"])
+def test_iff_chain_is_linear_in_distinct_nodes(capsys, text):
+    # the parser shares both sides of each <->: the tree doubles with every
+    # operator, the distinct nodes grow by a handful
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", FIG2, "-f", text)
+    elapsed = time.perf_counter() - started
+    assert (code, err) == (0, "")
+    assert elapsed < 1.0
+    assert run_cli(capsys, "verify", FIG2, "-f", text, "--oracle") == \
+        (0, out, "")

@@ -2,14 +2,15 @@ import math
 import random
 
 import pytest
-from helpers import checked_block_truth, random_matrix
+from helpers import checked_block_truth, enum_truth, random_matrix
 
 from hdmas.presburger import (FALSE, TRUE, Exists, Forall, FreeVariableError,
-                              atom_eq, atom_ge, atom_gt, atom_le, atom_lt,
-                              conj, disj, evaluate, free_vars,
+                              atom_dvd, atom_eq, atom_ge, atom_gt, atom_le,
+                              atom_lt, conj, disj, evaluate, free_vars,
                               is_quantifier_free, neg, num, simplify,
                               substitute, var)
-from hdmas.qe import QeStats, cooper_bound, decide, eliminate_exists, is_valid
+from hdmas.qe import (QeStats, cooper_bound, decide, eliminate_exists,
+                      eliminate_quantifiers, is_valid)
 
 X, Y, Z = var("x"), var("y"), var("z")
 X1, X2, X3 = var("x1"), var("x2"), var("x3")
@@ -122,6 +123,59 @@ def test_eliminate_exists_free_var_shrinks():
             b = cooper_bound(inst, ["x"])
             brute = any(evaluate(inst, {"x": w}) for w in range(b + 1))
             assert evaluate(res, {"y": yv}) == brute
+
+
+def _forall_y(row):
+    """Truth of ``forall y. row`` for a row over y alone: past the Cooper
+    bound its atoms are constant or periodic, so the enumeration is exact."""
+    return enum_truth("A", ["y"], row, cooper_bound(row, ["y"]))
+
+
+def test_universal_and_alternating_blocks_with_a_free_variable():
+    # the path that returns universal blocks as clauses and expands
+    # existential blocks depth-first, checked on the free variable z
+    rng = random.Random(7)
+    for _ in range(60):
+        matrix = random_matrix(rng, ["x", "y", "z"], max_coeff=3,
+                               max_const=9, atoms=3)
+        forall_y = eliminate_quantifiers(Forall("y", matrix))
+        exists_x = eliminate_quantifiers(Exists("x", Forall("y", matrix)))
+        assert is_quantifier_free(forall_y) and is_quantifier_free(exists_x)
+        assert free_vars(forall_y) <= {"x", "z"}
+        assert free_vars(exists_x) <= {"z"}
+        for zv in range(12):
+            inst = substitute(matrix, "z", zv)
+            for xv in range(12):
+                assert evaluate(forall_y, {"x": xv, "z": zv}) == \
+                    _forall_y(substitute(inst, "x", xv)), (matrix, zv, xv)
+            # x is enumerated up to a bound, widened on a mismatch as
+            # checked_block_truth does
+            want = evaluate(exists_x, {"z": zv})
+            bound = cooper_bound(inst, ["x", "y"])
+            for used in (bound, bound * 4, bound * 16):
+                brute = any(_forall_y(substitute(inst, "x", xv))
+                            for xv in range(used + 1))
+                if brute == want:
+                    break
+            assert brute == want, (matrix, zv, used)
+
+
+def test_cells_over_block_variables_only_close_the_block_when_satisfiable():
+    # 2 | x & 2 | x + 1 mentions no free variable and has no solution: the
+    # block must go on to the cell that does depend on z
+    unsat = conj((atom_dvd(2, X), atom_dvd(2, X.shift(1))))
+    stats = QeStats()
+    res = eliminate_quantifiers(
+        Exists("x", disj((unsat, conj((atom_eq(X, Z), atom_lt(Z, num(3))))))),
+        stats)
+    assert [evaluate(res, {"z": v}) for v in range(6)] == [True] * 3 + [False] * 3
+    assert stats.early_exits == 0
+    # x > 2 holds for some x whatever z is
+    stats = QeStats()
+    res = eliminate_quantifiers(
+        Exists("x", disj((atom_gt(X, num(2)), atom_eq(X.scale(2), Z)))), stats)
+    assert res == TRUE
+    assert (stats.early_exits, stats.cap_fallbacks) == (1, 0)
 
 
 def test_stats_are_recorded():
