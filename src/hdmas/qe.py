@@ -403,7 +403,10 @@ def _expand_depth_first(names: list[str], body: PresFormula,
         if not open_:
             key = _cell_key(windows, divs)
             if _cell_vars(windows, divs) <= block:
-                if _exists_block_reps(names, {key: cell}, stats):
+                projected = _exists_block_reps(names, {key: cell}, stats)
+                if projected is None:
+                    return None
+                if projected:
                     if stats is not None:
                         stats.early_exits += 1
                     return {_cell_key({}, frozenset()): ({}, frozenset())}

@@ -220,36 +220,3 @@ def reference_check_wellformed(model):
                 report.determinism[(s, d1, d2)] = outcome
                 report.determinism[(s, d2, d1)] = outcome
     return report
-
-
-# ---------------------------------------------------------------------------
-# the fortress family: the fixture generalised to k entries
-
-
-def fortress_text(k):
-    """Fortress with k entries, the fixture's model for k = 3: entry i is
-    defended by ``d_i`` and attacked by ``r_i`` and falls when fewer than 2
-    defenders hold it, or fewer than 5 do and the attackers there outnumber
-    them; the fortress falls when every entry falls at once and then stays
-    captured."""
-    entries = range(1, k + 1)
-    actions = " ".join([f"d{i}" for i in entries] + [f"r{i}" for i in entries])
-    falls = " && ".join(f"(#d{i} < 2 || (#d{i} < 5 && #d{i} < #r{i}))"
-                        for i in entries)
-    return (f"actions {actions};\n"
-            "props captured;\n"
-            f"state s1 {{ avail: {actions}; label: ; }}\n"
-            "state s2 { avail: ; label: captured; }\n"
-            f"guard s1 -> s2 : {falls};\n"
-            "guard s1 -> s1 : else;\n"
-            "guard s2 -> s2 : else;\n")
-
-
-def fortress_holds(k, t1, t2):
-    """Closed form: s1 satisfies ``<<t1,t2>> G !captured`` on fortress-k.
-
-    Five defenders hold an entry against any attack.  Otherwise the
-    coalition puts its t1 agents two per entry on min(k, t1 // 2) entries
-    and the adversary must outnumber the defenders at each of them, which
-    takes t1 agents plus one per held entry."""
-    return t1 >= 5 or (t1 >= 2 and t2 < t1 + min(k, t1 // 2))

@@ -1,6 +1,6 @@
 import json
-import time
 import pathlib
+import sys
 
 import pytest
 
@@ -258,17 +258,43 @@ def _iff_chain(leaves, n):
     return " <-> ".join(leaves[i % len(leaves)] for i in range(n + 1))
 
 
-@pytest.mark.parametrize("text", [
-    _iff_chain(["p"], 33),
-    _iff_chain(["(<<1,1>> X p)", "q", "(<<2,0>> G !q)", "(<<1,2>> F p)"], 31)],
-    ids=["props", "strategic"])
-def test_iff_chain_is_linear_in_distinct_nodes(capsys, text):
-    # the parser shares both sides of each <->: the tree doubles with every
-    # operator, the distinct nodes grow by a handful
-    started = time.perf_counter()
+IFF_LEAVES = {"props": ["p"],
+              "strategic": ["(<<1,1>> X p)", "q", "(<<2,0>> G !q)",
+                            "(<<1,2>> F p)"]}
+
+
+@pytest.mark.parametrize("leaves, n", [("props", 33), ("strategic", 31)])
+def test_iff_chain_at_the_depth_limit_matches_the_oracle(capsys, leaves, n):
+    text = _iff_chain(IFF_LEAVES[leaves], n)
     code, out, err = run_cli(capsys, "verify", FIG2, "-f", text)
-    elapsed = time.perf_counter() - started
     assert (code, err) == (0, "")
-    assert elapsed < 1.0
     assert run_cli(capsys, "verify", FIG2, "-f", text, "--oracle") == \
         (0, out, "")
+
+
+def _python_calls(capsys, text):
+    """Python function calls made by one ``verify`` run."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        code, _, err = run_cli(capsys, "verify", FIG2, "-f", text)
+    finally:
+        sys.setprofile(None)
+    assert (code, err) == (0, "")
+    return calls
+
+
+@pytest.mark.parametrize("leaves", sorted(IFF_LEAVES))
+def test_iff_chain_work_is_polynomial(capsys, leaves):
+    # the parser shares both sides of each <->: the tree doubles with every
+    # operator, so a walker that expands it does 16 times the work for four
+    # more operators; over distinct nodes the work grows by well under 4
+    small = _python_calls(capsys, _iff_chain(IFF_LEAVES[leaves], 8))
+    large = _python_calls(capsys, _iff_chain(IFF_LEAVES[leaves], 12))
+    assert large < 4 * small, (small, large)

@@ -9,6 +9,7 @@ from hdmas.presburger import (FALSE, TRUE, Exists, Forall, FreeVariableError,
                               atom_lt, conj, disj, evaluate, free_vars,
                               is_quantifier_free, neg, num, simplify,
                               substitute, var)
+import hdmas.qe as qe
 from hdmas.qe import (QeStats, cooper_bound, decide, eliminate_exists,
                       eliminate_quantifiers, is_valid)
 
@@ -176,6 +177,37 @@ def test_cells_over_block_variables_only_close_the_block_when_satisfiable():
         Exists("x", disj((atom_gt(X, num(2)), atom_eq(X.scale(2), Z)))), stats)
     assert res == TRUE
     assert (stats.early_exits, stats.cap_fallbacks) == (1, 0)
+
+
+def test_cap_overflow_in_a_block_only_projection_falls_back(monkeypatch):
+    # with a cell cap of 1 projecting a leaf over block variables only
+    # overflows: the block must leave the cell pipeline, not read the
+    # overflow as an unsatisfiable leaf
+    monkeypatch.setattr(qe, "_CELL_CAP", 1)
+    cases = [
+        ("E", conj((atom_lt(Y.scale(4), X.scale(5).shift(10)),
+                    atom_lt(X.scale(2).shift(19), Y.scale(3))))),
+        ("E", conj((atom_lt(Y.scale(4), X.shift(16)),
+                    atom_lt(X.scale(5), Y.scale(4).shift(19))))),
+        ("A", neg(conj((atom_lt(Y.scale(3), X.shift(9)),
+                        atom_lt(X.scale(4), Y.scale(3).shift(15)),
+                        atom_lt(num(4), X.scale(2).add(Y)))))),
+    ]
+    for block, matrix in cases:
+        oracle, symbolic, _ = checked_block_truth(block, ["x", "y"], matrix)
+        assert oracle == symbolic, (block, matrix)
+        stats = QeStats()
+        quant = Exists if block == "E" else Forall
+        decide(quant("x", quant("y", matrix)), stats)
+        assert stats.cap_fallbacks == 1 and stats.early_exits == 0
+    rng = random.Random(11)
+    for cap in (1, 2):
+        monkeypatch.setattr(qe, "_CELL_CAP", cap)
+        for _ in range(150):
+            matrix = random_matrix(rng, ["x", "y"], atoms=rng.randint(1, 3))
+            block = rng.choice("EA")
+            oracle, symbolic, _ = checked_block_truth(block, ["x", "y"], matrix)
+            assert oracle == symbolic, (cap, block, matrix)
 
 
 def test_stats_are_recorded():
