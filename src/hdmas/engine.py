@@ -69,74 +69,38 @@ def _resolve_term(t: Term, theta: Assignment, pfix: QuantPrefix) -> Union[int, s
 
 
 def build_prf(model: HdmasModel, state: str, t1: Union[int, str],
-              t2: Union[int, str], targets: StateSet,
-              resolve_availability: bool = True) -> PresFormula:
+              t2: Union[int, str], targets: StateSet) -> PresFormula:
     """Per-state controllability formula for a target set.
 
     Counters split into controllable and adversarial shares ``k``/``l``.
-    With ``resolve_availability`` (the default) availability is resolved
-    structurally: only counters that occur in the guard union are
-    quantified, and the idle counters are folded into inequalities on the
-    share sums.  Otherwise the construction keeps one quantifier per
-    action plus the idle shares and equality-shaped sum constraints, with
-    availability turned into constant implications.
+    Availability is resolved structurally: only counters that occur in the
+    guard union are quantified, and the idle counters are folded into
+    inequalities on the share sums.
     """
     grd = guard_union(model, state, targets)
     t1_term = var(t1) if isinstance(t1, str) else num(t1)
     t2_term = var(t2) if isinstance(t2, str) else num(t2)
-
-    if resolve_availability:
-        counters = [c for c in model.counters_at(state)
-                    if c != IDLE_COUNTER and c in free_vars(grd)]
-        names = [c.lstrip("#") for c in counters]
-        ks = [f"k_{n}" for n in names]
-        ls = [f"l_{n}" for n in names]
-        shifted = grd
-        for c, k, l in zip(counters, ks, ls):
-            shifted = substitute(shifted, c, var(k).add(var(l)))
-        k_sum = num(0)
-        for k in ks:
-            k_sum = k_sum.add(var(k))
-        l_sum = num(0)
-        for l in ls:
-            l_sum = l_sum.add(var(l))
-        inner: PresFormula = implies(atom_le(l_sum, t2_term), shifted)
-        for l in reversed(ls):
-            inner = Forall(l, inner)
-        body = conj((atom_le(k_sum, t1_term), inner))
-        for k in reversed(ks):
-            body = Exists(k, body)
-        return simplify(body)
-
-    # faithful construction with explicit availability constants
-    from .presburger import FALSE, TRUE, atom_eq, atom_ne
-    available = model.avail[state]
-    names = list(model.table.actions)
+    counters = [c for c in model.counters_at(state)
+                if c != IDLE_COUNTER and c in free_vars(grd)]
+    names = [c.lstrip("#") for c in counters]
     ks = [f"k_{n}" for n in names]
     ls = [f"l_{n}" for n in names]
     shifted = grd
-    for a, k, l in zip(names, ks, ls):
-        shifted = substitute(shifted, model.table.counter(a),
-                             var(k).add(var(l)))
-    avail_k = conj(tuple(implies(atom_ne(var(k), 0),
-                                 TRUE if a in available else FALSE)
-                         for a, k in zip(names, ks)))
-    avail_l = conj(tuple(implies(atom_ne(var(l), 0),
-                                 TRUE if a in available else FALSE)
-                         for a, l in zip(names, ls)))
-    k_sum = var("k_eps")
+    for c, k, l in zip(counters, ks, ls):
+        shifted = substitute(shifted, c, var(k).add(var(l)))
+    k_sum = num(0)
     for k in ks:
         k_sum = k_sum.add(var(k))
-    l_sum = var("l_eps")
+    l_sum = num(0)
     for l in ls:
         l_sum = l_sum.add(var(l))
-    inner = implies(conj((avail_l, atom_eq(l_sum, t2_term))), shifted)
-    for l in reversed(ls + ["l_eps"]):
+    inner: PresFormula = implies(atom_le(l_sum, t2_term), shifted)
+    for l in reversed(ls):
         inner = Forall(l, inner)
-    body = conj((avail_k, atom_eq(k_sum, t1_term), inner))
-    for k in reversed(ks + ["k_eps"]):
+    body = conj((atom_le(k_sum, t1_term), inner))
+    for k in reversed(ks):
         body = Exists(k, body)
-    return body
+    return simplify(body)
 
 
 @dataclass
@@ -159,7 +123,6 @@ class ModelChecker:
 
     model: HdmasModel
     stats: QeStats = field(default_factory=QeStats)
-    resolve_availability: bool = True
     _decisions: dict[PresFormula, bool] = field(default_factory=dict)
     _verdicts: dict[tuple, bool] = field(default_factory=dict)
     _extents: dict = field(default_factory=dict)
@@ -191,8 +154,7 @@ class ModelChecker:
                    r1, r2, pfix)
             hit = self._verdicts.get(key)
             if hit is None:
-                phi = build_prf(model, state, r1, r2, targets,
-                                self.resolve_availability)
+                phi = build_prf(model, state, r1, r2, targets)
                 for q, y in reversed(pfix):
                     name = f"y{y}"
                     phi = Exists(name, phi) if q == EXISTS else Forall(name, phi)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Optional
 
 from . import logic
@@ -49,14 +50,14 @@ class SemanticError(Exception):
 # ---------------------------------------------------------------------------
 # lexer
 
-_SYMBOLS = ["<->", "<<", ">>", "->", "&&", "||", "<=", ">=", "!=",
+_SYMBOLS = ("<->", "<<", ">>", "->", "&&", "||", "<=", ">=", "!=",
             "{", "}", "(", ")", ";", ":", ",", "=", "<", ">", "!",
-            "&", "|", "*", "+"]
+            "&", "|", "*", "+")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NAT = re.compile(r"[0-9]+")
 
-RESERVED = {"true", "else", "E", "A", "X", "G", "F", "U",
-            "actions", "props", "state", "guard", "avail", "label"}
+RESERVED = frozenset({"true", "else", "E", "A", "X", "G", "F", "U",
+                      "actions", "props", "state", "guard", "avail", "label"})
 
 
 @dataclass(frozen=True)
@@ -193,8 +194,8 @@ def _parse_guard_prod(ts: _Stream) -> LinTerm:
                      tok.line, tok.col)
 
 
-_CMP = {"=": atom_eq, "<": atom_lt, "<=": atom_le,
-        ">": atom_gt, ">=": atom_ge, "!=": atom_ne}
+_CMP = MappingProxyType({"=": atom_eq, "<": atom_lt, "<=": atom_le,
+                         ">": atom_gt, ">=": atom_ge, "!=": atom_ne})
 
 
 def _parse_guard_atom(ts: _Stream) -> PresFormula:
@@ -341,7 +342,13 @@ def _fmt_state(phi: StateFormula, level: int) -> str:
         text = f"{_fmt_state(phi.lhs, 1)} | {_fmt_state(phi.rhs, 2)}"
         return f"({text})" if level >= 2 else text
     if isinstance(phi, AndF):
-        text = f"{_fmt_state(phi.lhs, 2)} & {_fmt_state(phi.rhs, 3)}"
+        lhs, rhs = phi.lhs, phi.rhs
+        if (isinstance(lhs, OrF) and isinstance(lhs.lhs, NotF)
+                and rhs == OrF(NotF(lhs.rhs), lhs.lhs.arg)):
+            # the parser's shape of a <-> b; printed so, each side once
+            return (f"({_fmt_state(lhs.lhs.arg, 1)} <-> "
+                    f"{_fmt_state(lhs.rhs, 1)})")
+        text = f"{_fmt_state(lhs, 2)} & {_fmt_state(rhs, 3)}"
         return f"({text})" if level >= 3 else text
     if isinstance(phi, (Coop, Quant)):
         prefix = ""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Union
 
 
 class PresburgerError(Exception):
@@ -536,12 +536,14 @@ def _nnf(phi: PresFormula, negated: bool) -> PresFormula:
     raise TypeError(phi)
 
 
-# -- simplification ----------------------------------------------------------
+# -- bound windows and cells ------------------------------------------------
 #
-# Beyond the constructor-level folding, simplify() combines sibling bound
-# atoms over a shared variable part.  For a part P a conjunction keeps the
-# tightest window lo < P < hi and detects empty windows; a disjunction keeps
-# the loosest bounds and detects covering ones.
+# A conjunction of bound atoms over a shared variable part P is one window
+# (lo, hi, eq): lo < P < hi, or P = eq, with None for no bound.  A cell is
+# a window map plus a set of other literals (divisibility and negations);
+# it is the one representation of a conjunction of literals, used by
+# simplify() to combine and condition siblings and by QE to expand and
+# project formulas.
 
 
 def _sign_split(t: LinTerm) -> tuple[tuple[tuple[str, int], ...], int, int]:
@@ -551,167 +553,179 @@ def _sign_split(t: LinTerm) -> tuple[tuple[tuple[str, int], ...], int, int]:
     return t.coeffs, 1, t.const
 
 
-def _combine_and(children: list[PresFormula]) -> list[PresFormula] | None:
-    groups: dict[tuple, dict] = {}
-    out: list[PresFormula] = []
-    for ch in children:
-        if isinstance(ch, AtomF) and ch.atom.kind in (LT, EQ):
-            part, sign, const = _sign_split(ch.atom.term)
-            g = groups.setdefault(part, {"lo": None, "hi": None, "eq": None, "bad": False})
-            if ch.atom.kind == LT:
-                if sign > 0:
-                    hi = -const
-                    g["hi"] = hi if g["hi"] is None else min(g["hi"], hi)
-                else:
-                    lo = const
-                    g["lo"] = lo if g["lo"] is None else max(g["lo"], lo)
-            else:
-                e = -const if sign > 0 else const
-                if g["eq"] is not None and g["eq"] != e:
-                    return None
-                g["eq"] = e
-        else:
-            out.append(ch)
-    for part, g in groups.items():
-        lo, hi, e = g["lo"], g["hi"], g["eq"]
-        if e is not None:
-            if (lo is not None and e <= lo) or (hi is not None and e >= hi):
-                return None
-            out.append(_fold_atom(Atom(EQ, LinTerm(part, -e))))
-            continue
-        if lo is not None and hi is not None and lo >= hi - 1:
+def _is_bound(phi: PresFormula) -> bool:
+    return isinstance(phi, AtomF) and phi.atom.kind in (LT, EQ)
+
+
+def _bound(atom: Atom) -> tuple[tuple, int, int]:
+    """Key a non-constant LT/EQ atom as (variable part, side, value), where
+    side 0 reads ``part > value``, 1 ``part < value`` and 2 ``part = value``:
+    the position of the value in a window."""
+    part, sign, const = _sign_split(atom.term)
+    if atom.kind == EQ:
+        return part, 2, -const if sign > 0 else const
+    return (part, 1, -const) if sign > 0 else (part, 0, const)
+
+
+_OPEN = (None, None, None)
+
+
+def _window_add(window: tuple, side: int, value: int) -> Optional[tuple]:
+    """A window narrowed by one bound; None when it becomes empty."""
+    lo, hi, eq = window
+    if side == 0:
+        lo = value if lo is None else max(lo, value)
+    elif side == 1:
+        hi = value if hi is None else min(hi, value)
+    else:
+        if eq is not None and eq != value:
             return None
-        if hi is not None:
-            out.append(_fold_atom(Atom(LT, LinTerm(part, -hi))))
-        if lo is not None:
-            out.append(_fold_atom(Atom(LT, LinTerm(tuple((v, -c) for v, c in part), lo))))
+        eq = value
+    if eq is None and lo is not None and hi is not None and lo + 2 == hi:
+        eq = lo + 1
+    if eq is not None:
+        if (lo is not None and eq <= lo) or (hi is not None and eq >= hi):
+            return None
+        return (None, None, eq)
+    if lo is not None and hi is not None and lo >= hi - 1:
+        return None
+    return (lo, hi, None)
+
+
+def _window_atoms(part: tuple, window: tuple) -> list[Atom]:
+    """Unfolded atoms stating one window."""
+    lo, hi, eq = window
+    out = []
+    if eq is not None:
+        out.append(Atom(EQ, LinTerm(part, -eq)))
+    if hi is not None:
+        out.append(Atom(LT, LinTerm(part, -hi)))
+    if lo is not None:
+        out.append(Atom(LT, LinTerm(tuple((v, -c) for v, c in part), lo)))
     return out
+
+
+def _cell_extend(windows: dict, divs: frozenset,
+                 lits) -> Optional[tuple[dict, frozenset]]:
+    """Add literals to a copied cell; None when it becomes empty."""
+    windows = dict(windows)
+    divs = set(divs)
+    for lit in lits:
+        if isinstance(lit, AtomF) and lit.atom.kind in (LT, EQ):
+            if not lit.atom.term.coeffs:
+                if isinstance(_fold_atom(lit.atom), FalseF):
+                    return None
+                continue
+            part, side, value = _bound(lit.atom)
+            window = _window_add(windows.get(part, _OPEN), side, value)
+            if window is None:
+                return None
+            windows[part] = window
+        elif isinstance(lit, FalseF):
+            return None
+        elif not isinstance(lit, TrueF):
+            complement = lit.arg if isinstance(lit, Not) else Not(lit)
+            if complement in divs:
+                return None
+            divs.add(lit)
+    return windows, frozenset(divs)
+
+
+def _cell_literals(windows: dict, divs: frozenset) -> list[PresFormula]:
+    """Canonical literal list of a cell."""
+    out = [_fold_atom(a) for part, window in sorted(windows.items())
+           for a in _window_atoms(part, window)]
+    out.extend(sorted(divs, key=repr))
+    return out
+
+
+# -- simplification ----------------------------------------------------------
+#
+# Beyond the constructor-level folding, simplify() combines sibling bound
+# atoms over a shared variable part.  A conjunction keeps the cell of its
+# bound atoms and judges clause literals against it; a disjunction keeps
+# the loosest bounds and detects covering ones.
+
+
+def _combine_and(children: list[PresFormula]
+                 ) -> Optional[tuple[list[PresFormula], dict]]:
+    """The children with their bound atoms merged into one window per
+    variable part, and those windows; None when a window is empty."""
+    out: list[PresFormula] = []
+    bounds: list[PresFormula] = []
+    for ch in children:
+        (bounds if _is_bound(ch) else out).append(ch)
+    cell = _cell_extend({}, frozenset(), bounds)
+    if cell is None:
+        return None
+    out.extend(_fold_atom(a) for part, window in cell[0].items()
+               for a in _window_atoms(part, window))
+    return out, cell[0]
 
 
 def _combine_or(children: list[PresFormula]) -> list[PresFormula] | bool:
-    groups: dict[tuple, dict] = {}
+    groups: dict[tuple, list] = {}
     out: list[PresFormula] = []
     for ch in children:
-        if isinstance(ch, AtomF) and ch.atom.kind in (LT, EQ):
-            part, sign, const = _sign_split(ch.atom.term)
-            g = groups.setdefault(part, {"lo": None, "hi": None, "eqs": set()})
-            if ch.atom.kind == LT:
-                if sign > 0:
-                    hi = -const
-                    g["hi"] = hi if g["hi"] is None else max(g["hi"], hi)
-                else:
-                    lo = const
-                    g["lo"] = lo if g["lo"] is None else min(g["lo"], lo)
-            else:
-                g["eqs"].add(-const if sign > 0 else const)
-        else:
+        if not _is_bound(ch):
             out.append(ch)
-    for part, g in groups.items():
-        lo, hi = g["lo"], g["hi"]
+            continue
+        part, side, value = _bound(ch.atom)              # type: ignore[union-attr]
+        g = groups.setdefault(part, [None, None, set()])
+        if side == 2:
+            g[2].add(value)
+        else:
+            loosest = min if side == 0 else max
+            g[side] = value if g[side] is None else loosest(g[side], value)
+    for part, (lo, hi, eqs) in groups.items():
         if lo is not None and hi is not None and lo < hi:
             return True
-        for e in sorted(g["eqs"]):
-            if (hi is not None and e < hi) or (lo is not None and e > lo):
-                continue
-            out.append(_fold_atom(Atom(EQ, LinTerm(part, -e))))
-        if hi is not None:
-            out.append(_fold_atom(Atom(LT, LinTerm(part, -hi))))
-        if lo is not None:
-            out.append(_fold_atom(Atom(LT, LinTerm(tuple((v, -c) for v, c in part), lo))))
+        windows = [(None, None, e) for e in sorted(eqs)
+                   if not ((hi is not None and e < hi) or (lo is not None and e > lo))]
+        windows.append((lo, hi, None))
+        out.extend(_fold_atom(a) for window in windows
+                   for a in _window_atoms(part, window))
     return out
 
 
-def _window_context(children: list[PresFormula]) -> dict:
-    """Per variable-part (lo, hi, eq) windows implied by sibling atoms."""
-    ctx: dict[tuple, list] = {}
-    for ch in children:
-        if isinstance(ch, AtomF) and ch.atom.kind in (LT, EQ):
-            part, sign, const = _sign_split(ch.atom.term)
-            g = ctx.setdefault(part, [None, None, None])
-            if ch.atom.kind == LT:
-                if sign > 0:
-                    hi = -const
-                    g[1] = hi if g[1] is None else min(g[1], hi)
-                else:
-                    lo = const
-                    g[0] = lo if g[0] is None else max(g[0], lo)
-            else:
-                g[2] = -const if sign > 0 else const
-    return ctx
+def _condition_clauses(children: list[PresFormula],
+                       windows: dict) -> Optional[list[PresFormula]]:
+    """Evaluate clause literals against the windows of the sibling atoms.
 
-
-def _literal_vs_window(lit: PresFormula, ctx: dict) -> Optional[bool]:
-    """Truth of a literal forced by sibling windows, if any."""
-    if not (isinstance(lit, AtomF) and lit.atom.kind in (LT, EQ)):
-        return None
-    part, sign, const = _sign_split(lit.atom.term)
-    g = ctx.get(part)
-    if g is None:
-        return None
-    lo, hi, eq = g
-    if lit.atom.kind == LT:
-        if sign > 0:  # part < -const
-            bound = -const
-            if eq is not None:
-                return eq < bound
-            if hi is not None and hi <= bound:
-                return True
-            if lo is not None and lo >= bound - 1:
-                return False
-        else:  # part > const
-            bound = const
-            if eq is not None:
-                return eq > bound
-            if lo is not None and lo >= bound:
-                return True
-            if hi is not None and hi <= bound + 1:
-                return False
-    else:
-        value = -const if sign > 0 else const
-        if eq is not None:
-            return eq == value
-        if hi is not None and value >= hi:
-            return False
-        if lo is not None and value <= lo:
-            return False
-    return None
-
-
-def _condition_clauses(children: list[PresFormula]) -> Optional[list[PresFormula]]:
-    """Evaluate clause literals against sibling atom windows.
-
-    Returns the rewritten child list, ``children`` itself when no clause
-    changed, or None when a clause became empty (the conjunction is
-    unsatisfiable).
+    A literal that empties the siblings' cell is false and one that leaves
+    it unchanged is true; only the window of the literal's own variable
+    part can change, so only that one is narrowed.  Returns the rewritten
+    child list, ``children`` itself when no clause changed, or None when a
+    clause became empty (the conjunction is unsatisfiable).
     """
-    ctx = _window_context(children)
-    if not ctx:
+    if not windows:
         return children
     out: list[PresFormula] = []
     changed = False
     for ch in children:
-        if isinstance(ch, Or):
-            keep: list[PresFormula] = []
-            clause_true = False
-            dropped = False
-            for lit in ch.args:
-                verdict = _literal_vs_window(lit, ctx)
-                if verdict is True:
-                    clause_true = True
-                    break
-                if verdict is False:
-                    dropped = True
-                    continue
-                keep.append(lit)
-            if clause_true:
-                changed = True
-                continue
+        if not isinstance(ch, Or):
+            out.append(ch)
+            continue
+        keep: list[PresFormula] = []
+        for lit in ch.args:
+            if _is_bound(lit):
+                part, side, value = _bound(lit.atom)     # type: ignore[union-attr]
+                window = windows.get(part)
+                if window is not None:
+                    narrowed = _window_add(window, side, value)
+                    if narrowed == window:
+                        break
+                    if narrowed is None:
+                        continue
+            keep.append(lit)
+        else:
             if not keep:
                 return None
+            dropped = len(keep) < len(ch.args)
             changed = changed or dropped
             out.append(disj(keep) if dropped else ch)
-        else:
-            out.append(ch)
+            continue
+        changed = True
     return out if changed else children
 
 
@@ -784,8 +798,8 @@ def simplify(phi: PresFormula) -> PresFormula:
             combined = _combine_and(kids)
             if combined is None:
                 return FALSE
-            conditioned = _condition_clauses(combined)
-            if conditioned is combined:
+            conditioned = _condition_clauses(*combined)
+            if conditioned is combined[0]:
                 break
             if conditioned is None:
                 return FALSE

@@ -3,17 +3,17 @@
 The procedure is Cooper-style quantifier elimination over the integers
 with every quantified variable relativised by ``var >= 0``.  Elimination
 runs innermost-first, one block of same-kind quantifiers at a time, and
-within a block variables are eliminated cheapest-first.  An existential
-block expands its body into cells (conjunctions of literals) depth-first,
-splitting one conjunct at a time as DPLL(T) case splitting does, and
-closes at once when a cell over block variables only is satisfiable.  A
-universal block is eliminated existentially on its negated body and
-returns the negated cells as clauses, which the enclosing block expands
-lazily instead of their complement being multiplied out.  Between steps
-the formula is kept aggressively simplified; conjunctions of literals
-take exact shortcuts (equality pivoting, unit-coefficient bound
-combination, interval refutation) and full Cooper elimination is the
-fallback.
+always through cells (conjunctions of literals, see ``presburger``).  An
+existential block expands its body into cells depth-first, splitting one
+conjunct at a time as DPLL(T) case splitting does, closes at once when a
+cell over block variables only is satisfiable, and then eliminates its
+variables cell by cell, cheapest first.  A universal block is eliminated
+existentially on its negated body and returns the negated cells as
+clauses, which the enclosing block expands lazily instead of their
+complement being multiplied out.  Conjunctions of literals take exact
+shortcuts (equality pivoting, unit-coefficient bound combination,
+interval refutation) with full Cooper elimination as the fallback; a
+block whose cells pass a size cap goes to Cooper elimination whole.
 """
 
 from __future__ import annotations
@@ -21,17 +21,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .presburger import (DVD, EQ, FALSE, LT, TRUE, And, Atom, AtomF, Exists,
                          FalseF, Forall, FreeVariableError, Implies, LinTerm,
                          Not, Or, PresFormula, QuantifiedInput, TrueF,
-                         _fold_atom, _sign_split, atom_dvd, atom_ge, atoms_of,
-                         conj, disj, free_vars, implies, is_quantifier_free,
-                         neg, num, simplify, to_nnf, var)
-
-# conjunct count above which a formula is not expanded to DNF
-_DNF_CAP = 4096
+                         _cell_extend, _cell_literals, _fold_atom,
+                         _window_add, _window_atoms, atom_dvd, atom_ge,
+                         atoms_of, conj, disj, free_vars, implies,
+                         is_quantifier_free, neg, num, simplify, to_nnf, var)
 
 
 @dataclass
@@ -42,7 +40,7 @@ class QeStats:
     peak_divisor_lcm: int = 1
     peak_atoms: int = 0
     elapsed: float = 0.0
-    # blocks that left the cell pipeline for the tree pipeline
+    # blocks that hit a cell cap and went to Cooper elimination whole
     cap_fallbacks: int = 0
     # existential blocks closed by a satisfiable leaf over block variables
     early_exits: int = 0
@@ -70,12 +68,7 @@ def eliminate_exists(v: str, phi: PresFormula,
     """
     if not is_quantifier_free(phi):
         raise QuantifiedInput("eliminate_exists needs a quantifier-free body")
-    body = simplify(to_nnf(conj((phi, _relativize(v)))))
-    out = simplify(_eliminate(v, body, stats))
-    if stats is not None:
-        stats.eliminated += 1
-        stats.peak_atoms = max(stats.peak_atoms, len(atoms_of(out)))
-    return out
+    return _block([v], phi, stats, negate=False)
 
 
 def eliminate_quantifiers(phi: PresFormula,
@@ -172,20 +165,14 @@ def rename_apart(phi: PresFormula) -> PresFormula:
 
 def _close(phi: PresFormula, stats: Optional[QeStats]) -> PresFormula:
     """Eliminate all quantifiers bottom-up; result is quantifier-free."""
-    if isinstance(phi, Exists):
+    if isinstance(phi, (Exists, Forall)):
+        kind = type(phi)
         names = [phi.var]
         body = phi.body
-        while isinstance(body, Exists):
+        while isinstance(body, kind):
             names.append(body.var)
             body = body.body
-        return _eliminate_block(names, _close(body, stats), stats)
-    if isinstance(phi, Forall):
-        names = [phi.var]
-        body = phi.body
-        while isinstance(body, Forall):
-            names.append(body.var)
-            body = body.body
-        return _forall_block(names, _close(body, stats), stats)
+        return _block(names, _close(body, stats), stats, negate=kind is Forall)
     if isinstance(phi, Not):
         return neg(_close(phi.arg, stats))
     if isinstance(phi, And):
@@ -197,65 +184,44 @@ def _close(phi: PresFormula, stats: Optional[QeStats]) -> PresFormula:
     return phi
 
 
-def _block_cost(v: str, phi: PresFormula) -> tuple:
-    """Elimination cost estimate; variables in a block commute freely."""
-    l = 1
-    occurrences = 0
-    unit_eq = False
-    for a in atoms_of(phi):
-        c = a.term.coeff(v)
-        if c == 0:
-            continue
-        occurrences += 1
-        l = math.lcm(l, abs(c))
-        if a.kind == EQ and abs(c) == 1:
-            unit_eq = True
-    return (0 if unit_eq else 1, l, occurrences)
+def _block(names: list[str], phi: PresFormula, stats: Optional[QeStats],
+           negate: bool) -> PresFormula:
+    """Quantifier-free equivalent of ``exists names. phi``, or of
+    ``forall names. phi`` when ``negate``, for quantifier-free ``phi``.
 
-
-def _eliminate_block(names: list[str], phi: PresFormula,
-                     stats: Optional[QeStats]) -> PresFormula:
-    cells = _block_via_cells(names, phi, stats, negate=False)
+    When a cell cap is hit the block is eliminated by Cooper's procedure
+    instead, one variable at a time on the whole (negated) body.
+    """
+    body = simplify(to_nnf(neg(phi) if negate else phi))
+    cells = _expand_depth_first(names, body, stats)
     if cells is not None:
-        return cells
+        if len(cells) > 1:
+            cells = _cells_prune_reps(cells)
+        cells = _exists_block_reps(names, cells, stats)
+    if stats is not None:
+        stats.eliminated += len(names)
+    if cells is not None:
+        return _reps_clauses(cells) if negate else _reps_formula(cells)
     if stats is not None:
         stats.cap_fallbacks += 1
-    remaining = list(names)
-    out = phi
-    while remaining:
-        v = min(remaining, key=lambda n: _block_cost(n, out))
-        remaining.remove(v)
-        out = eliminate_exists(v, out, stats)
-    return out
-
-
-def _forall_block(names: list[str], phi: PresFormula,
-                  stats: Optional[QeStats]) -> PresFormula:
-    cells = _block_via_cells(names, phi, stats, negate=True)
-    if cells is not None:
-        return cells
-    if stats is not None:
-        stats.cap_fallbacks += 1
-    remaining = list(names)
-    out = phi
-    while remaining:
-        v = min(remaining, key=lambda n: _block_cost(n, out))
-        remaining.remove(v)
-        inner = simplify(to_nnf(neg(out)))
-        out = simplify(neg(eliminate_exists(v, inner, stats)))
-    return out
+    for v in names:
+        body = simplify(_cooper(v, conj((body, _relativize(v))), stats))
+        if stats is not None:
+            stats.peak_atoms = max(stats.peak_atoms, len(atoms_of(body)))
+    return simplify(to_nnf(neg(body))) if negate else body
 
 
 # ---------------------------------------------------------------------------
-# flat cell pipeline
+# cells
 #
 # Inside a quantifier block the formula is a set of cells (window maps
-# plus divisibility literals).  An existential block expands its body
-# into cells depth-first, then eliminates its variables cell by cell; the
-# cells are deduplicated and subsumption-pruned globally after every
-# step, which keeps alternating prefixes tractable.  A universal block
-# eliminates existentially on the negated body and returns the negated
-# cells as clauses, which the enclosing block expands lazily.
+# plus divisibility literals, see ``presburger``).  An existential block
+# expands its body into cells depth-first, then eliminates its variables
+# cell by cell; the cells are deduplicated and subsumption-pruned globally
+# after every step, which keeps alternating prefixes tractable.  A
+# universal block eliminates existentially on the negated body and
+# returns the negated cells as clauses, which the enclosing block expands
+# lazily.
 
 _CELL_CAP = 30_000
 # nodes the depth-first expansion may visit before giving up
@@ -332,16 +298,8 @@ def _cell_vars(windows: dict, divs: frozenset) -> set[str]:
 
 def _cell_refuted(windows: dict, naturals: list[Atom]) -> bool:
     """Interval refutation of a cell, with the block variables >= 0."""
-    atoms = list(naturals)
-    for part, (lo, hi, eq) in windows.items():
-        if eq is not None:
-            atoms.append(Atom(EQ, LinTerm(part, -eq)))
-            continue
-        if hi is not None:
-            atoms.append(Atom(LT, LinTerm(part, -hi)))
-        if lo is not None:
-            atoms.append(Atom(LT, LinTerm(tuple((v, -c) for v, c in part), lo)))
-    return _refute_intervals(atoms)
+    return _refute_intervals(naturals + [a for part, window in windows.items()
+                                         for a in _window_atoms(part, window)])
 
 
 def _open_conjuncts(cell: tuple, pending: list) -> Optional[list]:
@@ -493,68 +451,6 @@ def _reps_clauses(reps: dict) -> PresFormula:
         for w, d in reps.values())))
 
 
-def _block_via_cells(names: list[str], phi: PresFormula,
-                     stats: Optional[QeStats],
-                     negate: bool) -> Optional[PresFormula]:
-    body = simplify(to_nnf(neg(phi) if negate else phi))
-    leaves = _expand_depth_first(names, body, stats)
-    if leaves is None:
-        return None
-    if len(leaves) > 1:
-        leaves = _cells_prune_reps(leaves)
-    out = _exists_block_reps(names, leaves, stats)
-    if out is None:
-        return None
-    if stats is not None:
-        stats.eliminated += len(names)
-    return _reps_clauses(out) if negate else _reps_formula(out)
-
-
-# ---------------------------------------------------------------------------
-# single-variable elimination
-
-
-_ELIM_CACHE: dict = {}
-_ELIM_CACHE_LIMIT = 200_000
-_CACHEABLE_ATOMS = 400
-
-
-def _eliminate(v: str, phi: PresFormula, stats: Optional[QeStats]) -> PresFormula:
-    """Eliminate ``exists v`` over the integers from an NNF formula.
-
-    Naturals semantics comes from the relativisation atom conjoined by the
-    caller, which mentions ``v`` and therefore travels with it.
-    """
-    if v not in free_vars(phi):
-        return phi
-    small = len(atoms_of(phi)) <= _CACHEABLE_ATOMS
-    if small:
-        hit = _ELIM_CACHE.get((v, phi))
-        if hit is not None:
-            return hit
-    out = _eliminate_raw(v, phi, stats)
-    if small:
-        if len(_ELIM_CACHE) > _ELIM_CACHE_LIMIT:
-            _ELIM_CACHE.clear()
-        _ELIM_CACHE[(v, phi)] = out
-    return out
-
-
-def _eliminate_raw(v: str, phi: PresFormula, stats: Optional[QeStats]) -> PresFormula:
-    if isinstance(phi, Or):
-        return disj(tuple(_eliminate(v, d, stats) for d in phi.args))
-    if isinstance(phi, And):
-        outside = [a for a in phi.args if v not in free_vars(a)]
-        inside = [a for a in phi.args if v in free_vars(a)]
-        if outside:
-            return conj(outside + [_eliminate(v, conj(inside), stats)])
-    dnf = _smart_dnf(phi, _DNF_CAP)
-    if dnf is not None:
-        return disj(tuple(simplify(_eliminate_conjunct(v, list(lits), stats))
-                          for lits in dnf))
-    return _cooper(v, phi, stats)
-
-
 def _to_dnf(phi: PresFormula, cap: int) -> Optional[list[list[PresFormula]]]:
     if isinstance(phi, (AtomF, Not)):
         return [[phi]]
@@ -585,104 +481,23 @@ def _cell_key(windows: dict, divs: frozenset) -> tuple:
     return (tuple(sorted(windows.items())), divs)
 
 
-def _window_add(windows: dict, kind: str, part: tuple, sign: int,
-                const: int) -> bool:
-    """Merge one LT/EQ constraint into the window map; False if empty."""
-    lo, hi, eq = windows.get(part, (None, None, None))
-    if kind == LT:
-        if sign > 0:
-            bound = -const
-            hi = bound if hi is None else min(hi, bound)
-        else:
-            bound = const
-            lo = bound if lo is None else max(lo, bound)
-    else:
-        value = -const if sign > 0 else const
-        if eq is not None and eq != value:
-            return False
-        eq = value
-    if eq is None and lo is not None and hi is not None and lo + 2 == hi:
-        eq = lo + 1
-    if eq is not None:
-        if (lo is not None and eq <= lo) or (hi is not None and eq >= hi):
-            return False
-        windows[part] = (None, None, eq)
-        return True
-    if lo is not None and hi is not None and lo >= hi - 1:
-        return False
-    windows[part] = (lo, hi, eq)
-    return True
-
-
-def _cell_extend(windows: dict, divs: frozenset,
-                 lits) -> tuple | None:
-    """Add literals to a copied cell; None when it becomes empty."""
-    windows = dict(windows)
-    divs = set(divs)
-    for lit in lits:
-        if isinstance(lit, AtomF) and lit.atom.kind in (LT, EQ):
-            term = lit.atom.term
-            if not term.coeffs:
-                if lit.atom.kind == LT and term.const >= 0:
-                    return None
-                if lit.atom.kind == EQ and term.const != 0:
-                    return None
-                continue
-            part, sign, const = _sign_split(term)
-            if not _window_add(windows, lit.atom.kind, part, sign, const):
-                return None
-        else:
-            folded = lit
-            if isinstance(folded, TrueF):
-                continue
-            if isinstance(folded, FalseF):
-                return None
-            complement = folded.arg if isinstance(folded, Not) else Not(folded)
-            if complement in divs:
-                return None
-            divs.add(folded)
-    return windows, frozenset(divs)
-
-
-def _cell_literals(windows: dict, divs: frozenset) -> list[PresFormula]:
-    out: list[PresFormula] = []
-    for part, (lo, hi, eq) in sorted(windows.items()):
-        if eq is not None:
-            out.append(_fold_atom(Atom(EQ, LinTerm(part, -eq))))
-            continue
-        if hi is not None:
-            out.append(_fold_atom(Atom(LT, LinTerm(part, -hi))))
-        if lo is not None:
-            out.append(_fold_atom(Atom(LT, LinTerm(
-                tuple((v, -c) for v, c in part), lo))))
-    out.extend(sorted(divs, key=repr))
-    return out
-
-
 def _cell_subsumed(weak: tuple, strong: tuple) -> bool:
-    """Whether every constraint of ``weak`` is implied by ``strong``."""
+    """Whether every constraint of ``weak`` is implied by ``strong``: each
+    bound of ``weak`` leaves the window of ``strong`` unchanged."""
     w_windows, w_divs = weak
     s_windows, s_divs = strong
     if len(w_windows) > len(s_windows) or len(w_divs) > len(s_divs):
         return False
     if not w_divs <= s_divs:
         return False
-    for part, (lo, hi, eq) in w_windows.items():
+    for part, window in w_windows.items():
         s = s_windows.get(part)
         if s is None:
             return False
-        s_lo, s_hi, s_eq = s
-        if eq is not None:
-            if s_eq != eq:
-                return False
+        if s == window:
             continue
-        if lo is not None:
-            if not ((s_eq is not None and s_eq > lo)
-                    or (s_lo is not None and s_lo >= lo)):
-                return False
-        if hi is not None:
-            if not ((s_eq is not None and s_eq < hi)
-                    or (s_hi is not None and s_hi <= hi)):
+        for side, value in enumerate(window):
+            if value is not None and _window_add(s, side, value) != s:
                 return False
     return True
 
@@ -775,14 +590,6 @@ def _cells_prune_reps(cells: dict) -> dict:
     return out
 
 
-def _smart_dnf(phi: PresFormula, cap: int) -> Optional[list[list[PresFormula]]]:
-    """Breadth-first disjunctive decomposition into canonical cells."""
-    reps = _smart_dnf_reps(phi, cap)
-    if reps is None:
-        return None
-    return [_cell_literals(w, d) for w, d in reps.values()]
-
-
 def _literal_atom(lit: PresFormula) -> Atom:
     if isinstance(lit, AtomF):
         return lit.atom
@@ -791,10 +598,27 @@ def _literal_atom(lit: PresFormula) -> Atom:
     raise TypeError(lit)
 
 
-def _subst_literal(lit: PresFormula, v: str, replacement: LinTerm) -> PresFormula:
-    a = _literal_atom(lit)
-    folded = _fold_atom(Atom(a.kind, a.term.subst(v, replacement), a.divisor))
-    return neg(folded) if isinstance(lit, Not) else folded
+def _map_atoms(phi: PresFormula,
+               fn: Callable[[AtomF], PresFormula]) -> PresFormula:
+    """Quantifier-free NNF tree with every atom node replaced by ``fn``."""
+    if isinstance(phi, AtomF):
+        return fn(phi)
+    if isinstance(phi, Not):
+        return neg(_map_atoms(phi.arg, fn))
+    if isinstance(phi, (And, Or)):
+        args = tuple(_map_atoms(x, fn) for x in phi.args)
+        return conj(args) if isinstance(phi, And) else disj(args)
+    return phi
+
+
+def _subst_atoms(phi: PresFormula, v: str, replacement: LinTerm) -> PresFormula:
+    def subst(f: AtomF) -> PresFormula:
+        a = f.atom
+        if a.term.coeff(v) == 0:
+            return f
+        return _fold_atom(Atom(a.kind, a.term.subst(v, replacement), a.divisor))
+
+    return _map_atoms(phi, subst)
 
 
 def _refute_intervals(atoms: list[Atom]) -> bool:
@@ -883,21 +707,21 @@ def _eliminate_conjunct(v: str, lits: list[PresFormula],
             others = inside[:i] + inside[i + 1:]
             if c in (1, -1):
                 replacement = rest.scale(-1) if c == 1 else rest
-                return conj(outside + [_subst_literal(l, v, replacement)
+                return conj(outside + [_subst_atoms(l, v, replacement)
                                        for l in others])
             # c*v = -rest: scale each literal by |c|, then c*v occurrences
             # become -sign(c)*rest; solvability needs |c| to divide rest
             sign = 1 if c > 0 else -1
             absc = abs(c)
-            replaced = []
-            for l in others:
-                a = _literal_atom(l)
-                coeff = a.term.coeff(v)
-                scaled = a.term.scale(absc)
-                fixed = scaled.drop(v).add(rest.scale(-coeff * sign))
-                folded = _fold_atom(Atom(a.kind, fixed,
-                                         a.divisor * absc if a.kind == DVD else 0))
-                replaced.append(neg(folded) if isinstance(l, Not) else folded)
+
+            def pivot(f: AtomF) -> PresFormula:
+                a = f.atom
+                fixed = a.term.scale(absc).drop(v).add(
+                    rest.scale(-a.term.coeff(v) * sign))
+                return _fold_atom(Atom(a.kind, fixed,
+                                       a.divisor * absc if a.kind == DVD else 0))
+
+            replaced = [_map_atoms(l, pivot) for l in others]
             return conj(outside + replaced + [atom_dvd(absc, rest)])
 
     if all(isinstance(l, AtomF) and l.atom.kind == LT for l in inside):
@@ -935,79 +759,6 @@ def _eliminate_conjunct(v: str, lits: list[PresFormula],
     return conj(outside + [_cooper(v, conj(inside), stats)])
 
 
-def _scale_atoms(phi: PresFormula, v: str, m: int) -> PresFormula:
-    """Rescale so the coefficient of ``v`` is +-1 everywhere (v becomes m*v)."""
-
-    def walk(f: PresFormula) -> PresFormula:
-        if isinstance(f, AtomF):
-            a = f.atom
-            c = a.term.coeff(v)
-            if c == 0:
-                return f
-            factor = m // abs(c)
-            scaled = a.term.scale(factor)
-            fixed = LinTerm.make(
-                tuple((w, cc) for w, cc in scaled.coeffs if w != v)
-                + ((v, 1 if c > 0 else -1),),
-                scaled.const)
-            divisor = a.divisor * factor if a.kind == DVD else 0
-            return AtomF(Atom(a.kind, fixed, divisor))
-        if isinstance(f, Not):
-            return Not(walk(f.arg))
-        if isinstance(f, And):
-            return And(tuple(walk(x) for x in f.args))
-        if isinstance(f, Or):
-            return Or(tuple(walk(x) for x in f.args))
-        return f
-
-    return walk(phi)
-
-
-def _subst_tree(phi: PresFormula, v: str, s: LinTerm) -> PresFormula:
-    def walk(f: PresFormula) -> PresFormula:
-        if isinstance(f, AtomF):
-            a = f.atom
-            if a.term.coeff(v) == 0:
-                return f
-            return _fold_atom(Atom(a.kind, a.term.subst(v, s), a.divisor))
-        if isinstance(f, Not):
-            return neg(walk(f.arg))
-        if isinstance(f, And):
-            return conj(tuple(walk(x) for x in f.args))
-        if isinstance(f, Or):
-            return disj(tuple(walk(x) for x in f.args))
-        return f
-
-    out = walk(phi)
-    if isinstance(out, (And, AtomF)) and _refute_intervals(_conjunct_atoms(out)):
-        return FALSE
-    return out
-
-
-def _limit_formula(phi: PresFormula, v: str, positive_large: bool) -> PresFormula:
-    """Formula at v -> -inf (or +inf when positive_large)."""
-
-    def walk(f: PresFormula) -> PresFormula:
-        if isinstance(f, AtomF):
-            a = f.atom
-            c = a.term.coeff(v)
-            if c == 0 or a.kind == DVD:
-                return f
-            if a.kind == EQ:
-                return FALSE
-            grows = (c > 0) == positive_large
-            return FALSE if grows else TRUE
-        if isinstance(f, Not):
-            return neg(walk(f.arg))
-        if isinstance(f, And):
-            return conj(tuple(walk(x) for x in f.args))
-        if isinstance(f, Or):
-            return disj(tuple(walk(x) for x in f.args))
-        return f
-
-    return walk(phi)
-
-
 def _cooper(v: str, phi: PresFormula, stats: Optional[QeStats]) -> PresFormula:
     """Full Cooper elimination of ``exists v`` (integer semantics) from NNF."""
     m = 1
@@ -1015,7 +766,18 @@ def _cooper(v: str, phi: PresFormula, stats: Optional[QeStats]) -> PresFormula:
         c = a.term.coeff(v)
         if c != 0:
             m = math.lcm(m, abs(c))
-    scaled = _scale_atoms(phi, v, m)
+
+    def scale(f: AtomF) -> PresFormula:
+        # rescale so the coefficient of v is +-1 (v stands for m*v)
+        a = f.atom
+        c = a.term.coeff(v)
+        if c == 0:
+            return f
+        factor = m // abs(c)
+        fixed = a.term.scale(factor).drop(v).add(LinTerm(((v, 1 if c > 0 else -1),)))
+        return AtomF(Atom(a.kind, fixed, a.divisor * factor if a.kind == DVD else 0))
+
+    scaled = _map_atoms(phi, scale)
     if m > 1:
         scaled = conj((scaled, atom_dvd(m, var(v))))
 
@@ -1044,12 +806,29 @@ def _cooper(v: str, phi: PresFormula, stats: Optional[QeStats]) -> PresFormula:
     # pick the smaller boundary set; both directions are exact
     from_below = len(lowers) <= len(uppers)
     boundary = lowers if from_below else uppers
+
+    def at_limit(f: AtomF) -> PresFormula:
+        # the atom as v goes to -inf (from below) or +inf
+        a = f.atom
+        c = a.term.coeff(v)
+        if c == 0 or a.kind == DVD:
+            return f
+        if a.kind == EQ:
+            return FALSE
+        return FALSE if (c > 0) != from_below else TRUE
+
+    def at(f: PresFormula, s: LinTerm) -> PresFormula:
+        out = _subst_atoms(f, v, s)
+        if isinstance(out, (And, AtomF)) and _refute_intervals(_conjunct_atoms(out)):
+            return FALSE
+        return out
+
     branches: list[PresFormula] = []
-    residue = simplify(_limit_formula(scaled, v, positive_large=not from_below))
+    residue = simplify(_map_atoms(scaled, at_limit))
     if not isinstance(residue, FalseF):
         for j in range(1, period + 1):
-            branches.append(_subst_tree(residue, v, num(j if from_below else -j)))
+            branches.append(at(residue, num(j if from_below else -j)))
     for b in boundary:
         for j in range(1, period + 1):
-            branches.append(_subst_tree(scaled, v, b.shift(j if from_below else -j)))
+            branches.append(at(scaled, b.shift(j if from_below else -j)))
     return simplify(disj(branches))

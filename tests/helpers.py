@@ -3,14 +3,15 @@
 import numpy as np
 
 from hdmas.engine import _resolve_term, build_prf
-from hdmas.logic import EXISTS
+from hdmas.logic import (EXISTS, AndF, Coop, Globally, Nat, Next, NotF, OrF,
+                         Prop, Top, Until)
 from hdmas.model import (IDLE, IDLE_COUNTER, CheckOutcome,
                          WellformednessReport, _bounded_witness, guard_union)
-from hdmas.presburger import (DVD, EQ, LT, And, AtomF, Exists, FalseF, Forall,
-                              Implies, LinTerm, Not, Or, TrueF, atom_eq,
-                              atom_ge, atom_gt, atom_le, atom_lt, atom_ne,
-                              conj, disj, free_vars, is_quantifier_free, neg,
-                              num)
+from hdmas.presburger import (DVD, EQ, FALSE, LT, TRUE, And, AtomF, Exists,
+                              FalseF, Forall, Implies, LinTerm, Not, Or, TrueF,
+                              atom_eq, atom_ge, atom_gt, atom_le, atom_lt,
+                              atom_ne, conj, disj, free_vars, implies,
+                              is_quantifier_free, neg, num, substitute, var)
 from hdmas.qe import cooper_bound, decide, is_valid
 
 
@@ -112,9 +113,49 @@ def random_matrix(rng, names, max_coeff=5, max_const=20, atoms=3):
 # reference model checking: the per-state loop and the plain Kleene rounds
 
 
+def verbatim_prf(model, state, t1, t2, targets):
+    """The paper's per-state controllability formula, verbatim.
+
+    Unlike ``build_prf`` it keeps one share quantifier per action, the
+    idle shares ``k_eps``/``l_eps`` and equality-shaped sum constraints,
+    with availability turned into constant implications.
+    """
+    grd = guard_union(model, state, targets)
+    t1_term = var(t1) if isinstance(t1, str) else num(t1)
+    t2_term = var(t2) if isinstance(t2, str) else num(t2)
+    available = model.avail[state]
+    names = list(model.table.actions)
+    ks = [f"k_{n}" for n in names]
+    ls = [f"l_{n}" for n in names]
+    shifted = grd
+    for a, k, l in zip(names, ks, ls):
+        shifted = substitute(shifted, model.table.counter(a),
+                             var(k).add(var(l)))
+
+    def availability(shares):
+        return conj(tuple(implies(atom_ne(var(x), 0),
+                                  TRUE if a in available else FALSE)
+                          for a, x in zip(names, shares)))
+
+    k_sum = var("k_eps")
+    for k in ks:
+        k_sum = k_sum.add(var(k))
+    l_sum = var("l_eps")
+    for l in ls:
+        l_sum = l_sum.add(var(l))
+    inner = implies(conj((availability(ls), atom_eq(l_sum, t2_term))), shifted)
+    for l in reversed(ls + ["l_eps"]):
+        inner = Forall(l, inner)
+    body = conj((availability(ks), atom_eq(k_sum, t1_term), inner))
+    for k in reversed(ks + ["k_eps"]):
+        body = Exists(k, body)
+    return body
+
+
 def reference_pre_image(model, t1, t2, targets, theta, pfix, decisions,
-                        resolve_availability=True):
-    """Pre-image by building and deciding every state's formula afresh.
+                        build=build_prf):
+    """Pre-image by building with ``build`` and deciding every state's
+    formula afresh.
 
     ``decisions`` memoises verdicts on the built formula across calls.
     """
@@ -122,7 +163,7 @@ def reference_pre_image(model, t1, t2, targets, theta, pfix, decisions,
     r2 = _resolve_term(t2, theta, pfix)
     out = 0
     for i, s in enumerate(model.states):
-        phi = build_prf(model, s, r1, r2, targets, resolve_availability)
+        phi = build(model, s, r1, r2, targets)
         for q, y in reversed(pfix):
             phi = Exists(f"y{y}", phi) if q == EXISTS else Forall(f"y{y}", phi)
         if phi not in decisions:
@@ -220,3 +261,67 @@ def reference_check_wellformed(model):
                 report.determinism[(s, d1, d2)] = outcome
                 report.determinism[(s, d2, d1)] = outcome
     return report
+
+
+# ---------------------------------------------------------------------------
+# generated models and concrete formulas for differential testing
+
+
+def _random_guard_atom(rng, counters):
+    def side():
+        picked = rng.sample(counters, rng.randint(1, min(2, len(counters))))
+        return " + ".join(f"{rng.randint(1, 2)}*{c}" for c in picked)
+
+    rhs = side() if rng.random() < 0.4 else str(rng.randint(0, 4))
+    return f"{side()} {rng.choice(['<', '<=', '>', '>=', '=', '!='])} {rhs}"
+
+
+def random_model_text(rng):
+    """A small well-formed model: 2-4 states over 2-3 actions.
+
+    Each state has 1-3 outgoing guards over the counters of its available
+    actions.  Each explicit guard excludes the ones before it and the last
+    is ``else``, so the guards of a state are total and pairwise disjoint
+    by construction.
+    """
+    actions = ["a", "b", "c"][:rng.randint(2, 3)]
+    n = rng.randint(2, 4)
+    avail = [rng.sample(actions, rng.randint(1, len(actions))) for _ in range(n)]
+    lines = [f"actions {' '.join(actions)};", "props p q;"]
+    for i in range(n):
+        label = " ".join(x for x in "pq" if rng.random() < 0.5)
+        lines.append(f"state s{i} {{ avail: {' '.join(avail[i])}; label: {label}; }}")
+    for i in range(n):
+        counters = [f"#{a}" for a in avail[i]]
+        dests = rng.sample(range(n), rng.randint(1, min(3, n)))
+        earlier: list[str] = []
+        for d in dests[:-1]:
+            atom = _random_guard_atom(rng, counters)
+            guard = " && ".join([f"({atom})"] + [f"!({e})" for e in earlier])
+            earlier.append(atom)
+            lines.append(f"guard s{i} -> s{d} : {guard};")
+        lines.append(f"guard s{i} -> s{dests[-1]} : else;")
+    return "\n".join(lines) + "\n"
+
+
+def random_concrete_formula(rng, depth=2):
+    """A state formula whose strategic operators have concrete counts 0..3
+    and X, G or U objectives."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        leaf = rng.choice([Prop("p"), Prop("q"), Top()])
+        return NotF(leaf) if rng.random() < 0.3 else leaf
+    if roll < 0.45:
+        pick = AndF if rng.random() < 0.5 else OrF
+        return pick(random_concrete_formula(rng, depth - 1),
+                    random_concrete_formula(rng, depth - 1))
+    body = random_concrete_formula(rng, depth - 1)
+    kind = rng.random()
+    if kind < 0.35:
+        objective = Next(body)
+    elif kind < 0.65:
+        objective = Globally(body)
+    else:
+        objective = Until(random_concrete_formula(rng, depth - 1), body)
+    coop = Coop(Nat(rng.randint(0, 3)), Nat(rng.randint(0, 3)), objective)
+    return NotF(coop) if rng.random() < 0.25 else coop

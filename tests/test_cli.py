@@ -272,6 +272,16 @@ def test_iff_chain_at_the_depth_limit_matches_the_oracle(capsys, leaves, n):
         (0, out, "")
 
 
+@pytest.mark.parametrize("leaves, n", [("props", 33), ("strategic", 31)])
+def test_iff_chain_json_output_is_small(capsys, leaves, n):
+    # printing <-> as such keeps each shared side to one copy
+    code, out, err = run_cli(capsys, "verify", FIG2, "-f",
+                             _iff_chain(IFF_LEAVES[leaves], n), "--json")
+    assert (code, err) == (0, "")
+    assert len(out) < 10_000
+    assert json.loads(out)["formula"].count("<->") == n
+
+
 def _python_calls(capsys, text):
     """Python function calls made by one ``verify`` run."""
     calls = 0

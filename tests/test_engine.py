@@ -2,7 +2,7 @@ import pytest
 
 import hdmas.engine
 from helpers import (reference_g_fixpoint, reference_pre_image,
-                     reference_u_fixpoint, ring_text)
+                     reference_u_fixpoint, ring_text, verbatim_prf)
 from hdmas.engine import (ModelChecker, NotNormalForm, UnassignedParameter,
                           build_prf, check, global_mc, pre_image)
 from hdmas.logic import (EXISTS, FORALL, Coop, Globally, Nat, Next, NotF,
@@ -42,14 +42,15 @@ def test_build_prf_excludes_s3(fig2):
     assert decide(Exists("y1", Forall("y2", phi))) is False
 
 
-def test_build_prf_verbatim_encoding_agrees(fig2):
-    targets = fig2.mask_of(["s2", "s3", "s4"])
-    for s in fig2.states:
-        for c, n in ((0, 0), (3, 2), (7, 5)):
-            fast = decide(build_prf(fig2, s, c, n, targets))
-            slow = decide(build_prf(fig2, s, c, n, targets,
-                                    resolve_availability=False))
-            assert fast == slow, (s, c, n)
+def test_build_prf_verbatim_encoding_agrees(fig2, fortress):
+    # the resolved encoding against the paper's, on a spread of target sets
+    for model, step in ((fig2, 7), (fortress, 1)):
+        for targets in range(0, model.all_states() + 1, step):
+            for s in model.states:
+                for c, n in ((0, 0), (3, 2), (7, 5)):
+                    fast = decide(build_prf(model, s, c, n, targets))
+                    slow = decide(verbatim_prf(model, s, c, n, targets))
+                    assert fast == slow, (s, c, n, model.names_of(targets))
 
 
 def test_pre_image_alternating_prefix(fig2):
@@ -230,14 +231,16 @@ def test_pre_image_matches_per_state_loop(fixture, request):
                 (t1, t2, pfix, model.names_of(targets))
 
 
-def test_pre_image_matches_per_state_loop_verbatim_encoding(fortress):
-    mc = ModelChecker(fortress, resolve_availability=False)
-    decisions = {}
-    for t1, t2, pfix in [(Nat(3), Nat(4), ()), (Y1, Nat(3), EY1)]:
-        for targets in range(fortress.all_states() + 1):
-            want = reference_pre_image(fortress, t1, t2, targets, {}, pfix,
-                                       decisions, resolve_availability=False)
-            assert mc.pre_image(t1, t2, targets, {}, pfix) == want
+def test_pre_image_matches_per_state_loop_verbatim_encoding(fig2, fortress):
+    for model in (fig2, fortress):
+        mc = ModelChecker(model)
+        decisions = {}
+        for t1, t2, pfix in [(Nat(3), Nat(4), ()), (Y1, Nat(3), EY1)]:
+            for targets in range(model.all_states() + 1):
+                want = reference_pre_image(model, t1, t2, targets, {}, pfix,
+                                           decisions, build=verbatim_prf)
+                assert mc.pre_image(t1, t2, targets, {}, pfix) == want, \
+                    (t1, t2, pfix, model.names_of(targets))
 
 
 def ring(n):

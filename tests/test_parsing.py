@@ -176,6 +176,29 @@ def test_formula_roundtrip_generated():
         assert parse_formula(formula_to_str(phi)) == phi
 
 
+@pytest.mark.parametrize("text", [
+    "p <-> q",
+    "p <-> q <-> p <-> q",
+    "((p <-> q) <-> q) <-> p",
+    "p -> q <-> !p",
+    "<<1,1>> X p <-> (<<2,0>> G !q) <-> q | p & q",
+    "E y1 <<y1,2>> G (p <-> q) <-> !(q <-> p)",
+])
+def test_iff_chain_roundtrip(text):
+    phi = parse_formula(text)
+    printed = formula_to_str(phi)
+    assert parse_formula(printed) == phi
+    assert printed.count("<->") == text.count("<->")
+
+
+def test_iff_chain_prints_each_side_once():
+    # two parses of the chain share no nodes, so == between them would
+    # expand both; the printed text is compared instead
+    printed = formula_to_str(parse_formula(" <-> ".join(["p"] * 34)))
+    assert printed.count("p") == 34
+    assert formula_to_str(parse_formula(printed)) == printed
+
+
 # -- model DSL ----------------------------------------------------------------
 
 
