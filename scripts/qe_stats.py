@@ -3,6 +3,7 @@
 decision for each quantifier prefix on the six-state model and dump the
 collected elimination statistics as JSON."""
 
+import dataclasses
 import json
 import pathlib
 import sys
@@ -10,7 +11,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from hdmas.engine import build_prf
+from hdmas.engine import build_prf, prf_symmetry
 from hdmas.parsing import parse_model
 from hdmas.presburger import Exists, Forall
 from hdmas.qe import QeStats, decide
@@ -26,6 +27,14 @@ PREFIXES = {
 }
 
 
+def _accumulate(grand: QeStats, stats: QeStats) -> None:
+    """Add one decision's counters: peaks by maximum, the rest by sum."""
+    for f in dataclasses.fields(QeStats):
+        total, part = getattr(grand, f.name), getattr(stats, f.name)
+        setattr(grand, f.name,
+                max(total, part) if f.name.startswith("peak_") else total + part)
+
+
 def main():
     model = parse_model((FIXTURES / "fig2.hdmas").read_text()).model
     targets = model.mask_of(["s2", "s3", "s4", "s5", "s6"])
@@ -38,15 +47,9 @@ def main():
             for quant, name in reversed(prefix):
                 phi = Exists(name, phi) if quant == "E" else Forall(name, phi)
             begun = time.perf_counter()
-            verdict = decide(phi, stats)
+            verdict = decide(phi, stats, prf_symmetry(model, state))
             elapsed = time.perf_counter() - begun
-            grand.eliminated += stats.eliminated
-            grand.peak_divisor_lcm = max(grand.peak_divisor_lcm,
-                                         stats.peak_divisor_lcm)
-            grand.peak_atoms = max(grand.peak_atoms, stats.peak_atoms)
-            grand.elapsed += stats.elapsed
-            grand.cap_fallbacks += stats.cap_fallbacks
-            grand.early_exits += stats.early_exits
+            _accumulate(grand, stats)
             print(f"  {state}: {str(verdict):5s}  {elapsed * 1000:7.1f} ms  "
                   f"quantifiers={stats.eliminated:2d}  "
                   f"peak_atoms={stats.peak_atoms}")

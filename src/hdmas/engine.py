@@ -22,7 +22,7 @@ from .model import IDLE_COUNTER, HdmasModel, StateSet, guard_union
 from .normalform import nf
 from .presburger import (Exists, Forall, PresFormula, atom_le, conj,
                          free_vars, implies, num, simplify, substitute, var)
-from .qe import QeStats, decide
+from .qe import QeStats, Symmetry, decide
 
 Assignment = Mapping[str, int]
 
@@ -83,8 +83,8 @@ def build_prf(model: HdmasModel, state: str, t1: Union[int, str],
     counters = [c for c in model.counters_at(state)
                 if c != IDLE_COUNTER and c in free_vars(grd)]
     names = [c.lstrip("#") for c in counters]
-    ks = [f"k_{n}" for n in names]
-    ls = [f"l_{n}" for n in names]
+    ks = [_share("k", n) for n in names]
+    ls = [_share("l", n) for n in names]
     shifted = grd
     for c, k, l in zip(counters, ks, ls):
         shifted = substitute(shifted, c, var(k).add(var(l)))
@@ -101,6 +101,19 @@ def build_prf(model: HdmasModel, state: str, t1: Union[int, str],
     for k in reversed(ks):
         body = Exists(k, body)
     return simplify(body)
+
+
+def _share(side: str, action: str) -> str:
+    """``build_prf``'s variable for the agents of one side on an action."""
+    return f"{side}_{action}"
+
+
+def prf_symmetry(model: HdmasModel, state: str) -> Symmetry:
+    """The action symmetries of a state as renamings of the variables of
+    ``build_prf``, which names its variables after the actions."""
+    return tuple({_share(side, a): _share(side, b)
+                  for a, b in perm.items() for side in ("k", "l")}
+                 for perm in model.action_symmetries[state])
 
 
 @dataclass
@@ -127,10 +140,10 @@ class ModelChecker:
     _verdicts: dict[tuple, bool] = field(default_factory=dict)
     _extents: dict = field(default_factory=dict)
 
-    def _decide(self, phi: PresFormula) -> bool:
+    def _decide(self, phi: PresFormula, symmetry: Symmetry) -> bool:
         hit = self._decisions.get(phi)
         if hit is None:
-            hit = decide(phi, self.stats)
+            hit = decide(phi, self.stats, symmetry=symmetry)
             self._decisions[phi] = hit
         return hit
 
@@ -158,7 +171,8 @@ class ModelChecker:
                 for q, y in reversed(pfix):
                     name = f"y{y}"
                     phi = Exists(name, phi) if q == EXISTS else Forall(name, phi)
-                hit = self._verdicts[key] = self._decide(phi)
+                hit = self._verdicts[key] = self._decide(
+                    phi, prf_symmetry(model, state))
             pre = pre | low if hit else pre & ~low
         return pre
 

@@ -338,17 +338,15 @@ def _fmt_state(phi: StateFormula, level: int) -> str:
     if isinstance(phi, NotF):
         return "!" + _fmt_state(phi.arg, 3)
     if isinstance(phi, OrF):
-        # the parser folds left, so right-nested chains get parentheses
-        text = f"{_fmt_state(phi.lhs, 1)} | {_fmt_state(phi.rhs, 2)}"
+        text = _fmt_chain(phi, OrF, " | ", 1, 2)
         return f"({text})" if level >= 2 else text
     if isinstance(phi, AndF):
-        lhs, rhs = phi.lhs, phi.rhs
-        if (isinstance(lhs, OrF) and isinstance(lhs.lhs, NotF)
-                and rhs == OrF(NotF(lhs.rhs), lhs.lhs.arg)):
+        if _is_iff(phi):
             # the parser's shape of a <-> b; printed so, each side once
+            lhs = phi.lhs
             return (f"({_fmt_state(lhs.lhs.arg, 1)} <-> "
                     f"{_fmt_state(lhs.rhs, 1)})")
-        text = f"{_fmt_state(lhs, 2)} & {_fmt_state(rhs, 3)}"
+        text = _fmt_chain(phi, AndF, " & ", 2, 3)
         return f"({text})" if level >= 3 else text
     if isinstance(phi, (Coop, Quant)):
         prefix = ""
@@ -362,6 +360,47 @@ def _fmt_state(phi: StateFormula, level: int) -> str:
                 f"{_fmt_path(inner.objective)}")
         return f"({text})" if level >= 1 else text
     raise TypeError(phi)
+
+
+def _is_iff(phi: StateFormula) -> bool:
+    """Whether a node has the parser's shape of ``a <-> b``."""
+    return (isinstance(phi, AndF) and isinstance(phi.lhs, OrF)
+            and isinstance(phi.lhs.lhs, NotF)
+            and phi.rhs == OrF(NotF(phi.lhs.rhs), phi.lhs.lhs.arg))
+
+
+def _links(phi: StateFormula, kind: type) -> bool:
+    return isinstance(phi, kind) and not _is_iff(phi)
+
+
+def _balanced(phi: StateFormula, width: int, kind: type) -> bool:
+    """Whether ``phi`` is the tree the parser builds for a chain of
+    ``width`` operands joined by ``kind``."""
+    if width == 1:
+        return not _links(phi, kind)
+    half = (width + 1) // 2
+    return (_links(phi, kind) and _balanced(phi.lhs, half, kind)
+            and _balanced(phi.rhs, width - half, kind))
+
+
+def _fmt_chain(phi: StateFormula, kind: type, op: str, operand_level: int,
+               group_level: int) -> str:
+    # a tree of the parser's shape prints as a flat chain; any other keeps
+    # its two sides, each parenthesised when it is of the same kind
+    operands: list[StateFormula] = []
+
+    def collect(f: StateFormula) -> None:
+        if _links(f, kind):
+            collect(f.lhs)
+            collect(f.rhs)
+        else:
+            operands.append(f)
+
+    collect(phi)
+    if _balanced(phi, len(operands), kind):
+        return op.join(_fmt_state(x, operand_level) for x in operands)
+    return (f"{_fmt_state(phi.lhs, group_level)}{op}"
+            f"{_fmt_state(phi.rhs, group_level)}")
 
 
 def _fmt_path(chi) -> str:
@@ -422,8 +461,9 @@ def _parse_quants(ts: _Stream) -> tuple:
 
 
 # The formula parsers return the parsed formula with its height, so that
-# the left-folded & and | chains, which open no sub-expression, stay within
-# the depth limit too.
+# the & and | chains, which open no sub-expression, stay within the depth
+# limit too.  A chain is joined as a balanced tree, so its height grows
+# with the logarithm of its width and the limit measures nesting.
 
 
 def _parse_path(ts: _Stream) -> tuple[logic.PathFormula, int]:
@@ -493,20 +533,34 @@ def _parse_formula_unary(ts: _Stream) -> tuple[StateFormula, int]:
                      tok.line, tok.col)
 
 
+def _balance(operands: list[tuple[StateFormula, int]], joints: list[Token],
+             node: type) -> tuple[StateFormula, int]:
+    """Balanced tree of ``node`` over the operands with their heights;
+    ``joints[i]`` is the operator token between operands i and i + 1."""
+    if len(operands) == 1:
+        return operands[0]
+    half = (len(operands) + 1) // 2
+    lhs, left = _balance(operands[:half], joints[:half - 1], node)
+    rhs, right = _balance(operands[half:], joints[half:], node)
+    return node(lhs, rhs), _within_depth(max(left, right) + 1, joints[half - 1])
+
+
+def _parse_formula_chain(ts: _Stream, symbol: str, node: type,
+                         operand) -> tuple[StateFormula, int]:
+    operands = [operand(ts)]
+    joints = []
+    while tok := ts.accept("sym", symbol):
+        joints.append(tok)
+        operands.append(operand(ts))
+    return _balance(operands, joints, node)
+
+
 def _parse_formula_and(ts: _Stream) -> tuple[StateFormula, int]:
-    out, height = _parse_formula_unary(ts)
-    while tok := ts.accept("sym", "&"):
-        rhs, right = _parse_formula_unary(ts)
-        out, height = AndF(out, rhs), _within_depth(max(height, right) + 1, tok)
-    return out, height
+    return _parse_formula_chain(ts, "&", AndF, _parse_formula_unary)
 
 
 def _parse_formula_or(ts: _Stream) -> tuple[StateFormula, int]:
-    out, height = _parse_formula_and(ts)
-    while tok := ts.accept("sym", "|"):
-        rhs, right = _parse_formula_and(ts)
-        out, height = OrF(out, rhs), _within_depth(max(height, right) + 1, tok)
-    return out, height
+    return _parse_formula_chain(ts, "|", OrF, _parse_formula_and)
 
 
 def _parse_formula_expr(ts: _Stream) -> tuple[StateFormula, int]:
@@ -565,7 +619,7 @@ def parse_model(text: str) -> ModelDocument:
     ts = _Stream(tokenize(text))
     actions: list[str] = []
     props: list[str] = []
-    states: list[str] = []
+    states: dict[str, None] = {}          # declaration order, O(1) lookup
     avail: dict[str, frozenset[str]] = {}
     labels: dict[str, frozenset[str]] = {}
     guard_texts: dict[tuple[str, str], PresFormula] = {}
@@ -606,7 +660,7 @@ def parse_model(text: str) -> ModelDocument:
             name = _check_name(t, "state")
             if name in states:
                 raise SemanticError(f"duplicate state {name!r}", t.line, t.col)
-            states.append(name)
+            states[name] = None
             spans[("state", name)] = (t.line, t.col)
             ts.expect("sym", "{")
             ts.expect("name", "avail")
@@ -656,9 +710,11 @@ def parse_model(text: str) -> ModelDocument:
         raise SemanticError("a model needs at least one state")
 
     # expand else edges into the conjunction of the negated sibling guards
+    siblings: dict[str, list[PresFormula]] = {}
+    for (src, _), g in guard_texts.items():
+        siblings.setdefault(src, []).append(g)
     for src, dst in else_edges.items():
-        siblings = [g for (s, _), g in guard_texts.items() if s == src]
-        guard_texts[(src, dst)] = conj(tuple(neg(g) for g in siblings))
+        guard_texts[(src, dst)] = conj(tuple(neg(g) for g in siblings.get(src, ())))
 
     table = ActionTable(tuple(actions))
     model = HdmasModel(states=tuple(states), table=table, avail=avail,

@@ -14,6 +14,16 @@ complement being multiplied out.  Conjunctions of literals take exact
 shortcuts (equality pivoting, unit-coefficient bound combination,
 interval refutation) with full Cooper elimination as the fallback; a
 block whose cells pass a size cap goes to Cooper elimination whole.
+
+The caller may offer variable renamings that it expects to be symmetries
+of the formula, such as the engine's permutations of interchangeable
+actions.  A block uses a renaming only when it maps the block variables
+onto themselves and the block's cell set onto itself, a check that is
+exact for that block, so a wrong offer never changes a result.  The block
+then eliminates one representative cell per orbit of the renamings and
+closes the result cells under them; the closure is the union of the
+images of the representatives' results, which is the result of the
+whole cell set (Emerson & Sistla, "Symmetry and model checking", 1996).
 """
 
 from __future__ import annotations
@@ -21,14 +31,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .presburger import (DVD, EQ, FALSE, LT, TRUE, And, Atom, AtomF, Exists,
                          FalseF, Forall, FreeVariableError, Implies, LinTerm,
                          Not, Or, PresFormula, QuantifiedInput, TrueF,
                          _cell_extend, _cell_literals, _fold_atom,
-                         _window_add, _window_atoms, atom_dvd, atom_ge,
-                         atoms_of, conj, disj, free_vars, implies,
+                         _sign_split, _window_add, _window_atoms, atom_dvd,
+                         atom_ge, atoms_of, conj, disj, free_vars, implies,
                          is_quantifier_free, neg, num, simplify, to_nnf, var)
 
 
@@ -44,6 +54,9 @@ class QeStats:
     cap_fallbacks: int = 0
     # existential blocks closed by a satisfiable leaf over block variables
     early_exits: int = 0
+    # cells eliminated as orbit representatives, and the cells they stand for
+    orbit_reps: int = 0
+    orbit_cells: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -53,7 +66,14 @@ class QeStats:
             "elapsed_seconds": self.elapsed,
             "cap_fallbacks": self.cap_fallbacks,
             "early_exits": self.early_exits,
+            "orbit_reps": self.orbit_reps,
+            "orbit_cells": self.orbit_cells,
         }
+
+
+# Renamings of variables, each a permutation listing the variables it
+# moves, that the caller expects to map the formula to an equal one.
+Symmetry = tuple[Mapping[str, str], ...]
 
 
 def _relativize(v: str) -> PresFormula:
@@ -71,20 +91,25 @@ def eliminate_exists(v: str, phi: PresFormula,
     return _block([v], phi, stats, negate=False)
 
 
-def eliminate_quantifiers(phi: PresFormula,
-                          stats: Optional[QeStats] = None) -> PresFormula:
+def eliminate_quantifiers(phi: PresFormula, stats: Optional[QeStats] = None,
+                          symmetry: Symmetry = ()) -> PresFormula:
     """Quantifier-free formula equivalent over N to ``phi``, with every
-    quantifier relativised to >= 0.  Free variables stay free."""
-    return simplify(_close(rename_apart(phi), stats))
+    quantifier relativised to >= 0.  Free variables stay free.
+
+    ``symmetry`` offers renamings to eliminate one cell per orbit with;
+    each block checks them on its own cells, so they need not hold.
+    """
+    return simplify(_close(rename_apart(phi), stats, symmetry))
 
 
-def decide(phi: PresFormula, stats: Optional[QeStats] = None) -> bool:
+def decide(phi: PresFormula, stats: Optional[QeStats] = None,
+           symmetry: Symmetry = ()) -> bool:
     """Truth over N of a closed formula, all quantifiers relativised to >= 0."""
     fv = free_vars(phi)
     if fv:
         raise FreeVariableError(sorted(fv))
     started = time.perf_counter()
-    result = eliminate_quantifiers(phi, stats)
+    result = eliminate_quantifiers(phi, stats, symmetry)
     if stats is not None:
         stats.elapsed += time.perf_counter() - started
     if isinstance(result, TrueF):
@@ -163,7 +188,8 @@ def rename_apart(phi: PresFormula) -> PresFormula:
 # quantifier structure
 
 
-def _close(phi: PresFormula, stats: Optional[QeStats]) -> PresFormula:
+def _close(phi: PresFormula, stats: Optional[QeStats],
+           symmetry: Symmetry) -> PresFormula:
     """Eliminate all quantifiers bottom-up; result is quantifier-free."""
     if isinstance(phi, (Exists, Forall)):
         kind = type(phi)
@@ -172,20 +198,22 @@ def _close(phi: PresFormula, stats: Optional[QeStats]) -> PresFormula:
         while isinstance(body, kind):
             names.append(body.var)
             body = body.body
-        return _block(names, _close(body, stats), stats, negate=kind is Forall)
+        return _block(names, _close(body, stats, symmetry), stats,
+                      negate=kind is Forall, symmetry=symmetry)
     if isinstance(phi, Not):
-        return neg(_close(phi.arg, stats))
+        return neg(_close(phi.arg, stats, symmetry))
     if isinstance(phi, And):
-        return conj(tuple(_close(a, stats) for a in phi.args))
+        return conj(tuple(_close(a, stats, symmetry) for a in phi.args))
     if isinstance(phi, Or):
-        return disj(tuple(_close(a, stats) for a in phi.args))
+        return disj(tuple(_close(a, stats, symmetry) for a in phi.args))
     if isinstance(phi, Implies):
-        return implies(_close(phi.lhs, stats), _close(phi.rhs, stats))
+        return implies(_close(phi.lhs, stats, symmetry),
+                       _close(phi.rhs, stats, symmetry))
     return phi
 
 
 def _block(names: list[str], phi: PresFormula, stats: Optional[QeStats],
-           negate: bool) -> PresFormula:
+           negate: bool, symmetry: Symmetry = ()) -> PresFormula:
     """Quantifier-free equivalent of ``exists names. phi``, or of
     ``forall names. phi`` when ``negate``, for quantifier-free ``phi``.
 
@@ -197,7 +225,7 @@ def _block(names: list[str], phi: PresFormula, stats: Optional[QeStats],
     if cells is not None:
         if len(cells) > 1:
             cells = _cells_prune_reps(cells)
-        cells = _exists_block_reps(names, cells, stats)
+        cells = _project_cells(names, cells, stats, symmetry)
     if stats is not None:
         stats.eliminated += len(names)
     if cells is not None:
@@ -436,6 +464,108 @@ def _exists_block_reps(names: list[str], reps: dict,
                                    sum(len(w) * 2 + len(d)
                                        for w, d in reps.values()))
     return reps
+
+
+# ---------------------------------------------------------------------------
+# orbits
+#
+# A renaming g that maps the block variables onto themselves and the cell
+# set onto itself commutes with the block: exists names. g(C) is
+# g(exists names. C).  So the result of the block is the union, over the
+# group the accepted renamings generate, of the images of the results of
+# one representative cell per orbit, and the closure of those results
+# under the generators is exactly that union.
+
+
+def _rename_cell(cell: tuple, g: Mapping[str, str]) -> tuple:
+    """A cell with its variables renamed, renaming the window parts
+    directly; a part whose leading coefficient turns negative is negated
+    and its window mirrored."""
+    windows, divs = cell
+    out = {}
+    for part, window in windows.items():
+        if any(v in g for v, _ in part):
+            part, sign, _ = _sign_split(LinTerm(tuple(sorted(
+                (g.get(v, v), c) for v, c in part))))
+            if sign < 0:
+                lo, hi, eq = window
+                window = (None if hi is None else -hi,
+                          None if lo is None else -lo,
+                          None if eq is None else -eq)
+        out[part] = window
+    if any(_literal_atom(d).term.vars() & g.keys() for d in divs):
+        divs = frozenset(_rename_literal(d, g) for d in divs)
+    return out, divs
+
+
+def _rename_literal(lit: PresFormula, g: Mapping[str, str]) -> PresFormula:
+    a = _literal_atom(lit)
+    renamed = _fold_atom(Atom(a.kind, a.term.rename(g), a.divisor))
+    return neg(renamed) if isinstance(lit, Not) else renamed
+
+
+def _cell_images(g: Mapping[str, str], cells: dict) -> Optional[dict]:
+    """Key of each cell's image under ``g``; None when ``g`` does not map
+    the cell set onto itself."""
+    images = {}
+    for key, cell in cells.items():
+        image = _cell_key(*_rename_cell(cell, g))
+        if image not in cells:
+            return None
+        images[key] = image
+    return images
+
+
+def _project_cells(names: list[str], cells: dict, stats: Optional[QeStats],
+                   symmetry: Symmetry) -> Optional[dict]:
+    """``_exists_block_reps`` on one cell per orbit of the renamings that
+    fix the block, its result closed under them; the plain elimination
+    when none does."""
+    if not symmetry or len(cells) < 2:
+        return _exists_block_reps(names, cells, stats)
+    block = set(names)
+    moved = set().union(*(_cell_vars(w, d) for w, d in cells.values()))
+    maps = []
+    for g in symmetry:
+        if not moved & g.keys() or {g.get(v, v) for v in names} != block:
+            continue
+        images = _cell_images(g, cells)
+        if images is not None:
+            maps.append((g, images))
+    if not maps:
+        return _exists_block_reps(names, cells, stats)
+    reps = {}
+    seen: set = set()
+    for key in cells:
+        if key in seen:
+            continue
+        reps[key] = cells[key]
+        seen.add(key)
+        todo = [key]
+        while todo:
+            at = todo.pop()
+            for _, images in maps:
+                if images[at] not in seen:
+                    seen.add(images[at])
+                    todo.append(images[at])
+    if stats is not None:
+        stats.orbit_reps += len(reps)
+        stats.orbit_cells += len(cells)
+    result = _exists_block_reps(names, reps, stats)
+    if result is None:
+        return None
+    todo = list(result.values())
+    while todo:
+        cell = todo.pop()
+        for g, _ in maps:
+            image = _rename_cell(cell, g)
+            key = _cell_key(*image)
+            if key not in result:
+                result[key] = image
+                todo.append(image)
+        if len(result) > _CELL_CAP:
+            return None
+    return _cells_prune_reps(result) if len(result) > 1 else result
 
 
 def _reps_formula(reps: dict) -> PresFormula:

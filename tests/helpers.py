@@ -276,27 +276,45 @@ def _random_guard_atom(rng, counters):
     return f"{side()} {rng.choice(['<', '<=', '>', '>=', '=', '!='])} {rhs}"
 
 
-def random_model_text(rng):
+def _symmetric_in_clone(atom, rng):
+    """A guard symmetric in ``#c`` and ``#c2`` built from an atom over
+    ``#c``: the atom joined with its copy over ``#c2``."""
+    if "#c" not in atom:
+        return atom
+    return f"({atom}) {rng.choice(['&&', '||'])} ({atom.replace('#c', '#c2')})"
+
+
+def random_model_text(rng, clone=False):
     """A small well-formed model: 2-4 states over 2-3 actions.
 
     Each state has 1-3 outgoing guards over the counters of its available
     actions.  Each explicit guard excludes the ones before it and the last
     is ``else``, so the guards of a state are total and pairwise disjoint
     by construction.
+
+    With ``clone``, the actions are ``a``, ``c`` and ``c2``, a copy of
+    ``c``: available where ``c`` is, with every guard symmetric in ``#c``
+    and ``#c2``, so swapping the two is a symmetry of every state.  Three
+    actions, as without it: with four, QE blows up on some draws.
     """
-    actions = ["a", "b", "c"][:rng.randint(2, 3)]
+    actions = ["a", "c"] if clone else ["a", "b", "c"][:rng.randint(2, 3)]
     n = rng.randint(2, 4)
     avail = [rng.sample(actions, rng.randint(1, len(actions))) for _ in range(n)]
+    if clone:
+        actions = actions + ["c2"]
+        avail = [a + ["c2"] if "c" in a else a for a in avail]
     lines = [f"actions {' '.join(actions)};", "props p q;"]
     for i in range(n):
         label = " ".join(x for x in "pq" if rng.random() < 0.5)
         lines.append(f"state s{i} {{ avail: {' '.join(avail[i])}; label: {label}; }}")
     for i in range(n):
-        counters = [f"#{a}" for a in avail[i]]
+        counters = [f"#{a}" for a in avail[i] if a != "c2"]
         dests = rng.sample(range(n), rng.randint(1, min(3, n)))
         earlier: list[str] = []
         for d in dests[:-1]:
             atom = _random_guard_atom(rng, counters)
+            if clone:
+                atom = _symmetric_in_clone(atom, rng)
             guard = " && ".join([f"({atom})"] + [f"!({e})" for e in earlier])
             earlier.append(atom)
             lines.append(f"guard s{i} -> s{d} : {guard};")

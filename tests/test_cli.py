@@ -245,6 +245,22 @@ def test_deep_formula_file_is_a_parse_error(tmp_path, capsys, text):
     assert err == f"parse error: 1:{MAX_DEPTH + 1}: nested deeper than {MAX_DEPTH} levels\n"
 
 
+@pytest.mark.parametrize("op", ["&", "|"])
+def test_flat_chain_of_1000_operands_verifies(capsys, op):
+    # width is not nesting: a chain of p is p
+    chain = f" {op} ".join(["p"] * 1000)
+    code, out, err = run_cli(capsys, "verify", FIG2, "-f", f"<<1,1>> X ({chain})")
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "verify", FIG2, "-f", "<<1,1>> X p")[1]
+
+
+def test_101_nested_parentheses_are_a_parse_error(capsys):
+    text = "(" * (MAX_DEPTH + 1) + "p" + ")" * (MAX_DEPTH + 1)
+    code, _, err = run_cli(capsys, "verify", FIG2, "-f", text)
+    assert code == 1
+    assert err == f"parse error: 1:{MAX_DEPTH + 1}: nested deeper than {MAX_DEPTH} levels\n"
+
+
 @pytest.mark.parametrize("mode", [[], ["--json"], ["--dump-nf"], ["--oracle"]])
 def test_formula_at_the_depth_limit_is_checked(capsys, mode):
     # as deep as the parser admits, both by nesting and by a chain

@@ -2,9 +2,15 @@
 
 The universal blocks of these queries return clauses that the enclosing
 existential block expands depth-first; before that, fortress-6 did not
-decide.  Every query must stay inside the cell pipeline.  The model
-generator and the closed form are the benchmark's, whose self-test checks
-the generator against the fixture at k = 3.
+decide.  The k entries are interchangeable, so the adversary block's 2^k
+cells fall into k + 1 orbits under permutations of the entries, and QE
+eliminates one cell per orbit: that brings k = 7 and 8 within reach.
+Every query must stay inside the cell pipeline, and from k = 2 on use
+the orbits.  A fortress whose third entry needs one more defender must get
+no symmetry that moves that entry, and its verdicts must match the
+enumeration oracle.  The model generator and the closed form are the
+benchmark's, whose self-test checks the generator against the fixture at
+k = 3.
 """
 
 import pytest
@@ -13,6 +19,7 @@ from perfbench.workloads import fortress_holds
 
 from hdmas.engine import ModelChecker
 from hdmas.normalform import nf
+from hdmas.oracle import Oracle
 from hdmas.parsing import parse_formula, parse_model
 from hdmas.qe import QeStats
 
@@ -25,7 +32,7 @@ def _grid(k):
             edge = t1 + min(k, t1 // 2)
             pairs += [(t1, edge - 1), (t1, edge)]
         return sorted({(t1, t2) for t1, t2 in pairs if t2 >= 0})
-    # k >= 5 takes 0.3-1.5 s a query: a few pairs across the boundary
+    # k >= 5 takes 0.1-0.8 s a query: a few pairs across the boundary
     return [(3, 3), (3, 4), (5, 9)] if k == 5 else [(4, 5), (4, 6)]
 
 
@@ -36,14 +43,20 @@ def _verify(model, formula):
     return set(model.names_of(mask)), stats
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+def _inside_the_cells(k, stats):
+    assert stats.cap_fallbacks == 0
+    if k >= 2:
+        assert 0 < stats.orbit_reps < stats.orbit_cells
+
+
+@pytest.mark.parametrize("k", range(1, 8))
 def test_fortress_concrete_counts_match_closed_form(k):
     model = parse_model(fortress_text(k)).model
     for t1, t2 in _grid(k):
         got, stats = _verify(model, f"<<{t1},{t2}>>")
         want = {"s1"} if fortress_holds(k, t1, t2) else set()
         assert got == want, (k, t1, t2)
-        assert stats.cap_fallbacks == 0, (k, t1, t2)
+        _inside_the_cells(k, stats)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -55,5 +68,31 @@ def test_fortress_quantified_counts_hold(k, formula):
     model = parse_model(fortress_text(k)).model
     got, stats = _verify(model, formula.format(five_k=5 * k))
     assert got == {"s1"}
-    assert stats.cap_fallbacks == 0
+    _inside_the_cells(k, stats)
     assert stats.early_exits > 0
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_fortress_large_k_holds_for_every_adversary(k):
+    model = parse_model(fortress_text(k)).model
+    got, stats = _verify(model, f"A y2 <<{5 * k},y2>>")
+    assert got == {"s1"}
+    _inside_the_cells(k, stats)
+    assert stats.orbit_reps == k + 1 and stats.orbit_cells == 2 ** k
+
+
+def test_near_symmetric_fortress_matches_the_oracle():
+    text = fortress_text(3).replace("#d3 < 2", "#d3 < 3")
+    assert text != fortress_text(3)
+    model = parse_model(text).model
+    moved = {a for perm in model.action_symmetries["s1"] for a in perm}
+    assert moved == {"d1", "d2", "r1", "r2"}
+    stats = QeStats()
+    checker, oracle = ModelChecker(model, stats=stats), Oracle(model)
+    for t1 in range(6):
+        for t2 in range(6):
+            for objective in ("X !captured", "G !captured"):
+                phi = nf(parse_formula(f"<<{t1},{t2}>> {objective}"))
+                assert checker.global_mc(phi, {}) == oracle.global_mc(phi, {}), \
+                    (t1, t2, objective)
+    assert stats.orbit_reps > 0

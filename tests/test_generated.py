@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from helpers import random_concrete_formula, random_model_text
 from hdmas.engine import ModelChecker
+from hdmas.logic import Coop, Globally, Nat, Next, Until
 from hdmas.model import check_wellformed
 from hdmas.oracle import Oracle
 from hdmas.parsing import formula_to_str, parse_model
+from hdmas.presburger import free_vars
+from hdmas.qe import QeStats
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -24,3 +27,64 @@ def test_engine_agrees_with_oracle_on_generated_models(seed):
         phi = random_concrete_formula(rng, depth=3)
         assert checker.global_mc(phi, {}) == oracle.global_mc(phi, {}), \
             (text, formula_to_str(phi))
+
+
+def _orbit(action, generators):
+    out, todo = {action}, [action]
+    while todo:
+        a = todo.pop()
+        for perm in generators:
+            b = perm.get(a, a)
+            if b not in out:
+                out.add(b)
+                todo.append(b)
+    return out
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_engine_agrees_with_oracle_with_a_cloned_action(seed):
+    # swapping c and its copy c2 is a symmetry of every state, so QE
+    # eliminates one cell per orbit wherever a block's cells allow it
+    rng = random.Random(seed)
+    text = random_model_text(rng, clone=True)
+    model = parse_model(text).model
+    assert check_wellformed(model).ok, text
+    for s in model.states:
+        if any("#c" in free_vars(g) for _, g in model.edges_from(s)):
+            assert "c2" in _orbit("c", model.action_symmetries[s]), (text, s)
+    stats = QeStats()
+    checker, oracle = ModelChecker(model, stats=stats), Oracle(model)
+    for _ in range(5):
+        phi = random_concrete_formula(rng, depth=3)
+        assert checker.global_mc(phi, {}) == oracle.global_mc(phi, {}), \
+            (text, formula_to_str(phi))
+    assert stats.orbit_reps <= stats.orbit_cells
+
+
+def _random_objective(rng):
+    body = random_concrete_formula(rng, depth=1)
+    kind = rng.random()
+    if kind < 0.35:
+        return Next(body)
+    if kind < 0.65:
+        return Globally(body)
+    return Until(random_concrete_formula(rng, depth=1), body)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_extensions_are_monotone_in_the_counts(seed):
+    # more controllable agents can only help, more adversaries only hurt
+    rng = random.Random(seed)
+    text = random_model_text(rng)
+    checker = ModelChecker(parse_model(text).model)
+    for _ in range(3):
+        objective = _random_objective(rng)
+        ext = {(t1, t2): checker.global_mc(Coop(Nat(t1), Nat(t2), objective), {})
+               for t1 in range(5) for t2 in range(5)}
+        for (t1, t2), states in ext.items():
+            if t1 < 4:
+                assert states & ~ext[(t1 + 1, t2)] == 0, (text, objective, t1, t2)
+            if t2 < 4:
+                assert ext[(t1, t2 + 1)] & ~states == 0, (text, objective, t1, t2)

@@ -126,6 +126,16 @@ def test_parse_formula_precedence():
     assert got == OrF(AndF(NotF(Prop("p")), Prop("q")), Prop("p"))
 
 
+def test_chains_parse_as_balanced_trees():
+    p, q = Prop("p"), Prop("q")
+    assert parse_formula("p & q & p") == AndF(AndF(p, q), p)
+    assert parse_formula("p | q | p | q") == OrF(OrF(p, q), OrF(p, q))
+    # trees of other shapes print with their groups and parse back as such
+    for phi in (AndF(AndF(AndF(p, q), p), q), AndF(p, AndF(q, AndF(p, q))),
+                OrF(OrF(OrF(p, q), p), q), OrF(AndF(p, q), OrF(q, AndF(p, q)))):
+        assert parse_formula(formula_to_str(phi)) == phi, formula_to_str(phi)
+
+
 def test_formula_roundtrip_fixtures():
     texts = [
         "E y1 A y2 <<y1,y2>> X (p|q)",
@@ -263,6 +273,26 @@ def test_single_else_per_source():
         """)
 
 
+def test_else_negates_the_guards_of_its_own_source():
+    # else edges declared first, between interleaved sources
+    model = parse_model("""
+        actions a b;
+        props ;
+        state s { avail: a b; label: ; }
+        state t { avail: a b; label: ; }
+        state s2 { avail: a b; label: ; }
+        guard s -> s : else;
+        guard t -> s : #a > 1;
+        guard s -> t : #b > 2;
+        guard t -> t : else;
+        guard s -> s2 : #a = 0 && #b = 0;
+    """).model
+    a_, b_ = var("#a"), var("#b")
+    assert model.guard("s", "s") == conj((
+        neg(atom_gt(b_, 2)), neg(conj((atom_eq(a_, 0), atom_eq(b_, 0))))))
+    assert model.guard("t", "t") == neg(atom_gt(a_, 1))
+
+
 def test_reserved_names_rejected():
     with pytest.raises(SemanticError):
         parse_model("actions guard; props ; state s { avail: ; label: ; } "
@@ -310,11 +340,12 @@ DEEP = 1500
     ("(" * DEEP + "p" + ")" * DEEP, MAX_DEPTH + 1),
     ("<<1,1>> X " * DEEP + "p", 10 * MAX_DEPTH + 9),
     ("p -> " * DEEP + "p", 5 * MAX_DEPTH + 3),
-    # a left-folded chain opens no sub-expression but deepens the tree,
-    # also over a deep first operand
-    (" & ".join(["p"] * DEEP), 4 * MAX_DEPTH + 3),
-    ("!" * 60 + "p" + " | p" * DEEP, 4 * (MAX_DEPTH - 60) + 63),
-], ids=["not", "parentheses", "next", "implication", "and-chain", "or-chain"])
+    # a chain opens no sub-expression, but its nodes sit above its
+    # operands: the error is at the operator whose node is too deep
+    ("!" * MAX_DEPTH + "p & p", MAX_DEPTH + 3),
+    ("p | p | " + "!" * MAX_DEPTH + "p", 7),
+], ids=["not", "parentheses", "next", "implication", "and-over-deep-operand",
+        "or-over-deep-operand"])
 def test_deep_formula_is_a_parse_error(text, col):
     with pytest.raises(ParseError) as err:
         parse_formula(text)
@@ -341,8 +372,10 @@ def test_depth_limit_admits_its_own_depth():
     limit = MAX_DEPTH
     assert parse_formula("!" * limit + "p") is not None
     assert parse_formula("(" * limit + "p" + ")" * limit) == Prop("p")
-    chain = parse_formula(" & ".join(["p"] * (limit + 1)))
-    assert formula_to_str(chain) == " & ".join(["p"] * (limit + 1))
+    for op in ("&", "|"):
+        # a chain is a balanced tree: width does not count as depth
+        text = f" {op} ".join(["p"] * DEEP)
+        assert formula_to_str(parse_formula(text)) == text
     assert parse_formula("<<1,1>> X " * (limit // 2) + "p") is not None
     assert parse_guard("(" * limit + "#a > 0" + ")" * limit) == atom_gt(var("#a"), 0)
     assert parse_guard("!" * limit + "#a > 0") == atom_gt(var("#a"), 0)

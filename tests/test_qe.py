@@ -4,9 +4,9 @@ import random
 import pytest
 from helpers import checked_block_truth, enum_truth, random_matrix
 
-from hdmas.presburger import (FALSE, TRUE, Exists, Forall, FreeVariableError,
-                              atom_dvd, atom_eq, atom_ge, atom_gt, atom_le,
-                              atom_lt, conj, disj, evaluate, free_vars,
+from hdmas.presburger import (FALSE, TRUE, Atom, Exists, Forall,
+                              FreeVariableError, _fold_atom, atom_dvd, atom_eq, atom_ge, atom_gt, atom_le,
+                              atom_lt, atom_ne, conj, disj, evaluate, free_vars,
                               is_quantifier_free, neg, num, simplify,
                               substitute, var)
 import hdmas.qe as qe
@@ -208,6 +208,51 @@ def test_cap_overflow_in_a_block_only_projection_falls_back(monkeypatch):
             block = rng.choice("EA")
             oracle, symbolic, _ = checked_block_truth(block, ["x", "y"], matrix)
             assert oracle == symbolic, (cap, block, matrix)
+
+
+def _swap(*pairs):
+    out = {}
+    for a, b in pairs:
+        out[a], out[b] = b, a
+    return out
+
+
+def _renamed(phi, mapping):
+    return qe._map_atoms(phi, lambda f: _fold_atom(
+        Atom(f.atom.kind, f.atom.term.rename(mapping), f.atom.divisor)))
+
+
+def test_offered_renamings_never_change_a_result():
+    # a renaming is used only where it maps the block's cells onto
+    # themselves; symmetric bodies use it, with the free variables moving
+    # along, and no body's result depends on what was offered
+    # x1 != z1 is symmetric in x1 and z1, but a renaming that moves a
+    # block variable out of the block does not commute with it
+    stats = QeStats()
+    assert eliminate_quantifiers(Exists("x1", atom_ne(X1, var("z1"))), stats,
+                                 (_swap(("x1", "z1")),)) == TRUE
+    assert stats.orbit_reps == 0
+    swap = _swap(("x1", "x2"), ("z1", "z2"))
+    offered = (swap, _swap(("x1", "x2")), _swap(("x1", "z1")))
+    rng = random.Random(13)
+    reduced_blocks = 0
+    for _ in range(60):
+        matrix = random_matrix(rng, ["x1", "x2", "z1", "z2"], max_coeff=3,
+                               max_const=6, atoms=2)
+        twin = _renamed(matrix, swap)
+        for body in (matrix, conj((matrix, twin)), disj((matrix, twin))):
+            for quant in (Exists, Forall):
+                phi = quant("x1", quant("x2", body))
+                stats = QeStats()
+                plain = eliminate_quantifiers(phi)
+                reduced = eliminate_quantifiers(phi, stats, offered)
+                reduced_blocks += stats.orbit_reps > 0
+                for z1 in range(6):
+                    for z2 in range(6):
+                        point = {"z1": z1, "z2": z2}
+                        assert evaluate(plain, point) == evaluate(reduced, point), \
+                            (phi, point)
+    assert reduced_blocks > 0
 
 
 def test_stats_are_recorded():
