@@ -5,8 +5,9 @@ Two subcommands: ``check-model`` runs the well-formedness checks and
 enumeration oracle or as artifact dumps (normal form, per-state
 controllability formula).
 
-Exit codes: 0 success, 1 parse error, 2 semantic error, 3 the state named
-with --state is not in the extension, 4 enumeration cap exceeded.
+Exit codes: 0 success, 1 parse error or unreadable input file, 2 semantic
+error, 3 the state named with --state is not in the extension, 4
+enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -51,9 +52,23 @@ class RunConfig:
     output: str = "plain"          # plain | json
 
 
+class UnreadableInput(Exception):
+    """An input file could not be opened or is not UTF-8 text."""
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as err:
+        raise UnreadableInput(f"{path}: not UTF-8 text ({err.reason} at "
+                              f"byte {err.start})") from None
+    except OSError as err:
+        raise UnreadableInput(str(err)) from None
+
+
 def _load_model(config: RunConfig):
-    with open(config.model_path, encoding="utf-8") as handle:
-        return parse_model(handle.read())
+    return parse_model(_read_text(config.model_path))
 
 
 def _parse_assignment(pairs: list[str]) -> dict:
@@ -187,7 +202,7 @@ def run(config: RunConfig) -> int:
     except EnumerationCapExceeded as err:
         print(f"enumeration cap exceeded: {err}", file=sys.stderr)
         return EXIT_CAP
-    except FileNotFoundError as err:
+    except UnreadableInput as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -246,9 +261,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     formula_text = args.formula
     if args.formula_file:
         try:
-            with open(args.formula_file, encoding="utf-8") as handle:
-                formula_text = handle.read()
-        except FileNotFoundError as err:
+            formula_text = _read_text(args.formula_file)
+        except UnreadableInput as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_PARSE
     try:

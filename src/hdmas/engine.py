@@ -129,7 +129,11 @@ class ModelChecker:
 
     The G and U fixpoints iterate semi-naively: after the first round only
     the predecessors of states whose membership changed are re-examined,
-    so every round yields the same set as the plain Kleene iteration.
+    and of those only the ones whose verdict can still flip, since the
+    pre-image is monotone in the target set (G's targets shrink, so only
+    states in the pre-image can leave it; U's grow, so only states outside
+    it can join).  Every round yields the same set as the plain Kleene
+    iteration.
     Subformula extensions are memoised too; the instance is reusable
     across formulas and assignments.
     """
@@ -208,7 +212,8 @@ class ModelChecker:
             w = z
             pre = self._pre_states(t1, t2, w, theta, pfix, pre, dirty)
             z = pre & targets
-            dirty = self._predecessors(w ^ z)
+            # the targets only shrink, so only states in pre can leave it
+            dirty = self._predecessors(w ^ z) & pre
             if trace is not None:
                 trace.append(z)
         return z
@@ -228,7 +233,8 @@ class ModelChecker:
             w = z
             pre = self._pre_states(t1, t2, w, theta, pfix, pre, dirty)
             z = q2 | (pre & q1)
-            dirty = self._predecessors(w ^ z)
+            # the targets only grow, so only states outside pre can join it
+            dirty = self._predecessors(w ^ z) & ~pre
             if trace is not None:
                 trace.append(z)
         return z

@@ -56,7 +56,8 @@ def term_symbol(t: Term) -> Optional[str]:
 
 
 def _formula_node(cls):
-    """Frozen dataclass whose hash is cached on the node.
+    """Frozen dataclass whose hash is cached on the node and whose equality
+    compares each pair of nodes once.
 
     The cache is left out of pickles: string hashes differ between
     processes.
@@ -64,6 +65,7 @@ def _formula_node(cls):
     cls = dataclass(frozen=True)(cls)
     plain = cls.__hash__
     names = tuple(f.name for f in fields(cls))
+    cls._node_fields = names
 
     def __hash__(self) -> int:
         cached = self.__dict__.get("_hash")
@@ -71,12 +73,46 @@ def _formula_node(cls):
             cached = self.__dict__["_hash"] = plain(self)
         return cached
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _same_nodes(self, other)
+
     def __reduce__(self):
         return cls, tuple(getattr(self, n) for n in names)
 
     cls.__hash__ = __hash__
+    cls.__eq__ = __eq__
     cls.__reduce__ = __reduce__
     return cls
+
+
+def _same_nodes(a, b) -> bool:
+    """Structural equality of two formula nodes.  Unequal cached hashes
+    settle a pair at once, and a pair found equal is not compared again,
+    so shared subtrees cost one comparison per pair of distinct nodes."""
+    equal: set[tuple[int, int]] = set()
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        if x.__class__ is not y.__class__:
+            return False
+        if not hasattr(x.__class__, "_node_fields"):
+            if x != y:
+                return False
+            continue
+        pair = (id(x), id(y))
+        if pair in equal:
+            continue
+        if hash(x) != hash(y):
+            return False
+        equal.add(pair)
+        todo.extend((getattr(x, n), getattr(y, n)) for n in x._node_fields)
+    return True
 
 
 class StateFormula:

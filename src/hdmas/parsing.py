@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import logic
 from .logic import (EXISTS, FORALL, AndF, Coop, Globally, Nat, Next, NotF,
@@ -50,18 +50,24 @@ class SemanticError(Exception):
 # ---------------------------------------------------------------------------
 # lexer
 
-_SYMBOLS = ("<->", "<<", ">>", "->", "&&", "||", "<=", ">=", "!=",
-            "{", "}", "(", ")", ";", ":", ",", "=", "<", ">", "!",
-            "&", "|", "*", "+")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NAT = re.compile(r"[0-9]+")
+# One alternative per token kind, tried in this order; symbols longest
+# first.  A "#" followed by a name is a counter, any other "#" starts a
+# comment that runs to the end of the line.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<space>[\ \t\r]+)
+  | \#(?P<counter>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<comment>\#[^\n]*)
+  | (?P<nat>[0-9]+)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<sym><->|<<|>>|->|&&|\|\||<=|>=|!=|[{}();:,=<>!&|*+])
+""", re.VERBOSE)
 
 RESERVED = frozenset({"true", "else", "E", "A", "X", "G", "F", "U",
                       "actions", "props", "state", "guard", "avail", "label"})
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # name | nat | counter | sym | eof
     text: str
     line: int
@@ -69,52 +75,29 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """Tokens with 1-based positions, ending in one ``eof`` token.  The
+    ``eof`` of a text ending in a comment sits where the comment starts."""
     out = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            m = _NAME.match(text, i + 1)
-            if m:
-                out.append(Token("counter", m.group(), line, col))
-                col += 1 + len(m.group())
-                i = m.end()
-                continue
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = _NAT.match(text, i)
-        if m:
-            out.append(Token("nat", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _NAME.match(text, i)
-        if m:
-            out.append(Token("name", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                out.append(Token("sym", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    out.append(Token("eof", "", line, col))
+    line, line_start = 1, 0
+    pos, end = 0, len(text)
+    match = _TOKEN.match
+    comment_col = None          # where a comment on the current line starts
+    while pos < end:
+        m = match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}",
+                             line, pos - line_start + 1)
+        kind = m.lastgroup
+        pos = m.end()
+        if kind == "newline":
+            line, line_start, comment_col = line + 1, pos, None
+        elif kind == "comment":
+            comment_col = m.start() - line_start + 1
+        elif kind != "space":
+            # a counter's position is that of its "#"
+            out.append(Token(kind, m.group(kind), line,
+                             m.start() - line_start + 1))
+    out.append(Token("eof", "", line, comment_col or pos - line_start + 1))
     return out
 
 
@@ -132,12 +115,15 @@ def _within_depth(depth: int, tok: Token) -> int:
 
 class _Stream:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        # a second eof, so that looking one token past the end needs no
+        # bounds check: ``next`` never moves past the first
+        self.tokens = tokens + tokens[-1:]
         self.pos = 0
         self.depth = 0      # sub-expressions open around the current token
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        """The token ``ahead`` (0 or 1) places on; past the end, ``eof``."""
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
         tok = self.peek()

@@ -607,16 +607,24 @@ def _window_atoms(part: tuple, window: tuple) -> list[Atom]:
 
 def _cell_extend(windows: dict, divs: frozenset,
                  lits) -> Optional[tuple[dict, frozenset]]:
-    """Add literals to a copied cell; None when it becomes empty."""
+    """Add literals to a copied cell; None when it becomes empty.
+
+    This is where a bound is canonicalised: a constant atom or one whose
+    coefficients share a factor is folded first, so every window part is
+    primitive with a positive leading coefficient."""
     windows = dict(windows)
     divs = set(divs)
     for lit in lits:
         if isinstance(lit, AtomF) and lit.atom.kind in (LT, EQ):
-            if not lit.atom.term.coeffs:
-                if isinstance(_fold_atom(lit.atom), FalseF):
+            atom = lit.atom
+            if math.gcd(*[c for _, c in atom.term.coeffs]) != 1:
+                folded = _fold_atom(atom)
+                if isinstance(folded, FalseF):
                     return None
-                continue
-            part, side, value = _bound(lit.atom)
+                if isinstance(folded, TrueF):
+                    continue
+                atom = folded.atom                     # type: ignore[attr-defined]
+            part, side, value = _bound(atom)
             window = _window_add(windows.get(part, _OPEN), side, value)
             if window is None:
                 return None
@@ -632,9 +640,10 @@ def _cell_extend(windows: dict, divs: frozenset,
 
 
 def _cell_literals(windows: dict, divs: frozenset) -> list[PresFormula]:
-    """Canonical literal list of a cell."""
-    out = [_fold_atom(a) for part, window in sorted(windows.items())
-           for a in _window_atoms(part, window)]
+    """Canonical literal list of a cell.  Window parts are primitive with a
+    positive leading coefficient, so their atoms are already folded."""
+    out: list[PresFormula] = [AtomF(a) for part, window in sorted(windows.items())
+                              for a in _window_atoms(part, window)]
     out.extend(sorted(divs, key=repr))
     return out
 

@@ -15,6 +15,14 @@ shortcuts (equality pivoting, unit-coefficient bound combination,
 interval refutation) with full Cooper elimination as the fallback; a
 block whose cells pass a size cap goes to Cooper elimination whole.
 
+Simplification happens once per block, on its input, and once on the
+final result (``eliminate_quantifiers``).  In between the formula is a
+set of cells: a variable's projection that is a conjunction of literals
+extends a cell directly, a cell without the variable is kept as it is, and
+only a projection with a disjunction is simplified and expanded again.  A
+block's result is handed on unsimplified, since the enclosing block
+simplifies it as part of its own input.
+
 The caller may offer variable renamings that it expects to be symmetries
 of the formula, such as the engine's permutations of interchangeable
 actions.  A block uses a renaming only when it maps the block variables
@@ -88,7 +96,7 @@ def eliminate_exists(v: str, phi: PresFormula,
     """
     if not is_quantifier_free(phi):
         raise QuantifiedInput("eliminate_exists needs a quantifier-free body")
-    return _block([v], phi, stats, negate=False)
+    return simplify(_block([v], phi, stats, negate=False))
 
 
 def eliminate_quantifiers(phi: PresFormula, stats: Optional[QeStats] = None,
@@ -217,6 +225,8 @@ def _block(names: list[str], phi: PresFormula, stats: Optional[QeStats],
     """Quantifier-free equivalent of ``exists names. phi``, or of
     ``forall names. phi`` when ``negate``, for quantifier-free ``phi``.
 
+    The body is simplified once on the way in; the result is left for the
+    consumer (an enclosing block or ``eliminate_quantifiers``) to simplify.
     When a cell cap is hit the block is eliminated by Cooper's procedure
     instead, one variable at a time on the whole (negated) body.
     """
@@ -233,10 +243,10 @@ def _block(names: list[str], phi: PresFormula, stats: Optional[QeStats],
     if stats is not None:
         stats.cap_fallbacks += 1
     for v in names:
-        body = simplify(_cooper(v, conj((body, _relativize(v))), stats))
+        body = _cooper(v, conj((body, _relativize(v))), stats)
         if stats is not None:
             stats.peak_atoms = max(stats.peak_atoms, len(atoms_of(body)))
-    return simplify(to_nnf(neg(body))) if negate else body
+    return to_nnf(neg(body)) if negate else body
 
 
 # ---------------------------------------------------------------------------
@@ -285,23 +295,18 @@ def _smart_dnf_reps(phi: PresFormula, cap: int) -> Optional[dict]:
     return frontier
 
 
-def _merge_rep(target: dict, lits) -> None:
-    ext = _cell_extend({}, frozenset(), lits)
-    if ext is not None:
-        target.setdefault(_cell_key(*ext), ext)
-
-
 def _negated_literals(lit: PresFormula) -> list[PresFormula]:
-    """Literals whose disjunction is the complement of one cell literal."""
+    """Literals whose disjunction is the complement of one folded literal.
+    A folded bound has coprime coefficients, and so has each atom here,
+    which is therefore folded too."""
     if isinstance(lit, Not):
         return [lit.arg]
     a = lit.atom                                           # type: ignore[union-attr]
     if a.kind == LT:
         # not (t < 0)  iff  -t - 1 < 0
-        return [_fold_atom(Atom(LT, a.term.scale(-1).shift(-1)))]
+        return [AtomF(Atom(LT, a.term.scale(-1).shift(-1)))]
     if a.kind == EQ:
-        return [_fold_atom(Atom(LT, a.term)),
-                _fold_atom(Atom(LT, a.term.scale(-1)))]
+        return [AtomF(Atom(LT, a.term)), AtomF(Atom(LT, a.term.scale(-1)))]
     return [Not(lit)]
 
 
@@ -418,44 +423,79 @@ def _expand_depth_first(names: list[str], body: PresFormula,
     return leaves
 
 
-def _reps_cost(v: str, lists: list[list[PresFormula]]) -> tuple:
+def _reps_cost(v: str, cells: Iterable[tuple]) -> tuple:
+    """Elimination cost of ``v`` over the cells: whether some equality
+    with a unit coefficient pivots it away, the lcm of its coefficients,
+    and how many literals mention it."""
     l = 1
     occurrences = 0
     unit_eq = False
-    for lits in lists:
-        for lit in lits:
-            a = _literal_atom(lit)
-            c = a.term.coeff(v)
+    for windows, divs in cells:
+        for part, window in windows.items():
+            c = _part_coeff(part, v)
             if c == 0:
                 continue
-            occurrences += 1
+            occurrences += 3 - window.count(None)
             l = math.lcm(l, abs(c))
-            if a.kind == EQ and abs(c) == 1 and isinstance(lit, AtomF):
+            if window[2] is not None and abs(c) == 1:
                 unit_eq = True
+        for d in divs:
+            c = _literal_atom(d).term.coeff(v)
+            if c != 0:
+                occurrences += 1
+                l = math.lcm(l, abs(c))
     return (0 if unit_eq else 1, l, occurrences)
+
+
+def _part_coeff(part: tuple, v: str) -> int:
+    for u, c in part:
+        if u == v:
+            return c
+    return 0
+
+
+def _cube(phi: PresFormula) -> Optional[list[PresFormula]]:
+    """The literals of a conjunction of literals; None for any other
+    shape."""
+    if isinstance(phi, (AtomF, Not, FalseF)):
+        return [phi]
+    if isinstance(phi, TrueF):
+        return []
+    if isinstance(phi, And) and all(isinstance(a, (AtomF, Not))
+                                    for a in phi.args):
+        return list(phi.args)
+    return None
 
 
 def _exists_block_reps(names: list[str], reps: dict,
                        stats: Optional[QeStats]) -> Optional[dict]:
+    """Cells of ``exists names`` over the cells ``reps``, one variable at
+    a time, cheapest first.  A cell without the variable is kept as it is;
+    a projection that is a conjunction of literals extends an empty cell
+    directly, and only one with a disjunction is simplified and expanded."""
     remaining = list(names)
     while remaining:
-        lists = [_cell_literals(w, d) for w, d in reps.values()]
-        v = min(remaining, key=lambda n: _reps_cost(n, lists))
+        v = min(remaining, key=lambda n: _reps_cost(n, reps.values()))
         remaining.remove(v)
         rel = atom_ge(var(v), 0)
         nxt: dict = {}
-        for lits in lists:
-            if all(_literal_atom(l).term.coeff(v) == 0 for l in lits):
-                _merge_rep(nxt, lits)
+        for key, cell in reps.items():
+            if v not in _cell_vars(*cell):
+                nxt.setdefault(key, cell)
+                continue
+            lowered = _eliminate_conjunct(v, _cell_literals(*cell) + [rel],
+                                          stats)
+            cube = _cube(lowered)
+            if cube is not None:
+                ext = _cell_extend({}, frozenset(), cube)
+                if ext is not None:
+                    nxt.setdefault(_cell_key(*ext), ext)
             else:
-                lowered = simplify(_eliminate_conjunct(v, lits + [rel], stats))
-                if isinstance(lowered, FalseF):
-                    continue
-                sub = _smart_dnf_reps(lowered, _CELL_CAP)
+                sub = _smart_dnf_reps(simplify(lowered), _CELL_CAP)
                 if sub is None:
                     return None
-                for w, d in sub.values():
-                    nxt.setdefault(_cell_key(w, d), (w, d))
+                for k, c in sub.items():
+                    nxt.setdefault(k, c)
             if len(nxt) > _CELL_CAP:
                 return None
         reps = _cells_prune_reps(nxt) if len(nxt) > 1 else nxt
@@ -569,16 +609,16 @@ def _project_cells(names: list[str], cells: dict, stats: Optional[QeStats],
 
 
 def _reps_formula(reps: dict) -> PresFormula:
-    return simplify(disj(tuple(conj(tuple(_cell_literals(w, d)))
-                               for w, d in reps.values())))
+    """Disjunction of the cells, one conjunct per cell."""
+    return disj(tuple(conj(tuple(_cell_literals(w, d)))
+                      for w, d in reps.values()))
 
 
 def _reps_clauses(reps: dict) -> PresFormula:
     """Conjunction of the negated cells, one clause per cell."""
-    return simplify(conj(tuple(
-        disj(tuple(n for lit in _cell_literals(w, d)
-                   for n in _negated_literals(lit)))
-        for w, d in reps.values())))
+    return conj(tuple(disj(tuple(n for lit in _cell_literals(w, d)
+                                 for n in _negated_literals(lit)))
+                      for w, d in reps.values()))
 
 
 def _to_dnf(phi: PresFormula, cap: int) -> Optional[list[list[PresFormula]]]:
@@ -820,8 +860,9 @@ def _conjunct_atoms(phi: PresFormula) -> list[Atom]:
 
 def _eliminate_conjunct(v: str, lits: list[PresFormula],
                         stats: Optional[QeStats]) -> PresFormula:
-    outside = [l for l in lits if v not in free_vars(l)]
-    inside = [l for l in lits if v in free_vars(l)]
+    outside, inside = [], []
+    for l in lits:
+        (inside if _literal_atom(l).term.coeff(v) else outside).append(l)
     if not inside:
         return conj(outside)
     if _refute_intervals([_literal_atom(l) for l in lits
@@ -883,7 +924,9 @@ def _eliminate_conjunct(v: str, lits: list[PresFormula],
             for k in range(kmax + 1):
                 eq = _fold_atom(Atom(EQ, LinTerm(((v, a),), 0)
                                      .sub(low).shift(-k)))
-                branches.append(_eliminate_conjunct(v, inside + [eq], stats))
+                if not isinstance(eq, FalseF):
+                    branches.append(_eliminate_conjunct(v, inside + [eq],
+                                                        stats))
         return conj(outside + [disj(branches)])
 
     return conj(outside + [_cooper(v, conj(inside), stats)])

@@ -343,3 +343,65 @@ def random_concrete_formula(rng, depth=2):
         objective = Until(random_concrete_formula(rng, depth - 1), body)
     coop = Coop(Nat(rng.randint(0, 3)), Nat(rng.randint(0, 3)), objective)
     return NotF(coop) if rng.random() < 0.25 else coop
+
+
+# ---------------------------------------------------------------------------
+# reference lexer: one character at a time, symbols tried in order
+
+
+_REF_SYMBOLS = ("<->", "<<", ">>", "->", "&&", "||", "<=", ">=", "!=",
+                "{", "}", "(", ")", ";", ":", ",", "=", "<", ">", "!",
+                "&", "|", "*", "+")
+
+
+def reference_tokenize(text):
+    """``(kind, text, line, col)`` of each token, ending in ``eof``; for a
+    lexical error only ``("error", message, line, col)``."""
+    out = []
+    line, col, i, n = 1, 1, 0, len(text)
+
+    def span(chars, start):
+        j = start
+        while j < n and text[j] in chars:
+            j += 1
+        return j
+
+    letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
+    digits = "0123456789"
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line, col, i = line + 1, 1, i + 1
+            continue
+        if ch in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if ch == "#":
+            if i + 1 < n and text[i + 1] in letters:
+                j = span(letters + digits, i + 1)
+                out.append(("counter", text[i + 1:j], line, col))
+                col += j - i
+                i = j
+                continue
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch in digits:
+            j = span(digits, i)
+            out.append(("nat", text[i:j], line, col))
+            col, i = col + j - i, j
+            continue
+        if ch in letters:
+            j = span(letters + digits, i)
+            out.append(("name", text[i:j], line, col))
+            col, i = col + j - i, j
+            continue
+        for sym in _REF_SYMBOLS:
+            if text.startswith(sym, i):
+                out.append(("sym", sym, line, col))
+                col, i = col + len(sym), i + len(sym)
+                break
+        else:
+            return [("error", f"unexpected character {ch!r}", line, col)]
+    out.append(("eof", "", line, col))
+    return out

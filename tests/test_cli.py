@@ -218,6 +218,33 @@ def test_missing_model_file(capsys):
     assert code == 1
 
 
+def _unreadable(tmp_path, kind):
+    """A directory, or a file that is not valid UTF-8."""
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("<<7,5>> X p # caf\xe9\n".encode("latin-1"))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_model_is_an_error(tmp_path, capsys, kind):
+    path = _unreadable(tmp_path, kind)
+    for argv in (["check-model", path], ["verify", path, "-f", "p"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and path in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_formula_file_is_an_error(tmp_path, capsys, kind):
+    path = _unreadable(tmp_path, kind)
+    code, out, err = run_cli(capsys, "verify", FIG2, "--formula-file", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and path in err
+
+
 def test_formula_file(tmp_path, capsys):
     source = tmp_path / "formula.txt"
     source.write_text("<<7,5>> X p\n")

@@ -5,7 +5,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_concrete_formula, random_model_text
+from helpers import (random_concrete_formula, random_model_text,
+                     reference_g_fixpoint, reference_u_fixpoint)
 from hdmas.engine import ModelChecker
 from hdmas.logic import Coop, Globally, Nat, Next, Until
 from hdmas.model import check_wellformed
@@ -88,3 +89,27 @@ def test_extensions_are_monotone_in_the_counts(seed):
                 assert states & ~ext[(t1 + 1, t2)] == 0, (text, objective, t1, t2)
             if t2 < 4:
                 assert ext[(t1, t2 + 1)] & ~states == 0, (text, objective, t1, t2)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_fixpoint_traces_match_kleene_rounds(seed):
+    # the fixpoints re-examine only states whose verdict can still flip;
+    # every round must still equal the plain Kleene round
+    rng = random.Random(seed)
+    text = random_model_text(rng)
+    model = parse_model(text).model
+    checker, decisions = ModelChecker(model), {}
+    for _ in range(3):
+        t1, t2 = Nat(rng.randint(0, 3)), Nat(rng.randint(0, 3))
+        psi1 = random_concrete_formula(rng, depth=1)
+        psi2 = random_concrete_formula(rng, depth=1)
+        q1, q2 = checker.global_mc(psi1, {}), checker.global_mc(psi2, {})
+        trace = []
+        got = checker.g_fixpoint(t1, t2, psi1, {}, (), trace)
+        assert (got, trace) == reference_g_fixpoint(
+            model, t1, t2, q1, {}, (), decisions), (text, t1, t2, psi1)
+        trace = []
+        got = checker.u_fixpoint(t1, t2, psi1, psi2, {}, (), trace)
+        assert (got, trace) == reference_u_fixpoint(
+            model, t1, t2, q1, q2, {}, (), decisions), (text, t1, t2, psi1, psi2)

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from hdmas.logic import (EXISTS, FORALL, AndF, Coop, Globally, Nat, Next,
                          NotF, OrF, Param, PolarityViolation,
                          PositionViolation, Prop, Quant, Top, Until, Y1, Y2,
@@ -192,3 +194,39 @@ def test_generated_formulas_pass_and_mutations_fail():
         if any(isinstance(i, PolarityViolation) for i in check_syntax(negated)):
             rejected += 1
     assert rejected == 150
+
+
+def _calls_comparing_fresh_chains(leaves, n):
+    """Python function calls made by comparing two separately parsed
+    ``<->`` chains, equal and differing in the last leaf."""
+    import sys
+
+    from hdmas.parsing import parse_formula
+    text = " <-> ".join(leaves[i % len(leaves)] for i in range(n + 1))
+    a, b = parse_formula(text), parse_formula(text)
+    c = parse_formula(text + " <-> q")
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        same, different = a == b, b == c
+    finally:
+        sys.setprofile(None)
+    assert (same, different) == (True, False)
+    return calls
+
+
+@pytest.mark.parametrize("leaves", [["p"], ["(<<1,1>> X p)", "q", "(<<2,0>> G !q)"]],
+                         ids=["props", "strategic"])
+def test_comparing_fresh_iff_chains_is_linear(leaves):
+    # each <-> shares both of its sides: comparing the trees node by node
+    # does 16 times the work for four more operators, comparing each pair
+    # of distinct nodes once well under 4 times
+    small = _calls_comparing_fresh_chains(leaves, 8)
+    large = _calls_comparing_fresh_chains(leaves, 12)
+    assert large < 4 * small, (small, large)

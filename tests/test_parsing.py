@@ -1,12 +1,17 @@
+import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import (random_concrete_formula, random_model_text,
+                     reference_tokenize, ring_text)
 from hdmas.logic import (EXISTS, FORALL, AndF, Coop, Globally, Nat, Next,
                          NotF, OrF, Param, Prop, Quant, Top, Until, Y1, Y2)
 from hdmas.parsing import (MAX_DEPTH, ParseError, SemanticError, formula_to_str,
                            guard_to_str, model_to_text, parse_formula,
-                           parse_guard, parse_model)
+                           parse_guard, parse_model, tokenize)
 from hdmas.presburger import (atom_eq, atom_ge, atom_gt, atom_le, atom_lt,
                               atom_ne, conj, disj, evaluate, implies, neg,
                               var)
@@ -379,3 +384,53 @@ def test_depth_limit_admits_its_own_depth():
     assert parse_formula("<<1,1>> X " * (limit // 2) + "p") is not None
     assert parse_guard("(" * limit + "#a > 0" + ")" * limit) == atom_gt(var("#a"), 0)
     assert parse_guard("!" * limit + "#a > 0") == atom_gt(var("#a"), 0)
+
+
+# -- lexer ----------------------------------------------------------------------
+
+
+def _tokens(text):
+    """``tokenize`` in the shape of ``reference_tokenize``."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except ParseError as err:
+        return [("error", str(err).split(": ", 1)[1], err.line, err.col)]
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "hdmas" / "fixtures"
+
+LEXER_INPUTS = [
+    "", "\n", "p", "#", "#a", "#1", "# comment", "p # trailing comment",
+    "p\n# last line is a comment", "p\n#", "12abc", "a<->b<<c>>d->e",
+    "<-", "a <- b", "x\t\r\ny", "#a+2*#b>=3&&!(#c!=#a)||#b<=0",
+    "p $ q", "\n\n  @", "p\n  #x # y\n  ~", "<<1,2>> X (p U q)",
+    "\u00e9", "state s { avail: a; }",
+]
+
+
+@pytest.mark.parametrize("text", LEXER_INPUTS)
+def test_tokens_and_error_positions_are_pinned(text):
+    assert _tokens(text) == reference_tokenize(text)
+
+
+def test_tokens_of_fixtures_and_generated_models_are_pinned():
+    from perfbench.models import fortress_text
+    texts = [path.read_text() for path in sorted(FIXTURES.glob("*.hdmas"))]
+    texts += [ring_text(n) for n in (3, 10, 80)]
+    texts += [fortress_text(k) for k in (1, 4)]
+    rng = random.Random(7)
+    texts += [random_model_text(rng, clone=rng.random() < 0.5)
+              for _ in range(30)]
+    texts += [formula_to_str(random_concrete_formula(rng, depth=3))
+              for _ in range(30)]
+    for text in texts:
+        assert _tokens(text) == reference_tokenize(text), text
+        # the same text without its final newline, and cut mid-token
+        assert _tokens(text.rstrip("\n")) == reference_tokenize(text.rstrip("\n"))
+        assert _tokens(text[:len(text) // 2]) == reference_tokenize(text[:len(text) // 2])
+
+
+@given(st.text(alphabet="ab1 #\t\n<>-=&|!{}();:,*+_$", max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_tokens_match_the_reference_on_random_text(text):
+    assert _tokens(text) == reference_tokenize(text)

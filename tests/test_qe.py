@@ -3,12 +3,19 @@ import random
 
 import pytest
 from helpers import checked_block_truth, enum_truth, random_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hdmas.presburger import (FALSE, TRUE, Atom, Exists, Forall,
-                              FreeVariableError, _fold_atom, atom_dvd, atom_eq, atom_ge, atom_gt, atom_le,
-                              atom_lt, atom_ne, conj, disj, evaluate, free_vars,
-                              is_quantifier_free, neg, num, simplify,
-                              substitute, var)
+import hdmas.presburger as pb
+from hdmas.engine import ModelChecker, build_prf, prf_symmetry
+from hdmas.normalform import nf
+from hdmas.parsing import parse_formula
+from hdmas.presburger import (EQ, FALSE, LT, TRUE, Atom, AtomF, Exists, Forall,
+                              FreeVariableError, LinTerm, _fold_atom,
+                              _window_atoms, atom_dvd, atom_eq, atom_ge,
+                              atom_gt, atom_le, atom_lt, atom_ne, conj, disj,
+                              evaluate, free_vars, is_quantifier_free, neg,
+                              num, simplify, substitute, var)
 import hdmas.qe as qe
 from hdmas.qe import (QeStats, cooper_bound, decide, eliminate_exists,
                       eliminate_quantifiers, is_valid)
@@ -272,3 +279,104 @@ def test_decide_deterministic():
 def test_cooper_bound_accounts_for_coefficients():
     phi = conj((atom_lt(X.scale(4), Y.shift(9)), atom_eq(X.scale(6), Z)))
     assert cooper_bound(phi, ["x"]) == math.lcm(4, 6) + 9
+
+
+# -- each block simplifies its input once; the result is simplified once ----
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_eliminated_formulas_are_fixed_points_of_simplify(seed, tiny_cap):
+    # blocks hand their results on unsimplified; what eliminate_quantifiers
+    # returns must still be simplified, whichever blocks and whichever
+    # pipeline (cells, or Cooper past the cap) produced it
+    rng = random.Random(seed)
+    matrix = random_matrix(rng, ["x", "y", "z"], max_coeff=3, max_const=9,
+                           atoms=rng.randint(1, 3))
+    saved = qe._CELL_CAP
+    qe._CELL_CAP = 1 if tiny_cap else saved
+    try:
+        for phi in (Exists("x", matrix), Forall("x", matrix),
+                    Exists("x", Exists("y", matrix)),
+                    Forall("x", Forall("y", matrix)),
+                    Exists("x", Forall("y", matrix)),
+                    Forall("y", Exists("x", matrix)),
+                    neg(Exists("x", matrix)),
+                    conj((Forall("y", matrix), Exists("x", matrix)))):
+            res = eliminate_quantifiers(phi)
+            assert is_quantifier_free(res)
+            assert simplify(res) == res, phi
+    finally:
+        qe._CELL_CAP = saved
+
+
+def _assert_window_atoms_folded(cell):
+    windows, _ = cell
+    for part, window in windows.items():
+        for a in _window_atoms(part, window):
+            assert _fold_atom(a) == AtomF(a), (part, window)
+
+
+def test_window_atoms_are_folded_on_the_fixtures(monkeypatch, fig2, fortress):
+    # cell literals are built without folding, which is exact only while
+    # every window part is primitive with a positive leading coefficient
+    made = []
+
+    def recording(original):
+        def wrapped(*args):
+            out = original(*args)
+            if out is not None:
+                made.append(out)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(qe, "_cell_extend", recording(pb._cell_extend))
+    monkeypatch.setattr(pb, "_cell_extend", recording(pb._cell_extend))
+    monkeypatch.setattr(qe, "_rename_cell", recording(qe._rename_cell))
+    for model, prop in ((fig2, "p"), (fortress, "captured")):
+        checker = ModelChecker(model)
+        for text in (f"<<3,1>> G !{prop}", f"E y1 A y2 <<y1,y2>> X !{prop}",
+                     f"A y2 E y1 <<y1,y2>> X {prop}", f"A y2 <<6,y2>> F {prop}"):
+            checker.global_mc(nf(parse_formula(text)), {})
+    assert len(made) > 1000
+    for cell in made:
+        _assert_window_atoms_folded(cell)
+
+
+def test_cell_extend_canonicalises_every_bound():
+    # bounds given unfolded (constants, common factors, either sign) land
+    # in primitive windows, and the cell states their conjunction
+    rng = random.Random(41)
+    points = [{"x": a, "y": b} for a in range(10) for b in range(10)]
+    for _ in range(400):
+        atoms = []
+        for _ in range(rng.randint(1, 4)):
+            names = rng.sample(["x", "y"], rng.randint(0, 2))
+            term = LinTerm.make([(v, rng.choice([-4, -2, -1, 1, 2, 3, 6]))
+                                 for v in names], rng.randint(-12, 12))
+            atoms.append(AtomF(Atom(rng.choice([LT, EQ]), term)))
+        cell = pb._cell_extend({}, frozenset(), atoms)
+        want = [all(evaluate(a, p) for a in atoms) for p in points]
+        if cell is None:
+            assert not any(want), atoms
+            continue
+        _assert_window_atoms_folded(cell)
+        literals = pb._cell_literals(*cell)
+        assert [all(evaluate(l, p) for l in literals) for p in points] == want, atoms
+
+
+def test_fortress_3_decision_simplifies_at_most_ten_times(monkeypatch, fortress):
+    # one simplify per block input and one of the result: the cells in
+    # between are never turned back into formulas to be simplified
+    calls = []
+    original = qe.simplify
+
+    def counting(phi):
+        calls.append(phi)
+        return original(phi)
+
+    monkeypatch.setattr(qe, "simplify", counting)
+    targets = fortress.all_states() & ~fortress.prop_mask("captured")
+    phi = build_prf(fortress, "s1", 3, 1, targets)
+    assert decide(phi, symmetry=prf_symmetry(fortress, "s1")) is True
+    assert 0 < len(calls) <= 10, len(calls)
