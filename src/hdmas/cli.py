@@ -71,15 +71,21 @@ def _load_model(config: RunConfig):
     return parse_model(_read_text(config.model_path))
 
 
+def _is_numeral(text: str) -> bool:
+    """ASCII digits only: ``str.isdigit`` also accepts superscripts and
+    other scripts' digits, which ``int`` rejects or reads silently."""
+    return text.isascii() and text.isdigit()
+
+
 def _parse_assignment(pairs: list[str]) -> dict:
     theta = {}
     for pair in pairs:
         key, _, raw = pair.partition("=")
         key = key.strip()
-        if not raw.strip().isdigit():
+        if not _is_numeral(raw.strip()):
             raise SemanticError(f"assignment {pair!r} needs a natural number")
         if not (key in ("y1", "y2") or (key.startswith("z")
-                                        and key[1:].isdigit())):
+                                        and _is_numeral(key[1:]))):
             raise SemanticError(f"assignment key {key!r} is not y1, y2 or z<n>")
         theta[key] = int(raw)
     return theta

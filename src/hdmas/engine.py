@@ -21,7 +21,8 @@ from .logic import (EXISTS, FORALL, AgentVar, AndF, Coop, Globally, Nat, Next,
 from .model import IDLE_COUNTER, HdmasModel, StateSet, guard_union
 from .normalform import nf
 from .presburger import (Exists, Forall, PresFormula, atom_le, conj,
-                         free_vars, implies, num, simplify, substitute, var)
+                         free_vars, implies, num, simplify, substitute_all,
+                         var)
 from .qe import QeStats, Symmetry, decide
 
 Assignment = Mapping[str, int]
@@ -85,9 +86,9 @@ def build_prf(model: HdmasModel, state: str, t1: Union[int, str],
     names = [c.lstrip("#") for c in counters]
     ks = [_share("k", n) for n in names]
     ls = [_share("l", n) for n in names]
-    shifted = grd
-    for c, k, l in zip(counters, ks, ls):
-        shifted = substitute(shifted, c, var(k).add(var(l)))
+    # one walk for all counters; no replacement mentions a counter
+    shifted = substitute_all(grd, {c: var(k).add(var(l))
+                                   for c, k, l in zip(counters, ks, ls)})
     k_sum = num(0)
     for k in ks:
         k_sum = k_sum.add(var(k))

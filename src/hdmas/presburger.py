@@ -51,10 +51,10 @@ class LinTerm:
     const: int = 0
 
     @staticmethod
-    def make(coeffs: Mapping[str, int] | Iterable[tuple[str, int]] = (),
+    def make(coeffs: dict[str, int] | Iterable[tuple[str, int]] = (),
              const: int = 0) -> "LinTerm":
         acc: dict[str, int] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         for v, c in items:
             acc[v] = acc.get(v, 0) + c
         return LinTerm(tuple(sorted((v, c) for v, c in acc.items() if c != 0)), const)
@@ -85,12 +85,6 @@ class LinTerm:
 
     def drop(self, var: str) -> "LinTerm":
         return LinTerm(tuple((v, c) for v, c in self.coeffs if v != var), self.const)
-
-    def subst(self, var: str, replacement: "LinTerm") -> "LinTerm":
-        c = self.coeff(var)
-        if c == 0:
-            return self
-        return self.drop(var).add(replacement.scale(c))
 
     def rename(self, mapping: Mapping[str, str]) -> "LinTerm":
         return LinTerm.make(tuple((mapping.get(v, v), c) for v, c in self.coeffs),
@@ -407,15 +401,6 @@ def atoms_of(phi: PresFormula) -> list[Atom]:
 # -- evaluation --------------------------------------------------------------
 
 
-def _eval_atom(atom: Atom, valuation: Valuation) -> bool:
-    value = atom.term.evaluate(valuation)
-    if atom.kind == LT:
-        return value < 0
-    if atom.kind == EQ:
-        return value == 0
-    return value % atom.divisor == 0
-
-
 def evaluate(phi: PresFormula, valuation: Valuation) -> bool:
     """Truth value of a quantifier-free formula under a valuation over N."""
     for v in valuation.values():
@@ -430,7 +415,9 @@ def _evaluate(phi: PresFormula, valuation: Valuation) -> bool:
     if isinstance(phi, FalseF):
         return False
     if isinstance(phi, AtomF):
-        return _eval_atom(phi.atom, valuation)
+        value = phi.atom.term.evaluate(valuation)
+        return (value < 0 if phi.atom.kind == LT else value == 0
+                if phi.atom.kind == EQ else value % phi.atom.divisor == 0)
     if isinstance(phi, Not):
         return not _evaluate(phi.arg, valuation)
     if isinstance(phi, And):
@@ -448,42 +435,53 @@ def _evaluate(phi: PresFormula, valuation: Valuation) -> bool:
 
 
 def substitute(phi: PresFormula, target: str, replacement: TermLike) -> PresFormula:
-    """Replace every free occurrence of ``target`` by ``replacement``.
+    """Replace every free occurrence of ``target`` by ``replacement``."""
+    return substitute_all(phi, {target: replacement})
 
-    Raises CaptureViolation if the replacement mentions a variable that is
-    bound at some occurrence of ``target``.
+
+def substitute_all(phi: PresFormula,
+                   replacements: Mapping[str, TermLike]) -> PresFormula:
+    """Replace the free occurrences of every key of ``replacements`` by its
+    term, all in one walk (simultaneously).
+
+    Raises CaptureViolation if a replacement mentions a variable that is
+    bound at some occurrence of its target.
     """
-    rep = as_term(replacement)
-    rep_vars = rep.vars()
-
-    def walk(f: PresFormula) -> PresFormula:
+    def walk(f: PresFormula, reps: dict[str, LinTerm]) -> PresFormula:
         if isinstance(f, (TrueF, FalseF)):
             return f
         if isinstance(f, AtomF):
             t = f.atom.term
-            if t.coeff(target) == 0:
+            if not any(v in reps for v, _ in t.coeffs):
                 return f
-            return _fold_atom(Atom(f.atom.kind, t.subst(target, rep), f.atom.divisor))
+            pairs = [(v, c) for v, c in t.coeffs if v not in reps]
+            const = t.const
+            for v, c in t.coeffs:
+                if v in reps:
+                    pairs.extend((u, c * d) for u, d in reps[v].coeffs)
+                    const += c * reps[v].const
+            return _fold_atom(Atom(f.atom.kind, LinTerm.make(pairs, const),
+                                   f.atom.divisor))
         if isinstance(f, Not):
-            return neg(walk(f.arg))
+            return neg(walk(f.arg, reps))
         if isinstance(f, And):
-            return conj(tuple(walk(a) for a in f.args))
+            return conj(tuple(walk(a, reps) for a in f.args))
         if isinstance(f, Or):
-            return disj(tuple(walk(a) for a in f.args))
+            return disj(tuple(walk(a, reps) for a in f.args))
         if isinstance(f, Implies):
-            return implies(walk(f.lhs), walk(f.rhs))
+            return implies(walk(f.lhs, reps), walk(f.rhs, reps))
         if isinstance(f, (Exists, Forall)):
-            if f.var == target:
+            free = free_vars(f.body)
+            inner = {v: r for v, r in reps.items() if v != f.var and v in free}
+            if not inner:
                 return f
-            if target not in free_vars(f.body):
-                return f
-            if f.var in rep_vars:
+            if any(f.var in r.vars() for r in inner.values()):
                 raise CaptureViolation(f.var)
-            body = walk(f.body)
+            body = walk(f.body, inner)
             return Exists(f.var, body) if isinstance(f, Exists) else Forall(f.var, body)
         raise TypeError(f)
 
-    return walk(phi)
+    return walk(phi, {v: as_term(t) for v, t in replacements.items()})
 
 
 # -- negation normal form ----------------------------------------------------
@@ -546,25 +544,33 @@ def _nnf(phi: PresFormula, negated: bool) -> PresFormula:
 # project formulas.
 
 
-def _sign_split(t: LinTerm) -> tuple[tuple[tuple[str, int], ...], int, int]:
-    """Key a term as (canonical variable part, sign, const)."""
-    if t.coeffs[0][1] < 0:
-        return tuple((v, -c) for v, c in t.coeffs), -1, t.const
-    return t.coeffs, 1, t.const
-
-
 def _is_bound(phi: PresFormula) -> bool:
     return isinstance(phi, AtomF) and phi.atom.kind in (LT, EQ)
 
 
+def _canonical(coeffs: tuple, side: int,
+               value: int) -> Optional[tuple[tuple, int, int]]:
+    """Key ``sum(coeffs) > value`` (side 0), ``< value`` (1) or ``= value``
+    (2), over sorted non-zero coefficient pairs, as (part, side, value)
+    with the part primitive and its leading coefficient positive: the side
+    is the position of the value in a window.  None for an equality
+    without integer solutions."""
+    if coeffs[0][1] < 0:
+        coeffs = tuple((v, -c) for v, c in coeffs)
+        side, value = (1, 0, 2)[side], -value
+    g = 1 if coeffs[0][1] == 1 else math.gcd(*[c for _, c in coeffs])
+    if g > 1:
+        coeffs = tuple((v, c // g) for v, c in coeffs)
+        if side == 2 and value % g:
+            return None
+        value = -(-value // g) if side == 1 else value // g
+    return coeffs, side, value
+
+
 def _bound(atom: Atom) -> tuple[tuple, int, int]:
-    """Key a non-constant LT/EQ atom as (variable part, side, value), where
-    side 0 reads ``part > value``, 1 ``part < value`` and 2 ``part = value``:
-    the position of the value in a window."""
-    part, sign, const = _sign_split(atom.term)
-    if atom.kind == EQ:
-        return part, 2, -const if sign > 0 else const
-    return (part, 1, -const) if sign > 0 else (part, 0, const)
+    """The window key of a folded non-constant LT/EQ atom."""
+    return _canonical(atom.term.coeffs, 1 if atom.kind == LT else 2,
+                      -atom.term.const)                 # type: ignore[return-value]
 
 
 _OPEN = (None, None, None)
@@ -605,30 +611,33 @@ def _window_atoms(part: tuple, window: tuple) -> list[Atom]:
     return out
 
 
+def _narrow(windows: dict, coeffs: tuple, side: int, value: int) -> bool:
+    """Narrow ``windows`` in place by a bound as ``_canonical`` reads it;
+    False when a window empties.  This is where a bound is canonicalised,
+    and a constant one checked."""
+    if not coeffs:
+        return value < 0 if side == 0 else value > 0 if side == 1 else value == 0
+    key = _canonical(coeffs, side, value)
+    if key is None:
+        return False
+    window = _window_add(windows.get(key[0], _OPEN), key[1], key[2])
+    if window is None:
+        return False
+    windows[key[0]] = window
+    return True
+
+
 def _cell_extend(windows: dict, divs: frozenset,
                  lits) -> Optional[tuple[dict, frozenset]]:
-    """Add literals to a copied cell; None when it becomes empty.
-
-    This is where a bound is canonicalised: a constant atom or one whose
-    coefficients share a factor is folded first, so every window part is
-    primitive with a positive leading coefficient."""
+    """Add literals to a copied cell; None when it becomes empty."""
     windows = dict(windows)
     divs = set(divs)
     for lit in lits:
         if isinstance(lit, AtomF) and lit.atom.kind in (LT, EQ):
-            atom = lit.atom
-            if math.gcd(*[c for _, c in atom.term.coeffs]) != 1:
-                folded = _fold_atom(atom)
-                if isinstance(folded, FalseF):
-                    return None
-                if isinstance(folded, TrueF):
-                    continue
-                atom = folded.atom                     # type: ignore[attr-defined]
-            part, side, value = _bound(atom)
-            window = _window_add(windows.get(part, _OPEN), side, value)
-            if window is None:
+            t = lit.atom.term
+            if not _narrow(windows, t.coeffs, 1 if lit.atom.kind == LT else 2,
+                           -t.const):
                 return None
-            windows[part] = window
         elif isinstance(lit, FalseF):
             return None
         elif not isinstance(lit, TrueF):
@@ -760,7 +769,6 @@ def _subsume(children: list[PresFormula], splitter) -> list[PresFormula]:
         return children
     sets = [(_literal_set(c, splitter), c) for c in children]
     indexed = sorted((s for s in sets if s[0] is not None), key=lambda p: len(p[0]))
-    dead: set[int] = set()
     survivors: list[frozenset] = []
     drop: set = set()
     for s, c in indexed:

@@ -1,27 +1,25 @@
 """Deciding truth of Presburger formulas over the naturals.
 
-The procedure is Cooper-style quantifier elimination over the integers
-with every quantified variable relativised by ``var >= 0``.  Elimination
-runs innermost-first, one block of same-kind quantifiers at a time, and
-always through cells (conjunctions of literals, see ``presburger``).  An
+The procedure is quantifier elimination over the integers with every
+quantified variable relativised by ``var >= 0``.  Elimination runs
+innermost-first, one block of same-kind quantifiers at a time, through
+cells (window maps plus divisibility literals, see ``presburger``).  An
 existential block expands its body into cells depth-first, splitting one
 conjunct at a time as DPLL(T) case splitting does, closes at once when a
 cell over block variables only is satisfiable, and then eliminates its
 variables cell by cell, cheapest first.  A universal block is eliminated
 existentially on its negated body and returns the negated cells as
-clauses, which the enclosing block expands lazily instead of their
-complement being multiplied out.  Conjunctions of literals take exact
-shortcuts (equality pivoting, unit-coefficient bound combination,
-interval refutation) with full Cooper elimination as the fallback; a
-block whose cells pass a size cap goes to Cooper elimination whole.
+clauses, which the enclosing block expands lazily.
 
-Simplification happens once per block, on its input, and once on the
-final result (``eliminate_quantifiers``).  In between the formula is a
-set of cells: a variable's projection that is a conjunction of literals
-extends a cell directly, a cell without the variable is kept as it is, and
-only a projection with a disjunction is simplified and expanded again.  A
-block's result is handed on unsimplified, since the enclosing block
-simplifies it as part of its own input.
+A variable is eliminated on the cell itself: an equality on it is pivoted
+away and bound pairs are combined into windows, in the manner of the
+Omega test, with Cooper elimination as the one fallback for a cell where
+the variable occurs in a divisibility literal, and for a block whose
+cells pass a size cap.  Every cell carries an interval per variable that
+holds all its points; a new cell, in the expansion or in a projection,
+propagates it only from the windows that changed, and is dropped when an
+interval empties.  Simplification happens once per block, on its input,
+and once on the final result (``eliminate_quantifiers``).
 
 The caller may offer variable renamings that it expects to be symmetries
 of the formula, such as the engine's permutations of interchangeable
@@ -41,13 +39,13 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
-from .presburger import (DVD, EQ, FALSE, LT, TRUE, And, Atom, AtomF, Exists,
-                         FalseF, Forall, FreeVariableError, Implies, LinTerm,
-                         Not, Or, PresFormula, QuantifiedInput, TrueF,
-                         _cell_extend, _cell_literals, _fold_atom,
-                         _sign_split, _window_add, _window_atoms, atom_dvd,
-                         atom_ge, atoms_of, conj, disj, free_vars, implies,
-                         is_quantifier_free, neg, num, simplify, to_nnf, var)
+from .presburger import (_OPEN, DVD, EQ, FALSE, LT, TRUE, And, Atom, AtomF,
+                         Exists, FalseF, Forall, FreeVariableError, Implies,
+                         LinTerm, Not, Or, PresFormula, QuantifiedInput, TrueF,
+                         _cell_extend, _cell_literals, _fold_atom, _narrow,
+                         _window_add, atom_dvd, atom_ge, atoms_of,
+                         conj, disj, free_vars, implies, is_quantifier_free,
+                         neg, num, simplify, substitute, to_nnf, var)
 
 
 @dataclass
@@ -82,10 +80,6 @@ class QeStats:
 # Renamings of variables, each a permutation listing the variables it
 # moves, that the caller expects to map the formula to an equal one.
 Symmetry = tuple[Mapping[str, str], ...]
-
-
-def _relativize(v: str) -> PresFormula:
-    return atom_ge(var(v), 0)
 
 
 def eliminate_exists(v: str, phi: PresFormula,
@@ -231,11 +225,10 @@ def _block(names: list[str], phi: PresFormula, stats: Optional[QeStats],
     instead, one variable at a time on the whole (negated) body.
     """
     body = simplify(to_nnf(neg(phi) if negate else phi))
-    cells = _expand_depth_first(names, body, stats)
+    cells, boxes = _expand_depth_first(names, body, stats) or (None, None)
     if cells is not None:
-        if len(cells) > 1:
-            cells = _cells_prune_reps(cells)
-        cells = _project_cells(names, cells, stats, symmetry)
+        cells = _project_cells(names, _cells_prune_reps(cells), boxes, stats,
+                               symmetry)
     if stats is not None:
         stats.eliminated += len(names)
     if cells is not None:
@@ -243,7 +236,7 @@ def _block(names: list[str], phi: PresFormula, stats: Optional[QeStats],
     if stats is not None:
         stats.cap_fallbacks += 1
     for v in names:
-        body = _cooper(v, conj((body, _relativize(v))), stats)
+        body = _cooper(v, conj((body, atom_ge(var(v), 0))), stats)
         if stats is not None:
             stats.peak_atoms = max(stats.peak_atoms, len(atoms_of(body)))
     return to_nnf(neg(body)) if negate else body
@@ -252,47 +245,13 @@ def _block(names: list[str], phi: PresFormula, stats: Optional[QeStats],
 # ---------------------------------------------------------------------------
 # cells
 #
-# Inside a quantifier block the formula is a set of cells (window maps
-# plus divisibility literals, see ``presburger``).  An existential block
-# expands its body into cells depth-first, then eliminates its variables
-# cell by cell; the cells are deduplicated and subsumption-pruned globally
-# after every step, which keeps alternating prefixes tractable.  A
-# universal block eliminates existentially on the negated body and
-# returns the negated cells as clauses, which the enclosing block expands
-# lazily.
+# The cells of a block are deduplicated and subsumption-pruned globally
+# after the expansion and after every eliminated variable, which keeps
+# alternating prefixes tractable.
 
 _CELL_CAP = 30_000
 # nodes the depth-first expansion may visit before giving up
 _NODE_CAP = 10 * _CELL_CAP
-
-
-def _smart_dnf_reps(phi: PresFormula, cap: int) -> Optional[dict]:
-    items = list(phi.args) if isinstance(phi, And) else [phi]
-    alternatives = []
-    for child in items:
-        sub = _to_dnf(child, cap)
-        if sub is None:
-            return None
-        alternatives.append(sub)
-    alternatives.sort(key=len)
-
-    frontier: dict = {_cell_key({}, frozenset()): ({}, frozenset())}
-    for alts in alternatives:
-        nxt: dict = {}
-        for windows, divs in frontier.values():
-            for alt in alts:
-                ext = _cell_extend(windows, divs, alt)
-                if ext is None:
-                    continue
-                nxt.setdefault(_cell_key(*ext), ext)
-        if len(nxt) > cap:
-            return None
-        if len(nxt) > 1:
-            nxt = _cells_prune_reps(nxt)
-        frontier = nxt
-        if not frontier:
-            return {}
-    return frontier
 
 
 def _negated_literals(lit: PresFormula) -> list[PresFormula]:
@@ -329,12 +288,6 @@ def _cell_vars(windows: dict, divs: frozenset) -> set[str]:
     return out
 
 
-def _cell_refuted(windows: dict, naturals: list[Atom]) -> bool:
-    """Interval refutation of a cell, with the block variables >= 0."""
-    return _refute_intervals(naturals + [a for part, window in windows.items()
-                                         for a in _window_atoms(part, window)])
-
-
 def _open_conjuncts(cell: tuple, pending: list) -> Optional[list]:
     """Live alternatives of each conjunct the cell does not entail; None
     when some conjunct has none left."""
@@ -356,17 +309,19 @@ def _open_conjuncts(cell: tuple, pending: list) -> Optional[list]:
 
 
 def _expand_depth_first(names: list[str], body: PresFormula,
-                        stats: Optional[QeStats]) -> Optional[dict]:
-    """Cells of ``body`` for the existential block over ``names``.
+                        stats: Optional[QeStats]) -> Optional[tuple[dict, dict]]:
+    """Cells of ``body`` for the existential block over ``names``, and the
+    box of each (see ``_propagate``).
 
     Walks the conjuncts depth-first, each with its own DNF as the
     alternatives, in the style of DPLL(T) case splitting: a conjunct the
     cell entails is skipped, an alternative that empties the cell is
     dropped, the conjunct with the fewest live alternatives is split
     first, and after a one-literal one-variable alternative its complement
-    joins the cell for the alternatives after it.  Returns the leaves;
-    only the empty cell when a leaf over block variables only is
-    satisfiable, since the block then holds whatever the free variables
+    joins the cell for the alternatives after it.  A node takes its
+    parent's box and propagates it from the windows that changed.  Returns
+    the leaves; only the empty cell when a leaf over block variables only
+    is satisfiable, since the block then holds whatever the free variables
     are; None when a cap is hit.
     """
     conjuncts = []
@@ -376,16 +331,17 @@ def _expand_depth_first(names: list[str], body: PresFormula,
             return None
         conjuncts.append(alts)
     block = set(names)
-    naturals = [Atom(LT, LinTerm(((v, -1),), -1)) for v in names]
     leaves: dict = {}
-    stack = [(({}, frozenset()), conjuncts)]
+    boxes: dict = {}
+    stack = [(({}, frozenset()), dict.fromkeys(names, (0, None)), (), conjuncts)]
     visited = 0
     while stack:
         visited += 1
         if visited > _NODE_CAP:
             return None
-        cell, pending = stack.pop()
-        if _cell_refuted(cell[0], naturals):
+        cell, box, changed, pending = stack.pop()
+        box = _propagate(cell[0], box, changed)
+        if box is None:
             continue
         open_ = _open_conjuncts(cell, pending)
         if open_ is None:
@@ -394,15 +350,17 @@ def _expand_depth_first(names: list[str], body: PresFormula,
         if not open_:
             key = _cell_key(windows, divs)
             if _cell_vars(windows, divs) <= block:
-                projected = _exists_block_reps(names, {key: cell}, stats)
+                projected = _exists_block_reps(names, {key: cell}, stats,
+                                               {key: box})
                 if projected is None:
                     return None
                 if projected:
                     if stats is not None:
                         stats.early_exits += 1
-                    return {_cell_key({}, frozenset()): ({}, frozenset())}
+                    return {_cell_key({}, frozenset()): ({}, frozenset())}, {}
                 continue
             leaves.setdefault(key, cell)
+            boxes.setdefault(key, box)
             if len(leaves) > _CELL_CAP:
                 return None
             continue
@@ -412,7 +370,7 @@ def _expand_depth_first(names: list[str], body: PresFormula,
         for alt in open_[split]:
             ext = _cell_extend(windows, divs, alt)
             if ext is not None:
-                children.append((ext, rest))
+                children.append((ext, box, _changed(cell[0], ext[0]), rest))
             blocking = _blocking_literal(alt)
             if blocking is not None:
                 grown = _cell_extend(windows, divs, [blocking])
@@ -420,31 +378,28 @@ def _expand_depth_first(names: list[str], body: PresFormula,
                     break
                 windows, divs = grown
         stack.extend(reversed(children))
-    return leaves
+    return leaves, boxes
 
 
-def _reps_cost(v: str, cells: Iterable[tuple]) -> tuple:
-    """Elimination cost of ``v`` over the cells: whether some equality
-    with a unit coefficient pivots it away, the lcm of its coefficients,
-    and how many literals mention it."""
-    l = 1
-    occurrences = 0
-    unit_eq = False
+def _cheapest(names: list[str], cells: Iterable[tuple]) -> str:
+    """The variable of ``names`` cheapest to eliminate over the cells, in
+    one pass: one that an equality with a unit coefficient pivots away,
+    then the least lcm of its coefficients, then the fewest literals that
+    mention it; the first in ``names`` among equals."""
+    cost = {v: [1, 1, 0] for v in names}
     for windows, divs in cells:
-        for part, window in windows.items():
-            c = _part_coeff(part, v)
-            if c == 0:
-                continue
-            occurrences += 3 - window.count(None)
-            l = math.lcm(l, abs(c))
-            if window[2] is not None and abs(c) == 1:
-                unit_eq = True
-        for d in divs:
-            c = _literal_atom(d).term.coeff(v)
-            if c != 0:
-                occurrences += 1
-                l = math.lcm(l, abs(c))
-    return (0 if unit_eq else 1, l, occurrences)
+        literals = [(part, 3 - window.count(None), window[2] is not None)
+                    for part, window in windows.items()]
+        literals += [(_literal_atom(d).term.coeffs, 1, False) for d in divs]
+        for part, count, equality in literals:
+            for u, c in part:
+                entry = cost.get(u)
+                if entry is not None:
+                    if equality and abs(c) == 1:
+                        entry[0] = 0
+                    entry[1] = math.lcm(entry[1], abs(c))
+                    entry[2] += count
+    return min(names, key=cost.__getitem__)
 
 
 def _part_coeff(part: tuple, v: str) -> int:
@@ -454,56 +409,239 @@ def _part_coeff(part: tuple, v: str) -> int:
     return 0
 
 
-def _cube(phi: PresFormula) -> Optional[list[PresFormula]]:
-    """The literals of a conjunction of literals; None for any other
-    shape."""
-    if isinstance(phi, (AtomF, Not, FalseF)):
-        return [phi]
-    if isinstance(phi, TrueF):
-        return []
-    if isinstance(phi, And) and all(isinstance(a, (AtomF, Not))
-                                    for a in phi.args):
-        return list(phi.args)
-    return None
-
-
-def _exists_block_reps(names: list[str], reps: dict,
-                       stats: Optional[QeStats]) -> Optional[dict]:
+def _exists_block_reps(names: list[str], reps: dict, stats: Optional[QeStats],
+                       boxes: dict) -> Optional[dict]:
     """Cells of ``exists names`` over the cells ``reps``, one variable at
-    a time, cheapest first.  A cell without the variable is kept as it is;
-    a projection that is a conjunction of literals extends an empty cell
-    directly, and only one with a disjunction is simplified and expanded."""
+    a time, cheapest first; a cell without the variable is kept as it is.
+    A cell's box comes from ``boxes`` by key, or is propagated afresh for
+    a cell that has none (one made by merging)."""
     remaining = list(names)
     while remaining:
-        v = min(remaining, key=lambda n: _reps_cost(n, reps.values()))
+        v = _cheapest(remaining, reps.values())
+        naturals = dict.fromkeys(remaining, (0, None))
         remaining.remove(v)
-        rel = atom_ge(var(v), 0)
         nxt: dict = {}
+        nxt_boxes: dict = {}
         for key, cell in reps.items():
-            if v not in _cell_vars(*cell):
-                nxt.setdefault(key, cell)
-                continue
-            lowered = _eliminate_conjunct(v, _cell_literals(*cell) + [rel],
-                                          stats)
-            cube = _cube(lowered)
-            if cube is not None:
-                ext = _cell_extend({}, frozenset(), cube)
-                if ext is not None:
-                    nxt.setdefault(_cell_key(*ext), ext)
-            else:
-                sub = _smart_dnf_reps(simplify(lowered), _CELL_CAP)
-                if sub is None:
+            box = boxes.get(key)
+            if box is None:
+                box = _propagate(cell[0], naturals, cell[0])
+                if box is None:
+                    continue
+            projected: Optional[list] = [(cell, box)]
+            if v in _cell_vars(*cell):
+                projected = _project(v, cell, box, stats)
+                if projected is None:
                     return None
-                for k, c in sub.items():
-                    nxt.setdefault(k, c)
+            for new, new_box in projected:
+                new_key = _cell_key(*new)
+                if new_key not in nxt:
+                    nxt[new_key] = new
+                    nxt_boxes[new_key] = new_box
             if len(nxt) > _CELL_CAP:
                 return None
         reps = _cells_prune_reps(nxt) if len(nxt) > 1 else nxt
+        boxes = nxt_boxes
         if stats is not None:
             stats.peak_atoms = max(stats.peak_atoms,
                                    sum(len(w) * 2 + len(d)
                                        for w, d in reps.values()))
     return reps
+
+
+# ---------------------------------------------------------------------------
+# projection on cells, after the Omega test (Pugh, CACM 1992); a cell's box
+# is an inclusive interval per variable, None unbounded, holding its points
+
+# visits per window one propagation may make: bounds can climb forever on
+# a cycle of windows, and past the budget the box is sound but not final
+_ROUNDS = 32
+_FREE = (None, None)
+
+
+def _changed(old: dict, new: dict) -> list:
+    return [part for part, window in new.items() if old.get(part) != window]
+
+
+def _propagate(windows: dict, box: dict, todo: Iterable) -> Optional[dict]:
+    """``box`` narrowed by interval propagation over the windows from the
+    parts in ``todo``, None when an interval empties: a part's variable
+    lies in its window minus the other terms' range, and one that narrows
+    queues the parts that mention it.  Sound over the integers; a fixed
+    point does not depend on the parts it started from."""
+    queue = list(todo)
+    if not queue:
+        return box
+    box, queued = dict(box), set(queue)
+    budget = _ROUNDS * len(windows)
+    for part in queue:
+        queued.discard(part)
+        budget -= 1
+        if budget < 0:
+            break
+        lo, hi, eq = windows[part]
+        if eq is not None:
+            lo, hi = eq - 1, eq + 1
+        terms = []                     # (u, c, least and most of c*u)
+        least_sum = most_sum = least_open = most_open = 0
+        for u, c in part:
+            a, b = box.get(u, _FREE)[::1 if c > 0 else -1]
+            if a is None:
+                least_open += 1
+            else:
+                a *= c
+                least_sum += a
+            if b is None:
+                most_open += 1
+            else:
+                b *= c
+                most_sum += b
+            terms.append((u, c, a, b))
+        # a side of the window narrows a term only when the other terms
+        # are bounded the other way, and the box does not imply it already
+        bounded = most_open == least_open == 0
+        if lo is not None and (most_open > 1 or bounded and lo < least_sum):
+            lo = None
+        if hi is not None and (least_open > 1 or bounded and hi > most_sum):
+            hi = None
+        if lo is None and hi is None:
+            continue
+        narrowed = set()
+        for u, c, t_least, t_most in terms:
+            # c*u lies in [lo + 1 - most of the rest, hi - 1 - least of it]
+            at_least = at_most = None
+            if lo is not None and (t_most is None) == (most_open == 1):
+                at_least = lo + 1 - most_sum + (t_most or 0)
+            if hi is not None and (t_least is None) == (least_open == 1):
+                at_most = hi - 1 - least_sum + (t_least or 0)
+            if c < 0:
+                at_least, at_most = at_most, at_least
+            a, b = old = box.get(u, _FREE)
+            if at_least is not None and (a is None or -(-at_least // c) > a):
+                a = -(-at_least // c)
+            if at_most is not None and (b is None or at_most // c < b):
+                b = at_most // c
+            if (a, b) == old:
+                continue
+            if a is not None and b is not None and a > b:
+                return None
+            box[u] = (a, b)
+            narrowed.add(u)
+        for p in windows if narrowed else ():
+            if p not in queued and any(u in narrowed for u, _ in p):
+                queued.add(p)
+                queue.append(p)
+    return box
+
+
+def _without(part: tuple, v: str) -> tuple:
+    return tuple(p for p in part if p[0] != v)
+
+
+def _combine(*terms: tuple) -> tuple:
+    """Sorted non-zero coefficient pairs of ``sum(k * part)`` over the
+    ``(part, k)`` terms."""
+    acc: dict = {}
+    for part, k in terms:
+        for u, c in part:
+            acc[u] = acc.get(u, 0) + k * c
+    return tuple(sorted((u, c) for u, c in acc.items() if c))
+
+
+def _project(v: str, cell: tuple, box: dict,
+             stats: Optional[QeStats]) -> Optional[list]:
+    """Cells whose union is ``exists v >= 0`` of the cell, each with its
+    box; None when the Cooper fallback passes the cell cap."""
+    windows, divs = cell
+    unit = ((v, 1),)
+    natural = _window_add(windows.get(unit, _OPEN), 0, -1)
+    if natural is None:
+        return []
+    # a merge may leave a window with no bound; it states nothing
+    windows = {p: w for p, w in windows.items() if w != _OPEN}
+    windows[unit] = natural
+    eqs = [p for p, w in windows.items() if w[2] is not None and _part_coeff(p, v)]
+    if any(_literal_atom(d).term.coeff(v) for d in divs):
+        cells = _cooper_cell(v, windows, divs, stats)
+        if cells is None:
+            return None
+    elif eqs:
+        cells = [_pivot(v, windows, divs, min(eqs), windows[min(eqs)][2])]
+    else:
+        cells = _shadow(v, windows, divs)
+    boxed = [(new, _propagate(new[0], box, _changed(cell[0], new[0])))
+             for new in cells if new is not None]
+    return [(new, new_box) for new, new_box in boxed if new_box is not None]
+
+
+def _pivot(v: str, windows: dict, divs: frozenset, eq_part: tuple,
+           e: int) -> Optional[tuple]:
+    """The cell without ``v``, by the equality ``eq_part = e``: with ``c*v
+    + R = e``, each window on ``v`` is scaled by ``|c|`` and its ``|c|*v``
+    replaced by ``sign(c)*(e - R)``, and the divisibility ``|c| | e - R``
+    keeps ``v`` integral.  None when the cell empties."""
+    c = _part_coeff(eq_part, v)
+    scale, sign = abs(c), (1 if c > 0 else -1)
+    rest = _without(eq_part, v)
+    out = {p: w for p, w in windows.items() if not _part_coeff(p, v)}
+    for part, window in windows.items():
+        a = _part_coeff(part, v)
+        if not a:
+            continue
+        q = _combine((_without(part, v), scale), (rest, -a * sign))
+        for side, bound in enumerate(window):
+            if bound is not None and not _narrow(out, q, side,
+                                                 scale * bound - a * sign * e):
+                return None
+    return _cell_extend(out, divs, [_fold_atom(Atom(DVD, LinTerm(rest, -e),
+                                                    scale))])
+
+
+def _shadow(v: str, windows: dict, divs: frozenset) -> list:
+    """``exists v`` of a cell whose constraints on ``v`` are all bounds:
+    the dark shadow ``a*U - b*L >= (a-1)*(b-1)`` of each pair ``a*v >=
+    L``, ``b*v <= U`` (exact Fourier-Motzkin when ``a`` or ``b`` is 1),
+    plus the equality splinters ``a*v = L + k`` for the solutions that hug
+    a lower bound."""
+    lowers, uppers = [], []    # (a, part, sign, const): sign*part + const
+    for part, (lo, hi, _) in sorted(windows.items()):
+        c = _part_coeff(part, v)
+        rest = _without(part, v)
+        # c*v <= hi - 1 - R and c*v >= lo + 1 - R
+        for bound, upper, shift in ((hi, True, -1), (lo, False, 1)):
+            if c and bound is not None:
+                (uppers if upper == (c > 0) else lowers).append(
+                    (c, rest, -1, bound + shift) if c > 0
+                    else (-c, rest, 1, -bound - shift))
+    dark = {p: w for p, w in windows.items() if not _part_coeff(p, v)}
+    cells = [(dark, divs)] if all(
+        _narrow(dark, _combine((u_part, a * u_sign), (l_part, -b * l_sign)), 0,
+                (a - 1) * (b - 1) - 1 - a * u_const + b * l_const)
+        for a, l_part, l_sign, l_const in lowers
+        for b, u_part, u_sign, u_const in uppers) else []
+    b_max = max((b for b, *_ in uppers), default=1)
+    for a, l_part, l_sign, l_const in lowers:
+        for k in range((a * b_max - a - b_max) // b_max + 1):
+            eq: dict = {}
+            if _narrow(eq, _combine((((v, a),), 1), (l_part, -l_sign)), 2,
+                       l_const + k):
+                (eq_part, (_, _, e)), = eq.items()
+                cells.append(_pivot(v, windows, divs, eq_part, e))
+    return cells
+
+
+def _cooper_cell(v: str, windows: dict, divs: frozenset,
+                 stats: Optional[QeStats]) -> Optional[list]:
+    """The fallback: Cooper elimination of ``v`` from the literals that
+    mention it, the rest of the cell kept; None past the cell cap."""
+    inside = {p: w for p, w in windows.items() if _part_coeff(p, v)}
+    mention = frozenset(d for d in divs if _literal_atom(d).term.coeff(v))
+    alts = _to_dnf(_cooper(v, conj(_cell_literals(inside, mention)), stats),
+                   _CELL_CAP)
+    if alts is None:
+        return None
+    outside = {p: w for p, w in windows.items() if p not in inside}
+    return [_cell_extend(outside, divs - mention, alt) for alt in alts]
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +663,9 @@ def _rename_cell(cell: tuple, g: Mapping[str, str]) -> tuple:
     out = {}
     for part, window in windows.items():
         if any(v in g for v, _ in part):
-            part, sign, _ = _sign_split(LinTerm(tuple(sorted(
-                (g.get(v, v), c) for v, c in part))))
-            if sign < 0:
+            part = tuple(sorted((g.get(v, v), c) for v, c in part))
+            if part[0][1] < 0:
+                part = tuple((v, -c) for v, c in part)
                 lo, hi, eq = window
                 window = (None if hi is None else -hi,
                           None if lo is None else -lo,
@@ -556,13 +694,14 @@ def _cell_images(g: Mapping[str, str], cells: dict) -> Optional[dict]:
     return images
 
 
-def _project_cells(names: list[str], cells: dict, stats: Optional[QeStats],
+def _project_cells(names: list[str], cells: dict, boxes: dict,
+                   stats: Optional[QeStats],
                    symmetry: Symmetry) -> Optional[dict]:
     """``_exists_block_reps`` on one cell per orbit of the renamings that
     fix the block, its result closed under them; the plain elimination
     when none does."""
     if not symmetry or len(cells) < 2:
-        return _exists_block_reps(names, cells, stats)
+        return _exists_block_reps(names, cells, stats, boxes)
     block = set(names)
     moved = set().union(*(_cell_vars(w, d) for w, d in cells.values()))
     maps = []
@@ -573,7 +712,7 @@ def _project_cells(names: list[str], cells: dict, stats: Optional[QeStats],
         if images is not None:
             maps.append((g, images))
     if not maps:
-        return _exists_block_reps(names, cells, stats)
+        return _exists_block_reps(names, cells, stats, boxes)
     reps = {}
     seen: set = set()
     for key in cells:
@@ -591,7 +730,7 @@ def _project_cells(names: list[str], cells: dict, stats: Optional[QeStats],
     if stats is not None:
         stats.orbit_reps += len(reps)
         stats.orbit_cells += len(cells)
-    result = _exists_block_reps(names, reps, stats)
+    result = _exists_block_reps(names, reps, stats, boxes)
     if result is None:
         return None
     todo = list(result.values())
@@ -683,15 +822,11 @@ def _interval(window: tuple) -> tuple:
 
 
 def _mergeable(a: tuple, b: tuple) -> bool:
-    # open integer intervals; None is unbounded.  Disjoint with a gap
-    # exactly when one starts at or after the other ends.
-    a_lo, a_hi = a
-    b_lo, b_hi = b
-    if a_lo is None or a_hi is None or b_lo is None or b_hi is None:
-        left_ok = b_lo is None or a_hi is None or b_lo < a_hi
-        right_ok = a_lo is None or b_hi is None or a_lo < b_hi
-        return left_ok and right_ok
-    return max(a_lo, b_lo) <= min(a_hi, b_hi) - 1
+    # open integer intervals, None unbounded: their union is an interval
+    # unless one starts at or after the other ends
+    (a_lo, a_hi), (b_lo, b_hi) = a, b
+    return ((b_lo is None or a_hi is None or b_lo < a_hi)
+            and (a_lo is None or b_hi is None or a_lo < b_hi))
 
 
 def _union_window(a: tuple, b: tuple) -> tuple:
@@ -781,157 +916,6 @@ def _map_atoms(phi: PresFormula,
     return phi
 
 
-def _subst_atoms(phi: PresFormula, v: str, replacement: LinTerm) -> PresFormula:
-    def subst(f: AtomF) -> PresFormula:
-        a = f.atom
-        if a.term.coeff(v) == 0:
-            return f
-        return _fold_atom(Atom(a.kind, a.term.subst(v, replacement), a.divisor))
-
-    return _map_atoms(phi, subst)
-
-
-def _refute_intervals(atoms: list[Atom]) -> bool:
-    """True when interval propagation proves the conjunction empty.
-
-    Sound over the integers; divisibility atoms are ignored.
-    """
-    los: dict[str, int] = {}
-    his: dict[str, int] = {}
-    rows = []
-    for a in atoms:
-        if a.kind == LT:
-            rows.append((a.term, -a.term.const - 1))          # sum c_i v_i <= rhs
-        elif a.kind == EQ:
-            rows.append((a.term, -a.term.const))
-            rows.append((a.term.scale(-1), a.term.const))
-    for _ in range(6):
-        changed = False
-        for t, rhs in rows:
-            for v, c in t.coeffs:
-                slack = rhs
-                ok = True
-                for u, cu in t.coeffs:
-                    if u == v:
-                        continue
-                    if cu > 0:
-                        if u not in los:
-                            ok = False
-                            break
-                        slack -= cu * los[u]
-                    else:
-                        if u not in his:
-                            ok = False
-                            break
-                        slack -= cu * his[u]
-                if not ok:
-                    continue
-                if c > 0:
-                    b = slack // c
-                    if v not in his or b < his[v]:
-                        his[v] = b
-                        changed = True
-                else:
-                    # c*v <= slack with c < 0 gives v >= ceil(slack / c)
-                    b = -(slack // (-c))
-                    if v not in los or b > los[v]:
-                        los[v] = b
-                        changed = True
-                if v in los and v in his and los[v] > his[v]:
-                    return True
-        if not changed:
-            break
-    return False
-
-
-def _conjunct_atoms(phi: PresFormula) -> list[Atom]:
-    """Positive atoms conjunctively implied at the top of the formula."""
-    out: list[Atom] = []
-    if isinstance(phi, AtomF):
-        out.append(phi.atom)
-    elif isinstance(phi, And):
-        for a in phi.args:
-            if isinstance(a, AtomF):
-                out.append(a.atom)
-            elif isinstance(a, And):
-                out.extend(_conjunct_atoms(a))
-    return out
-
-
-def _eliminate_conjunct(v: str, lits: list[PresFormula],
-                        stats: Optional[QeStats]) -> PresFormula:
-    outside, inside = [], []
-    for l in lits:
-        (inside if _literal_atom(l).term.coeff(v) else outside).append(l)
-    if not inside:
-        return conj(outside)
-    if _refute_intervals([_literal_atom(l) for l in lits
-                          if isinstance(l, AtomF)]):
-        return FALSE
-
-    # exact pivot on an equality; unit coefficients substitute directly,
-    # larger ones rescale the other literals and add a divisibility atom
-    for i, lit in enumerate(inside):
-        if isinstance(lit, AtomF) and lit.atom.kind == EQ:
-            c = lit.atom.term.coeff(v)
-            rest = lit.atom.term.drop(v)
-            others = inside[:i] + inside[i + 1:]
-            if c in (1, -1):
-                replacement = rest.scale(-1) if c == 1 else rest
-                return conj(outside + [_subst_atoms(l, v, replacement)
-                                       for l in others])
-            # c*v = -rest: scale each literal by |c|, then c*v occurrences
-            # become -sign(c)*rest; solvability needs |c| to divide rest
-            sign = 1 if c > 0 else -1
-            absc = abs(c)
-
-            def pivot(f: AtomF) -> PresFormula:
-                a = f.atom
-                fixed = a.term.scale(absc).drop(v).add(
-                    rest.scale(-a.term.coeff(v) * sign))
-                return _fold_atom(Atom(a.kind, fixed,
-                                       a.divisor * absc if a.kind == DVD else 0))
-
-            replaced = [_map_atoms(l, pivot) for l in others]
-            return conj(outside + replaced + [atom_dvd(absc, rest)])
-
-    if all(isinstance(l, AtomF) and l.atom.kind == LT for l in inside):
-        # strict bounds only: exact projection in the style of the omega
-        # test.  The dark shadow a*U - b*L >= (a-1)(b-1) is exact unless a
-        # solution hugs a lower bound, and those cases split into finitely
-        # many equality splinters that pivot away exactly.
-        lowers = []   # (a, L) meaning a*v >= L
-        uppers = []   # (b, U) meaning b*v <= U
-        for l in inside:
-            c = l.atom.term.coeff(v)          # type: ignore[union-attr]
-            rest = l.atom.term.drop(v)        # type: ignore[union-attr]
-            if c < 0:
-                lowers.append((-c, rest.shift(1)))
-            else:
-                uppers.append((c, rest.scale(-1).shift(-1)))
-        if not lowers or not uppers:
-            return conj(outside)
-        dark = []
-        for a, low in lowers:
-            for b, up in uppers:
-                margin = (a - 1) * (b - 1)
-                dark.append(_fold_atom(Atom(
-                    LT, low.scale(b).sub(up.scale(a)).shift(margin - 1))))
-        branches = [conj(dark)]
-        bmax = max(b for b, _ in uppers)
-        for a, low in lowers:
-            kmax = (a * bmax - a - bmax) // bmax
-            for k in range(kmax + 1):
-                eq = _fold_atom(Atom(EQ, LinTerm(((v, a),), 0)
-                                     .sub(low).shift(-k)))
-                if not isinstance(eq, FalseF):
-                    branches.append(_eliminate_conjunct(v, inside + [eq],
-                                                        stats))
-        return conj(outside + [disj(branches)])
-
-    return conj(outside + [_cooper(v, conj(inside), stats)])
-
-
 def _cooper(v: str, phi: PresFormula, stats: Optional[QeStats]) -> PresFormula:
     """Full Cooper elimination of ``exists v`` (integer semantics) from NNF."""
     m = 1
@@ -991,8 +975,12 @@ def _cooper(v: str, phi: PresFormula, stats: Optional[QeStats]) -> PresFormula:
         return FALSE if (c > 0) != from_below else TRUE
 
     def at(f: PresFormula, s: LinTerm) -> PresFormula:
-        out = _subst_atoms(f, v, s)
-        if isinstance(out, (And, AtomF)) and _refute_intervals(_conjunct_atoms(out)):
+        # a branch whose conjuncts interval propagation refutes is dropped
+        out = substitute(f, v, s)
+        lits = out.args if isinstance(out, And) else (out,)
+        cell = _cell_extend({}, frozenset(),
+                            [a for a in lits if isinstance(a, AtomF)])
+        if cell is None or _propagate(cell[0], {}, cell[0]) is None:
             return FALSE
         return out
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from hdmas.engine import _resolve_term, build_prf
+from hdmas.engine import _resolve_term, _share, build_prf
 from hdmas.logic import (EXISTS, AndF, Coop, Globally, Nat, Next, NotF, OrF,
                          Prop, Top, Until)
 from hdmas.model import (IDLE, IDLE_COUNTER, CheckOutcome,
@@ -11,7 +11,8 @@ from hdmas.presburger import (DVD, EQ, FALSE, LT, TRUE, And, AtomF, Exists,
                               FalseF, Forall, Implies, LinTerm, Not, Or, TrueF,
                               atom_eq, atom_ge, atom_gt, atom_le, atom_lt,
                               atom_ne, conj, disj, free_vars, implies,
-                              is_quantifier_free, neg, num, substitute, var)
+                              is_quantifier_free, neg, num, simplify,
+                              substitute, var)
 from hdmas.qe import cooper_bound, decide, is_valid
 
 
@@ -150,6 +151,34 @@ def verbatim_prf(model, state, t1, t2, targets):
     for k in reversed(ks + ["k_eps"]):
         body = Exists(k, body)
     return body
+
+
+def sequential_prf(model, state, t1, t2, targets):
+    """``build_prf`` with one ``substitute`` walk per counter, as it was
+    built before all counters were substituted in one walk."""
+    grd = guard_union(model, state, targets)
+    t1_term = var(t1) if isinstance(t1, str) else num(t1)
+    t2_term = var(t2) if isinstance(t2, str) else num(t2)
+    counters = [c for c in model.counters_at(state)
+                if c != IDLE_COUNTER and c in free_vars(grd)]
+    ks = [_share("k", c.lstrip("#")) for c in counters]
+    ls = [_share("l", c.lstrip("#")) for c in counters]
+    shifted = grd
+    for c, k, l in zip(counters, ks, ls):
+        shifted = substitute(shifted, c, var(k).add(var(l)))
+    k_sum = num(0)
+    for k in ks:
+        k_sum = k_sum.add(var(k))
+    l_sum = num(0)
+    for l in ls:
+        l_sum = l_sum.add(var(l))
+    inner = implies(atom_le(l_sum, t2_term), shifted)
+    for l in reversed(ls):
+        inner = Forall(l, inner)
+    body = conj((atom_le(k_sum, t1_term), inner))
+    for k in reversed(ks):
+        body = Exists(k, body)
+    return simplify(body)
 
 
 def reference_pre_image(model, t1, t2, targets, theta, pfix, decisions,

@@ -140,6 +140,20 @@ def test_verify_bad_assignment(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("pair", ["z1=\u00b2", "z1=\u0663", "z\u00b2=3"],
+                         ids=["superscript-value", "arabic-indic-value",
+                              "superscript-key"])
+def test_assignment_takes_ascii_digits_only(capsys, pair):
+    # str.isdigit accepts these; int() rejects a superscript and reads the
+    # Arabic-Indic three as 3.  The formula needs no parameter, so only the
+    # assignment itself can fail
+    code, out, err = run_cli(capsys, "verify", FIG2, "-f", "<<1,1>> X p",
+                             "--assign", pair)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = run_cli(capsys, "verify", FIG2, "-f", "<<7,5>> X p", "--json")
     assert code == 0

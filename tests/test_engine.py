@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 import hdmas.engine
 import hdmas.qe as qe
-from helpers import (reference_g_fixpoint, reference_pre_image,
-                     reference_u_fixpoint, ring_text, verbatim_prf)
+from helpers import (random_model_text, reference_g_fixpoint,
+                     reference_pre_image, reference_u_fixpoint, ring_text,
+                     sequential_prf, verbatim_prf)
 from hdmas.engine import (ModelChecker, NotNormalForm, UnassignedParameter,
                           build_prf, check, global_mc, pre_image)
 from hdmas.logic import (EXISTS, FORALL, Coop, Globally, Nat, Next, NotF,
@@ -52,6 +55,26 @@ def test_build_prf_verbatim_encoding_agrees(fig2, fortress):
                     fast = decide(build_prf(model, s, c, n, targets))
                     slow = decide(verbatim_prf(model, s, c, n, targets))
                     assert fast == slow, (s, c, n, model.names_of(targets))
+
+
+def test_build_prf_substitutes_every_counter_in_one_walk(fig2, fortress):
+    # the one-walk substitution gives exactly the formula that one walk per
+    # counter gave, on the fixtures and on generated models
+    rng = random.Random(29)
+    models = [fig2, fortress] + [parse_model(random_model_text(rng)).model
+                                 for _ in range(25)]
+    built = 0
+    for model in models:
+        everything = model.all_states()
+        masks = {everything, 0} | {rng.randrange(everything + 1)
+                                   for _ in range(4)}
+        for s in model.names_of(everything):
+            for targets in masks:
+                for t1, t2 in ((3, 2), ("y1", "y2"), (0, 5)):
+                    assert build_prf(model, s, t1, t2, targets) == \
+                        sequential_prf(model, s, t1, t2, targets), (s, targets)
+                    built += 1
+    assert built > 300
 
 
 def test_pre_image_alternating_prefix(fig2):

@@ -8,7 +8,8 @@ from hdmas.presburger import (CaptureViolation, Exists, LinTerm,
                               QuantifiedInput, UnassignedVariable, atom_eq,
                               atom_ge, atom_gt, atom_le, atom_lt, atom_ne,
                               conj, disj, evaluate, free_vars, neg, num,
-                              simplify, substitute, to_nnf, var, TRUE, FALSE)
+                              simplify, substitute, substitute_all, to_nnf,
+                              var, TRUE, FALSE, Forall)
 
 X1, X2, X3 = var("x1"), var("x2"), var("x3")
 
@@ -157,3 +158,27 @@ def test_simplify_folds_contradictory_window():
 
 def test_simplify_folds_covering_disjunction():
     assert simplify(disj((atom_lt(X1, 5), atom_gt(X1, 2)))) == TRUE
+
+
+@given(formulas(), st.sampled_from([None, "x1", "y1"]), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_substitute_all_is_one_walk_of_sequential_substitutions(phi, bound,
+                                                                 universal):
+    # replacements that mention no target give the same formula whichever
+    # order the targets are substituted in, so one walk equals the chain;
+    # a quantifier over a target shadows it, one over a replacement
+    # variable captures it
+    if bound is not None:
+        quant = Forall if universal else Exists
+        phi = quant(bound, conj((phi, atom_lt(var(bound), X3))))
+    replacements = {"x1": var("y1").add(var("y2")), "x2": var("y2").shift(3),
+                    "x3": num(4)}
+    try:
+        expected = phi
+        for target, term in replacements.items():
+            expected = substitute(expected, target, term)
+    except CaptureViolation:
+        with pytest.raises(CaptureViolation):
+            substitute_all(phi, replacements)
+        return
+    assert substitute_all(phi, replacements) == expected

@@ -1,9 +1,11 @@
 import math
 import random
+import sys
 
+import numpy as np
 import pytest
-from helpers import checked_block_truth, enum_truth, random_matrix
-from hypothesis import given, settings
+from helpers import checked_block_truth, enum_truth, np_eval, random_matrix
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hdmas.presburger as pb
@@ -380,3 +382,178 @@ def test_fortress_3_decision_simplifies_at_most_ten_times(monkeypatch, fortress)
     phi = build_prf(fortress, "s1", 3, 1, targets)
     assert decide(phi, symmetry=prf_symmetry(fortress, "s1")) is True
     assert 0 < len(calls) <= 10, len(calls)
+
+
+# -- projection on cells and incremental interval refutation -----------------
+
+BLOCK = ["x1", "x2", "x3"]
+
+
+@st.composite
+def bound_literals(draw, names):
+    """A bound atom over one to three of ``names``, unit and non-unit
+    coefficients, strict or an equality."""
+    chosen = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3,
+                           unique=True))
+    term = LinTerm.make([(v, draw(st.sampled_from([-3, -2, -1, 1, 1, 2, 3])))
+                         for v in chosen], draw(st.integers(-9, 9)))
+    return AtomF(Atom(draw(st.sampled_from([LT, LT, EQ])), term))
+
+
+@st.composite
+def block_cells(draw):
+    """A satisfiable-looking cell over one to three block variables and the
+    free variable z; about one in four has a divisibility literal on a
+    block variable, which takes the Cooper fallback."""
+    block = BLOCK[:draw(st.integers(1, 3))]
+    names = block + ["z"]
+    literals = draw(st.lists(bound_literals(names), min_size=1, max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        term = LinTerm.make([(draw(st.sampled_from(block)),
+                              draw(st.integers(1, 3))),
+                             ("z", draw(st.integers(-2, 2)))],
+                            draw(st.integers(-3, 3)))
+        dvd = atom_dvd(draw(st.integers(2, 4)), term)
+        literals.append(neg(dvd) if draw(st.booleans()) else dvd)
+    cell = pb._cell_extend({}, frozenset(), literals)
+    assume(cell is not None)
+    return block, cell
+
+
+def _eliminate_block(block, cell):
+    """Cells of ``exists block`` over one cell, its box propagated afresh."""
+    return qe._exists_block_reps(block, {qe._cell_key(*cell): cell}, None, {})
+
+
+def _cells_hold(cells, point):
+    return any(all(evaluate(l, point) for l in pb._cell_literals(w, d))
+               for w, d in cells)
+
+
+def _some_witness(block, cell, z, bound):
+    """Whether the cell holds at z for some block values in 0..bound."""
+    axis = np.arange(bound + 1, dtype=np.int64)
+    grids = np.meshgrid(*[axis] * len(block), indexing="ij")
+    arrays = dict(zip(block, grids), z=np.int64(z))
+    return bool(np_eval(conj(tuple(pb._cell_literals(*cell))), arrays).any())
+
+
+# z <= 3*x1 <= z + 1: the dark shadow is empty, the splinters 3*x1 = z and
+# 3*x1 = z + 1 hold the solutions
+SPLINTERED = (["x1"], pb._cell_extend({}, frozenset(), [
+    atom_le(Z, X1.scale(3)), atom_le(X1.scale(3), Z.shift(1))]))
+
+
+@given(block_cells())
+@example(SPLINTERED)
+@settings(max_examples=150, deadline=None)
+def test_projecting_a_cell_agrees_with_enumeration(drawn):
+    # exists block >= 0 of one cell, projected on its windows (or by the
+    # Cooper fallback), against enumeration of the block variables; the
+    # enumeration widens before a symbolic "true" counts as wrong
+    block, cell = drawn
+    projected = _eliminate_block(block, cell)
+    assert projected is not None
+    for w, d in projected.values():
+        assert qe._cell_vars(w, d) <= {"z"}
+    for z in range(8):
+        symbolic = _cells_hold(projected.values(), {"z": z})
+        brute = _some_witness(block, cell, z, 20)
+        if symbolic and not brute:
+            brute = _some_witness(block, cell, z, 80 if len(block) < 3 else 45)
+        assert symbolic == brute, (cell, z)
+
+
+def test_a_divisibility_literal_on_the_variable_takes_the_cooper_fallback(
+        monkeypatch):
+    calls = []
+    original = qe._cooper_cell
+    monkeypatch.setattr(qe, "_cooper_cell",
+                        lambda *args: calls.append(args[0]) or original(*args))
+    cell = pb._cell_extend({}, frozenset(), [atom_lt(X, Z), atom_dvd(3, X)])
+    projected = _eliminate_block(["x"], cell)
+    assert calls == ["x"]
+    # some multiple of 3 lies in [0, z) exactly when z > 0
+    assert [_cells_hold(projected.values(), {"z": z}) for z in range(4)] == \
+        [False, True, True, True]
+
+
+@given(st.lists(bound_literals(BLOCK + ["z"]), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_incremental_refutation_matches_from_scratch(literals):
+    # a child cell propagates its parent's box from the windows that
+    # changed; it must be refuted exactly when propagating from nothing
+    # refutes it, and every box holds every point of its cell
+    naturals = dict.fromkeys(BLOCK, (0, None))
+    windows, box = {}, naturals
+    points = [dict(zip(BLOCK + ["z"], p)) for p in
+              np.ndindex(6, 6, 6, 6)]
+    for lit in literals:
+        ext = pb._cell_extend(windows, frozenset(), [lit])
+        if ext is None:
+            return
+        incremental = qe._propagate(ext[0], box, qe._changed(windows, ext[0]))
+        scratch = qe._propagate(ext[0], naturals, ext[0])
+        assert (incremental is None) == (scratch is None), ext[0]
+        inside = [p for p in points
+                  if all(evaluate(l, p) for l in pb._cell_literals(*ext))]
+        if incremental is None:
+            assert not inside, ext[0]
+            return
+        for found in (incremental, scratch):
+            for p in inside:
+                for v, (lo, hi) in found.items():
+                    assert (lo is None or lo <= p[v]) and \
+                        (hi is None or p[v] <= hi), (ext[0], found, p)
+        windows, box = ext[0], incremental
+
+
+def test_propagation_follows_a_chain_of_windows():
+    # x3 > 5 lifts x2 through x2 - x3 > 3 and then x1 through x1 - x2 > 3,
+    # so x1 < 12 empties the cell: only a propagation that requeues the
+    # parts of a narrowed variable sees it
+    naturals = dict.fromkeys(BLOCK, (0, None))
+    windows, box = {}, naturals
+    for lit in (atom_gt(X1.sub(X2), num(3)), atom_gt(X2.sub(X3), num(3)),
+                atom_gt(X3, num(5))):
+        ext = pb._cell_extend(windows, frozenset(), [lit])
+        box = qe._propagate(ext[0], box, qe._changed(windows, ext[0]))
+        windows = ext[0]
+    assert box["x1"] == (14, None)
+    ext = pb._cell_extend(windows, frozenset(), [atom_lt(X1, num(12))])
+    assert qe._propagate(ext[0], box, qe._changed(windows, ext[0])) is None
+    assert qe._propagate(ext[0], naturals, ext[0]) is None
+
+
+def test_projection_never_turns_cells_into_literals(monkeypatch, fig2,
+                                                     fortress):
+    # cells become literals only for a block's result and in the Cooper
+    # fallback; eliminating a variable works on the windows
+    callers = {}
+    original = qe._cell_literals
+
+    def counting(*args):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        name = frame.f_code.co_name
+        callers[name] = callers.get(name, 0) + 1
+        return original(*args)
+
+    projected = []
+    original_project = qe._project
+    monkeypatch.setattr(qe, "_cell_literals", counting)
+    monkeypatch.setattr(qe, "_project", lambda *args: projected.append(args[0])
+                        or original_project(*args))
+    for model, prop in ((fig2, "p"), (fortress, "captured")):
+        checker = ModelChecker(model)
+        for text in (f"<<3,1>> G !{prop}", f"E y1 A y2 <<y1,y2>> X !{prop}",
+                     f"A y2 E y1 <<y1,y2>> X {prop}"):
+            checker.global_mc(nf(parse_formula(text)), {})
+    assert projected and callers.get("_cooper_cell", 0) == 0
+    assert set(callers) <= {"_reps_formula", "_reps_clauses"}, callers
+    # with a divisibility literal on the variable only the fallback adds
+    decide(Exists("x", Forall("y", disj((atom_dvd(2, X.add(Y)),
+                                         atom_lt(X, Y))))))
+    assert set(callers) <= {"_reps_formula", "_reps_clauses", "_cooper_cell"}
+    assert callers.get("_cooper_cell", 0) > 0, callers
