@@ -84,9 +84,13 @@ def _parse_assignment(pairs: list[str]) -> dict:
         key = key.strip()
         if not _is_numeral(raw.strip()):
             raise SemanticError(f"assignment {pair!r} needs a natural number")
+        # z<n> as the formula names it: no leading zero, so z01 is not z1
         if not (key in ("y1", "y2") or (key.startswith("z")
-                                        and _is_numeral(key[1:]))):
+                                        and _is_numeral(key[1:])
+                                        and key[1:] == str(int(key[1:])))):
             raise SemanticError(f"assignment key {key!r} is not y1, y2 or z<n>")
+        if key in theta:
+            raise SemanticError(f"{key} is assigned more than once")
         theta[key] = int(raw)
     return theta
 
@@ -255,6 +259,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if args.dump_nf and args.dump_prf:
         print("error: choose one of --dump-nf and --dump-prf", file=sys.stderr)
+        return EXIT_SEMANTIC
+    if args.json and (args.dump_nf or args.dump_prf):
+        print("error: --dump-nf and --dump-prf print plain text only; "
+              "drop --json", file=sys.stderr)
         return EXIT_SEMANTIC
     mode = "verify"
     dump_state = None

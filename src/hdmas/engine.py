@@ -81,8 +81,9 @@ def build_prf(model: HdmasModel, state: str, t1: Union[int, str],
     grd = guard_union(model, state, targets)
     t1_term = var(t1) if isinstance(t1, str) else num(t1)
     t2_term = var(t2) if isinstance(t2, str) else num(t2)
+    used = free_vars(grd)
     counters = [c for c in model.counters_at(state)
-                if c != IDLE_COUNTER and c in free_vars(grd)]
+                if c != IDLE_COUNTER and c in used]
     names = [c.lstrip("#") for c in counters]
     ks = [_share("k", n) for n in names]
     ls = [_share("l", n) for n in names]

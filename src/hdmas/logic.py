@@ -213,9 +213,14 @@ def children(phi: Formula) -> tuple[Formula, ...]:
 
 
 def size(phi: Formula) -> int:
-    """Node count, quantifier prefixes counted per quantifier."""
-    extra = len(phi.prefix) if isinstance(phi, Quant) else 1
-    return extra + sum(size(c) for c in children(phi))
+    """Node count of the tree, a shared node counted at each occurrence and
+    quantifier prefixes counted per quantifier; each distinct node is
+    visited once."""
+    def step(f: Formula, recurse) -> int:
+        extra = len(f.prefix) if isinstance(f, Quant) else 1
+        return extra + sum(recurse(c) for c in children(f))
+
+    return memo_walk(phi, step)
 
 
 def subformulas(phi: Formula) -> Iterator[Formula]:

@@ -6,13 +6,20 @@ tree.  Atoms are normalised to the shapes ``t < 0``, ``t = 0`` and
 is meaningful and usable as a cache key.  Variables are plain interned
 strings.  All values range over the naturals; internal arithmetic is
 signed and unbounded.
+
+A conjunction of literals is a ``Cell``: one bound window per variable
+part plus divisibility literals, with an interval box per variable.  The
+simplifier combines and conditions sibling atoms through it, and
+quantifier elimination (``qe``) expands formulas into cells and projects
+variables out of them; no other module reads a window.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Collection, Iterable, Mapping, Optional, Union
 
 
 class PresburgerError(Exception):
@@ -364,6 +371,23 @@ def free_vars(phi: PresFormula) -> frozenset[str]:
     raise TypeError(phi)
 
 
+def _quantifier_block(phi: PresFormula) -> tuple[list[str], PresFormula]:
+    """The variables of the outermost block of same-kind quantifiers, outer
+    first, and the body under it."""
+    kind, names = type(phi), []
+    while isinstance(phi, kind):
+        names.append(phi.var)
+        phi = phi.body
+    return names, phi
+
+
+def _quantify(kind: type, names: list[str], body: PresFormula) -> PresFormula:
+    """``kind`` quantifiers over ``names``, outer first, around ``body``."""
+    for v in reversed(names):
+        body = kind(v, body)
+    return body
+
+
 def is_quantifier_free(phi: PresFormula) -> bool:
     if isinstance(phi, (Exists, Forall)):
         return False
@@ -471,14 +495,15 @@ def substitute_all(phi: PresFormula,
         if isinstance(f, Implies):
             return implies(walk(f.lhs, reps), walk(f.rhs, reps))
         if isinstance(f, (Exists, Forall)):
-            free = free_vars(f.body)
-            inner = {v: r for v, r in reps.items() if v != f.var and v in free}
+            names, body = _quantifier_block(f)
+            free = free_vars(body)
+            inner = {v: r for v, r in reps.items() if v not in names and v in free}
             if not inner:
                 return f
-            if any(f.var in r.vars() for r in inner.values()):
-                raise CaptureViolation(f.var)
-            body = walk(f.body, inner)
-            return Exists(f.var, body) if isinstance(f, Exists) else Forall(f.var, body)
+            for v in names:
+                if any(v in r.vars() for r in inner.values()):
+                    raise CaptureViolation(v)
+            return _quantify(type(f), names, walk(body, inner))
         raise TypeError(f)
 
     return walk(phi, {v: as_term(t) for v, t in replacements.items()})
@@ -490,8 +515,9 @@ def substitute_all(phi: PresFormula,
 def to_nnf(phi: PresFormula) -> PresFormula:
     """Push negations to the atoms.
 
-    ``!(a < b)`` becomes ``b < a | a = b`` and ``!(a = b)`` becomes
-    ``a < b | b < a``; negated divisibility atoms stay as literals.
+    Each negated atom becomes its ``complement``: ``!(a < b)`` is
+    ``b <= a`` and ``!(a = b)`` is ``a < b | b < a``; negated divisibility
+    atoms stay as literals.
     """
     return _nnf(phi, False)
 
@@ -504,15 +530,7 @@ def _nnf(phi: PresFormula, negated: bool) -> PresFormula:
     if isinstance(phi, AtomF):
         if not negated:
             return phi
-        a = phi.atom
-        if a.kind == LT:
-            # !(t < 0)  ==  -t < 0  |  t = 0
-            return disj((_fold_atom(Atom(LT, a.term.scale(-1))),
-                         _fold_atom(Atom(EQ, a.term))))
-        if a.kind == EQ:
-            return disj((_fold_atom(Atom(LT, a.term)),
-                         _fold_atom(Atom(LT, a.term.scale(-1)))))
-        return Not(phi)
+        return complement(phi)
     if isinstance(phi, Not):
         return _nnf(phi.arg, not negated)
     if isinstance(phi, And):
@@ -537,15 +555,37 @@ def _nnf(phi: PresFormula, negated: bool) -> PresFormula:
 # -- bound windows and cells ------------------------------------------------
 #
 # A conjunction of bound atoms over a shared variable part P is one window
-# (lo, hi, eq): lo < P < hi, or P = eq, with None for no bound.  A cell is
+# (lo, hi, eq): lo < P < hi, or P = eq, with None for no bound.  A Cell is
 # a window map plus a set of other literals (divisibility and negations);
 # it is the one representation of a conjunction of literals, used by
 # simplify() to combine and condition siblings and by QE to expand and
-# project formulas.
+# project formulas.  No other module reads or builds a window.
 
 
 def _is_bound(phi: PresFormula) -> bool:
     return isinstance(phi, AtomF) and phi.atom.kind in (LT, EQ)
+
+
+def _literal_atom(lit: PresFormula) -> Atom:
+    if isinstance(lit, AtomF):
+        return lit.atom
+    if isinstance(lit, Not) and isinstance(lit.arg, AtomF):
+        return lit.arg.atom
+    raise TypeError(lit)
+
+
+def complement(lit: PresFormula) -> PresFormula:
+    """The negation of a literal: one literal, or for an equality the
+    disjunction of two.  ``!(t < 0)`` is ``-t - 1 < 0``."""
+    if isinstance(lit, Not):
+        return lit.arg
+    a = lit.atom                                           # type: ignore[union-attr]
+    if a.kind == LT:
+        return _fold_atom(Atom(LT, a.term.scale(-1).shift(-1)))
+    if a.kind == EQ:
+        return disj((_fold_atom(Atom(LT, a.term)),
+                     _fold_atom(Atom(LT, a.term.scale(-1)))))
+    return Not(lit)
 
 
 def _canonical(coeffs: tuple, side: int,
@@ -568,9 +608,8 @@ def _canonical(coeffs: tuple, side: int,
 
 
 def _bound(atom: Atom) -> tuple[tuple, int, int]:
-    """The window key of a folded non-constant LT/EQ atom."""
-    return _canonical(atom.term.coeffs, 1 if atom.kind == LT else 2,
-                      -atom.term.const)                 # type: ignore[return-value]
+    """An LT/EQ atom as the coefficients, side and value of a bound."""
+    return atom.term.coeffs, 1 if atom.kind == LT else 2, -atom.term.const
 
 
 _OPEN = (None, None, None)
@@ -598,6 +637,22 @@ def _window_add(window: tuple, side: int, value: int) -> Optional[tuple]:
     return (lo, hi, None)
 
 
+def _window_union(a: tuple, b: tuple) -> Optional[tuple]:
+    """The window of the integers in either window, ``_OPEN`` for all of
+    them; None when a gap lies between the two."""
+    (a_lo, a_hi), (b_lo, b_hi) = [w[:2] if w[2] is None else (w[2] - 1, w[2] + 1)
+                                  for w in (a, b)]
+    if ((b_lo is not None and a_hi is not None and b_lo >= a_hi)
+            or (a_lo is not None and b_hi is not None and a_lo >= b_hi)):
+        return None
+    window = _OPEN
+    if a_lo is not None and b_lo is not None:
+        window = _window_add(window, 0, min(a_lo, b_lo))
+    if a_hi is not None and b_hi is not None:
+        window = _window_add(window, 1, max(a_hi, b_hi))   # type: ignore[arg-type]
+    return window
+
+
 def _window_atoms(part: tuple, window: tuple) -> list[Atom]:
     """Unfolded atoms stating one window."""
     lo, hi, eq = window
@@ -611,50 +666,414 @@ def _window_atoms(part: tuple, window: tuple) -> list[Atom]:
     return out
 
 
-def _narrow(windows: dict, coeffs: tuple, side: int, value: int) -> bool:
-    """Narrow ``windows`` in place by a bound as ``_canonical`` reads it;
-    False when a window empties.  This is where a bound is canonicalised,
+def _tighten(windows: dict, coeffs: tuple, side: int,
+             value: int) -> Optional[tuple]:
+    """The part and window that a bound, as ``_canonical`` reads it, makes
+    of ``windows``, without changing them: () when the bound adds nothing,
+    None when a window empties.  This is where a bound is canonicalised,
     and a constant one checked."""
     if not coeffs:
-        return value < 0 if side == 0 else value > 0 if side == 1 else value == 0
+        holds = value < 0 if side == 0 else value > 0 if side == 1 else value == 0
+        return () if holds else None
     key = _canonical(coeffs, side, value)
     if key is None:
-        return False
-    window = _window_add(windows.get(key[0], _OPEN), key[1], key[2])
+        return None
+    old = windows.get(key[0], _OPEN)
+    window = _window_add(old, key[1], key[2])
     if window is None:
-        return False
-    windows[key[0]] = window
-    return True
+        return None
+    return () if window == old else (key[0], window)
 
 
-def _cell_extend(windows: dict, divs: frozenset,
-                 lits) -> Optional[tuple[dict, frozenset]]:
-    """Add literals to a copied cell; None when it becomes empty."""
-    windows = dict(windows)
-    divs = set(divs)
-    for lit in lits:
-        if isinstance(lit, AtomF) and lit.atom.kind in (LT, EQ):
-            t = lit.atom.term
-            if not _narrow(windows, t.coeffs, 1 if lit.atom.kind == LT else 2,
-                           -t.const):
+def _narrow(windows: dict, coeffs: tuple, side: int, value: int) -> bool:
+    """Narrow ``windows`` in place by a bound; False when a window empties."""
+    change = _tighten(windows, coeffs, side, value)
+    if change:
+        windows[change[0]] = change[1]
+    return change is not None
+
+
+def _part_coeff(part: tuple, v: str) -> int:
+    for u, c in part:
+        if u == v:
+            return c
+    return 0
+
+
+def _without(part: tuple, v: str) -> tuple:
+    return tuple(p for p in part if p[0] != v)
+
+
+def _combine(*terms: tuple) -> tuple:
+    """Sorted non-zero coefficient pairs of ``sum(k * part)`` over the
+    ``(part, k)`` terms."""
+    acc: dict = {}
+    for part, k in terms:
+        for u, c in part:
+            acc[u] = acc.get(u, 0) + k * c
+    return tuple(sorted((u, c) for u, c in acc.items() if c))
+
+
+# visits per window one propagation may make: bounds can climb forever on
+# a cycle of windows, and past the budget the box is sound but not final
+_ROUNDS = 32
+_FREE = (None, None)
+
+
+def _propagate(windows: dict, box: dict, todo: Iterable) -> Optional[dict]:
+    """``box`` narrowed by interval propagation over the windows from the
+    parts in ``todo``, None when an interval empties: a part's variable
+    lies in its window minus the other terms' range, and one that narrows
+    queues the parts that mention it.  Sound over the integers; a fixed
+    point does not depend on the parts it started from."""
+    queue = list(todo)
+    if not queue:
+        return box
+    box, queued = dict(box), set(queue)
+    budget = _ROUNDS * len(windows)
+    for part in queue:
+        queued.discard(part)
+        budget -= 1
+        if budget < 0:
+            break
+        lo, hi, eq = windows[part]
+        if eq is not None:
+            lo, hi = eq - 1, eq + 1
+        terms = []                     # (u, c, least and most of c*u)
+        least_sum = most_sum = least_open = most_open = 0
+        for u, c in part:
+            a, b = box.get(u, _FREE)[::1 if c > 0 else -1]
+            if a is None:
+                least_open += 1
+            else:
+                a *= c
+                least_sum += a
+            if b is None:
+                most_open += 1
+            else:
+                b *= c
+                most_sum += b
+            terms.append((u, c, a, b))
+        # a side of the window narrows a term only when the other terms
+        # are bounded the other way, and the box does not imply it already
+        bounded = most_open == least_open == 0
+        if lo is not None and (most_open > 1 or bounded and lo < least_sum):
+            lo = None
+        if hi is not None and (least_open > 1 or bounded and hi > most_sum):
+            hi = None
+        if lo is None and hi is None:
+            continue
+        narrowed = set()
+        for u, c, t_least, t_most in terms:
+            # c*u lies in [lo + 1 - most of the rest, hi - 1 - least of it]
+            at_least = at_most = None
+            if lo is not None and (t_most is None) == (most_open == 1):
+                at_least = lo + 1 - most_sum + (t_most or 0)
+            if hi is not None and (t_least is None) == (least_open == 1):
+                at_most = hi - 1 - least_sum + (t_least or 0)
+            if c < 0:
+                at_least, at_most = at_most, at_least
+            a, b = old = box.get(u, _FREE)
+            if at_least is not None and (a is None or -(-at_least // c) > a):
+                a = -(-at_least // c)
+            if at_most is not None and (b is None or at_most // c < b):
+                b = at_most // c
+            if (a, b) == old:
+                continue
+            if a is not None and b is not None and a > b:
                 return None
-        elif isinstance(lit, FalseF):
-            return None
-        elif not isinstance(lit, TrueF):
-            complement = lit.arg if isinstance(lit, Not) else Not(lit)
-            if complement in divs:
+            box[u] = (a, b)
+            narrowed.add(u)
+        for p in windows if narrowed else ():
+            if p not in queued and any(u in narrowed for u, _ in p):
+                queued.add(p)
+                queue.append(p)
+    return box
+
+
+class Cell:
+    """An immutable conjunction of literals: a window per variable part,
+    never an open one, and a frozenset of divisibility and negated
+    literals.  Hash and equality go by a key computed once.
+
+    The box, an inclusive interval per variable that holds every point, is
+    propagated when first read: from the box of the cell this one was made
+    from (``base``) over the windows that differ from it, or from a given
+    box (``base`` a dict; the root's is kept as ``seed`` for merged cells)
+    over every window.
+    """
+
+    __slots__ = ("windows", "divs", "seed", "_base", "_box", "_key")
+
+    def __init__(self, windows: Optional[dict] = None,
+                 divs: frozenset = frozenset(),
+                 base: Union["Cell", dict, None] = None):
+        self.windows = {} if windows is None else windows
+        self.divs = divs
+        if isinstance(base, Cell):
+            self.seed = base.seed
+        else:
+            self.seed = base = {} if base is None else base
+        self._base = base                # None once the box is computed
+        self._box = self._key = None
+
+    @property
+    def box(self) -> Optional[dict]:
+        """The interval of each variable; None when one is empty, so the
+        cell has no point."""
+        base = self._base
+        if base is not None:
+            start, old = (base.box, base.windows) if isinstance(base, Cell) \
+                else (base, {})
+            self._box = None if start is None else _propagate(
+                self.windows, start,
+                [p for p, w in self.windows.items() if old.get(p) != w])
+            self._base = None
+        return self._box
+
+    @property
+    def key(self) -> tuple:
+        if self._key is None:
+            self._key = (tuple(sorted(self.windows.items())), self.divs)
+        return self._key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or isinstance(other, Cell) and self.key == other.key
+
+    @property
+    def vars(self) -> set[str]:
+        out = {v for part in self.windows for v, _ in part}
+        for d in self.divs:
+            out |= _literal_atom(d).term.vars()
+        return out
+
+    def extend(self, lits: Iterable[PresFormula]) -> Optional["Cell"]:
+        """The cell with ``lits`` added: itself when they add nothing, None
+        when it becomes empty."""
+        windows, divs = self.windows, self.divs
+        for lit in lits:
+            if isinstance(lit, AtomF) and lit.atom.kind != DVD:
+                t = lit.atom.term
+                change = _tighten(windows, t.coeffs, 1 if lit.atom.kind == LT else 2,
+                                  -t.const)
+                if change is None:
+                    return None
+                if change:
+                    # copied on the first change only
+                    windows = dict(windows) if windows is self.windows else windows
+                    windows[change[0]] = change[1]
+            elif isinstance(lit, FalseF):
                 return None
-            divs.add(lit)
-    return windows, frozenset(divs)
+            elif not isinstance(lit, TrueF) and lit not in divs:
+                if complement(lit) in divs:
+                    return None
+                divs = divs | {lit}
+        if windows is self.windows and divs is self.divs:
+            return self
+        return Cell(windows, divs, self)
+
+    def literals(self) -> list[PresFormula]:
+        """Canonical literal list.  Window parts are primitive with a
+        positive leading coefficient, so their atoms are already folded."""
+        out: list[PresFormula] = [AtomF(a) for part, window in self.key[0]
+                                  for a in _window_atoms(part, window)]
+        out.extend(sorted(self.divs, key=repr))
+        return out
+
+    def clause(self) -> PresFormula:
+        """The negated cell, one disjunct per complemented literal."""
+        return disj(tuple(complement(lit) for lit in self.literals()))
+
+    def subsumes(self, other: "Cell") -> bool:
+        """Whether ``other`` implies every literal of this cell: each
+        bound of this cell leaves the window of ``other`` unchanged."""
+        if len(self.windows) > len(other.windows) or not self.divs <= other.divs:
+            return False
+        for part, window in self.windows.items():
+            s = other.windows.get(part)
+            if s is None:
+                return False
+            if s != window:
+                for side, value in enumerate(window):
+                    if value is not None and _window_add(s, side, value) != s:
+                        return False
+        return True
+
+    def rename(self, g: Mapping[str, str]) -> "Cell":
+        """The cell with its variables renamed.  A renamed part whose
+        leading coefficient turns negative is narrowed afresh, which flips
+        it and its window."""
+        windows: dict = {}
+        for part, window in self.windows.items():
+            if any(v in g for v, _ in part):
+                coeffs = tuple(sorted((g.get(v, v), c) for v, c in part))
+                if coeffs[0][1] < 0:
+                    for side, value in enumerate(window):
+                        if value is not None:
+                            _narrow(windows, coeffs, side, value)
+                    continue
+                part = coeffs
+            windows[part] = window
+        divs = self.divs
+        if any(_literal_atom(d).term.vars() & g.keys() for d in divs):
+            terms = {u: var(w) for u, w in g.items()}
+            divs = frozenset(substitute_all(d, terms) for d in divs)
+        return Cell(windows, divs, self.seed)
+
+    def project(self, v: str, cooper: Callable[[str, "Cell"], Optional[list]]
+                ) -> Optional[list["Cell"]]:
+        """Cells with non-empty boxes whose union is ``exists v >= 0`` of
+        this one, after the Omega test (Pugh, CACM 1992): an equality on
+        ``v`` pivots it away, and bounds on it combine by ``_shadow``.  A
+        divisibility literal on ``v`` sends the literals that mention it to
+        ``cooper(v, cell of them)``, which gives their projection as lists
+        of literals; None when it gives None (past a cap)."""
+        unit = ((v, 1),)
+        natural = _window_add(self.windows.get(unit, _OPEN), 0, -1)
+        if natural is None:
+            return []
+        windows = dict(self.windows)
+        windows[unit] = natural
+        mention = frozenset(d for d in self.divs if _literal_atom(d).term.coeff(v))
+        if mention:
+            inside = {p: w for p, w in windows.items() if _part_coeff(p, v)}
+            alts = cooper(v, Cell(inside, mention))
+            if alts is None:
+                return None
+            outside = Cell({p: w for p, w in windows.items() if p not in inside},
+                           self.divs - mention, self)
+            cells = [outside.extend(alt) for alt in alts]
+        else:
+            eqs = [p for p, w in windows.items()
+                   if w[2] is not None and _part_coeff(p, v)]
+            cells = ([self._pivot(v, windows, min(eqs), windows[min(eqs)][2])]
+                     if eqs else self._shadow(v, windows))
+        return [c for c in cells if c is not None and c.box is not None]
+
+    def _pivot(self, v: str, windows: dict, eq_part: tuple,
+               e: int) -> Optional["Cell"]:
+        """The cell without ``v``, by the equality ``eq_part = e``: with
+        ``c*v + R = e``, each window on ``v`` is scaled by ``|c|`` and its
+        ``|c|*v`` replaced by ``sign(c)*(e - R)``, and the divisibility
+        ``|c| | e - R`` keeps ``v`` integral.  None when the cell empties."""
+        c = _part_coeff(eq_part, v)
+        scale, sign = abs(c), (1 if c > 0 else -1)
+        rest = _without(eq_part, v)
+        out = {p: w for p, w in windows.items() if not _part_coeff(p, v)}
+        for part, window in windows.items():
+            a = _part_coeff(part, v)
+            if not a:
+                continue
+            q = _combine((_without(part, v), scale), (rest, -a * sign))
+            for side, bound in enumerate(window):
+                if bound is not None and not _narrow(
+                        out, q, side, scale * bound - a * sign * e):
+                    return None
+        return Cell(out, self.divs, self).extend(
+            [_fold_atom(Atom(DVD, LinTerm(rest, -e), scale))])
+
+    def _shadow(self, v: str, windows: dict) -> list[Optional["Cell"]]:
+        """``exists v`` of a cell whose constraints on ``v`` are all bounds:
+        the dark shadow ``a*U - b*L >= (a-1)*(b-1)`` of each pair ``a*v >=
+        L``, ``b*v <= U`` (exact Fourier-Motzkin when ``a`` or ``b`` is 1),
+        plus the equality splinters ``a*v = L + k`` for the solutions that
+        hug a lower bound."""
+        lowers, uppers = [], []    # (a, part, sign, const): sign*part + const
+        for part, (lo, hi, _) in sorted(windows.items()):
+            c = _part_coeff(part, v)
+            rest = _without(part, v)
+            # c*v <= hi - 1 - R and c*v >= lo + 1 - R
+            for bound, upper, shift in ((hi, True, -1), (lo, False, 1)):
+                if c and bound is not None:
+                    (uppers if upper == (c > 0) else lowers).append(
+                        (c, rest, -1, bound + shift) if c > 0
+                        else (-c, rest, 1, -bound - shift))
+        dark = {p: w for p, w in windows.items() if not _part_coeff(p, v)}
+        cells: list[Optional[Cell]] = [Cell(dark, self.divs, self)] if all(
+            _narrow(dark, _combine((u_part, a * u_sign), (l_part, -b * l_sign)),
+                    0, (a - 1) * (b - 1) - 1 - a * u_const + b * l_const)
+            for a, l_part, l_sign, l_const in lowers
+            for b, u_part, u_sign, u_const in uppers) else []
+        b_max = max((b for b, *_ in uppers), default=1)
+        for a, l_part, l_sign, l_const in lowers:
+            for k in range((a * b_max - a - b_max) // b_max + 1):
+                eq: dict = {}
+                if _narrow(eq, _combine((((v, a),), 1), (l_part, -l_sign)), 2,
+                           l_const + k):
+                    (eq_part, (_, _, e)), = eq.items()
+                    cells.append(self._pivot(v, windows, eq_part, e))
+        return cells
 
 
-def _cell_literals(windows: dict, divs: frozenset) -> list[PresFormula]:
-    """Canonical literal list of a cell.  Window parts are primitive with a
-    positive leading coefficient, so their atoms are already folded."""
-    out: list[PresFormula] = [AtomF(a) for part, window in sorted(windows.items())
-                              for a in _window_atoms(part, window)]
-    out.extend(sorted(divs, key=repr))
-    return out
+def cheapest(names: list[str], cells: Iterable[Cell]) -> str:
+    """The variable of ``names`` cheapest to eliminate over the cells, in
+    one pass: one that an equality with a unit coefficient pivots away,
+    then the least lcm of its coefficients, then the fewest literals that
+    mention it; the first in ``names`` among equals."""
+    cost = {v: [1, 1, 0] for v in names}
+    for cell in cells:
+        literals = [(part, 3 - window.count(None), window[2] is not None)
+                    for part, window in cell.windows.items()]
+        literals += [(_literal_atom(d).term.coeffs, 1, False) for d in cell.divs]
+        for part, count, equality in literals:
+            for u, c in part:
+                entry = cost.get(u)
+                if entry is not None:
+                    if equality and abs(c) == 1:
+                        entry[0] = 0
+                    entry[1] = math.lcm(entry[1], abs(c))
+                    entry[2] += count
+    return min(names, key=cost.__getitem__)
+
+
+def _merge_cells(cells: Iterable[Cell]) -> list[Cell]:
+    """Union cells identical up to one adjacent or overlapping window; a
+    window that the union opens is dropped."""
+    buckets: dict = {}
+    for cell in cells:
+        parts = tuple(sorted(cell.windows))
+        buckets.setdefault((parts, cell.divs), {}).setdefault(
+            tuple(cell.windows[p] for p in parts), cell)
+    out: dict = {}
+    for (parts, divs), by_row in buckets.items():
+        rows: list = list(by_row)
+        changed = 1 < len(rows) <= 3000
+        while changed:
+            changed = False
+            for i, j in itertools.combinations(range(len(rows)), 2):
+                if rows[i] is None or rows[j] is None:
+                    continue
+                diff = [k for k in range(len(parts)) if rows[i][k] != rows[j][k]]
+                union = (_window_union(rows[i][diff[0]], rows[j][diff[0]])
+                         if len(diff) == 1 else None)
+                if union is not None:
+                    rows[i] = rows[i][:diff[0]] + (union,) + rows[i][diff[0] + 1:]
+                    rows[j], changed = None, True
+            rows = [r for r in rows if r is not None]
+        seed = next(iter(by_row.values())).seed
+        for row in rows:
+            cell = by_row.get(row) or Cell(
+                {p: w for p, w in zip(parts, row) if w != _OPEN}, divs, seed)
+            out.setdefault(cell)
+    return list(out)
+
+
+_PRUNE_LIMIT = 1200
+
+
+def prune_cells(cells: Collection[Cell]) -> list[Cell]:
+    """The cells merged, without those that a smaller one subsumes."""
+    merged = _merge_cells(cells) if len(cells) > 1 else list(cells)
+    if len(merged) > _PRUNE_LIMIT:
+        return merged
+    survivors: list[Cell] = []
+    for cell in sorted(merged, key=lambda c: len(c.windows) + len(c.divs)):
+        if not any(prev.subsumes(cell) for prev in survivors):
+            survivors.append(cell)
+    return survivors
 
 
 # -- simplification ----------------------------------------------------------
@@ -665,76 +1084,67 @@ def _cell_literals(windows: dict, divs: frozenset) -> list[PresFormula]:
 # the loosest bounds and detects covering ones.
 
 
-def _combine_and(children: list[PresFormula]
-                 ) -> Optional[tuple[list[PresFormula], dict]]:
-    """The children with their bound atoms merged into one window per
-    variable part, and those windows; None when a window is empty."""
-    out: list[PresFormula] = []
-    bounds: list[PresFormula] = []
-    for ch in children:
-        (bounds if _is_bound(ch) else out).append(ch)
-    cell = _cell_extend({}, frozenset(), bounds)
-    if cell is None:
-        return None
-    out.extend(_fold_atom(a) for part, window in cell[0].items()
-               for a in _window_atoms(part, window))
-    return out, cell[0]
-
-
 def _combine_or(children: list[PresFormula]) -> list[PresFormula] | bool:
+    """The children without the bound atoms that a sibling over the same
+    variable part implies; True when two of them cover everything."""
     groups: dict[tuple, list] = {}
     out: list[PresFormula] = []
     for ch in children:
         if not _is_bound(ch):
             out.append(ch)
             continue
-        part, side, value = _bound(ch.atom)              # type: ignore[union-attr]
-        g = groups.setdefault(part, [None, None, set()])
-        if side == 2:
-            g[2].add(value)
+        part, window = _tighten({}, *_bound(ch.atom))    # type: ignore[union-attr,misc]
+        kept = []
+        for other in groups.get(part, ()):
+            union = _window_union(other, window)          # type: ignore[arg-type]
+            if union == _OPEN:
+                return True
+            if union == other:
+                break
+            if union != window:
+                kept.append(other)
         else:
-            loosest = min if side == 0 else max
-            g[side] = value if g[side] is None else loosest(g[side], value)
-    for part, (lo, hi, eqs) in groups.items():
-        if lo is not None and hi is not None and lo < hi:
-            return True
-        windows = [(None, None, e) for e in sorted(eqs)
-                   if not ((hi is not None and e < hi) or (lo is not None and e > lo))]
-        windows.append((lo, hi, None))
+            groups[part] = kept + [window]
+    for part, windows in groups.items():
+        # equalities in order, then the upper bound, then the lower one
+        windows.sort(key=lambda w: (w[2] is None, w[1] is None, w[2] or 0))
         out.extend(_fold_atom(a) for window in windows
                    for a in _window_atoms(part, window))
     return out
 
 
-def _condition_clauses(children: list[PresFormula],
-                       windows: dict) -> Optional[list[PresFormula]]:
-    """Evaluate clause literals against the windows of the sibling atoms.
-
-    A literal that empties the siblings' cell is false and one that leaves
-    it unchanged is true; only the window of the literal's own variable
-    part can change, so only that one is narrowed.  Returns the rewritten
-    child list, ``children`` itself when no clause changed, or None when a
-    clause became empty (the conjunction is unsatisfiable).
-    """
-    if not windows:
-        return children
+def _combine_and(children: list[PresFormula]
+                 ) -> Optional[tuple[list[PresFormula], bool]]:
+    """The children with their bound atoms merged into one window per
+    variable part, and the clause literals judged against the cell of
+    those: one that empties it is false, and one that leaves it unchanged
+    true.  None when the conjunction is unsatisfiable; with the children,
+    whether a clause changed."""
+    merged: list[PresFormula] = []
+    bounds: list[PresFormula] = []
+    for ch in children:
+        (bounds if _is_bound(ch) else merged).append(ch)
+    cell = Cell().extend(bounds)
+    if cell is None:
+        return None
+    merged.extend(_fold_atom(a) for part, window in cell.windows.items()
+                  for a in _window_atoms(part, window))
+    if not cell.windows:
+        return merged, False
     out: list[PresFormula] = []
     changed = False
-    for ch in children:
+    for ch in merged:
         if not isinstance(ch, Or):
             out.append(ch)
             continue
         keep: list[PresFormula] = []
         for lit in ch.args:
             if _is_bound(lit):
-                part, side, value = _bound(lit.atom)     # type: ignore[union-attr]
-                window = windows.get(part)
-                if window is not None:
-                    narrowed = _window_add(window, side, value)
-                    if narrowed == window:
-                        break
-                    if narrowed is None:
-                        continue
+                change = _tighten(cell.windows, *_bound(lit.atom))
+                if change == ():            # implied: the clause is true
+                    break
+                if change is None:          # refuted: the literal is false
+                    continue
             keep.append(lit)
         else:
             if not keep:
@@ -744,7 +1154,7 @@ def _condition_clauses(children: list[PresFormula],
             out.append(disj(keep) if dropped else ch)
             continue
         changed = True
-    return out if changed else children
+    return out, changed
 
 
 _SUBSUME_LIMIT = 800
@@ -792,16 +1202,14 @@ def simplify(phi: PresFormula) -> PresFormula:
         return neg(simplify(phi.arg))
     if isinstance(phi, Implies):
         return implies(simplify(phi.lhs), simplify(phi.rhs))
-    if isinstance(phi, Exists):
-        body = simplify(phi.body)
-        if phi.var not in free_vars(body):
-            return body
-        return Exists(phi.var, body)
-    if isinstance(phi, Forall):
-        body = simplify(phi.body)
-        if phi.var not in free_vars(body):
-            return body
-        return Forall(phi.var, body)
+    if isinstance(phi, (Exists, Forall)):
+        # one free-variable walk for the whole block; of a repeated name
+        # only the innermost quantifier binds
+        names, body = _quantifier_block(phi)
+        body = simplify(body)
+        free = free_vars(body)
+        return _quantify(type(phi), [v for i, v in enumerate(names)
+                                     if v in free and v not in names[i + 1:]], body)
     if isinstance(phi, And):
         base = conj(tuple(simplify(a) for a in phi.args))
         if not isinstance(base, And):
@@ -815,11 +1223,9 @@ def simplify(phi: PresFormula) -> PresFormula:
             combined = _combine_and(kids)
             if combined is None:
                 return FALSE
-            conditioned = _condition_clauses(*combined)
-            if conditioned is combined[0]:
+            conditioned, changed = combined
+            if not changed:
                 break
-            if conditioned is None:
-                return FALSE
             # a conditioned clause may have shrunk to an atom that narrows
             # a window and so conditions further clauses; every pass drops
             # a literal, so this ends

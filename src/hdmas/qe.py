@@ -3,22 +3,17 @@
 The procedure is quantifier elimination over the integers with every
 quantified variable relativised by ``var >= 0``.  Elimination runs
 innermost-first, one block of same-kind quantifiers at a time, through
-cells (window maps plus divisibility literals, see ``presburger``).  An
-existential block expands its body into cells depth-first, splitting one
-conjunct at a time as DPLL(T) case splitting does, closes at once when a
-cell over block variables only is satisfiable, and then eliminates its
-variables cell by cell, cheapest first.  A universal block is eliminated
-existentially on its negated body and returns the negated cells as
-clauses, which the enclosing block expands lazily.
-
-A variable is eliminated on the cell itself: an equality on it is pivoted
-away and bound pairs are combined into windows, in the manner of the
-Omega test, with Cooper elimination as the one fallback for a cell where
-the variable occurs in a divisibility literal, and for a block whose
-cells pass a size cap.  Every cell carries an interval per variable that
-holds all its points; a new cell, in the expansion or in a projection,
-propagates it only from the windows that changed, and is dropped when an
-interval empties.  Simplification happens once per block, on its input,
+cells (``presburger.Cell``, which owns the window arithmetic, the interval
+box and the projection of one variable).  An existential block expands
+its body into cells depth-first, splitting one conjunct at a time as
+DPLL(T) case splitting does, closes at once when a cell over block
+variables only is satisfiable, and then eliminates its variables cell by
+cell, cheapest first; a cell whose box empties is dropped.  A universal
+block is eliminated existentially on its negated body and returns the
+negated cells as clauses, which the enclosing block expands lazily.
+Cooper elimination (``_cooper``) is the projection's fallback for a
+divisibility literal on the variable, and takes a whole block whose cells
+pass a size cap.  Simplification happens once per block, on its input,
 and once on the final result (``eliminate_quantifiers``).
 
 The caller may offer variable renamings that it expects to be symmetries
@@ -39,13 +34,13 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
-from .presburger import (_OPEN, DVD, EQ, FALSE, LT, TRUE, And, Atom, AtomF,
+from .presburger import (DVD, EQ, FALSE, LT, TRUE, And, Atom, AtomF, Cell,
                          Exists, FalseF, Forall, FreeVariableError, Implies,
                          LinTerm, Not, Or, PresFormula, QuantifiedInput, TrueF,
-                         _cell_extend, _cell_literals, _fold_atom, _narrow,
-                         _window_add, atom_dvd, atom_ge, atoms_of,
-                         conj, disj, free_vars, implies, is_quantifier_free,
-                         neg, num, simplify, substitute, to_nnf, var)
+                         _quantifier_block, atom_dvd, atom_ge, atoms_of,
+                         cheapest, complement, conj, disj, free_vars, implies,
+                         is_quantifier_free, neg, num, prune_cells, simplify,
+                         substitute, to_nnf, var)
 
 
 @dataclass
@@ -194,14 +189,9 @@ def _close(phi: PresFormula, stats: Optional[QeStats],
            symmetry: Symmetry) -> PresFormula:
     """Eliminate all quantifiers bottom-up; result is quantifier-free."""
     if isinstance(phi, (Exists, Forall)):
-        kind = type(phi)
-        names = [phi.var]
-        body = phi.body
-        while isinstance(body, kind):
-            names.append(body.var)
-            body = body.body
+        names, body = _quantifier_block(phi)
         return _block(names, _close(body, stats, symmetry), stats,
-                      negate=kind is Forall, symmetry=symmetry)
+                      negate=isinstance(phi, Forall), symmetry=symmetry)
     if isinstance(phi, Not):
         return neg(_close(phi.arg, stats, symmetry))
     if isinstance(phi, And):
@@ -225,10 +215,9 @@ def _block(names: list[str], phi: PresFormula, stats: Optional[QeStats],
     instead, one variable at a time on the whole (negated) body.
     """
     body = simplify(to_nnf(neg(phi) if negate else phi))
-    cells, boxes = _expand_depth_first(names, body, stats) or (None, None)
+    cells = _expand_depth_first(names, body, stats)
     if cells is not None:
-        cells = _project_cells(names, _cells_prune_reps(cells), boxes, stats,
-                               symmetry)
+        cells = _project_cells(names, prune_cells(cells), stats, symmetry)
     if stats is not None:
         stats.eliminated += len(names)
     if cells is not None:
@@ -243,7 +232,7 @@ def _block(names: list[str], phi: PresFormula, stats: Optional[QeStats],
 
 
 # ---------------------------------------------------------------------------
-# cells
+# cells (see ``presburger.Cell``)
 #
 # The cells of a block are deduplicated and subsumption-pruned globally
 # after the expansion and after every eliminated variable, which keeps
@@ -254,50 +243,24 @@ _CELL_CAP = 30_000
 _NODE_CAP = 10 * _CELL_CAP
 
 
-def _negated_literals(lit: PresFormula) -> list[PresFormula]:
-    """Literals whose disjunction is the complement of one folded literal.
-    A folded bound has coprime coefficients, and so has each atom here,
-    which is therefore folded too."""
-    if isinstance(lit, Not):
-        return [lit.arg]
-    a = lit.atom                                           # type: ignore[union-attr]
-    if a.kind == LT:
-        # not (t < 0)  iff  -t - 1 < 0
-        return [AtomF(Atom(LT, a.term.scale(-1).shift(-1)))]
-    if a.kind == EQ:
-        return [AtomF(Atom(LT, a.term)), AtomF(Atom(LT, a.term.scale(-1)))]
-    return [Not(lit)]
-
-
 def _blocking_literal(alt: list[PresFormula]) -> Optional[PresFormula]:
     """Complement of an alternative that is one literal over one variable,
     when that complement is itself a literal."""
-    if len(alt) != 1:
+    if len(alt) != 1 or len(free_vars(alt[0])) != 1:
         return None
-    lit = alt[0]
-    if len(_literal_atom(lit).term.coeffs) != 1:
-        return None
-    negated = _negated_literals(lit)
-    return negated[0] if len(negated) == 1 else None
+    negated = complement(alt[0])
+    return None if isinstance(negated, Or) else negated
 
 
-def _cell_vars(windows: dict, divs: frozenset) -> set[str]:
-    out = {v for part in windows for v, _ in part}
-    for d in divs:
-        out |= _literal_atom(d).term.vars()
-    return out
-
-
-def _open_conjuncts(cell: tuple, pending: list) -> Optional[list]:
+def _open_conjuncts(cell: Cell, pending: list) -> Optional[list]:
     """Live alternatives of each conjunct the cell does not entail; None
     when some conjunct has none left."""
-    windows, divs = cell
     out = []
     for alts in pending:
         live = []
         for alt in alts:
-            ext = _cell_extend(windows, divs, alt)
-            if ext == cell:
+            ext = cell.extend(alt)
+            if ext is cell:
                 break
             if ext is not None:
                 live.append(alt)
@@ -309,20 +272,18 @@ def _open_conjuncts(cell: tuple, pending: list) -> Optional[list]:
 
 
 def _expand_depth_first(names: list[str], body: PresFormula,
-                        stats: Optional[QeStats]) -> Optional[tuple[dict, dict]]:
-    """Cells of ``body`` for the existential block over ``names``, and the
-    box of each (see ``_propagate``).
+                        stats: Optional[QeStats]) -> Optional[list[Cell]]:
+    """Cells of ``body`` for the existential block over ``names``.
 
     Walks the conjuncts depth-first, each with its own DNF as the
     alternatives, in the style of DPLL(T) case splitting: a conjunct the
     cell entails is skipped, an alternative that empties the cell is
     dropped, the conjunct with the fewest live alternatives is split
     first, and after a one-literal one-variable alternative its complement
-    joins the cell for the alternatives after it.  A node takes its
-    parent's box and propagates it from the windows that changed.  Returns
-    the leaves; only the empty cell when a leaf over block variables only
-    is satisfiable, since the block then holds whatever the free variables
-    are; None when a cap is hit.
+    joins the cell for the alternatives after it.  A node whose box
+    empties is dropped.  Returns the leaves; only the empty cell when a
+    leaf over block variables only is satisfiable, since the block then
+    holds whatever the free variables are; None when a cap is hit.
     """
     conjuncts = []
     for child in (body.args if isinstance(body, And) else (body,)):
@@ -332,316 +293,79 @@ def _expand_depth_first(names: list[str], body: PresFormula,
         conjuncts.append(alts)
     block = set(names)
     leaves: dict = {}
-    boxes: dict = {}
-    stack = [(({}, frozenset()), dict.fromkeys(names, (0, None)), (), conjuncts)]
+    stack = [(Cell(base=dict.fromkeys(names, (0, None))), conjuncts)]
     visited = 0
     while stack:
         visited += 1
         if visited > _NODE_CAP:
             return None
-        cell, box, changed, pending = stack.pop()
-        box = _propagate(cell[0], box, changed)
-        if box is None:
+        cell, pending = stack.pop()
+        if cell.box is None:
             continue
         open_ = _open_conjuncts(cell, pending)
         if open_ is None:
             continue
-        windows, divs = cell
         if not open_:
-            key = _cell_key(windows, divs)
-            if _cell_vars(windows, divs) <= block:
-                projected = _exists_block_reps(names, {key: cell}, stats,
-                                               {key: box})
+            if cell.vars <= block:
+                projected = _exists_block_reps(names, [cell], stats)
                 if projected is None:
                     return None
                 if projected:
                     if stats is not None:
                         stats.early_exits += 1
-                    return {_cell_key({}, frozenset()): ({}, frozenset())}, {}
+                    return [Cell()]
                 continue
-            leaves.setdefault(key, cell)
-            boxes.setdefault(key, box)
+            leaves.setdefault(cell)
             if len(leaves) > _CELL_CAP:
                 return None
             continue
         split = min(range(len(open_)), key=lambda i: len(open_[i]))
         rest = open_[:split] + open_[split + 1:]
         children = []
+        grown: Optional[Cell] = cell
         for alt in open_[split]:
-            ext = _cell_extend(windows, divs, alt)
+            ext = grown.extend(alt)
             if ext is not None:
-                children.append((ext, box, _changed(cell[0], ext[0]), rest))
+                children.append((ext, rest))
             blocking = _blocking_literal(alt)
             if blocking is not None:
-                grown = _cell_extend(windows, divs, [blocking])
+                grown = grown.extend([blocking])
                 if grown is None:
                     break
-                windows, divs = grown
         stack.extend(reversed(children))
-    return leaves, boxes
+    return list(leaves)
 
 
-def _cheapest(names: list[str], cells: Iterable[tuple]) -> str:
-    """The variable of ``names`` cheapest to eliminate over the cells, in
-    one pass: one that an equality with a unit coefficient pivots away,
-    then the least lcm of its coefficients, then the fewest literals that
-    mention it; the first in ``names`` among equals."""
-    cost = {v: [1, 1, 0] for v in names}
-    for windows, divs in cells:
-        literals = [(part, 3 - window.count(None), window[2] is not None)
-                    for part, window in windows.items()]
-        literals += [(_literal_atom(d).term.coeffs, 1, False) for d in divs]
-        for part, count, equality in literals:
-            for u, c in part:
-                entry = cost.get(u)
-                if entry is not None:
-                    if equality and abs(c) == 1:
-                        entry[0] = 0
-                    entry[1] = math.lcm(entry[1], abs(c))
-                    entry[2] += count
-    return min(names, key=cost.__getitem__)
+def _exists_block_reps(names: list[str], cells: list[Cell],
+                       stats: Optional[QeStats]) -> Optional[list[Cell]]:
+    """Cells of ``exists names`` over ``cells``, one variable at a time,
+    cheapest first; a cell without the variable is kept as it is, and one
+    whose box empties is dropped."""
+    def cooper_fallback(v: str, inside: Cell) -> Optional[list]:
+        # Cooper elimination of v from the literals that mention it
+        return _to_dnf(_cooper(v, conj(inside.literals()), stats), _CELL_CAP)
 
-
-def _part_coeff(part: tuple, v: str) -> int:
-    for u, c in part:
-        if u == v:
-            return c
-    return 0
-
-
-def _exists_block_reps(names: list[str], reps: dict, stats: Optional[QeStats],
-                       boxes: dict) -> Optional[dict]:
-    """Cells of ``exists names`` over the cells ``reps``, one variable at
-    a time, cheapest first; a cell without the variable is kept as it is.
-    A cell's box comes from ``boxes`` by key, or is propagated afresh for
-    a cell that has none (one made by merging)."""
     remaining = list(names)
     while remaining:
-        v = _cheapest(remaining, reps.values())
-        naturals = dict.fromkeys(remaining, (0, None))
+        v = cheapest(remaining, cells)
         remaining.remove(v)
         nxt: dict = {}
-        nxt_boxes: dict = {}
-        for key, cell in reps.items():
-            box = boxes.get(key)
-            if box is None:
-                box = _propagate(cell[0], naturals, cell[0])
-                if box is None:
-                    continue
-            projected: Optional[list] = [(cell, box)]
-            if v in _cell_vars(*cell):
-                projected = _project(v, cell, box, stats)
-                if projected is None:
-                    return None
-            for new, new_box in projected:
-                new_key = _cell_key(*new)
-                if new_key not in nxt:
-                    nxt[new_key] = new
-                    nxt_boxes[new_key] = new_box
+        for cell in cells:
+            if cell.box is None:
+                continue
+            projected = cell.project(v, cooper_fallback) if v in cell.vars else [cell]
+            if projected is None:
+                return None
+            for new in projected:
+                nxt.setdefault(new)
             if len(nxt) > _CELL_CAP:
                 return None
-        reps = _cells_prune_reps(nxt) if len(nxt) > 1 else nxt
-        boxes = nxt_boxes
+        cells = prune_cells(nxt)
         if stats is not None:
             stats.peak_atoms = max(stats.peak_atoms,
-                                   sum(len(w) * 2 + len(d)
-                                       for w, d in reps.values()))
-    return reps
-
-
-# ---------------------------------------------------------------------------
-# projection on cells, after the Omega test (Pugh, CACM 1992); a cell's box
-# is an inclusive interval per variable, None unbounded, holding its points
-
-# visits per window one propagation may make: bounds can climb forever on
-# a cycle of windows, and past the budget the box is sound but not final
-_ROUNDS = 32
-_FREE = (None, None)
-
-
-def _changed(old: dict, new: dict) -> list:
-    return [part for part, window in new.items() if old.get(part) != window]
-
-
-def _propagate(windows: dict, box: dict, todo: Iterable) -> Optional[dict]:
-    """``box`` narrowed by interval propagation over the windows from the
-    parts in ``todo``, None when an interval empties: a part's variable
-    lies in its window minus the other terms' range, and one that narrows
-    queues the parts that mention it.  Sound over the integers; a fixed
-    point does not depend on the parts it started from."""
-    queue = list(todo)
-    if not queue:
-        return box
-    box, queued = dict(box), set(queue)
-    budget = _ROUNDS * len(windows)
-    for part in queue:
-        queued.discard(part)
-        budget -= 1
-        if budget < 0:
-            break
-        lo, hi, eq = windows[part]
-        if eq is not None:
-            lo, hi = eq - 1, eq + 1
-        terms = []                     # (u, c, least and most of c*u)
-        least_sum = most_sum = least_open = most_open = 0
-        for u, c in part:
-            a, b = box.get(u, _FREE)[::1 if c > 0 else -1]
-            if a is None:
-                least_open += 1
-            else:
-                a *= c
-                least_sum += a
-            if b is None:
-                most_open += 1
-            else:
-                b *= c
-                most_sum += b
-            terms.append((u, c, a, b))
-        # a side of the window narrows a term only when the other terms
-        # are bounded the other way, and the box does not imply it already
-        bounded = most_open == least_open == 0
-        if lo is not None and (most_open > 1 or bounded and lo < least_sum):
-            lo = None
-        if hi is not None and (least_open > 1 or bounded and hi > most_sum):
-            hi = None
-        if lo is None and hi is None:
-            continue
-        narrowed = set()
-        for u, c, t_least, t_most in terms:
-            # c*u lies in [lo + 1 - most of the rest, hi - 1 - least of it]
-            at_least = at_most = None
-            if lo is not None and (t_most is None) == (most_open == 1):
-                at_least = lo + 1 - most_sum + (t_most or 0)
-            if hi is not None and (t_least is None) == (least_open == 1):
-                at_most = hi - 1 - least_sum + (t_least or 0)
-            if c < 0:
-                at_least, at_most = at_most, at_least
-            a, b = old = box.get(u, _FREE)
-            if at_least is not None and (a is None or -(-at_least // c) > a):
-                a = -(-at_least // c)
-            if at_most is not None and (b is None or at_most // c < b):
-                b = at_most // c
-            if (a, b) == old:
-                continue
-            if a is not None and b is not None and a > b:
-                return None
-            box[u] = (a, b)
-            narrowed.add(u)
-        for p in windows if narrowed else ():
-            if p not in queued and any(u in narrowed for u, _ in p):
-                queued.add(p)
-                queue.append(p)
-    return box
-
-
-def _without(part: tuple, v: str) -> tuple:
-    return tuple(p for p in part if p[0] != v)
-
-
-def _combine(*terms: tuple) -> tuple:
-    """Sorted non-zero coefficient pairs of ``sum(k * part)`` over the
-    ``(part, k)`` terms."""
-    acc: dict = {}
-    for part, k in terms:
-        for u, c in part:
-            acc[u] = acc.get(u, 0) + k * c
-    return tuple(sorted((u, c) for u, c in acc.items() if c))
-
-
-def _project(v: str, cell: tuple, box: dict,
-             stats: Optional[QeStats]) -> Optional[list]:
-    """Cells whose union is ``exists v >= 0`` of the cell, each with its
-    box; None when the Cooper fallback passes the cell cap."""
-    windows, divs = cell
-    unit = ((v, 1),)
-    natural = _window_add(windows.get(unit, _OPEN), 0, -1)
-    if natural is None:
-        return []
-    # a merge may leave a window with no bound; it states nothing
-    windows = {p: w for p, w in windows.items() if w != _OPEN}
-    windows[unit] = natural
-    eqs = [p for p, w in windows.items() if w[2] is not None and _part_coeff(p, v)]
-    if any(_literal_atom(d).term.coeff(v) for d in divs):
-        cells = _cooper_cell(v, windows, divs, stats)
-        if cells is None:
-            return None
-    elif eqs:
-        cells = [_pivot(v, windows, divs, min(eqs), windows[min(eqs)][2])]
-    else:
-        cells = _shadow(v, windows, divs)
-    boxed = [(new, _propagate(new[0], box, _changed(cell[0], new[0])))
-             for new in cells if new is not None]
-    return [(new, new_box) for new, new_box in boxed if new_box is not None]
-
-
-def _pivot(v: str, windows: dict, divs: frozenset, eq_part: tuple,
-           e: int) -> Optional[tuple]:
-    """The cell without ``v``, by the equality ``eq_part = e``: with ``c*v
-    + R = e``, each window on ``v`` is scaled by ``|c|`` and its ``|c|*v``
-    replaced by ``sign(c)*(e - R)``, and the divisibility ``|c| | e - R``
-    keeps ``v`` integral.  None when the cell empties."""
-    c = _part_coeff(eq_part, v)
-    scale, sign = abs(c), (1 if c > 0 else -1)
-    rest = _without(eq_part, v)
-    out = {p: w for p, w in windows.items() if not _part_coeff(p, v)}
-    for part, window in windows.items():
-        a = _part_coeff(part, v)
-        if not a:
-            continue
-        q = _combine((_without(part, v), scale), (rest, -a * sign))
-        for side, bound in enumerate(window):
-            if bound is not None and not _narrow(out, q, side,
-                                                 scale * bound - a * sign * e):
-                return None
-    return _cell_extend(out, divs, [_fold_atom(Atom(DVD, LinTerm(rest, -e),
-                                                    scale))])
-
-
-def _shadow(v: str, windows: dict, divs: frozenset) -> list:
-    """``exists v`` of a cell whose constraints on ``v`` are all bounds:
-    the dark shadow ``a*U - b*L >= (a-1)*(b-1)`` of each pair ``a*v >=
-    L``, ``b*v <= U`` (exact Fourier-Motzkin when ``a`` or ``b`` is 1),
-    plus the equality splinters ``a*v = L + k`` for the solutions that hug
-    a lower bound."""
-    lowers, uppers = [], []    # (a, part, sign, const): sign*part + const
-    for part, (lo, hi, _) in sorted(windows.items()):
-        c = _part_coeff(part, v)
-        rest = _without(part, v)
-        # c*v <= hi - 1 - R and c*v >= lo + 1 - R
-        for bound, upper, shift in ((hi, True, -1), (lo, False, 1)):
-            if c and bound is not None:
-                (uppers if upper == (c > 0) else lowers).append(
-                    (c, rest, -1, bound + shift) if c > 0
-                    else (-c, rest, 1, -bound - shift))
-    dark = {p: w for p, w in windows.items() if not _part_coeff(p, v)}
-    cells = [(dark, divs)] if all(
-        _narrow(dark, _combine((u_part, a * u_sign), (l_part, -b * l_sign)), 0,
-                (a - 1) * (b - 1) - 1 - a * u_const + b * l_const)
-        for a, l_part, l_sign, l_const in lowers
-        for b, u_part, u_sign, u_const in uppers) else []
-    b_max = max((b for b, *_ in uppers), default=1)
-    for a, l_part, l_sign, l_const in lowers:
-        for k in range((a * b_max - a - b_max) // b_max + 1):
-            eq: dict = {}
-            if _narrow(eq, _combine((((v, a),), 1), (l_part, -l_sign)), 2,
-                       l_const + k):
-                (eq_part, (_, _, e)), = eq.items()
-                cells.append(_pivot(v, windows, divs, eq_part, e))
+                                   sum(len(c.windows) * 2 + len(c.divs)
+                                       for c in cells))
     return cells
-
-
-def _cooper_cell(v: str, windows: dict, divs: frozenset,
-                 stats: Optional[QeStats]) -> Optional[list]:
-    """The fallback: Cooper elimination of ``v`` from the literals that
-    mention it, the rest of the cell kept; None past the cell cap."""
-    inside = {p: w for p, w in windows.items() if _part_coeff(p, v)}
-    mention = frozenset(d for d in divs if _literal_atom(d).term.coeff(v))
-    alts = _to_dnf(_cooper(v, conj(_cell_literals(inside, mention)), stats),
-                   _CELL_CAP)
-    if alts is None:
-        return None
-    outside = {p: w for p, w in windows.items() if p not in inside}
-    return [_cell_extend(outside, divs - mention, alt) for alt in alts]
 
 
 # ---------------------------------------------------------------------------
@@ -655,55 +379,29 @@ def _cooper_cell(v: str, windows: dict, divs: frozenset,
 # under the generators is exactly that union.
 
 
-def _rename_cell(cell: tuple, g: Mapping[str, str]) -> tuple:
-    """A cell with its variables renamed, renaming the window parts
-    directly; a part whose leading coefficient turns negative is negated
-    and its window mirrored."""
-    windows, divs = cell
-    out = {}
-    for part, window in windows.items():
-        if any(v in g for v, _ in part):
-            part = tuple(sorted((g.get(v, v), c) for v, c in part))
-            if part[0][1] < 0:
-                part = tuple((v, -c) for v, c in part)
-                lo, hi, eq = window
-                window = (None if hi is None else -hi,
-                          None if lo is None else -lo,
-                          None if eq is None else -eq)
-        out[part] = window
-    if any(_literal_atom(d).term.vars() & g.keys() for d in divs):
-        divs = frozenset(_rename_literal(d, g) for d in divs)
-    return out, divs
-
-
-def _rename_literal(lit: PresFormula, g: Mapping[str, str]) -> PresFormula:
-    a = _literal_atom(lit)
-    renamed = _fold_atom(Atom(a.kind, a.term.rename(g), a.divisor))
-    return neg(renamed) if isinstance(lit, Not) else renamed
-
-
-def _cell_images(g: Mapping[str, str], cells: dict) -> Optional[dict]:
-    """Key of each cell's image under ``g``; None when ``g`` does not map
-    the cell set onto itself."""
+def _cell_images(g: Mapping[str, str], cells: list[Cell]) -> Optional[dict]:
+    """Image of each cell under ``g``; None when ``g`` does not map the
+    cell set onto itself."""
+    members = set(cells)
     images = {}
-    for key, cell in cells.items():
-        image = _cell_key(*_rename_cell(cell, g))
-        if image not in cells:
+    for cell in cells:
+        image = cell.rename(g)
+        if image not in members:
             return None
-        images[key] = image
+        images[cell] = image
     return images
 
 
-def _project_cells(names: list[str], cells: dict, boxes: dict,
+def _project_cells(names: list[str], cells: list[Cell],
                    stats: Optional[QeStats],
-                   symmetry: Symmetry) -> Optional[dict]:
+                   symmetry: Symmetry) -> Optional[list[Cell]]:
     """``_exists_block_reps`` on one cell per orbit of the renamings that
     fix the block, its result closed under them; the plain elimination
     when none does."""
     if not symmetry or len(cells) < 2:
-        return _exists_block_reps(names, cells, stats, boxes)
+        return _exists_block_reps(names, cells, stats)
     block = set(names)
-    moved = set().union(*(_cell_vars(w, d) for w, d in cells.values()))
+    moved = frozenset().union(*(cell.vars for cell in cells))
     maps = []
     for g in symmetry:
         if not moved & g.keys() or {g.get(v, v) for v in names} != block:
@@ -712,15 +410,15 @@ def _project_cells(names: list[str], cells: dict, boxes: dict,
         if images is not None:
             maps.append((g, images))
     if not maps:
-        return _exists_block_reps(names, cells, stats, boxes)
-    reps = {}
+        return _exists_block_reps(names, cells, stats)
+    reps = []
     seen: set = set()
-    for key in cells:
-        if key in seen:
+    for cell in cells:
+        if cell in seen:
             continue
-        reps[key] = cells[key]
-        seen.add(key)
-        todo = [key]
+        reps.append(cell)
+        seen.add(cell)
+        todo = [cell]
         while todo:
             at = todo.pop()
             for _, images in maps:
@@ -730,34 +428,31 @@ def _project_cells(names: list[str], cells: dict, boxes: dict,
     if stats is not None:
         stats.orbit_reps += len(reps)
         stats.orbit_cells += len(cells)
-    result = _exists_block_reps(names, reps, stats, boxes)
+    result = _exists_block_reps(names, reps, stats)
     if result is None:
         return None
-    todo = list(result.values())
+    closed = dict.fromkeys(result)
+    todo = list(result)
     while todo:
         cell = todo.pop()
         for g, _ in maps:
-            image = _rename_cell(cell, g)
-            key = _cell_key(*image)
-            if key not in result:
-                result[key] = image
+            image = cell.rename(g)
+            if image not in closed:
+                closed[image] = None
                 todo.append(image)
-        if len(result) > _CELL_CAP:
+        if len(closed) > _CELL_CAP:
             return None
-    return _cells_prune_reps(result) if len(result) > 1 else result
+    return prune_cells(closed)
 
 
-def _reps_formula(reps: dict) -> PresFormula:
+def _reps_formula(cells: list[Cell]) -> PresFormula:
     """Disjunction of the cells, one conjunct per cell."""
-    return disj(tuple(conj(tuple(_cell_literals(w, d)))
-                      for w, d in reps.values()))
+    return disj(tuple(conj(tuple(cell.literals())) for cell in cells))
 
 
-def _reps_clauses(reps: dict) -> PresFormula:
+def _reps_clauses(cells: list[Cell]) -> PresFormula:
     """Conjunction of the negated cells, one clause per cell."""
-    return conj(tuple(disj(tuple(n for lit in _cell_literals(w, d)
-                                 for n in _negated_literals(lit)))
-                      for w, d in reps.values()))
+    return conj(tuple(cell.clause() for cell in cells))
 
 
 def _to_dnf(phi: PresFormula, cap: int) -> Optional[list[list[PresFormula]]]:
@@ -784,123 +479,6 @@ def _to_dnf(phi: PresFormula, cap: int) -> Optional[list[list[PresFormula]]]:
             out = [x + y for x in out for y in sub]
         return out
     raise TypeError(phi)
-
-
-def _cell_key(windows: dict, divs: frozenset) -> tuple:
-    return (tuple(sorted(windows.items())), divs)
-
-
-def _cell_subsumed(weak: tuple, strong: tuple) -> bool:
-    """Whether every constraint of ``weak`` is implied by ``strong``: each
-    bound of ``weak`` leaves the window of ``strong`` unchanged."""
-    w_windows, w_divs = weak
-    s_windows, s_divs = strong
-    if len(w_windows) > len(s_windows) or len(w_divs) > len(s_divs):
-        return False
-    if not w_divs <= s_divs:
-        return False
-    for part, window in w_windows.items():
-        s = s_windows.get(part)
-        if s is None:
-            return False
-        if s == window:
-            continue
-        for side, value in enumerate(window):
-            if value is not None and _window_add(s, side, value) != s:
-                return False
-    return True
-
-
-_PRUNE_LIMIT = 1200
-
-
-def _interval(window: tuple) -> tuple:
-    lo, hi, eq = window
-    if eq is not None:
-        return (eq - 1, eq + 1)
-    return (lo, hi)
-
-
-def _mergeable(a: tuple, b: tuple) -> bool:
-    # open integer intervals, None unbounded: their union is an interval
-    # unless one starts at or after the other ends
-    (a_lo, a_hi), (b_lo, b_hi) = a, b
-    return ((b_lo is None or a_hi is None or b_lo < a_hi)
-            and (a_lo is None or b_hi is None or a_lo < b_hi))
-
-
-def _union_window(a: tuple, b: tuple) -> tuple:
-    a_lo, a_hi = a
-    b_lo, b_hi = b
-    lo = None if a_lo is None or b_lo is None else min(a_lo, b_lo)
-    hi = None if a_hi is None or b_hi is None else max(a_hi, b_hi)
-    if lo is not None and hi is not None and lo + 2 == hi:
-        return (None, None, lo + 1)
-    return (lo, hi, None)
-
-
-def _merge_cells(cells: dict) -> dict:
-    """Union cells identical up to one adjacent or overlapping window."""
-    buckets: dict = {}
-    for w, d in cells.values():
-        parts = tuple(sorted(w))
-        buckets.setdefault((parts, d), []).append(
-            tuple(w[p] for p in parts))
-    out: dict = {}
-    for (parts, d), rows in buckets.items():
-        rows = list(dict.fromkeys(rows))
-        if len(rows) > 1 and len(rows) <= 3000:
-            changed = True
-            while changed:
-                changed = False
-                for i in range(len(rows)):
-                    if rows[i] is None:
-                        continue
-                    for j in range(i + 1, len(rows)):
-                        if rows[j] is None:
-                            continue
-                        diff = [k for k in range(len(parts))
-                                if rows[i][k] != rows[j][k]]
-                        if len(diff) != 1:
-                            continue
-                        k = diff[0]
-                        ia, ib = _interval(rows[i][k]), _interval(rows[j][k])
-                        if _mergeable(ia, ib):
-                            merged = list(rows[i])
-                            merged[k] = _union_window(ia, ib)
-                            rows[i] = tuple(merged)
-                            rows[j] = None
-                            changed = True
-                rows = [r for r in rows if r is not None]
-        for row in rows:
-            w = dict(zip(parts, row))
-            out[_cell_key(w, d)] = (w, d)
-    return out
-
-
-def _cells_prune_reps(cells: dict) -> dict:
-    if len(cells) > 1:
-        cells = _merge_cells(cells)
-    if len(cells) > _PRUNE_LIMIT:
-        return cells
-    order = sorted(cells.items(),
-                   key=lambda kv: len(kv[1][0]) + len(kv[1][1]))
-    survivors: list[tuple] = []
-    out = {}
-    for key, rep in order:
-        if any(_cell_subsumed(prev, rep) for prev in survivors):
-            continue
-        survivors.append(rep)
-        out[key] = rep
-    return out
-
-
-def _literal_atom(lit: PresFormula) -> Atom:
-    if isinstance(lit, AtomF):
-        return lit.atom
-    if isinstance(lit, Not) and isinstance(lit.arg, AtomF):
-        return lit.arg.atom
-    raise TypeError(lit)
 
 
 def _map_atoms(phi: PresFormula,
@@ -978,9 +556,8 @@ def _cooper(v: str, phi: PresFormula, stats: Optional[QeStats]) -> PresFormula:
         # a branch whose conjuncts interval propagation refutes is dropped
         out = substitute(f, v, s)
         lits = out.args if isinstance(out, And) else (out,)
-        cell = _cell_extend({}, frozenset(),
-                            [a for a in lits if isinstance(a, AtomF)])
-        if cell is None or _propagate(cell[0], {}, cell[0]) is None:
+        cell = Cell().extend([a for a in lits if isinstance(a, AtomF)])
+        if cell is None or cell.box is None:
             return FALSE
         return out
 

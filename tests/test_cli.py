@@ -154,6 +154,36 @@ def test_assignment_takes_ascii_digits_only(capsys, pair):
     assert out == ""
 
 
+def test_assigning_a_symbol_twice_is_an_error(capsys):
+    # the last value used to win silently
+    code, out, err = run_cli(capsys, "verify", FIG2, "-f", "<<z1,2>> X p",
+                             "--assign", "z1=3", "--assign", "z1=0")
+    assert code == 2
+    assert err.startswith("error: ") and "z1" in err
+    assert out == ""
+
+
+def test_parameter_key_with_a_leading_zero_is_an_error(capsys):
+    # z01 used to be stored under its own key and then reported as the
+    # unbound symbol z1
+    code, out, err = run_cli(capsys, "verify", FIG2, "-f", "<<z1,2>> X p",
+                             "--assign", "z01=3")
+    assert code == 2
+    assert err.startswith("error: ") and "'z01'" in err
+    assert "unbound" not in err and out == ""
+
+
+@pytest.mark.parametrize("dump", [("--dump-nf",), ("--dump-prf", "s=s1")],
+                         ids=["nf", "prf"])
+def test_json_with_a_dump_is_an_error(capsys, dump):
+    # a dump prints plain text; --json used to be ignored silently
+    code, out, err = run_cli(capsys, "verify", FIG2, "-f", "<<7,5>> X p",
+                             "--json", *dump)
+    assert code == 2
+    assert err.startswith("error: ") and "--json" in err
+    assert out == ""
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = run_cli(capsys, "verify", FIG2, "-f", "<<7,5>> X p", "--json")
     assert code == 0

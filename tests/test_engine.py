@@ -355,3 +355,14 @@ def test_each_block_is_expanded_once(monkeypatch, fortress, symmetric):
     assert calls["_block"] == calls["_expand_depth_first"] > 0
     assert (calls["_cell_images"] > 0) == symmetric
     assert (checker.stats.orbit_reps > 0) == symmetric
+
+
+def test_build_prf_reads_the_guard_variables_once(monkeypatch, fortress):
+    # one free-variable walk of the guard union, not one per counter
+    calls = []
+    original = hdmas.engine.free_vars
+    monkeypatch.setattr(hdmas.engine, "free_vars",
+                        lambda phi: calls.append(phi) or original(phi))
+    targets = fortress.all_states() & ~fortress.prop_mask("captured")
+    build_prf(fortress, "s1", 3, 1, targets)
+    assert len(calls) == 1

@@ -5,9 +5,9 @@ import pytest
 from hdmas.logic import (EXISTS, FORALL, AndF, Coop, Globally, Nat, Next,
                          NotF, OrF, Param, PolarityViolation,
                          PositionViolation, Prop, Quant, Top, Until, Y1, Y2,
-                         canonical, check_syntax, eventually, free_agent_vars,
-                         is_normal_form, merge_quantifiers, polarity,
-                         simplify_vacuous, size, subst_term)
+                         canonical, check_syntax, children, eventually,
+                         free_agent_vars, is_normal_form, merge_quantifiers,
+                         polarity, simplify_vacuous, size, subst_term)
 
 E, A = EXISTS, FORALL
 captured = Prop("captured")
@@ -142,6 +142,43 @@ def test_free_agent_vars():
 def test_size_counts_prefix_quantifiers():
     phi = Quant(((E, 1), (A, 2)), Coop(Y1, Y2, Next(p)))
     assert size(phi) == 2 + 1 + 1 + 1
+
+
+def _size_and_calls(n):
+    """``size`` of a parsed ``p <-> ... p`` chain of n operators, and the
+    Python function calls it makes."""
+    import sys
+
+    from hdmas.parsing import parse_formula
+    phi = parse_formula(" <-> ".join(["p"] * (n + 1)))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        result = size(phi)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_size_of_shared_iff_chains_is_linear_work():
+    # each <-> shares both of its sides, so the tree doubles per operator;
+    # its size still counts every occurrence, but each distinct node is
+    # visited once: four more operators cost well under 4 times the calls
+    (small_size, small), (large_size, large) = _size_and_calls(8), _size_and_calls(12)
+    assert large < 4 * small, (small, large)
+    assert large_size > 8 * small_size
+    # the same count as walking the expanded tree
+    def expanded(f):
+        extra = len(f.prefix) if isinstance(f, Quant) else 1
+        return extra + sum(expanded(c) for c in children(f))
+    from hdmas.parsing import parse_formula
+    assert small_size == expanded(parse_formula(" <-> ".join(["p"] * 9)))
 
 
 # -- grammar fuzzing ---------------------------------------------------------

@@ -1,15 +1,17 @@
 import random
 
 import pytest
+
+import hdmas.presburger as pb
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hdmas.presburger import (CaptureViolation, Exists, LinTerm,
-                              QuantifiedInput, UnassignedVariable, atom_eq,
-                              atom_ge, atom_gt, atom_le, atom_lt, atom_ne,
-                              conj, disj, evaluate, free_vars, neg, num,
-                              simplify, substitute, substitute_all, to_nnf,
-                              var, TRUE, FALSE, Forall)
+from hdmas.presburger import (CaptureViolation, Exists, LinTerm, Or,
+                              QuantifiedInput, UnassignedVariable, atom_dvd,
+                              atom_eq, atom_ge, atom_gt, atom_le, atom_lt,
+                              atom_ne, complement, conj, disj, evaluate,
+                              free_vars, neg, num, simplify, substitute,
+                              substitute_all, to_nnf, var, TRUE, FALSE, Forall)
 
 X1, X2, X3 = var("x1"), var("x2"), var("x3")
 
@@ -74,7 +76,23 @@ def test_free_vars():
 
 
 def test_nnf_of_negated_less_than():
-    assert to_nnf(neg(atom_lt(X1, X2))) == disj((atom_lt(X2, X1), atom_eq(X1, X2)))
+    # one literal: not x1 < x2 is x2 <= x1
+    assert to_nnf(neg(atom_lt(X1, X2))) == atom_le(X2, X1)
+
+
+def test_complement_is_the_negation_of_a_literal():
+    # one literal for a strict bound and a divisibility literal, two for an
+    # equality; complementing twice gives back the literal's truth
+    points = [{"x1": a, "x2": b} for a in range(6) for b in range(6)]
+    for lit, disjuncts in ((atom_lt(X1.scale(2), X2.shift(3)), 1),
+                           (atom_eq(X1.scale(3), X2), 2),
+                           (atom_dvd(3, X1.add(X2)), 1), (neg(atom_dvd(2, X1)), 1)):
+        negated = complement(lit)
+        assert (len(negated.args) if isinstance(negated, Or) else 1) == disjuncts
+        for p in points:
+            assert evaluate(negated, p) != evaluate(lit, p), (lit, p)
+            if not isinstance(negated, Or):
+                assert evaluate(complement(negated), p) == evaluate(lit, p)
 
 
 def test_nnf_double_negation():
@@ -182,3 +200,36 @@ def test_substitute_all_is_one_walk_of_sequential_substitutions(phi, bound,
             substitute_all(phi, replacements)
         return
     assert substitute_all(phi, replacements) == expected
+
+
+def _free_vars_calls(monkeypatch, fn, phi):
+    calls = []
+    original = pb.free_vars
+    monkeypatch.setattr(pb, "free_vars",
+                        lambda f: calls.append(f) or original(f))
+    fn(phi)
+    monkeypatch.setattr(pb, "free_vars", original)
+    return len(calls)
+
+
+@pytest.mark.parametrize("fn", [simplify,
+                                lambda phi: substitute_all(phi, {"z": num(1)})],
+                         ids=["simplify", "substitute_all"])
+def test_a_quantifier_block_walks_its_body_once(monkeypatch, fn):
+    # a prefix of n same-kind quantifiers over one body: one walk of the
+    # body per block, not one per quantifier
+    def prefix(n):
+        body = conj(tuple(atom_lt(var(f"x{i}"), var("z")) for i in range(4)))
+        for i in reversed(range(n)):
+            body = Exists(f"x{i}", body)
+        return body
+    small = _free_vars_calls(monkeypatch, fn, prefix(4))
+    assert _free_vars_calls(monkeypatch, fn, prefix(24)) == small > 0
+
+
+def test_simplify_keeps_the_innermost_of_repeated_quantifiers():
+    inner = Exists("x1", atom_lt(X1, num(3)))
+    assert simplify(Exists("x1", inner)) == inner
+    assert simplify(Forall("x2", Exists("x2", inner))) == inner
+    assert simplify(Exists("x2", Exists("x1", atom_lt(X1, X2)))) == \
+        Exists("x2", Exists("x1", atom_lt(X1, X2)))

@@ -8,16 +8,15 @@ from helpers import checked_block_truth, enum_truth, np_eval, random_matrix
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import hdmas.presburger as pb
 from hdmas.engine import ModelChecker, build_prf, prf_symmetry
 from hdmas.normalform import nf
 from hdmas.parsing import parse_formula
-from hdmas.presburger import (EQ, FALSE, LT, TRUE, Atom, AtomF, Exists, Forall,
-                              FreeVariableError, LinTerm, _fold_atom,
-                              _window_atoms, atom_dvd, atom_eq, atom_ge,
-                              atom_gt, atom_le, atom_lt, atom_ne, conj, disj,
-                              evaluate, free_vars, is_quantifier_free, neg,
-                              num, simplify, substitute, var)
+from hdmas.presburger import (EQ, FALSE, LT, TRUE, Atom, AtomF, Cell, Exists,
+                              Forall, FreeVariableError, LinTerm, _fold_atom,
+                              atom_dvd, atom_eq, atom_ge, atom_gt, atom_le,
+                              atom_lt, atom_ne, conj, disj, evaluate, free_vars,
+                              is_quantifier_free, neg, num, prune_cells,
+                              simplify, substitute, var)
 import hdmas.qe as qe
 from hdmas.qe import (QeStats, cooper_bound, decide, eliminate_exists,
                       eliminate_quantifiers, is_valid)
@@ -313,28 +312,23 @@ def test_eliminated_formulas_are_fixed_points_of_simplify(seed, tiny_cap):
 
 
 def _assert_window_atoms_folded(cell):
-    windows, _ = cell
-    for part, window in windows.items():
-        for a in _window_atoms(part, window):
-            assert _fold_atom(a) == AtomF(a), (part, window)
+    for lit in cell.literals():
+        if isinstance(lit, AtomF):
+            assert _fold_atom(lit.atom) == lit, (cell.key, lit)
 
 
 def test_window_atoms_are_folded_on_the_fixtures(monkeypatch, fig2, fortress):
     # cell literals are built without folding, which is exact only while
-    # every window part is primitive with a positive leading coefficient
+    # every window part is primitive with a positive leading coefficient;
+    # checked on every cell made, by extension, projection or renaming
     made = []
+    original = Cell.__init__
 
-    def recording(original):
-        def wrapped(*args):
-            out = original(*args)
-            if out is not None:
-                made.append(out)
-            return out
-        return wrapped
+    def recording(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        made.append(self)
 
-    monkeypatch.setattr(qe, "_cell_extend", recording(pb._cell_extend))
-    monkeypatch.setattr(pb, "_cell_extend", recording(pb._cell_extend))
-    monkeypatch.setattr(qe, "_rename_cell", recording(qe._rename_cell))
+    monkeypatch.setattr(Cell, "__init__", recording)
     for model, prop in ((fig2, "p"), (fortress, "captured")):
         checker = ModelChecker(model)
         for text in (f"<<3,1>> G !{prop}", f"E y1 A y2 <<y1,y2>> X !{prop}",
@@ -357,14 +351,56 @@ def test_cell_extend_canonicalises_every_bound():
             term = LinTerm.make([(v, rng.choice([-4, -2, -1, 1, 2, 3, 6]))
                                  for v in names], rng.randint(-12, 12))
             atoms.append(AtomF(Atom(rng.choice([LT, EQ]), term)))
-        cell = pb._cell_extend({}, frozenset(), atoms)
+        cell = Cell().extend(atoms)
         want = [all(evaluate(a, p) for a in atoms) for p in points]
         if cell is None:
             assert not any(want), atoms
             continue
         _assert_window_atoms_folded(cell)
-        literals = pb._cell_literals(*cell)
+        literals = cell.literals()
         assert [all(evaluate(l, p) for l in literals) for p in points] == want, atoms
+
+
+def test_extend_returns_the_cell_itself_when_nothing_is_added():
+    # the expansion's entailment test is identity
+    cell = Cell().extend([atom_lt(X, num(4)), atom_dvd(2, X.add(Y))])
+    assert cell.extend([atom_lt(X, num(9)), atom_dvd(2, X.add(Y)), TRUE]) is cell
+    assert cell.extend([atom_lt(X, num(3))]) not in (cell, None)
+    assert cell.extend([atom_gt(X, num(3))]) is None
+    assert cell.extend([neg(atom_dvd(2, X.add(Y)))]) is None
+
+
+def test_merged_cells_keep_no_open_window():
+    # k < 4 or k > 3 states nothing about k: the merged cell has no window
+    # on it, so it equals, and subsumes, the cell without k
+    below = Cell().extend([atom_lt(X, num(4)), atom_lt(Y, num(2))])
+    above = Cell().extend([atom_gt(X, num(3)), atom_lt(Y, num(2))])
+    merged = prune_cells([below, above])
+    assert merged == [Cell().extend([atom_lt(Y, num(2))])]
+    stronger = Cell().extend([atom_lt(Y, num(2)), atom_eq(Z, num(1))])
+    assert prune_cells([below, above, stronger]) == merged
+
+
+def test_renamed_cells_state_the_renamed_literals():
+    # a part whose leading coefficient turns negative is flipped, with its
+    # window, and the renamed cell equals the cell of the renamed literals,
+    # divisibility literals included
+    swap = {"x": "y", "y": "x"}
+    rng = random.Random(43)
+    for _ in range(200):
+        atoms = [_fold_atom(Atom(rng.choice([LT, EQ]), LinTerm.make(
+            [(v, rng.choice([-3, -1, 1, 2]))
+             for v in rng.sample(["x", "y", "z"], 2)], rng.randint(-6, 6))))
+            for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            dvd = atom_dvd(rng.choice([2, 3]),
+                           X.scale(2).add(Y).shift(rng.randint(0, 2)))
+            atoms.append(neg(dvd) if rng.random() < 0.5 else dvd)
+        cell = Cell().extend(atoms)
+        if cell is None:
+            continue
+        renamed = Cell().extend([_renamed(a, swap) for a in atoms])
+        assert cell.rename(swap) == renamed, atoms
 
 
 def test_fortress_3_decision_simplifies_at_most_ten_times(monkeypatch, fortress):
@@ -387,6 +423,11 @@ def test_fortress_3_decision_simplifies_at_most_ten_times(monkeypatch, fortress)
 # -- projection on cells and incremental interval refutation -----------------
 
 BLOCK = ["x1", "x2", "x3"]
+
+
+def _root(block):
+    """The empty cell whose box starts with the block variables natural."""
+    return Cell(base=dict.fromkeys(block, (0, None)))
 
 
 @st.composite
@@ -415,49 +456,78 @@ def block_cells(draw):
                             draw(st.integers(-3, 3)))
         dvd = atom_dvd(draw(st.integers(2, 4)), term)
         literals.append(neg(dvd) if draw(st.booleans()) else dvd)
-    cell = pb._cell_extend({}, frozenset(), literals)
+    cell = _root(block).extend(literals)
     assume(cell is not None)
     return block, cell
 
 
 def _eliminate_block(block, cell):
-    """Cells of ``exists block`` over one cell, its box propagated afresh."""
-    return qe._exists_block_reps(block, {qe._cell_key(*cell): cell}, None, {})
+    """Cells of ``exists block`` over one cell."""
+    return qe._exists_block_reps(block, [cell], None)
 
 
 def _cells_hold(cells, point):
-    return any(all(evaluate(l, point) for l in pb._cell_literals(w, d))
-               for w, d in cells)
+    return any(all(evaluate(l, point) for l in cell.literals())
+               for cell in cells)
 
 
 def _some_witness(block, cell, z, bound):
-    """Whether the cell holds at z for some block values in 0..bound."""
+    """Whether the cell holds at z for some natural block values.  An
+    equality over a block variable that no earlier solved equality
+    mentions is solved for that variable, which takes whatever value it
+    must; the others are enumerated in 0..bound."""
+    literals = cell.literals()
+    solved, used = [], set()
+    for lit in literals:
+        if isinstance(lit, AtomF) and lit.atom.kind == EQ:
+            names = [v for v, _ in lit.atom.term.coeffs if v in block]
+            free = [v for v in names if v not in used]
+            if free:
+                solved.append((free[0], lit.atom.term))
+                used.update(names)
+    grid = [v for v in block if v not in {v for v, _ in solved}]
     axis = np.arange(bound + 1, dtype=np.int64)
-    grids = np.meshgrid(*[axis] * len(block), indexing="ij")
-    arrays = dict(zip(block, grids), z=np.int64(z))
-    return bool(np_eval(conj(tuple(pb._cell_literals(*cell))), arrays).any())
+    arrays = dict(zip(grid, np.meshgrid(*[axis] * len(grid), indexing="ij")),
+                  z=np.int64(z))
+    valid = np.bool_(True)
+    for v, term in solved:
+        c = term.coeff(v)
+        rest = term.drop(v)
+        value = -np.int64(rest.const)
+        for u, d in rest.coeffs:
+            value = value - np.int64(d) * arrays[u]
+        valid = valid & (value % c == 0) & (value // c >= 0)
+        arrays[v] = value // c
+    return bool((valid & np_eval(conj(tuple(literals)), arrays)).any())
 
 
 # z <= 3*x1 <= z + 1: the dark shadow is empty, the splinters 3*x1 = z and
 # 3*x1 = z + 1 hold the solutions
-SPLINTERED = (["x1"], pb._cell_extend({}, frozenset(), [
+SPLINTERED = (["x1"], _root(["x1"]).extend([
     atom_le(Z, X1.scale(3)), atom_le(X1.scale(3), Z.shift(1))]))
+# at z = 7 the least witness is x1 = 48, x2 = 9, x3 = 0: past a grid of 45,
+# but x1 is solved from the equality
+SOLVED = (BLOCK, _root(BLOCK).extend([
+    atom_gt(X1, num(0)), atom_eq(X1.sub(X2.scale(3)).sub(Z.scale(3)), num(0)),
+    atom_gt(X2.sub(X3).sub(Z), num(1))]))
 
 
 @given(block_cells())
 @example(SPLINTERED)
+@example(SOLVED)
 @settings(max_examples=150, deadline=None)
 def test_projecting_a_cell_agrees_with_enumeration(drawn):
     # exists block >= 0 of one cell, projected on its windows (or by the
     # Cooper fallback), against enumeration of the block variables; the
-    # enumeration widens before a symbolic "true" counts as wrong
+    # enumeration solves equalities and widens before a symbolic "true"
+    # counts as wrong
     block, cell = drawn
     projected = _eliminate_block(block, cell)
     assert projected is not None
-    for w, d in projected.values():
-        assert qe._cell_vars(w, d) <= {"z"}
+    for new in projected:
+        assert new.vars <= {"z"}
     for z in range(8):
-        symbolic = _cells_hold(projected.values(), {"z": z})
+        symbolic = _cells_hold(projected, {"z": z})
         brute = _some_witness(block, cell, z, 20)
         if symbolic and not brute:
             brute = _some_witness(block, cell, z, 80 if len(block) < 3 else 45)
@@ -467,14 +537,14 @@ def test_projecting_a_cell_agrees_with_enumeration(drawn):
 def test_a_divisibility_literal_on_the_variable_takes_the_cooper_fallback(
         monkeypatch):
     calls = []
-    original = qe._cooper_cell
-    monkeypatch.setattr(qe, "_cooper_cell",
+    original = qe._cooper
+    monkeypatch.setattr(qe, "_cooper",
                         lambda *args: calls.append(args[0]) or original(*args))
-    cell = pb._cell_extend({}, frozenset(), [atom_lt(X, Z), atom_dvd(3, X)])
+    cell = _root(["x"]).extend([atom_lt(X, Z), atom_dvd(3, X)])
     projected = _eliminate_block(["x"], cell)
     assert calls == ["x"]
     # some multiple of 3 lies in [0, z) exactly when z > 0
-    assert [_cells_hold(projected.values(), {"z": z}) for z in range(4)] == \
+    assert [_cells_hold(projected, {"z": z}) for z in range(4)] == \
         [False, True, True, True]
 
 
@@ -485,44 +555,42 @@ def test_incremental_refutation_matches_from_scratch(literals):
     # changed; it must be refuted exactly when propagating from nothing
     # refutes it, and every box holds every point of its cell
     naturals = dict.fromkeys(BLOCK, (0, None))
-    windows, box = {}, naturals
+    cell = _root(BLOCK)
     points = [dict(zip(BLOCK + ["z"], p)) for p in
               np.ndindex(6, 6, 6, 6)]
     for lit in literals:
-        ext = pb._cell_extend(windows, frozenset(), [lit])
+        ext = cell.extend([lit])
         if ext is None:
             return
-        incremental = qe._propagate(ext[0], box, qe._changed(windows, ext[0]))
-        scratch = qe._propagate(ext[0], naturals, ext[0])
-        assert (incremental is None) == (scratch is None), ext[0]
+        incremental = ext.box
+        scratch = Cell(ext.windows, ext.divs, naturals).box
+        assert (incremental is None) == (scratch is None), ext.key
         inside = [p for p in points
-                  if all(evaluate(l, p) for l in pb._cell_literals(*ext))]
+                  if all(evaluate(l, p) for l in ext.literals())]
         if incremental is None:
-            assert not inside, ext[0]
+            assert not inside, ext.key
             return
         for found in (incremental, scratch):
             for p in inside:
                 for v, (lo, hi) in found.items():
                     assert (lo is None or lo <= p[v]) and \
-                        (hi is None or p[v] <= hi), (ext[0], found, p)
-        windows, box = ext[0], incremental
+                        (hi is None or p[v] <= hi), (ext.key, found, p)
+        cell = ext
 
 
 def test_propagation_follows_a_chain_of_windows():
     # x3 > 5 lifts x2 through x2 - x3 > 3 and then x1 through x1 - x2 > 3,
     # so x1 < 12 empties the cell: only a propagation that requeues the
     # parts of a narrowed variable sees it
-    naturals = dict.fromkeys(BLOCK, (0, None))
-    windows, box = {}, naturals
+    cell = _root(BLOCK)
     for lit in (atom_gt(X1.sub(X2), num(3)), atom_gt(X2.sub(X3), num(3)),
                 atom_gt(X3, num(5))):
-        ext = pb._cell_extend(windows, frozenset(), [lit])
-        box = qe._propagate(ext[0], box, qe._changed(windows, ext[0]))
-        windows = ext[0]
-    assert box["x1"] == (14, None)
-    ext = pb._cell_extend(windows, frozenset(), [atom_lt(X1, num(12))])
-    assert qe._propagate(ext[0], box, qe._changed(windows, ext[0])) is None
-    assert qe._propagate(ext[0], naturals, ext[0]) is None
+        cell = cell.extend([lit])
+        assert cell.box is not None
+    assert cell.box["x1"] == (14, None)
+    ext = cell.extend([atom_lt(X1, num(12))])
+    assert ext.box is None
+    assert Cell(ext.windows, ext.divs, dict.fromkeys(BLOCK, (0, None))).box is None
 
 
 def test_projection_never_turns_cells_into_literals(monkeypatch, fig2,
@@ -530,30 +598,32 @@ def test_projection_never_turns_cells_into_literals(monkeypatch, fig2,
     # cells become literals only for a block's result and in the Cooper
     # fallback; eliminating a variable works on the windows
     callers = {}
-    original = qe._cell_literals
+    original = Cell.literals
 
-    def counting(*args):
+    def counting(self):
+        # the nearest named function of qe on the stack
         frame = sys._getframe(1)
-        while frame.f_code.co_name.startswith("<"):
+        while (frame.f_code.co_filename != qe.__file__
+               or frame.f_code.co_name.startswith("<")):
             frame = frame.f_back
         name = frame.f_code.co_name
         callers[name] = callers.get(name, 0) + 1
-        return original(*args)
+        return original(self)
 
     projected = []
-    original_project = qe._project
-    monkeypatch.setattr(qe, "_cell_literals", counting)
-    monkeypatch.setattr(qe, "_project", lambda *args: projected.append(args[0])
-                        or original_project(*args))
+    original_project = Cell.project
+    monkeypatch.setattr(Cell, "literals", counting)
+    monkeypatch.setattr(Cell, "project", lambda self, *args: projected.append(
+        args[0]) or original_project(self, *args))
     for model, prop in ((fig2, "p"), (fortress, "captured")):
         checker = ModelChecker(model)
         for text in (f"<<3,1>> G !{prop}", f"E y1 A y2 <<y1,y2>> X !{prop}",
                      f"A y2 E y1 <<y1,y2>> X {prop}"):
             checker.global_mc(nf(parse_formula(text)), {})
-    assert projected and callers.get("_cooper_cell", 0) == 0
+    assert projected and callers.get("cooper_fallback", 0) == 0
     assert set(callers) <= {"_reps_formula", "_reps_clauses"}, callers
     # with a divisibility literal on the variable only the fallback adds
     decide(Exists("x", Forall("y", disj((atom_dvd(2, X.add(Y)),
                                          atom_lt(X, Y))))))
-    assert set(callers) <= {"_reps_formula", "_reps_clauses", "_cooper_cell"}
-    assert callers.get("_cooper_cell", 0) > 0, callers
+    assert set(callers) <= {"_reps_formula", "_reps_clauses", "cooper_fallback"}
+    assert callers.get("cooper_fallback", 0) > 0, callers
