@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Mapping, Optional, Union
+from typing import Collection, Iterable, Mapping, Optional, Union
 
 
 class PresburgerError(Exception):
@@ -923,35 +923,53 @@ class Cell:
             divs = frozenset(substitute_all(d, terms) for d in divs)
         return Cell(windows, divs, self.seed)
 
-    def project(self, v: str, cooper: Callable[[str, "Cell"], Optional[list]]
-                ) -> Optional[list["Cell"]]:
+    def project(self, v: str) -> list["Cell"]:
         """Cells with non-empty boxes whose union is ``exists v >= 0`` of
         this one, after the Omega test (Pugh, CACM 1992): an equality on
-        ``v`` pivots it away, and bounds on it combine by ``_shadow``.  A
-        divisibility literal on ``v`` sends the literals that mention it to
-        ``cooper(v, cell of them)``, which gives their projection as lists
-        of literals; None when it gives None (past a cap)."""
+        ``v`` pivots it away, the one with the least coefficient on ``v``
+        first, and bounds on it combine by ``_shadow``.  A divisibility
+        literal on ``v`` is first unfolded into equalities by ``_unfold``."""
+        mention = [d for d in self.divs if _literal_atom(d).term.coeff(v)]
+        if mention:
+            return self._unfold(v, mention)
         unit = ((v, 1),)
         natural = _window_add(self.windows.get(unit, _OPEN), 0, -1)
         if natural is None:
             return []
         windows = dict(self.windows)
         windows[unit] = natural
-        mention = frozenset(d for d in self.divs if _literal_atom(d).term.coeff(v))
-        if mention:
-            inside = {p: w for p, w in windows.items() if _part_coeff(p, v)}
-            alts = cooper(v, Cell(inside, mention))
-            if alts is None:
-                return None
-            outside = Cell({p: w for p, w in windows.items() if p not in inside},
-                           self.divs - mention, self)
-            cells = [outside.extend(alt) for alt in alts]
+        eqs = [p for p, w in windows.items() if w[2] is not None and _part_coeff(p, v)]
+        if eqs:
+            pivot = min(eqs, key=lambda p: (abs(_part_coeff(p, v)), p))
+            cells = [self._pivot(v, windows, pivot, windows[pivot][2])]
         else:
-            eqs = [p for p, w in windows.items()
-                   if w[2] is not None and _part_coeff(p, v)]
-            cells = ([self._pivot(v, windows, min(eqs), windows[min(eqs)][2])]
-                     if eqs else self._shadow(v, windows))
+            cells = self._shadow(v, windows)
         return [c for c in cells if c is not None and c.box is not None]
+
+    def _unfold(self, v: str, mention: list) -> list["Cell"]:
+        """``project(v)`` with the divisibility literals ``mention`` on ``v``
+        made equalities: ``d | t`` is ``t = d*q`` and ``!(d | t)`` is ``t =
+        d*q + r`` for some ``r`` in ``1..d-1``, with a fresh ``q`` that is
+        projected after ``v``.  A folded ``t`` has coefficients in
+        ``1..d-1`` and a constant in ``0..d-1``, so it is natural, and so is
+        ``q``.  A fresh name avoids the box, which keeps the intervals of
+        variables already projected away."""
+        taken = set(self.box or ()) | self.vars
+        names = (f"%{i}" for i in itertools.count())
+        fresh = []
+        cells: list = [Cell(self.windows, self.divs - frozenset(mention), self)]
+        for lit in mention:
+            atom = _literal_atom(lit)
+            q = next(n for n in names if n not in taken)
+            fresh.append(q)
+            part = _combine((atom.term.coeffs, 1), (((q, 1),), -atom.divisor))
+            residues = range(1, atom.divisor) if isinstance(lit, Not) else (0,)
+            cells = [cell.extend([AtomF(Atom(EQ, LinTerm(part, atom.term.const - r)))])
+                     for cell in cells for r in residues]
+            cells = [c for c in cells if c is not None]
+        for u in [v] + fresh:
+            cells = [out for cell in cells for out in cell.project(u)]
+        return cells
 
     def _pivot(self, v: str, windows: dict, eq_part: tuple,
                e: int) -> Optional["Cell"]:

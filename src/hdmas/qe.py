@@ -8,13 +8,13 @@ box and the projection of one variable).  An existential block expands
 its body into cells depth-first, splitting one conjunct at a time as
 DPLL(T) case splitting does, closes at once when a cell over block
 variables only is satisfiable, and then eliminates its variables cell by
-cell, cheapest first; a cell whose box empties is dropped.  A universal
-block is eliminated existentially on its negated body and returns the
-negated cells as clauses, which the enclosing block expands lazily.
-Cooper elimination (``_cooper``) is the projection's fallback for a
-divisibility literal on the variable, and takes a whole block whose cells
-pass a size cap.  Simplification happens once per block, on its input,
-and once on the final result (``eliminate_quantifiers``).
+cell, cheapest first; a cell whose box empties is dropped.  Projection on
+the cell's windows is the only elimination: a divisibility literal on the
+variable is unfolded there into an equality with a fresh variable.  A
+universal block is eliminated existentially on its negated body and
+returns the negated cells as clauses, which the enclosing block expands
+lazily.  Simplification happens once per block, on its input, and once on
+the final result (``eliminate_quantifiers``).
 
 The caller may offer variable renamings that it expects to be symmetries
 of the formula, such as the engine's permutations of interchangeable
@@ -32,15 +32,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
-from .presburger import (DVD, EQ, FALSE, LT, TRUE, And, Atom, AtomF, Cell,
-                         Exists, FalseF, Forall, FreeVariableError, Implies,
-                         LinTerm, Not, Or, PresFormula, QuantifiedInput, TrueF,
-                         _quantifier_block, atom_dvd, atom_ge, atoms_of,
-                         cheapest, complement, conj, disj, free_vars, implies,
-                         is_quantifier_free, neg, num, prune_cells, simplify,
-                         substitute, to_nnf, var)
+from .presburger import (DVD, And, Atom, AtomF, Cell, Exists, FalseF, Forall,
+                         FreeVariableError, Implies, Not, Or, PresFormula,
+                         QuantifiedInput, TrueF, _literal_atom,
+                         _quantifier_block, atoms_of, cheapest, complement,
+                         conj, disj, free_vars, implies, is_quantifier_free,
+                         neg, prune_cells, simplify, to_nnf)
 
 
 @dataclass
@@ -51,8 +50,6 @@ class QeStats:
     peak_divisor_lcm: int = 1
     peak_atoms: int = 0
     elapsed: float = 0.0
-    # blocks that hit a cell cap and went to Cooper elimination whole
-    cap_fallbacks: int = 0
     # existential blocks closed by a satisfiable leaf over block variables
     early_exits: int = 0
     # cells eliminated as orbit representatives, and the cells they stand for
@@ -65,7 +62,6 @@ class QeStats:
             "peak_divisor_lcm": self.peak_divisor_lcm,
             "peak_atom_count": self.peak_atoms,
             "elapsed_seconds": self.elapsed,
-            "cap_fallbacks": self.cap_fallbacks,
             "early_exits": self.early_exits,
             "orbit_reps": self.orbit_reps,
             "orbit_cells": self.orbit_cells,
@@ -211,24 +207,13 @@ def _block(names: list[str], phi: PresFormula, stats: Optional[QeStats],
 
     The body is simplified once on the way in; the result is left for the
     consumer (an enclosing block or ``eliminate_quantifiers``) to simplify.
-    When a cell cap is hit the block is eliminated by Cooper's procedure
-    instead, one variable at a time on the whole (negated) body.
     """
     body = simplify(to_nnf(neg(phi) if negate else phi))
-    cells = _expand_depth_first(names, body, stats)
-    if cells is not None:
-        cells = _project_cells(names, prune_cells(cells), stats, symmetry)
+    cells = prune_cells(_expand_depth_first(names, body, stats))
+    cells = _project_cells(names, cells, stats, symmetry)
     if stats is not None:
         stats.eliminated += len(names)
-    if cells is not None:
-        return _reps_clauses(cells) if negate else _reps_formula(cells)
-    if stats is not None:
-        stats.cap_fallbacks += 1
-    for v in names:
-        body = _cooper(v, conj((body, atom_ge(var(v), 0))), stats)
-        if stats is not None:
-            stats.peak_atoms = max(stats.peak_atoms, len(atoms_of(body)))
-    return to_nnf(neg(body)) if negate else body
+    return _reps_clauses(cells) if negate else _reps_formula(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +222,6 @@ def _block(names: list[str], phi: PresFormula, stats: Optional[QeStats],
 # The cells of a block are deduplicated and subsumption-pruned globally
 # after the expansion and after every eliminated variable, which keeps
 # alternating prefixes tractable.
-
-_CELL_CAP = 30_000
-# nodes the depth-first expansion may visit before giving up
-_NODE_CAP = 10 * _CELL_CAP
 
 
 def _blocking_literal(alt: list[PresFormula]) -> Optional[PresFormula]:
@@ -272,7 +253,7 @@ def _open_conjuncts(cell: Cell, pending: list) -> Optional[list]:
 
 
 def _expand_depth_first(names: list[str], body: PresFormula,
-                        stats: Optional[QeStats]) -> Optional[list[Cell]]:
+                        stats: Optional[QeStats]) -> list[Cell]:
     """Cells of ``body`` for the existential block over ``names``.
 
     Walks the conjuncts depth-first, each with its own DNF as the
@@ -283,22 +264,14 @@ def _expand_depth_first(names: list[str], body: PresFormula,
     joins the cell for the alternatives after it.  A node whose box
     empties is dropped.  Returns the leaves; only the empty cell when a
     leaf over block variables only is satisfiable, since the block then
-    holds whatever the free variables are; None when a cap is hit.
+    holds whatever the free variables are.
     """
-    conjuncts = []
-    for child in (body.args if isinstance(body, And) else (body,)):
-        alts = _to_dnf(child, _CELL_CAP)
-        if alts is None:
-            return None
-        conjuncts.append(alts)
+    conjuncts = [_to_dnf(child)
+                 for child in (body.args if isinstance(body, And) else (body,))]
     block = set(names)
     leaves: dict = {}
     stack = [(Cell(base=dict.fromkeys(names, (0, None))), conjuncts)]
-    visited = 0
     while stack:
-        visited += 1
-        if visited > _NODE_CAP:
-            return None
         cell, pending = stack.pop()
         if cell.box is None:
             continue
@@ -307,17 +280,12 @@ def _expand_depth_first(names: list[str], body: PresFormula,
             continue
         if not open_:
             if cell.vars <= block:
-                projected = _exists_block_reps(names, [cell], stats)
-                if projected is None:
-                    return None
-                if projected:
+                if _exists_block_reps(names, [cell], stats):
                     if stats is not None:
                         stats.early_exits += 1
                     return [Cell()]
                 continue
             leaves.setdefault(cell)
-            if len(leaves) > _CELL_CAP:
-                return None
             continue
         split = min(range(len(open_)), key=lambda i: len(open_[i]))
         rest = open_[:split] + open_[split + 1:]
@@ -337,34 +305,25 @@ def _expand_depth_first(names: list[str], body: PresFormula,
 
 
 def _exists_block_reps(names: list[str], cells: list[Cell],
-                       stats: Optional[QeStats]) -> Optional[list[Cell]]:
+                       stats: Optional[QeStats]) -> list[Cell]:
     """Cells of ``exists names`` over ``cells``, one variable at a time,
     cheapest first; a cell without the variable is kept as it is, and one
     whose box empties is dropped."""
-    def cooper_fallback(v: str, inside: Cell) -> Optional[list]:
-        # Cooper elimination of v from the literals that mention it
-        return _to_dnf(_cooper(v, conj(inside.literals()), stats), _CELL_CAP)
-
     remaining = list(names)
     while remaining:
         v = cheapest(remaining, cells)
         remaining.remove(v)
         nxt: dict = {}
         for cell in cells:
-            if cell.box is None:
-                continue
-            projected = cell.project(v, cooper_fallback) if v in cell.vars else [cell]
-            if projected is None:
-                return None
-            for new in projected:
-                nxt.setdefault(new)
-            if len(nxt) > _CELL_CAP:
-                return None
+            if cell.box is not None:
+                nxt.update(dict.fromkeys(cell.project(v) if v in cell.vars else [cell]))
         cells = prune_cells(nxt)
         if stats is not None:
             stats.peak_atoms = max(stats.peak_atoms,
                                    sum(len(c.windows) * 2 + len(c.divs)
                                        for c in cells))
+            stats.peak_divisor_lcm = max(stats.peak_divisor_lcm, math.lcm(
+                *(_literal_atom(d).divisor for c in cells for d in c.divs)))
     return cells
 
 
@@ -393,8 +352,7 @@ def _cell_images(g: Mapping[str, str], cells: list[Cell]) -> Optional[dict]:
 
 
 def _project_cells(names: list[str], cells: list[Cell],
-                   stats: Optional[QeStats],
-                   symmetry: Symmetry) -> Optional[list[Cell]]:
+                   stats: Optional[QeStats], symmetry: Symmetry) -> list[Cell]:
     """``_exists_block_reps`` on one cell per orbit of the renamings that
     fix the block, its result closed under them; the plain elimination
     when none does."""
@@ -429,8 +387,6 @@ def _project_cells(names: list[str], cells: list[Cell],
         stats.orbit_reps += len(reps)
         stats.orbit_cells += len(cells)
     result = _exists_block_reps(names, reps, stats)
-    if result is None:
-        return None
     closed = dict.fromkeys(result)
     todo = list(result)
     while todo:
@@ -440,8 +396,6 @@ def _project_cells(names: list[str], cells: list[Cell],
             if image not in closed:
                 closed[image] = None
                 todo.append(image)
-        if len(closed) > _CELL_CAP:
-            return None
     return prune_cells(closed)
 
 
@@ -455,7 +409,7 @@ def _reps_clauses(cells: list[Cell]) -> PresFormula:
     return conj(tuple(cell.clause() for cell in cells))
 
 
-def _to_dnf(phi: PresFormula, cap: int) -> Optional[list[list[PresFormula]]]:
+def _to_dnf(phi: PresFormula) -> list[list[PresFormula]]:
     if isinstance(phi, (AtomF, Not)):
         return [[phi]]
     if isinstance(phi, TrueF):
@@ -463,110 +417,11 @@ def _to_dnf(phi: PresFormula, cap: int) -> Optional[list[list[PresFormula]]]:
     if isinstance(phi, FalseF):
         return []
     if isinstance(phi, Or):
-        out: list[list[PresFormula]] = []
-        for a in phi.args:
-            sub = _to_dnf(a, cap)
-            if sub is None or len(out) + len(sub) > cap:
-                return None
-            out.extend(sub)
-        return out
+        return [alt for a in phi.args for alt in _to_dnf(a)]
     if isinstance(phi, And):
-        out = [[]]
+        out: list[list[PresFormula]] = [[]]
         for a in phi.args:
-            sub = _to_dnf(a, cap)
-            if sub is None or len(out) * len(sub) > cap:
-                return None
+            sub = _to_dnf(a)
             out = [x + y for x in out for y in sub]
         return out
     raise TypeError(phi)
-
-
-def _map_atoms(phi: PresFormula,
-               fn: Callable[[AtomF], PresFormula]) -> PresFormula:
-    """Quantifier-free NNF tree with every atom node replaced by ``fn``."""
-    if isinstance(phi, AtomF):
-        return fn(phi)
-    if isinstance(phi, Not):
-        return neg(_map_atoms(phi.arg, fn))
-    if isinstance(phi, (And, Or)):
-        args = tuple(_map_atoms(x, fn) for x in phi.args)
-        return conj(args) if isinstance(phi, And) else disj(args)
-    return phi
-
-
-def _cooper(v: str, phi: PresFormula, stats: Optional[QeStats]) -> PresFormula:
-    """Full Cooper elimination of ``exists v`` (integer semantics) from NNF."""
-    m = 1
-    for a in atoms_of(phi):
-        c = a.term.coeff(v)
-        if c != 0:
-            m = math.lcm(m, abs(c))
-
-    def scale(f: AtomF) -> PresFormula:
-        # rescale so the coefficient of v is +-1 (v stands for m*v)
-        a = f.atom
-        c = a.term.coeff(v)
-        if c == 0:
-            return f
-        factor = m // abs(c)
-        fixed = a.term.scale(factor).drop(v).add(LinTerm(((v, 1 if c > 0 else -1),)))
-        return AtomF(Atom(a.kind, fixed, a.divisor * factor if a.kind == DVD else 0))
-
-    scaled = _map_atoms(phi, scale)
-    if m > 1:
-        scaled = conj((scaled, atom_dvd(m, var(v))))
-
-    period = 1
-    lowers: dict[LinTerm, None] = {}
-    uppers: dict[LinTerm, None] = {}
-    for a in atoms_of(scaled):
-        c = a.term.coeff(v)
-        if c == 0:
-            continue
-        if a.kind == DVD:
-            period = math.lcm(period, a.divisor)
-        elif a.kind == LT:
-            if c == -1:
-                lowers.setdefault(a.term.drop(v))              # b < v
-            else:
-                uppers.setdefault(a.term.drop(v).scale(-1))    # v < b
-        elif a.kind == EQ:
-            rest = a.term.drop(v)
-            value = rest.scale(-1) if c == 1 else rest
-            lowers.setdefault(value.shift(-1))
-            uppers.setdefault(value.shift(1))
-    if stats is not None:
-        stats.peak_divisor_lcm = max(stats.peak_divisor_lcm, period)
-
-    # pick the smaller boundary set; both directions are exact
-    from_below = len(lowers) <= len(uppers)
-    boundary = lowers if from_below else uppers
-
-    def at_limit(f: AtomF) -> PresFormula:
-        # the atom as v goes to -inf (from below) or +inf
-        a = f.atom
-        c = a.term.coeff(v)
-        if c == 0 or a.kind == DVD:
-            return f
-        if a.kind == EQ:
-            return FALSE
-        return FALSE if (c > 0) != from_below else TRUE
-
-    def at(f: PresFormula, s: LinTerm) -> PresFormula:
-        # a branch whose conjuncts interval propagation refutes is dropped
-        out = substitute(f, v, s)
-        lits = out.args if isinstance(out, And) else (out,)
-        cell = Cell().extend([a for a in lits if isinstance(a, AtomF)])
-        if cell is None or cell.box is None:
-            return FALSE
-        return out
-
-    branches: list[PresFormula] = []
-    residue = simplify(_map_atoms(scaled, at_limit))
-    if not isinstance(residue, FalseF):
-        for j in range(1, period + 1):
-            branches.append(at(residue, num(j if from_below else -j)))
-    for b in boundary:
-        for j in range(1, period + 1):
-            branches.append(at(scaled, b.shift(j if from_below else -j)))
-    return simplify(disj(branches))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import (random_concrete_formula, random_model_text,
                      reference_g_fixpoint, reference_u_fixpoint)
 from hdmas.engine import ModelChecker
-from hdmas.logic import Coop, Globally, Nat, Next, Until
+from hdmas.logic import Coop, Globally, Nat, Next, Prop, Until
 from hdmas.model import check_wellformed
 from hdmas.oracle import Oracle
 from hdmas.parsing import formula_to_str, parse_model
@@ -61,6 +61,29 @@ def test_engine_agrees_with_oracle_with_a_cloned_action(seed):
         assert checker.global_mc(phi, {}) == oracle.global_mc(phi, {}), \
             (text, formula_to_str(phi))
     assert stats.orbit_reps <= stats.orbit_cells
+
+
+# seed 113 of the cloned-action generator with the base actions a, b and c:
+# pivoting the guard equalities of s0 leaves divisibility literals on the
+# block variables, which the projection unfolds
+FOUR_ACTIONS = """\
+actions a b c c2;  props p q;
+state s0 { avail: c b a c2; label: p; }   state s1 { avail: c b c2; label: q; }
+guard s0 -> s1 : ((2*#a + 1*#c = 2*#b + 2*#c) && (2*#a + 1*#c2 = 2*#b + 2*#c2));
+guard s0 -> s0 : else;
+guard s1 -> s1 : ((1*#b < 1*#b + 1*#c) || (1*#b < 1*#b + 1*#c2));
+guard s1 -> s0 : else;
+"""
+
+
+def test_a_four_action_model_with_non_unit_equalities_agrees_with_oracle():
+    model = parse_model(FOUR_ACTIONS).model
+    checker, oracle = ModelChecker(model), Oracle(model)
+    for objective in (Globally(Prop("p")), Next(Prop("p"))):
+        phi = Coop(Nat(1), Nat(1), objective)
+        got = checker.global_mc(phi, {})
+        assert got == oracle.global_mc(phi, {}), formula_to_str(phi)
+        assert model.names_of(got) == ("s0",)
 
 
 def _random_objective(rng):

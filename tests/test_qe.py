@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -16,7 +17,7 @@ from hdmas.presburger import (EQ, FALSE, LT, TRUE, Atom, AtomF, Cell, Exists,
                               atom_dvd, atom_eq, atom_ge, atom_gt, atom_le,
                               atom_lt, atom_ne, conj, disj, evaluate, free_vars,
                               is_quantifier_free, neg, num, prune_cells,
-                              simplify, substitute, var)
+                              simplify, substitute, substitute_all, var)
 import hdmas.qe as qe
 from hdmas.qe import (QeStats, cooper_bound, decide, eliminate_exists,
                       eliminate_quantifiers, is_valid)
@@ -184,14 +185,13 @@ def test_cells_over_block_variables_only_close_the_block_when_satisfiable():
     res = eliminate_quantifiers(
         Exists("x", disj((atom_gt(X, num(2)), atom_eq(X.scale(2), Z)))), stats)
     assert res == TRUE
-    assert (stats.early_exits, stats.cap_fallbacks) == (1, 0)
+    assert stats.early_exits == 1
 
 
-def test_cap_overflow_in_a_block_only_projection_falls_back(monkeypatch):
-    # with a cell cap of 1 projecting a leaf over block variables only
-    # overflows: the block must leave the cell pipeline, not read the
-    # overflow as an unsatisfiable leaf
-    monkeypatch.setattr(qe, "_CELL_CAP", 1)
+def test_two_variable_blocks_agree_with_enumeration():
+    # blocks whose leaves mention block variables only, where projecting
+    # the first variable leaves splinters with divisibility literals on
+    # the second, and random two-variable blocks
     cases = [
         ("E", conj((atom_lt(Y.scale(4), X.scale(5).shift(10)),
                     atom_lt(X.scale(2).shift(19), Y.scale(3))))),
@@ -204,18 +204,12 @@ def test_cap_overflow_in_a_block_only_projection_falls_back(monkeypatch):
     for block, matrix in cases:
         oracle, symbolic, _ = checked_block_truth(block, ["x", "y"], matrix)
         assert oracle == symbolic, (block, matrix)
-        stats = QeStats()
-        quant = Exists if block == "E" else Forall
-        decide(quant("x", quant("y", matrix)), stats)
-        assert stats.cap_fallbacks == 1 and stats.early_exits == 0
     rng = random.Random(11)
-    for cap in (1, 2):
-        monkeypatch.setattr(qe, "_CELL_CAP", cap)
-        for _ in range(150):
-            matrix = random_matrix(rng, ["x", "y"], atoms=rng.randint(1, 3))
-            block = rng.choice("EA")
-            oracle, symbolic, _ = checked_block_truth(block, ["x", "y"], matrix)
-            assert oracle == symbolic, (cap, block, matrix)
+    for _ in range(300):
+        matrix = random_matrix(rng, ["x", "y"], atoms=rng.randint(1, 3))
+        block = rng.choice("EA")
+        oracle, symbolic, _ = checked_block_truth(block, ["x", "y"], matrix)
+        assert oracle == symbolic, (block, matrix)
 
 
 def _swap(*pairs):
@@ -226,8 +220,7 @@ def _swap(*pairs):
 
 
 def _renamed(phi, mapping):
-    return qe._map_atoms(phi, lambda f: _fold_atom(
-        Atom(f.atom.kind, f.atom.term.rename(mapping), f.atom.divisor)))
+    return substitute_all(phi, {u: var(w) for u, w in mapping.items()})
 
 
 def test_offered_renamings_never_change_a_result():
@@ -285,30 +278,24 @@ def test_cooper_bound_accounts_for_coefficients():
 # -- each block simplifies its input once; the result is simplified once ----
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+@given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=80, deadline=None)
-def test_eliminated_formulas_are_fixed_points_of_simplify(seed, tiny_cap):
+def test_eliminated_formulas_are_fixed_points_of_simplify(seed):
     # blocks hand their results on unsimplified; what eliminate_quantifiers
-    # returns must still be simplified, whichever blocks and whichever
-    # pipeline (cells, or Cooper past the cap) produced it
+    # returns must still be simplified, whichever blocks produced it
     rng = random.Random(seed)
     matrix = random_matrix(rng, ["x", "y", "z"], max_coeff=3, max_const=9,
                            atoms=rng.randint(1, 3))
-    saved = qe._CELL_CAP
-    qe._CELL_CAP = 1 if tiny_cap else saved
-    try:
-        for phi in (Exists("x", matrix), Forall("x", matrix),
-                    Exists("x", Exists("y", matrix)),
-                    Forall("x", Forall("y", matrix)),
-                    Exists("x", Forall("y", matrix)),
-                    Forall("y", Exists("x", matrix)),
-                    neg(Exists("x", matrix)),
-                    conj((Forall("y", matrix), Exists("x", matrix)))):
-            res = eliminate_quantifiers(phi)
-            assert is_quantifier_free(res)
-            assert simplify(res) == res, phi
-    finally:
-        qe._CELL_CAP = saved
+    for phi in (Exists("x", matrix), Forall("x", matrix),
+                Exists("x", Exists("y", matrix)),
+                Forall("x", Forall("y", matrix)),
+                Exists("x", Forall("y", matrix)),
+                Forall("y", Exists("x", matrix)),
+                neg(Exists("x", matrix)),
+                conj((Forall("y", matrix), Exists("x", matrix)))):
+        res = eliminate_quantifiers(phi)
+        assert is_quantifier_free(res)
+        assert simplify(res) == res, phi
 
 
 def _assert_window_atoms_folded(cell):
@@ -445,7 +432,7 @@ def bound_literals(draw, names):
 def block_cells(draw):
     """A satisfiable-looking cell over one to three block variables and the
     free variable z; about one in four has a divisibility literal on a
-    block variable, which takes the Cooper fallback."""
+    block variable, which the projection unfolds."""
     block = BLOCK[:draw(st.integers(1, 3))]
     names = block + ["z"]
     literals = draw(st.lists(bound_literals(names), min_size=1, max_size=4))
@@ -471,12 +458,31 @@ def _cells_hold(cells, point):
                for cell in cells)
 
 
+def _lower_bound_only(literals, block):
+    """The literals without those of block variables that only strict
+    lower bounds mention, repeatedly: such a variable can always be made
+    large enough, whatever the others are, so it and its literals drop
+    out of the search however long their chain."""
+    literals = list(literals)
+    while True:
+        for v in block:
+            mine = [l for l in literals if v in free_vars(l)]
+            if mine and all(isinstance(l, AtomF) and l.atom.kind == LT
+                            and l.atom.term.coeff(v) < 0 for l in mine):
+                literals = [l for l in literals if l not in mine]
+                break
+        else:
+            return literals
+
+
 def _some_witness(block, cell, z, bound):
-    """Whether the cell holds at z for some natural block values.  An
-    equality over a block variable that no earlier solved equality
-    mentions is solved for that variable, which takes whatever value it
-    must; the others are enumerated in 0..bound."""
-    literals = cell.literals()
+    """Whether the cell holds at z for some natural block values.  Block
+    variables that only lower bounds mention drop out first.  An equality
+    over a block variable that no earlier solved equality mentions is
+    solved for that variable, which takes whatever value it must; the
+    others are enumerated in 0..bound."""
+    literals = _lower_bound_only(cell.literals(), block)
+    block = [v for v in block if any(v in free_vars(l) for l in literals)]
     solved, used = [], set()
     for lit in literals:
         if isinstance(lit, AtomF) and lit.atom.kind == EQ:
@@ -510,20 +516,26 @@ SPLINTERED = (["x1"], _root(["x1"]).extend([
 SOLVED = (BLOCK, _root(BLOCK).extend([
     atom_gt(X1, num(0)), atom_eq(X1.sub(X2.scale(3)).sub(Z.scale(3)), num(0)),
     atom_gt(X2.sub(X3).sub(Z), num(1))]))
+# at z = 0 the least witness is x2 = 1, x3 = 13, x1 = 46: past a grid of 45,
+# but each variable is only bounded from below once the one above is gone
+CHAINED = (BLOCK, _root(BLOCK).extend([
+    atom_gt(X1, num(0)), atom_gt(X2, num(0)),
+    atom_gt(X1, X3.scale(3).sub(Z.scale(3)).shift(6)),
+    atom_gt(X3, X2.scale(3).sub(Z.scale(3)).shift(9))]))
 
 
 @given(block_cells())
 @example(SPLINTERED)
 @example(SOLVED)
+@example(CHAINED)
 @settings(max_examples=150, deadline=None)
 def test_projecting_a_cell_agrees_with_enumeration(drawn):
-    # exists block >= 0 of one cell, projected on its windows (or by the
-    # Cooper fallback), against enumeration of the block variables; the
-    # enumeration solves equalities and widens before a symbolic "true"
-    # counts as wrong
+    # exists block >= 0 of one cell, projected on its windows, against
+    # enumeration of the block variables; the enumeration drops variables
+    # bounded only from below, solves equalities and widens before a
+    # symbolic "true" counts as wrong
     block, cell = drawn
     projected = _eliminate_block(block, cell)
-    assert projected is not None
     for new in projected:
         assert new.vars <= {"z"}
     for z in range(8):
@@ -534,18 +546,36 @@ def test_projecting_a_cell_agrees_with_enumeration(drawn):
         assert symbolic == brute, (cell, z)
 
 
-def test_a_divisibility_literal_on_the_variable_takes_the_cooper_fallback(
-        monkeypatch):
-    calls = []
-    original = qe._cooper
-    monkeypatch.setattr(qe, "_cooper",
-                        lambda *args: calls.append(args[0]) or original(*args))
-    cell = _root(["x"]).extend([atom_lt(X, Z), atom_dvd(3, X)])
-    projected = _eliminate_block(["x"], cell)
-    assert calls == ["x"]
+def _projected(names, literals):
+    """``exists names`` of the literals at z = 0..11, by ``Cell.project`` of
+    one variable after the other and by enumerating them in 0..14."""
+    cells = [_root(names).extend(literals)]
+    for v in names:
+        cells = [out for cell in cells for out in cell.project(v)]
+    for cell in cells:
+        assert cell.vars <= {"z"}, cell.key
+    symbolic = [_cells_hold(cells, {"z": z}) for z in range(12)]
+    brute = [any(all(evaluate(l, dict(zip(names, p), z=z)) for l in literals)
+                 for p in itertools.product(range(15), repeat=len(names)))
+             for z in range(12)]
+    return symbolic, brute
+
+
+def test_a_divisibility_literal_on_the_variable_is_unfolded_by_the_projection():
     # some multiple of 3 lies in [0, z) exactly when z > 0
-    assert [_cells_hold(projected, {"z": z}) for z in range(4)] == \
-        [False, True, True, True]
+    symbolic, brute = _projected(["x"], [atom_lt(X, Z), atom_dvd(3, X)])
+    assert symbolic[:4] == [False, True, True, True]
+    assert symbolic == brute
+    for names, literals in (
+            (["x"], [atom_lt(X, Z), neg(atom_dvd(3, X))]),
+            (["x"], [atom_lt(X, Z), atom_dvd(2, X), neg(atom_dvd(3, X.add(Z)))]),
+            # x + y = 2*q puts q >= 2 in the box, and q is projected before
+            # 2 | y is unfolded: the second fresh variable must not take
+            # q's name and with it that stale interval
+            (["x", "y"], [atom_eq(X, num(4)), atom_dvd(2, X.add(Y)),
+                          atom_lt(Y, Z), atom_lt(Y, num(3))])):
+        symbolic, brute = _projected(names, literals)
+        assert symbolic == brute, literals
 
 
 @given(st.lists(bound_literals(BLOCK + ["z"]), min_size=1, max_size=8))
@@ -595,8 +625,8 @@ def test_propagation_follows_a_chain_of_windows():
 
 def test_projection_never_turns_cells_into_literals(monkeypatch, fig2,
                                                      fortress):
-    # cells become literals only for a block's result and in the Cooper
-    # fallback; eliminating a variable works on the windows
+    # cells become literals only for a block's result; eliminating a
+    # variable works on the windows, divisibility literals included
     callers = {}
     original = Cell.literals
 
@@ -620,10 +650,11 @@ def test_projection_never_turns_cells_into_literals(monkeypatch, fig2,
         for text in (f"<<3,1>> G !{prop}", f"E y1 A y2 <<y1,y2>> X !{prop}",
                      f"A y2 E y1 <<y1,y2>> X {prop}"):
             checker.global_mc(nf(parse_formula(text)), {})
-    assert projected and callers.get("cooper_fallback", 0) == 0
+    assert projected
     assert set(callers) <= {"_reps_formula", "_reps_clauses"}, callers
-    # with a divisibility literal on the variable only the fallback adds
+    # so does a divisibility literal on the variable
+    count = len(projected)
     decide(Exists("x", Forall("y", disj((atom_dvd(2, X.add(Y)),
                                          atom_lt(X, Y))))))
-    assert set(callers) <= {"_reps_formula", "_reps_clauses", "cooper_fallback"}
-    assert callers.get("cooper_fallback", 0) > 0, callers
+    assert len(projected) > count
+    assert set(callers) <= {"_reps_formula", "_reps_clauses"}, callers
