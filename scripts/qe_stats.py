@@ -11,19 +11,19 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from hdmas.engine import build_prf, prf_symmetry
+from hdmas.engine import prf_symmetry, quantified_prf
+from hdmas.logic import EXISTS, FORALL
 from hdmas.parsing import parse_model
-from hdmas.presburger import Exists, Forall
 from hdmas.qe import QeStats, decide
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "hdmas" / "fixtures"
 
 PREFIXES = {
     "none (7 vs 5)": (7, 5, ()),
-    "E y1": ("y1", 4, (("E", "y1"),)),
-    "A y2": (3, "y2", (("A", "y2"),)),
-    "E y1 A y2": ("y1", "y2", (("E", "y1"), ("A", "y2"))),
-    "A y2 E y1": ("y1", "y2", (("A", "y2"), ("E", "y1"))),
+    "E y1": ("y1", 4, ((EXISTS, 1),)),
+    "A y2": (3, "y2", ((FORALL, 2),)),
+    "E y1 A y2": ("y1", "y2", ((EXISTS, 1), (FORALL, 2))),
+    "A y2 E y1": ("y1", "y2", ((FORALL, 2), (EXISTS, 1))),
 }
 
 
@@ -43,9 +43,7 @@ def main():
         print(f"prefix {label}:")
         for state in model.states:
             stats = QeStats()
-            phi = build_prf(model, state, t1, t2, targets)
-            for quant, name in reversed(prefix):
-                phi = Exists(name, phi) if quant == "E" else Forall(name, phi)
+            phi = quantified_prf(model, state, t1, t2, targets, prefix)
             begun = time.perf_counter()
             verdict = decide(phi, stats, prf_symmetry(model, state))
             elapsed = time.perf_counter() - begun

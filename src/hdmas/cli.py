@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .engine import (EngineError, ModelChecker, UnassignedParameter,
-                     build_prf, _resolve_term)
+                     quantified_prf, _resolve_term)
 from .logic import (Coop, Quant, StateFormula, free_agent_vars,
                     merge_quantifiers, params_of, props_of, simplify_vacuous,
                     Next)
@@ -160,7 +160,7 @@ def _verify(config: RunConfig) -> int:
         targets = checker.global_mc(body.objective.arg, theta)
         t1 = _resolve_term(body.t1, theta, pfix)
         t2 = _resolve_term(body.t2, theta, pfix)
-        prf = build_prf(model, target_state, t1, t2, targets)
+        prf = quantified_prf(model, target_state, t1, t2, targets, pfix)
         print(guard_to_str(prf))
         return EXIT_OK
 
@@ -250,8 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: building costs about as much as parsing a small
+# model, and ``parse_args`` leaves the parser unchanged.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "check-model":
         config = RunConfig(model_path=args.model, mode="check-model",
                            output="json" if args.json else "plain")

@@ -105,6 +105,18 @@ def build_prf(model: HdmasModel, state: str, t1: Union[int, str],
     return simplify(body)
 
 
+def quantified_prf(model: HdmasModel, state: str, t1: Union[int, str],
+                   t2: Union[int, str], targets: StateSet,
+                   pfix: QuantPrefix) -> PresFormula:
+    """``build_prf`` under the quantifier prefix that binds its ``y``
+    terms: the closed formula decided for ``state``."""
+    phi = build_prf(model, state, t1, t2, targets)
+    for q, y in reversed(pfix):
+        name = f"y{y}"
+        phi = Exists(name, phi) if q == EXISTS else Forall(name, phi)
+    return phi
+
+
 def _share(side: str, action: str) -> str:
     """``build_prf``'s variable for the agents of one side on an action."""
     return f"{side}_{action}"
@@ -173,10 +185,7 @@ class ModelChecker:
                    r1, r2, pfix)
             hit = self._verdicts.get(key)
             if hit is None:
-                phi = build_prf(model, state, r1, r2, targets)
-                for q, y in reversed(pfix):
-                    name = f"y{y}"
-                    phi = Exists(name, phi) if q == EXISTS else Forall(name, phi)
+                phi = quantified_prf(model, state, r1, r2, targets, pfix)
                 hit = self._verdicts[key] = self._decide(
                     phi, prf_symmetry(model, state))
             pre = pre | low if hit else pre & ~low

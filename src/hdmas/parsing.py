@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
@@ -50,18 +51,24 @@ class SemanticError(Exception):
 # ---------------------------------------------------------------------------
 # lexer
 
-# One alternative per token kind, tried in this order; symbols longest
-# first.  A "#" followed by a name is a counter, any other "#" starts a
-# comment that runs to the end of the line.
+# One match per token: the blanks before a token are part of its match,
+# ``eof`` matches the end of the text and ``bad`` any character that starts
+# no token.  Symbols are tried longest first.  A "#" followed by a name is
+# a counter, any other "#" starts a comment that runs to the end of the line.
 _TOKEN = re.compile(r"""
-    (?P<newline>\n)
-  | (?P<space>[\ \t\r]+)
-  | \#(?P<counter>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<comment>\#[^\n]*)
-  | (?P<nat>[0-9]+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<sym><->|<<|>>|->|&&|\|\||<=|>=|!=|[{}();:,=<>!&|*+])
-""", re.VERBOSE)
+    (?P<blank>[\ \t\r]*)
+    (?:
+      (?P<newline>\n)
+    | \#(?P<counter>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<comment>\#[^\n]*)
+    | (?P<nat>[0-9]+)
+    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<sym><->|<<|>>|->|&&|\|\||<=|>=|!=|[{}();:,=<>!&|*+])
+    | (?P<eof>\Z)
+    | (?P<bad>.)
+    )
+""", re.VERBOSE | re.DOTALL)
+_TEXT_KINDS = frozenset({"name", "nat", "sym", "counter"})
 
 RESERVED = frozenset({"true", "else", "E", "A", "X", "G", "F", "U",
                       "actions", "props", "state", "guard", "avail", "label"})
@@ -74,30 +81,34 @@ class Token(NamedTuple):
     col: int
 
 
+# builds a Token from a tuple without the Python-level ``Token.__new__``
+_new_token = tuple.__new__
+
+
 def tokenize(text: str) -> list[Token]:
     """Tokens with 1-based positions, ending in one ``eof`` token.  The
     ``eof`` of a text ending in a comment sits where the comment starts."""
-    out = []
+    out: list[Token] = []
+    append = out.append
     line, line_start = 1, 0
-    pos, end = 0, len(text)
-    match = _TOKEN.match
     comment_col = None          # where a comment on the current line starts
-    while pos < end:
-        m = match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - line_start + 1)
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        pos = m.end()
-        if kind == "newline":
-            line, line_start, comment_col = line + 1, pos, None
+        # the blank group ends where the token starts, at the "#" of a counter
+        if kind in _TEXT_KINDS:
+            append(_new_token(Token, (kind, m.group(kind), line,
+                                      m.end(1) - line_start + 1)))
+        elif kind == "newline":
+            line, line_start, comment_col = line + 1, m.end(), None
         elif kind == "comment":
-            comment_col = m.start() - line_start + 1
-        elif kind != "space":
-            # a counter's position is that of its "#"
-            out.append(Token(kind, m.group(kind), line,
-                             m.start() - line_start + 1))
-    out.append(Token("eof", "", line, comment_col or pos - line_start + 1))
+            comment_col = m.end(1) - line_start + 1
+        elif kind == "eof":
+            break
+        else:
+            raise ParseError(f"unexpected character {m.group(kind)!r}",
+                             line, m.end(1) - line_start + 1)
+    append(_new_token(Token, ("eof", "", line,
+                              comment_col or len(text) - line_start + 1)))
     return out
 
 
@@ -126,23 +137,27 @@ class _Stream:
         return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "eof":
+        tok = self.tokens[self.pos]
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
+        tok = self.tokens[self.pos]
+        if tok[0] != kind or (text is not None and tok[1] != text):
             want = text if text is not None else kind
             raise ParseError(f"expected {want!r}, found {tok.text or 'end of input'!r}",
                              tok.line, tok.col)
-        return self.next()
+        if kind != "eof":
+            self.pos += 1
+        return tok
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        tok = self.peek()
-        if tok.kind == kind and (text is None or tok.text == text):
-            return self.next()
+        tok = self.tokens[self.pos]
+        if tok[0] == kind and (text is None or tok[1] == text):
+            if kind != "eof":
+                self.pos += 1
+            return tok
         return None
 
     def descend(self, tok: Token) -> None:
@@ -600,26 +615,55 @@ def _check_name(tok: Token, what: str) -> str:
     return tok.text
 
 
+# a guard runs to the next ";" or to the end of the input, whose token is
+# the only one with empty text
+_GUARD_ENDS = frozenset({";", ""})
+_kind_and_text = itemgetter(0, 1)
+
+
+def _parse_shared_guard(ts: _Stream,
+                        parsed: dict[tuple, PresFormula]) -> PresFormula:
+    """The guard at ``ts``.  ``parsed`` maps the kinds and texts of a
+    guard's tokens to its formula, so that each distinct guard of a model is
+    parsed once; formulas are immutable, so equal guards share one."""
+    tokens = ts.tokens
+    start = end = ts.pos
+    while tokens[end][1] not in _GUARD_ENDS:
+        end += 1
+    key = tuple(map(_kind_and_text, tokens[start:end]))
+    guard = parsed.get(key)
+    if guard is None:
+        guard = _parse_guard_expr(ts)
+        if ts.pos == end:       # else the caller's expect(";") fails
+            parsed[key] = guard
+    else:
+        ts.pos = end
+    return guard
+
+
 def parse_model(text: str) -> ModelDocument:
     """Parse the model DSL; idle is implicitly available everywhere."""
     ts = _Stream(tokenize(text))
+    tokens = ts.tokens
     actions: list[str] = []
     props: list[str] = []
     states: dict[str, None] = {}          # declaration order, O(1) lookup
     avail: dict[str, frozenset[str]] = {}
     labels: dict[str, frozenset[str]] = {}
     guard_texts: dict[tuple[str, str], PresFormula] = {}
+    parsed_guards: dict[tuple, PresFormula] = {}
     else_edges: dict[str, str] = {}
     spans: dict = {}
 
     def names_until(stop: str) -> list[Token]:
-        got = []
-        while ts.peek().kind == "name":
-            got.append(ts.next())
+        start = end = ts.pos
+        while tokens[end][0] == "name":
+            end += 1
+        ts.pos = end
         ts.expect("sym", stop)
-        return got
+        return tokens[start:end]
 
-    while ts.peek().kind != "eof":
+    while tokens[ts.pos][0] != "eof":
         tok = ts.expect("name")
         if tok.text == "actions":
             if actions:
@@ -679,14 +723,15 @@ def parse_model(text: str) -> ModelDocument:
                     else_edges.get(src.text) == dst.text:
                 raise SemanticError(f"duplicate guard {src.text} -> {dst.text}",
                                     src.line, src.col)
-            if ts.peek().kind == "name" and ts.peek().text == "else":
-                ts.next()
+            if tokens[ts.pos][:2] == ("name", "else"):
+                ts.pos += 1
                 if src.text in else_edges:
                     raise SemanticError(f"state {src.text!r} already has an "
                                         "else edge", src.line, src.col)
                 else_edges[src.text] = dst.text
             else:
-                guard_texts[(src.text, dst.text)] = _parse_guard_expr(ts)
+                guard_texts[(src.text, dst.text)] = _parse_shared_guard(
+                    ts, parsed_guards)
             ts.expect("sym", ";")
         else:
             raise ParseError(f"unexpected declaration {tok.text!r}",
@@ -695,27 +740,41 @@ def parse_model(text: str) -> ModelDocument:
     if not states:
         raise SemanticError("a model needs at least one state")
 
-    # expand else edges into the conjunction of the negated sibling guards
+    # Expand else edges into the conjunction of the negated sibling guards.
+    # Equal guards are one shared object, so the memos below key on object
+    # ids, which stay valid while ``guard_texts`` holds every guard, and
+    # hash no formula tree.
     siblings: dict[str, list[PresFormula]] = {}
     for (src, _), g in guard_texts.items():
         siblings.setdefault(src, []).append(g)
+    negated: dict[tuple[int, ...], PresFormula] = {}
     for src, dst in else_edges.items():
-        guard_texts[(src, dst)] = conj(tuple(neg(g) for g in siblings.get(src, ())))
+        sibs = siblings.get(src, ())
+        key = tuple(map(id, sibs))
+        if key not in negated:
+            negated[key] = conj(tuple(neg(g) for g in sibs))
+        guard_texts[(src, dst)] = negated[key]
 
     table = ActionTable(tuple(actions))
     model = HdmasModel(states=tuple(states), table=table, avail=avail,
                        guards=guard_texts, props=tuple(props), labels=labels)
 
+    # each guard is checked once per set of available actions
+    checked: set[tuple[int, frozenset[str]]] = set()
     for (src, dst), g in guard_texts.items():
+        key = (id(g), avail[src])
+        if key in checked:
+            continue
         line, col = spans.get(("guard", src, dst), (0, 0))
         if not is_quantifier_free(g):
             raise SemanticError("guards must be quantifier-free", line, col)
-        legal = {counter_name(a) for a in model.avail[src]} - {counter_name(IDLE)}
+        legal = {counter_name(a) for a in avail[src]} - {counter_name(IDLE)}
         stray = free_vars(g) - legal
         if stray:
             raise SemanticError(
                 f"guard {src} -> {dst} uses counters unavailable at {src}: "
                 + ", ".join(sorted(stray)), line, col)
+        checked.add(key)
 
     return ModelDocument(source=text, model=model, spans=spans)
 

@@ -5,8 +5,11 @@ import sys
 import pytest
 
 from helpers import ring_text
+from hdmas import cli
 from hdmas.cli import main
-from hdmas.parsing import MAX_DEPTH
+from hdmas.engine import ModelChecker
+from hdmas.logic import EXISTS, Nat, Y1
+from hdmas.parsing import MAX_DEPTH, guard_to_str, parse_model
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "hdmas" / "fixtures"
 FIG2 = str(FIXTURES / "fig2.hdmas")
@@ -249,6 +252,51 @@ def test_dump_prf(capsys):
                            "--dump-prf", "s=s1")
     assert code == 0
     assert "k_a" in out and "l_a" in out and "E " in out and "A " in out
+
+
+def test_dump_prf_keeps_the_quantifier_prefix(capsys, monkeypatch):
+    # the dump is the closed formula that the engine decides for the state
+    code, out, _ = run_cli(capsys, "verify", FIG2, "-f", "E y1 <<y1,2>> X p",
+                           "--dump-prf", "s=s1")
+    assert code == 0
+    assert out.startswith("E y1. (")
+    model = parse_model(pathlib.Path(FIG2).read_text()).model
+    checker = ModelChecker(model)
+    decided = []
+    monkeypatch.setattr(checker, "_decide",
+                        lambda phi, symmetry: decided.append(phi) or True)
+    checker._pre_states(Y1, Nat(2), model.prop_mask("p"), {}, ((EXISTS, 1),),
+                        0, 1 << model.index("s1"))
+    assert out == guard_to_str(decided[0]) + "\n"
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    def rebuilt():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    code, out, _ = run_cli(capsys, "check-model", FIG2)
+    assert code == 0 and out.splitlines()[-1] == "well-formed"
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys):
+    for _ in range(2):
+        code, _, _ = run_cli(capsys, "verify", FIG2, "-f", "<<z1,5>> X p",
+                             "--assign", "z1=7")
+        assert code == 0
+        code, out, err = run_cli(capsys, "verify", FIG2, "-f", "<<z1,5>> X p")
+        assert (code, out) == (2, "")
+        assert "unbound symbols in the formula: z1" in err
+        code, out, _ = run_cli(capsys, "verify", FIG2, "-f", "<<7,5>> X p",
+                               "--json")
+        assert code == 0 and json.loads(out)["schema"] == 1
+        code, out, _ = run_cli(capsys, "check-model", FIG2)
+        assert code == 0 and out.splitlines()[-1] == "well-formed"
+    for _ in range(3):
+        with pytest.raises(SystemExit) as stop:
+            main(["verify", FIG2])
+        assert stop.value.code == 2
+        assert "-f/--formula" in capsys.readouterr().err
 
 
 def test_dump_prf_needs_next_shape(capsys):

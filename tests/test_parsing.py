@@ -1,5 +1,6 @@
 import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from helpers import (random_concrete_formula, random_model_text,
                      reference_tokenize, ring_text)
 from hdmas.logic import (EXISTS, FORALL, AndF, Coop, Globally, Nat, Next,
                          NotF, OrF, Param, Prop, Quant, Top, Until, Y1, Y2)
+from hdmas.model import Adjacency
 from hdmas.parsing import (MAX_DEPTH, ParseError, SemanticError, formula_to_str,
                            guard_to_str, model_to_text, parse_formula,
                            parse_guard, parse_model, tokenize)
@@ -251,6 +253,56 @@ def test_unavailable_counter_is_rejected():
     assert "#a2" in str(err.value)
 
 
+def test_a_shared_guard_is_checked_at_each_state():
+    # the two guards parse once, but only s1 has a2 available
+    with pytest.raises(SemanticError) as err:
+        parse_model("""
+            actions a1 a2;
+            props ;
+            state s1 { avail: a1 a2; label: ; }
+            state s2 { avail: a1; label: ; }
+            guard s1 -> s1 : #a2 >= 0;
+            guard s2 -> s2 : #a2 >= 0;
+        """)
+    assert str(err.value).startswith("7:19: guard s2 -> s2 uses counters")
+
+
+def test_a_guard_with_a_name_for_a_counter_stays_an_error():
+    # same token texts as the guard before, one a name and not a counter
+    text = ("actions a; props ; state s { avail: a; label: ; } "
+            "state t { avail: a; label: ; } "
+            "guard s -> s : #a > 1; guard t -> t : a > 1;")
+    with pytest.raises(ParseError) as err:
+        parse_model(text)
+    assert (err.value.line, err.value.col) == (1, text.rindex("a > 1") + 1)
+
+
+_GUARD_DECL = re.compile(r"guard (\w+) -> (\w+) : (.*?);", re.DOTALL)
+
+
+def test_shared_guards_equal_their_own_parses():
+    # parse_model parses each distinct guard once and shares the formula
+    from perfbench.models import fortress_text
+    rng = random.Random(12)
+    texts = [ring_text(80), fortress_text(4)]
+    texts += [random_model_text(rng, clone=rng.random() < 0.5)
+              for _ in range(30)]
+    for text in texts:
+        model = parse_model(text).model
+        declared, else_edges = {}, []
+        for src, dst, body in _GUARD_DECL.findall(text):
+            if body.strip() == "else":
+                else_edges.append((src, dst))
+            else:
+                declared[(src, dst)] = parse_guard(body)
+        want = dict(declared)
+        for src, dst in else_edges:
+            want[(src, dst)] = conj(tuple(neg(g) for (s, _), g in declared.items()
+                                          if s == src))
+        assert list(model.guards.items()) == list(want.items())
+        assert model.adjacency == Adjacency.build(model.states, want)
+
+
 def test_duplicate_and_unknown_declarations():
     with pytest.raises(SemanticError):
         parse_model("actions a a; props ; state s { avail: a; label: ; } "
@@ -405,6 +457,8 @@ LEXER_INPUTS = [
     "<-", "a <- b", "x\t\r\ny", "#a+2*#b>=3&&!(#c!=#a)||#b<=0",
     "p $ q", "\n\n  @", "p\n  #x # y\n  ~", "<<1,2>> X (p U q)",
     "\u00e9", "state s { avail: a; }",
+    # blank runs before an error, a comment and the end of the text
+    "p \t\r $", "p \t# c", "p   ",
 ]
 
 
@@ -430,7 +484,7 @@ def test_tokens_of_fixtures_and_generated_models_are_pinned():
         assert _tokens(text[:len(text) // 2]) == reference_tokenize(text[:len(text) // 2])
 
 
-@given(st.text(alphabet="ab1 #\t\n<>-=&|!{}();:,*+_$", max_size=40))
+@given(st.text(alphabet="ab1 #\t\r\n<>-=&|!{}();:,*+_$", max_size=40))
 @settings(max_examples=300, deadline=None)
 def test_tokens_match_the_reference_on_random_text(text):
     assert _tokens(text) == reference_tokenize(text)
