@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .presburger import (EQ, FALSE, And, Atom, AtomF, Implies, Not, Or,
+from .presburger import (EQ, FALSE, And, Atom, AtomF, Not, Or,
                          PresFormula, _fold_atom, atoms_of, conj, disj,
                          evaluate, free_vars, is_quantifier_free, neg)
 from .qe import cooper_bound, is_valid
@@ -207,6 +207,12 @@ class HdmasModel:
 
     def to_json(self) -> dict:
         from .parsing import guard_to_str
+
+        # each distinct guard is rendered once, by its guard id
+        adj = self.adjacency
+        texts = [guard_to_str(g) for g in adj.guard_by_id]
+        edges = sorted((self.states[i], self.states[d], gid)
+                       for i, out in enumerate(adj.out) for d, gid in out)
         return {
             "schema": 1,
             "states": list(self.states),
@@ -215,8 +221,7 @@ class HdmasModel:
             "avail": {s: sorted(a for a in self.avail[s] if a != IDLE)
                       for s in self.states},
             "labels": {s: sorted(self.labels[s]) for s in self.states},
-            "guards": {f"{s} -> {d}": guard_to_str(g)
-                       for (s, d), g in sorted(self.guards.items())},
+            "guards": {f"{s} -> {d}": texts[gid] for s, d, gid in edges},
         }
 
 
@@ -252,8 +257,6 @@ def _canonical(phi: PresFormula, rename: Mapping[str, str]) -> object:
     if isinstance(phi, (And, Or)):
         return (type(phi).__name__,
                 frozenset(_canonical(a, rename) for a in phi.args))
-    if isinstance(phi, Implies):
-        return ("->", _canonical(phi.lhs, rename), _canonical(phi.rhs, rename))
     return phi
 
 

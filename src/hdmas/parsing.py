@@ -27,7 +27,7 @@ from .logic import (EXISTS, FORALL, AndF, Coop, Globally, Nat, Next, NotF,
                     Y1, Y2, check_syntax, eventually)
 from .model import (IDLE, ActionTable, HdmasModel, counter_name)
 from .presburger import (DVD, EQ, And, AtomF, Exists, FalseF, Forall,
-                         Implies, LinTerm, Not, Or, PresFormula, TrueF,
+                         LinTerm, Not, Or, PresFormula, TrueF,
                          atom_eq, atom_ge, atom_gt, atom_le, atom_lt, atom_ne,
                          conj, disj, implies, neg, free_vars,
                          is_quantifier_free, var)
@@ -300,21 +300,15 @@ def guard_to_str(phi: PresFormula) -> str:
     if isinstance(phi, Not):
         return f"!({guard_to_str(phi.arg)})"
     if isinstance(phi, And):
-        return " && ".join(_guard_paren(a, (Or, Implies)) for a in phi.args)
+        return " && ".join(f"({guard_to_str(a)})" if isinstance(a, Or)
+                           else guard_to_str(a) for a in phi.args)
     if isinstance(phi, Or):
-        return " || ".join(_guard_paren(a, (Implies,)) for a in phi.args)
-    if isinstance(phi, Implies):
-        return f"{_guard_paren(phi.lhs, (Implies,))} -> {guard_to_str(phi.rhs)}"
+        return " || ".join(guard_to_str(a) for a in phi.args)
     if isinstance(phi, Exists):
         return f"E {phi.var}. ({guard_to_str(phi.body)})"
     if isinstance(phi, Forall):
         return f"A {phi.var}. ({guard_to_str(phi.body)})"
     raise TypeError(phi)
-
-
-def _guard_paren(phi: PresFormula, wrap: tuple) -> str:
-    text = guard_to_str(phi)
-    return f"({text})" if isinstance(phi, wrap) else text
 
 
 def term_to_str(t: Term) -> str:

@@ -182,12 +182,6 @@ class Or(PresFormula):
 
 
 @dataclass(frozen=True)
-class Implies(PresFormula):
-    lhs: PresFormula
-    rhs: PresFormula
-
-
-@dataclass(frozen=True)
 class Exists(PresFormula):
     var: str
     body: PresFormula
@@ -339,13 +333,8 @@ def disj(args: Iterable[PresFormula]) -> PresFormula:
 
 
 def implies(lhs: PresFormula, rhs: PresFormula) -> PresFormula:
-    if isinstance(lhs, FalseF) or isinstance(rhs, TrueF):
-        return TRUE
-    if isinstance(lhs, TrueF):
-        return rhs
-    if isinstance(rhs, FalseF):
-        return neg(lhs)
-    return Implies(lhs, rhs)
+    """``lhs -> rhs``, which is sugar for ``!lhs | rhs``."""
+    return disj((neg(lhs), rhs))
 
 
 # -- structural queries ------------------------------------------------------
@@ -364,8 +353,6 @@ def free_vars(phi: PresFormula) -> frozenset[str]:
         for a in phi.args:
             out |= free_vars(a)
         return out
-    if isinstance(phi, Implies):
-        return free_vars(phi.lhs) | free_vars(phi.rhs)
     if isinstance(phi, (Exists, Forall)):
         return free_vars(phi.body) - {phi.var}
     raise TypeError(phi)
@@ -395,8 +382,6 @@ def is_quantifier_free(phi: PresFormula) -> bool:
         return is_quantifier_free(phi.arg)
     if isinstance(phi, (And, Or)):
         return all(is_quantifier_free(a) for a in phi.args)
-    if isinstance(phi, Implies):
-        return is_quantifier_free(phi.lhs) and is_quantifier_free(phi.rhs)
     return True
 
 
@@ -412,9 +397,6 @@ def atoms_of(phi: PresFormula) -> list[Atom]:
         elif isinstance(f, (And, Or)):
             for a in f.args:
                 walk(a)
-        elif isinstance(f, Implies):
-            walk(f.lhs)
-            walk(f.rhs)
         elif isinstance(f, (Exists, Forall)):
             walk(f.body)
 
@@ -448,8 +430,6 @@ def _evaluate(phi: PresFormula, valuation: Valuation) -> bool:
         return all(_evaluate(a, valuation) for a in phi.args)
     if isinstance(phi, Or):
         return any(_evaluate(a, valuation) for a in phi.args)
-    if isinstance(phi, Implies):
-        return (not _evaluate(phi.lhs, valuation)) or _evaluate(phi.rhs, valuation)
     if isinstance(phi, (Exists, Forall)):
         raise QuantifiedInput("evaluate requires a quantifier-free formula")
     raise TypeError(phi)
@@ -492,8 +472,6 @@ def substitute_all(phi: PresFormula,
             return conj(tuple(walk(a, reps) for a in f.args))
         if isinstance(f, Or):
             return disj(tuple(walk(a, reps) for a in f.args))
-        if isinstance(f, Implies):
-            return implies(walk(f.lhs, reps), walk(f.rhs, reps))
         if isinstance(f, (Exists, Forall)):
             names, body = _quantifier_block(f)
             free = free_vars(body)
@@ -513,7 +491,7 @@ def substitute_all(phi: PresFormula,
 
 
 def to_nnf(phi: PresFormula) -> PresFormula:
-    """Push negations to the atoms.
+    """Push negations to the atoms of a quantifier-free formula.
 
     Each negated atom becomes its ``complement``: ``!(a < b)`` is
     ``b <= a`` and ``!(a = b)`` is ``a < b | b < a``; negated divisibility
@@ -539,16 +517,6 @@ def _nnf(phi: PresFormula, negated: bool) -> PresFormula:
     if isinstance(phi, Or):
         parts = tuple(_nnf(a, negated) for a in phi.args)
         return conj(parts) if negated else disj(parts)
-    if isinstance(phi, Implies):
-        if negated:
-            return conj((_nnf(phi.lhs, False), _nnf(phi.rhs, True)))
-        return disj((_nnf(phi.lhs, True), _nnf(phi.rhs, False)))
-    if isinstance(phi, Exists):
-        body = _nnf(phi.body, negated)
-        return Forall(phi.var, body) if negated else Exists(phi.var, body)
-    if isinstance(phi, Forall):
-        body = _nnf(phi.body, negated)
-        return Exists(phi.var, body) if negated else Forall(phi.var, body)
     raise TypeError(phi)
 
 
@@ -1218,8 +1186,6 @@ def simplify(phi: PresFormula) -> PresFormula:
         return _fold_atom(phi.atom)
     if isinstance(phi, Not):
         return neg(simplify(phi.arg))
-    if isinstance(phi, Implies):
-        return implies(simplify(phi.lhs), simplify(phi.rhs))
     if isinstance(phi, (Exists, Forall)):
         # one free-variable walk for the whole block; of a repeated name
         # only the innermost quantifier binds

@@ -14,7 +14,9 @@ variable is unfolded there into an equality with a fresh variable.  A
 universal block is eliminated existentially on its negated body and
 returns the negated cells as clauses, which the enclosing block expands
 lazily.  Simplification happens once per block, on its input, and once on
-the final result (``eliminate_quantifiers``).
+the final result (``eliminate_quantifiers``).  Bound variables need no
+renaming apart: a block's result mentions none of its variables, so a
+shadowed or repeated name is gone before any outer block sees it.
 
 The caller may offer variable renamings that it expects to be symmetries
 of the formula, such as the engine's permutations of interchangeable
@@ -34,12 +36,11 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .presburger import (DVD, And, Atom, AtomF, Cell, Exists, FalseF, Forall,
-                         FreeVariableError, Implies, Not, Or, PresFormula,
-                         QuantifiedInput, TrueF, _literal_atom,
-                         _quantifier_block, atoms_of, cheapest, complement,
-                         conj, disj, free_vars, implies, is_quantifier_free,
-                         neg, prune_cells, simplify, to_nnf)
+from .presburger import (DVD, And, AtomF, Cell, Exists, FalseF, Forall,
+                         FreeVariableError, Not, Or, PresFormula, TrueF,
+                         _literal_atom, _quantifier_block, atoms_of, cheapest,
+                         complement, conj, disj, free_vars, neg, prune_cells,
+                         simplify, to_nnf)
 
 
 @dataclass
@@ -73,17 +74,6 @@ class QeStats:
 Symmetry = tuple[Mapping[str, str], ...]
 
 
-def eliminate_exists(v: str, phi: PresFormula,
-                     stats: Optional[QeStats] = None) -> PresFormula:
-    """Quantifier-free formula equivalent over N to ``exists v >= 0. phi``.
-
-    The result may contain divisibility atoms.
-    """
-    if not is_quantifier_free(phi):
-        raise QuantifiedInput("eliminate_exists needs a quantifier-free body")
-    return simplify(_block([v], phi, stats, negate=False))
-
-
 def eliminate_quantifiers(phi: PresFormula, stats: Optional[QeStats] = None,
                           symmetry: Symmetry = ()) -> PresFormula:
     """Quantifier-free formula equivalent over N to ``phi``, with every
@@ -92,7 +82,7 @@ def eliminate_quantifiers(phi: PresFormula, stats: Optional[QeStats] = None,
     ``symmetry`` offers renamings to eliminate one cell per orbit with;
     each block checks them on its own cells, so they need not hold.
     """
-    return simplify(_close(rename_apart(phi), stats, symmetry))
+    return simplify(_close(phi, stats, symmetry))
 
 
 def decide(phi: PresFormula, stats: Optional[QeStats] = None,
@@ -137,46 +127,6 @@ def cooper_bound(phi: PresFormula, variables: Iterable[str]) -> int:
     return l + biggest
 
 
-def rename_apart(phi: PresFormula) -> PresFormula:
-    """Alpha-rename so no bound variable is repeated or shadows a free one."""
-    used = set(free_vars(phi))
-    counter = [0]
-
-    def fresh(name: str) -> str:
-        candidate = name
-        while candidate in used:
-            counter[0] += 1
-            candidate = f"{name}~{counter[0]}"
-        used.add(candidate)
-        return candidate
-
-    def walk(f: PresFormula, env: dict[str, str]) -> PresFormula:
-        if isinstance(f, (TrueF, FalseF)):
-            return f
-        if isinstance(f, AtomF):
-            t = f.atom.term
-            if not any(v in env for v in t.vars()):
-                return f
-            return AtomF(Atom(f.atom.kind, t.rename(env), f.atom.divisor))
-        if isinstance(f, Not):
-            return Not(walk(f.arg, env))
-        if isinstance(f, And):
-            return And(tuple(walk(a, env) for a in f.args))
-        if isinstance(f, Or):
-            return Or(tuple(walk(a, env) for a in f.args))
-        if isinstance(f, Implies):
-            return Implies(walk(f.lhs, env), walk(f.rhs, env))
-        if isinstance(f, (Exists, Forall)):
-            name = fresh(f.var)
-            env2 = dict(env)
-            env2[f.var] = name
-            body = walk(f.body, env2)
-            return Exists(name, body) if isinstance(f, Exists) else Forall(name, body)
-        raise TypeError(f)
-
-    return walk(phi, {})
-
-
 # ---------------------------------------------------------------------------
 # quantifier structure
 
@@ -194,9 +144,6 @@ def _close(phi: PresFormula, stats: Optional[QeStats],
         return conj(tuple(_close(a, stats, symmetry) for a in phi.args))
     if isinstance(phi, Or):
         return disj(tuple(_close(a, stats, symmetry) for a in phi.args))
-    if isinstance(phi, Implies):
-        return implies(_close(phi.lhs, stats, symmetry),
-                       _close(phi.rhs, stats, symmetry))
     return phi
 
 

@@ -8,7 +8,7 @@ from hdmas.logic import (EXISTS, AndF, Coop, Globally, Nat, Next, NotF, OrF,
 from hdmas.model import (IDLE, IDLE_COUNTER, CheckOutcome,
                          WellformednessReport, _bounded_witness, guard_union)
 from hdmas.presburger import (DVD, EQ, FALSE, LT, TRUE, And, AtomF, Exists,
-                              FalseF, Forall, Implies, LinTerm, Not, Or, TrueF,
+                              FalseF, Forall, LinTerm, Not, Or, TrueF,
                               atom_eq, atom_ge, atom_gt, atom_le, atom_lt,
                               atom_ne, conj, disj, free_vars, implies,
                               is_quantifier_free, neg, num, simplify,
@@ -46,8 +46,6 @@ def np_eval(phi, arrays):
         for sub in phi.args[1:]:
             out = out | np_eval(sub, arrays)
         return out
-    if isinstance(phi, Implies):
-        return ~np_eval(phi.lhs, arrays) | np_eval(phi.rhs, arrays)
     raise TypeError(phi)
 
 

@@ -36,6 +36,9 @@ def test_parse_guard_connectives():
     want = implies(disj((atom_eq(var("#a1"), 0), atom_ne(var("#a2"), 1))),
                    atom_lt(var("#a1"), 2))
     assert got == want
+    # implication is sugar
+    assert (parse_guard("#a > 1 -> #b = 0")
+            == parse_guard("!(#a > 1) || #b = 0"))
 
 
 def test_parse_guard_negation_and_parens():
@@ -70,8 +73,9 @@ def test_guard_roundtrip_is_structural():
 
     for _ in range(120):
         parts = [rng.choice(ops)(rand_term(), rand_term()) for _ in range(3)]
-        phi = disj((conj(parts[:2]), parts[2]))
-        assert parse_guard(guard_to_str(phi)) == phi
+        for phi in (disj((conj(parts[:2]), parts[2])),
+                    implies(conj(parts[:2]), parts[2])):
+            assert parse_guard(guard_to_str(phi)) == phi
 
 
 # -- formulas -----------------------------------------------------------------
@@ -378,7 +382,9 @@ def test_spans_recorded():
 
 
 def test_model_roundtrip(fig2, fortress):
-    for model in (fig2, fortress):
+    implication = parse_model("actions a b; state s { avail: a b; label: ; } "
+                              "guard s -> s : #a > 1 -> #b = 0;").model
+    for model in (fig2, fortress, implication):
         again = parse_model(model_to_text(model)).model
         assert again.states == model.states
         assert again.table == model.table

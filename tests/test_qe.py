@@ -12,15 +12,16 @@ from hypothesis import strategies as st
 from hdmas.engine import ModelChecker, build_prf, prf_symmetry
 from hdmas.normalform import nf
 from hdmas.parsing import parse_formula
-from hdmas.presburger import (EQ, FALSE, LT, TRUE, Atom, AtomF, Cell, Exists,
-                              Forall, FreeVariableError, LinTerm, _fold_atom,
+from hdmas.presburger import (EQ, FALSE, LT, TRUE, And, Atom, AtomF, Cell,
+                              Exists, Forall, FreeVariableError, LinTerm, Not,
+                              Or, _fold_atom,
                               atom_dvd, atom_eq, atom_ge, atom_gt, atom_le,
                               atom_lt, atom_ne, conj, disj, evaluate, free_vars,
                               is_quantifier_free, neg, num, prune_cells,
                               simplify, substitute, substitute_all, var)
 import hdmas.qe as qe
-from hdmas.qe import (QeStats, cooper_bound, decide, eliminate_exists,
-                      eliminate_quantifiers, is_valid)
+from hdmas.qe import (QeStats, cooper_bound, decide, eliminate_quantifiers,
+                      is_valid)
 
 X, Y, Z = var("x"), var("y"), var("z")
 X1, X2, X3 = var("x1"), var("x2"), var("x3")
@@ -31,19 +32,19 @@ G2 = conj((atom_le(X1.add(X2).add(X3), 10), atom_gt(X3, 3)))
 
 def test_eliminate_even_witness():
     assert decide(Exists("x", atom_eq(X.add(X), num(6)))) is True
-    res = eliminate_exists("x", atom_eq(X.add(X), num(6)))
+    res = eliminate_quantifiers(Exists("x", atom_eq(X.add(X), num(6))))
     assert is_quantifier_free(res)
     assert simplify(res) == TRUE
 
 
 def test_eliminate_odd_no_witness():
-    assert simplify(eliminate_exists("x", atom_eq(X.add(X), num(5)))) == FALSE
+    assert eliminate_quantifiers(Exists("x", atom_eq(X.add(X), num(5)))) == FALSE
 
 
 def test_eliminate_between_bounds():
     # y < x < y + 2 always has the witness x = y + 1
     phi = conj((atom_lt(Y, X), atom_lt(X, Y.shift(2))))
-    res = eliminate_exists("x", phi)
+    res = eliminate_quantifiers(Exists("x", phi))
     assert free_vars(res) <= {"y"}
     for v in range(51):
         brute = any(evaluate(phi, {"x": w, "y": v}) for w in range(v + 3))
@@ -52,13 +53,47 @@ def test_eliminate_between_bounds():
 
 def test_eliminate_keeps_other_variables():
     phi = conj((atom_lt(X, Y), atom_lt(Z, X)))
-    res = eliminate_exists("x", phi)
+    res = eliminate_quantifiers(Exists("x", phi))
     assert free_vars(res) <= {"y", "z"}
     for yv in range(10):
         for zv in range(10):
             brute = any(evaluate(phi, {"x": w, "y": yv, "z": zv})
                         for w in range(max(yv, zv) + 2))
             assert evaluate(res, {"y": yv, "z": zv}) == brute
+
+
+def _brute(phi, env, bound=8):
+    """Truth of ``phi`` with every quantifier enumerated over 0..bound."""
+    if isinstance(phi, Exists):
+        return any(_brute(phi.body, {**env, phi.var: v}, bound)
+                   for v in range(bound + 1))
+    if isinstance(phi, Forall):
+        return all(_brute(phi.body, {**env, phi.var: v}, bound)
+                   for v in range(bound + 1))
+    if isinstance(phi, Not):
+        return not _brute(phi.arg, env, bound)
+    if isinstance(phi, And):
+        return all(_brute(a, env, bound) for a in phi.args)
+    if isinstance(phi, Or):
+        return any(_brute(a, env, bound) for a in phi.args)
+    return evaluate(phi, env)
+
+
+@pytest.mark.parametrize("phi", [
+    Exists("x", conj((atom_eq(X, 1), Exists("x", atom_eq(X, 2))))),
+    Exists("x", conj((Forall("x", atom_ge(X, 0)), atom_eq(X, 3)))),
+    Forall("x", Exists("x", atom_eq(X, 5))),
+    Exists("x", Exists("y", Exists("x", conj((atom_eq(X, Y),
+                                              atom_lt(Y, 3)))))),
+])
+def test_shadowed_and_repeated_bound_names(phi):
+    # of a repeated name only the innermost quantifier binds
+    assert decide(phi) == _brute(phi, {})
+
+
+def test_bound_name_that_is_also_free_stays_free():
+    phi = conj((atom_eq(X, 1), Exists("x", atom_eq(X.scale(2), 4))))
+    assert eliminate_quantifiers(phi) == atom_eq(X, 1)
 
 
 def test_decide_successor_exists():
@@ -125,7 +160,7 @@ def test_eliminate_exists_free_var_shrinks():
     rng = random.Random(5)
     for _ in range(80):
         matrix = random_matrix(rng, ["x", "y"], max_coeff=4, max_const=9, atoms=2)
-        res = eliminate_exists("x", matrix)
+        res = eliminate_quantifiers(Exists("x", matrix))
         assert is_quantifier_free(res)
         assert free_vars(res) <= free_vars(matrix) - {"x"}
         for yv in range(12):
