@@ -5,15 +5,16 @@ Two subcommands: ``check-model`` runs the well-formedness checks and
 enumeration oracle or as artifact dumps (normal form, per-state
 controllability formula).
 
-Exit codes: 0 success, 1 parse error or unreadable input file, 2 semantic
-error, 3 the state named with --state is not in the extension, 4
-enumeration cap exceeded.
+Exit codes: 0 success, 1 parse error, unreadable input file or closed
+standard output, 2 semantic error, 3 the state named with --state is not
+in the extension, 4 enumeration cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -256,6 +257,18 @@ _PARSER = build_parser()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send the rest to devnull so that the
+        # flush at exit stays quiet, as the Python ``signal`` docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: Optional[list[str]]) -> int:
     args = _PARSER.parse_args(argv)
     if args.command == "check-model":
         config = RunConfig(model_path=args.model, mode="check-model",

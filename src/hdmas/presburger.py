@@ -852,8 +852,22 @@ class Cell:
         return out
 
     def clause(self) -> PresFormula:
-        """The negated cell, one disjunct per complemented literal."""
-        return disj(tuple(complement(lit) for lit in self.literals()))
+        """The negated cell, the complements of ``literals`` in their order,
+        built from the windows: ``P = e`` gives ``P - e < 0`` and ``-P + e <
+        0``, ``P < h`` gives ``-P + h - 1 < 0`` and ``P > l`` gives ``P - l -
+        1 < 0``, all folded and distinct, so they need no ``disj``."""
+        out: list[PresFormula] = []
+        for part, (lo, hi, eq) in self.key[0]:
+            minus = tuple((v, -c) for v, c in part)
+            if eq is not None:
+                out += [AtomF(Atom(LT, LinTerm(part, -eq))),
+                        AtomF(Atom(LT, LinTerm(minus, eq)))]
+            if hi is not None:
+                out.append(AtomF(Atom(LT, LinTerm(minus, hi - 1))))
+            if lo is not None:
+                out.append(AtomF(Atom(LT, LinTerm(part, -lo - 1))))
+        out.extend(complement(d) for d in sorted(self.divs, key=repr))
+        return Or(tuple(out)) if len(out) > 1 else out[0] if out else FALSE
 
     def subsumes(self, other: "Cell") -> bool:
         """Whether ``other`` implies every literal of this cell: each

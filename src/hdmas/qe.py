@@ -13,8 +13,9 @@ the cell's windows is the only elimination: a divisibility literal on the
 variable is unfolded there into an equality with a fresh variable.  A
 universal block is eliminated existentially on its negated body and
 returns the negated cells as clauses, which the enclosing block expands
-lazily.  Simplification happens once per block, on its input, and once on
-the final result (``eliminate_quantifiers``).  Bound variables need no
+lazily.  A block takes its body as built, unsimplified (``build_prf``
+simplifies the formula it builds once); only the final result is
+simplified again (``eliminate_quantifiers``).  Bound variables need no
 renaming apart: a block's result mentions none of its variables, so a
 shadowed or repeated name is gone before any outer block sees it.
 
@@ -152,10 +153,10 @@ def _block(names: list[str], phi: PresFormula, stats: Optional[QeStats],
     """Quantifier-free equivalent of ``exists names. phi``, or of
     ``forall names. phi`` when ``negate``, for quantifier-free ``phi``.
 
-    The body is simplified once on the way in; the result is left for the
-    consumer (an enclosing block or ``eliminate_quantifiers``) to simplify.
+    The body is taken as built, unsimplified, since the expansion and
+    ``prune_cells`` do that work; ``eliminate_quantifiers`` simplifies the result.
     """
-    body = simplify(to_nnf(neg(phi) if negate else phi))
+    body = to_nnf(neg(phi) if negate else phi)
     cells = prune_cells(_expand_depth_first(names, body, stats))
     cells = _project_cells(names, cells, stats, symmetry)
     if stats is not None:

@@ -319,13 +319,11 @@ def random_model_text(rng, clone=False):
     is ``else``, so the guards of a state are total and pairwise disjoint
     by construction.
 
-    With ``clone``, the actions are ``a``, ``c`` and ``c2``, a copy of
-    ``c``: available where ``c`` is, with every guard symmetric in ``#c``
-    and ``#c2``, so swapping the two is a symmetry of every state.  Three
-    actions, as without it: with ``b`` as well, some draws (seed 161) take
-    QE past any test budget.
+    With ``clone``, the actions are ``a``, ``b``, ``c`` and ``c2``, a copy
+    of ``c``: available where ``c`` is, with every guard symmetric in
+    ``#c`` and ``#c2``, so swapping the two is a symmetry of every state.
     """
-    actions = ["a", "c"] if clone else ["a", "b", "c"][:rng.randint(2, 3)]
+    actions = ["a", "b", "c"] if clone else ["a", "b", "c"][:rng.randint(2, 3)]
     n = rng.randint(2, 4)
     avail = [rng.sample(actions, rng.randint(1, len(actions))) for _ in range(n)]
     if clone:

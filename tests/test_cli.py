@@ -1,5 +1,7 @@
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -327,6 +329,27 @@ def test_unreadable_model_is_an_error(tmp_path, capsys, kind):
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and path in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["check-model", "--json"],
+                                  ["verify", "-f", "<<1,1>> F goal"]])
+def test_a_closed_stdout_exits_1_without_a_traceback(tmp_path, argv):
+    # as in ``hdmas-verify check-model ring-80.hdmas --json | head -1``,
+    # with the reader gone before the first write
+    model = tmp_path / "ring-80.hdmas"
+    model.write_text(ring_text(80))
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hdmas.cli", argv[0], str(model), *argv[1:]],
+            stdout=w, stderr=subprocess.PIPE, cwd=src)
+    finally:
+        os.close(w)
+    _, err = proc.communicate(timeout=60)
+    assert b"Traceback" not in err, err
+    assert (proc.returncode, err) == (1, b"")
 
 
 @pytest.mark.parametrize("kind", ["directory", "not-utf8"])

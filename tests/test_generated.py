@@ -63,9 +63,9 @@ def test_engine_agrees_with_oracle_with_a_cloned_action(seed):
     assert stats.orbit_reps <= stats.orbit_cells
 
 
-# seed 113 of the cloned-action generator with the base actions a, b and c:
-# pivoting the guard equalities of s0 leaves divisibility literals on the
-# block variables, which the projection unfolds
+# seed 113 of the cloned-action generator: pivoting the guard equalities of
+# s0 leaves divisibility literals on the block variables, which the
+# projection unfolds
 FOUR_ACTIONS = """\
 actions a b c c2;  props p q;
 state s0 { avail: c b a c2; label: p; }   state s1 { avail: c b c2; label: q; }
@@ -84,6 +84,33 @@ def test_a_four_action_model_with_non_unit_equalities_agrees_with_oracle():
         got = checker.global_mc(phi, {})
         assert got == oracle.global_mc(phi, {}), formula_to_str(phi)
         assert model.names_of(got) == ("s0",)
+
+
+# seed 161 of the cloned-action generator, which gave no verdict on
+# <<0,1>> (p U q) while each block still simplified its input
+SEED_161 = """\
+actions a b c c2;  props p q;
+state s0 { avail: c c2; label: q; }   state s1 { avail: a; label: p; }
+state s2 { avail: c b a c2; label: ; }   state s3 { avail: c b a c2; label: q; }
+guard s0 -> s2 : else;
+guard s1 -> s2 : (2*#a <= 2);
+guard s1 -> s3 : (2*#a > 3) && !(2*#a <= 2);
+guard s1 -> s1 : else;
+guard s2 -> s3 : ((2*#a + 1*#c = 2*#a + 1*#c) || (2*#a + 1*#c2 = 2*#a + 1*#c2));
+guard s2 -> s0 : (1*#b < 1) && !((2*#a + 1*#c = 2*#a + 1*#c) || (2*#a + 1*#c2 = 2*#a + 1*#c2));
+guard s2 -> s2 : else;
+guard s3 -> s3 : ((1*#a + 2*#c <= 1) || (1*#a + 2*#c2 <= 1));
+guard s3 -> s2 : ((1*#a < 2*#b + 1*#c) && (1*#a < 2*#b + 1*#c2)) && !((1*#a + 2*#c <= 1) || (1*#a + 2*#c2 <= 1));
+guard s3 -> s0 : else;
+"""
+
+
+def test_seed_161_of_the_four_action_generator_agrees_with_oracle():
+    model = parse_model(SEED_161).model
+    phi = Coop(Nat(0), Nat(1), Until(Prop("p"), Prop("q")))
+    got = ModelChecker(model).global_mc(phi, {})
+    assert got == Oracle(model).global_mc(phi, {})
+    assert model.names_of(got) == ("s0", "s3")
 
 
 def _random_objective(rng):

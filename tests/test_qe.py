@@ -16,7 +16,8 @@ from hdmas.presburger import (EQ, FALSE, LT, TRUE, And, Atom, AtomF, Cell,
                               Exists, Forall, FreeVariableError, LinTerm, Not,
                               Or, _fold_atom,
                               atom_dvd, atom_eq, atom_ge, atom_gt, atom_le,
-                              atom_lt, atom_ne, conj, disj, evaluate, free_vars,
+                              atom_lt, atom_ne, complement, conj, disj,
+                              evaluate, free_vars,
                               is_quantifier_free, neg, num, prune_cells,
                               simplify, substitute, substitute_all, var)
 import hdmas.qe as qe
@@ -425,9 +426,10 @@ def test_renamed_cells_state_the_renamed_literals():
         assert cell.rename(swap) == renamed, atoms
 
 
-def test_fortress_3_decision_simplifies_at_most_ten_times(monkeypatch, fortress):
-    # one simplify per block input and one of the result: the cells in
-    # between are never turned back into formulas to be simplified
+def test_fortress_3_decision_simplifies_only_its_result(monkeypatch, fortress):
+    # blocks take their bodies as built and the cells in between are never
+    # turned back into formulas to be simplified: the one simplify is that
+    # of the result
     calls = []
     original = qe.simplify
 
@@ -439,7 +441,7 @@ def test_fortress_3_decision_simplifies_at_most_ten_times(monkeypatch, fortress)
     targets = fortress.all_states() & ~fortress.prop_mask("captured")
     phi = build_prf(fortress, "s1", 3, 1, targets)
     assert decide(phi, symmetry=prf_symmetry(fortress, "s1")) is True
-    assert 0 < len(calls) <= 10, len(calls)
+    assert len(calls) == 1, len(calls)
 
 
 # -- projection on cells and incremental interval refutation -----------------
@@ -579,6 +581,50 @@ def test_projecting_a_cell_agrees_with_enumeration(drawn):
         if symbolic and not brute:
             brute = _some_witness(block, cell, z, 80 if len(block) < 3 else 45)
         assert symbolic == brute, (cell, z)
+
+
+# an equality, both bounds on one part and two divisibility literals, one
+# of them negated
+DIVIDED = (["x1", "x2"], _root(["x1", "x2"]).extend([
+    atom_eq(X1.scale(2).sub(Z), num(3)), atom_lt(X2.sub(Z), num(4)),
+    atom_gt(X2.sub(Z), num(-3)), atom_dvd(3, X1.add(Z)),
+    neg(atom_dvd(2, X2.add(Z)))]))
+
+
+@given(block_cells())
+@example(SOLVED)
+@example(DIVIDED)
+@settings(max_examples=200, deadline=None)
+def test_a_clause_is_the_disjunction_of_the_complemented_literals(drawn):
+    # the clause is built straight from the windows, with no round trip
+    # through the literals; it must be that round trip's formula, literal
+    # for literal and in the same order
+    _, cell = drawn
+    assert cell.clause() == disj(tuple(complement(l) for l in cell.literals()))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_a_block_gives_the_same_result_on_a_simplified_body(seed):
+    # blocks take their bodies unsimplified: simplifying the body first may
+    # reorder the result or drop a literal redundant over N, but never
+    # changes what it says
+    rng = random.Random(seed)
+    names = ["x", "y", "z"]
+    matrix = random_matrix(rng, names, max_coeff=3, max_const=9,
+                           atoms=rng.randint(1, 4))
+    bound = rng.sample(names, rng.randint(1, 2))
+    quantifier = rng.choice([Exists, Forall])
+    results = []
+    for body in (matrix, simplify(matrix)):
+        for v in bound:
+            body = quantifier(v, body)
+        results.append(eliminate_quantifiers(body))
+    free = [v for v in names if v not in bound]
+    for point in itertools.product(range(12), repeat=len(free)):
+        valuation = dict(zip(free, point))
+        assert evaluate(results[0], valuation) == evaluate(results[1], valuation), \
+            (matrix, bound, quantifier, valuation)
 
 
 def _projected(names, literals):
