@@ -141,13 +141,13 @@ class ModelChecker:
     came from.  Only a miss builds the formula, which is then decided through
     the second level, keyed on the simplified formula itself.
 
-    The G and U fixpoints iterate semi-naively: after the first round only
-    the predecessors of states whose membership changed are re-examined,
-    and of those only the ones whose verdict can still flip, since the
-    pre-image is monotone in the target set (G's targets shrink, so only
-    states in the pre-image can leave it; U's grow, so only states outside
-    it can join).  Every round yields the same set as the plain Kleene
-    iteration.
+    Only states that can still change the answer are decided.  A
+    pre-image examines the states with an edge into the targets; a G or U
+    round, as the pre-image is monotone, only its candidates with an edge
+    into the states that just changed.  G's candidates are the states of
+    its set (its first round examines them all), U's those of ψ1 outside
+    its set (ψ2 counts as just joined in its first round).  Every round
+    yields the same set as the plain Kleene iteration.
     Subformula extensions are memoised too; the instance is reusable
     across formulas and assignments.
     """
@@ -168,7 +168,13 @@ class ModelChecker:
     def _pre_states(self, t1: Term, t2: Term, targets: StateSet,
                     theta: Assignment, pfix: QuantPrefix, pre: StateSet,
                     dirty: StateSet) -> StateSet:
-        """``pre`` with the states in ``dirty`` re-examined against targets."""
+        """``pre`` with the states in ``dirty`` re-examined against targets.
+
+        A state left out keeps its membership in ``pre``.  One with no edge
+        into the targets need not be examined, in any model: its guard
+        union is ⊥, and ∃k̄ (Σk ≤ t1 ∧ ∀l̄ (Σl ≤ t2 → ⊥)) is false for every
+        natural t2 (take l̄ = 0), so under every prefix too.
+        """
         if pfix not in PFIXES:
             raise EngineError(f"unsupported quantifier prefix {pfix}")
         r1 = _resolve_term(t1, theta, pfix)
@@ -192,8 +198,7 @@ class ModelChecker:
         return pre
 
     def _predecessors(self, changed: StateSet) -> StateSet:
-        """States with an edge into ``changed``: the only ones whose
-        pre-image verdict can differ after those states changed."""
+        """States with an edge into ``changed``."""
         pred = self.model.adjacency.pred
         out = 0
         while changed:
@@ -207,7 +212,7 @@ class ModelChecker:
                   theta: Assignment, pfix: QuantPrefix) -> StateSet:
         """States where the prefixed controllability formula is true."""
         return self._pre_states(t1, t2, targets, theta, pfix, 0,
-                                self.model.all_states())
+                                self._predecessors(targets))
 
     def g_fixpoint(self, t1: Term, t2: Term, psi: StateFormula,
                    theta: Assignment, pfix: QuantPrefix,
@@ -215,16 +220,14 @@ class ModelChecker:
         """Greatest fixpoint for invariance objectives."""
         targets = self.global_mc(psi, theta)
         w = self.model.all_states()
-        z = targets
+        z = dirty = targets
         if trace is not None:
             trace.append(z)
-        pre, dirty = 0, self.model.all_states()
         while w & ~z:
             w = z
-            pre = self._pre_states(t1, t2, w, theta, pfix, pre, dirty)
-            z = pre & targets
-            # the targets only shrink, so only states in pre can leave it
-            dirty = self._predecessors(w ^ z) & pre
+            z = self._pre_states(t1, t2, w, theta, pfix, w, dirty)
+            # only states of the set can leave it
+            dirty = self._predecessors(w & ~z) & z
             if trace is not None:
                 trace.append(z)
         return z
@@ -234,18 +237,15 @@ class ModelChecker:
                    trace: Optional[list[StateSet]] = None) -> StateSet:
         """Least fixpoint for reachability-until objectives."""
         q1 = self.global_mc(psi1, theta)
-        q2 = self.global_mc(psi2, theta)
         w = 0
-        z = q2
+        z = self.global_mc(psi2, theta)
         if trace is not None:
             trace.append(z)
-        pre, dirty = 0, self.model.all_states()
         while z & ~w:
+            # only states of q1 outside the set can join it
+            dirty = self._predecessors(z & ~w) & q1 & ~z
             w = z
-            pre = self._pre_states(t1, t2, w, theta, pfix, pre, dirty)
-            z = q2 | (pre & q1)
-            # the targets only grow, so only states outside pre can join it
-            dirty = self._predecessors(w ^ z) & ~pre
+            z = self._pre_states(t1, t2, w, theta, pfix, w, dirty)
             if trace is not None:
                 trace.append(z)
         return z

@@ -271,11 +271,53 @@ def ring(n):
     return parse_model(ring_text(n)).model
 
 
-@pytest.mark.parametrize("model_name", ["fig2", "ring7"])
-def test_fixpoints_match_kleene_rounds(model_name, request):
-    model = ring(7) if model_name == "ring7" else request.getfixturevalue("fig2")
+# s2 has no outgoing guard
+DEAD_END = """\
+actions a b;  props p q;
+state s0 { avail: a b; label: p; }   state s1 { avail: a b; label: q; }
+state s2 { avail: a b; label: p; }
+guard s0 -> s1 : #a > #b;
+guard s0 -> s2 : else;
+guard s1 -> s0 : #a >= #b;
+guard s1 -> s1 : else;
+"""
+
+# models that are not well formed: the edge test must not rely on totality
+# or determinism
+ILL_FORMED = {"ring6-not-total": ring_text(6, {1: "#a < #b"}),
+              "ring6-overlapping": ring_text(6, {3: "#a >= #b"}),
+              "dead-end": DEAD_END}
+
+
+def named_model(name, request):
+    if name in ILL_FORMED:
+        return parse_model(ILL_FORMED[name]).model
+    return ring(7) if name == "ring7" else request.getfixturevalue(name)
+
+
+def state_formulas(model):
     props = [Top(), NotF(Top())] + [Prop(name) for name in model.props]
-    props += [NotF(Prop(name)) for name in model.props]
+    return props + [NotF(Prop(name)) for name in model.props]
+
+
+@pytest.mark.parametrize("model_name", sorted(ILL_FORMED))
+def test_pre_image_matches_per_state_loop_on_ill_formed_models(model_name,
+                                                               request):
+    model = named_model(model_name, request)
+    mc = ModelChecker(model)
+    decisions = {}
+    for t1, t2, pfix in PREFIXED_TERMS:
+        for targets in range(model.all_states() + 1):
+            want = reference_pre_image(model, t1, t2, targets, {}, pfix,
+                                       decisions)
+            assert mc.pre_image(t1, t2, targets, {}, pfix) == want, \
+                (t1, t2, pfix, model.names_of(targets))
+
+
+@pytest.mark.parametrize("model_name", ["fig2", "ring7", *sorted(ILL_FORMED)])
+def test_fixpoints_match_kleene_rounds(model_name, request):
+    model = named_model(model_name, request)
+    props = state_formulas(model)
     terms = PREFIXED_TERMS + [(Nat(1), Nat(1), ()), (Nat(3), Nat(1), ())]
     mc = ModelChecker(model)
     decisions = {}
@@ -314,6 +356,53 @@ def test_formula_builds_do_not_grow_with_ring_size(monkeypatch):
         assert global_mc(model, phi, {}) == model.all_states()
         builds.append(len(calls))
     assert builds[0] == builds[1] > 0
+
+
+@pytest.mark.parametrize("model_name", ["fig2", "fortress", "ring7"])
+def test_only_candidates_with_an_edge_into_the_change_are_examined(
+        model_name, request, monkeypatch):
+    model = named_model(model_name, request)
+    builds = []
+    original = hdmas.engine.quantified_prf
+
+    def recording(*args, **kwargs):
+        builds.append((model.index(args[1]), args[4]))
+        return original(*args, **kwargs)
+
+    def edge(i, mask):
+        return any(mask >> d & 1 for d, _ in model.adjacency.out[i])
+
+    monkeypatch.setattr(hdmas.engine, "quantified_prf", recording)
+    mc = ModelChecker(model)
+    props = state_formulas(model)
+    for t1, t2, pfix in PREFIXED_TERMS:
+        for psi in props:
+            # with no cached verdict, every examined state is built for
+            mc._verdicts.clear()
+            builds.clear()
+            mc.pre_image(t1, t2, mc.global_mc(psi, {}), {}, pfix)
+            assert all(edge(i, targets) for i, targets in builds)
+
+            mc._verdicts.clear()
+            builds.clear()
+            trace = []
+            mc.g_fixpoint(t1, t2, psi, {}, pfix, trace)
+            for i, targets in builds:
+                j = trace.index(targets)
+                assert targets >> i & 1, ("G", psi, i)
+                assert j == 0 or edge(i, trace[j - 1] & ~targets), ("G", psi, i)
+
+            for psi2 in props:
+                q1 = mc.global_mc(psi, {})
+                mc._verdicts.clear()
+                builds.clear()
+                trace = []
+                mc.u_fixpoint(t1, t2, psi, psi2, {}, pfix, trace)
+                for i, targets in builds:
+                    j = trace.index(targets)
+                    joined = targets & ~(trace[j - 1] if j else 0)
+                    assert (q1 & ~targets) >> i & 1, ("U", psi, psi2, i)
+                    assert edge(i, joined), ("U", psi, psi2, i)
 
 
 def test_action_symmetries_of_the_fixtures(fig2, fortress):

@@ -10,8 +10,9 @@ from helpers import (random_concrete_formula, random_model_text,
 from hdmas.engine import ModelChecker
 from hdmas.logic import Coop, Globally, Nat, Next, Prop, Until
 from hdmas.model import check_wellformed
+from hdmas.normalform import nf
 from hdmas.oracle import Oracle
-from hdmas.parsing import formula_to_str, parse_model
+from hdmas.parsing import formula_to_str, parse_formula, parse_model
 from hdmas.presburger import free_vars
 from hdmas.qe import QeStats
 
@@ -111,6 +112,16 @@ def test_seed_161_of_the_four_action_generator_agrees_with_oracle():
     got = ModelChecker(model).global_mc(phi, {})
     assert got == Oracle(model).global_mc(phi, {})
     assert model.names_of(got) == ("s0", "s3")
+
+
+def test_seed_161_nested_until_agrees_with_oracle():
+    # the slowest known draw: it took seconds while every state of each
+    # pre-image and fixpoint round was decided
+    model = parse_model(SEED_161).model
+    phi = nf(parse_formula("<<0,2>> X (<<3,0>> (p U <<0,1>> (p U q)))"))
+    got = ModelChecker(model).global_mc(phi, {})
+    assert got == Oracle(model).global_mc(phi, {})
+    assert model.names_of(got) == ("s2",)
 
 
 def _random_objective(rng):
