@@ -1085,8 +1085,10 @@ def prune_cells(cells: Collection[Cell]) -> list[Cell]:
 
 
 def _combine_or(children: list[PresFormula]) -> list[PresFormula] | bool:
-    """The children without the bound atoms that a sibling over the same
-    variable part implies; True when two of them cover everything."""
+    """The children with each bound atom joined into a sibling over the
+    same variable part while their union is one atom (a one-sided window
+    or an equality, so implied bounds drop too); True when the bounds
+    cover everything."""
     groups: dict[tuple, list] = {}
     out: list[PresFormula] = []
     for ch in children:
@@ -1094,17 +1096,18 @@ def _combine_or(children: list[PresFormula]) -> list[PresFormula] | bool:
             out.append(ch)
             continue
         part, window = _tighten({}, *_bound(ch.atom))    # type: ignore[union-attr,misc]
-        kept = []
-        for other in groups.get(part, ()):
-            union = _window_union(other, window)          # type: ignore[arg-type]
+        windows = groups.setdefault(part, [])
+        i = 0
+        while i < len(windows):
+            union = _window_union(windows[i], window)    # type: ignore[arg-type]
             if union == _OPEN:
                 return True
-            if union == other:
-                break
-            if union != window:
-                kept.append(other)
-        else:
-            groups[part] = kept + [window]
+            if union is None or None not in union[:2]:   # a gap, or two atoms
+                i += 1
+            else:
+                del windows[i]
+                window, i = union, 0
+        windows.append(window)
     for part, windows in groups.items():
         # equalities in order, then the upper bound, then the lower one
         windows.sort(key=lambda w: (w[2] is None, w[1] is None, w[2] or 0))

@@ -178,6 +178,25 @@ def test_simplify_folds_covering_disjunction():
     assert simplify(disj((atom_lt(X1, 5), atom_gt(X1, 2)))) == TRUE
 
 
+def test_simplify_joins_adjacent_sibling_windows():
+    # x1 < x2, x2 < x1 and x1 = x2 join one by one into everything
+    assert simplify(disj((atom_lt(X1, X2), atom_lt(X2, X1),
+                          atom_eq(X1, X2)))) == TRUE
+    assert simplify(disj((atom_lt(X1, 3), atom_eq(X1, 3)))) == atom_lt(X1, 4)
+    # the bound joined in first can join a sibling it could not before
+    assert simplify(disj((atom_eq(X1, 4), atom_lt(X1, 3),
+                          atom_eq(X1, 3)))) == atom_lt(X1, 5)
+
+
+def test_simplify_keeps_a_two_sided_union_as_two_disjuncts():
+    # joined, 0 < x1 < 3 would print as the two atoms x1 < 3 and x1 > 0,
+    # whose disjunction is true
+    two = simplify(disj((atom_eq(X1, 1), atom_eq(X1, 2))))
+    assert isinstance(two, Or) and len(two.args) == 2
+    assert [evaluate(two, {"x1": v}) for v in range(4)] == \
+        [False, True, True, False]
+
+
 @given(formulas(), st.sampled_from([None, "x1", "y1"]), st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_substitute_all_is_one_walk_of_sequential_substitutions(phi, bound,
