@@ -242,31 +242,6 @@ PREFIXED_TERMS = [(Nat(7), Nat(5), ()), (Nat(7), Nat(11), ()),
                   (Y1, Y2, EA), (Y1, Y2, AE)]
 
 
-@pytest.mark.parametrize("fixture", ["fig2", "fortress"])
-def test_pre_image_matches_per_state_loop(fixture, request):
-    model = request.getfixturevalue(fixture)
-    mc = ModelChecker(model)
-    decisions = {}
-    for t1, t2, pfix in PREFIXED_TERMS:
-        for targets in range(model.all_states() + 1):
-            want = reference_pre_image(model, t1, t2, targets, {}, pfix,
-                                       decisions)
-            assert mc.pre_image(t1, t2, targets, {}, pfix) == want, \
-                (t1, t2, pfix, model.names_of(targets))
-
-
-def test_pre_image_matches_per_state_loop_verbatim_encoding(fig2, fortress):
-    for model in (fig2, fortress):
-        mc = ModelChecker(model)
-        decisions = {}
-        for t1, t2, pfix in [(Nat(3), Nat(4), ()), (Y1, Nat(3), EY1)]:
-            for targets in range(model.all_states() + 1):
-                want = reference_pre_image(model, t1, t2, targets, {}, pfix,
-                                           decisions, build=verbatim_prf)
-                assert mc.pre_image(t1, t2, targets, {}, pfix) == want, \
-                    (t1, t2, pfix, model.names_of(targets))
-
-
 def ring(n):
     return parse_model(ring_text(n)).model
 
@@ -300,9 +275,9 @@ def state_formulas(model):
     return props + [NotF(Prop(name)) for name in model.props]
 
 
-@pytest.mark.parametrize("model_name", sorted(ILL_FORMED))
-def test_pre_image_matches_per_state_loop_on_ill_formed_models(model_name,
-                                                               request):
+@pytest.mark.parametrize("model_name",
+                         ["fig2", "fortress", *sorted(ILL_FORMED)])
+def test_pre_image_matches_per_state_loop(model_name, request):
     model = named_model(model_name, request)
     mc = ModelChecker(model)
     decisions = {}
@@ -312,6 +287,18 @@ def test_pre_image_matches_per_state_loop_on_ill_formed_models(model_name,
                                        decisions)
             assert mc.pre_image(t1, t2, targets, {}, pfix) == want, \
                 (t1, t2, pfix, model.names_of(targets))
+
+
+def test_pre_image_matches_per_state_loop_verbatim_encoding(fig2, fortress):
+    for model in (fig2, fortress):
+        mc = ModelChecker(model)
+        decisions = {}
+        for t1, t2, pfix in [(Nat(3), Nat(4), ()), (Y1, Nat(3), EY1)]:
+            for targets in range(model.all_states() + 1):
+                want = reference_pre_image(model, t1, t2, targets, {}, pfix,
+                                           decisions, build=verbatim_prf)
+                assert mc.pre_image(t1, t2, targets, {}, pfix) == want, \
+                    (t1, t2, pfix, model.names_of(targets))
 
 
 @pytest.mark.parametrize("model_name", ["fig2", "ring7", *sorted(ILL_FORMED)])
@@ -390,10 +377,11 @@ def test_only_candidates_with_an_edge_into_the_change_are_examined(
             for i, targets in builds:
                 j = trace.index(targets)
                 assert targets >> i & 1, ("G", psi, i)
-                assert j == 0 or edge(i, trace[j - 1] & ~targets), ("G", psi, i)
+                assert j == 0 or edge(i, trace[j - 1] & ~targets), \
+                    ("G", psi, i)
 
+            q1 = mc.global_mc(psi, {})
             for psi2 in props:
-                q1 = mc.global_mc(psi, {})
                 mc._verdicts.clear()
                 builds.clear()
                 trace = []

@@ -115,8 +115,8 @@ def test_seed_161_of_the_four_action_generator_agrees_with_oracle():
 
 
 def test_seed_161_nested_until_agrees_with_oracle():
-    # the slowest known draw: it took seconds while every state of each
-    # pre-image and fixpoint round was decided
+    # the slowest known draw of the generator: most states of its rounds
+    # cannot change the answer and must not be decided
     model = parse_model(SEED_161).model
     phi = nf(parse_formula("<<0,2>> X (<<3,0>> (p U <<0,1>> (p U q)))"))
     got = ModelChecker(model).global_mc(phi, {})

@@ -183,7 +183,7 @@ def test_simplify_joins_adjacent_sibling_windows():
     assert simplify(disj((atom_lt(X1, X2), atom_lt(X2, X1),
                           atom_eq(X1, X2)))) == TRUE
     assert simplify(disj((atom_lt(X1, 3), atom_eq(X1, 3)))) == atom_lt(X1, 4)
-    # the bound joined in first can join a sibling it could not before
+    # a union can join a sibling that neither of its bounds joins alone
     assert simplify(disj((atom_eq(X1, 4), atom_lt(X1, 3),
                           atom_eq(X1, 3)))) == atom_lt(X1, 5)
 
