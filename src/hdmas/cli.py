@@ -5,19 +5,33 @@ Two subcommands: ``check-model`` runs the well-formedness checks and
 enumeration oracle or as artifact dumps (normal form, per-state
 controllability formula).
 
-Exit codes: 0 success, 1 parse error, unreadable input file or closed
-standard output, 2 semantic error, 3 the state named with --state is not
-in the extension, 4 enumeration cap exceeded.
+    hdmas-verify check-model [--json] MODEL
+    hdmas-verify verify (-f FORMULA | --formula-file FILE) [--assign SYM=N]...
+                        [--state NAME] [--oracle] [--dump-nf]
+                        [--dump-prf s=NAME] [--json | --plain] MODEL
+
+``--assign`` binds ``y1``, ``y2`` or ``z<n>`` to a natural number and may
+be repeated; ``--state`` also decides one state's membership; ``--oracle``
+uses explicit enumeration; ``--dump-nf`` and ``--dump-prf`` print the
+normal form or a state's controllability formula instead.  ``-h``/``--help``
+works before and after the subcommand.  The command line is read by a
+small table-driven parser (``parse_argv``): options and the model may come
+in any order, ``--opt=VALUE`` and ``-fVALUE`` work, a long option may be
+shortened to a unique prefix, and ``--`` ends the options.
+
+Exit codes: 0 success (or help), 1 parse error, unreadable input file or
+closed standard output, 2 semantic error or bad command line (a usage line
+and the error go to stderr), 3 the state named with --state is not in the
+extension, 4 enumeration cap exceeded.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, NoReturn, Optional
 
 from .engine import (EngineError, ModelChecker, UnassignedParameter,
                      quantified_prf, _resolve_term)
@@ -218,42 +232,164 @@ def run(config: RunConfig) -> int:
         return EXIT_PARSE
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hdmas-verify",
-        description="Model checker for strategic properties of homogeneous "
-                    "dynamic multi-agent systems")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check-model", help="run the well-formedness checks")
-    check.add_argument("model")
-    check.add_argument("--json", action="store_true")
-
-    verify = sub.add_parser("verify", help="compute the extension of a formula")
-    verify.add_argument("model")
-    group = verify.add_mutually_exclusive_group(required=True)
-    group.add_argument("-f", "--formula", help="formula text")
-    group.add_argument("--formula-file", help="read the formula from a file")
-    verify.add_argument("--assign", action="append", default=[],
-                        metavar="SYM=N",
-                        help="bind a parameter or free agent counter")
-    verify.add_argument("--state", help="also decide membership of one state")
-    verify.add_argument("--oracle", action="store_true",
-                        help="use explicit enumeration instead of the "
-                             "symbolic engine")
-    verify.add_argument("--dump-nf", action="store_true",
-                        help="print the normal form and exit")
-    verify.add_argument("--dump-prf", metavar="s=NAME",
-                        help="print the controllability formula for a state")
-    fmt = verify.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--plain", action="store_true")
-    return parser
+PROG = "hdmas-verify"
 
 
-# Built once per process: building costs about as much as parsing a small
-# model, and ``parse_args`` leaves the parser unchanged.
-_PARSER = build_parser()
+class _Option(NamedTuple):
+    name: str                   # the long form, which keys its value
+    short: Optional[str]
+    metavar: Optional[str]      # None for a switch
+    help: str
+
+    def shown(self) -> str:
+        return f"{self.short}/{self.name}" if self.short else self.name
+
+
+class _Command(NamedTuple):
+    help: str
+    usage: str
+    options: tuple[_Option, ...]
+    exclusive: tuple[tuple[str, str], ...] = ()
+    one_of: tuple[str, ...] = ()    # one of these options is required
+
+
+_HELP = _Option("--help", "-h", None, "show this help and exit")
+
+_COMMANDS = {
+    "check-model": _Command(
+        "run the well-formedness checks",
+        f"usage: {PROG} check-model [-h] [--json] MODEL",
+        (_HELP, _Option("--json", None, None, "print the report as JSON"))),
+    "verify": _Command(
+        "compute the extension of a formula",
+        f"usage: {PROG} verify [-h] (-f FORMULA | --formula-file FILE) "
+        "[--assign SYM=N] [--state NAME] [--oracle] [--dump-nf] "
+        "[--dump-prf s=NAME] [--json | --plain] MODEL",
+        (_HELP,
+         _Option("--formula", "-f", "FORMULA", "formula text"),
+         _Option("--formula-file", None, "FILE", "read the formula from a file"),
+         _Option("--assign", None, "SYM=N",
+                 "bind a parameter or free agent counter; repeatable"),
+         _Option("--state", None, "NAME", "also decide membership of one state"),
+         _Option("--oracle", None, None,
+                 "use explicit enumeration instead of the symbolic engine"),
+         _Option("--dump-nf", None, None, "print the normal form and exit"),
+         _Option("--dump-prf", None, "s=NAME",
+                 "print the controllability formula for a state"),
+         _Option("--json", None, None, "print the result as JSON"),
+         _Option("--plain", None, None, "print the result as text (the default)")),
+        exclusive=(("--formula", "--formula-file"), ("--json", "--plain")),
+        one_of=("--formula", "--formula-file")),
+}
+_TOP_USAGE = f"usage: {PROG} [-h] {{{','.join(_COMMANDS)}}} ..."
+
+
+def _fail(command: Optional[str], message: str) -> NoReturn:
+    """Report a bad command line as argparse does: usage, error, exit 2."""
+    usage = _COMMANDS[command].usage if command else _TOP_USAGE
+    prog = f"{PROG} {command}" if command else PROG
+    print(f"{usage}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_SEMANTIC)
+
+
+def _help(command: Optional[str]) -> NoReturn:
+    if command is None:
+        lines = [_TOP_USAGE, "", "Model checker for strategic properties of "
+                 "homogeneous dynamic multi-agent systems", "", "commands:"]
+        lines += [f"  {name:<13}{c.help}" for name, c in _COMMANDS.items()]
+        lines += ["", f"Run '{PROG} COMMAND -h' for the options of a command."]
+    else:
+        spec = _COMMANDS[command]
+        lines = [spec.usage, "", spec.help, "", "positional arguments:",
+                 f"  {'MODEL':<24}the model file", "", "options:"]
+        for o in spec.options:
+            flags = f"{o.short}, {o.name}" if o.short else o.name
+            if o.metavar:
+                flags += f" {o.metavar}"
+            lines.append(f"  {flags:<24}{o.help}")
+    print("\n".join(lines))
+    raise SystemExit(EXIT_OK)
+
+
+def _long_option(command: Optional[str], options, flag: str) -> _Option:
+    """The option ``flag`` names in full or as a unique prefix."""
+    for o in options:
+        if o.name == flag:
+            return o
+    matches = [o for o in options if o.name.startswith(flag)]
+    if len(matches) == 1:
+        return matches[0]
+    if matches:
+        _fail(command, f"ambiguous option: {flag} could match "
+              + ", ".join(o.name for o in matches))
+    _fail(command, f"unrecognized option {flag}")
+
+
+def parse_argv(argv: list[str]) -> tuple[str, str, dict]:
+    """``(command, model path, options)`` from a command line.
+
+    ``options`` maps the long name of each option given to ``True`` for a
+    switch, to the last value given, or for ``--assign`` to the list of its
+    values.  A bad command line exits with status 2, ``-h`` with 0."""
+    if not argv or argv[0] not in _COMMANDS:
+        if not argv:
+            _fail(None, "a command is required: " + " or ".join(_COMMANDS))
+        if argv[0].startswith("--") and len(argv[0]) > 2:
+            _long_option(None, (_HELP,), argv[0])
+            _help(None)
+        if argv[0] == "-h":
+            _help(None)
+        _fail(None, f"invalid command {argv[0]!r} (choose from "
+              + ", ".join(_COMMANDS) + ")")
+    command, spec = argv[0], _COMMANDS[argv[0]]
+    values: dict = {}
+    positional: list[str] = []
+    args = iter(argv[1:])
+    for arg in args:
+        if arg == "--":
+            positional.extend(args)
+            break
+        if arg.startswith("--"):
+            flag, eq, value = arg.partition("=")
+            option = _long_option(command, spec.options, flag)
+            value = value if eq else None
+        elif arg.startswith("-") and len(arg) > 1:
+            option = next((o for o in spec.options if o.short == arg[:2]), None)
+            if option is None:
+                _fail(command, f"unrecognized option {arg[:2]}")
+            value = arg[2:].removeprefix("=") or None
+        else:
+            positional.append(arg)
+            continue
+        if option is _HELP:
+            _help(command)
+        if option.metavar is None:
+            if value is not None:
+                _fail(command, f"option {option.shown()} takes no value")
+            values[option.name] = True
+            continue
+        if value is None:
+            value = next(args, None)
+            if value is None or (value.startswith("-") and len(value) > 1):
+                _fail(command, f"option {option.shown()} needs a value "
+                      f"{option.metavar}")
+        if option.name == "--assign":
+            values.setdefault(option.name, []).append(value)
+        else:
+            values[option.name] = value
+    if not positional:
+        _fail(command, "the model file is required")
+    if len(positional) > 1:
+        _fail(command, f"unexpected argument {positional[1]!r}")
+    shown = {o.name: o.shown() for o in spec.options}
+    for first, second in spec.exclusive:
+        if first in values and second in values:
+            _fail(command, f"option {shown[second]} is not allowed with "
+                  f"{shown[first]}")
+    if spec.one_of and not any(name in values for name in spec.one_of):
+        _fail(command, "one of the options "
+              + " ".join(shown[name] for name in spec.one_of) + " is required")
+    return command, positional[0], values
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -269,44 +405,43 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _main(argv: Optional[list[str]]) -> int:
-    args = _PARSER.parse_args(argv)
-    if args.command == "check-model":
-        config = RunConfig(model_path=args.model, mode="check-model",
-                           output="json" if args.json else "plain")
-        return run(config)
+    command, model_path, opts = parse_argv(sys.argv[1:] if argv is None else argv)
+    output = "json" if opts.get("--json") else "plain"
+    if command == "check-model":
+        return run(RunConfig(model_path=model_path, mode="check-model",
+                             output=output))
 
-    if args.dump_nf and args.dump_prf:
+    dump_nf, dump_prf = opts.get("--dump-nf"), opts.get("--dump-prf")
+    if dump_nf and dump_prf:
         print("error: choose one of --dump-nf and --dump-prf", file=sys.stderr)
         return EXIT_SEMANTIC
-    if args.json and (args.dump_nf or args.dump_prf):
+    if output == "json" and (dump_nf or dump_prf):
         print("error: --dump-nf and --dump-prf print plain text only; "
               "drop --json", file=sys.stderr)
         return EXIT_SEMANTIC
     mode = "verify"
     dump_state = None
-    if args.dump_nf:
+    if dump_nf:
         mode = "dump-nf"
-    elif args.dump_prf:
+    elif dump_prf:
         mode = "dump-prf"
-        value = args.dump_prf
-        dump_state = value[2:] if value.startswith("s=") else value
-    formula_text = args.formula
-    if args.formula_file:
+        dump_state = dump_prf[2:] if dump_prf.startswith("s=") else dump_prf
+    formula_text = opts.get("--formula")
+    if "--formula-file" in opts:
         try:
-            formula_text = _read_text(args.formula_file)
+            formula_text = _read_text(opts["--formula-file"])
         except UnreadableInput as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_PARSE
     try:
-        assignment = _parse_assignment(args.assign)
+        assignment = _parse_assignment(opts.get("--assign", []))
     except SemanticError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SEMANTIC
-    config = RunConfig(model_path=args.model, mode=mode,
+    config = RunConfig(model_path=model_path, mode=mode,
                        formula_text=formula_text, assignment=assignment,
-                       state=args.state, oracle=args.oracle,
-                       dump_prf_state=dump_state,
-                       output="json" if args.json else "plain")
+                       state=opts.get("--state"), oracle=bool(opts.get("--oracle")),
+                       dump_prf_state=dump_state, output=output)
     return run(config)
 
 

@@ -134,12 +134,11 @@ def prf_symmetry(model: HdmasModel, state: str) -> Symmetry:
 class ModelChecker:
     """Caching evaluator for one model.
 
-    Pre-image verdicts are cached on two levels.  The first is keyed before
-    any formula is built, on ``(actions available at the state, ids of the
-    guards into the target set, t1, t2, prefix)``: that key fixes the
-    per-state formula up to the order of its disjuncts, whichever state it
-    came from.  Only a miss builds the formula, which is then decided through
-    the second level, keyed on the simplified formula itself.
+    Pre-image verdicts are cached before any formula is built, keyed on
+    ``(actions available at the state, ids of the guards into the target
+    set, t1, t2, prefix)``: that key fixes the per-state formula up to the
+    order of its disjuncts, whichever state it came from.  Only a miss
+    builds the formula and decides it.
 
     Only states that can still change the answer are decided.  A
     pre-image examines the states with an edge into the targets; a G or U
@@ -154,16 +153,8 @@ class ModelChecker:
 
     model: HdmasModel
     stats: QeStats = field(default_factory=QeStats)
-    _decisions: dict[PresFormula, bool] = field(default_factory=dict)
     _verdicts: dict[tuple, bool] = field(default_factory=dict)
     _extents: dict = field(default_factory=dict)
-
-    def _decide(self, phi: PresFormula, symmetry: Symmetry) -> bool:
-        hit = self._decisions.get(phi)
-        if hit is None:
-            hit = decide(phi, self.stats, symmetry=symmetry)
-            self._decisions[phi] = hit
-        return hit
 
     def _pre_states(self, t1: Term, t2: Term, targets: StateSet,
                     theta: Assignment, pfix: QuantPrefix, pre: StateSet,
@@ -192,8 +183,8 @@ class ModelChecker:
             hit = self._verdicts.get(key)
             if hit is None:
                 phi = quantified_prf(model, state, r1, r2, targets, pfix)
-                hit = self._verdicts[key] = self._decide(
-                    phi, prf_symmetry(model, state))
+                hit = self._verdicts[key] = decide(
+                    phi, self.stats, symmetry=prf_symmetry(model, state))
             pre = pre | low if hit else pre & ~low
         return pre
 

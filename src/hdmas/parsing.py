@@ -16,10 +16,10 @@ starts a line comment.  Formulas follow
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
 from types import MappingProxyType
-from typing import NamedTuple, Optional
+from typing import NamedTuple, NoReturn, Optional
 
 from . import logic
 from .logic import (EXISTS, FORALL, AndF, Coop, Globally, Nat, Next, NotF,
@@ -29,13 +29,13 @@ from .model import (IDLE, ActionTable, HdmasModel, counter_name)
 from .presburger import (DVD, EQ, And, AtomF, Exists, FalseF, Forall,
                          LinTerm, Not, Or, PresFormula, TrueF,
                          atom_eq, atom_ge, atom_gt, atom_le, atom_lt, atom_ne,
-                         conj, disj, implies, neg, free_vars,
-                         is_quantifier_free, var)
+                         conj, disj, implies, neg, free_vars, var)
 
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -588,6 +588,13 @@ def parse_formula(text: str) -> StateFormula:
 
 # ---------------------------------------------------------------------------
 # model DSL
+#
+# A model is read declaration by declaration, not token by token.  Its
+# comments are first replaced by blanks of the same length, so that an
+# offset into that copy is an offset into the text; then each part of a
+# declaration is one anchored match.  Line and column are computed from an
+# offset only for a span or an error.  Guard texts go through the
+# token-level guard parser, each distinct text once.
 
 
 @dataclass
@@ -599,178 +606,337 @@ class ModelDocument:
     spans: dict = field(default_factory=dict)
 
 
-_NAME_OK = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_COMMENT = re.compile(r"#(?![A-Za-z_])[^\n]*")
+_NEWLINE = re.compile(r"\n")
+_BLANKS = r"[ \t\r\n]*"
+_NAME_TEXT = r"[A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_])"
+_NAME_AT = re.compile(_NAME_TEXT)
+_ELSE = f"{_BLANKS}else(?![A-Za-z0-9_])"
 
 
-def _check_name(tok: Token, what: str) -> str:
-    if tok.text in RESERVED or tok.text in ("y1", "y2") or _Z_PATTERN.match(tok.text):
-        raise SemanticError(f"{tok.text!r} is reserved and cannot name a {what}",
-                            tok.line, tok.col)
-    return tok.text
+class _Part(NamedTuple):
+    items: tuple[str, ...]
+    pattern: str
 
 
-# a guard runs to the next ";" or to the end of the input, whose token is
-# the only one with empty text
-_GUARD_ENDS = frozenset({";", ""})
-_kind_and_text = itemgetter(0, 1)
+def _part(*items: str) -> _Part:
+    """A part of a declaration: its items in order, and one anchored pattern
+    that matches them with the blanks before each.  ``<x>`` is a name and
+    ``<x*>`` a run of names, maybe empty, each captured as group ``x``; any
+    other item is a keyword or a symbol.  The parts are matched one by one
+    only to find an error, so their patterns are compiled when first used."""
+    regex = []
+    for item in items:
+        if item.endswith("*>"):
+            regex.append(f"(?P<{item[1:-2]}>(?:{_BLANKS}{_NAME_TEXT})*)")
+        elif item[0] == "<":
+            regex.append(f"{_BLANKS}(?P<{item[1:-1]}>{_NAME_TEXT})")
+        elif item[0].isalpha():
+            regex.append(f"{_BLANKS}{item}(?![A-Za-z0-9_])")
+        else:
+            regex.append(_BLANKS + re.escape(item))
+    return _Part(items, "".join(regex))
 
 
-def _parse_shared_guard(ts: _Stream,
-                        parsed: dict[tuple, PresFormula]) -> PresFormula:
-    """The guard at ``ts``.  ``parsed`` maps the kinds and texts of a
-    guard's tokens to its formula, so that each distinct guard of a model is
-    parsed once; formulas are immutable, so equal guards share one."""
-    tokens = ts.tokens
-    start = end = ts.pos
-    while tokens[end][1] not in _GUARD_ENDS:
-        end += 1
-    key = tuple(map(_kind_and_text, tokens[start:end]))
-    guard = parsed.get(key)
-    if guard is None:
-        guard = _parse_guard_expr(ts)
-        if ts.pos == end:       # else the caller's expect(";") fails
-            parsed[key] = guard
-    else:
-        ts.pos = end
-    return guard
+# the parts that a declaration is read in when it has an error
+_KEYWORD = _part("<word>")
+_NAME_LIST = _part("<names*>", ";")
+_STATE_NAME = _part("<state>")
+_STATE_BODY = _part("{", "avail", ":", "<avail*>", ";",
+                    "label", ":", "<label*>", ";", "}")
+_GUARD_HEAD = _part("<src>", "->", "<dst>", ":")
+_SEMICOLON = _part(";")
+
+# A whole declaration, or the end of the text, in one match.  ``lastgroup``
+# tells which: ``actions``, ``props``, ``label`` (a state), ``else`` or
+# ``guard`` (a guard with its text through the ";"), or ``end``.
+_DECLARATION = re.compile("|".join([
+    _part("actions", "<actions*>", ";").pattern,
+    _part("props", "<props*>", ";").pattern,
+    _part("state", *_STATE_NAME.items, *_STATE_BODY.items).pattern,
+    _part("guard", *_GUARD_HEAD.items).pattern
+    + f"(?:{_ELSE}{_BLANKS}(?P<else>;)|(?!{_ELSE})(?P<guard>[^;]*;))",
+    _BLANKS + r"(?P<end>\Z)"]))
+
+
+def _is_reserved(name: str) -> bool:
+    return name in RESERVED or name in ("y1", "y2") or bool(_Z_PATTERN.match(name))
+
+
+class _ModelReader:
+    """The declarations of one model text, read in order."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.blank = _COMMENT.sub(lambda m: " " * len(m.group()), text)
+        self.line_starts = [0] + [m.end() for m in _NEWLINE.finditer(text)]
+        self.actions: dict[str, None] = {}
+        self.props: dict[str, None] = {}
+        self.states: dict[str, None] = {}
+        self.avail: dict[str, frozenset[str]] = {}
+        self.labels: dict[str, frozenset[str]] = {}
+        self.guards: dict[tuple[str, str], PresFormula] = {}
+        self.else_edges: dict[str, str] = {}
+        self.spans: dict = {}
+        # guard text -> formula; equal texts share one immutable formula
+        self.parsed: dict[str, PresFormula] = {}
+        # (group, text) of a run of names -> its checked set; states of a
+        # model tend to repeat their lists
+        self.name_sets: dict[tuple[str, str], frozenset[str]] = {}
+
+    # -- positions and errors
+
+    def where(self, offset: int) -> tuple[int, int]:
+        """1-based line and column of an offset."""
+        line = bisect_right(self.line_starts, offset)
+        return line, offset - self.line_starts[line - 1] + 1
+
+    def _end_of_input(self) -> tuple[int, int]:
+        """Where ``tokenize`` puts ``eof``: at the comment that ends the
+        last line, if any."""
+        start = self.line_starts[-1]
+        comment = _COMMENT.search(self.text, start)
+        return self.where(comment.start() if comment else len(self.text))
+
+    def _token(self, offset: int) -> re.Match:
+        """The ``_TOKEN`` match of the first token at or after ``offset``."""
+        while (m := _TOKEN.match(self.blank, offset)).lastgroup == "newline":
+            offset = m.end()
+        return m
+
+    def _mismatch(self, part: _Part, offset: int) -> ParseError:
+        """The error at the first token from ``offset`` that does not fit
+        ``part``, which does not match there."""
+        for item in part.items:
+            m = self._token(offset)
+            kind = m.lastgroup
+            if item.endswith("*>"):
+                while kind == "name":
+                    m = self._token(m.end())
+                    kind = m.lastgroup
+                offset = m.start()
+                continue
+            if item[0] == "<":
+                fits, want = kind == "name", "name"
+            else:
+                wanted_kind = "name" if item[0].isalpha() else "sym"
+                fits, want = kind == wanted_kind and m.group(kind) == item, item
+            if not fits:
+                found = m.group(kind) if kind in _TEXT_KINDS else ""
+                where = (self._end_of_input() if kind == "eof"
+                         else self.where(m.end(1)))
+                return ParseError(f"expected {want!r}, found "
+                                  f"{found or 'end of input'!r}", *where)
+            offset = m.end()
+        raise AssertionError(f"{part.items} matches at {offset}")
+
+    def match(self, part: _Part, offset: int) -> re.Match:
+        m = re.compile(part.pattern).match(self.blank, offset)
+        if m is None:
+            raise self._mismatch(part, offset)
+        return m
+
+    def names(self, m: re.Match, group: str) -> list[tuple[str, int]]:
+        """The names in a run of names, each with its offset."""
+        return [(n.group(), n.start())
+                for n in _NAME_AT.finditer(self.blank, m.start(group), m.end(group))]
+
+    def named(self, name: str, offset: int, what: str) -> str:
+        if _is_reserved(name):
+            raise SemanticError(f"{name!r} is reserved and cannot name a {what}",
+                                *self.where(offset))
+        return name
+
+    # -- declarations
+
+    def read(self) -> None:
+        blank = self.blank
+        offset = 0
+        while True:
+            m = _DECLARATION.match(blank, offset)
+            if m is None:
+                self._fail(offset)
+            kind = m.lastgroup
+            if kind == "guard" or kind == "else":
+                src, dst = self._edge(m)
+                if kind == "else":
+                    self._else(src, dst)
+                else:
+                    self.guards[(src, dst)] = self._guard_text(m.start("guard"),
+                                                               m.end())
+            elif kind == "label":
+                name = self._state(m)
+                self.avail[name] = self._known(m, "avail")
+                self.labels[name] = self._known(m, "label")
+            elif kind == "end":
+                return
+            else:
+                # the keyword ends where the run of names starts
+                keyword_at = m.start(kind) - len(kind)
+                self._list_keyword(kind, keyword_at)
+                self._list(kind, m, keyword_at)
+            offset = m.end()
+
+    def _fail(self, offset: int) -> NoReturn:
+        """Raise the first error of the declaration at ``offset``, which
+        ``_DECLARATION`` does not match, reading it part by part with the
+        checks in the same order."""
+        m = self.match(_KEYWORD, offset)
+        word = m.group("word")
+        if word in ("actions", "props"):
+            self._list_keyword(word, m.start("word"))
+            self.match(_NAME_LIST, m.end())
+        elif word == "state":
+            m = self.match(_STATE_NAME, m.end())
+            self._state(m)
+            self.match(_STATE_BODY, m.end())
+        elif word == "guard":
+            m = self.match(_GUARD_HEAD, m.end())
+            src, dst = self._edge(m)
+            otherwise = re.compile(_ELSE).match(self.blank, m.end())
+            if otherwise:
+                self._else(src, dst)
+                self.match(_SEMICOLON, otherwise.end())
+            else:
+                self._guard_text(m.end(), len(self.blank))
+        else:
+            raise ParseError(f"unexpected declaration {word!r}",
+                             *self.where(m.start("word")))
+        raise AssertionError(f"the {word} declaration at {offset} has no error")
+
+    def _list_keyword(self, word: str, keyword_at: int) -> None:
+        if word == "actions" and self.actions:
+            raise SemanticError("duplicate actions declaration",
+                                *self.where(keyword_at))
+
+    def _list(self, word: str, m: re.Match, keyword_at: int) -> None:
+        """The names of an ``actions`` or ``props`` declaration, in group
+        ``word`` of ``m``."""
+        into, what, kind = ((self.actions, "action", "action") if word == "actions"
+                            else (self.props, "proposition", "prop"))
+        for name, offset in self.names(m, word):
+            if self.named(name, offset, what) in into:
+                raise SemanticError(f"duplicate {what} {name!r}",
+                                    *self.where(offset))
+            into[name] = None
+            self.spans[(kind, name)] = self.where(offset)
+        if not into and word == "actions":
+            raise SemanticError("at least one action is required",
+                                *self.where(keyword_at))
+
+    def _state(self, m: re.Match) -> str:
+        """The name of a state declaration, in group ``state`` of ``m``."""
+        offset = m.start("state")
+        name = self.named(m.group("state"), offset, "state")
+        if name in self.states:
+            raise SemanticError(f"duplicate state {name!r}", *self.where(offset))
+        self.states[name] = None
+        self.spans[("state", name)] = self.where(offset)
+        return name
+
+    def _known(self, m: re.Match, group: str) -> frozenset[str]:
+        """The actions (with idle) of group ``avail`` or the propositions of
+        group ``label`` of a state declaration, each of them declared."""
+        key = (group, m.group(group))
+        names = self.name_sets.get(key)
+        if names is None:
+            known, what, extra = ((self.actions, "action", {IDLE}) if group == "avail"
+                                  else (self.props, "proposition", set()))
+            for n in key[1].split():
+                if n not in known:
+                    offset = next(o for x, o in self.names(m, group) if x == n)
+                    raise SemanticError(f"unknown {what} {n!r}", *self.where(offset))
+            names = self.name_sets[key] = frozenset(key[1].split()) | extra
+        return names
+
+    def _edge(self, m: re.Match) -> tuple[str, str]:
+        """The two states of a guard declaration, in groups ``src`` and
+        ``dst`` of ``m``."""
+        src, dst = m.group("src", "dst")
+        self.spans[("guard", src, dst)] = src_at = self.where(m.start("src"))
+        if src not in self.states:
+            raise SemanticError(f"unknown state {src!r}", *src_at)
+        if dst not in self.states:
+            raise SemanticError(f"unknown state {dst!r}", *self.where(m.start("dst")))
+        if (src, dst) in self.guards or self.else_edges.get(src) == dst:
+            raise SemanticError(f"duplicate guard {src} -> {dst}", *src_at)
+        return src, dst
+
+    def _else(self, src: str, dst: str) -> None:
+        if src in self.else_edges:
+            raise SemanticError(f"state {src!r} already has an else edge",
+                                *self.spans[("guard", src, dst)])
+        self.else_edges[src] = dst
+
+    def _guard_text(self, start: int, end: int) -> PresFormula:
+        """The guard text from ``start`` to ``end``, through its ";"."""
+        key = self.blank[start:end]
+        guard = self.parsed.get(key)
+        if guard is None:
+            try:
+                ts = _Stream(tokenize(self.text[start:end]))
+                guard = _parse_guard_expr(ts)
+                ts.expect("sym", ";")
+            except ParseError as err:
+                # positions in the guard text, moved to the model text
+                line, col = self.where(start)
+                if err.line == 1:
+                    col += err.col - 1
+                else:
+                    line, col = line + err.line - 1, err.col
+                raise ParseError(err.message, line, col) from None
+            self.parsed[key] = guard
+        return guard
 
 
 def parse_model(text: str) -> ModelDocument:
     """Parse the model DSL; idle is implicitly available everywhere."""
-    ts = _Stream(tokenize(text))
-    tokens = ts.tokens
-    actions: list[str] = []
-    props: list[str] = []
-    states: dict[str, None] = {}          # declaration order, O(1) lookup
-    avail: dict[str, frozenset[str]] = {}
-    labels: dict[str, frozenset[str]] = {}
-    guard_texts: dict[tuple[str, str], PresFormula] = {}
-    parsed_guards: dict[tuple, PresFormula] = {}
-    else_edges: dict[str, str] = {}
-    spans: dict = {}
-
-    def names_until(stop: str) -> list[Token]:
-        start = end = ts.pos
-        while tokens[end][0] == "name":
-            end += 1
-        ts.pos = end
-        ts.expect("sym", stop)
-        return tokens[start:end]
-
-    while tokens[ts.pos][0] != "eof":
-        tok = ts.expect("name")
-        if tok.text == "actions":
-            if actions:
-                raise SemanticError("duplicate actions declaration", tok.line, tok.col)
-            for t in names_until(";"):
-                name = _check_name(t, "action")
-                if name in actions:
-                    raise SemanticError(f"duplicate action {name!r}", t.line, t.col)
-                actions.append(name)
-                spans[("action", name)] = (t.line, t.col)
-            if not actions:
-                raise SemanticError("at least one action is required",
-                                    tok.line, tok.col)
-        elif tok.text == "props":
-            for t in names_until(";"):
-                name = _check_name(t, "proposition")
-                if name in props:
-                    raise SemanticError(f"duplicate proposition {name!r}",
-                                        t.line, t.col)
-                props.append(name)
-                spans[("prop", name)] = (t.line, t.col)
-        elif tok.text == "state":
-            t = ts.expect("name")
-            name = _check_name(t, "state")
-            if name in states:
-                raise SemanticError(f"duplicate state {name!r}", t.line, t.col)
-            states[name] = None
-            spans[("state", name)] = (t.line, t.col)
-            ts.expect("sym", "{")
-            ts.expect("name", "avail")
-            ts.expect("sym", ":")
-            listed = names_until(";")
-            ts.expect("name", "label")
-            ts.expect("sym", ":")
-            labelled = names_until(";")
-            ts.expect("sym", "}")
-            for a in listed:
-                if a.text not in actions:
-                    raise SemanticError(f"unknown action {a.text!r}", a.line, a.col)
-            for p in labelled:
-                if p.text not in props:
-                    raise SemanticError(f"unknown proposition {p.text!r}",
-                                        p.line, p.col)
-            avail[name] = frozenset(a.text for a in listed) | {IDLE}
-            labels[name] = frozenset(p.text for p in labelled)
-        elif tok.text == "guard":
-            src = ts.expect("name")
-            ts.expect("sym", "->")
-            dst = ts.expect("name")
-            ts.expect("sym", ":")
-            spans[("guard", src.text, dst.text)] = (src.line, src.col)
-            if src.text not in states:
-                raise SemanticError(f"unknown state {src.text!r}", src.line, src.col)
-            if dst.text not in states:
-                raise SemanticError(f"unknown state {dst.text!r}", dst.line, dst.col)
-            if (src.text, dst.text) in guard_texts or \
-                    else_edges.get(src.text) == dst.text:
-                raise SemanticError(f"duplicate guard {src.text} -> {dst.text}",
-                                    src.line, src.col)
-            if tokens[ts.pos][:2] == ("name", "else"):
-                ts.pos += 1
-                if src.text in else_edges:
-                    raise SemanticError(f"state {src.text!r} already has an "
-                                        "else edge", src.line, src.col)
-                else_edges[src.text] = dst.text
-            else:
-                guard_texts[(src.text, dst.text)] = _parse_shared_guard(
-                    ts, parsed_guards)
-            ts.expect("sym", ";")
-        else:
-            raise ParseError(f"unexpected declaration {tok.text!r}",
-                             tok.line, tok.col)
-
-    if not states:
+    reader = _ModelReader(text)
+    try:
+        reader.read()
+    except (ParseError, SemanticError):
+        tokenize(text)      # a character that starts no token comes first
+        raise
+    if not reader.states:
         raise SemanticError("a model needs at least one state")
+    guards, avail = reader.guards, reader.avail
 
     # Expand else edges into the conjunction of the negated sibling guards.
     # Equal guards are one shared object, so the memos below key on object
-    # ids, which stay valid while ``guard_texts`` holds every guard, and
-    # hash no formula tree.
+    # ids, which stay valid while ``guards`` holds every guard, and hash no
+    # formula tree.
     siblings: dict[str, list[PresFormula]] = {}
-    for (src, _), g in guard_texts.items():
+    for (src, _), g in guards.items():
         siblings.setdefault(src, []).append(g)
     negated: dict[tuple[int, ...], PresFormula] = {}
-    for src, dst in else_edges.items():
+    for src, dst in reader.else_edges.items():
         sibs = siblings.get(src, ())
         key = tuple(map(id, sibs))
         if key not in negated:
             negated[key] = conj(tuple(neg(g) for g in sibs))
-        guard_texts[(src, dst)] = negated[key]
+        guards[(src, dst)] = negated[key]
 
-    table = ActionTable(tuple(actions))
-    model = HdmasModel(states=tuple(states), table=table, avail=avail,
-                       guards=guard_texts, props=tuple(props), labels=labels)
+    table = ActionTable(tuple(reader.actions))
+    model = HdmasModel(states=tuple(reader.states), table=table, avail=avail,
+                       guards=guards, props=tuple(reader.props),
+                       labels=reader.labels)
 
-    # each guard is checked once per set of available actions
+    # each guard is checked once per set of available actions; the guard
+    # grammar has no quantifiers, so only the counters need checking
     checked: set[tuple[int, frozenset[str]]] = set()
-    for (src, dst), g in guard_texts.items():
+    for (src, dst), g in guards.items():
         key = (id(g), avail[src])
         if key in checked:
             continue
-        line, col = spans.get(("guard", src, dst), (0, 0))
-        if not is_quantifier_free(g):
-            raise SemanticError("guards must be quantifier-free", line, col)
         legal = {counter_name(a) for a in avail[src]} - {counter_name(IDLE)}
         stray = free_vars(g) - legal
         if stray:
             raise SemanticError(
                 f"guard {src} -> {dst} uses counters unavailable at {src}: "
-                + ", ".join(sorted(stray)), line, col)
+                + ", ".join(sorted(stray)), *reader.spans[("guard", src, dst)])
         checked.add(key)
 
-    return ModelDocument(source=text, model=model, spans=spans)
+    return ModelDocument(source=text, model=model, spans=reader.spans)
 
 
 def model_to_text(model: HdmasModel) -> str:

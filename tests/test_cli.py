@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import hdmas.engine
 from helpers import ring_text
 from hdmas import cli
 from hdmas.cli import main
@@ -265,20 +266,101 @@ def test_dump_prf_keeps_the_quantifier_prefix(capsys, monkeypatch):
     model = parse_model(pathlib.Path(FIG2).read_text()).model
     checker = ModelChecker(model)
     decided = []
-    monkeypatch.setattr(checker, "_decide",
-                        lambda phi, symmetry: decided.append(phi) or True)
+    monkeypatch.setattr(hdmas.engine, "decide",
+                        lambda phi, stats, symmetry: decided.append(phi) or True)
     checker._pre_states(Y1, Nat(2), model.prop_mask("p"), {}, ((EXISTS, 1),),
                         0, 1 << model.index("s1"))
     assert out == guard_to_str(decided[0]) + "\n"
 
 
-def test_main_builds_no_parser(capsys, monkeypatch):
-    def rebuilt():
-        raise AssertionError("main built a parser")
+def test_main_reads_sys_argv_when_given_no_arguments(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["hdmas-verify", "check-model", FIG2])
+    assert main() == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "well-formed"
 
-    monkeypatch.setattr(cli, "build_parser", rebuilt)
-    code, out, _ = run_cli(capsys, "check-model", FIG2)
-    assert code == 0 and out.splitlines()[-1] == "well-formed"
+
+def _extension(out):
+    return json.loads(out)["extension"]
+
+
+@pytest.mark.parametrize("spelling", [
+    ["-f", "<<7,5>> X p"], ["-f<<7,5>> X p"], ["-f=<<7,5>> X p"],
+    ["--formula", "<<7,5>> X p"], ["--formula=<<7,5>> X p"],
+    ["--formula", "<<7,5>> X p", "--stat=s1"],
+], ids=["short", "short-attached", "short-equals", "long", "long-equals", "prefix"])
+def test_every_spelling_of_an_option_gives_the_same_result(capsys, spelling):
+    code, out, _ = run_cli(capsys, "verify", FIG2, "-f", "<<7,5>> X p", "--json")
+    expected = _extension(out)
+    code, out, err = run_cli(capsys, "verify", FIG2, *spelling, "--js")
+    assert (code, err) == (0, "")
+    assert _extension(out) == expected
+
+
+def test_options_and_the_model_come_in_any_order(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--json", "-f", "<<7,5>> X p", FIG2)
+    first = _extension(out)
+    code, out, _ = run_cli(capsys, "verify", FIG2, "-f", "<<7,5>> X p", "--json")
+    assert code == 0 and _extension(out) == first
+    code, out, _ = run_cli(capsys, "verify", "-f", "<<1,1>> X q", "--", FIG2)
+    assert code == 0 and out.startswith("extension:")
+
+
+def test_repeated_assign_binds_each_symbol(capsys):
+    code, out, _ = run_cli(capsys, "verify", FIG2, "-f", "<<7,5>> X p", "--json")
+    expected = _extension(out)
+    code, out, err = run_cli(capsys, "verify", FIG2, "-f", "<<z1,z2>> X p",
+                             "--assign", "z1=7", "--assign=z2=5", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["assignment"] == {"z1": 7, "z2": 5}
+    assert _extension(out) == expected
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["verify", FIG2, "-f", "p", "--json", "--plain"], "--plain"),
+    (["verify", FIG2, "-f", "p", "--formula-file", FIG2], "--formula-file"),
+    (["verify", FIG2, "-f", "p", "--bogus"], "--bogus"),
+    (["verify", FIG2, "-f", "p", "-x"], "-x"),
+    (["verify", FIG2, "-f", "p", "--form", "q"], "--form"),
+    (["verify", FIG2, "-f"], "-f/--formula"),
+    (["verify", FIG2, "--state"], "--state"),
+    (["verify", FIG2, "-f", "p", "--json=yes"], "--json"),
+    (["verify", "-f", "p"], "model"),
+    (["verify", FIG2, FIG2, "-f", "p"], FIG2),
+    (["check-model", FIG2, "-f", "p"], "-f"),
+    (["bogus", FIG2], "bogus"),
+    (["--json", "check-model", FIG2], "--json"),
+    ([], "command"),
+], ids=["json-and-plain", "two-formulas", "unknown-long", "unknown-short",
+        "ambiguous-prefix", "missing-formula-value", "missing-value",
+        "value-for-a-switch", "no-model", "two-models", "option-of-another-command",
+        "unknown-command", "option-before-the-command", "nothing"])
+def test_a_bad_command_line_prints_usage_and_exits_2(capsys, argv, named):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: hdmas-verify")
+    assert error.startswith("hdmas-verify") and ": error: " in error
+    assert named in error
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"], ["verify", "-h"],
+                                  ["verify", FIG2, "--help"], ["check-model", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith("usage: hdmas-verify")
+    if argv[0] == "verify":
+        for option in ("-f, --formula FORMULA", "--formula-file FILE",
+                       "--assign SYM=N", "--state NAME", "--oracle", "--dump-nf",
+                       "--dump-prf s=NAME", "--json", "--plain"):
+            assert option in captured.out
+    elif argv[0] != "check-model":
+        assert "check-model" in captured.out and "verify" in captured.out
 
 
 def test_the_shared_parser_keeps_no_state_between_calls(capsys):

@@ -222,14 +222,20 @@ def test_module_level_helpers(fig2):
     assert check(fig2, "s1", phi, {}) == bool(mask & 1)
 
 
-def test_memoisation_reuses_extents(fig2):
+def test_memoisation_reuses_extents(fig2, monkeypatch):
     mc = ModelChecker(fig2)
     phi = parse_formula("E y1 A y2 <<y1,y2>> X (p|q)")
+    decided = []
+    original = hdmas.engine.decide
+    monkeypatch.setattr(hdmas.engine, "decide",
+                        lambda *args, **kwargs: decided.append(args[0])
+                        or original(*args, **kwargs))
     first = mc.global_mc(phi, {})
-    decided = len(mc._decisions)
+    assert decided
+    decided.clear()
     second = mc.global_mc(phi, {})
     assert first == second
-    assert len(mc._decisions) == decided
+    assert decided == []
 
 
 # -- the cached, semi-naive engine against the per-state reference ---------

@@ -40,6 +40,11 @@ ERRORS = [
      "SemanticError", "4:18: unknown action 'label'", 4, 18),
     ("unknown-prop", H + "state t { avail: ; label: p q; }\n",
      "SemanticError", "4:29: unknown proposition 'q'", 4, 29),
+    ("label-before-its-prop", H + "state t { avail: ; label: q; }\nprops q;\n",
+     "SemanticError", "4:27: unknown proposition 'q'", 4, 27),
+    ("repeated-list-with-unknown", H + "state t { avail: a; label: p; }\n"
+     "state u { avail: a b c; label: p; }\n",
+     "SemanticError", "5:22: unknown action 'c'", 5, 22),
     ("block-before-unknown-action", H + "state t { avail: c; label ; }\n",
      "ParseError", "4:27: expected ':', found ';'", 4, 27),
     ("unknown-source", H + "guard t -> s : else;\n",
@@ -169,6 +174,14 @@ def _model_texts():
         "state t { avail: a b a; label: ; }\n"
         "guard s -> t : else ;\nguard t->s:#a>#b # a comment\n"
         "  || #b = 2*#a;\nguard t -> t : else;")
+    texts["props-before-actions"] = (
+        "props p;\nactions a;\nstate s { avail: a; label: p; }\nguard s -> s : else;\n")
+    texts["repeated-lists"] = (
+        "actions a b;\nprops p;\nstate s { avail: a b; label: p; }\n"
+        "state t { avail: a b; label: p; }\nstate u { avail: b  a; label: ; }\n"
+        "guard s -> t : #a > #b;\nguard s -> s : else;\nguard t -> u : #a>#b;\n"
+        "guard t -> t : else;\nguard u -> u : #a > #b # the same guard\n;\n"
+        "guard u -> s : else;\n")
     for n in (3, 10, 80):
         texts[f"ring-{n}"] = ring_text(n)
     texts["broken-ring-6"] = ring_text(6, {2: "#a = #b", 4: "#a < #b"})
@@ -189,6 +202,8 @@ DIGESTS = {
     'fig2-tabs': 'e7fb5bff8f9a4115',
     'fig2-no-final-newline': 'e7fb5bff8f9a4115',
     'split-declarations': '85090d1d850df800',
+    'props-before-actions': '70ce499a33ee60e7',
+    'repeated-lists': '176928ccd52b9073',
     'ring-3': 'f794c7059246d4ef',
     'ring-10': 'cdf7cb60dd0fa935',
     'ring-80': '11642819008f468b',
