@@ -31,7 +31,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple, NoReturn, Optional
+from typing import NoReturn, Optional
 
 from .engine import (EngineError, ModelChecker, UnassignedParameter,
                      quantified_prf, _resolve_term)
@@ -233,95 +233,77 @@ def run(config: RunConfig) -> int:
 
 
 PROG = "hdmas-verify"
-
-
-class _Option(NamedTuple):
-    name: str                   # the long form, which keys its value
-    short: Optional[str]
-    metavar: Optional[str]      # None for a switch
-    help: str
-
-    def shown(self) -> str:
-        return f"{self.short}/{self.name}" if self.short else self.name
-
-
-class _Command(NamedTuple):
-    help: str
-    usage: str
-    options: tuple[_Option, ...]
-    exclusive: tuple[tuple[str, str], ...] = ()
-    one_of: tuple[str, ...] = ()    # one of these options is required
-
-
-_HELP = _Option("--help", "-h", None, "show this help and exit")
-
-_COMMANDS = {
-    "check-model": _Command(
-        "run the well-formedness checks",
-        f"usage: {PROG} check-model [-h] [--json] MODEL",
-        (_HELP, _Option("--json", None, None, "print the report as JSON"))),
-    "verify": _Command(
-        "compute the extension of a formula",
-        f"usage: {PROG} verify [-h] (-f FORMULA | --formula-file FILE) "
-        "[--assign SYM=N] [--state NAME] [--oracle] [--dump-nf] "
-        "[--dump-prf s=NAME] [--json | --plain] MODEL",
-        (_HELP,
-         _Option("--formula", "-f", "FORMULA", "formula text"),
-         _Option("--formula-file", None, "FILE", "read the formula from a file"),
-         _Option("--assign", None, "SYM=N",
-                 "bind a parameter or free agent counter; repeatable"),
-         _Option("--state", None, "NAME", "also decide membership of one state"),
-         _Option("--oracle", None, None,
-                 "use explicit enumeration instead of the symbolic engine"),
-         _Option("--dump-nf", None, None, "print the normal form and exit"),
-         _Option("--dump-prf", None, "s=NAME",
-                 "print the controllability formula for a state"),
-         _Option("--json", None, None, "print the result as JSON"),
-         _Option("--plain", None, None, "print the result as text (the default)")),
-        exclusive=(("--formula", "--formula-file"), ("--json", "--plain")),
-        one_of=("--formula", "--formula-file")),
+# the options of each subcommand: long name -> metavar, or None for a switch
+_OPTIONS = {
+    "check-model": {"--help": None, "--json": None},
+    "verify": {"--help": None, "--formula": "FORMULA", "--formula-file": "FILE",
+               "--assign": "SYM=N", "--state": "NAME", "--oracle": None,
+               "--dump-nf": None, "--dump-prf": "s=NAME", "--json": None,
+               "--plain": None},
 }
-_TOP_USAGE = f"usage: {PROG} [-h] {{{','.join(_COMMANDS)}}} ..."
+_SHORT = {"-h": "--help", "-f": "--formula"}
+_EXCLUSIVE = (("--formula", "--formula-file"), ("--json", "--plain"))
+_USAGE = {
+    None: f"usage: {PROG} [-h] {{check-model,verify}} ...",
+    "check-model": f"usage: {PROG} check-model [-h] [--json] MODEL",
+    "verify": f"usage: {PROG} verify [-h] (-f FORMULA | --formula-file FILE) "
+              "[--assign SYM=N] [--state NAME] [--oracle] [--dump-nf] "
+              "[--dump-prf s=NAME] [--json | --plain] MODEL",
+}
+_HELP = {
+    None: """
+Model checker for strategic properties of homogeneous dynamic multi-agent systems
+
+commands:
+  check-model  run the well-formedness checks
+  verify       compute the extension of a formula
+
+Run 'hdmas-verify COMMAND -h' for the options of a command.""",
+    "check-model": """
+run the well-formedness checks
+
+options:
+  -h, --help              show this help and exit
+  --json                  print the report as JSON""",
+    "verify": """
+compute the extension of a formula
+
+options:
+  -h, --help              show this help and exit
+  -f, --formula FORMULA   formula text
+  --formula-file FILE     read the formula from a file
+  --assign SYM=N          bind a parameter or free agent counter; repeatable
+  --state NAME            also decide membership of one state
+  --oracle                use explicit enumeration instead of the symbolic engine
+  --dump-nf               print the normal form and exit
+  --dump-prf s=NAME       print the controllability formula for a state
+  --json                  print the result as JSON
+  --plain                 print the result as text (the default)""",
+}
+
+
+def _shown(name: str) -> str:
+    """An option as usage names it: ``-f/--formula``, ``--json``."""
+    return next((f"{s}/{name}" for s, long in _SHORT.items() if long == name), name)
 
 
 def _fail(command: Optional[str], message: str) -> NoReturn:
     """Report a bad command line as argparse does: usage, error, exit 2."""
-    usage = _COMMANDS[command].usage if command else _TOP_USAGE
     prog = f"{PROG} {command}" if command else PROG
-    print(f"{usage}\n{prog}: error: {message}", file=sys.stderr)
+    print(f"{_USAGE[command]}\n{prog}: error: {message}", file=sys.stderr)
     raise SystemExit(EXIT_SEMANTIC)
 
 
-def _help(command: Optional[str]) -> NoReturn:
-    if command is None:
-        lines = [_TOP_USAGE, "", "Model checker for strategic properties of "
-                 "homogeneous dynamic multi-agent systems", "", "commands:"]
-        lines += [f"  {name:<13}{c.help}" for name, c in _COMMANDS.items()]
-        lines += ["", f"Run '{PROG} COMMAND -h' for the options of a command."]
-    else:
-        spec = _COMMANDS[command]
-        lines = [spec.usage, "", spec.help, "", "positional arguments:",
-                 f"  {'MODEL':<24}the model file", "", "options:"]
-        for o in spec.options:
-            flags = f"{o.short}, {o.name}" if o.short else o.name
-            if o.metavar:
-                flags += f" {o.metavar}"
-            lines.append(f"  {flags:<24}{o.help}")
-    print("\n".join(lines))
-    raise SystemExit(EXIT_OK)
-
-
-def _long_option(command: Optional[str], options, flag: str) -> _Option:
-    """The option ``flag`` names in full or as a unique prefix."""
-    for o in options:
-        if o.name == flag:
-            return o
-    matches = [o for o in options if o.name.startswith(flag)]
+def _long_option(command: Optional[str], flag: str) -> str:
+    """The long option that ``flag`` names in full or as a unique prefix."""
+    options = _OPTIONS[command] if command else ("--help",)
+    if flag in options:
+        return flag
+    matches = [name for name in options if name.startswith(flag)]
     if len(matches) == 1:
         return matches[0]
     if matches:
-        _fail(command, f"ambiguous option: {flag} could match "
-              + ", ".join(o.name for o in matches))
+        _fail(command, f"ambiguous option: {flag} could match {', '.join(matches)}")
     _fail(command, f"unrecognized option {flag}")
 
 
@@ -331,17 +313,16 @@ def parse_argv(argv: list[str]) -> tuple[str, str, dict]:
     ``options`` maps the long name of each option given to ``True`` for a
     switch, to the last value given, or for ``--assign`` to the list of its
     values.  A bad command line exits with status 2, ``-h`` with 0."""
-    if not argv or argv[0] not in _COMMANDS:
-        if not argv:
-            _fail(None, "a command is required: " + " or ".join(_COMMANDS))
-        if argv[0].startswith("--") and len(argv[0]) > 2:
-            _long_option(None, (_HELP,), argv[0])
-            _help(None)
-        if argv[0] == "-h":
-            _help(None)
-        _fail(None, f"invalid command {argv[0]!r} (choose from "
-              + ", ".join(_COMMANDS) + ")")
-    command, spec = argv[0], _COMMANDS[argv[0]]
+    if not argv:
+        _fail(None, "a command is required: check-model or verify")
+    command = argv[0]
+    if command not in _OPTIONS:
+        # the only option before a command is --help, or a prefix of it
+        if command == "-h" or command.startswith("--") and _long_option(None, command):
+            print(_USAGE[None] + "\n" + _HELP[None])
+            raise SystemExit(EXIT_OK)
+        _fail(None, f"invalid command {command!r} (choose from check-model, verify)")
+    options = _OPTIONS[command]
     values: dict = {}
     positional: list[str] = []
     args = iter(argv[1:])
@@ -351,44 +332,41 @@ def parse_argv(argv: list[str]) -> tuple[str, str, dict]:
             break
         if arg.startswith("--"):
             flag, eq, value = arg.partition("=")
-            option = _long_option(command, spec.options, flag)
+            name = _long_option(command, flag)
             value = value if eq else None
         elif arg.startswith("-") and len(arg) > 1:
-            option = next((o for o in spec.options if o.short == arg[:2]), None)
-            if option is None:
+            name = _SHORT.get(arg[:2])
+            if name not in options:
                 _fail(command, f"unrecognized option {arg[:2]}")
             value = arg[2:].removeprefix("=") or None
         else:
             positional.append(arg)
             continue
-        if option is _HELP:
-            _help(command)
-        if option.metavar is None:
+        if name == "--help":
+            print(_USAGE[command] + "\n" + _HELP[command])
+            raise SystemExit(EXIT_OK)
+        if options[name] is None:
             if value is not None:
-                _fail(command, f"option {option.shown()} takes no value")
-            values[option.name] = True
+                _fail(command, f"option {_shown(name)} takes no value")
+            values[name] = True
             continue
         if value is None:
             value = next(args, None)
             if value is None or (value.startswith("-") and len(value) > 1):
-                _fail(command, f"option {option.shown()} needs a value "
-                      f"{option.metavar}")
-        if option.name == "--assign":
-            values.setdefault(option.name, []).append(value)
+                _fail(command, f"option {_shown(name)} needs a value {options[name]}")
+        if name == "--assign":
+            values.setdefault(name, []).append(value)
         else:
-            values[option.name] = value
-    if not positional:
-        _fail(command, "the model file is required")
-    if len(positional) > 1:
-        _fail(command, f"unexpected argument {positional[1]!r}")
-    shown = {o.name: o.shown() for o in spec.options}
-    for first, second in spec.exclusive:
+            values[name] = value
+    if len(positional) != 1:
+        _fail(command, f"unexpected argument {positional[1]!r}" if positional
+              else "the model file is required")
+    for first, second in _EXCLUSIVE:
         if first in values and second in values:
-            _fail(command, f"option {shown[second]} is not allowed with "
-                  f"{shown[first]}")
-    if spec.one_of and not any(name in values for name in spec.one_of):
-        _fail(command, "one of the options "
-              + " ".join(shown[name] for name in spec.one_of) + " is required")
+            _fail(command, f"option {_shown(second)} is not allowed with {_shown(first)}")
+    if command == "verify" and "--formula" not in values \
+            and "--formula-file" not in values:
+        _fail(command, "one of the options -f/--formula --formula-file is required")
     return command, positional[0], values
 
 

@@ -16,7 +16,7 @@ starts a line comment.  Formulas follow
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple, NoReturn, Optional
@@ -35,7 +35,6 @@ from .presburger import (DVD, EQ, And, AtomF, Exists, FalseF, Forall,
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
-        self.message = message
         self.line = line
         self.col = col
 
@@ -608,55 +607,27 @@ class ModelDocument:
 
 _COMMENT = re.compile(r"#(?![A-Za-z_])[^\n]*")
 _NEWLINE = re.compile(r"\n")
-_BLANKS = r"[ \t\r\n]*"
-_NAME_TEXT = r"[A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_])"
-_NAME_AT = re.compile(_NAME_TEXT)
-_ELSE = f"{_BLANKS}else(?![A-Za-z0-9_])"
+_B = r"[ \t\r\n]*"                                  # blanks
+_W = r"(?![A-Za-z0-9_])"                            # the end of a word
+_N = r"[A-Za-z_][A-Za-z0-9_]*" + _W                # a name
+_NAME = re.compile(_N)
 
 
-class _Part(NamedTuple):
-    items: tuple[str, ...]
-    pattern: str
+def _names(group: str) -> str:
+    return f"(?P<{group}>(?:{_B}{_N})*)"
 
-
-def _part(*items: str) -> _Part:
-    """A part of a declaration: its items in order, and one anchored pattern
-    that matches them with the blanks before each.  ``<x>`` is a name and
-    ``<x*>`` a run of names, maybe empty, each captured as group ``x``; any
-    other item is a keyword or a symbol.  The parts are matched one by one
-    only to find an error, so their patterns are compiled when first used."""
-    regex = []
-    for item in items:
-        if item.endswith("*>"):
-            regex.append(f"(?P<{item[1:-2]}>(?:{_BLANKS}{_NAME_TEXT})*)")
-        elif item[0] == "<":
-            regex.append(f"{_BLANKS}(?P<{item[1:-1]}>{_NAME_TEXT})")
-        elif item[0].isalpha():
-            regex.append(f"{_BLANKS}{item}(?![A-Za-z0-9_])")
-        else:
-            regex.append(_BLANKS + re.escape(item))
-    return _Part(items, "".join(regex))
-
-
-# the parts that a declaration is read in when it has an error
-_KEYWORD = _part("<word>")
-_NAME_LIST = _part("<names*>", ";")
-_STATE_NAME = _part("<state>")
-_STATE_BODY = _part("{", "avail", ":", "<avail*>", ";",
-                    "label", ":", "<label*>", ";", "}")
-_GUARD_HEAD = _part("<src>", "->", "<dst>", ":")
-_SEMICOLON = _part(";")
 
 # A whole declaration, or the end of the text, in one match.  ``lastgroup``
 # tells which: ``actions``, ``props``, ``label`` (a state), ``else`` or
 # ``guard`` (a guard with its text through the ";"), or ``end``.
 _DECLARATION = re.compile("|".join([
-    _part("actions", "<actions*>", ";").pattern,
-    _part("props", "<props*>", ";").pattern,
-    _part("state", *_STATE_NAME.items, *_STATE_BODY.items).pattern,
-    _part("guard", *_GUARD_HEAD.items).pattern
-    + f"(?:{_ELSE}{_BLANKS}(?P<else>;)|(?!{_ELSE})(?P<guard>[^;]*;))",
-    _BLANKS + r"(?P<end>\Z)"]))
+    f"{_B}actions{_W}{_names('actions')}{_B};",
+    f"{_B}props{_W}{_names('props')}{_B};",
+    f"{_B}state{_W}{_B}(?P<state>{_N}){_B}\\{{{_B}avail{_W}{_B}:{_names('avail')}"
+    f"{_B};{_B}label{_W}{_B}:{_names('label')}{_B};{_B}}}",
+    f"{_B}guard{_W}{_B}(?P<src>{_N}){_B}->{_B}(?P<dst>{_N}){_B}:"
+    f"(?:{_B}else{_W}{_B}(?P<else>;)|(?!{_B}else{_W})(?P<guard>[^;]*;))",
+    f"{_B}(?P<end>\\Z)"]))
 
 
 def _is_reserved(name: str) -> bool:
@@ -664,7 +635,8 @@ def _is_reserved(name: str) -> bool:
 
 
 class _ModelReader:
-    """The declarations of one model text, read in order."""
+    """The declarations of one model text, read in order.  The checks take
+    offsets into the text and compute line and column only to report."""
 
     def __init__(self, text: str):
         self.text = text
@@ -684,70 +656,10 @@ class _ModelReader:
         # model tend to repeat their lists
         self.name_sets: dict[tuple[str, str], frozenset[str]] = {}
 
-    # -- positions and errors
-
     def where(self, offset: int) -> tuple[int, int]:
         """1-based line and column of an offset."""
         line = bisect_right(self.line_starts, offset)
         return line, offset - self.line_starts[line - 1] + 1
-
-    def _end_of_input(self) -> tuple[int, int]:
-        """Where ``tokenize`` puts ``eof``: at the comment that ends the
-        last line, if any."""
-        start = self.line_starts[-1]
-        comment = _COMMENT.search(self.text, start)
-        return self.where(comment.start() if comment else len(self.text))
-
-    def _token(self, offset: int) -> re.Match:
-        """The ``_TOKEN`` match of the first token at or after ``offset``."""
-        while (m := _TOKEN.match(self.blank, offset)).lastgroup == "newline":
-            offset = m.end()
-        return m
-
-    def _mismatch(self, part: _Part, offset: int) -> ParseError:
-        """The error at the first token from ``offset`` that does not fit
-        ``part``, which does not match there."""
-        for item in part.items:
-            m = self._token(offset)
-            kind = m.lastgroup
-            if item.endswith("*>"):
-                while kind == "name":
-                    m = self._token(m.end())
-                    kind = m.lastgroup
-                offset = m.start()
-                continue
-            if item[0] == "<":
-                fits, want = kind == "name", "name"
-            else:
-                wanted_kind = "name" if item[0].isalpha() else "sym"
-                fits, want = kind == wanted_kind and m.group(kind) == item, item
-            if not fits:
-                found = m.group(kind) if kind in _TEXT_KINDS else ""
-                where = (self._end_of_input() if kind == "eof"
-                         else self.where(m.end(1)))
-                return ParseError(f"expected {want!r}, found "
-                                  f"{found or 'end of input'!r}", *where)
-            offset = m.end()
-        raise AssertionError(f"{part.items} matches at {offset}")
-
-    def match(self, part: _Part, offset: int) -> re.Match:
-        m = re.compile(part.pattern).match(self.blank, offset)
-        if m is None:
-            raise self._mismatch(part, offset)
-        return m
-
-    def names(self, m: re.Match, group: str) -> list[tuple[str, int]]:
-        """The names in a run of names, each with its offset."""
-        return [(n.group(), n.start())
-                for n in _NAME_AT.finditer(self.blank, m.start(group), m.end(group))]
-
-    def named(self, name: str, offset: int, what: str) -> str:
-        if _is_reserved(name):
-            raise SemanticError(f"{name!r} is reserved and cannot name a {what}",
-                                *self.where(offset))
-        return name
-
-    # -- declarations
 
     def read(self) -> None:
         blank = self.blank
@@ -758,81 +670,97 @@ class _ModelReader:
                 self._fail(offset)
             kind = m.lastgroup
             if kind == "guard" or kind == "else":
-                src, dst = self._edge(m)
+                src, dst = m.group("src", "dst")
+                self._edge(src, dst, m.start("src"), m.start("dst"))
                 if kind == "else":
                     self._else(src, dst)
                 else:
-                    self.guards[(src, dst)] = self._guard_text(m.start("guard"),
-                                                               m.end())
+                    self.guards[(src, dst)] = self._guard(m, offset)
             elif kind == "label":
-                name = self._state(m)
+                name = m.group("state")
+                self._state(name, m.start("state"))
                 self.avail[name] = self._known(m, "avail")
                 self.labels[name] = self._known(m, "label")
             elif kind == "end":
                 return
             else:
-                # the keyword ends where the run of names starts
-                keyword_at = m.start(kind) - len(kind)
-                self._list_keyword(kind, keyword_at)
-                self._list(kind, m, keyword_at)
+                # the keyword ends where its run of names starts
+                at = m.start(kind) - len(kind)
+                self._list_keyword(kind, at)
+                self._list(kind, m, at)
             offset = m.end()
 
     def _fail(self, offset: int) -> NoReturn:
-        """Raise the first error of the declaration at ``offset``, which
-        ``_DECLARATION`` does not match, reading it part by part with the
-        checks in the same order."""
-        m = self.match(_KEYWORD, offset)
-        word = m.group("word")
-        if word in ("actions", "props"):
-            self._list_keyword(word, m.start("word"))
-            self.match(_NAME_LIST, m.end())
-        elif word == "state":
-            m = self.match(_STATE_NAME, m.end())
-            self._state(m)
-            self.match(_STATE_BODY, m.end())
-        elif word == "guard":
-            m = self.match(_GUARD_HEAD, m.end())
-            src, dst = self._edge(m)
-            otherwise = re.compile(_ELSE).match(self.blank, m.end())
-            if otherwise:
-                self._else(src, dst)
-                self.match(_SEMICOLON, otherwise.end())
+        """Raise the first error of the declaration at ``offset``, reading
+        it again token by token with the checks in the same order."""
+        tokens = tokenize(self.text)
+        ts = _Stream(tokens)
+        ts.pos = bisect_left(tokens, self.where(offset), key=lambda t: t[2:])
+        word = ts.expect("name")
+        if word.text in ("actions", "props"):
+            self._list_keyword(word.text, self._offset(word))
+            while ts.accept("name"):
+                pass
+            ts.expect("sym", ";")
+        elif word.text == "state":
+            name = ts.expect("name")
+            self._state(name.text, self._offset(name))
+            for want in ("{", "avail", ":", None, ";", "label", ":", None, ";", "}"):
+                if want is None:            # a run of names
+                    while ts.accept("name"):
+                        pass
+                else:
+                    ts.expect("name" if want.isalpha() else "sym", want)
+        elif word.text == "guard":
+            src = ts.expect("name")
+            ts.expect("sym", "->")
+            dst = ts.expect("name")
+            ts.expect("sym", ":")
+            self._edge(src.text, dst.text, self._offset(src), self._offset(dst))
+            if ts.accept("name", "else"):
+                self._else(src.text, dst.text)
             else:
-                self._guard_text(m.end(), len(self.blank))
+                _parse_guard_expr(ts)
+            ts.expect("sym", ";")
         else:
-            raise ParseError(f"unexpected declaration {word!r}",
-                             *self.where(m.start("word")))
-        raise AssertionError(f"the {word} declaration at {offset} has no error")
+            raise ParseError(f"unexpected declaration {word.text!r}",
+                             word.line, word.col)
+        raise AssertionError(f"no error in the declaration at {offset}")
 
-    def _list_keyword(self, word: str, keyword_at: int) -> None:
+    def _offset(self, tok: Token) -> int:
+        return self.line_starts[tok.line - 1] + tok.col - 1
+
+    def _named(self, name: str, offset: int, what: str) -> str:
+        if _is_reserved(name):
+            raise SemanticError(f"{name!r} is reserved and cannot name a {what}",
+                                *self.where(offset))
+        return name
+
+    def _list_keyword(self, word: str, offset: int) -> None:
         if word == "actions" and self.actions:
-            raise SemanticError("duplicate actions declaration",
-                                *self.where(keyword_at))
+            raise SemanticError("duplicate actions declaration", *self.where(offset))
 
     def _list(self, word: str, m: re.Match, keyword_at: int) -> None:
         """The names of an ``actions`` or ``props`` declaration, in group
         ``word`` of ``m``."""
         into, what, kind = ((self.actions, "action", "action") if word == "actions"
                             else (self.props, "proposition", "prop"))
-        for name, offset in self.names(m, word):
-            if self.named(name, offset, what) in into:
-                raise SemanticError(f"duplicate {what} {name!r}",
-                                    *self.where(offset))
+        for n in _NAME.finditer(self.blank, m.start(word), m.end(word)):
+            name, offset = n.group(), n.start()
+            if self._named(name, offset, what) in into:
+                raise SemanticError(f"duplicate {what} {name!r}", *self.where(offset))
             into[name] = None
             self.spans[(kind, name)] = self.where(offset)
         if not into and word == "actions":
             raise SemanticError("at least one action is required",
                                 *self.where(keyword_at))
 
-    def _state(self, m: re.Match) -> str:
-        """The name of a state declaration, in group ``state`` of ``m``."""
-        offset = m.start("state")
-        name = self.named(m.group("state"), offset, "state")
+    def _state(self, name: str, offset: int) -> None:
+        self._named(name, offset, "state")
         if name in self.states:
             raise SemanticError(f"duplicate state {name!r}", *self.where(offset))
         self.states[name] = None
         self.spans[("state", name)] = self.where(offset)
-        return name
 
     def _known(self, m: re.Match, group: str) -> frozenset[str]:
         """The actions (with idle) of group ``avail`` or the propositions of
@@ -842,25 +770,21 @@ class _ModelReader:
         if names is None:
             known, what, extra = ((self.actions, "action", {IDLE}) if group == "avail"
                                   else (self.props, "proposition", set()))
-            for n in key[1].split():
-                if n not in known:
-                    offset = next(o for x, o in self.names(m, group) if x == n)
-                    raise SemanticError(f"unknown {what} {n!r}", *self.where(offset))
+            for n in _NAME.finditer(self.blank, m.start(group), m.end(group)):
+                if n.group() not in known:
+                    raise SemanticError(f"unknown {what} {n.group()!r}",
+                                        *self.where(n.start()))
             names = self.name_sets[key] = frozenset(key[1].split()) | extra
         return names
 
-    def _edge(self, m: re.Match) -> tuple[str, str]:
-        """The two states of a guard declaration, in groups ``src`` and
-        ``dst`` of ``m``."""
-        src, dst = m.group("src", "dst")
-        self.spans[("guard", src, dst)] = src_at = self.where(m.start("src"))
+    def _edge(self, src: str, dst: str, src_at: int, dst_at: int) -> None:
+        self.spans[("guard", src, dst)] = self.where(src_at)
         if src not in self.states:
-            raise SemanticError(f"unknown state {src!r}", *src_at)
+            raise SemanticError(f"unknown state {src!r}", *self.where(src_at))
         if dst not in self.states:
-            raise SemanticError(f"unknown state {dst!r}", *self.where(m.start("dst")))
+            raise SemanticError(f"unknown state {dst!r}", *self.where(dst_at))
         if (src, dst) in self.guards or self.else_edges.get(src) == dst:
-            raise SemanticError(f"duplicate guard {src} -> {dst}", *src_at)
-        return src, dst
+            raise SemanticError(f"duplicate guard {src} -> {dst}", *self.where(src_at))
 
     def _else(self, src: str, dst: str) -> None:
         if src in self.else_edges:
@@ -868,23 +792,18 @@ class _ModelReader:
                                 *self.spans[("guard", src, dst)])
         self.else_edges[src] = dst
 
-    def _guard_text(self, start: int, end: int) -> PresFormula:
-        """The guard text from ``start`` to ``end``, through its ";"."""
-        key = self.blank[start:end]
+    def _guard(self, m: re.Match, offset: int) -> PresFormula:
+        """The formula of the guard text in group ``guard`` of the
+        declaration ``m`` at ``offset``."""
+        key = m.group("guard")
         guard = self.parsed.get(key)
         if guard is None:
             try:
-                ts = _Stream(tokenize(self.text[start:end]))
+                ts = _Stream(tokenize(self.text[m.start("guard"):m.end()]))
                 guard = _parse_guard_expr(ts)
                 ts.expect("sym", ";")
-            except ParseError as err:
-                # positions in the guard text, moved to the model text
-                line, col = self.where(start)
-                if err.line == 1:
-                    col += err.col - 1
-                else:
-                    line, col = line + err.line - 1, err.col
-                raise ParseError(err.message, line, col) from None
+            except ParseError:
+                self._fail(offset)      # the same error, placed in the text
             self.parsed[key] = guard
         return guard
 
