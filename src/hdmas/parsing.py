@@ -519,8 +519,7 @@ def _parse_formula_unary(ts: _Stream) -> tuple[StateFormula, int]:
     if tok.kind == "name" and tok.text == "true":
         ts.next()
         return Top(), 0
-    if tok.kind == "name" and tok.text not in RESERVED \
-            and tok.text not in ("y1", "y2") and not _Z_PATTERN.match(tok.text):
+    if tok.kind == "name" and not _is_reserved(tok.text):
         ts.next()
         return Prop(tok.text), 0
     raise ParseError(f"expected a formula, found {tok.text or 'end of input'!r}",
@@ -590,10 +589,12 @@ def parse_formula(text: str) -> StateFormula:
 #
 # A model is read declaration by declaration, not token by token.  Its
 # comments are first replaced by blanks of the same length, so that an
-# offset into that copy is an offset into the text; then each part of a
-# declaration is one anchored match.  Line and column are computed from an
-# offset only for a span or an error.  Guard texts go through the
-# token-level guard parser, each distinct text once.
+# offset into that copy is an offset into the text; then each declaration
+# is one anchored match.  Line and column are computed from an offset only
+# for a span or an error.  Guard texts go through the token-level guard
+# parser, each distinct text once.  A declaration that does not match, or
+# whose guard does not parse, is read again token by token, so that its
+# error names the token that does not fit, at that token's position.
 
 
 @dataclass
@@ -821,9 +822,9 @@ def parse_model(text: str) -> ModelDocument:
     guards, avail = reader.guards, reader.avail
 
     # Expand else edges into the conjunction of the negated sibling guards.
-    # Equal guards are one shared object, so the memos below key on object
-    # ids, which stay valid while ``guards`` holds every guard, and hash no
-    # formula tree.
+    # Guards of the same text are one shared object, so the memos below key
+    # on object ids, which stay valid while ``guards`` holds every guard,
+    # and hash no formula tree.
     siblings: dict[str, list[PresFormula]] = {}
     for (src, _), g in guards.items():
         siblings.setdefault(src, []).append(g)
