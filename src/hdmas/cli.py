@@ -7,8 +7,8 @@ controllability formula).
 
     hdmas-verify check-model [--json] MODEL
     hdmas-verify verify (-f FORMULA | --formula-file FILE) [--assign SYM=N]...
-                        [--state NAME] [--oracle] [--dump-nf]
-                        [--dump-prf s=NAME] [--json | --plain] MODEL
+                        [--state NAME] [--oracle]
+                        [--dump-nf | --dump-prf s=NAME] [--json | --plain] MODEL
 
 ``--assign`` binds ``y1``, ``y2`` or ``z<n>`` to a natural number and may
 be repeated; ``--state`` also decides one state's membership; ``--oracle``
@@ -242,13 +242,16 @@ _OPTIONS = {
                "--plain": None},
 }
 _SHORT = {"-h": "--help", "-f": "--formula"}
-_EXCLUSIVE = (("--formula", "--formula-file"), ("--json", "--plain"))
+# the dumps print plain text
+_EXCLUSIVE = (("--formula", "--formula-file"), ("--json", "--plain"),
+              ("--dump-nf", "--dump-prf"), ("--dump-nf", "--json"),
+              ("--dump-prf", "--json"))
 _USAGE = {
     None: f"usage: {PROG} [-h] {{check-model,verify}} ...",
     "check-model": f"usage: {PROG} check-model [-h] [--json] MODEL",
     "verify": f"usage: {PROG} verify [-h] (-f FORMULA | --formula-file FILE) "
-              "[--assign SYM=N] [--state NAME] [--oracle] [--dump-nf] "
-              "[--dump-prf s=NAME] [--json | --plain] MODEL",
+              "[--assign SYM=N] [--state NAME] [--oracle] "
+              "[--dump-nf | --dump-prf s=NAME] [--json | --plain] MODEL",
 }
 _HELP = {
     None: """
@@ -390,13 +393,6 @@ def _main(argv: Optional[list[str]]) -> int:
                              output=output))
 
     dump_nf, dump_prf = opts.get("--dump-nf"), opts.get("--dump-prf")
-    if dump_nf and dump_prf:
-        print("error: choose one of --dump-nf and --dump-prf", file=sys.stderr)
-        return EXIT_SEMANTIC
-    if output == "json" and (dump_nf or dump_prf):
-        print("error: --dump-nf and --dump-prf print plain text only; "
-              "drop --json", file=sys.stderr)
-        return EXIT_SEMANTIC
     mode = "verify"
     dump_state = None
     if dump_nf:

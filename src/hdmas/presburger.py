@@ -9,7 +9,7 @@ signed and unbounded.
 
 A conjunction of literals is a ``Cell``: one bound window per variable
 part plus divisibility literals, with an interval box per variable.  The
-simplifier combines and conditions sibling atoms through it, and
+simplifier merges the sibling bound atoms of a conjunction through it, and
 quantifier elimination (``qe``) expands formulas into cells and projects
 variables out of them; no other module reads a window.
 """
@@ -526,8 +526,8 @@ def _nnf(phi: PresFormula, negated: bool) -> PresFormula:
 # (lo, hi, eq): lo < P < hi, or P = eq, with None for no bound.  A Cell is
 # a window map plus a set of other literals (divisibility and negations);
 # it is the one representation of a conjunction of literals, used by
-# simplify() to combine and condition siblings and by QE to expand and
-# project formulas.  No other module reads or builds a window.
+# simplify() to merge sibling bounds and by QE to expand and project
+# formulas.  No other module reads or builds a window.
 
 
 def _is_bound(phi: PresFormula) -> bool:
@@ -1078,10 +1078,9 @@ def prune_cells(cells: Collection[Cell]) -> list[Cell]:
 
 # -- simplification ----------------------------------------------------------
 #
-# Beyond the constructor-level folding, simplify() combines sibling bound
-# atoms over a shared variable part.  A conjunction keeps the cell of its
-# bound atoms and judges clause literals against it; a disjunction keeps
-# the loosest bounds and detects covering ones.
+# Beyond the constructor-level folding, simplify() merges the sibling bound
+# atoms of a conjunction into one cell, joins those of a disjunction while
+# their union is one atom, and folds a child beside its own negation.
 
 
 def _combine_or(children: list[PresFormula]) -> list[PresFormula] | bool:
@@ -1116,87 +1115,11 @@ def _combine_or(children: list[PresFormula]) -> list[PresFormula] | bool:
     return out
 
 
-def _combine_and(children: list[PresFormula]
-                 ) -> Optional[tuple[list[PresFormula], bool]]:
-    """The children with their bound atoms merged into one window per
-    variable part, and the clause literals judged against the cell of
-    those: one that empties it is false, and one that leaves it unchanged
-    true.  None when the conjunction is unsatisfiable; with the children,
-    whether a clause changed."""
-    merged: list[PresFormula] = []
-    bounds: list[PresFormula] = []
-    for ch in children:
-        (bounds if _is_bound(ch) else merged).append(ch)
-    cell = Cell().extend(bounds)
-    if cell is None:
-        return None
-    merged.extend(_fold_atom(a) for part, window in cell.windows.items()
-                  for a in _window_atoms(part, window))
-    if not cell.windows:
-        return merged, False
-    out: list[PresFormula] = []
-    changed = False
-    for ch in merged:
-        if not isinstance(ch, Or):
-            out.append(ch)
-            continue
-        keep: list[PresFormula] = []
-        for lit in ch.args:
-            if _is_bound(lit):
-                change = _tighten(cell.windows, *_bound(lit.atom))
-                if change == ():            # implied: the clause is true
-                    break
-                if change is None:          # refuted: the literal is false
-                    continue
-            keep.append(lit)
-        else:
-            if not keep:
-                return None
-            dropped = len(keep) < len(ch.args)
-            changed = changed or dropped
-            out.append(disj(keep) if dropped else ch)
-            continue
-        changed = True
-    return out, changed
-
-
-_SUBSUME_LIMIT = 800
-
-
-def _literal_set(phi: PresFormula, splitter) -> Optional[frozenset]:
-    if isinstance(phi, (AtomF, Not)):
-        return frozenset((phi,))
-    if isinstance(phi, splitter):
-        if all(isinstance(a, (AtomF, Not)) for a in phi.args):
-            return frozenset(phi.args)
-    return None
-
-
-def _subsume(children: list[PresFormula], splitter) -> list[PresFormula]:
-    """Drop children whose literal set is a superset of a sibling's.
-
-    For a disjunction of conjuncts a superset conjunct is stronger and
-    already covered; for a conjunction of clauses it is weaker and implied.
-    """
-    if len(children) > _SUBSUME_LIMIT:
-        return children
-    sets = [(_literal_set(c, splitter), c) for c in children]
-    indexed = sorted((s for s in sets if s[0] is not None), key=lambda p: len(p[0]))
-    survivors: list[frozenset] = []
-    drop: set = set()
-    for s, c in indexed:
-        if any(other <= s for other in survivors):
-            drop.add(c)
-        else:
-            survivors.append(s)
-    if not drop:
-        return children
-    return [c for c in children if c not in drop]
-
-
 def simplify(phi: PresFormula) -> PresFormula:
-    """Constant folding, flattening, window combining, clause conditioning
-    and subsumption."""
+    """Constant folding and flattening; the sibling bounds of a conjunction
+    merged into one cell (false when it empties) and those of a disjunction
+    joined (true when they cover everything); ``g & !g`` false and
+    ``g | !g`` true; quantifiers of absent variables dropped."""
     if isinstance(phi, (TrueF, FalseF)):
         return phi
     if isinstance(phi, AtomF):
@@ -1215,41 +1138,22 @@ def simplify(phi: PresFormula) -> PresFormula:
         base = conj(tuple(simplify(a) for a in phi.args))
         if not isinstance(base, And):
             return base
-        kids = list(base.args)
-        while True:
-            seen = set(kids)
-            for k in kids:
-                if isinstance(k, Not) and k.arg in seen:
-                    return FALSE
-            combined = _combine_and(kids)
-            if combined is None:
-                return FALSE
-            conditioned, changed = combined
-            if not changed:
-                break
-            # a conditioned clause may have shrunk to an atom that narrows
-            # a window and so conditions further clauses; every pass drops
-            # a literal, so this ends
-            conditioned = [simplify(c) if isinstance(c, Or) else c
-                           for c in conditioned]
-            if any(isinstance(c, FalseF) for c in conditioned):
-                return FALSE
-            base = conj(tuple(conditioned))
-            if not isinstance(base, And):
-                return base
-            kids = list(base.args)
-        return conj(_subsume(conditioned, Or))
+        seen = set(base.args)
+        if any(isinstance(k, Not) and k.arg in seen for k in base.args):
+            return FALSE
+        cell = Cell().extend([k for k in base.args if _is_bound(k)])
+        if cell is None:
+            return FALSE
+        return conj([k for k in base.args if not _is_bound(k)]
+                    + [_fold_atom(a) for part, window in cell.windows.items()
+                       for a in _window_atoms(part, window)])
     if isinstance(phi, Or):
         base = disj(tuple(simplify(a) for a in phi.args))
         if not isinstance(base, Or):
             return base
-        kids = list(base.args)
-        seen = set(kids)
-        for k in kids:
-            if isinstance(k, Not) and k.arg in seen:
-                return TRUE
-        combined = _combine_or(kids)
-        if combined is True:
+        seen = set(base.args)
+        if any(isinstance(k, Not) and k.arg in seen for k in base.args):
             return TRUE
-        return disj(_subsume(combined, And))
+        combined = _combine_or(list(base.args))
+        return TRUE if combined is True else disj(combined)
     raise TypeError(phi)

@@ -183,11 +183,14 @@ def test_parameter_key_with_a_leading_zero_is_an_error(capsys):
                          ids=["nf", "prf"])
 def test_json_with_a_dump_is_an_error(capsys, dump):
     # a dump prints plain text; --json used to be ignored silently
-    code, out, err = run_cli(capsys, "verify", FIG2, "-f", "<<7,5>> X p",
-                             "--json", *dump)
-    assert code == 2
-    assert err.startswith("error: ") and "--json" in err
-    assert out == ""
+    with pytest.raises(SystemExit) as stop:
+        main(["verify", FIG2, "-f", "<<7,5>> X p", "--json", *dump])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: hdmas-verify verify")
+    assert ": error: " in error and "--json" in error
+    assert captured.out == ""
 
 
 def test_verify_json_schema(capsys):
@@ -318,6 +321,7 @@ def test_repeated_assign_binds_each_symbol(capsys):
 @pytest.mark.parametrize("argv,named", [
     (["verify", FIG2, "-f", "p", "--json", "--plain"], "--plain"),
     (["verify", FIG2, "-f", "p", "--formula-file", FIG2], "--formula-file"),
+    (["verify", FIG2, "-f", "p", "--dump-nf", "--dump-prf", "s=s1"], "--dump-prf"),
     (["verify", FIG2, "-f", "p", "--bogus"], "--bogus"),
     (["verify", FIG2, "-f", "p", "-x"], "-x"),
     (["verify", FIG2, "-f", "p", "--form", "q"], "--form"),
@@ -330,8 +334,8 @@ def test_repeated_assign_binds_each_symbol(capsys):
     (["bogus", FIG2], "bogus"),
     (["--json", "check-model", FIG2], "--json"),
     ([], "command"),
-], ids=["json-and-plain", "two-formulas", "unknown-long", "unknown-short",
-        "ambiguous-prefix", "missing-formula-value", "missing-value",
+], ids=["json-and-plain", "two-formulas", "two-dumps", "unknown-long",
+        "unknown-short", "ambiguous-prefix", "missing-formula-value", "missing-value",
         "value-for-a-switch", "no-model", "two-models", "option-of-another-command",
         "unknown-command", "option-before-the-command", "nothing"])
 def test_a_bad_command_line_prints_usage_and_exits_2(capsys, argv, named):

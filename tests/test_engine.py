@@ -12,7 +12,7 @@ from hdmas.engine import (ModelChecker, NotNormalForm, UnassignedParameter,
 from hdmas.logic import (EXISTS, FORALL, Coop, Globally, Nat, Next, NotF,
                          Param, Prop, Quant, Top, Y1, Y2)
 from hdmas.normalform import nf
-from hdmas.parsing import parse_formula, parse_model
+from hdmas.parsing import guard_to_str, parse_formula, parse_model
 from hdmas.presburger import Exists, Forall
 from hdmas.qe import decide
 
@@ -44,6 +44,13 @@ def test_build_prf_excludes_s3(fig2):
     targets = fig2.mask_of(["s2", "s3", "s4", "s5", "s6"])
     phi = build_prf(fig2, "s3", "y1", "y2", targets)
     assert decide(Exists("y1", Forall("y2", phi))) is False
+
+
+def test_build_prf_folds_a_guard_beside_its_negation(fig2):
+    # s2's guards are g and !(g), so into all states their union is true
+    # and no adversary share is left to quantify
+    prf = build_prf(fig2, "s2", 3, 2, fig2.all_states())
+    assert "l_" not in guard_to_str(prf)
 
 
 def test_build_prf_verbatim_encoding_agrees(fig2, fortress):

@@ -178,6 +178,17 @@ def test_simplify_folds_covering_disjunction():
     assert simplify(disj((atom_lt(X1, 5), atom_gt(X1, 2)))) == TRUE
 
 
+def test_simplify_folds_a_compound_formula_beside_its_negation():
+    # fig2's s2 -> s4 guard #a1 > 5 && #a3 > #a1, and its s5 -> s2 guard
+    # #a2 != #a3 (a conjunction flattens a conjunct's own conjuncts, so
+    # g & !g is seen for a disjunctive g)
+    g = conj((atom_gt(X1, 5), atom_gt(X3, X1)))
+    assert simplify(disj((g, neg(g)))) == TRUE
+    h = atom_ne(X2, X3)
+    assert isinstance(h, Or)
+    assert simplify(conj((h, neg(h)))) == FALSE
+
+
 def test_simplify_joins_adjacent_sibling_windows():
     # x1 < x2, x2 < x1 and x1 = x2 join one by one into everything
     assert simplify(disj((atom_lt(X1, X2), atom_lt(X2, X1),
