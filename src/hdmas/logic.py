@@ -431,11 +431,22 @@ class PolarityViolation:
     variable: int
     found: str
 
+    def __str__(self) -> str:
+        how = "only negatively" if self.found == "all-negative" else \
+            "both positively and negatively"
+        return (f"y{self.variable} occurs {how} under its quantifier;"
+                " it must occur only positively")
+
 
 @dataclass(frozen=True)
 class InadmissiblePrefix:
     path: tuple[int, ...]
     prefix: tuple
+
+    def __str__(self) -> str:
+        text = " ".join(f"{q} y{i}" for q, i in self.prefix)
+        return (f"the quantifier prefix '{text}' is not admissible;"
+                " it must bind y1, y2 or both, each once")
 
 
 SyntaxIssue = Union[PositionViolation, PolarityViolation, InadmissiblePrefix]

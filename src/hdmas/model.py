@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .presburger import (EQ, FALSE, And, Atom, AtomF, Not, Or,
-                         PresFormula, _fold_atom, atoms_of, conj, disj,
-                         evaluate, free_vars, is_quantifier_free, neg)
-from .qe import cooper_bound, is_valid
+from .presburger import (EQ, FALSE, And, Atom, AtomF, Exists, Not, Or,
+                         PresFormula, _fold_atom, _quantify, atom_le, atoms_of,
+                         conj, disj, evaluate, free_vars, is_quantifier_free,
+                         neg, substitute, var)
+from .qe import decide, is_valid
 
 # the idle action has no user-visible name and its counter never occurs
 # in guards
@@ -436,30 +437,33 @@ class WellformednessReport:
         return out
 
 
-def _bounded_witness(phi: PresFormula, counters: tuple[str, ...],
-                     want: bool) -> Optional[dict[str, int]]:
-    """Search valuations up to an escalating bound for phi == want."""
-    bound = max(2, cooper_bound(phi, counters))
-    for b in (bound, bound * 4, bound * 16):
-        def search(idx: int, acc: dict[str, int]) -> Optional[dict[str, int]]:
-            if idx == len(counters):
-                return dict(acc) if evaluate(phi, acc) == want else None
-            for v in range(b + 1):
-                acc[counters[idx]] = v
-                hit = search(idx + 1, acc)
-                if hit is not None:
-                    return hit
-            del acc[counters[idx]]
-            return None
+def least_point(phi: PresFormula,
+                counters: tuple[str, ...]) -> Optional[dict[str, int]]:
+    """The lexicographically least natural point of ``phi`` in counter
+    order, or None when it has none.
 
-        if len(counters) == 0:
-            return {} if evaluate(phi, {}) == want else None
-        if (b + 1) ** len(counters) > 2_000_000:
-            return None
-        hit = search(0, {})
-        if hit is not None:
-            return hit
-    return None
+    Each counter takes the least ``b`` with ``exists rest. c <= b & phi``,
+    found by doubling and then bisection, and is substituted before the
+    next: O(n log value) decisions, with no bound on the values.
+    """
+    if is_valid(neg(phi), counters):
+        return None
+    point: dict[str, int] = {}
+    for i, c in enumerate(counters):
+        rest = list(counters[i:])
+
+        def holds(b: int) -> bool:
+            return decide(_quantify(Exists, rest, conj((atom_le(var(c), b), phi))))
+
+        lo, hi = -1, 0
+        while not holds(hi):
+            lo, hi = hi, 2 * hi + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+        point[c] = hi
+        phi = substitute(phi, c, hi)
+    return point
 
 
 def check_wellformed(model: HdmasModel) -> WellformednessReport:
@@ -473,7 +477,7 @@ def check_wellformed(model: HdmasModel) -> WellformednessReport:
     the counters of the state, which name the witness's keys.
 
     Failures are reported, never raised; totality and determinism failures
-    carry a concrete counterexample valuation found by bounded search.
+    carry the least counterexample valuation in action order.
     """
     adj = model.adjacency
     report = WellformednessReport()
@@ -502,15 +506,12 @@ def check_wellformed(model: HdmasModel) -> WellformednessReport:
             continue
 
         # the order and repeats of the disjuncts change neither the verdict
-        # nor the witness search's bound, so the set of guard ids will do
+        # nor the least counterexample, so the set of guard ids will do
         key = (frozenset(gid for _, gid in edges), counters)
         if key not in totality:
             union = guard_union(model, s, model.all_states())
-            if is_valid(union, counters):
-                totality[key] = CheckOutcome(True)
-            else:
-                witness = _bounded_witness(union, counters, want=False)
-                totality[key] = CheckOutcome(False, witness=witness)
+            witness = least_point(neg(union), counters)
+            totality[key] = CheckOutcome(witness is None, witness=witness)
         report.totality[s] = totality[key]
 
         for j, (d1, g1) in enumerate(edges):
@@ -518,11 +519,8 @@ def check_wellformed(model: HdmasModel) -> WellformednessReport:
                 pair = (g1, g2, counters)
                 if pair not in overlap:
                     both = conj((adj.guard_by_id[g1], adj.guard_by_id[g2]))
-                    if is_valid(neg(both), counters):
-                        overlap[pair] = CheckOutcome(True)
-                    else:
-                        witness = _bounded_witness(both, counters, want=True)
-                        overlap[pair] = CheckOutcome(False, witness=witness)
+                    witness = least_point(both, counters)
+                    overlap[pair] = CheckOutcome(witness is None, witness=witness)
                 outcome = overlap[pair]
                 report.determinism[(s, model.states[d1], model.states[d2])] = outcome
                 report.determinism[(s, model.states[d2], model.states[d1])] = outcome

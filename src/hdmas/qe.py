@@ -37,11 +37,11 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .presburger import (DVD, And, AtomF, Cell, Exists, FalseF, Forall,
+from .presburger import (And, AtomF, Cell, Exists, FalseF, Forall,
                          FreeVariableError, Not, Or, PresFormula, TrueF,
-                         _literal_atom, _quantifier_block, atoms_of, cheapest,
-                         complement, conj, disj, free_vars, neg, prune_cells,
-                         simplify, to_nnf)
+                         _literal_atom, _quantifier_block, cheapest, complement,
+                         conj, disj, free_vars, neg, prune_cells, simplify,
+                         to_nnf)
 
 
 @dataclass
@@ -110,22 +110,6 @@ def is_valid(phi: PresFormula, variables: Iterable[str],
     for v in sorted(set(variables) | set(free_vars(phi)), reverse=True):
         closed = Forall(v, closed)
     return decide(closed, stats)
-
-
-def cooper_bound(phi: PresFormula, variables: Iterable[str]) -> int:
-    """Enumeration bound: lcm of divisors and coefficients of the given
-    variables, plus the largest absolute constant in the formula."""
-    vset = set(variables)
-    l = 1
-    biggest = 0
-    for a in atoms_of(phi):
-        if a.kind == DVD:
-            l = math.lcm(l, a.divisor)
-        for v, c in a.term.coeffs:
-            if v in vset and c != 0:
-                l = math.lcm(l, abs(c))
-        biggest = max(biggest, abs(a.term.const))
-    return l + biggest
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,21 @@
 """Shared brute-force oracles and random generators for the test suite."""
 
+import math
+
 import numpy as np
 
 from hdmas.engine import _resolve_term, _share, build_prf
 from hdmas.logic import (EXISTS, AndF, Coop, Globally, Nat, Next, NotF, OrF,
                          Prop, Top, Until)
 from hdmas.model import (IDLE, IDLE_COUNTER, CheckOutcome,
-                         WellformednessReport, _bounded_witness, guard_union)
+                         WellformednessReport, guard_union, least_point)
 from hdmas.presburger import (DVD, EQ, FALSE, LT, TRUE, And, AtomF, Exists,
                               FalseF, Forall, LinTerm, Not, Or, TrueF,
                               atom_eq, atom_ge, atom_gt, atom_le, atom_lt,
-                              atom_ne, conj, disj, free_vars, implies,
-                              is_quantifier_free, neg, num, simplify,
+                              atom_ne, atoms_of, conj, disj, free_vars,
+                              implies, is_quantifier_free, neg, num, simplify,
                               substitute, var)
-from hdmas.qe import cooper_bound, decide, is_valid
+from hdmas.qe import decide
 
 
 def np_eval(phi, arrays):
@@ -47,6 +49,22 @@ def np_eval(phi, arrays):
             out = out | np_eval(sub, arrays)
         return out
     raise TypeError(phi)
+
+
+def cooper_bound(phi, variables):
+    """Enumeration bound: lcm of divisors and coefficients of the given
+    variables, plus the largest absolute constant in the formula."""
+    vset = set(variables)
+    l = 1
+    biggest = 0
+    for a in atoms_of(phi):
+        if a.kind == DVD:
+            l = math.lcm(l, a.divisor)
+        for v, c in a.term.coeffs:
+            if v in vset and c != 0:
+                l = math.lcm(l, abs(c))
+        biggest = max(biggest, abs(a.term.const))
+    return l + biggest
 
 
 def enum_truth(block, names, matrix, bound):
@@ -243,7 +261,8 @@ def ring_text(n, broken=None):
 
 
 def reference_check_wellformed(model):
-    """The all-pairs check that ``check_wellformed`` replaced, verbatim.
+    """The all-pairs check that ``check_wellformed`` replaced, with the same
+    witness routine.
 
     Its determinism table has an entry for every ordered pair of distinct
     states per source state, ok where either guard is missing.
@@ -266,11 +285,8 @@ def reference_check_wellformed(model):
 
         counters = tuple(c for c in model.counters_at(s) if c != IDLE_COUNTER)
         union = guard_union(model, s, model.all_states())
-        if is_valid(union, counters):
-            report.totality[s] = CheckOutcome(True)
-        else:
-            witness = _bounded_witness(union, counters, want=False)
-            report.totality[s] = CheckOutcome(False, witness=witness)
+        witness = least_point(neg(union), counters)
+        report.totality[s] = CheckOutcome(witness is None, witness=witness)
 
         for i, d1 in enumerate(model.states):
             for d2 in model.states[i + 1:]:
@@ -279,12 +295,8 @@ def reference_check_wellformed(model):
                 if g1 is None or g2 is None:
                     outcome = CheckOutcome(True)
                 else:
-                    both = conj((g1, g2))
-                    if is_valid(neg(both), counters):
-                        outcome = CheckOutcome(True)
-                    else:
-                        witness = _bounded_witness(both, counters, want=True)
-                        outcome = CheckOutcome(False, witness=witness)
+                    witness = least_point(conj((g1, g2)), counters)
+                    outcome = CheckOutcome(witness is None, witness=witness)
                 report.determinism[(s, d1, d2)] = outcome
                 report.determinism[(s, d2, d1)] = outcome
     return report

@@ -133,6 +133,24 @@ def test_verify_semantic_error_unbound(capsys):
     assert "z1" in err
 
 
+@pytest.mark.parametrize("formula, message", [
+    ("E y1 E y1 <<y1,2>> X p",
+     "the quantifier prefix 'E y1 E y1' is not admissible;"
+     " it must bind y1, y2 or both, each once"),
+    ("E y1 <<y1,2>> X !<<y1,1>> X p",
+     "y1 occurs both positively and negatively under its quantifier;"
+     " it must occur only positively"),
+    ("E y1 <<1,2>> X !<<y1,1>> X p",
+     "y1 occurs only negatively under its quantifier;"
+     " it must occur only positively"),
+], ids=["prefix", "mixed-polarity", "negative-polarity"])
+def test_verify_syntax_errors_read_as_sentences(capsys, formula, message):
+    code, out, err = run_cli(capsys, "verify", FIG2, "-f", formula)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
 def test_verify_assignment(capsys):
     code, out, _ = run_cli(capsys, "verify", FIG2, "-f", "<<z1,z2>> X p",
                            "--assign", "z1=7", "--assign", "z2=5",

@@ -1,17 +1,19 @@
+import itertools
 import math
 import pathlib
 import random
 
 import pytest
 
-from helpers import reference_check_wellformed, ring_text
+from helpers import random_matrix, reference_check_wellformed, ring_text
 from hdmas import model as model_module
 from hdmas.model import (ActionDistribution, ActionTable, DomainMismatch,
                          HdmasModel, IDLE, MalformedModel, check_wellformed,
                          distribution_count, distributions, guard_union,
-                         oplus, successor)
+                         least_point, oplus, successor)
 from hdmas.parsing import parse_model
-from hdmas.presburger import FALSE, TRUE, atom_gt, disj, evaluate, var
+from hdmas.presburger import (FALSE, TRUE, atom_gt, atom_le, conj, disj,
+                              evaluate, var)
 
 
 def dist(**counts):
@@ -141,6 +143,8 @@ def test_fortress_is_wellformed(fortress):
     assert check_wellformed(fortress).ok
 
 
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "hdmas" / "fixtures"
+
 FIG2_OVERLAP = ("#a1 + #a2 + #a3 <= 10 && #a3 > 3",
                 "#a1 + #a2 + #a3 <= 10 && #a3 >= 0")
 
@@ -179,10 +183,9 @@ def _seeded_ring(kind, seed):
 
 
 def _wellformed_cases():
-    fixtures = pathlib.Path(__file__).resolve().parent.parent / "src" / "hdmas" / "fixtures"
-    fig2_text = (fixtures / "fig2.hdmas").read_text()
+    fig2_text = (FIXTURES / "fig2.hdmas").read_text()
     yield pytest.param(parse_model(fig2_text).model, id="fig2")
-    yield pytest.param(parse_model((fixtures / "fortress.hdmas").read_text()).model,
+    yield pytest.param(parse_model((FIXTURES / "fortress.hdmas").read_text()).model,
                        id="fortress")
     yield pytest.param(parse_model(fig2_text.replace(*FIG2_OVERLAP)).model,
                        id="fig2-overlap")
@@ -229,35 +232,92 @@ def test_wellformed_decides_each_distinct_check_once(monkeypatch):
     assert counts == [3, 3]
 
 
-def test_determinism_failure_with_witness():
-    doc = parse_model("""
-        actions a1;
-        props p;
-        state s1 { avail: a1; label: ; }
-        state s2 { avail: a1; label: p; }
-        guard s1 -> s1 : #a1 > 0;
-        guard s1 -> s2 : #a1 > 1;
-        guard s2 -> s2 : 0 = 0;
-    """)
-    report = check_wellformed(doc.model)
+# guards over s1's counters; s1 -> s1 is the first, s1 -> s2 the second
+ONE_ACTION = """
+    actions a1;
+    props p;
+    state s1 { avail: a1; label: ; }
+    state s2 { avail: a1; label: p; }
+    guard s1 -> s1 : STAY;
+    guard s1 -> s2 : MOVE;
+    guard s2 -> s2 : else;
+"""
+
+# the five-action model of ROADMAP item 6: a box reaching its constant 39
+# in every counter has 40^5 points, too many to search
+FIVE_ACTIONS = """
+    actions a b c d e;  props p;
+    state s1 { avail: a b c d e; label: p; }   state s2 { avail: a; label: ; }
+    guard s1 -> s1 : #a + #b + #c + #d + #e STAY;
+    guard s1 -> s2 : #a + #b + #c + #d + #e MOVE;
+    guard s2 -> s2 : else;
+"""
+
+HUGE = 10 ** 29 - 1
+
+
+def _guarded(text, stay, move="0 = 1"):
+    return parse_model(text.replace("STAY", stay).replace("MOVE", move)).model
+
+
+def _fortress(stay):
+    text = (FIXTURES / "fortress.hdmas").read_text()
+    return parse_model(text.replace("guard s1 -> s1 : else;",
+                                    f"guard s1 -> s1 : {stay};")).model
+
+
+def _zeros(names, **values):
+    return {f"#{n}": values.get(n, 0) for n in names.split()}
+
+
+@pytest.mark.parametrize("model, witness", [
+    pytest.param(_guarded(ONE_ACTION, "#a1 > 0", "#a1 > 1"), {"#a1": 2},
+                 id="one-action"),
+    pytest.param(_guarded(FIVE_ACTIONS, ">= 39", "<= 39"),
+                 _zeros("a b c d e", e=39), id="five-actions"),
+    pytest.param(_guarded(ONE_ACTION, f"#a1 < {HUGE}", f"#a1 >= {HUGE - 9}"),
+                 {"#a1": HUGE - 9}, id="huge-constant"),
+    pytest.param(_fortress("#d1 + #d2 + #d3 >= 12"),
+                 _zeros("d1 d2 d3 r1 r2 r3", d1=4, d2=4, d3=4, r1=5, r2=5, r3=5),
+                 id="fortress-3"),
+])
+def test_determinism_failure_with_witness(model, witness):
+    report = check_wellformed(model)
     assert not report.ok
     bad = report.determinism[("s1", "s1", "s2")]
     assert not bad.ok
-    assert bad.witness == {"#a1": 2}
+    assert bad.witness == witness
+    assert list(bad.witness) == list(witness)
 
 
-def test_totality_failure_with_witness():
-    doc = parse_model("""
-        actions a1;
-        props ;
-        state s1 { avail: a1; label: ; }
-        guard s1 -> s1 : #a1 > 0;
-    """)
-    report = check_wellformed(doc.model)
+@pytest.mark.parametrize("model, witness", [
+    pytest.param(_guarded(ONE_ACTION, "#a1 > 0"), {"#a1": 0}, id="one-action"),
+    pytest.param(_guarded(FIVE_ACTIONS, "> 39", "< 39"),
+                 _zeros("a b c d e", e=39), id="five-actions"),
+    pytest.param(_guarded(ONE_ACTION, f"#a1 < {HUGE}"), {"#a1": HUGE},
+                 id="huge-constant"),
+    pytest.param(_fortress("#d1 + #d2 + #d3 > 12"),
+                 _zeros("d1 d2 d3 r1 r2 r3", d3=2), id="fortress-3"),
+])
+def test_totality_failure_with_witness(model, witness):
+    report = check_wellformed(model)
     assert not report.ok
     miss = report.totality["s1"]
     assert not miss.ok
-    assert miss.witness == {"#a1": 0}
+    assert miss.witness == witness
+    assert list(miss.witness) == list(witness)
+
+
+def test_least_point_matches_lexicographic_enumeration():
+    rng = random.Random(19)
+    for _ in range(80):
+        names = ("x", "y", "z")[:rng.randint(2, 3)]
+        phi = conj([random_matrix(rng, list(names), atoms=rng.randint(1, 3))]
+                   + [atom_le(var(n), 12) for n in names])
+        brute = next((dict(zip(names, p))
+                      for p in itertools.product(range(13), repeat=len(names))
+                      if evaluate(phi, dict(zip(names, p)))), None)
+        assert least_point(phi, names) == brute, phi
 
 
 def test_missing_idle_is_reported():

@@ -5,7 +5,8 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import checked_block_truth, enum_truth, np_eval, random_matrix
+from helpers import (checked_block_truth, cooper_bound, enum_truth, np_eval,
+                     random_matrix)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -21,8 +22,7 @@ from hdmas.presburger import (EQ, FALSE, LT, TRUE, And, Atom, AtomF, Cell,
                               is_quantifier_free, neg, num, prune_cells,
                               simplify, substitute, substitute_all, var)
 import hdmas.qe as qe
-from hdmas.qe import (QeStats, cooper_bound, decide, eliminate_quantifiers,
-                      is_valid)
+from hdmas.qe import QeStats, decide, eliminate_quantifiers, is_valid
 
 X, Y, Z = var("x"), var("y"), var("z")
 X1, X2, X3 = var("x1"), var("x2"), var("x3")
