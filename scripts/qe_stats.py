@@ -3,7 +3,6 @@
 decision for each quantifier prefix on the six-state model and dump the
 collected elimination statistics as JSON."""
 
-import dataclasses
 import json
 import pathlib
 import sys
@@ -29,10 +28,10 @@ PREFIXES = {
 
 def _accumulate(grand: QeStats, stats: QeStats) -> None:
     """Add one decision's counters: peaks by maximum, the rest by sum."""
-    for f in dataclasses.fields(QeStats):
-        total, part = getattr(grand, f.name), getattr(stats, f.name)
-        setattr(grand, f.name,
-                max(total, part) if f.name.startswith("peak_") else total + part)
+    for name, part in vars(stats).items():
+        total = getattr(grand, name)
+        setattr(grand, name,
+                max(total, part) if name.startswith("peak_") else total + part)
 
 
 def main():

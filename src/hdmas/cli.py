@@ -27,10 +27,8 @@ extension, 4 enumeration cap exceeded.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import NoReturn, Optional
 
 from .engine import (EngineError, ModelChecker, UnassignedParameter,
@@ -38,10 +36,8 @@ from .engine import (EngineError, ModelChecker, UnassignedParameter,
 from .logic import (Coop, Quant, StateFormula, free_agent_vars,
                     merge_quantifiers, params_of, props_of, simplify_vacuous,
                     Next)
-from .model import check_wellformed
+from .model import HdmasModel, StateSet, check_wellformed
 from .normalform import nf
-from .oracle import (BadEnumCap, EnumerationCapExceeded, Oracle,
-                     QuantifiedFormula)
 from .parsing import (ParseError, SemanticError, formula_to_str, guard_to_str,
                       parse_formula, parse_model)
 from .qe import QeStats
@@ -53,28 +49,39 @@ EXIT_STATE = 3
 EXIT_CAP = 4
 
 
-@dataclass
 class RunConfig:
     """One CLI invocation; exactly one mode is active."""
 
-    model_path: str
-    mode: str = "verify"           # check-model | verify | dump-nf | dump-prf
-    formula_text: Optional[str] = None
-    assignment: dict = field(default_factory=dict)
-    state: Optional[str] = None
-    oracle: bool = False
-    dump_prf_state: Optional[str] = None
-    output: str = "plain"          # plain | json
+    def __init__(self, model_path: str,
+                 mode: str = "verify",   # check-model | verify | dump-nf | dump-prf
+                 formula_text: Optional[str] = None,
+                 assignment: Optional[dict] = None,
+                 state: Optional[str] = None, oracle: bool = False,
+                 dump_prf_state: Optional[str] = None,
+                 output: str = "plain"):  # plain | json
+        self.model_path = model_path
+        self.mode = mode
+        self.formula_text = formula_text
+        self.assignment = {} if assignment is None else assignment
+        self.state = state
+        self.oracle = oracle
+        self.dump_prf_state = dump_prf_state
+        self.output = output
 
 
 class UnreadableInput(Exception):
     """An input file could not be opened or is not UTF-8 text."""
 
 
+class CapExceeded(Exception):
+    """The enumeration oracle met its cap."""
+
+
 def _read_text(path: str) -> str:
+    """The file's text, without a leading byte-order mark."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return handle.read()
+            return handle.read().removeprefix("\ufeff")
     except UnicodeDecodeError as err:
         raise UnreadableInput(f"{path}: not UTF-8 text ({err.reason} at "
                               f"byte {err.start})") from None
@@ -120,12 +127,32 @@ def _check_model(config: RunConfig) -> int:
             "report": report.lines(),
             "model": doc.model.to_json(),
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         for line in report.lines():
             print(line)
         print("well-formed" if report.ok else "NOT well-formed")
     return EXIT_OK if report.ok else EXIT_SEMANTIC
+
+
+def _print_json(payload: dict) -> None:
+    import json  # only --json needs it
+
+    print(json.dumps(payload, indent=2))
+
+
+def _enumerate(model: HdmasModel, phi: StateFormula, theta: dict) -> StateSet:
+    """The extension by explicit enumeration.  The oracle is imported only
+    here, so that a run without --oracle does not load it."""
+    from .oracle import (BadEnumCap, EnumerationCapExceeded, Oracle,
+                         QuantifiedFormula)
+
+    try:
+        return Oracle(model).global_mc(phi, theta)
+    except (QuantifiedFormula, BadEnumCap) as err:
+        raise SemanticError(str(err)) from None
+    except EnumerationCapExceeded as err:
+        raise CapExceeded(str(err)) from None
 
 
 def _unassigned(phi: StateFormula, theta: dict) -> list[str]:
@@ -181,8 +208,7 @@ def _verify(config: RunConfig) -> int:
 
     stats = QeStats()
     if config.oracle:
-        oracle = Oracle(model)
-        extension = oracle.global_mc(normal, theta)
+        extension = _enumerate(model, normal, theta)
     else:
         checker = ModelChecker(model, stats=stats)
         extension = checker.global_mc(normal, theta)
@@ -200,7 +226,7 @@ def _verify(config: RunConfig) -> int:
         }
         if not config.oracle:
             payload["qe_stats"] = stats.to_json()
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print("extension:", " ".join(members) if members else "(empty)")
         if config.state is not None:
@@ -220,11 +246,10 @@ def run(config: RunConfig) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except (SemanticError, UnassignedParameter, QuantifiedFormula,
-            EngineError, BadEnumCap) as err:
+    except (SemanticError, UnassignedParameter, EngineError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SEMANTIC
-    except EnumerationCapExceeded as err:
+    except CapExceeded as err:
         print(f"enumeration cap exceeded: {err}", file=sys.stderr)
         return EXIT_CAP
     except UnreadableInput as err:

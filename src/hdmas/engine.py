@@ -10,7 +10,6 @@ quantifiers on the per-state formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 from .logic import (EXISTS, FORALL, AgentVar, AndF, Coop, Globally, Nat, Next,
@@ -130,7 +129,6 @@ def prf_symmetry(model: HdmasModel, state: str) -> Symmetry:
                  for perm in model.action_symmetries[state])
 
 
-@dataclass
 class ModelChecker:
     """Caching evaluator for one model.
 
@@ -151,10 +149,11 @@ class ModelChecker:
     across formulas and assignments.
     """
 
-    model: HdmasModel
-    stats: QeStats = field(default_factory=QeStats)
-    _verdicts: dict[tuple, bool] = field(default_factory=dict)
-    _extents: dict = field(default_factory=dict)
+    def __init__(self, model: HdmasModel, stats: Optional[QeStats] = None):
+        self.model = model
+        self.stats = QeStats() if stats is None else stats
+        self._verdicts: dict[tuple, bool] = {}
+        self._extents: dict = {}
 
     def _pre_states(self, t1: Term, t2: Term, targets: StateSet,
                     theta: Assignment, pfix: QuantPrefix, pre: StateSet,

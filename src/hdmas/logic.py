@@ -9,8 +9,9 @@ second, and a quantifier may only bind occurrences of positive polarity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Union
+
+from .nodes import Node, set_slot
 
 EXISTS = "E"
 FORALL = "A"
@@ -18,19 +19,44 @@ FORALL = "A"
 # -- terms -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Nat:
-    value: int
+class Nat(Node):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int):
+        set_slot(self, "_hash", None)
+        set_slot(self, "value", value)
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is Nat and self.value == other.value
+
+    __hash__ = Node.__hash__
+
+    def _key(self) -> tuple:
+        return (self.value,)
 
 
-@dataclass(frozen=True)
-class AgentVar:
-    index: int  # 1 or 2
+class _Indexed(Node):
+    __slots__ = _fields = ("index",)
+
+    def __init__(self, index: int):
+        set_slot(self, "_hash", None)
+        set_slot(self, "index", index)
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and self.index == other.index
+
+    __hash__ = Node.__hash__
+
+    def _key(self) -> tuple:
+        return (self.index,)
 
 
-@dataclass(frozen=True)
-class Param:
-    index: int
+class AgentVar(_Indexed):
+    __slots__ = ()   # index 1 or 2
+
+
+class Param(_Indexed):
+    __slots__ = ()
 
 
 Term = Union[Nat, AgentVar, Param]
@@ -55,42 +81,8 @@ def term_symbol(t: Term) -> Optional[str]:
 # identity within one call, so both stay linear in the distinct nodes.
 
 
-def _formula_node(cls):
-    """Frozen dataclass whose hash is cached on the node and whose equality
-    compares each pair of nodes once.
-
-    The cache is left out of pickles: string hashes differ between
-    processes.
-    """
-    cls = dataclass(frozen=True)(cls)
-    plain = cls.__hash__
-    names = tuple(f.name for f in fields(cls))
-    cls._node_fields = names
-
-    def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = self.__dict__["_hash"] = plain(self)
-        return cached
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return _same_nodes(self, other)
-
-    def __reduce__(self):
-        return cls, tuple(getattr(self, n) for n in names)
-
-    cls.__hash__ = __hash__
-    cls.__eq__ = __eq__
-    cls.__reduce__ = __reduce__
-    return cls
-
-
 def _same_nodes(a, b) -> bool:
-    """Structural equality of two formula nodes.  Unequal cached hashes
+    """Structural equality of two formula nodes.  Unequal kept hashes
     settle a pair at once, and a pair found equal is not compared again,
     so shared subtrees cost one comparison per pair of distinct nodes."""
     equal: set[tuple[int, int]] = set()
@@ -101,7 +93,7 @@ def _same_nodes(a, b) -> bool:
             continue
         if x.__class__ is not y.__class__:
             return False
-        if not hasattr(x.__class__, "_node_fields"):
+        if not isinstance(x, Node):
             if x != y:
                 return False
             continue
@@ -111,78 +103,137 @@ def _same_nodes(a, b) -> bool:
         if hash(x) != hash(y):
             return False
         equal.add(pair)
-        todo.extend((getattr(x, n), getattr(y, n)) for n in x._node_fields)
+        todo.extend(zip(x._key(), y._key()))
     return True
 
 
-class StateFormula:
+def _formula_eq(self, other: object) -> bool:
+    return self is other or (other.__class__ is self.__class__
+                             and _same_nodes(self, other))
+
+
+class StateFormula(Node):
     __slots__ = ()
+    __eq__ = _formula_eq
+    __hash__ = Node.__hash__
 
 
-class PathFormula:
+class PathFormula(Node):
     __slots__ = ()
+    __eq__ = _formula_eq
+    __hash__ = Node.__hash__
 
 
-@_formula_node
 class Top(StateFormula):
-    pass
+    __slots__ = ()
 
 
-@_formula_node
 class Prop(StateFormula):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        set_slot(self, "_hash", None)
+        set_slot(self, "name", name)
+
+    def _key(self) -> tuple:
+        return (self.name,)
 
 
-@_formula_node
 class NotF(StateFormula):
-    arg: StateFormula
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: StateFormula):
+        set_slot(self, "_hash", None)
+        set_slot(self, "arg", arg)
+
+    def _key(self) -> tuple:
+        return (self.arg,)
 
 
-@_formula_node
-class AndF(StateFormula):
-    lhs: StateFormula
-    rhs: StateFormula
+class _Connective(StateFormula):
+    """``AndF`` or ``OrF``."""
+
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: StateFormula, rhs: StateFormula):
+        set_slot(self, "_hash", None)
+        set_slot(self, "lhs", lhs)
+        set_slot(self, "rhs", rhs)
+
+    def _key(self) -> tuple:
+        return (self.lhs, self.rhs)
 
 
-@_formula_node
-class OrF(StateFormula):
-    lhs: StateFormula
-    rhs: StateFormula
+class AndF(_Connective):
+    __slots__ = ()
 
 
-@_formula_node
+class OrF(_Connective):
+    __slots__ = ()
+
+
 class Coop(StateFormula):
     """Strategic operator <<t1, t2>> applied to a temporal objective."""
 
-    t1: Term
-    t2: Term
-    objective: "PathFormula"
+    __slots__ = _fields = ("t1", "t2", "objective")
+
+    def __init__(self, t1: Term, t2: Term, objective: PathFormula):
+        set_slot(self, "_hash", None)
+        set_slot(self, "t1", t1)
+        set_slot(self, "t2", t2)
+        set_slot(self, "objective", objective)
+
+    def _key(self) -> tuple:
+        return (self.t1, self.t2, self.objective)
 
 
 QuantSpec = tuple[str, int]              # (quantifier, agent-variable index)
 QuantPrefix = tuple[QuantSpec, ...]      # length 1 or 2
 
 
-@_formula_node
 class Quant(StateFormula):
-    prefix: QuantPrefix
-    body: StateFormula
+    __slots__ = _fields = ("prefix", "body")
+
+    def __init__(self, prefix: QuantPrefix, body: StateFormula):
+        set_slot(self, "_hash", None)
+        set_slot(self, "prefix", prefix)
+        set_slot(self, "body", body)
+
+    def _key(self) -> tuple:
+        return (self.prefix, self.body)
 
 
-@_formula_node
-class Next(PathFormula):
-    arg: StateFormula
+class _Temporal(PathFormula):
+    """``Next`` or ``Globally``."""
+
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: StateFormula):
+        set_slot(self, "_hash", None)
+        set_slot(self, "arg", arg)
+
+    def _key(self) -> tuple:
+        return (self.arg,)
 
 
-@_formula_node
-class Globally(PathFormula):
-    arg: StateFormula
+class Next(_Temporal):
+    __slots__ = ()
 
 
-@_formula_node
+class Globally(_Temporal):
+    __slots__ = ()
+
+
 class Until(PathFormula):
-    lhs: StateFormula
-    rhs: StateFormula
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: StateFormula, rhs: StateFormula):
+        set_slot(self, "_hash", None)
+        set_slot(self, "lhs", lhs)
+        set_slot(self, "rhs", rhs)
+
+    def _key(self) -> tuple:
+        return (self.lhs, self.rhs)
 
 
 TOP = Top()
@@ -419,17 +470,24 @@ def canonical(phi: Formula) -> Formula:
 # -- syntax checking ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PositionViolation:
-    path: tuple[int, ...]
-    slot: int  # 1 = y2 in first position, 2 = y1 in second
+class PositionViolation(Node):
+    # slot 1: y2 in the first position; slot 2: y1 in the second
+    __slots__ = _fields = ("path", "slot")
+
+    def __init__(self, path: tuple[int, ...], slot: int):
+        set_slot(self, "_hash", None)
+        set_slot(self, "path", path)
+        set_slot(self, "slot", slot)
 
 
-@dataclass(frozen=True)
-class PolarityViolation:
-    path: tuple[int, ...]
-    variable: int
-    found: str
+class PolarityViolation(Node):
+    __slots__ = _fields = ("path", "variable", "found")
+
+    def __init__(self, path: tuple[int, ...], variable: int, found: str):
+        set_slot(self, "_hash", None)
+        set_slot(self, "path", path)
+        set_slot(self, "variable", variable)
+        set_slot(self, "found", found)
 
     def __str__(self) -> str:
         how = "only negatively" if self.found == "all-negative" else \
@@ -438,10 +496,13 @@ class PolarityViolation:
                 " it must occur only positively")
 
 
-@dataclass(frozen=True)
-class InadmissiblePrefix:
-    path: tuple[int, ...]
-    prefix: tuple
+class InadmissiblePrefix(Node):
+    __slots__ = _fields = ("path", "prefix")
+
+    def __init__(self, path: tuple[int, ...], prefix: QuantPrefix):
+        set_slot(self, "_hash", None)
+        set_slot(self, "path", path)
+        set_slot(self, "prefix", prefix)
 
     def __str__(self) -> str:
         text = " ".join(f"{q} y{i}" for q, i in self.prefix)

@@ -9,7 +9,7 @@ State sets are integer bitmasks over the state order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -45,17 +45,23 @@ def counter_name(action: str) -> str:
     return IDLE_COUNTER if action == IDLE else "#" + action
 
 
-@dataclass(frozen=True)
 class ActionTable:
     """Ordered action alphabet and its counter variables."""
 
-    actions: tuple[str, ...]
+    __slots__ = ("actions",)
 
-    def __post_init__(self):
-        if IDLE in self.actions:
+    def __init__(self, actions: tuple[str, ...]):
+        if IDLE in actions:
             raise ValueError("the idle action is implicit")
-        if len(set(self.actions)) != len(self.actions):
+        if len(set(actions)) != len(actions):
             raise ValueError("duplicate action names")
+        self.actions = actions
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is ActionTable and self.actions == other.actions
+
+    def __hash__(self) -> int:
+        return hash(self.actions)
 
     def counters(self) -> tuple[str, ...]:
         return tuple(counter_name(a) for a in self.actions)
@@ -66,11 +72,19 @@ class ActionTable:
         return counter_name(action)
 
 
-@dataclass(frozen=True)
 class ActionDistribution:
     """Counting abstraction of a joint action: counter -> agent count."""
 
-    counts: tuple[tuple[str, int], ...]
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: tuple[tuple[str, int], ...]):
+        self.counts = counts
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is ActionDistribution and self.counts == other.counts
+
+    def __hash__(self) -> int:
+        return hash(self.counts)
 
     @staticmethod
     def make(counts: Mapping[str, int]) -> "ActionDistribution":
@@ -97,7 +111,6 @@ def oplus(a: ActionDistribution, b: ActionDistribution) -> ActionDistribution:
     return ActionDistribution(tuple((c, v + bd[c]) for c, v in a.counts))
 
 
-@dataclass(frozen=True)
 class Adjacency:
     """Guard matrix by state index, built once per model.
 
@@ -105,10 +118,21 @@ class Adjacency:
     a disjunction up to the order of its disjuncts.
     """
 
-    index: Mapping[str, int]
-    out: tuple[tuple[tuple[int, int], ...], ...]   # (dst index, guard id), by dst
-    guard_by_id: tuple[PresFormula, ...]
-    pred: tuple[tuple[int, ...], ...]
+    __slots__ = ("index", "out", "guard_by_id", "pred")
+
+    def __init__(self, index: Mapping[str, int],
+                 out: tuple[tuple[tuple[int, int], ...], ...],
+                 guard_by_id: tuple[PresFormula, ...],
+                 pred: tuple[tuple[int, ...], ...]):
+        self.index = index
+        self.out = out                  # (dst index, guard id), by dst
+        self.guard_by_id = guard_by_id
+        self.pred = pred
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is Adjacency and \
+            (self.index, self.out, self.guard_by_id, self.pred) == \
+            (other.index, other.out, other.guard_by_id, other.pred)
 
     @staticmethod
     def build(states: tuple[str, ...],
@@ -392,14 +416,25 @@ def successor(model: HdmasModel, state: str, eta: ActionDistribution) -> str:
 # well-formedness
 
 
-@dataclass(frozen=True)
 class CheckOutcome:
-    ok: bool
-    witness: Optional[dict[str, int]] = None
-    detail: str = ""
+    __slots__ = ("ok", "witness", "detail")
+
+    def __init__(self, ok: bool, witness: Optional[dict[str, int]] = None,
+                 detail: str = ""):
+        self.ok = ok
+        self.witness = witness
+        self.detail = detail
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is CheckOutcome and \
+            (self.ok, self.witness, self.detail) == \
+            (other.ok, other.witness, other.detail)
+
+    def __repr__(self) -> str:
+        return (f"CheckOutcome(ok={self.ok}, witness={self.witness},"
+                f" detail={self.detail!r})")
 
 
-@dataclass
 class WellformednessReport:
     """Verdicts for every state and every ordered pair of declared edges
     out of a state.
@@ -408,10 +443,11 @@ class WellformednessReport:
     each pair, the pairs in the state order of their destinations.
     """
 
-    idle: dict[str, CheckOutcome] = field(default_factory=dict)
-    scoping: dict[str, CheckOutcome] = field(default_factory=dict)
-    totality: dict[str, CheckOutcome] = field(default_factory=dict)
-    determinism: dict[tuple[str, str, str], CheckOutcome] = field(default_factory=dict)
+    def __init__(self):
+        self.idle: dict[str, CheckOutcome] = {}
+        self.scoping: dict[str, CheckOutcome] = {}
+        self.totality: dict[str, CheckOutcome] = {}
+        self.determinism: dict[tuple[str, str, str], CheckOutcome] = {}
 
     @property
     def ok(self) -> bool:

@@ -9,8 +9,7 @@ code with the Presburger route.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .logic import (AndF, Coop, Globally, Nat, Next, NotF, OrF, Prop, Quant,
                     StateFormula, Term, Top, Until, memo_walk,
@@ -55,14 +54,15 @@ def _term_value(t: Term, theta: Mapping[str, int]) -> int:
     return theta[sym]
 
 
-@dataclass
 class Oracle:
-    """Enumerating evaluator for one model."""
+    """Enumerating evaluator for one model; the cap defaults to
+    ``configured_cap()``."""
 
-    model: HdmasModel
-    cap: int = field(default_factory=configured_cap)
-    _succ: dict = field(default_factory=dict)
-    _pre: dict = field(default_factory=dict)
+    def __init__(self, model: HdmasModel, cap: Optional[int] = None):
+        self.model = model
+        self.cap = configured_cap() if cap is None else cap
+        self._succ: dict = {}
+        self._pre: dict = {}
 
     def _successor(self, state: str, combined: ActionDistribution) -> str:
         key = (state, combined)
@@ -149,11 +149,11 @@ class Oracle:
 
 def concrete_pre_image(model: HdmasModel, controllable: int, uncontrollable: int,
                        targets: StateSet, cap: int | None = None) -> StateSet:
-    oracle = Oracle(model, cap if cap is not None else configured_cap())
+    oracle = Oracle(model, cap)
     return oracle.concrete_pre_image(controllable, uncontrollable, targets)
 
 
 def concrete_global_mc(model: HdmasModel, phi: StateFormula,
                        theta: Mapping[str, int], cap: int | None = None) -> StateSet:
-    oracle = Oracle(model, cap if cap is not None else configured_cap())
+    oracle = Oracle(model, cap)
     return oracle.global_mc(phi, theta)

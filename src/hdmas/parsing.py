@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple, NoReturn, Optional
 
@@ -597,13 +596,13 @@ def parse_formula(text: str) -> StateFormula:
 # error names the token that does not fit, at that token's position.
 
 
-@dataclass
 class ModelDocument:
     """Parsed model plus the source and per-declaration source positions."""
 
-    source: str
-    model: HdmasModel
-    spans: dict = field(default_factory=dict)
+    def __init__(self, source: str, model: HdmasModel, spans: dict):
+        self.source = source
+        self.model = model
+        self.spans = spans
 
 
 _COMMENT = re.compile(r"#(?![A-Za-z_])[^\n]*")

@@ -1,11 +1,11 @@
 """Linear integer arithmetic over the naturals.
 
-Terms, atoms and formulas are immutable; every operation builds a fresh
-tree.  Atoms are normalised to the shapes ``t < 0``, ``t = 0`` and
-``d | t`` with an integer-combined linear term, so structural equality
-is meaningful and usable as a cache key.  Variables are plain interned
-strings.  All values range over the naturals; internal arithmetic is
-signed and unbounded.
+Terms, atoms and formulas are the immutable nodes of ``nodes``; every
+operation builds a fresh tree.  Atoms are normalised to the shapes
+``t < 0``, ``t = 0`` and ``d | t`` with an integer-combined linear term,
+so structural equality is meaningful and usable as a cache key.
+Variables are plain interned strings.  All values range over the
+naturals; internal arithmetic is signed and unbounded.
 
 A conjunction of literals is a ``Cell``: one bound window per variable
 part plus divisibility literals, with an interval box per variable.  The
@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Optional, Union
+
+from .nodes import (And, Atom, AtomF, Exists, FalseF, Forall, LinTerm, Not, Or,
+                    PresFormula, TrueF)
 
 
 class PresburgerError(Exception):
@@ -44,69 +46,6 @@ class FreeVariableError(PresburgerError):
 
 # ---------------------------------------------------------------------------
 # linear terms
-
-
-@dataclass(frozen=True)
-class LinTerm:
-    """Integer-linear expression ``sum(c_i * x_i) + const``.
-
-    ``coeffs`` is sorted by variable and never holds zero coefficients,
-    so equal terms are structurally equal.
-    """
-
-    coeffs: tuple[tuple[str, int], ...] = ()
-    const: int = 0
-
-    @staticmethod
-    def make(coeffs: dict[str, int] | Iterable[tuple[str, int]] = (),
-             const: int = 0) -> "LinTerm":
-        acc: dict[str, int] = {}
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        for v, c in items:
-            acc[v] = acc.get(v, 0) + c
-        return LinTerm(tuple(sorted((v, c) for v, c in acc.items() if c != 0)), const)
-
-    def vars(self) -> frozenset[str]:
-        return frozenset(v for v, _ in self.coeffs)
-
-    def coeff(self, var: str) -> int:
-        for v, c in self.coeffs:
-            if v == var:
-                return c
-        return 0
-
-    def add(self, other: "LinTerm") -> "LinTerm":
-        return LinTerm.make(tuple(self.coeffs) + tuple(other.coeffs),
-                            self.const + other.const)
-
-    def sub(self, other: "LinTerm") -> "LinTerm":
-        return self.add(other.scale(-1))
-
-    def scale(self, k: int) -> "LinTerm":
-        if k == 0:
-            return LinTerm((), 0)
-        return LinTerm(tuple((v, c * k) for v, c in self.coeffs), self.const * k)
-
-    def shift(self, k: int) -> "LinTerm":
-        return LinTerm(self.coeffs, self.const + k)
-
-    def drop(self, var: str) -> "LinTerm":
-        return LinTerm(tuple((v, c) for v, c in self.coeffs if v != var), self.const)
-
-    def rename(self, mapping: Mapping[str, str]) -> "LinTerm":
-        return LinTerm.make(tuple((mapping.get(v, v), c) for v, c in self.coeffs),
-                            self.const)
-
-    def evaluate(self, valuation: Mapping[str, int]) -> int:
-        total = self.const
-        for v, c in self.coeffs:
-            if v not in valuation:
-                raise UnassignedVariable(v)
-            total += c * valuation[v]
-        return total
-
-    def is_const(self) -> bool:
-        return not self.coeffs
 
 
 def var(name: str) -> LinTerm:
@@ -134,64 +73,6 @@ def as_term(t: TermLike) -> LinTerm:
 EQ = "="
 LT = "<"
 DVD = "|"
-
-
-@dataclass(frozen=True)
-class Atom:
-    """Canonical atom: ``term < 0``, ``term = 0`` or ``divisor | term``."""
-
-    kind: str
-    term: LinTerm
-    divisor: int = 0
-
-
-class PresFormula:
-    """Base class for formula nodes."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class TrueF(PresFormula):
-    pass
-
-
-@dataclass(frozen=True)
-class FalseF(PresFormula):
-    pass
-
-
-@dataclass(frozen=True)
-class AtomF(PresFormula):
-    atom: Atom
-
-
-@dataclass(frozen=True)
-class Not(PresFormula):
-    arg: PresFormula
-
-
-@dataclass(frozen=True)
-class And(PresFormula):
-    args: tuple[PresFormula, ...]
-
-
-@dataclass(frozen=True)
-class Or(PresFormula):
-    args: tuple[PresFormula, ...]
-
-
-@dataclass(frozen=True)
-class Exists(PresFormula):
-    var: str
-    body: PresFormula
-
-
-@dataclass(frozen=True)
-class Forall(PresFormula):
-    var: str
-    body: PresFormula
-
 
 TRUE = TrueF()
 FALSE = FalseF()
@@ -421,7 +302,11 @@ def _evaluate(phi: PresFormula, valuation: Valuation) -> bool:
     if isinstance(phi, FalseF):
         return False
     if isinstance(phi, AtomF):
-        value = phi.atom.term.evaluate(valuation)
+        value = phi.atom.term.const
+        for v, c in phi.atom.term.coeffs:
+            if v not in valuation:
+                raise UnassignedVariable(v)
+            value += c * valuation[v]
         return (value < 0 if phi.atom.kind == LT else value == 0
                 if phi.atom.kind == EQ else value % phi.atom.divisor == 0)
     if isinstance(phi, Not):

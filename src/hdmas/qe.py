@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .presburger import (And, AtomF, Cell, Exists, FalseF, Forall,
@@ -44,19 +43,20 @@ from .presburger import (And, AtomF, Cell, Exists, FalseF, Forall,
                          to_nnf)
 
 
-@dataclass
 class QeStats:
     """Observability counters for a run of the decision procedure."""
 
-    eliminated: int = 0
-    peak_divisor_lcm: int = 1
-    peak_atoms: int = 0
-    elapsed: float = 0.0
-    # existential blocks closed by a satisfiable leaf over block variables
-    early_exits: int = 0
-    # cells eliminated as orbit representatives, and the cells they stand for
-    orbit_reps: int = 0
-    orbit_cells: int = 0
+    def __init__(self):
+        self.eliminated = 0
+        self.peak_divisor_lcm = 1
+        self.peak_atoms = 0
+        self.elapsed = 0.0
+        # existential blocks closed by a satisfiable leaf over block variables
+        self.early_exits = 0
+        # cells eliminated as orbit representatives, and the cells they
+        # stand for
+        self.orbit_reps = 0
+        self.orbit_cells = 0
 
     def to_json(self) -> dict:
         return {

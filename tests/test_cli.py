@@ -472,6 +472,45 @@ def test_formula_file(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [["check-model"], ["check-model", "--json"],
+                                  ["verify", "-f", "<<7,5>> X p", "--state", "s1"]])
+def test_a_model_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, argv):
+    # editors on Windows save UTF-8 with a leading U+FEFF
+    path = tmp_path / "fig2.hdmas"
+    path.write_bytes(b"\xef\xbb\xbf" + pathlib.Path(FIG2).read_bytes())
+    want = run_cli(capsys, argv[0], FIG2, *argv[1:])
+    assert want[0] == 0
+    assert run_cli(capsys, argv[0], str(path), *argv[1:]) == want
+
+
+def test_a_formula_file_with_a_byte_order_mark_is_read(tmp_path, capsys):
+    source = tmp_path / "formula.txt"
+    source.write_bytes("\ufeff<<7,5>> X p\n".encode("utf-8"))
+    got = run_cli(capsys, "verify", FIG2, "--formula-file", str(source))
+    assert got == run_cli(capsys, "verify", FIG2, "-f", "<<7,5>> X p")
+    assert got[0] == 0
+
+
+def test_importing_the_cli_generates_no_code_and_leaves_the_oracle_out():
+    # a fresh interpreter, as for every run of hdmas-verify: dataclasses
+    # compile their methods at import, and --oracle alone needs the oracle
+    probe = """
+import dataclasses, inspect, sys
+import hdmas.cli
+modules = [m for name, m in list(sys.modules.items())
+           if name == "hdmas" or name.startswith("hdmas.")]
+print(sorted(f"{m.__name__}.{name}" for m in modules
+             for name, obj in vars(m).items()
+             if inspect.isclass(obj) and obj.__module__ == m.__name__
+             and dataclasses.is_dataclass(obj)))
+print("hdmas.oracle" in sys.modules)
+"""
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, cwd=src, timeout=60, check=True)
+    assert done.stdout.splitlines() == ["['hdmas.model.HdmasModel']", "False"]
+
+
 def test_fortress_formula(capsys):
     code, out, _ = run_cli(capsys, "verify", FORTRESS,
                            "-f", "E y1 A y2 <<y1,y2>> G !captured",
