@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import NoReturn, Optional
+from typing import NoReturn, Optional, Sequence
 
-from .engine import (EngineError, ModelChecker, UnassignedParameter,
-                     quantified_prf, _resolve_term)
+from .engine import EngineError, ModelChecker, quantified_prf, _resolve_term
 from .logic import (Coop, Quant, StateFormula, free_agent_vars,
                     merge_quantifiers, params_of, props_of, simplify_vacuous,
                     Next)
@@ -55,14 +54,16 @@ class RunConfig:
     def __init__(self, model_path: str,
                  mode: str = "verify",   # check-model | verify | dump-nf | dump-prf
                  formula_text: Optional[str] = None,
-                 assignment: Optional[dict] = None,
+                 formula_file: Optional[str] = None,
+                 assign: Sequence[str] = (),   # the --assign pairs as given
                  state: Optional[str] = None, oracle: bool = False,
                  dump_prf_state: Optional[str] = None,
                  output: str = "plain"):  # plain | json
         self.model_path = model_path
         self.mode = mode
         self.formula_text = formula_text
-        self.assignment = {} if assignment is None else assignment
+        self.formula_file = formula_file
+        self.assign = assign
         self.state = state
         self.oracle = oracle
         self.dump_prf_state = dump_prf_state
@@ -99,7 +100,7 @@ def _is_numeral(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-def _parse_assignment(pairs: list[str]) -> dict:
+def _parse_assignment(pairs: Sequence[str]) -> dict:
     theta = {}
     for pair in pairs:
         key, _, raw = pair.partition("=")
@@ -162,10 +163,14 @@ def _unassigned(phi: StateFormula, theta: dict) -> list[str]:
 
 
 def _verify(config: RunConfig) -> int:
+    # the formula file and the assignment are read before the model
+    formula_text = config.formula_text
+    if config.formula_file is not None:
+        formula_text = _read_text(config.formula_file)
+    theta = _parse_assignment(config.assign)
     doc = _load_model(config)
     model = doc.model
-    phi = parse_formula(config.formula_text or "")
-    theta = config.assignment
+    phi = parse_formula(formula_text or "")
 
     if config.state is not None and config.state not in model.states:
         raise SemanticError(f"unknown state {config.state!r}")
@@ -246,7 +251,7 @@ def run(config: RunConfig) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except (SemanticError, UnassignedParameter, EngineError) as err:
+    except (SemanticError, EngineError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SEMANTIC
     except CapExceeded as err:
@@ -425,20 +430,10 @@ def _main(argv: Optional[list[str]]) -> int:
     elif dump_prf:
         mode = "dump-prf"
         dump_state = dump_prf[2:] if dump_prf.startswith("s=") else dump_prf
-    formula_text = opts.get("--formula")
-    if "--formula-file" in opts:
-        try:
-            formula_text = _read_text(opts["--formula-file"])
-        except UnreadableInput as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_PARSE
-    try:
-        assignment = _parse_assignment(opts.get("--assign", []))
-    except SemanticError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SEMANTIC
     config = RunConfig(model_path=model_path, mode=mode,
-                       formula_text=formula_text, assignment=assignment,
+                       formula_text=opts.get("--formula"),
+                       formula_file=opts.get("--formula-file"),
+                       assign=opts.get("--assign", ()),
                        state=opts.get("--state"), oracle=bool(opts.get("--oracle")),
                        dump_prf_state=dump_state, output=output)
     return run(config)

@@ -431,6 +431,9 @@ def _parse_term(ts: _Stream) -> Term:
         if m:
             ts.next()
             index = int(m.group(1))
+            if m.group(1) != str(index) and index:
+                raise ParseError(f"parameter {tok.text!r} has a leading zero",
+                                 tok.line, tok.col)
             if index < 1:
                 raise ParseError("parameter indices start at 1", tok.line, tok.col)
             return Param(index)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Collection, Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .nodes import (And, Atom, AtomF, Exists, FalseF, Forall, LinTerm, Not, Or,
                     PresFormula, TrueF)
@@ -754,21 +754,6 @@ class Cell:
         out.extend(complement(d) for d in sorted(self.divs, key=repr))
         return Or(tuple(out)) if len(out) > 1 else out[0] if out else FALSE
 
-    def subsumes(self, other: "Cell") -> bool:
-        """Whether ``other`` implies every literal of this cell: each
-        bound of this cell leaves the window of ``other`` unchanged."""
-        if len(self.windows) > len(other.windows) or not self.divs <= other.divs:
-            return False
-        for part, window in self.windows.items():
-            s = other.windows.get(part)
-            if s is None:
-                return False
-            if s != window:
-                for side, value in enumerate(window):
-                    if value is not None and _window_add(s, side, value) != s:
-                        return False
-        return True
-
     def rename(self, g: Mapping[str, str]) -> "Cell":
         """The cell with its variables renamed.  A renamed part whose
         leading coefficient turns negative is narrowed afresh, which flips
@@ -914,9 +899,9 @@ def cheapest(names: list[str], cells: Iterable[Cell]) -> str:
     return min(names, key=cost.__getitem__)
 
 
-def _merge_cells(cells: Iterable[Cell]) -> list[Cell]:
-    """Union cells identical up to one adjacent or overlapping window; a
-    window that the union opens is dropped."""
+def merge_cells(cells: Iterable[Cell]) -> list[Cell]:
+    """The cells deduplicated, and those identical up to one adjacent or
+    overlapping window united; a window that the union opens is dropped."""
     buckets: dict = {}
     for cell in cells:
         parts = tuple(sorted(cell.windows))
@@ -944,21 +929,6 @@ def _merge_cells(cells: Iterable[Cell]) -> list[Cell]:
                 {p: w for p, w in zip(parts, row) if w != _OPEN}, divs, seed)
             out.setdefault(cell)
     return list(out)
-
-
-_PRUNE_LIMIT = 1200
-
-
-def prune_cells(cells: Collection[Cell]) -> list[Cell]:
-    """The cells merged, without those that a smaller one subsumes."""
-    merged = _merge_cells(cells) if len(cells) > 1 else list(cells)
-    if len(merged) > _PRUNE_LIMIT:
-        return merged
-    survivors: list[Cell] = []
-    for cell in sorted(merged, key=lambda c: len(c.windows) + len(c.divs)):
-        if not any(prev.subsumes(cell) for prev in survivors):
-            survivors.append(cell)
-    return survivors
 
 
 # -- simplification ----------------------------------------------------------

@@ -8,16 +8,18 @@ box and the projection of one variable).  An existential block expands
 its body into cells depth-first, splitting one conjunct at a time as
 DPLL(T) case splitting does, closes at once when a cell over block
 variables only is satisfiable, and then eliminates its variables cell by
-cell, cheapest first; a cell whose box empties is dropped.  Projection on
-the cell's windows is the only elimination: a divisibility literal on the
-variable is unfolded there into an equality with a fresh variable.  A
-universal block is eliminated existentially on its negated body and
-returns the negated cells as clauses, which the enclosing block expands
-lazily.  A block takes its body as built, unsimplified (``build_prf``
-simplifies the formula it builds once); only the final result is
-simplified again (``eliminate_quantifiers``).  Bound variables need no
-renaming apart: a block's result mentions none of its variables, so a
-shadowed or repeated name is gone before any outer block sees it.
+cell, cheapest first; a cell whose box empties is dropped.  The cell set is
+merged (``presburger.merge_cells``) after the expansion and after each
+variable.  Projection on the cell's windows is the only elimination: a
+divisibility literal on the variable is unfolded there into an equality
+with a fresh variable.  A universal block is eliminated existentially on
+its negated body and returns the negated cells as clauses, which the
+enclosing block expands lazily.  A block takes its body as built,
+unsimplified (``build_prf`` simplifies the formula it builds once); only
+the final result is simplified again (``eliminate_quantifiers``).  Bound
+variables need no renaming apart: a block's result mentions none of its
+variables, so a shadowed or repeated name is gone before any outer block
+sees it.
 
 The caller may offer variable renamings that it expects to be symmetries
 of the formula, such as the engine's permutations of interchangeable
@@ -39,7 +41,7 @@ from typing import Iterable, Mapping, Optional
 from .presburger import (And, AtomF, Cell, Exists, FalseF, Forall,
                          FreeVariableError, Not, Or, PresFormula, TrueF,
                          _literal_atom, _quantifier_block, cheapest, complement,
-                         conj, disj, free_vars, neg, prune_cells, simplify,
+                         conj, disj, free_vars, merge_cells, neg, simplify,
                          to_nnf)
 
 
@@ -83,7 +85,7 @@ def eliminate_quantifiers(phi: PresFormula, stats: Optional[QeStats] = None,
     ``symmetry`` offers renamings to eliminate one cell per orbit with;
     each block checks them on its own cells, so they need not hold.
     """
-    return simplify(_close(phi, stats, symmetry))
+    return simplify(_close(phi, QeStats() if stats is None else stats, symmetry))
 
 
 def decide(phi: PresFormula, stats: Optional[QeStats] = None,
@@ -92,10 +94,10 @@ def decide(phi: PresFormula, stats: Optional[QeStats] = None,
     fv = free_vars(phi)
     if fv:
         raise FreeVariableError(sorted(fv))
+    stats = QeStats() if stats is None else stats
     started = time.perf_counter()
     result = eliminate_quantifiers(phi, stats, symmetry)
-    if stats is not None:
-        stats.elapsed += time.perf_counter() - started
+    stats.elapsed += time.perf_counter() - started
     if isinstance(result, TrueF):
         return True
     if isinstance(result, FalseF):
@@ -116,7 +118,7 @@ def is_valid(phi: PresFormula, variables: Iterable[str],
 # quantifier structure
 
 
-def _close(phi: PresFormula, stats: Optional[QeStats],
+def _close(phi: PresFormula, stats: QeStats,
            symmetry: Symmetry) -> PresFormula:
     """Eliminate all quantifiers bottom-up; result is quantifier-free."""
     if isinstance(phi, (Exists, Forall)):
@@ -132,28 +134,26 @@ def _close(phi: PresFormula, stats: Optional[QeStats],
     return phi
 
 
-def _block(names: list[str], phi: PresFormula, stats: Optional[QeStats],
+def _block(names: list[str], phi: PresFormula, stats: QeStats,
            negate: bool, symmetry: Symmetry = ()) -> PresFormula:
     """Quantifier-free equivalent of ``exists names. phi``, or of
     ``forall names. phi`` when ``negate``, for quantifier-free ``phi``.
 
     The body is taken as built, unsimplified, since the expansion and
-    ``prune_cells`` do that work; ``eliminate_quantifiers`` simplifies the result.
+    ``merge_cells`` do that work; ``eliminate_quantifiers`` simplifies the result.
     """
     body = to_nnf(neg(phi) if negate else phi)
-    cells = prune_cells(_expand_depth_first(names, body, stats))
+    cells = merge_cells(_expand_depth_first(names, body, stats))
     cells = _project_cells(names, cells, stats, symmetry)
-    if stats is not None:
-        stats.eliminated += len(names)
+    stats.eliminated += len(names)
     return _reps_clauses(cells) if negate else _reps_formula(cells)
 
 
 # ---------------------------------------------------------------------------
 # cells (see ``presburger.Cell``)
 #
-# The cells of a block are deduplicated and subsumption-pruned globally
-# after the expansion and after every eliminated variable, which keeps
-# alternating prefixes tractable.
+# The cells of a block are deduplicated and merged after the expansion,
+# after every eliminated variable and after the orbit closure.
 
 
 def _blocking_literal(alt: list[PresFormula]) -> Optional[PresFormula]:
@@ -185,7 +185,7 @@ def _open_conjuncts(cell: Cell, pending: list) -> Optional[list]:
 
 
 def _expand_depth_first(names: list[str], body: PresFormula,
-                        stats: Optional[QeStats]) -> list[Cell]:
+                        stats: QeStats) -> list[Cell]:
     """Cells of ``body`` for the existential block over ``names``.
 
     Walks the conjuncts depth-first, each with its own DNF as the
@@ -213,8 +213,7 @@ def _expand_depth_first(names: list[str], body: PresFormula,
         if not open_:
             if cell.vars <= block:
                 if _exists_block_reps(names, [cell], stats):
-                    if stats is not None:
-                        stats.early_exits += 1
+                    stats.early_exits += 1
                     return [Cell()]
                 continue
             leaves.setdefault(cell)
@@ -237,7 +236,7 @@ def _expand_depth_first(names: list[str], body: PresFormula,
 
 
 def _exists_block_reps(names: list[str], cells: list[Cell],
-                       stats: Optional[QeStats]) -> list[Cell]:
+                       stats: QeStats) -> list[Cell]:
     """Cells of ``exists names`` over ``cells``, one variable at a time,
     cheapest first; a cell without the variable is kept as it is, and one
     whose box empties is dropped."""
@@ -249,13 +248,12 @@ def _exists_block_reps(names: list[str], cells: list[Cell],
         for cell in cells:
             if cell.box is not None:
                 nxt.update(dict.fromkeys(cell.project(v) if v in cell.vars else [cell]))
-        cells = prune_cells(nxt)
-        if stats is not None:
-            stats.peak_atoms = max(stats.peak_atoms,
-                                   sum(len(c.windows) * 2 + len(c.divs)
-                                       for c in cells))
-            stats.peak_divisor_lcm = max(stats.peak_divisor_lcm, math.lcm(
-                *(_literal_atom(d).divisor for c in cells for d in c.divs)))
+        cells = merge_cells(nxt)
+        stats.peak_atoms = max(stats.peak_atoms,
+                               sum(len(c.windows) * 2 + len(c.divs)
+                                   for c in cells))
+        stats.peak_divisor_lcm = max(stats.peak_divisor_lcm, math.lcm(
+            *(_literal_atom(d).divisor for c in cells for d in c.divs)))
     return cells
 
 
@@ -284,7 +282,7 @@ def _cell_images(g: Mapping[str, str], cells: list[Cell]) -> Optional[dict]:
 
 
 def _project_cells(names: list[str], cells: list[Cell],
-                   stats: Optional[QeStats], symmetry: Symmetry) -> list[Cell]:
+                   stats: QeStats, symmetry: Symmetry) -> list[Cell]:
     """``_exists_block_reps`` on one cell per orbit of the renamings that
     fix the block, its result closed under them; the plain elimination
     when none does."""
@@ -315,9 +313,8 @@ def _project_cells(names: list[str], cells: list[Cell],
                 if images[at] not in seen:
                     seen.add(images[at])
                     todo.append(images[at])
-    if stats is not None:
-        stats.orbit_reps += len(reps)
-        stats.orbit_cells += len(cells)
+    stats.orbit_reps += len(reps)
+    stats.orbit_cells += len(cells)
     result = _exists_block_reps(names, reps, stats)
     closed = dict.fromkeys(result)
     todo = list(result)
@@ -328,7 +325,7 @@ def _project_cells(names: list[str], cells: list[Cell],
             if image not in closed:
                 closed[image] = None
                 todo.append(image)
-    return prune_cells(closed)
+    return merge_cells(closed)
 
 
 def _reps_formula(cells: list[Cell]) -> PresFormula:

@@ -197,6 +197,31 @@ def test_parameter_key_with_a_leading_zero_is_an_error(capsys):
     assert "unbound" not in err and out == ""
 
 
+def test_parameter_with_a_leading_zero_is_a_parse_error(capsys):
+    # z01 in the formula used to run as z1
+    code, out, err = run_cli(capsys, "verify", FIG2, "-f", "<<z01,2>> X p",
+                             "--assign", "z1=3")
+    assert (code, out) == (1, "")
+    assert err == "parse error: 1:3: parameter 'z01' has a leading zero\n"
+    code, out, _ = run_cli(capsys, "verify", FIG2, "-f", "<<z10,2>> X p",
+                           "--assign", "z10=3")
+    assert (code, out) == (0, "extension: s2 s4 s5\n")
+
+
+def test_a_bad_assignment_is_reported_before_the_model_is_read(capsys):
+    code, out, err = run_cli(capsys, "verify", "/nonexistent", "-f",
+                             "<<1,1>> X p", "--assign", "z1=x")
+    assert (code, out) == (2, "")
+    assert err == "error: assignment 'z1=x' needs a natural number\n"
+
+
+def test_an_unreadable_formula_file_is_reported_before_the_assignment(capsys):
+    code, out, err = run_cli(capsys, "verify", FIG2, "--formula-file", "/nope",
+                             "--assign", "z1=x")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "/nope" in err
+
+
 @pytest.mark.parametrize("dump", [("--dump-nf",), ("--dump-prf", "s=s1")],
                          ids=["nf", "prf"])
 def test_json_with_a_dump_is_an_error(capsys, dump):

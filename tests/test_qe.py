@@ -19,7 +19,7 @@ from hdmas.presburger import (EQ, FALSE, LT, TRUE, And, Atom, AtomF, Cell,
                               atom_dvd, atom_eq, atom_ge, atom_gt, atom_le,
                               atom_lt, atom_ne, complement, conj, disj,
                               evaluate, free_vars,
-                              is_quantifier_free, neg, num, prune_cells,
+                              is_quantifier_free, merge_cells, neg, num,
                               simplify, substitute, substitute_all, var)
 import hdmas.qe as qe
 from hdmas.qe import QeStats, decide, eliminate_quantifiers, is_valid
@@ -395,13 +395,48 @@ def test_extend_returns_the_cell_itself_when_nothing_is_added():
 
 def test_merged_cells_keep_no_open_window():
     # k < 4 or k > 3 states nothing about k: the merged cell has no window
-    # on it, so it equals, and subsumes, the cell without k
+    # on it, so it equals the cell without k
     below = Cell().extend([atom_lt(X, num(4)), atom_lt(Y, num(2))])
     above = Cell().extend([atom_gt(X, num(3)), atom_lt(Y, num(2))])
-    merged = prune_cells([below, above])
-    assert merged == [Cell().extend([atom_lt(Y, num(2))])]
-    stronger = Cell().extend([atom_lt(Y, num(2)), atom_eq(Z, num(1))])
-    assert prune_cells([below, above, stronger]) == merged
+    assert merge_cells([below, above]) == [Cell().extend([atom_lt(Y, num(2))])]
+
+
+@st.composite
+def windows_over(draw, term):
+    """The literals of one window on ``term`` with small bounds: an
+    equality, a lower bound, an upper bound or both."""
+    lo = draw(st.integers(-1, 6))
+    hi = lo + draw(st.integers(2, 5))
+    shape = draw(st.sampled_from(["eq", "lo", "hi", "both"]))
+    if shape == "eq":
+        return [atom_eq(term, num(lo + 1))]
+    return ([atom_gt(term, num(lo))] if shape != "hi" else []) + (
+        [atom_lt(term, num(hi))] if shape != "lo" else [])
+
+
+@st.composite
+def cells_over_shared_parts(draw):
+    """Two to six cells with a window on each of the same one or two
+    variable parts, so that many of them are adjacent or overlap."""
+    terms = draw(st.sampled_from([(X,), (X, Y), (X, X.add(Y))]))
+    return [Cell().extend([lit for term in terms
+                           for lit in draw(windows_over(term))])
+            for _ in range(draw(st.integers(2, 6)))]
+
+
+MERGE_GRID = [{"x": x, "y": y} for x in range(14) for y in range(14)]
+
+
+@given(cells_over_shared_parts())
+@settings(max_examples=200, deadline=None)
+def test_merging_keeps_the_points_and_reaches_a_fixed_point(cells):
+    merged = merge_cells(cells)
+    assert [_cells_hold(merged, p) for p in MERGE_GRID] == \
+        [_cells_hold(cells, p) for p in MERGE_GRID]
+    assert all((None, None, None) not in cell.windows.values()
+               for cell in merged)
+    again = merge_cells(merged)
+    assert len(again) == len(merged) and set(again) == set(merged)
 
 
 def test_renamed_cells_state_the_renamed_literals():
@@ -487,7 +522,7 @@ def block_cells(draw):
 
 def _eliminate_block(block, cell):
     """Cells of ``exists block`` over one cell."""
-    return qe._exists_block_reps(block, [cell], None)
+    return qe._exists_block_reps(block, [cell], QeStats())
 
 
 def _cells_hold(cells, point):
