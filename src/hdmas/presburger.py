@@ -10,8 +10,8 @@ naturals; internal arithmetic is signed and unbounded.
 A conjunction of literals is a ``Cell``: one bound window per variable
 part plus divisibility literals, with an interval box per variable.  The
 simplifier merges the sibling bound atoms of a conjunction through it, and
-quantifier elimination (``qe``) expands formulas into cells and projects
-variables out of them; no other module reads a window.
+quantifier elimination (``qe``) expands formulas into cells and eliminates
+variables from them; no other module reads a window.
 """
 
 from __future__ import annotations
@@ -570,14 +570,14 @@ def _combine(*terms: tuple) -> tuple:
 # visits per window one propagation may make: bounds can climb forever on
 # a cycle of windows, and past the budget the box is sound but not final
 _ROUNDS = 32
-_FREE = (None, None)
+_NATURAL = (0, None)          # the interval of a variable no bound narrowed
 
 
 def _propagate(windows: dict, box: dict, todo: Iterable) -> Optional[dict]:
     """``box`` narrowed by interval propagation over the windows from the
     parts in ``todo``, None when an interval empties: a part's variable
     lies in its window minus the other terms' range, and one that narrows
-    queues the parts that mention it.  Sound over the integers; a fixed
+    queues the parts that mention it.  Sound over the naturals; a fixed
     point does not depend on the parts it started from."""
     queue = list(todo)
     if not queue:
@@ -595,7 +595,7 @@ def _propagate(windows: dict, box: dict, todo: Iterable) -> Optional[dict]:
         terms = []                     # (u, c, least and most of c*u)
         least_sum = most_sum = least_open = most_open = 0
         for u, c in part:
-            a, b = box.get(u, _FREE)[::1 if c > 0 else -1]
+            a, b = box.get(u, _NATURAL)[::1 if c > 0 else -1]
             if a is None:
                 least_open += 1
             else:
@@ -626,7 +626,7 @@ def _propagate(windows: dict, box: dict, todo: Iterable) -> Optional[dict]:
                 at_most = hi - 1 - least_sum + (t_least or 0)
             if c < 0:
                 at_least, at_most = at_most, at_least
-            a, b = old = box.get(u, _FREE)
+            a, b = old = box.get(u, _NATURAL)
             if at_least is not None and (a is None or -(-at_least // c) > a):
                 a = -(-at_least // c)
             if at_most is not None and (b is None or at_most // c < b):
@@ -651,23 +651,19 @@ class Cell:
 
     The box, an inclusive interval per variable that holds every point, is
     propagated when first read: from the box of the cell this one was made
-    from (``base``) over the windows that differ from it, or from a given
-    box (``base`` a dict; the root's is kept as ``seed`` for merged cells)
-    over every window.
+    from (``base``) over the windows that differ from it, or over every
+    window from the box where every variable is natural (``_NATURAL``).  A
+    variable leaves a cell through ``drop_one_sided`` when every window
+    bounds it from one side only, else through ``project``.
     """
 
-    __slots__ = ("windows", "divs", "seed", "_base", "_box", "_key")
+    __slots__ = ("windows", "divs", "_base", "_box", "_key")
 
     def __init__(self, windows: Optional[dict] = None,
-                 divs: frozenset = frozenset(),
-                 base: Union["Cell", dict, None] = None):
+                 divs: frozenset = frozenset(), base: Optional["Cell"] = None):
         self.windows = {} if windows is None else windows
         self.divs = divs
-        if isinstance(base, Cell):
-            self.seed = base.seed
-        else:
-            self.seed = base = {} if base is None else base
-        self._base = base                # None once the box is computed
+        self._base = {} if base is None else base   # None once the box is computed
         self._box = self._key = None
 
     @property
@@ -773,7 +769,33 @@ class Cell:
         if any(_literal_atom(d).term.vars() & g.keys() for d in divs):
             terms = {u: var(w) for u, w in g.items()}
             divs = frozenset(substitute_all(d, terms) for d in divs)
-        return Cell(windows, divs, self.seed)
+        return Cell(windows, divs)
+
+    def drop_one_sided(self, names: Iterable[str]) -> Optional["Cell"]:
+        """``exists >= 0`` of those ``names`` bounded from one side only and
+        by no equality or other literal, in one pass (Pugh, CACM 1992): one
+        bounded above only is 0, one bounded below only drops its windows.
+        Itself when there is none, None when the cell empties."""
+        barred = {u for d in self.divs for u in _literal_atom(d).term.vars()}
+        # 1: bounded above only, -1: below only, None: from both sides
+        side = {u: 0 for u in names if u not in barred}
+        for part, (lo, hi, _) in self.windows.items():
+            for u, c in part:
+                if side.get(u) is not None:
+                    s = 0 if (lo is None) == (hi is None) else \
+                        1 if (c > 0) == (hi is not None) else -1
+                    side[u] = s if s and side[u] in (0, s) else None
+        if not any(side.values()):
+            return self
+        windows: dict = {}
+        for part, window in self.windows.items():
+            if -1 in {side.get(u) for u, _ in part}:
+                continue
+            rest = tuple(p for p in part if side.get(p[0]) != 1)
+            for s, value in enumerate(window):
+                if value is not None and not _narrow(windows, rest, s, value):
+                    return None
+        return Cell(windows, self.divs, self)
 
     def project(self, v: str) -> list["Cell"]:
         """Cells with non-empty boxes whose union is ``exists v >= 0`` of
@@ -878,11 +900,12 @@ class Cell:
         return cells
 
 
-def cheapest(names: list[str], cells: Iterable[Cell]) -> str:
+def cheapest(names: list[str], cells: Iterable[Cell]) -> Optional[str]:
     """The variable of ``names`` cheapest to eliminate over the cells, in
     one pass: one that an equality with a unit coefficient pivots away,
     then the least lcm of its coefficients, then the fewest literals that
-    mention it; the first in ``names`` among equals."""
+    mention it; the first in ``names`` among equals.  None when no cell
+    mentions any of them."""
     cost = {v: [1, 1, 0] for v in names}
     for cell in cells:
         literals = [(part, 3 - window.count(None), window[2] is not None)
@@ -896,7 +919,8 @@ def cheapest(names: list[str], cells: Iterable[Cell]) -> str:
                         entry[0] = 0
                     entry[1] = math.lcm(entry[1], abs(c))
                     entry[2] += count
-    return min(names, key=cost.__getitem__)
+    return min((v for v in names if cost[v][2]), key=cost.__getitem__,
+               default=None)
 
 
 def merge_cells(cells: Iterable[Cell]) -> list[Cell]:
@@ -923,10 +947,9 @@ def merge_cells(cells: Iterable[Cell]) -> list[Cell]:
                     rows[i] = rows[i][:diff[0]] + (union,) + rows[i][diff[0] + 1:]
                     rows[j], changed = None, True
             rows = [r for r in rows if r is not None]
-        seed = next(iter(by_row.values())).seed
         for row in rows:
             cell = by_row.get(row) or Cell(
-                {p: w for p, w in zip(parts, row) if w != _OPEN}, divs, seed)
+                {p: w for p, w in zip(parts, row) if w != _OPEN}, divs)
             out.setdefault(cell)
     return list(out)
 

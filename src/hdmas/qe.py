@@ -4,22 +4,23 @@ The procedure is quantifier elimination over the integers with every
 quantified variable relativised by ``var >= 0``.  Elimination runs
 innermost-first, one block of same-kind quantifiers at a time, through
 cells (``presburger.Cell``, which owns the window arithmetic, the interval
-box and the projection of one variable).  An existential block expands
-its body into cells depth-first, splitting one conjunct at a time as
-DPLL(T) case splitting does, closes at once when a cell over block
-variables only is satisfiable, and then eliminates its variables cell by
-cell, cheapest first; a cell whose box empties is dropped.  The cell set is
-merged (``presburger.merge_cells``) after the expansion and after each
-variable.  Projection on the cell's windows is the only elimination: a
-divisibility literal on the variable is unfolded there into an equality
-with a fresh variable.  A universal block is eliminated existentially on
-its negated body and returns the negated cells as clauses, which the
-enclosing block expands lazily.  A block takes its body as built,
-unsimplified (``build_prf`` simplifies the formula it builds once); only
-the final result is simplified again (``eliminate_quantifiers``).  Bound
-variables need no renaming apart: a block's result mentions none of its
-variables, so a shadowed or repeated name is gone before any outer block
-sees it.
+box and the elimination of variables).  An existential block expands its
+body into cells depth-first, splitting one conjunct at a time as DPLL(T)
+case splitting does, closes at once when a cell over block variables only
+is satisfiable, and then eliminates its variables in rounds: each takes
+out of every cell the variables it bounds from one side only, then
+projects the cheapest one left.  A cell whose box empties is dropped, and
+the cell set is merged (``presburger.merge_cells``) after the expansion
+and after each round.  Projection is the only elimination of a variable
+bounded from both sides; it unfolds a divisibility literal on the variable
+into an equality with a fresh variable.  A universal block is eliminated
+existentially on its negated body and returns the negated cells as
+clauses, which the enclosing block expands lazily.  A block takes its body
+as built, unsimplified (``build_prf`` simplifies the formula it builds
+once); only the final result is simplified again
+(``eliminate_quantifiers``).  Bound variables need no renaming apart: a
+block's result mentions none of its variables, so a shadowed or repeated
+name is gone before any outer block sees it.
 
 The caller may offer variable renamings that it expects to be symmetries
 of the formula, such as the engine's permutations of interchangeable
@@ -52,6 +53,7 @@ class QeStats:
         self.eliminated = 0
         self.peak_divisor_lcm = 1
         self.peak_atoms = 0
+        self.one_sided = 0      # block variables left without a projection
         self.elapsed = 0.0
         # existential blocks closed by a satisfiable leaf over block variables
         self.early_exits = 0
@@ -63,6 +65,7 @@ class QeStats:
     def to_json(self) -> dict:
         return {
             "eliminated_quantifiers": self.eliminated,
+            "one_sided_eliminated": self.one_sided,
             "peak_divisor_lcm": self.peak_divisor_lcm,
             "peak_atom_count": self.peak_atoms,
             "elapsed_seconds": self.elapsed,
@@ -202,7 +205,7 @@ def _expand_depth_first(names: list[str], body: PresFormula,
                  for child in (body.args if isinstance(body, And) else (body,))]
     block = set(names)
     leaves: dict = {}
-    stack = [(Cell(base=dict.fromkeys(names, (0, None))), conjuncts)]
+    stack = [(Cell(), conjuncts)]
     while stack:
         cell, pending = stack.pop()
         if cell.box is None:
@@ -237,12 +240,19 @@ def _expand_depth_first(names: list[str], body: PresFormula,
 
 def _exists_block_reps(names: list[str], cells: list[Cell],
                        stats: QeStats) -> list[Cell]:
-    """Cells of ``exists names`` over ``cells``, one variable at a time,
-    cheapest first; a cell without the variable is kept as it is, and one
-    whose box empties is dropped."""
+    """Cells of ``exists names`` over ``cells``: each round takes out of
+    every cell the variables it bounds from one side only, then projects
+    the cheapest variable a cell still mentions; a cell without it is kept
+    as it is, and one whose box empties is dropped."""
     remaining = list(names)
-    while remaining:
+    while True:
+        dropped = [cell.drop_one_sided(remaining) for cell in cells]
+        if any(new is not cell for new, cell in zip(dropped, cells)):
+            cells = merge_cells(c for c in dropped if c and c.box is not None)
         v = cheapest(remaining, cells)
+        if v is None:
+            stats.one_sided += len(remaining)
+            return cells
         remaining.remove(v)
         nxt: dict = {}
         for cell in cells:
@@ -254,7 +264,6 @@ def _exists_block_reps(names: list[str], cells: list[Cell],
                                    for c in cells))
         stats.peak_divisor_lcm = max(stats.peak_divisor_lcm, math.lcm(
             *(_literal_atom(d).divisor for c in cells for d in c.divs)))
-    return cells
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from hdmas.engine import ModelChecker
 from hdmas.normalform import nf
 from hdmas.oracle import Oracle
 from hdmas.parsing import parse_formula, parse_model
+from hdmas.presburger import Cell
 from hdmas.qe import QeStats
 
 
@@ -95,3 +96,22 @@ def test_near_symmetric_fortress_matches_the_oracle():
                 assert checker.global_mc(phi, {}) == oracle.global_mc(phi, {}), \
                     (t1, t2, objective)
     assert stats.orbit_reps > 0
+
+
+@pytest.mark.parametrize("model_text, formula, most", [
+    (fortress_text(4), "<<3,9>> G !captured", 10),
+    (None, "E y1 A y2 <<y1,y2>> X (p|q)", 16),
+])
+def test_one_sided_variables_need_no_projection(fig2, monkeypatch,
+                                                model_text, formula, most):
+    # every adversary share is bounded above by its total, so most block
+    # variables leave in the one-sided pass, not through Cell.project
+    # (40 and 57 projections without the pass)
+    model = fig2 if model_text is None else parse_model(model_text).model
+    project, calls = Cell.project, []
+    monkeypatch.setattr(Cell, "project",
+                        lambda cell, v: calls.append(v) or project(cell, v))
+    stats = QeStats()
+    ModelChecker(model, stats=stats).global_mc(nf(parse_formula(formula)), {})
+    assert 0 < len(calls) <= most
+    assert stats.one_sided > 0

@@ -63,6 +63,12 @@ def test_eliminate_keeps_other_variables():
             assert evaluate(res, {"y": yv, "z": zv}) == brute
 
 
+def test_free_variables_range_over_the_naturals():
+    # no natural y is negative, so the cell that needs one empties
+    phi = Exists("x", conj((atom_lt(X, num(3)), atom_lt(Y, num(0)))))
+    assert eliminate_quantifiers(phi) == FALSE
+
+
 def _brute(phi, env, bound=8):
     """Truth of ``phi`` with every quantifier enumerated over 0..bound."""
     if isinstance(phi, Exists):
@@ -484,11 +490,6 @@ def test_fortress_3_decision_simplifies_only_its_result(monkeypatch, fortress):
 BLOCK = ["x1", "x2", "x3"]
 
 
-def _root(block):
-    """The empty cell whose box starts with the block variables natural."""
-    return Cell(base=dict.fromkeys(block, (0, None)))
-
-
 @st.composite
 def bound_literals(draw, names):
     """A bound atom over one to three of ``names``, unit and non-unit
@@ -515,7 +516,7 @@ def block_cells(draw):
                             draw(st.integers(-3, 3)))
         dvd = atom_dvd(draw(st.integers(2, 4)), term)
         literals.append(neg(dvd) if draw(st.booleans()) else dvd)
-    cell = _root(block).extend(literals)
+    cell = Cell().extend(literals)
     assume(cell is not None)
     return block, cell
 
@@ -581,25 +582,46 @@ def _some_witness(block, cell, z, bound):
 
 # z <= 3*x1 <= z + 1: the dark shadow is empty, the splinters 3*x1 = z and
 # 3*x1 = z + 1 hold the solutions
-SPLINTERED = (["x1"], _root(["x1"]).extend([
+SPLINTERED = (["x1"], Cell().extend([
     atom_le(Z, X1.scale(3)), atom_le(X1.scale(3), Z.shift(1))]))
 # at z = 7 the least witness is x1 = 48, x2 = 9, x3 = 0: past a grid of 45,
 # but x1 is solved from the equality
-SOLVED = (BLOCK, _root(BLOCK).extend([
+SOLVED = (BLOCK, Cell().extend([
     atom_gt(X1, num(0)), atom_eq(X1.sub(X2.scale(3)).sub(Z.scale(3)), num(0)),
     atom_gt(X2.sub(X3).sub(Z), num(1))]))
 # at z = 0 the least witness is x2 = 1, x3 = 13, x1 = 46: past a grid of 45,
 # but each variable is only bounded from below once the one above is gone
-CHAINED = (BLOCK, _root(BLOCK).extend([
+CHAINED = (BLOCK, Cell().extend([
     atom_gt(X1, num(0)), atom_gt(X2, num(0)),
     atom_gt(X1, X3.scale(3).sub(Z.scale(3)).shift(6)),
     atom_gt(X3, X2.scale(3).sub(Z.scale(3)).shift(9))]))
+
+# x1 and x2 bounded above only, x3 from both sides through a part it
+# shares with x1: x1 = x2 = 0, then z - 4 < x3 < 4
+ABOVE_ONLY = (BLOCK, Cell().extend([
+    atom_lt(X1.add(X2.scale(2)), Z.shift(-1)),
+    atom_gt(X3.sub(X1), Z.shift(-4)), atom_lt(X3, num(4))]))
+# x2 bounded below only through the part x1 - x2 - z, which also bounds x1
+# from above; x1 keeps its other bounds
+BELOW_ONLY = (["x1", "x2"], Cell().extend([
+    atom_lt(X1.sub(X2), Z.shift(-1)), atom_gt(X1, num(2)),
+    atom_lt(X1.scale(2), Z.shift(5))]))
+# x1 looks bounded above only and x2 below only, but x1 sits in a
+# divisibility literal and x2 in an equality, so both are projected: the
+# cell holds for 1 <= z <= 2 (zeroing x1 would admit z = 0, dropping the
+# windows of x2 every z >= 3)
+LOOKS_ONE_SIDED = (["x1", "x2"], Cell().extend([
+    atom_lt(X1, Z.shift(1)), atom_dvd(3, X1.add(Z).shift(1)),
+    atom_gt(X2, Z), atom_eq(X2.add(Z), num(6))]))
 
 
 @given(block_cells())
 @example(SPLINTERED)
 @example(SOLVED)
 @example(CHAINED)
+@example(ABOVE_ONLY)
+@example(BELOW_ONLY)
+@example(LOOKS_ONE_SIDED)
 @settings(max_examples=150, deadline=None)
 def test_projecting_a_cell_agrees_with_enumeration(drawn):
     # exists block >= 0 of one cell, projected on its windows, against
@@ -620,7 +642,7 @@ def test_projecting_a_cell_agrees_with_enumeration(drawn):
 
 # an equality, both bounds on one part and two divisibility literals, one
 # of them negated
-DIVIDED = (["x1", "x2"], _root(["x1", "x2"]).extend([
+DIVIDED = (["x1", "x2"], Cell().extend([
     atom_eq(X1.scale(2).sub(Z), num(3)), atom_lt(X2.sub(Z), num(4)),
     atom_gt(X2.sub(Z), num(-3)), atom_dvd(3, X1.add(Z)),
     neg(atom_dvd(2, X2.add(Z)))]))
@@ -665,7 +687,7 @@ def test_a_block_gives_the_same_result_on_a_simplified_body(seed):
 def _projected(names, literals):
     """``exists names`` of the literals at z = 0..11, by ``Cell.project`` of
     one variable after the other and by enumerating them in 0..14."""
-    cells = [_root(names).extend(literals)]
+    cells = [Cell().extend(literals)]
     for v in names:
         cells = [out for cell in cells for out in cell.project(v)]
     for cell in cells:
@@ -700,8 +722,7 @@ def test_incremental_refutation_matches_from_scratch(literals):
     # a child cell propagates its parent's box from the windows that
     # changed; it must be refuted exactly when propagating from nothing
     # refutes it, and every box holds every point of its cell
-    naturals = dict.fromkeys(BLOCK, (0, None))
-    cell = _root(BLOCK)
+    cell = Cell()
     points = [dict(zip(BLOCK + ["z"], p)) for p in
               np.ndindex(6, 6, 6, 6)]
     for lit in literals:
@@ -709,7 +730,7 @@ def test_incremental_refutation_matches_from_scratch(literals):
         if ext is None:
             return
         incremental = ext.box
-        scratch = Cell(ext.windows, ext.divs, naturals).box
+        scratch = Cell(ext.windows, ext.divs).box
         assert (incremental is None) == (scratch is None), ext.key
         inside = [p for p in points
                   if all(evaluate(l, p) for l in ext.literals())]
@@ -728,7 +749,7 @@ def test_propagation_follows_a_chain_of_windows():
     # x3 > 5 lifts x2 through x2 - x3 > 3 and then x1 through x1 - x2 > 3,
     # so x1 < 12 empties the cell: only a propagation that requeues the
     # parts of a narrowed variable sees it
-    cell = _root(BLOCK)
+    cell = Cell()
     for lit in (atom_gt(X1.sub(X2), num(3)), atom_gt(X2.sub(X3), num(3)),
                 atom_gt(X3, num(5))):
         cell = cell.extend([lit])
@@ -736,7 +757,7 @@ def test_propagation_follows_a_chain_of_windows():
     assert cell.box["x1"] == (14, None)
     ext = cell.extend([atom_lt(X1, num(12))])
     assert ext.box is None
-    assert Cell(ext.windows, ext.divs, dict.fromkeys(BLOCK, (0, None))).box is None
+    assert Cell(ext.windows, ext.divs).box is None
 
 
 def test_projection_never_turns_cells_into_literals(monkeypatch, fig2,
