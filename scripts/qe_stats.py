@@ -10,7 +10,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from hdmas.engine import prf_symmetry, quantified_prf
+from hdmas.engine import quantified_prf
 from hdmas.logic import EXISTS, FORALL
 from hdmas.parsing import parse_model
 from hdmas.qe import QeStats, decide
@@ -44,7 +44,7 @@ def main():
             stats = QeStats()
             phi = quantified_prf(model, state, t1, t2, targets, prefix)
             begun = time.perf_counter()
-            verdict = decide(phi, stats, prf_symmetry(model, state))
+            verdict = decide(phi, stats)
             elapsed = time.perf_counter() - begun
             _accumulate(grand, stats)
             print(f"  {state}: {str(verdict):5s}  {elapsed * 1000:7.1f} ms  "

@@ -22,7 +22,7 @@ from .normalform import nf
 from .presburger import (Exists, Forall, PresFormula, atom_le, conj,
                          free_vars, implies, num, simplify, substitute_all,
                          var)
-from .qe import QeStats, Symmetry, decide
+from .qe import QeStats, decide
 
 Assignment = Mapping[str, int]
 
@@ -121,14 +121,6 @@ def _share(side: str, action: str) -> str:
     return f"{side}_{action}"
 
 
-def prf_symmetry(model: HdmasModel, state: str) -> Symmetry:
-    """The action symmetries of a state as renamings of the variables of
-    ``build_prf``, which names its variables after the actions."""
-    return tuple({_share(side, a): _share(side, b)
-                  for a, b in perm.items() for side in ("k", "l")}
-                 for perm in model.action_symmetries[state])
-
-
 class ModelChecker:
     """Caching evaluator for one model.
 
@@ -182,8 +174,7 @@ class ModelChecker:
             hit = self._verdicts.get(key)
             if hit is None:
                 phi = quantified_prf(model, state, r1, r2, targets, pfix)
-                hit = self._verdicts[key] = decide(
-                    phi, self.stats, symmetry=prf_symmetry(model, state))
+                hit = self._verdicts[key] = decide(phi, self.stats)
             pre = pre | low if hit else pre & ~low
         return pre
 

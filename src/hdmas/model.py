@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .presburger import (EQ, FALSE, And, Atom, AtomF, Exists, Not, Or,
-                         PresFormula, _fold_atom, _quantify, atom_le, atoms_of,
-                         conj, disj, evaluate, free_vars, is_quantifier_free,
-                         neg, substitute, var)
+from .presburger import (FALSE, Exists, PresFormula, _quantify, atom_le, conj,
+                         disj, evaluate, free_vars, is_quantifier_free, neg,
+                         substitute, var)
 from .qe import decide, is_valid
 
 # the idle action has no user-visible name and its counter never occurs
@@ -25,8 +24,6 @@ IDLE = ""
 IDLE_COUNTER = "#"
 
 StateSet = int
-# a permutation of actions, listing the actions it moves
-Permutation = Mapping[str, str]
 
 
 class ModelError(Exception):
@@ -168,27 +165,6 @@ class HdmasModel:
     def adjacency(self) -> Adjacency:
         return Adjacency.build(self.states, self.guards)
 
-    @cached_property
-    def action_symmetries(self) -> Mapping[str, tuple[Permutation, ...]]:
-        """Per state, generators of permutations of its available actions
-        that map every guard out of the state to an equal guard.
-
-        States with the same available actions and the same guards share
-        one computation.
-        """
-        adj = self.adjacency
-        found: dict[tuple, tuple[Permutation, ...]] = {}
-        out = {}
-        for i, s in enumerate(self.states):
-            gids = tuple(sorted({gid for _, gid in adj.out[i]}))
-            key = (self.avail[s], gids)
-            if key not in found:
-                found[key] = _symmetry_generators(
-                    [a for a in self.table.actions if a in self.avail[s]],
-                    [adj.guard_by_id[gid] for gid in gids])
-            out[s] = found[key]
-        return out
-
     # -- state sets as bitmasks ----------------------------------------
 
     def index(self, state: str) -> int:
@@ -255,116 +231,6 @@ def guard_union(model: HdmasModel, state: str, targets: StateSet) -> PresFormula
     adj = model.adjacency
     return disj([adj.guard_by_id[gid] for d, gid in adj.out[adj.index[state]]
                  if targets >> d & 1])
-
-
-# ---------------------------------------------------------------------------
-# action symmetries
-#
-# Homogeneity makes agents interchangeable; models often have
-# interchangeable actions too, such as the k entries of fortress-k.  A
-# permutation of the actions available at a state that maps every guard
-# out of the state to an equal guard also fixes every guard union from the
-# state.  Candidates come from the shapes of the atoms each counter occurs
-# in, and each is checked on the guards.  QE checks every generator again
-# on the cells it applies it to, so a wrong one could cost time but never
-# change an answer.
-
-
-def _canonical(phi: PresFormula, rename: Mapping[str, str]) -> object:
-    """Key of a quantifier-free formula with its counters renamed; equal
-    for formulas that differ only in the order and repeats of conjuncts
-    and disjuncts."""
-    if isinstance(phi, AtomF):
-        a = phi.atom
-        return _fold_atom(Atom(a.kind, a.term.rename(rename), a.divisor))
-    if isinstance(phi, Not):
-        return ("!", _canonical(phi.arg, rename))
-    if isinstance(phi, (And, Or)):
-        return (type(phi).__name__,
-                frozenset(_canonical(a, rename) for a in phi.args))
-    return phi
-
-
-def _atom_shapes(guards: list[PresFormula], counters: Iterable[str]
-                 ) -> tuple[dict[str, tuple], list[list[str]]]:
-    """Per counter, the sorted shapes of the atoms it occurs in (guard
-    index, kind, divisor, its coefficient, constant, other coefficients),
-    which a symmetry preserves; and the counters of each atom."""
-    shapes: dict[str, list] = {c: [] for c in counters}
-    together = []
-    for j, g in enumerate(guards):
-        for atom in atoms_of(g):
-            coeffs = dict(atom.term.coeffs)
-            present = [c for c in coeffs if c in shapes]
-            together.append(present)
-            for c in present:
-                # an equality is kept with a positive leading coefficient,
-                # so its sign says nothing about the counter
-                sign = -1 if atom.kind == EQ and coeffs[c] < 0 else 1
-                others = sorted(sign * v for u, v in coeffs.items() if u != c)
-                shapes[c].append((j, atom.kind, atom.divisor, sign * coeffs[c],
-                                  sign * atom.term.const, tuple(others)))
-    return {c: tuple(sorted(s)) for c, s in shapes.items()}, together
-
-
-def _symmetry_generators(actions: list[str], guards: list[PresFormula]
-                         ) -> tuple[Permutation, ...]:
-    """Checked generators of permutations of ``actions`` that map each of
-    ``guards`` to an equal guard.
-
-    Candidates swap two groups of actions that share atoms (fortress's
-    ``d_i, r_i`` against ``d_j, r_j``), then two single actions, always
-    with equal atom shapes; a candidate whose actions the accepted
-    generators already connect is not tried.
-    """
-    counter = {a: counter_name(a) for a in actions}
-    shapes, together = _atom_shapes(guards, counter.values())
-    actions = [a for a in actions if shapes[counter[a]]]
-    shape = {a: shapes[counter[a]] for a in actions}
-
-    # union-find over actions: linked by a shared atom, and by the orbits
-    # of the accepted generators
-    def find(parent: dict, a: str) -> str:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    linked = {a: a for a in actions}
-    action_of = {c: a for a, c in counter.items()}
-    for present in together:
-        for c in present[1:]:
-            linked[find(linked, action_of[c])] = find(linked, action_of[present[0]])
-    groups: dict[str, list[str]] = {}
-    for a in actions:
-        groups.setdefault(find(linked, a), []).append(a)
-    members = [sorted(g, key=lambda a: shape[a]) for g in groups.values()]
-
-    candidates = []
-    for i, first in enumerate(members):
-        for second in members[i + 1:]:
-            if [shape[a] for a in first] == [shape[a] for a in second]:
-                candidates.append(dict(zip(first + second, second + first)))
-    for i, a in enumerate(actions):
-        for b in actions[i + 1:]:
-            if shape[a] == shape[b]:
-                candidates.append({a: b, b: a})
-    if not candidates or not all(is_quantifier_free(g) for g in guards):
-        return ()
-
-    wanted = [_canonical(g, {}) for g in guards]
-    orbit = {a: a for a in actions}
-    out = []
-    for perm in candidates:
-        a, b = next(iter(perm.items()))
-        if find(orbit, a) == find(orbit, b):
-            continue
-        rename = {counter[x]: counter[y] for x, y in perm.items()}
-        if all(_canonical(g, rename) == w for g, w in zip(guards, wanted)):
-            out.append(perm)
-            for x, y in perm.items():
-                orbit[find(orbit, x)] = find(orbit, y)
-    return tuple(out)
 
 
 def distributions(model: HdmasModel, state: str, m: int) -> Iterator[ActionDistribution]:

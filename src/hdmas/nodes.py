@@ -14,7 +14,7 @@ dataclass ``__repr__``, by which ``Cell.literals`` sorts.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 # sets a slot past Node.__setattr__; only __init__ and __hash__ call it
 set_slot = object.__setattr__
@@ -111,10 +111,6 @@ class LinTerm(Node):
 
     def drop(self, var: str) -> "LinTerm":
         return LinTerm(tuple((v, c) for v, c in self.coeffs if v != var), self.const)
-
-    def rename(self, mapping: Mapping[str, str]) -> "LinTerm":
-        return LinTerm.make(tuple((mapping.get(v, v), c) for v, c in self.coeffs),
-                            self.const)
 
     def is_const(self) -> bool:
         return not self.coeffs

@@ -750,27 +750,6 @@ class Cell:
         out.extend(complement(d) for d in sorted(self.divs, key=repr))
         return Or(tuple(out)) if len(out) > 1 else out[0] if out else FALSE
 
-    def rename(self, g: Mapping[str, str]) -> "Cell":
-        """The cell with its variables renamed.  A renamed part whose
-        leading coefficient turns negative is narrowed afresh, which flips
-        it and its window."""
-        windows: dict = {}
-        for part, window in self.windows.items():
-            if any(v in g for v, _ in part):
-                coeffs = tuple(sorted((g.get(v, v), c) for v, c in part))
-                if coeffs[0][1] < 0:
-                    for side, value in enumerate(window):
-                        if value is not None:
-                            _narrow(windows, coeffs, side, value)
-                    continue
-                part = coeffs
-            windows[part] = window
-        divs = self.divs
-        if any(_literal_atom(d).term.vars() & g.keys() for d in divs):
-            terms = {u: var(w) for u, w in g.items()}
-            divs = frozenset(substitute_all(d, terms) for d in divs)
-        return Cell(windows, divs)
-
     def drop_one_sided(self, names: Iterable[str]) -> Optional["Cell"]:
         """``exists >= 0`` of those ``names`` bounded from one side only and
         by no equality or other literal, in one pass (Pugh, CACM 1992): one

@@ -21,23 +21,13 @@ once); only the final result is simplified again
 (``eliminate_quantifiers``).  Bound variables need no renaming apart: a
 block's result mentions none of its variables, so a shadowed or repeated
 name is gone before any outer block sees it.
-
-The caller may offer variable renamings that it expects to be symmetries
-of the formula, such as the engine's permutations of interchangeable
-actions.  A block uses a renaming only when it maps the block variables
-onto themselves and the block's cell set onto itself, a check that is
-exact for that block, so a wrong offer never changes a result.  The block
-then eliminates one representative cell per orbit of the renamings and
-closes the result cells under them; the closure is the union of the
-images of the representatives' results, which is the result of the
-whole cell set (Emerson & Sistla, "Symmetry and model checking", 1996).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .presburger import (And, AtomF, Cell, Exists, FalseF, Forall,
                          FreeVariableError, Not, Or, PresFormula, TrueF,
@@ -57,10 +47,6 @@ class QeStats:
         self.elapsed = 0.0
         # existential blocks closed by a satisfiable leaf over block variables
         self.early_exits = 0
-        # cells eliminated as orbit representatives, and the cells they
-        # stand for
-        self.orbit_reps = 0
-        self.orbit_cells = 0
 
     def to_json(self) -> dict:
         return {
@@ -70,36 +56,24 @@ class QeStats:
             "peak_atom_count": self.peak_atoms,
             "elapsed_seconds": self.elapsed,
             "early_exits": self.early_exits,
-            "orbit_reps": self.orbit_reps,
-            "orbit_cells": self.orbit_cells,
         }
 
 
-# Renamings of variables, each a permutation listing the variables it
-# moves, that the caller expects to map the formula to an equal one.
-Symmetry = tuple[Mapping[str, str], ...]
-
-
-def eliminate_quantifiers(phi: PresFormula, stats: Optional[QeStats] = None,
-                          symmetry: Symmetry = ()) -> PresFormula:
+def eliminate_quantifiers(phi: PresFormula,
+                          stats: Optional[QeStats] = None) -> PresFormula:
     """Quantifier-free formula equivalent over N to ``phi``, with every
-    quantifier relativised to >= 0.  Free variables stay free.
-
-    ``symmetry`` offers renamings to eliminate one cell per orbit with;
-    each block checks them on its own cells, so they need not hold.
-    """
-    return simplify(_close(phi, QeStats() if stats is None else stats, symmetry))
+    quantifier relativised to >= 0.  Free variables stay free."""
+    return simplify(_close(phi, QeStats() if stats is None else stats))
 
 
-def decide(phi: PresFormula, stats: Optional[QeStats] = None,
-           symmetry: Symmetry = ()) -> bool:
+def decide(phi: PresFormula, stats: Optional[QeStats] = None) -> bool:
     """Truth over N of a closed formula, all quantifiers relativised to >= 0."""
     fv = free_vars(phi)
     if fv:
         raise FreeVariableError(sorted(fv))
     stats = QeStats() if stats is None else stats
     started = time.perf_counter()
-    result = eliminate_quantifiers(phi, stats, symmetry)
+    result = eliminate_quantifiers(phi, stats)
     stats.elapsed += time.perf_counter() - started
     if isinstance(result, TrueF):
         return True
@@ -121,24 +95,23 @@ def is_valid(phi: PresFormula, variables: Iterable[str],
 # quantifier structure
 
 
-def _close(phi: PresFormula, stats: QeStats,
-           symmetry: Symmetry) -> PresFormula:
+def _close(phi: PresFormula, stats: QeStats) -> PresFormula:
     """Eliminate all quantifiers bottom-up; result is quantifier-free."""
     if isinstance(phi, (Exists, Forall)):
         names, body = _quantifier_block(phi)
-        return _block(names, _close(body, stats, symmetry), stats,
-                      negate=isinstance(phi, Forall), symmetry=symmetry)
+        return _block(names, _close(body, stats), stats,
+                      negate=isinstance(phi, Forall))
     if isinstance(phi, Not):
-        return neg(_close(phi.arg, stats, symmetry))
+        return neg(_close(phi.arg, stats))
     if isinstance(phi, And):
-        return conj(tuple(_close(a, stats, symmetry) for a in phi.args))
+        return conj(tuple(_close(a, stats) for a in phi.args))
     if isinstance(phi, Or):
-        return disj(tuple(_close(a, stats, symmetry) for a in phi.args))
+        return disj(tuple(_close(a, stats) for a in phi.args))
     return phi
 
 
 def _block(names: list[str], phi: PresFormula, stats: QeStats,
-           negate: bool, symmetry: Symmetry = ()) -> PresFormula:
+           negate: bool) -> PresFormula:
     """Quantifier-free equivalent of ``exists names. phi``, or of
     ``forall names. phi`` when ``negate``, for quantifier-free ``phi``.
 
@@ -147,16 +120,16 @@ def _block(names: list[str], phi: PresFormula, stats: QeStats,
     """
     body = to_nnf(neg(phi) if negate else phi)
     cells = merge_cells(_expand_depth_first(names, body, stats))
-    cells = _project_cells(names, cells, stats, symmetry)
+    cells = _exists_block(names, cells, stats)
     stats.eliminated += len(names)
-    return _reps_clauses(cells) if negate else _reps_formula(cells)
+    return _cells_clauses(cells) if negate else _cells_formula(cells)
 
 
 # ---------------------------------------------------------------------------
 # cells (see ``presburger.Cell``)
 #
-# The cells of a block are deduplicated and merged after the expansion,
-# after every eliminated variable and after the orbit closure.
+# The cells of a block are deduplicated and merged after the expansion
+# and after every eliminated variable.
 
 
 def _blocking_literal(alt: list[PresFormula]) -> Optional[PresFormula]:
@@ -215,7 +188,7 @@ def _expand_depth_first(names: list[str], body: PresFormula,
             continue
         if not open_:
             if cell.vars <= block:
-                if _exists_block_reps(names, [cell], stats):
+                if _exists_block(names, [cell], stats):
                     stats.early_exits += 1
                     return [Cell()]
                 continue
@@ -238,8 +211,8 @@ def _expand_depth_first(names: list[str], body: PresFormula,
     return list(leaves)
 
 
-def _exists_block_reps(names: list[str], cells: list[Cell],
-                       stats: QeStats) -> list[Cell]:
+def _exists_block(names: list[str], cells: list[Cell],
+                  stats: QeStats) -> list[Cell]:
     """Cells of ``exists names`` over ``cells``: each round takes out of
     every cell the variables it bounds from one side only, then projects
     the cheapest variable a cell still mentions; a cell without it is kept
@@ -266,83 +239,12 @@ def _exists_block_reps(names: list[str], cells: list[Cell],
             *(_literal_atom(d).divisor for c in cells for d in c.divs)))
 
 
-# ---------------------------------------------------------------------------
-# orbits
-#
-# A renaming g that maps the block variables onto themselves and the cell
-# set onto itself commutes with the block: exists names. g(C) is
-# g(exists names. C).  So the result of the block is the union, over the
-# group the accepted renamings generate, of the images of the results of
-# one representative cell per orbit, and the closure of those results
-# under the generators is exactly that union.
-
-
-def _cell_images(g: Mapping[str, str], cells: list[Cell]) -> Optional[dict]:
-    """Image of each cell under ``g``; None when ``g`` does not map the
-    cell set onto itself."""
-    members = set(cells)
-    images = {}
-    for cell in cells:
-        image = cell.rename(g)
-        if image not in members:
-            return None
-        images[cell] = image
-    return images
-
-
-def _project_cells(names: list[str], cells: list[Cell],
-                   stats: QeStats, symmetry: Symmetry) -> list[Cell]:
-    """``_exists_block_reps`` on one cell per orbit of the renamings that
-    fix the block, its result closed under them; the plain elimination
-    when none does."""
-    if not symmetry or len(cells) < 2:
-        return _exists_block_reps(names, cells, stats)
-    block = set(names)
-    moved = frozenset().union(*(cell.vars for cell in cells))
-    maps = []
-    for g in symmetry:
-        if not moved & g.keys() or {g.get(v, v) for v in names} != block:
-            continue
-        images = _cell_images(g, cells)
-        if images is not None:
-            maps.append((g, images))
-    if not maps:
-        return _exists_block_reps(names, cells, stats)
-    reps = []
-    seen: set = set()
-    for cell in cells:
-        if cell in seen:
-            continue
-        reps.append(cell)
-        seen.add(cell)
-        todo = [cell]
-        while todo:
-            at = todo.pop()
-            for _, images in maps:
-                if images[at] not in seen:
-                    seen.add(images[at])
-                    todo.append(images[at])
-    stats.orbit_reps += len(reps)
-    stats.orbit_cells += len(cells)
-    result = _exists_block_reps(names, reps, stats)
-    closed = dict.fromkeys(result)
-    todo = list(result)
-    while todo:
-        cell = todo.pop()
-        for g, _ in maps:
-            image = cell.rename(g)
-            if image not in closed:
-                closed[image] = None
-                todo.append(image)
-    return merge_cells(closed)
-
-
-def _reps_formula(cells: list[Cell]) -> PresFormula:
+def _cells_formula(cells: list[Cell]) -> PresFormula:
     """Disjunction of the cells, one conjunct per cell."""
     return disj(tuple(conj(tuple(cell.literals())) for cell in cells))
 
 
-def _reps_clauses(cells: list[Cell]) -> PresFormula:
+def _cells_clauses(cells: list[Cell]) -> PresFormula:
     """Conjunction of the negated cells, one clause per cell."""
     return conj(tuple(cell.clause() for cell in cells))
 

@@ -244,7 +244,10 @@ def test_verify_json_schema(capsys):
     assert payload["formula"] == "<<7,5>> X p"
     assert payload["per_state"]["s1"] is True
     assert set(payload["extension"]) <= set("s1 s2 s3 s4 s5 s6".split())
-    assert "qe_stats" in payload
+    # a counter added or dropped must be added to or dropped from the README
+    assert set(payload["qe_stats"]) == {
+        "eliminated_quantifiers", "one_sided_eliminated", "peak_divisor_lcm",
+        "peak_atom_count", "elapsed_seconds", "early_exits"}
 
 
 def test_verify_oracle_path(capsys):
@@ -313,7 +316,7 @@ def test_dump_prf_keeps_the_quantifier_prefix(capsys, monkeypatch):
     checker = ModelChecker(model)
     decided = []
     monkeypatch.setattr(hdmas.engine, "decide",
-                        lambda phi, stats, symmetry: decided.append(phi) or True)
+                        lambda phi, stats: decided.append(phi) or True)
     checker._pre_states(Y1, Nat(2), model.prop_mask("p"), {}, ((EXISTS, 1),),
                         0, 1 << model.index("s1"))
     assert out == guard_to_str(decided[0]) + "\n"

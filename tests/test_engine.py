@@ -406,45 +406,23 @@ def test_only_candidates_with_an_edge_into_the_change_are_examined(
                     assert edge(i, joined), ("U", psi, psi2, i)
 
 
-def test_action_symmetries_of_the_fixtures(fig2, fortress):
-    # swapping a2 and a3 fixes s5's guards #a2 = #a3 and #a2 != #a3; no
-    # other fig2 state and no ring state has a symmetry
-    assert {s: g for s, g in fig2.action_symmetries.items() if g} == \
-        {"s5": ({"a2": "a3", "a3": "a2"},)}
-    ring = parse_model(ring_text(12)).model
-    assert not any(ring.action_symmetries.values())
-    # fortress's entries: each d_i moves with its r_i, and all connect
-    generators = fortress.action_symmetries["s1"]
-    for perm in generators:
-        assert all(perm["r" + a[1:]] == "r" + b[1:]
-                   for a, b in perm.items() if a[0] == "d")
-    reached = {"d1"}
-    for _ in range(3):
-        reached |= {perm.get(a, a) for perm in generators for a in reached}
-    assert reached == {"d1", "d2", "d3"}
+@pytest.mark.parametrize("name", ["ring", "fortress"])
+def test_each_block_is_expanded_once(monkeypatch, fortress, name):
+    model = fortress if name == "fortress" else parse_model(ring_text(12)).model
+    calls = {"_block": 0, "_expand_depth_first": 0}
+    for fn in calls:
+        original = getattr(qe, fn)
 
-
-@pytest.mark.parametrize("symmetric", [False, True], ids=["ring", "fortress"])
-def test_each_block_is_expanded_once(monkeypatch, fortress, symmetric):
-    # a model with no generators never looks for orbits; with them, the
-    # orbits reuse the block's one expansion
-    model = fortress if symmetric else parse_model(ring_text(12)).model
-    calls = {"_block": 0, "_expand_depth_first": 0, "_cell_images": 0}
-    for name in calls:
-        original = getattr(qe, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
+        def counted(*args, _name=fn, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
-        monkeypatch.setattr(qe, name, counted)
+        monkeypatch.setattr(qe, fn, counted)
     checker = ModelChecker(model)
-    prop = "captured" if symmetric else "goal"
+    prop = "captured" if name == "fortress" else "goal"
     for formula in (f"<<3,1>> G !{prop}", f"E y1 A y2 <<y1,y2>> X !{prop}",
                     f"A y2 <<6,y2>> F {prop}"):
         checker.global_mc(nf(parse_formula(formula)), {})
     assert calls["_block"] == calls["_expand_depth_first"] > 0
-    assert (calls["_cell_images"] > 0) == symmetric
-    assert (checker.stats.orbit_reps > 0) == symmetric
 
 
 def test_build_prf_reads_the_guard_variables_once(monkeypatch, fortress):
