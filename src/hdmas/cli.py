@@ -32,9 +32,8 @@ import sys
 from typing import NoReturn, Optional, Sequence
 
 from .engine import EngineError, ModelChecker, quantified_prf, _resolve_term
-from .logic import (Coop, Quant, StateFormula, free_agent_vars,
-                    merge_quantifiers, params_of, props_of, simplify_vacuous,
-                    Next)
+from .logic import (Coop, Quant, StateFormula, assignment_symbols,
+                    merge_quantifiers, props_of, simplify_vacuous, Next)
 from .model import HdmasModel, StateSet, check_wellformed
 from .normalform import nf
 from .parsing import (ParseError, SemanticError, formula_to_str, guard_to_str,
@@ -107,11 +106,14 @@ def _parse_assignment(pairs: Sequence[str]) -> dict:
         key = key.strip()
         if not _is_numeral(raw.strip()):
             raise SemanticError(f"assignment {pair!r} needs a natural number")
-        # z<n> as the formula names it: no leading zero, so z01 is not z1
+        # z<n> as the formula names it: n >= 1 with no leading zero, so z01
+        # is not z1 and z0 names no parameter
         if not (key in ("y1", "y2") or (key.startswith("z")
                                         and _is_numeral(key[1:])
-                                        and key[1:] == str(int(key[1:])))):
-            raise SemanticError(f"assignment key {key!r} is not y1, y2 or z<n>")
+                                        and key[1:] == str(int(key[1:]))
+                                        and key != "z0")):
+            raise SemanticError(
+                f"assignment key {key!r} is not y1, y2 or z<n> with n >= 1")
         if key in theta:
             raise SemanticError(f"{key} is assigned more than once")
         theta[key] = int(raw)
@@ -156,12 +158,6 @@ def _enumerate(model: HdmasModel, phi: StateFormula, theta: dict) -> StateSet:
         raise CapExceeded(str(err)) from None
 
 
-def _unassigned(phi: StateFormula, theta: dict) -> list[str]:
-    needed = [f"z{i}" for i in sorted(params_of(phi))]
-    needed += [f"y{i}" for i in sorted(free_agent_vars(phi))]
-    return [sym for sym in needed if sym not in theta]
-
-
 def _verify(config: RunConfig) -> int:
     # the formula file and the assignment are read before the model
     formula_text = config.formula_text
@@ -185,7 +181,7 @@ def _verify(config: RunConfig) -> int:
         print(formula_to_str(normal))
         return EXIT_OK
 
-    missing = _unassigned(phi, theta)
+    missing = [sym for sym in assignment_symbols(phi) if sym not in theta]
     if missing:
         raise SemanticError("unbound symbols in the formula: "
                             + ", ".join(missing) + " (use --assign)")

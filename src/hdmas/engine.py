@@ -14,8 +14,8 @@ from typing import Mapping, Optional, Union
 
 from .logic import (EXISTS, FORALL, AgentVar, AndF, Coop, Globally, Nat, Next,
                     NotF, OrF, Prop, Quant, QuantPrefix, StateFormula, Term,
-                    Top, Until, check_syntax, free_agent_vars, is_normal_form,
-                    merge_quantifiers, params_of, simplify_vacuous,
+                    Top, Until, assignment_symbols, check_syntax,
+                    is_normal_form, merge_quantifiers, simplify_vacuous,
                     term_symbol)
 from .model import IDLE_COUNTER, HdmasModel, StateSet, guard_union
 from .normalform import nf
@@ -249,9 +249,8 @@ class ModelChecker:
     # -- internals -------------------------------------------------------
 
     def _theta_key(self, phi: StateFormula, theta: Assignment) -> tuple:
-        relevant = [f"z{i}" for i in params_of(phi)]
-        relevant += [f"y{i}" for i in free_agent_vars(phi)]
-        return tuple(sorted((k, theta[k]) for k in relevant if k in theta))
+        return tuple(sorted((k, theta[k]) for k in assignment_symbols(phi)
+                            if k in theta))
 
     def _extent(self, phi: StateFormula, theta: Assignment) -> StateSet:
         key = (phi, self._theta_key(phi, theta))

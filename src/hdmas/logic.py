@@ -73,6 +73,13 @@ def term_symbol(t: Term) -> Optional[str]:
     return None
 
 
+def assignment_symbols(phi: Formula) -> list[str]:
+    """The assignment keys a formula needs: ``z<n>`` for each parameter,
+    then ``y<i>`` for each free agent variable, each in index order."""
+    return ([f"z{i}" for i in sorted(params_of(phi))]
+            + [f"y{i}" for i in sorted(free_agent_vars(phi))])
+
+
 # -- formulas ----------------------------------------------------------------
 #
 # The parser shares subtrees (``a <-> b`` holds ``a`` and ``b`` twice), so

@@ -8,10 +8,11 @@ Variables are plain interned strings.  All values range over the
 naturals; internal arithmetic is signed and unbounded.
 
 A conjunction of literals is a ``Cell``: one bound window per variable
-part plus divisibility literals, with an interval box per variable.  The
-simplifier merges the sibling bound atoms of a conjunction through it, and
-quantifier elimination (``qe``) expands formulas into cells and eliminates
-variables from them; no other module reads a window.
+part plus divisibility literals, with an interval box per variable.  It is
+the only code that combines bounds: quantifier elimination (``qe``)
+expands formulas into cells and eliminates variables from them, and the
+simplifier only folds constants, flattens and folds a formula beside its
+own negation.
 """
 
 from __future__ import annotations
@@ -372,51 +373,14 @@ def substitute_all(phi: PresFormula,
     return walk(phi, {v: as_term(t) for v, t in replacements.items()})
 
 
-# -- negation normal form ----------------------------------------------------
-
-
-def to_nnf(phi: PresFormula) -> PresFormula:
-    """Push negations to the atoms of a quantifier-free formula.
-
-    Each negated atom becomes its ``complement``: ``!(a < b)`` is
-    ``b <= a`` and ``!(a = b)`` is ``a < b | b < a``; negated divisibility
-    atoms stay as literals.
-    """
-    return _nnf(phi, False)
-
-
-def _nnf(phi: PresFormula, negated: bool) -> PresFormula:
-    if isinstance(phi, TrueF):
-        return FALSE if negated else TRUE
-    if isinstance(phi, FalseF):
-        return TRUE if negated else FALSE
-    if isinstance(phi, AtomF):
-        if not negated:
-            return phi
-        return complement(phi)
-    if isinstance(phi, Not):
-        return _nnf(phi.arg, not negated)
-    if isinstance(phi, And):
-        parts = tuple(_nnf(a, negated) for a in phi.args)
-        return disj(parts) if negated else conj(parts)
-    if isinstance(phi, Or):
-        parts = tuple(_nnf(a, negated) for a in phi.args)
-        return conj(parts) if negated else disj(parts)
-    raise TypeError(phi)
-
-
 # -- bound windows and cells ------------------------------------------------
 #
 # A conjunction of bound atoms over a shared variable part P is one window
 # (lo, hi, eq): lo < P < hi, or P = eq, with None for no bound.  A Cell is
 # a window map plus a set of other literals (divisibility and negations);
-# it is the one representation of a conjunction of literals, used by
-# simplify() to merge sibling bounds and by QE to expand and project
-# formulas.  No other module reads or builds a window.
-
-
-def _is_bound(phi: PresFormula) -> bool:
-    return isinstance(phi, AtomF) and phi.atom.kind in (LT, EQ)
+# it is the one representation of a conjunction of literals and the only
+# code that combines bounds, used by QE to expand and project formulas.
+# No other module reads or builds a window.
 
 
 def _literal_atom(lit: PresFormula) -> Atom:
@@ -458,11 +422,6 @@ def _canonical(coeffs: tuple, side: int,
             return None
         value = -(-value // g) if side == 1 else value // g
     return coeffs, side, value
-
-
-def _bound(atom: Atom) -> tuple[tuple, int, int]:
-    """An LT/EQ atom as the coefficients, side and value of a bound."""
-    return atom.term.coeffs, 1 if atom.kind == LT else 2, -atom.term.const
 
 
 _OPEN = (None, None, None)
@@ -934,49 +893,12 @@ def merge_cells(cells: Iterable[Cell]) -> list[Cell]:
 
 
 # -- simplification ----------------------------------------------------------
-#
-# Beyond the constructor-level folding, simplify() merges the sibling bound
-# atoms of a conjunction into one cell, joins those of a disjunction while
-# their union is one atom, and folds a child beside its own negation.
-
-
-def _combine_or(children: list[PresFormula]) -> list[PresFormula] | bool:
-    """The children with each bound atom joined into a sibling over the
-    same variable part while their union is one atom (a one-sided window
-    or an equality, so implied bounds drop too); True when the bounds
-    cover everything."""
-    groups: dict[tuple, list] = {}
-    out: list[PresFormula] = []
-    for ch in children:
-        if not _is_bound(ch):
-            out.append(ch)
-            continue
-        part, window = _tighten({}, *_bound(ch.atom))    # type: ignore[union-attr,misc]
-        windows = groups.setdefault(part, [])
-        i = 0
-        while i < len(windows):
-            union = _window_union(windows[i], window)    # type: ignore[arg-type]
-            if union == _OPEN:
-                return True
-            if union is None or None not in union[:2]:   # a gap, or two atoms
-                i += 1
-            else:
-                del windows[i]
-                window, i = union, 0
-        windows.append(window)
-    for part, windows in groups.items():
-        # equalities in order, then the upper bound, then the lower one
-        windows.sort(key=lambda w: (w[2] is None, w[1] is None, w[2] or 0))
-        out.extend(_fold_atom(a) for window in windows
-                   for a in _window_atoms(part, window))
-    return out
 
 
 def simplify(phi: PresFormula) -> PresFormula:
-    """Constant folding and flattening; the sibling bounds of a conjunction
-    merged into one cell (false when it empties) and those of a disjunction
-    joined (true when they cover everything); ``g & !g`` false and
-    ``g | !g`` true; quantifiers of absent variables dropped."""
+    """Constant folding and flattening; ``g & !g`` false and ``g | !g``
+    true; quantifiers of absent variables dropped.  Bounds are merged only
+    in cells."""
     if isinstance(phi, (TrueF, FalseF)):
         return phi
     if isinstance(phi, AtomF):
@@ -991,26 +913,12 @@ def simplify(phi: PresFormula) -> PresFormula:
         free = free_vars(body)
         return _quantify(type(phi), [v for i, v in enumerate(names)
                                      if v in free and v not in names[i + 1:]], body)
-    if isinstance(phi, And):
-        base = conj(tuple(simplify(a) for a in phi.args))
-        if not isinstance(base, And):
-            return base
-        seen = set(base.args)
-        if any(isinstance(k, Not) and k.arg in seen for k in base.args):
-            return FALSE
-        cell = Cell().extend([k for k in base.args if _is_bound(k)])
-        if cell is None:
-            return FALSE
-        return conj([k for k in base.args if not _is_bound(k)]
-                    + [_fold_atom(a) for part, window in cell.windows.items()
-                       for a in _window_atoms(part, window)])
-    if isinstance(phi, Or):
-        base = disj(tuple(simplify(a) for a in phi.args))
-        if not isinstance(base, Or):
-            return base
-        seen = set(base.args)
-        if any(isinstance(k, Not) and k.arg in seen for k in base.args):
-            return TRUE
-        combined = _combine_or(list(base.args))
-        return TRUE if combined is True else disj(combined)
+    if isinstance(phi, (And, Or)):
+        is_and = isinstance(phi, And)
+        base = (conj if is_and else disj)(tuple(simplify(a) for a in phi.args))
+        if isinstance(base, type(phi)):
+            seen = set(base.args)
+            if any(isinstance(k, Not) and k.arg in seen for k in base.args):
+                return FALSE if is_and else TRUE
+        return base
     raise TypeError(phi)

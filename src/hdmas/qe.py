@@ -4,17 +4,19 @@ The procedure is quantifier elimination over the integers with every
 quantified variable relativised by ``var >= 0``.  Elimination runs
 innermost-first, one block of same-kind quantifiers at a time, through
 cells (``presburger.Cell``, which owns the window arithmetic, the interval
-box and the elimination of variables).  An existential block expands its
-body into cells depth-first, splitting one conjunct at a time as DPLL(T)
-case splitting does, closes at once when a cell over block variables only
-is satisfiable, and then eliminates its variables in rounds: each takes
-out of every cell the variables it bounds from one side only, then
-projects the cheapest one left.  A cell whose box empties is dropped, and
-the cell set is merged (``presburger.merge_cells``) after the expansion
-and after each round.  Projection is the only elimination of a variable
-bounded from both sides; it unfolds a divisibility literal on the variable
-into an equality with a fresh variable.  A universal block is eliminated
-existentially on its negated body and returns the negated cells as
+box and the elimination of variables).  An existential block walks its
+body once into a DNF per top-level conjunct, pushing negations to the
+atoms as it goes, and expands those into cells depth-first, splitting one
+conjunct at a time as DPLL(T) case splitting does, closes at once when a
+cell over block variables only is satisfiable, and then eliminates its
+variables in rounds: each takes out of every cell the variables it bounds
+from one side only, then projects the cheapest one left.  A cell whose box
+empties is dropped, and the cell set is merged
+(``presburger.merge_cells``) after the expansion and after each round.
+Projection is the only elimination of a variable bounded from both sides;
+it unfolds a divisibility literal on the variable into an equality with a
+fresh variable.  A universal block is eliminated existentially on its
+negated body, which the walk negates, and returns the negated cells as
 clauses, which the enclosing block expands lazily.  A block takes its body
 as built, unsimplified (``build_prf`` simplifies the formula it builds
 once); only the final result is simplified again
@@ -32,8 +34,7 @@ from typing import Iterable, Optional
 from .presburger import (And, AtomF, Cell, Exists, FalseF, Forall,
                          FreeVariableError, Not, Or, PresFormula, TrueF,
                          _literal_atom, _quantifier_block, cheapest, complement,
-                         conj, disj, free_vars, merge_cells, neg, simplify,
-                         to_nnf)
+                         conj, disj, free_vars, merge_cells, neg, simplify)
 
 
 class QeStats:
@@ -118,8 +119,7 @@ def _block(names: list[str], phi: PresFormula, stats: QeStats,
     The body is taken as built, unsimplified, since the expansion and
     ``merge_cells`` do that work; ``eliminate_quantifiers`` simplifies the result.
     """
-    body = to_nnf(neg(phi) if negate else phi)
-    cells = merge_cells(_expand_depth_first(names, body, stats))
+    cells = merge_cells(_expand_depth_first(names, _conjuncts(phi, negate), stats))
     cells = _exists_block(names, cells, stats)
     stats.eliminated += len(names)
     return _cells_clauses(cells) if negate else _cells_formula(cells)
@@ -160,9 +160,10 @@ def _open_conjuncts(cell: Cell, pending: list) -> Optional[list]:
     return out
 
 
-def _expand_depth_first(names: list[str], body: PresFormula,
+def _expand_depth_first(names: list[str], conjuncts: list,
                         stats: QeStats) -> list[Cell]:
-    """Cells of ``body`` for the existential block over ``names``.
+    """Cells of the conjunction of ``conjuncts`` (see ``_conjuncts``) for
+    the existential block over ``names``.
 
     Walks the conjuncts depth-first, each with its own DNF as the
     alternatives, in the style of DPLL(T) case splitting: a conjunct the
@@ -174,8 +175,6 @@ def _expand_depth_first(names: list[str], body: PresFormula,
     leaf over block variables only is satisfiable, since the block then
     holds whatever the free variables are.
     """
-    conjuncts = [_to_dnf(child)
-                 for child in (body.args if isinstance(body, And) else (body,))]
     block = set(names)
     leaves: dict = {}
     stack = [(Cell(), conjuncts)]
@@ -249,19 +248,36 @@ def _cells_clauses(cells: list[Cell]) -> PresFormula:
     return conj(tuple(cell.clause() for cell in cells))
 
 
-def _to_dnf(phi: PresFormula) -> list[list[PresFormula]]:
-    if isinstance(phi, (AtomF, Not)):
-        return [[phi]]
-    if isinstance(phi, TrueF):
-        return [[]]
-    if isinstance(phi, FalseF):
-        return []
-    if isinstance(phi, Or):
-        return [alt for a in phi.args for alt in _to_dnf(a)]
-    if isinstance(phi, And):
+def _conjuncts(phi: PresFormula, negated: bool) -> list[list[list[PresFormula]]]:
+    """The DNF (``_to_dnf``) of each top-level conjunct of ``phi``, or of
+    ``!phi`` when ``negated``."""
+    if isinstance(phi, Not):
+        return _conjuncts(phi.arg, not negated)
+    if isinstance(phi, Or if negated else And):
+        return [dnf for a in phi.args for dnf in _conjuncts(a, negated)]
+    return [_to_dnf(phi, negated)]
+
+
+def _to_dnf(phi: PresFormula, negated: bool = False) -> list[list[PresFormula]]:
+    """The alternatives of ``phi``, or of ``!phi`` when ``negated``, each a
+    list of literals.  The negation is pushed to the atoms: a negated bound
+    becomes its ``complement``, one literal or for an equality two
+    alternatives, and a negated divisibility atom stays a literal."""
+    if isinstance(phi, AtomF):
+        if not negated:
+            return [[phi]]
+        lit = complement(phi)
+        return [[lit]] if isinstance(lit, Not) else _to_dnf(lit)
+    if isinstance(phi, Not):
+        return _to_dnf(phi.arg, not negated)
+    if isinstance(phi, (TrueF, FalseF)):
+        return [[]] if isinstance(phi, TrueF) != negated else []
+    if isinstance(phi, And if negated else Or):
+        return [alt for a in phi.args for alt in _to_dnf(a, negated)]
+    if isinstance(phi, Or if negated else And):
         out: list[list[PresFormula]] = [[]]
         for a in phi.args:
-            sub = _to_dnf(a)
+            sub = _to_dnf(a, negated)
             out = [x + y for x in out for y in sub]
         return out
     raise TypeError(phi)

@@ -197,6 +197,18 @@ def test_parameter_key_with_a_leading_zero_is_an_error(capsys):
     assert "unbound" not in err and out == ""
 
 
+def test_parameter_key_z0_is_an_error(capsys):
+    # z0 names no parameter (a formula that names it is a parse error), yet
+    # its assignment used to be accepted and ignored
+    code, out, err = run_cli(capsys, "verify", FIG2, "-f", "<<1,2>> X p",
+                             "--assign", "z0=5")
+    assert (code, out) == (2, "")
+    assert err == "error: assignment key 'z0' is not y1, y2 or z<n> with n >= 1\n"
+    code, out, err = run_cli(capsys, "verify", FIG2, "-f", "<<z0,2>> X p")
+    assert (code, out) == (1, "")
+    assert "parameter indices start at 1" in err
+
+
 def test_parameter_with_a_leading_zero_is_a_parse_error(capsys):
     # z01 in the formula used to run as z1
     code, out, err = run_cli(capsys, "verify", FIG2, "-f", "<<z01,2>> X p",

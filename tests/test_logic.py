@@ -5,13 +5,20 @@ import pytest
 from hdmas.logic import (EXISTS, FORALL, AndF, Coop, Globally, Nat, Next,
                          NotF, OrF, Param, PolarityViolation,
                          PositionViolation, Prop, Quant, Top, Until, Y1, Y2,
-                         canonical, check_syntax, children, eventually,
+                         assignment_symbols, canonical, check_syntax, children, eventually,
                          free_agent_vars, is_normal_form, merge_quantifiers,
                          polarity, simplify_vacuous, size, subst_term)
 
 E, A = EXISTS, FORALL
 captured = Prop("captured")
 p = Prop("p")
+
+
+def test_assignment_symbols_are_parameters_then_free_agent_variables():
+    # the y1 under E y1 is bound, so only y2 needs a value
+    phi = AndF(Coop(Param(10), Y2, Next(p)),
+               Quant(((E, 1),), Coop(Y1, Param(2), Next(p))))
+    assert assignment_symbols(phi) == ["z2", "z10", "y2"]
 
 
 def test_position_violation_first_slot():
