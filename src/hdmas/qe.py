@@ -4,22 +4,47 @@ The procedure is quantifier elimination over the integers with every
 quantified variable relativised by ``var >= 0``.  Elimination runs
 innermost-first, one block of same-kind quantifiers at a time, through
 cells (``presburger.Cell``, which owns the window arithmetic, the interval
-box and the elimination of variables).  An existential block walks its
-body once into a DNF per top-level conjunct, pushing negations to the
-atoms as it goes, and expands those into cells depth-first, splitting one
-conjunct at a time as DPLL(T) case splitting does, closes at once when a
-cell over block variables only is satisfiable, and then eliminates its
-variables in rounds: each takes out of every cell the variables it bounds
-from one side only, then projects the cheapest one left.  A cell whose box
-empties is dropped, and the cell set is merged
+box and the elimination of variables).  A block walks its body once into
+a DNF per top-level conjunct, pushing negations to the atoms as it goes,
+and one depth-first walker (``_leaves``) expands those into cells,
+splitting one conjunct at a time as DPLL(T) case splitting does.
+Variables leave a set of cells in rounds: each takes out of every cell the
+variables it bounds from one side only, then projects the cheapest one
+left, after pinning it when the cell's box fixes its value.  A cell whose
+box empties is dropped, and the cell set is merged
 (``presburger.merge_cells``) after the expansion and after each round.
 Projection is the only elimination of a variable bounded from both sides;
 it unfolds a divisibility literal on the variable into an equality with a
-fresh variable.  A universal block is eliminated existentially on its
-negated body, which the walk negates, and returns the negated cells as
-clauses, which the enclosing block expands lazily.  A block takes its body
-as built, unsimplified (``build_prf`` simplifies the formula it builds
-once); only the final result is simplified again
+fresh variable.
+
+An existential block with quantifier-free conjuncts expands them, closes
+at once when a cell over block variables only is satisfiable, and
+eliminates its variables from the leaves.  A universal block returns its
+negated body's cells, eliminated existentially, as clauses.  But in
+``exists X. C & forall Y1. B1 & ...`` (each ``Bj`` closed first, each ``Yj``
+apart from every other name) no ``forall Yj`` is eliminated: a two-player
+loop over cells (``_refute``; Monniaux, LPAR 2008; Bjorner & Janota, LPAR
+2015) decides the block.  The controller walks ``C`` and the clauses
+learned so far to a leaf ``K``.  The adversary walks the DNF of each
+``!Bj`` from ``K``; the literals on a leaf's path without ``K`` form a cell
+``A``, and the cells of ``exists Yj. A`` (cached per ``A``) that are not
+learned yet and meet ``K``'s box are learned as clauses, and ``K`` is split
+by them.  With no such cell left, ``K`` wins: ``W = exists X. K`` joins the
+result and is learned as clauses over the free variables; a ``W`` cell
+without literals makes the block true.  The result is exact: learned
+adversary cells hold only points where some ``Yj`` falsifies ``Bj``; every
+point of a winning ``K`` satisfies each ``Bj`` for all ``Yj``, since no
+adversary leaf under ``K`` has a point in it; and the walk ends only when
+each point of ``C`` is in a learned cell or has its free part in a ``W``.
+It ends: the adversary cells are finitely many, and each ``W`` holds a
+free value no earlier ``W`` holds, while every ``W`` projects a leaf whose
+literals on ``X`` come from the finitely many alternatives of ``C`` and of
+the adversary cells, and whose literals on free variables alone (the
+complements of earlier ``W`` among them) pass through the projection, so
+no ``W`` repeats and they are drawn from a finite set.
+
+A block takes its body as built, unsimplified (``build_prf`` simplifies the
+formula it builds once); only the final result is simplified again
 (``eliminate_quantifiers``).  Bound variables need no renaming apart: a
 block's result mentions none of its variables, so a shadowed or repeated
 name is gone before any outer block sees it.
@@ -29,12 +54,13 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from .presburger import (And, AtomF, Cell, Exists, FalseF, Forall,
-                         FreeVariableError, Not, Or, PresFormula, TrueF,
-                         _literal_atom, _quantifier_block, cheapest, complement,
-                         conj, disj, free_vars, merge_cells, neg, simplify)
+from .presburger import (_OPEN, DVD, And, Atom, AtomF, Cell, Exists, FalseF,
+                         Forall, FreeVariableError, LinTerm, Not, Or,
+                         PresFormula, TrueF, _fold_atom, _literal_atom, _narrow,
+                         _quantifier_block, cheapest, complement, conj, disj,
+                         free_vars, merge_cells, neg, simplify)
 
 
 class QeStats:
@@ -46,8 +72,10 @@ class QeStats:
         self.peak_atoms = 0
         self.one_sided = 0      # block variables left without a projection
         self.elapsed = 0.0
-        # existential blocks closed by a satisfiable leaf over block variables
+        # existential blocks closed by a satisfiable leaf over block
+        # variables, or by a winning region that covers every free value
         self.early_exits = 0
+        self.refutations = 0    # adversary cells learned as clauses
 
     def to_json(self) -> dict:
         return {
@@ -57,6 +85,7 @@ class QeStats:
             "peak_atom_count": self.peak_atoms,
             "elapsed_seconds": self.elapsed,
             "early_exits": self.early_exits,
+            "refutations": self.refutations,
         }
 
 
@@ -97,11 +126,27 @@ def is_valid(phi: PresFormula, variables: Iterable[str],
 
 
 def _close(phi: PresFormula, stats: QeStats) -> PresFormula:
-    """Eliminate all quantifiers bottom-up; result is quantifier-free."""
-    if isinstance(phi, (Exists, Forall)):
+    """Eliminate all quantifiers bottom-up; result is quantifier-free.  An
+    existential block's top-level conjuncts are closed one by one, and a
+    universal block among them that shares no name with the rest goes to
+    ``_refute`` instead of being eliminated."""
+    if isinstance(phi, Exists):
         names, body = _quantifier_block(phi)
-        return _block(names, _close(body, stats), stats,
-                      negate=isinstance(phi, Forall))
+        taken = set(names) | free_vars(body)
+        plain, universal = [], []
+        for part in body.args if isinstance(body, And) else (body,):
+            if isinstance(part, Forall):
+                ys, inner = _quantifier_block(part)
+                if taken.isdisjoint(ys):
+                    universal.append((ys, _close(inner, stats)))
+                    continue
+            plain.append(_close(part, stats))
+        if universal:
+            return _refute(names, conj(plain), universal, stats)
+        return _block(names, conj(plain), stats, negate=False)
+    if isinstance(phi, Forall):
+        names, body = _quantifier_block(phi)
+        return _block(names, _close(body, stats), stats, negate=True)
     if isinstance(phi, Not):
         return neg(_close(phi.arg, stats))
     if isinstance(phi, And):
@@ -125,6 +170,84 @@ def _block(names: list[str], phi: PresFormula, stats: QeStats,
     return _cells_clauses(cells) if negate else _cells_formula(cells)
 
 
+def _refute(names: list[str], phi: PresFormula, universal: list,
+            stats: QeStats) -> PresFormula:
+    """Quantifier-free equivalent of ``exists names. phi & forall ys. b``
+    for each ``(ys, b)`` of ``universal``, all quantifier-free, by the
+    two-player loop of the module docstring."""
+    games = [(ys, _conjuncts(b, True)) for ys, b in universal]
+    learned: list = []          # clauses, as conjuncts of the walk
+    refuted: set = set()        # adversary cells learned
+    projections: dict = {}
+    wins: list[Cell] = []
+    walk = _leaves(Cell(), _conjuncts(phi, False), learned)
+    revisit = None
+    while True:
+        try:
+            cell, _ = walk.send(revisit)
+        except StopIteration:
+            break
+        revisit = _adversary(cell, games, refuted, projections, learned, stats)
+        if revisit:
+            continue
+        won = _exists_block(names, [cell], stats)
+        if any(not w.windows and not w.divs for w in won):
+            stats.early_exits += 1
+            wins = [Cell()]
+            break
+        wins += won
+        learned += map(_clause, won)
+    stats.eliminated += len(names) + sum(len(ys) for ys, _ in universal)
+    return _cells_formula(merge_cells(wins))
+
+
+def _adversary(cell: Cell, games: list, refuted: set, projections: dict,
+               learned: list, stats: QeStats) -> bool:
+    """Whether the adversary answers the controller's ``cell``: a leaf of
+    some negated universal body under ``cell`` whose path, projected over
+    that block's variables, has cells not learned yet that meet the cell.
+    Those cells are then learned as clauses.  Learning only them, not the
+    whole projection, keeps the splinters of a projection that the cell
+    never meets out of the controller's walk."""
+    for ys, conjuncts in games:
+        for _, path in _leaves(cell, conjuncts):
+            key = frozenset(path)
+            cells = projections.get(key)
+            if cells is None:
+                start = Cell().extend(path)
+                cells = projections[key] = \
+                    [] if start is None else _exists_block(ys, [start], stats)
+            new = [d for d in cells if d not in refuted and _meets(d, cell)]
+            if new:
+                learned += map(_clause, new)
+                refuted.update(new)
+                stats.refutations += len(new)
+                return True
+    return False
+
+
+def _meets(cell: Cell, other: Cell) -> bool:
+    """Whether the two cells together keep a non-empty box, built on the
+    windows: False shows that they share no point."""
+    windows = dict(other.windows)
+    for part, window in cell.windows.items():
+        for side, value in enumerate(window):
+            if value is not None and not _narrow(windows, part, side, value):
+                return False
+    if any(complement(d) in other.divs for d in cell.divs):
+        return False
+    return Cell(windows, cell.divs | other.divs, other).box is not None
+
+
+def _clause(cell: Cell) -> list[list[PresFormula]]:
+    """The negated cell (``Cell.clause``) as a conjunct of one-literal
+    alternatives."""
+    clause = cell.clause()
+    lits = clause.args if isinstance(clause, Or) else \
+        () if isinstance(clause, FalseF) else (clause,)
+    return [[lit] for lit in lits]
+
+
 # ---------------------------------------------------------------------------
 # cells (see ``presburger.Cell``)
 #
@@ -141,15 +264,17 @@ def _blocking_literal(alt: list[PresFormula]) -> Optional[PresFormula]:
     return None if isinstance(negated, Or) else negated
 
 
-def _open_conjuncts(cell: Cell, pending: list) -> Optional[list]:
-    """Live alternatives of each conjunct the cell does not entail; None
-    when some conjunct has none left."""
-    out = []
+def _open_conjuncts(cell: Cell, pending: list) -> Optional[tuple[list, tuple]]:
+    """Live alternatives of each conjunct the cell does not entail, and the
+    literals of an alternative the cell entails of each other conjunct;
+    None when some conjunct has no alternative left."""
+    out, entailed = [], []
     for alts in pending:
         live = []
         for alt in alts:
             ext = cell.extend(alt)
             if ext is cell:
+                entailed += alt
                 break
             if ext is not None:
                 live.append(alt)
@@ -157,41 +282,39 @@ def _open_conjuncts(cell: Cell, pending: list) -> Optional[list]:
             if not live:
                 return None
             out.append(live)
-    return out
+    return out, tuple(entailed)
 
 
-def _expand_depth_first(names: list[str], conjuncts: list,
-                        stats: QeStats) -> list[Cell]:
-    """Cells of the conjunction of ``conjuncts`` (see ``_conjuncts``) for
-    the existential block over ``names``.
+def _leaves(root: Cell, conjuncts: list, learned: Sequence = ()):
+    """The leaves of ``root`` and the conjunction of ``conjuncts`` (see
+    ``_conjuncts``), depth-first, each with the literals chosen on its path
+    from the root: one alternative of each conjunct and the blocking
+    literals.  The one leaf walker of this module.
 
-    Walks the conjuncts depth-first, each with its own DNF as the
-    alternatives, in the style of DPLL(T) case splitting: a conjunct the
+    The walk goes in the style of DPLL(T) case splitting: a conjunct the
     cell entails is skipped, an alternative that empties the cell is
     dropped, the conjunct with the fewest live alternatives is split
     first, and after a one-literal one-variable alternative its complement
-    joins the cell for the alternatives after it.  A node whose box
-    empties is dropped.  Returns the leaves; only the empty cell when a
-    leaf over block variables only is satisfiable, since the block then
-    holds whatever the free variables are.
+    (the blocking literal) joins the cell for the alternatives after it.
+    A node whose box empties is dropped.  A clause appended to ``learned``
+    joins every branch still open; sending a true value back for a leaf
+    puts it back on the walk, to be split by the clauses learned since.
     """
-    block = set(names)
-    leaves: dict = {}
-    stack = [(Cell(), conjuncts)]
+    stack = [(root, conjuncts, (), 0)]
     while stack:
-        cell, pending = stack.pop()
-        if cell.box is None:
+        cell, pending, path, seen = stack.pop()
+        if seen < len(learned):
+            pending, seen = [*pending, *learned[seen:]], len(learned)
+        if cell.box is None or cell.divs and _pinned(cell, ()) is None:
             continue
-        open_ = _open_conjuncts(cell, pending)
-        if open_ is None:
+        opened = _open_conjuncts(cell, pending)
+        if opened is None:
             continue
+        open_, entailed = opened
+        path += entailed
         if not open_:
-            if cell.vars <= block:
-                if _exists_block(names, [cell], stats):
-                    stats.early_exits += 1
-                    return [Cell()]
-                continue
-            leaves.setdefault(cell)
+            if (yield cell, path):
+                stack.append((cell, (), path, seen))
             continue
         split = min(range(len(open_)), key=lambda i: len(open_[i]))
         rest = open_[:split] + open_[split + 1:]
@@ -200,13 +323,31 @@ def _expand_depth_first(names: list[str], conjuncts: list,
         for alt in open_[split]:
             ext = grown.extend(alt)
             if ext is not None:
-                children.append((ext, rest))
+                children.append((ext, rest, path + tuple(alt), seen))
             blocking = _blocking_literal(alt)
             if blocking is not None:
                 grown = grown.extend([blocking])
                 if grown is None:
                     break
+                path += (blocking,)
         stack.extend(reversed(children))
+
+
+def _expand_depth_first(names: list[str], conjuncts: list,
+                        stats: QeStats) -> list[Cell]:
+    """Cells of the conjunction of ``conjuncts`` for the existential block
+    over ``names``: the leaves of the walk.  Only the empty cell when a
+    leaf over block variables only is satisfiable, since the block then
+    holds whatever the free variables are."""
+    block = set(names)
+    leaves: dict = {}
+    for cell, _ in _leaves(Cell(), conjuncts):
+        if cell.vars <= block:
+            if _exists_block(names, [cell], stats):
+                stats.early_exits += 1
+                return [Cell()]
+            continue
+        leaves.setdefault(cell)
     return list(leaves)
 
 
@@ -228,7 +369,9 @@ def _exists_block(names: list[str], cells: list[Cell],
         remaining.remove(v)
         nxt: dict = {}
         for cell in cells:
-            if cell.box is not None:
+            if v in cell.vars:
+                cell = _pinned(cell, (v,))
+            if cell is not None and cell.box is not None:
                 nxt.update(dict.fromkeys(cell.project(v) if v in cell.vars else [cell]))
         cells = merge_cells(nxt)
         stats.peak_atoms = max(stats.peak_atoms,
@@ -236,6 +379,57 @@ def _exists_block(names: list[str], cells: list[Cell],
                                    for c in cells))
         stats.peak_divisor_lcm = max(stats.peak_divisor_lcm, math.lcm(
             *(_literal_atom(d).divisor for c in cells for d in c.divs)))
+
+
+def _pinned(cell: Cell, names: Iterable[str]) -> Optional[Cell]:
+    """The cell with ``v = c`` for each variable that its box fixes to
+    ``c`` and that is one of ``names`` or in a divisibility literal, and
+    with those values put into the divisibility literals; the literals on
+    one term and divisor that leave one residue become one literal.  The
+    projection then pivots such a variable away, and unfolds one literal
+    where it would unfold each.  None when the literals fail."""
+    box = cell.box
+    if box is None:
+        return None
+    fixed = {v: lo for v, (lo, hi) in box.items() if lo is not None and lo == hi}
+    pins = {v for v in names if v in fixed}
+    if not pins and not cell.divs:
+        return cell
+    families: dict = {}
+    for lit in cell.divs:
+        term, d = _literal_atom(lit).term, _literal_atom(lit).divisor
+        known = {v for v, _ in term.coeffs if v in fixed}
+        if known:
+            pins |= known
+            folded = _fold_atom(Atom(DVD, LinTerm(
+                tuple(p for p in term.coeffs if p[0] not in known),
+                term.const + sum(c * fixed[v] for v, c in term.coeffs if v in known)), d))
+            lit = neg(folded) if isinstance(lit, Not) else folded
+            if isinstance(lit, FalseF):
+                return None
+            if isinstance(lit, TrueF):
+                continue
+            term, d = _literal_atom(lit).term, _literal_atom(lit).divisor
+        families.setdefault((term.coeffs, d), []).append(lit)
+    divs = set()
+    for (coeffs, d), lits in families.items():
+        if len(lits) > 1:
+            left = [r for r in range(d) if all(
+                ((r + _literal_atom(lit).term.const) % d == 0) != isinstance(lit, Not)
+                for lit in lits)]
+            if not left:
+                return None
+            if len(left) == 1:
+                lits = [_fold_atom(Atom(DVD, LinTerm(coeffs, -left[0]), d))]
+        divs.update(lits)
+    windows = cell.windows
+    for v in pins:
+        if windows.get(((v, 1),), _OPEN)[2] is None:
+            windows = dict(windows) if windows is cell.windows else windows
+            _narrow(windows, ((v, 1),), 2, fixed[v])
+    if windows is cell.windows and divs == cell.divs:
+        return cell
+    return Cell(windows, frozenset(divs), cell)
 
 
 def _cells_formula(cells: list[Cell]) -> PresFormula:

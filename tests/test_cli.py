@@ -259,7 +259,7 @@ def test_verify_json_schema(capsys):
     # a counter added or dropped must be added to or dropped from the README
     assert set(payload["qe_stats"]) == {
         "eliminated_quantifiers", "one_sided_eliminated", "peak_divisor_lcm",
-        "peak_atom_count", "elapsed_seconds", "early_exits"}
+        "peak_atom_count", "elapsed_seconds", "early_exits", "refutations"}
 
 
 def test_verify_oracle_path(capsys):

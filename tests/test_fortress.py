@@ -1,19 +1,19 @@
 """fortress-k against its closed form, along the action axis.
 
-The universal blocks of these queries return clauses that the enclosing
-existential block expands depth-first; before that, fortress-6 did not
-decide.  Most adversary shares are bounded from one side only and leave
-a block without a projection; that brings k = 7 and 8 within reach.  A
-fortress whose third entry needs one more defender must match the
-enumeration oracle.  The model generator and the closed form are the
-benchmark's, whose self-test checks the generator against the fixture at
-k = 3.
+The adversary block of these queries is refuted under the controller
+block one cell at a time (``qe._refute``), so it is never eliminated on
+its own; that brings the quantified counts to k = 8 and the universal
+prefix to k = 10 within milliseconds.  A fortress whose third entry
+needs one more defender must match the enumeration oracle.  The model
+generator and the closed form are the benchmark's, whose self-test checks
+the generator against the fixture at k = 3.
 """
 
 import pytest
 from perfbench.models import fortress_text
 from perfbench.workloads import fortress_holds
 
+import hdmas.qe as qe
 from hdmas.engine import ModelChecker
 from hdmas.normalform import nf
 from hdmas.oracle import Oracle
@@ -50,7 +50,7 @@ def test_fortress_concrete_counts_match_closed_form(k):
         assert got == want, (k, t1, t2)
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", range(1, 9))
 @pytest.mark.parametrize("formula", ["A y2 <<{five_k},y2>>",
                                      "E y1 A y2 <<y1,y2>>"])
 def test_fortress_quantified_counts_hold(k, formula):
@@ -62,11 +62,26 @@ def test_fortress_quantified_counts_hold(k, formula):
     assert stats.early_exits > 0
 
 
-@pytest.mark.parametrize("k", [7, 8])
+@pytest.mark.parametrize("k", range(7, 11))
 def test_fortress_large_k_holds_for_every_adversary(k):
     model = parse_model(fortress_text(k)).model
     got, _ = _verify(model, f"A y2 <<{5 * k},y2>>")
     assert got == {"s1"}
+
+
+def test_the_adversary_block_is_refuted_not_eliminated(monkeypatch):
+    # the k block refutes the l block under it cell by cell; no universal
+    # block is eliminated into clauses
+    negated = []
+    block = qe._block
+    monkeypatch.setattr(qe, "_block", lambda names, phi, stats, negate: (
+        negated.append(names) if negate else None) or block(names, phi, stats,
+                                                            negate))
+    model = parse_model(fortress_text(6)).model
+    got, stats = _verify(model, "<<5,2>>")
+    assert got == ({"s1"} if fortress_holds(6, 5, 2) else set())
+    assert negated == []
+    assert stats.refutations > 0
 
 
 def test_near_symmetric_fortress_matches_the_oracle():
@@ -91,7 +106,7 @@ def test_one_sided_variables_need_no_projection(fig2, monkeypatch,
     # every adversary share is bounded above by its total, so most block
     # variables leave in the one-sided pass, not through Cell.project: on
     # fortress-4, at most a quarter of the projections made without the
-    # pass (32 against 128; fig2 makes 12 against 35)
+    # pass (4 against 40; fig2 makes 11 against 34)
     model = fig2 if model_text is None else parse_model(model_text).model
     project, calls = Cell.project, []
     monkeypatch.setattr(Cell, "project",

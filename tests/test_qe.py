@@ -18,7 +18,7 @@ from hdmas.presburger import (EQ, FALSE, LT, TRUE, And, Atom, AtomF, Cell,
                               Or, _fold_atom,
                               atom_dvd, atom_eq, atom_ge, atom_gt, atom_le,
                               atom_lt, atom_ne, complement, conj, disj,
-                              evaluate, free_vars,
+                              evaluate, free_vars, implies,
                               is_quantifier_free, merge_cells, neg, num,
                               simplify, substitute, var)
 import hdmas.qe as qe
@@ -186,8 +186,8 @@ def _forall_y(row):
 
 
 def test_universal_and_alternating_blocks_with_a_free_variable():
-    # the path that returns universal blocks as clauses and expands
-    # existential blocks depth-first, checked on the free variable z
+    # a universal block returned as clauses, and one under an existential
+    # block refuted by the two-player loop, checked on the free variable z
     rng = random.Random(7)
     for _ in range(60):
         matrix = random_matrix(rng, ["x", "y", "z"], max_coeff=3,
@@ -212,6 +212,47 @@ def test_universal_and_alternating_blocks_with_a_free_variable():
                 if brute == want:
                     break
             assert brute == want, (matrix, zv, used)
+
+
+Y1, Y2 = var("y1"), var("y2")
+GAME = ["x1", "x2", "y1", "y2", "z"]
+
+
+def _game(seed):
+    """A matrix over ``GAME`` and the two sums' bounds, from one seed."""
+    rng = random.Random(seed)
+    a, b = rng.randint(0, 4), rng.randint(0, 4)
+    return random_matrix(rng, GAME, max_coeff=3, max_const=8), a, b
+
+
+# a draw whose universal block, eliminated on its own, takes minutes
+SLOW_ALONE = neg(conj((
+    disj((atom_eq(X1.scale(2).add(Y2.scale(3)).add(Z),
+                  X2.scale(3).add(Y1.scale(3)).shift(5)),
+          atom_lt(X2.scale(3).add(Y2.scale(2)).add(Z.scale(3)).shift(5),
+                  X1.add(Y1)))),
+    atom_lt(Z.shift(5), X2.scale(3).add(Y1.scale(2)).add(Y2.scale(3))))))
+
+
+@given(st.integers(0, 299).map(_game))
+@example((SLOW_ALONE, 2, 1))
+@example(_game(207))        # wrong when a projection is skipped unlearned
+@settings(max_examples=100, deadline=None)
+def test_a_universal_conjunct_is_refuted_exactly(game):
+    # exists x1 x2 (x1 + x2 <= a & forall y1 y2 (y1 + y2 <= b -> M)): the
+    # sums make both blocks finite, so enumeration decides every z
+    matrix, a, b = game
+    phi = Exists("x1", Exists("x2", conj((
+        atom_le(X1.add(X2), a),
+        Forall("y1", Forall("y2", implies(atom_le(Y1.add(Y2), b), matrix)))))))
+    result = eliminate_quantifiers(phi)
+    assert free_vars(result) <= {"z"}
+    for zv in range(7):
+        brute = any(all(evaluate(matrix, {"x1": x1, "x2": x2, "y1": y1,
+                                          "y2": y2, "z": zv})
+                        for y1 in range(b + 1) for y2 in range(b + 1 - y1))
+                    for x1 in range(a + 1) for x2 in range(a + 1 - x1))
+        assert evaluate(result, {"z": zv}) == brute, (matrix, a, b, zv)
 
 
 def test_cells_over_block_variables_only_close_the_block_when_satisfiable():
