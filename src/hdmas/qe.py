@@ -8,40 +8,46 @@ box and the elimination of variables).  A block walks its body once into
 a DNF per top-level conjunct, pushing negations to the atoms as it goes,
 and one depth-first walker (``_leaves``) expands those into cells,
 splitting one conjunct at a time as DPLL(T) case splitting does.
-Variables leave a set of cells in rounds: each takes out of every cell the
+Variables leave a cell in rounds: each takes out of every cell the
 variables it bounds from one side only, then projects the cheapest one
 left, after pinning it when the cell's box fixes its value.  A cell whose
 box empties is dropped, and the cell set is merged
-(``presburger.merge_cells``) after the expansion and after each round.
-Projection is the only elimination of a variable bounded from both sides;
-it unfolds a divisibility literal on the variable into an equality with a
-fresh variable.
+(``presburger.merge_cells``) after each round.  Projection is the only
+elimination of a variable bounded from both sides; it unfolds a
+divisibility literal on the variable into an equality with a fresh
+variable.
 
-An existential block with quantifier-free conjuncts expands them, closes
-at once when a cell over block variables only is satisfiable, and
-eliminates its variables from the leaves.  A universal block returns its
-negated body's cells, eliminated existentially, as clauses.  But in
+Every block goes through one procedure, ``_block``, a two-player loop over
+cells (Monniaux, LPAR 2008; Bjorner & Janota, LPAR 2015).  It decides
 ``exists X. C & forall Y1. B1 & ...`` (each ``Bj`` closed first, each ``Yj``
-apart from every other name) no ``forall Yj`` is eliminated: a two-player
-loop over cells (``_refute``; Monniaux, LPAR 2008; Bjorner & Janota, LPAR
-2015) decides the block.  The controller walks ``C`` and the clauses
-learned so far to a leaf ``K``.  The adversary walks the DNF of each
-``!Bj`` from ``K``; the literals on a leaf's path without ``K`` form a cell
-``A``, and the cells of ``exists Yj. A`` (cached per ``A``) that are not
-learned yet and meet ``K``'s box are learned as clauses, and ``K`` is split
-by them.  With no such cell left, ``K`` wins: ``W = exists X. K`` joins the
-result and is learned as clauses over the free variables; a ``W`` cell
-without literals makes the block true.  The result is exact: learned
-adversary cells hold only points where some ``Yj`` falsifies ``Bj``; every
-point of a winning ``K`` satisfies each ``Bj`` for all ``Yj``, since no
-adversary leaf under ``K`` has a point in it; and the walk ends only when
-each point of ``C`` is in a learned cell or has its free part in a ``W``.
-It ends: the adversary cells are finitely many, and each ``W`` holds a
-free value no earlier ``W`` holds, while every ``W`` projects a leaf whose
-literals on ``X`` come from the finitely many alternatives of ``C`` and of
-the adversary cells, and whose literals on free variables alone (the
-complements of earlier ``W`` among them) pass through the projection, so
-no ``W`` repeats and they are drawn from a finite set.
+apart from every other name, possibly no ``forall`` at all), so no
+``forall Yj`` under an existential block is eliminated.  A universal block
+``forall X. B`` is ``!exists X. !B``: the block without an adversary over
+the DNF of ``!B``, its cells returned as clauses.  (As ``exists {}. true &
+forall X. B`` it would build the complement of the adversary's cells as a
+DNF.)  The controller walks ``C`` and the clauses learned so far to a leaf
+``K``.  The adversary walks the DNF of each ``!Bj`` from ``K``; the literals
+on a leaf's path without ``K`` form a cell ``A``, and the cells of ``exists
+Yj. A`` (cached per ``A``) that are not learned yet and meet ``K``'s box are
+learned as clauses, and ``K`` is split by them.  With no such cell left,
+``K`` wins: ``W = exists X. K`` joins the result, and a ``W`` cell without
+literals makes the block true.  A win is learned as clauses over the free
+variables only when the block has an adversary.  Learning it always takes
+the open universal block over ``SLOW_ALONE`` (``tests/test_qe.py``) from
+3 ms to over 150 s, and learning it never takes fortress-7 ``E y1 A y2
+<<y1,y2>> G !captured`` from 0.21 s to 145 s.  The result is exact:
+learned adversary cells hold only points where some ``Yj`` falsifies
+``Bj``; every point of a winning ``K`` satisfies each ``Bj`` for all ``Yj``,
+since no adversary leaf under ``K`` has a point in it; and the walk ends
+only when each point of ``C`` is in a learned cell, in a winning leaf, or
+has its free part in a learned ``W``.  It ends.  Without an adversary
+nothing is learned and no leaf is revisited, so the loop is one walk of a
+finite tree.  With one, the adversary cells are finitely many, and each
+``W`` holds a free value no earlier ``W`` holds, while every ``W`` projects
+a leaf whose literals on ``X`` come from the finitely many alternatives of
+``C`` and of the adversary cells, and whose literals on free variables
+alone (the complements of earlier ``W`` among them) pass through the
+projection, so no ``W`` repeats and they are drawn from a finite set.
 
 A block takes its body as built, unsimplified (``build_prf`` simplifies the
 formula it builds once); only the final result is simplified again
@@ -72,8 +78,8 @@ class QeStats:
         self.peak_atoms = 0
         self.one_sided = 0      # block variables left without a projection
         self.elapsed = 0.0
-        # existential blocks closed by a satisfiable leaf over block
-        # variables, or by a winning region that covers every free value
+        # blocks closed by a winning leaf whose projection covers every
+        # free value (a satisfiable leaf over block variables among them)
         self.early_exits = 0
         self.refutations = 0    # adversary cells learned as clauses
 
@@ -128,25 +134,25 @@ def is_valid(phi: PresFormula, variables: Iterable[str],
 def _close(phi: PresFormula, stats: QeStats) -> PresFormula:
     """Eliminate all quantifiers bottom-up; result is quantifier-free.  An
     existential block's top-level conjuncts are closed one by one, and a
-    universal block among them that shares no name with the rest goes to
-    ``_refute`` instead of being eliminated."""
+    universal block among them that shares no name with the rest becomes
+    a game of ``_block`` instead of being eliminated."""
     if isinstance(phi, Exists):
         names, body = _quantifier_block(phi)
         taken = set(names) | free_vars(body)
-        plain, universal = [], []
+        plain, games = [], []
         for part in body.args if isinstance(body, And) else (body,):
             if isinstance(part, Forall):
                 ys, inner = _quantifier_block(part)
                 if taken.isdisjoint(ys):
-                    universal.append((ys, _close(inner, stats)))
+                    games.append((ys, _conjuncts(_close(inner, stats), True)))
                     continue
             plain.append(_close(part, stats))
-        if universal:
-            return _refute(names, conj(plain), universal, stats)
-        return _block(names, conj(plain), stats, negate=False)
+        return _cells_formula(
+            _block(names, _conjuncts(conj(plain), False), games, stats))
     if isinstance(phi, Forall):
         names, body = _quantifier_block(phi)
-        return _block(names, _close(body, stats), stats, negate=True)
+        return _cells_clauses(
+            _block(names, _conjuncts(_close(body, stats), True), [], stats))
     if isinstance(phi, Not):
         return neg(_close(phi.arg, stats))
     if isinstance(phi, And):
@@ -156,31 +162,16 @@ def _close(phi: PresFormula, stats: QeStats) -> PresFormula:
     return phi
 
 
-def _block(names: list[str], phi: PresFormula, stats: QeStats,
-           negate: bool) -> PresFormula:
-    """Quantifier-free equivalent of ``exists names. phi``, or of
-    ``forall names. phi`` when ``negate``, for quantifier-free ``phi``.
-
-    The body is taken as built, unsimplified, since the expansion and
-    ``merge_cells`` do that work; ``eliminate_quantifiers`` simplifies the result.
-    """
-    cells = merge_cells(_expand_depth_first(names, _conjuncts(phi, negate), stats))
-    cells = _exists_block(names, cells, stats)
-    stats.eliminated += len(names)
-    return _cells_clauses(cells) if negate else _cells_formula(cells)
-
-
-def _refute(names: list[str], phi: PresFormula, universal: list,
-            stats: QeStats) -> PresFormula:
-    """Quantifier-free equivalent of ``exists names. phi & forall ys. b``
-    for each ``(ys, b)`` of ``universal``, all quantifier-free, by the
-    two-player loop of the module docstring."""
-    games = [(ys, _conjuncts(b, True)) for ys, b in universal]
+def _block(names: list[str], conjuncts: list, games: list,
+           stats: QeStats) -> list[Cell]:
+    """Cells of ``exists names. C & forall ys. !N``, for the conjunction
+    ``C`` of ``conjuncts`` and each ``(ys, N)`` of ``games``, ``N`` the
+    ``_conjuncts`` of a negated body: the loop of the module docstring."""
     learned: list = []          # clauses, as conjuncts of the walk
     refuted: set = set()        # adversary cells learned
     projections: dict = {}
     wins: list[Cell] = []
-    walk = _leaves(Cell(), _conjuncts(phi, False), learned)
+    walk = _leaves(Cell(), conjuncts, learned)
     revisit = None
     while True:
         try:
@@ -190,15 +181,16 @@ def _refute(names: list[str], phi: PresFormula, universal: list,
         revisit = _adversary(cell, games, refuted, projections, learned, stats)
         if revisit:
             continue
-        won = _exists_block(names, [cell], stats)
+        won = _exists_block(names, cell, stats)
         if any(not w.windows and not w.divs for w in won):
             stats.early_exits += 1
             wins = [Cell()]
             break
         wins += won
-        learned += map(_clause, won)
-    stats.eliminated += len(names) + sum(len(ys) for ys, _ in universal)
-    return _cells_formula(merge_cells(wins))
+        if games:
+            learned += map(_clause, won)
+    stats.eliminated += len(names) + sum(len(ys) for ys, _ in games)
+    return merge_cells(wins)
 
 
 def _adversary(cell: Cell, games: list, refuted: set, projections: dict,
@@ -216,7 +208,7 @@ def _adversary(cell: Cell, games: list, refuted: set, projections: dict,
             if cells is None:
                 start = Cell().extend(path)
                 cells = projections[key] = \
-                    [] if start is None else _exists_block(ys, [start], stats)
+                    [] if start is None else _exists_block(ys, start, stats)
             new = [d for d in cells if d not in refuted and _meets(d, cell)]
             if new:
                 learned += map(_clause, new)
@@ -251,8 +243,8 @@ def _clause(cell: Cell) -> list[list[PresFormula]]:
 # ---------------------------------------------------------------------------
 # cells (see ``presburger.Cell``)
 #
-# The cells of a block are deduplicated and merged after the expansion
-# and after every eliminated variable.
+# The cells of a block are deduplicated and merged after every eliminated
+# variable and once more when the block ends.
 
 
 def _blocking_literal(alt: list[PresFormula]) -> Optional[PresFormula]:
@@ -333,31 +325,13 @@ def _leaves(root: Cell, conjuncts: list, learned: Sequence = ()):
         stack.extend(reversed(children))
 
 
-def _expand_depth_first(names: list[str], conjuncts: list,
-                        stats: QeStats) -> list[Cell]:
-    """Cells of the conjunction of ``conjuncts`` for the existential block
-    over ``names``: the leaves of the walk.  Only the empty cell when a
-    leaf over block variables only is satisfiable, since the block then
-    holds whatever the free variables are."""
-    block = set(names)
-    leaves: dict = {}
-    for cell, _ in _leaves(Cell(), conjuncts):
-        if cell.vars <= block:
-            if _exists_block(names, [cell], stats):
-                stats.early_exits += 1
-                return [Cell()]
-            continue
-        leaves.setdefault(cell)
-    return list(leaves)
-
-
-def _exists_block(names: list[str], cells: list[Cell],
+def _exists_block(names: list[str], cell: Cell,
                   stats: QeStats) -> list[Cell]:
-    """Cells of ``exists names`` over ``cells``: each round takes out of
-    every cell the variables it bounds from one side only, then projects
-    the cheapest variable a cell still mentions; a cell without it is kept
-    as it is, and one whose box empties is dropped."""
-    remaining = list(names)
+    """Cells of ``exists names. cell``: each round takes out of every cell
+    the variables it bounds from one side only, then projects the cheapest
+    variable a cell still mentions; a cell without it is kept as it is, and
+    one whose box empties is dropped."""
+    remaining, cells = list(names), [cell]
     while True:
         dropped = [cell.drop_one_sided(remaining) for cell in cells]
         if any(new is not cell for new, cell in zip(dropped, cells)):

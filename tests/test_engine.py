@@ -408,21 +408,27 @@ def test_only_candidates_with_an_edge_into_the_change_are_examined(
 
 @pytest.mark.parametrize("name", ["ring", "fortress"])
 def test_each_block_is_expanded_once(monkeypatch, fortress, name):
+    # one controller walk per block: the one walk given the block's
+    # learned clauses (the adversary's walks take none)
     model = fortress if name == "fortress" else parse_model(ring_text(12)).model
-    calls = {"_block": 0, "_expand_depth_first": 0}
-    for fn in calls:
-        original = getattr(qe, fn)
+    calls = {"_block": 0, "controller": 0}
+    block, leaves = qe._block, qe._leaves
 
-        def counted(*args, _name=fn, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(qe, fn, counted)
+    def counted_block(*args):
+        calls["_block"] += 1
+        return block(*args)
+
+    def counted_leaves(root, conjuncts, learned=()):
+        calls["controller"] += isinstance(learned, list)
+        return leaves(root, conjuncts, learned)
+    monkeypatch.setattr(qe, "_block", counted_block)
+    monkeypatch.setattr(qe, "_leaves", counted_leaves)
     checker = ModelChecker(model)
     prop = "captured" if name == "fortress" else "goal"
     for formula in (f"<<3,1>> G !{prop}", f"E y1 A y2 <<y1,y2>> X !{prop}",
                     f"A y2 <<6,y2>> F {prop}"):
         checker.global_mc(nf(parse_formula(formula)), {})
-    assert calls["_block"] == calls["_expand_depth_first"] > 0
+    assert calls["_block"] == calls["controller"] > 0
 
 
 def test_build_prf_reads_the_guard_variables_once(monkeypatch, fortress):

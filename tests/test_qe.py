@@ -225,7 +225,8 @@ def _game(seed):
     return random_matrix(rng, GAME, max_coeff=3, max_const=8), a, b
 
 
-# a draw whose universal block, eliminated on its own, takes minutes
+# a draw that took over 60 s before the two-player loop; its universal
+# block alone takes minutes when a block learns wins without an adversary
 SLOW_ALONE = neg(conj((
     disj((atom_eq(X1.scale(2).add(Y2.scale(3)).add(Z),
                   X2.scale(3).add(Y1.scale(3)).shift(5)),
@@ -253,6 +254,27 @@ def test_a_universal_conjunct_is_refuted_exactly(game):
                         for y1 in range(b + 1) for y2 in range(b + 1 - y1))
                     for x1 in range(a + 1) for x2 in range(a + 1 - x1))
         assert evaluate(result, {"z": zv}) == brute, (matrix, a, b, zv)
+
+
+def test_an_open_universal_block_learns_no_clause(monkeypatch):
+    # forall y1 y2 (y1 + y2 <= 1 -> SLOW_ALONE), x1 x2 z free: a block
+    # without an adversary learns none of its wins; learning them takes
+    # this block from milliseconds to minutes, so the first one fails fast
+    learned = []
+
+    def no_clause(cell):
+        learned.append(cell)
+        raise AssertionError("a block without an adversary learned a win")
+    monkeypatch.setattr(qe, "_clause", no_clause)
+    matrix = implies(atom_le(Y1.add(Y2), 1), SLOW_ALONE)
+    result = eliminate_quantifiers(Forall("y1", Forall("y2", matrix)))
+    assert learned == []
+    assert free_vars(result) <= {"x1", "x2", "z"}
+    for x1, x2, zv in itertools.product(range(6), repeat=3):
+        point = {"x1": x1, "x2": x2, "z": zv}
+        brute = all(evaluate(matrix, {**point, "y1": y1, "y2": y2})
+                    for y1 in range(2) for y2 in range(2 - y1))
+        assert evaluate(result, point) == brute, point
 
 
 def test_cells_over_block_variables_only_close_the_block_when_satisfiable():
@@ -500,7 +522,7 @@ def block_cells(draw):
 
 def _eliminate_block(block, cell):
     """Cells of ``exists block`` over one cell."""
-    return qe._exists_block(block, [cell], QeStats())
+    return qe._exists_block(block, cell, QeStats())
 
 
 def _cells_hold(cells, point):
