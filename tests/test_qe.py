@@ -225,8 +225,8 @@ def _game(seed):
     return random_matrix(rng, GAME, max_coeff=3, max_const=8), a, b
 
 
-# a draw that took over 60 s before the two-player loop; its universal
-# block alone takes minutes when a block learns wins without an adversary
+# a draw whose universal block alone takes minutes when a block learns
+# its wins without an adversary
 SLOW_ALONE = neg(conj((
     disj((atom_eq(X1.scale(2).add(Y2.scale(3)).add(Z),
                   X2.scale(3).add(Y1.scale(3)).shift(5)),
