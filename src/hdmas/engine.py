@@ -4,8 +4,23 @@ The controllable pre-image of a state set is computed symbolically: per
 state a Presburger formula states that some split of the controllable
 agents over the available actions defeats every split of the
 uncontrollable agents into the target set.  Temporal operators iterate
-pre-images to their fixpoints; quantifier prefixes become arithmetic
-quantifiers on the per-state formula.
+pre-images to their fixpoints.
+
+A quantifier prefix binds the counts.  The formula is monotone in the
+coalition count and antitone in the adversary count, so a prefix drops
+the counts it leaves unbounded instead of quantifying them:
+
+    none        ∃k̄ (Σk ≤ t1 ∧ ∀l̄ (Σl ≤ t2 → G))
+    E y1        ∃k̄ ∀l̄ (Σl ≤ t2 → G)
+    A y2        ∃k̄ (Σk ≤ t1 ∧ ∀l̄ G)
+    E y1 A y2   ∃k̄ ∀l̄ G
+    A y2 E y1   ∀y2 ∃k̄ ∀l̄ (Σl ≤ y2 → G)
+
+E y1 goes because ∃y1 ∃k̄ (Σk ≤ y1 ∧ Φ) is ∃k̄ Φ (take y1 = Σk).  A y2
+goes where the choice k̄ ranges over a finite set: the k̄ that serve one
+y2 shrink as y2 grows, so some k̄ serves infinitely many y2, and so every
+y2.  Under A y2 E y1 the choice is unbounded and A y2 stays
+(``quantified_prf``).
 """
 
 from __future__ import annotations
@@ -19,7 +34,7 @@ from .logic import (EXISTS, FORALL, AgentVar, AndF, Coop, Globally, Nat, Next,
                     term_symbol)
 from .model import IDLE_COUNTER, HdmasModel, StateSet, guard_union
 from .normalform import nf
-from .presburger import (Exists, Forall, PresFormula, atom_le, conj,
+from .presburger import (Exists, Forall, LinTerm, PresFormula, atom_le, conj,
                          free_vars, implies, num, simplify, substitute_all,
                          var)
 from .qe import QeStats, decide
@@ -68,18 +83,21 @@ def _resolve_term(t: Term, theta: Assignment, pfix: QuantPrefix) -> Union[int, s
     return value
 
 
-def build_prf(model: HdmasModel, state: str, t1: Union[int, str],
-              t2: Union[int, str], targets: StateSet) -> PresFormula:
-    """Per-state controllability formula for a target set.
+Count = Union[int, str, None]
+
+
+def build_prf(model: HdmasModel, state: str, t1: Count, t2: Count,
+              targets: StateSet) -> PresFormula:
+    """Per-state controllability formula for a target set:
+    ``∃k̄ (Σk ≤ t1 ∧ ∀l̄ (Σl ≤ t2 → G))``.
 
     Counters split into controllable and adversarial shares ``k``/``l``.
     Availability is resolved structurally: only counters that occur in the
     guard union are quantified, and the idle counters are folded into
-    inequalities on the share sums.
+    inequalities on the share sums.  A count is a natural, a variable name,
+    or None for a side that no total bounds, whose sum bound is left out.
     """
     grd = guard_union(model, state, targets)
-    t1_term = var(t1) if isinstance(t1, str) else num(t1)
-    t2_term = var(t2) if isinstance(t2, str) else num(t2)
     used = free_vars(grd)
     counters = [c for c in model.counters_at(state)
                 if c != IDLE_COUNTER and c in used]
@@ -89,16 +107,12 @@ def build_prf(model: HdmasModel, state: str, t1: Union[int, str],
     # one walk for all counters; no replacement mentions a counter
     shifted = substitute_all(grd, {c: var(k).add(var(l))
                                    for c, k, l in zip(counters, ks, ls)})
-    k_sum = num(0)
-    for k in ks:
-        k_sum = k_sum.add(var(k))
-    l_sum = num(0)
-    for l in ls:
-        l_sum = l_sum.add(var(l))
-    inner: PresFormula = implies(atom_le(l_sum, t2_term), shifted)
+    inner: PresFormula = shifted
+    if t2 is not None:
+        inner = implies(atom_le(_sum(ls), t2), inner)
     for l in reversed(ls):
         inner = Forall(l, inner)
-    body = conj((atom_le(k_sum, t1_term), inner))
+    body = inner if t1 is None else conj((atom_le(_sum(ks), t1), inner))
     for k in reversed(ks):
         body = Exists(k, body)
     return simplify(body)
@@ -108,12 +122,43 @@ def quantified_prf(model: HdmasModel, state: str, t1: Union[int, str],
                    t2: Union[int, str], targets: StateSet,
                    pfix: QuantPrefix) -> PresFormula:
     """``build_prf`` under the quantifier prefix that binds its ``y``
-    terms: the closed formula decided for ``state``."""
-    phi = build_prf(model, state, t1, t2, targets)
+    terms: the closed formula decided for ``state``.
+
+    Innermost first, a prefix quantifier with no kept quantifier under it,
+    whose variable is the count of its own side alone, is dropped with
+    that side's bound.  Both rules are exact over N:
+    - ``∃y ∃k̄ (Σk ≤ y ∧ Φ)`` is ``∃k̄ Φ``: take y = Σk;
+    - ``∀y ∃k̄ (Σk ≤ t1 ∧ Φ(k̄, y))``, with ``Φ = ∀l̄ (Σl ≤ y → G)``
+      antitone in y, is ``∃k̄ (Σk ≤ t1 ∧ ∀l̄ G)`` while t1 is bounded
+      (concrete, or bound outside y): the k̄ that serve one y form a
+      finite set that shrinks as y grows, so some k̄ serves infinitely
+      many y, and so every y.
+    The five prefixes then give the formulas of the module docstring;
+    under ``A y2 E y1`` the first rule leaves t1 unbounded, so ``A y2``
+    stays.  A count that is also the other side's is kept bounded.
+    """
+    b1: Count = t1
+    b2: Count = t2
+    kept: list[tuple[str, str]] = []
     for q, y in reversed(pfix):
         name = f"y{y}"
+        if not kept and q == EXISTS and t1 == name != t2:
+            b1 = None
+        elif not kept and q == FORALL and t2 == name != t1 and b1 is not None:
+            b2 = None
+        else:
+            kept.append((q, name))
+    phi = build_prf(model, state, b1, b2, targets)
+    for q, name in kept:
         phi = Exists(name, phi) if q == EXISTS else Forall(name, phi)
     return phi
+
+
+def _sum(names: list[str]) -> LinTerm:
+    total = num(0)
+    for n in names:
+        total = total.add(var(n))
+    return total
 
 
 def _share(side: str, action: str) -> str:
@@ -155,7 +200,7 @@ class ModelChecker:
         A state left out keeps its membership in ``pre``.  One with no edge
         into the targets need not be examined, in any model: its guard
         union is ⊥, and ∃k̄ (Σk ≤ t1 ∧ ∀l̄ (Σl ≤ t2 → ⊥)) is false for every
-        natural t2 (take l̄ = 0), so under every prefix too.
+        natural t2 (take l̄ = 0), and so is each prefix's form.
         """
         if pfix not in PFIXES:
             raise EngineError(f"unsupported quantifier prefix {pfix}")

@@ -11,7 +11,7 @@ from helpers import ring_text
 from hdmas import cli
 from hdmas.cli import main
 from hdmas.engine import ModelChecker
-from hdmas.logic import EXISTS, Nat, Y1
+from hdmas.logic import EXISTS, FORALL, Nat, Y1, Y2
 from hdmas.parsing import MAX_DEPTH, guard_to_str, parse_model
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "hdmas" / "fixtures"
@@ -319,19 +319,25 @@ def test_dump_prf(capsys):
 
 
 def test_dump_prf_keeps_the_quantifier_prefix(capsys, monkeypatch):
-    # the dump is the closed formula that the engine decides for the state
-    code, out, _ = run_cli(capsys, "verify", FIG2, "-f", "E y1 <<y1,2>> X p",
-                           "--dump-prf", "s=s1")
-    assert code == 0
-    assert out.startswith("E y1. (")
+    # the dump is the closed formula that the engine decides for the state:
+    # A y2 E y1 keeps its A y2, while E y1 leaves no quantifier, since its
+    # count bounds nothing
     model = parse_model(pathlib.Path(FIG2).read_text()).model
-    checker = ModelChecker(model)
     decided = []
     monkeypatch.setattr(hdmas.engine, "decide",
                         lambda phi, stats: decided.append(phi) or True)
-    checker._pre_states(Y1, Nat(2), model.prop_mask("p"), {}, ((EXISTS, 1),),
-                        0, 1 << model.index("s1"))
-    assert out == guard_to_str(decided[0]) + "\n"
+    for formula, t2, pfix, head in (
+            ("A y2 E y1 <<y1,y2>> X p", Y2, ((FORALL, 2), (EXISTS, 1)),
+             "A y2. (E k_a1. ("),
+            ("E y1 <<y1,2>> X p", Nat(2), ((EXISTS, 1),), "E k_a1. (")):
+        code, out, _ = run_cli(capsys, "verify", FIG2, "-f", formula,
+                               "--dump-prf", "s=s1")
+        assert code == 0
+        assert out.startswith(head), formula
+        decided.clear()
+        ModelChecker(model)._pre_states(Y1, t2, model.prop_mask("p"), {},
+                                        pfix, 0, 1 << model.index("s1"))
+        assert out == guard_to_str(decided[0]) + "\n", formula
 
 
 def test_main_reads_sys_argv_when_given_no_arguments(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """The symbolic engine against the enumeration oracle on generated models."""
 
 import random
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +102,54 @@ def test_seed_161_nested_until_agrees_with_oracle():
     got = ModelChecker(model).global_mc(phi, {})
     assert got == Oracle(model).global_mc(phi, {})
     assert model.names_of(got) == ("s2",)
+
+
+def _adversary_limit(oracle, c, objective, bound):
+    """The oracle's extensions of ``<<c,n>> objective`` intersected over
+    n <= bound: they shrink as n grows, and the tail must be stable."""
+    row = [oracle.global_mc(Coop(Nat(c), Nat(n), objective), {})
+           for n in range(bound + 1)]
+    assert row[-1] == row[-2] == row[-3], "adversary chain not stable"
+    out = oracle.model.all_states()
+    for value in row:
+        out &= value
+    return out
+
+
+def _decide_quickly(model, formula):
+    started = time.perf_counter()
+    got = ModelChecker(model).global_mc(nf(parse_formula(formula)), {})
+    # the bounded per-state formulas took over 5 s on each of these
+    assert time.perf_counter() - started < 5.0, formula
+    return got
+
+
+def test_seed_161_a_y2_is_the_adversary_limit():
+    model = parse_model(SEED_161).model
+    got = _decide_quickly(model, "A y2 <<1,y2>> X q")
+    assert got == _adversary_limit(Oracle(model), 1, Next(Prop("q")), 16)
+    assert model.names_of(got) == ("s2",)
+
+
+def test_seed_161_e_y1_a_y2_is_the_coalition_limit():
+    model = parse_model(SEED_161).model
+    oracle = Oracle(model)
+    got = _decide_quickly(model, "E y1 A y2 <<y1,y2>> X q")
+    # the limits grow with the coalition, so their union is the last
+    row = [_adversary_limit(oracle, c, Next(Prop("q")), 12) for c in range(5)]
+    assert row[-1] == row[-2] == row[-3], "coalition chain not stable"
+    assert got == row[-1]
+    assert model.names_of(got) == ("s1", "s2")
+
+
+def test_seed_113_e_y1_a_y2_has_no_winning_coalition():
+    # every coalition of at most 4 loses to some 12 adversaries
+    model = parse_model(FOUR_ACTIONS).model
+    oracle = Oracle(model)
+    got = _decide_quickly(model, "E y1 A y2 <<y1,y2>> X p")
+    assert got == 0
+    for c in range(5):
+        assert _adversary_limit(oracle, c, Next(Prop("p")), 12) == 0, c
 
 
 def _random_objective(rng):

@@ -382,7 +382,9 @@ def test_window_atoms_are_folded_on_the_fixtures(monkeypatch, fig2, fortress):
     for model, prop in ((fig2, "p"), (fortress, "captured")):
         checker = ModelChecker(model)
         for text in (f"<<3,1>> G !{prop}", f"E y1 A y2 <<y1,y2>> X !{prop}",
-                     f"A y2 E y1 <<y1,y2>> X {prop}", f"A y2 <<6,y2>> F {prop}"):
+                     f"A y2 E y1 <<y1,y2>> X {prop}", f"A y2 <<6,y2>> F {prop}",
+                     f"E y1 <<y1,2>> G !{prop}",
+                     f"A y2 E y1 <<y1,y2>> G !{prop}"):
             checker.global_mc(nf(parse_formula(text)), {})
     assert len(made) > 1000
     for cell in made:
