@@ -449,22 +449,6 @@ def _window_add(window: tuple, side: int, value: int) -> Optional[tuple]:
     return (lo, hi, None)
 
 
-def _window_union(a: tuple, b: tuple) -> Optional[tuple]:
-    """The window of the integers in either window, ``_OPEN`` for all of
-    them; None when a gap lies between the two."""
-    (a_lo, a_hi), (b_lo, b_hi) = [w[:2] if w[2] is None else (w[2] - 1, w[2] + 1)
-                                  for w in (a, b)]
-    if ((b_lo is not None and a_hi is not None and b_lo >= a_hi)
-            or (a_lo is not None and b_hi is not None and a_lo >= b_hi)):
-        return None
-    window = _OPEN
-    if a_lo is not None and b_lo is not None:
-        window = _window_add(window, 0, min(a_lo, b_lo))
-    if a_hi is not None and b_hi is not None:
-        window = _window_add(window, 1, max(a_hi, b_hi))   # type: ignore[arg-type]
-    return window
-
-
 def _window_atoms(part: tuple, window: tuple) -> list[Atom]:
     """Unfolded atoms stating one window."""
     lo, hi, eq = window
@@ -683,6 +667,18 @@ class Cell:
             return self
         return Cell(windows, divs, self)
 
+    def meets(self, other: "Cell") -> bool:
+        """Whether the two cells together keep a non-empty box, built on the
+        windows: False shows that they share no point."""
+        windows = dict(other.windows)
+        for part, window in self.windows.items():
+            for side, value in enumerate(window):
+                if value is not None and not _narrow(windows, part, side, value):
+                    return False
+        if any(complement(d) in other.divs for d in self.divs):
+            return False
+        return Cell(windows, self.divs | other.divs, other).box is not None
+
     def literals(self) -> list[PresFormula]:
         """Canonical literal list.  Window parts are primitive with a
         positive leading coefficient, so their atoms are already folded."""
@@ -734,6 +730,56 @@ class Cell:
                 if value is not None and not _narrow(windows, rest, s, value):
                     return None
         return Cell(windows, self.divs, self)
+
+    def pinned(self, names: Iterable[str]) -> Optional["Cell"]:
+        """The cell with ``v = c`` for each variable that its box fixes to
+        ``c`` and that is one of ``names`` or in a divisibility literal, and
+        with those values put into the divisibility literals; the literals on
+        one term and divisor that leave one residue become one literal.  The
+        projection then pivots such a variable away, and unfolds one literal
+        where it would unfold each.  None when the literals fail."""
+        box = self.box
+        if box is None:
+            return None
+        fixed = {v: lo for v, (lo, hi) in box.items() if lo is not None and lo == hi}
+        pins = {v for v in names if v in fixed}
+        if not pins and not self.divs:
+            return self
+        families: dict = {}
+        for lit in self.divs:
+            term, d = _literal_atom(lit).term, _literal_atom(lit).divisor
+            known = {v for v, _ in term.coeffs if v in fixed}
+            if known:
+                pins |= known
+                folded = _fold_atom(Atom(DVD, LinTerm(
+                    tuple(p for p in term.coeffs if p[0] not in known),
+                    term.const + sum(c * fixed[v] for v, c in term.coeffs if v in known)), d))
+                lit = neg(folded) if isinstance(lit, Not) else folded
+                if isinstance(lit, FalseF):
+                    return None
+                if isinstance(lit, TrueF):
+                    continue
+                term, d = _literal_atom(lit).term, _literal_atom(lit).divisor
+            families.setdefault((term.coeffs, d), []).append(lit)
+        divs = set()
+        for (coeffs, d), lits in families.items():
+            if len(lits) > 1:
+                left = [r for r in range(d) if all(
+                    ((r + _literal_atom(lit).term.const) % d == 0) != isinstance(lit, Not)
+                    for lit in lits)]
+                if not left:
+                    return None
+                if len(left) == 1:
+                    lits = [_fold_atom(Atom(DVD, LinTerm(coeffs, -left[0]), d))]
+            divs.update(lits)
+        windows = self.windows
+        for v in pins:
+            if windows.get(((v, 1),), _OPEN)[2] is None:
+                windows = dict(windows) if windows is self.windows else windows
+                _narrow(windows, ((v, 1),), 2, fixed[v])
+        if windows is self.windows and divs == self.divs:
+            return self
+        return Cell(windows, frozenset(divs), self)
 
     def project(self, v: str) -> list["Cell"]:
         """Cells with non-empty boxes whose union is ``exists v >= 0`` of
@@ -861,44 +907,13 @@ def cheapest(names: list[str], cells: Iterable[Cell]) -> Optional[str]:
                default=None)
 
 
-def merge_cells(cells: Iterable[Cell]) -> list[Cell]:
-    """The cells deduplicated, and those identical up to one adjacent or
-    overlapping window united; a window that the union opens is dropped."""
-    buckets: dict = {}
-    for cell in cells:
-        parts = tuple(sorted(cell.windows))
-        buckets.setdefault((parts, cell.divs), {}).setdefault(
-            tuple(cell.windows[p] for p in parts), cell)
-    out: dict = {}
-    for (parts, divs), by_row in buckets.items():
-        rows: list = list(by_row)
-        changed = 1 < len(rows) <= 3000
-        while changed:
-            changed = False
-            for i, j in itertools.combinations(range(len(rows)), 2):
-                if rows[i] is None or rows[j] is None:
-                    continue
-                diff = [k for k in range(len(parts)) if rows[i][k] != rows[j][k]]
-                union = (_window_union(rows[i][diff[0]], rows[j][diff[0]])
-                         if len(diff) == 1 else None)
-                if union is not None:
-                    rows[i] = rows[i][:diff[0]] + (union,) + rows[i][diff[0] + 1:]
-                    rows[j], changed = None, True
-            rows = [r for r in rows if r is not None]
-        for row in rows:
-            cell = by_row.get(row) or Cell(
-                {p: w for p, w in zip(parts, row) if w != _OPEN}, divs)
-            out.setdefault(cell)
-    return list(out)
-
-
 # -- simplification ----------------------------------------------------------
 
 
 def simplify(phi: PresFormula) -> PresFormula:
     """Constant folding and flattening; ``g & !g`` false and ``g | !g``
-    true; quantifiers of absent variables dropped.  Bounds are merged only
-    in cells."""
+    true; quantifiers of absent variables dropped.  Bounds are combined
+    only in cells."""
     if isinstance(phi, (TrueF, FalseF)):
         return phi
     if isinstance(phi, AtomF):

@@ -11,8 +11,8 @@ splitting one conjunct at a time as DPLL(T) case splitting does.
 Variables leave a cell in rounds: each takes out of every cell the
 variables it bounds from one side only, then projects the cheapest one
 left, after pinning it when the cell's box fixes its value.  A cell whose
-box empties is dropped, and the cell set is merged
-(``presburger.merge_cells``) after each round.  Projection is the only
+box empties is dropped, and the cell set is deduplicated after each
+round; no two cells are ever united.  Projection is the only
 elimination of a variable bounded from both sides; it unfolds a
 divisibility literal on the variable into an equality with a fresh
 variable.
@@ -62,11 +62,10 @@ import math
 import time
 from typing import Iterable, Optional, Sequence
 
-from .presburger import (_OPEN, DVD, And, Atom, AtomF, Cell, Exists, FalseF,
-                         Forall, FreeVariableError, LinTerm, Not, Or,
-                         PresFormula, TrueF, _fold_atom, _literal_atom, _narrow,
-                         _quantifier_block, cheapest, complement, conj, disj,
-                         free_vars, merge_cells, neg, simplify)
+from .presburger import (And, AtomF, Cell, Exists, FalseF, Forall,
+                         FreeVariableError, Not, Or, PresFormula, TrueF,
+                         _literal_atom, _quantifier_block, cheapest,
+                         complement, conj, disj, free_vars, neg, simplify)
 
 
 class QeStats:
@@ -182,7 +181,7 @@ def _block(names: list[str], conjuncts: list, games: list,
         if revisit:
             continue
         won = _exists_block(names, cell, stats)
-        if any(not w.windows and not w.divs for w in won):
+        if Cell() in won:
             stats.early_exits += 1
             wins = [Cell()]
             break
@@ -190,7 +189,7 @@ def _block(names: list[str], conjuncts: list, games: list,
         if games:
             learned += map(_clause, won)
     stats.eliminated += len(names) + sum(len(ys) for ys, _ in games)
-    return merge_cells(wins)
+    return list(dict.fromkeys(wins))
 
 
 def _adversary(cell: Cell, games: list, refuted: set, projections: dict,
@@ -209,26 +208,13 @@ def _adversary(cell: Cell, games: list, refuted: set, projections: dict,
                 start = Cell().extend(path)
                 cells = projections[key] = \
                     [] if start is None else _exists_block(ys, start, stats)
-            new = [d for d in cells if d not in refuted and _meets(d, cell)]
+            new = [d for d in cells if d not in refuted and d.meets(cell)]
             if new:
                 learned += map(_clause, new)
                 refuted.update(new)
                 stats.refutations += len(new)
                 return True
     return False
-
-
-def _meets(cell: Cell, other: Cell) -> bool:
-    """Whether the two cells together keep a non-empty box, built on the
-    windows: False shows that they share no point."""
-    windows = dict(other.windows)
-    for part, window in cell.windows.items():
-        for side, value in enumerate(window):
-            if value is not None and not _narrow(windows, part, side, value):
-                return False
-    if any(complement(d) in other.divs for d in cell.divs):
-        return False
-    return Cell(windows, cell.divs | other.divs, other).box is not None
 
 
 def _clause(cell: Cell) -> list[list[PresFormula]]:
@@ -243,8 +229,8 @@ def _clause(cell: Cell) -> list[list[PresFormula]]:
 # ---------------------------------------------------------------------------
 # cells (see ``presburger.Cell``)
 #
-# The cells of a block are deduplicated and merged after every eliminated
-# variable and once more when the block ends.
+# The cells of a block are deduplicated, in walk order, after every
+# eliminated variable and once more when the block ends.
 
 
 def _blocking_literal(alt: list[PresFormula]) -> Optional[PresFormula]:
@@ -297,7 +283,7 @@ def _leaves(root: Cell, conjuncts: list, learned: Sequence = ()):
         cell, pending, path, seen = stack.pop()
         if seen < len(learned):
             pending, seen = [*pending, *learned[seen:]], len(learned)
-        if cell.box is None or cell.divs and _pinned(cell, ()) is None:
+        if cell.box is None or cell.divs and cell.pinned(()) is None:
             continue
         opened = _open_conjuncts(cell, pending)
         if opened is None:
@@ -335,7 +321,8 @@ def _exists_block(names: list[str], cell: Cell,
     while True:
         dropped = [cell.drop_one_sided(remaining) for cell in cells]
         if any(new is not cell for new, cell in zip(dropped, cells)):
-            cells = merge_cells(c for c in dropped if c and c.box is not None)
+            cells = list(dict.fromkeys(
+                c for c in dropped if c and c.box is not None))
         v = cheapest(remaining, cells)
         if v is None:
             stats.one_sided += len(remaining)
@@ -344,66 +331,15 @@ def _exists_block(names: list[str], cell: Cell,
         nxt: dict = {}
         for cell in cells:
             if v in cell.vars:
-                cell = _pinned(cell, (v,))
+                cell = cell.pinned((v,))
             if cell is not None and cell.box is not None:
                 nxt.update(dict.fromkeys(cell.project(v) if v in cell.vars else [cell]))
-        cells = merge_cells(nxt)
+        cells = list(nxt)
         stats.peak_atoms = max(stats.peak_atoms,
                                sum(len(c.windows) * 2 + len(c.divs)
                                    for c in cells))
         stats.peak_divisor_lcm = max(stats.peak_divisor_lcm, math.lcm(
             *(_literal_atom(d).divisor for c in cells for d in c.divs)))
-
-
-def _pinned(cell: Cell, names: Iterable[str]) -> Optional[Cell]:
-    """The cell with ``v = c`` for each variable that its box fixes to
-    ``c`` and that is one of ``names`` or in a divisibility literal, and
-    with those values put into the divisibility literals; the literals on
-    one term and divisor that leave one residue become one literal.  The
-    projection then pivots such a variable away, and unfolds one literal
-    where it would unfold each.  None when the literals fail."""
-    box = cell.box
-    if box is None:
-        return None
-    fixed = {v: lo for v, (lo, hi) in box.items() if lo is not None and lo == hi}
-    pins = {v for v in names if v in fixed}
-    if not pins and not cell.divs:
-        return cell
-    families: dict = {}
-    for lit in cell.divs:
-        term, d = _literal_atom(lit).term, _literal_atom(lit).divisor
-        known = {v for v, _ in term.coeffs if v in fixed}
-        if known:
-            pins |= known
-            folded = _fold_atom(Atom(DVD, LinTerm(
-                tuple(p for p in term.coeffs if p[0] not in known),
-                term.const + sum(c * fixed[v] for v, c in term.coeffs if v in known)), d))
-            lit = neg(folded) if isinstance(lit, Not) else folded
-            if isinstance(lit, FalseF):
-                return None
-            if isinstance(lit, TrueF):
-                continue
-            term, d = _literal_atom(lit).term, _literal_atom(lit).divisor
-        families.setdefault((term.coeffs, d), []).append(lit)
-    divs = set()
-    for (coeffs, d), lits in families.items():
-        if len(lits) > 1:
-            left = [r for r in range(d) if all(
-                ((r + _literal_atom(lit).term.const) % d == 0) != isinstance(lit, Not)
-                for lit in lits)]
-            if not left:
-                return None
-            if len(left) == 1:
-                lits = [_fold_atom(Atom(DVD, LinTerm(coeffs, -left[0]), d))]
-        divs.update(lits)
-    windows = cell.windows
-    for v in pins:
-        if windows.get(((v, 1),), _OPEN)[2] is None:
-            windows = dict(windows) if windows is cell.windows else windows
-            _narrow(windows, ((v, 1),), 2, fixed[v])
-    if windows is cell.windows and divs == cell.divs:
-        return cell
-    return Cell(windows, frozenset(divs), cell)
 
 
 def _cells_formula(cells: list[Cell]) -> PresFormula:
