@@ -47,28 +47,6 @@ EXIT_STATE = 3
 EXIT_CAP = 4
 
 
-class RunConfig:
-    """One CLI invocation; exactly one mode is active."""
-
-    def __init__(self, model_path: str,
-                 mode: str = "verify",   # check-model | verify | dump-nf | dump-prf
-                 formula_text: Optional[str] = None,
-                 formula_file: Optional[str] = None,
-                 assign: Sequence[str] = (),   # the --assign pairs as given
-                 state: Optional[str] = None, oracle: bool = False,
-                 dump_prf_state: Optional[str] = None,
-                 output: str = "plain"):  # plain | json
-        self.model_path = model_path
-        self.mode = mode
-        self.formula_text = formula_text
-        self.formula_file = formula_file
-        self.assign = assign
-        self.state = state
-        self.oracle = oracle
-        self.dump_prf_state = dump_prf_state
-        self.output = output
-
-
 class UnreadableInput(Exception):
     """An input file could not be opened or is not UTF-8 text."""
 
@@ -87,10 +65,6 @@ def _read_text(path: str) -> str:
                               f"byte {err.start})") from None
     except OSError as err:
         raise UnreadableInput(str(err)) from None
-
-
-def _load_model(config: RunConfig):
-    return parse_model(_read_text(config.model_path))
 
 
 def _is_numeral(text: str) -> bool:
@@ -120,15 +94,15 @@ def _parse_assignment(pairs: Sequence[str]) -> dict:
     return theta
 
 
-def _check_model(config: RunConfig) -> int:
-    doc = _load_model(config)
-    report = check_wellformed(doc.model)
-    if config.output == "json":
+def _check_model(model_path: str, opts: dict) -> int:
+    model = parse_model(_read_text(model_path)).model
+    report = check_wellformed(model)
+    if "--json" in opts:
         payload = {
             "schema": 1,
             "wellformed": report.ok,
             "report": report.lines(),
-            "model": doc.model.to_json(),
+            "model": model.to_json(),
         }
         _print_json(payload)
     else:
@@ -158,18 +132,19 @@ def _enumerate(model: HdmasModel, phi: StateFormula, theta: dict) -> StateSet:
         raise CapExceeded(str(err)) from None
 
 
-def _verify(config: RunConfig) -> int:
+def _verify(model_path: str, opts: dict) -> int:
     # the formula file and the assignment are read before the model
-    formula_text = config.formula_text
-    if config.formula_file is not None:
-        formula_text = _read_text(config.formula_file)
-    theta = _parse_assignment(config.assign)
-    doc = _load_model(config)
-    model = doc.model
-    phi = parse_formula(formula_text or "")
+    if "--formula-file" in opts:
+        formula_text = _read_text(opts["--formula-file"])
+    else:
+        formula_text = opts["--formula"]
+    theta = _parse_assignment(opts.get("--assign", ()))
+    model = parse_model(_read_text(model_path)).model
+    phi = parse_formula(formula_text)
 
-    if config.state is not None and config.state not in model.states:
-        raise SemanticError(f"unknown state {config.state!r}")
+    state = opts.get("--state")
+    if state is not None and state not in model.states:
+        raise SemanticError(f"unknown state {state!r}")
     unknown = props_of(phi) - set(model.props)
     if unknown:
         raise SemanticError("unknown propositions in the formula: "
@@ -177,7 +152,7 @@ def _verify(config: RunConfig) -> int:
 
     normal = merge_quantifiers(simplify_vacuous(nf(phi)))
 
-    if config.mode == "dump-nf":
+    if "--dump-nf" in opts:
         print(formula_to_str(normal))
         return EXIT_OK
 
@@ -186,8 +161,8 @@ def _verify(config: RunConfig) -> int:
         raise SemanticError("unbound symbols in the formula: "
                             + ", ".join(missing) + " (use --assign)")
 
-    if config.mode == "dump-prf":
-        target_state = config.dump_prf_state
+    if "--dump-prf" in opts:
+        target_state = opts["--dump-prf"].removeprefix("s=")
         if target_state not in model.states:
             raise SemanticError(f"unknown state {target_state!r}")
         body = normal
@@ -208,14 +183,14 @@ def _verify(config: RunConfig) -> int:
         return EXIT_OK
 
     stats = QeStats()
-    if config.oracle:
+    if "--oracle" in opts:
         extension = _enumerate(model, normal, theta)
     else:
         checker = ModelChecker(model, stats=stats)
         extension = checker.global_mc(normal, theta)
 
     members = model.names_of(extension)
-    if config.output == "json":
+    if "--json" in opts:
         payload = {
             "schema": 1,
             "formula": formula_to_str(phi),
@@ -225,37 +200,17 @@ def _verify(config: RunConfig) -> int:
             "per_state": {s: bool(extension >> i & 1)
                           for i, s in enumerate(model.states)},
         }
-        if not config.oracle:
+        if "--oracle" not in opts:
             payload["qe_stats"] = stats.to_json()
         _print_json(payload)
     else:
         print("extension:", " ".join(members) if members else "(empty)")
-        if config.state is not None:
-            verdict = config.state in members
-            print(f"{config.state}: {'satisfied' if verdict else 'not satisfied'}")
-    if config.state is not None and config.state not in members:
+        if state is not None:
+            verdict = state in members
+            print(f"{state}: {'satisfied' if verdict else 'not satisfied'}")
+    if state is not None and state not in members:
         return EXIT_STATE
     return EXIT_OK
-
-
-def run(config: RunConfig) -> int:
-    """Execute one configured invocation and return the exit code."""
-    try:
-        if config.mode == "check-model":
-            return _check_model(config)
-        return _verify(config)
-    except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except (SemanticError, EngineError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SEMANTIC
-    except CapExceeded as err:
-        print(f"enumeration cap exceeded: {err}", file=sys.stderr)
-        return EXIT_CAP
-    except UnreadableInput as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 PROG = "hdmas-verify"
@@ -413,26 +368,22 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def _main(argv: Optional[list[str]]) -> int:
     command, model_path, opts = parse_argv(sys.argv[1:] if argv is None else argv)
-    output = "json" if opts.get("--json") else "plain"
-    if command == "check-model":
-        return run(RunConfig(model_path=model_path, mode="check-model",
-                             output=output))
-
-    dump_nf, dump_prf = opts.get("--dump-nf"), opts.get("--dump-prf")
-    mode = "verify"
-    dump_state = None
-    if dump_nf:
-        mode = "dump-nf"
-    elif dump_prf:
-        mode = "dump-prf"
-        dump_state = dump_prf[2:] if dump_prf.startswith("s=") else dump_prf
-    config = RunConfig(model_path=model_path, mode=mode,
-                       formula_text=opts.get("--formula"),
-                       formula_file=opts.get("--formula-file"),
-                       assign=opts.get("--assign", ()),
-                       state=opts.get("--state"), oracle=bool(opts.get("--oracle")),
-                       dump_prf_state=dump_state, output=output)
-    return run(config)
+    try:
+        if command == "check-model":
+            return _check_model(model_path, opts)
+        return _verify(model_path, opts)
+    except ParseError as err:
+        print(f"parse error: {err}", file=sys.stderr)
+        return EXIT_PARSE
+    except (SemanticError, EngineError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_SEMANTIC
+    except CapExceeded as err:
+        print(f"enumeration cap exceeded: {err}", file=sys.stderr)
+        return EXIT_CAP
+    except UnreadableInput as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

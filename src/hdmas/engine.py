@@ -338,33 +338,3 @@ class ModelChecker:
             return self.u_fixpoint(op.t1, op.t2, objective.lhs,
                                    objective.rhs, theta, pfix)
         raise TypeError(objective)
-
-
-# functional entry points matching the operation contracts
-
-
-def pre_image(model: HdmasModel, t1: Term, t2: Term, targets: StateSet,
-              theta: Assignment, pfix: QuantPrefix) -> StateSet:
-    return ModelChecker(model).pre_image(t1, t2, targets, theta, pfix)
-
-
-def g_fixpoint(model: HdmasModel, t1: Term, t2: Term, psi: StateFormula,
-               theta: Assignment, pfix: QuantPrefix,
-               trace: Optional[list[StateSet]] = None) -> StateSet:
-    return ModelChecker(model).g_fixpoint(t1, t2, psi, theta, pfix, trace)
-
-
-def u_fixpoint(model: HdmasModel, t1: Term, t2: Term, psi1: StateFormula,
-               psi2: StateFormula, theta: Assignment, pfix: QuantPrefix,
-               trace: Optional[list[StateSet]] = None) -> StateSet:
-    return ModelChecker(model).u_fixpoint(t1, t2, psi1, psi2, theta, pfix, trace)
-
-
-def global_mc(model: HdmasModel, phi: StateFormula,
-              theta: Assignment) -> StateSet:
-    return ModelChecker(model).global_mc(phi, theta)
-
-
-def check(model: HdmasModel, state: str, phi: StateFormula,
-          theta: Assignment) -> bool:
-    return ModelChecker(model).check(state, phi, theta)

@@ -245,6 +245,7 @@ class Until(PathFormula):
 
 TOP = Top()
 Formula = Union[StateFormula, PathFormula]
+_FORMULAS = (StateFormula, PathFormula)
 
 
 def eventually(phi: StateFormula) -> PathFormula:
@@ -253,21 +254,8 @@ def eventually(phi: StateFormula) -> PathFormula:
 
 
 def children(phi: Formula) -> tuple[Formula, ...]:
-    if isinstance(phi, (Top, Prop)):
-        return ()
-    if isinstance(phi, NotF):
-        return (phi.arg,)
-    if isinstance(phi, (AndF, OrF)):
-        return (phi.lhs, phi.rhs)
-    if isinstance(phi, Coop):
-        return (phi.objective,)
-    if isinstance(phi, Quant):
-        return (phi.body,)
-    if isinstance(phi, (Next, Globally)):
-        return (phi.arg,)
-    if isinstance(phi, Until):
-        return (phi.lhs, phi.rhs)
-    raise TypeError(phi)
+    """The direct subformulas, in field order."""
+    return tuple(f for f in phi._key() if isinstance(f, _FORMULAS))
 
 
 def size(phi: Formula) -> int:
@@ -309,26 +297,26 @@ def params_of(phi: Formula) -> frozenset[int]:
     return frozenset(out)
 
 
-def _parities(phi: Formula, y: int, memo: dict) -> frozenset[int]:
+def _parities(phi: Formula, y: int) -> frozenset[int]:
     """Negation parities (0 or 1) of the free occurrences of an agent
     variable."""
-    hit = memo.get(id(phi))
-    if hit is not None:
-        return hit
-    out: frozenset[int] = frozenset()
-    if isinstance(phi, NotF):
-        out = frozenset(1 - n for n in _parities(phi.arg, y, memo))
-    elif not (isinstance(phi, Quant) and any(i == y for _, i in phi.prefix)):
-        if isinstance(phi, Coop) and AgentVar(y) in (phi.t1, phi.t2):
+    def step(f: Formula, recurse) -> frozenset[int]:
+        if isinstance(f, NotF):
+            return frozenset(1 - n for n in recurse(f.arg))
+        if isinstance(f, Quant) and any(i == y for _, i in f.prefix):
+            return frozenset()
+        out: frozenset[int] = frozenset()
+        if isinstance(f, Coop) and AgentVar(y) in (f.t1, f.t2):
             out = frozenset((0,))
-        for c in children(phi):
-            out |= _parities(c, y, memo)
-    memo[id(phi)] = out
-    return out
+        for c in children(f):
+            out |= recurse(c)
+        return out
+
+    return memo_walk(phi, step)
 
 
 def free_agent_vars(phi: Formula) -> frozenset[int]:
-    return frozenset(y for y in (1, 2) if _parities(phi, y, {}))
+    return frozenset(y for y in (1, 2) if _parities(phi, y))
 
 
 def polarity(phi: Formula, y: int) -> str:
@@ -336,7 +324,7 @@ def polarity(phi: Formula, y: int) -> str:
 
     Returns one of ``all-positive``, ``all-negative``, ``mixed``, ``absent``.
     """
-    found = _parities(phi, y, {})
+    found = _parities(phi, y)
     if not found:
         return "absent"
     if found == {0}:
@@ -350,26 +338,14 @@ def polarity(phi: Formula, y: int) -> str:
 
 
 def map_children(phi: Formula, fn) -> Formula:
-    """The node rebuilt with ``fn`` applied to each direct subformula."""
-    if isinstance(phi, (Top, Prop)):
+    """The node rebuilt with ``fn`` applied to each direct subformula; a
+    node without one (``Top``, ``Prop``) is returned as it is."""
+    fields = phi._key()
+    if not any(isinstance(f, _FORMULAS) for f in fields):
         return phi
-    if isinstance(phi, NotF):
-        return NotF(fn(phi.arg))
-    if isinstance(phi, AndF):
-        return AndF(fn(phi.lhs), fn(phi.rhs))
-    if isinstance(phi, OrF):
-        return OrF(fn(phi.lhs), fn(phi.rhs))
-    if isinstance(phi, Coop):
-        return Coop(phi.t1, phi.t2, fn(phi.objective))
-    if isinstance(phi, Quant):
-        return Quant(phi.prefix, fn(phi.body))
-    if isinstance(phi, Next):
-        return Next(fn(phi.arg))
-    if isinstance(phi, Globally):
-        return Globally(fn(phi.arg))
-    if isinstance(phi, Until):
-        return Until(fn(phi.lhs), fn(phi.rhs))
-    raise TypeError(phi)
+    # every formula class takes its fields in ``_key`` order
+    return phi.__class__(*[fn(f) if isinstance(f, _FORMULAS) else f
+                           for f in fields])
 
 
 def memo_walk(phi: Formula, step):

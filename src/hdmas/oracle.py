@@ -36,13 +36,12 @@ def configured_cap() -> int:
     raw = os.environ.get("HDMAS_ENUM_CAP")
     if not raw:
         return DEFAULT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = None
-    if cap is None or cap < 0:
+    # ASCII digits only, as for --assign: ``int`` also reads other
+    # scripts' digits, underscores and a sign
+    value = raw.strip()
+    if not (value.isascii() and value.isdigit()):
         raise BadEnumCap(f"HDMAS_ENUM_CAP={raw!r} is not a natural number")
-    return cap
+    return int(value)
 
 
 def _term_value(t: Term, theta: Mapping[str, int]) -> int:
@@ -145,15 +144,3 @@ class Oracle:
                     z = q2 | (self.concrete_pre_image(c, n, w) & q1)
                 return z
         raise TypeError(phi)
-
-
-def concrete_pre_image(model: HdmasModel, controllable: int, uncontrollable: int,
-                       targets: StateSet, cap: int | None = None) -> StateSet:
-    oracle = Oracle(model, cap)
-    return oracle.concrete_pre_image(controllable, uncontrollable, targets)
-
-
-def concrete_global_mc(model: HdmasModel, phi: StateFormula,
-                       theta: Mapping[str, int], cap: int | None = None) -> StateSet:
-    oracle = Oracle(model, cap)
-    return oracle.global_mc(phi, theta)

@@ -295,7 +295,9 @@ def test_verify_unknown_proposition(capsys, extra):
     assert out == ""
 
 
-@pytest.mark.parametrize("raw", ["abc", "-3"])
+# int() reads the last four as 7, 5, 1000 and 5; the cap takes ASCII
+# digits only, as --assign does
+@pytest.mark.parametrize("raw", ["abc", "-3", "\u0667", "\uff15", "1_000", "+5"])
 def test_verify_oracle_bad_cap(capsys, monkeypatch, raw):
     monkeypatch.setenv("HDMAS_ENUM_CAP", raw)
     code, out, err = run_cli(capsys, "verify", FIG2, "-f", "<<5,5>> X p",
@@ -316,6 +318,14 @@ def test_dump_prf(capsys):
                            "--dump-prf", "s=s1")
     assert code == 0
     assert "k_a" in out and "l_a" in out and "E " in out and "A " in out
+
+
+def test_an_empty_dump_prf_value_still_asks_for_the_dump(capsys):
+    # the option is given, so the dump is asked for, and "" names no state
+    code, out, err = run_cli(capsys, "verify", FIG2, "-f", "<<1,1>> X p",
+                             "--dump-prf=")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown state ''\n"
 
 
 def test_dump_prf_keeps_the_quantifier_prefix(capsys, monkeypatch):

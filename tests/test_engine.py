@@ -8,7 +8,7 @@ from helpers import (random_model_text, reference_g_fixpoint,
                      reference_pre_image, reference_u_fixpoint, ring_text,
                      sequential_prf, verbatim_prf)
 from hdmas.engine import (ModelChecker, NotNormalForm, UnassignedParameter,
-                          build_prf, check, global_mc, pre_image)
+                          build_prf)
 from hdmas.logic import (EXISTS, FORALL, Coop, Globally, Nat, Next, NotF,
                          Param, Prop, Quant, Top, Y1, Y2)
 from hdmas.normalform import nf
@@ -85,32 +85,33 @@ def test_build_prf_substitutes_every_counter_in_one_walk(fig2, fortress):
 
 
 def test_pre_image_alternating_prefix(fig2):
-    got = pre_image(fig2, Y1, Y2, fig2.mask_of(["s2", "s3", "s4"]), {}, AE)
+    got = ModelChecker(fig2).pre_image(Y1, Y2, fig2.mask_of(["s2", "s3", "s4"]), {}, AE)
     assert names(fig2, got) == {"s2", "s4", "s5"}
 
 
 def test_pre_image_universal_prefix(fig2):
-    got = pre_image(fig2, Nat(0), Y2, fig2.mask_of(["s5", "s6"]), {}, AY2)
+    got = ModelChecker(fig2).pre_image(Nat(0), Y2, fig2.mask_of(["s5", "s6"]), {}, AY2)
     assert names(fig2, got) == {"s6"}
 
 
 def test_pre_image_existential_prefix(fig2):
-    got = pre_image(fig2, Y1, Nat(10), fig2.mask_of(["s6"]), {}, EY1)
+    got = ModelChecker(fig2).pre_image(Y1, Nat(10), fig2.mask_of(["s6"]), {}, EY1)
     assert names(fig2, got) == {"s4", "s6"}
 
 
 def test_pre_image_resolves_parameters(fig2):
-    got = pre_image(fig2, Param(1), Param(2), fig2.mask_of(["s2", "s3", "s4"]),
-                    {"z1": 7, "z2": 5}, ())
+    got = ModelChecker(fig2).pre_image(Param(1), Param(2),
+                                       fig2.mask_of(["s2", "s3", "s4"]),
+                                       {"z1": 7, "z2": 5}, ())
     assert "s1" in names(fig2, got)
     with pytest.raises(UnassignedParameter):
-        pre_image(fig2, Param(1), Nat(2), fig2.all_states(), {}, ())
+        ModelChecker(fig2).pre_image(Param(1), Nat(2), fig2.all_states(), {}, ())
 
 
 def test_pre_image_free_agent_variable_needs_value(fig2):
     with pytest.raises(UnassignedParameter):
-        pre_image(fig2, Y1, Nat(2), fig2.all_states(), {}, ())
-    got = pre_image(fig2, Y1, Nat(2), fig2.all_states(), {"y1": 3}, ())
+        ModelChecker(fig2).pre_image(Y1, Nat(2), fig2.all_states(), {}, ())
+    got = ModelChecker(fig2).pre_image(Y1, Nat(2), fig2.all_states(), {"y1": 3}, ())
     assert got == fig2.all_states()
 
 
@@ -225,8 +226,8 @@ def OrF_pq():
 
 def test_module_level_helpers(fig2):
     phi = parse_formula("<<7,5>> X p")
-    mask = global_mc(fig2, phi, {})
-    assert check(fig2, "s1", phi, {}) == bool(mask & 1)
+    mask = ModelChecker(fig2).global_mc(phi, {})
+    assert ModelChecker(fig2).check("s1", phi, {}) == bool(mask & 1)
 
 
 def test_memoisation_reuses_extents(fig2, monkeypatch):
@@ -386,7 +387,7 @@ def test_formula_builds_do_not_grow_with_ring_size(monkeypatch):
     for n in (10, 40):
         model = ring(n)
         calls.clear()
-        assert global_mc(model, phi, {}) == model.all_states()
+        assert ModelChecker(model).global_mc(phi, {}) == model.all_states()
         builds.append(len(calls))
     assert builds[0] == builds[1] > 0
 

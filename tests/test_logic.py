@@ -6,8 +6,9 @@ from hdmas.logic import (EXISTS, FORALL, AndF, Coop, Globally, Nat, Next,
                          NotF, OrF, Param, PolarityViolation,
                          PositionViolation, Prop, Quant, Top, Until, Y1, Y2,
                          assignment_symbols, canonical, check_syntax, children, eventually,
-                         free_agent_vars, is_normal_form, merge_quantifiers,
-                         polarity, simplify_vacuous, size, subst_term)
+                         free_agent_vars, is_normal_form, map_children,
+                         merge_quantifiers, polarity, simplify_vacuous, size,
+                         subst_term)
 
 E, A = EXISTS, FORALL
 captured = Prop("captured")
@@ -144,6 +145,29 @@ def test_free_agent_vars():
     assert free_agent_vars(Coop(Y1, Y2, Next(p))) == {1, 2}
     assert free_agent_vars(Quant(((E, 1),), Coop(Y1, Y2, Next(p)))) == {2}
     assert free_agent_vars(p) == frozenset()
+
+
+def test_children_and_map_children_follow_the_fields():
+    # one node of each class, with its subformulas in field order
+    r = Prop("r")
+    coop = Coop(Nat(2), Y2, Next(p))
+    cases = [(Top(), ()), (p, ()), (NotF(p), (p,)), (AndF(p, r), (p, r)),
+             (OrF(r, p), (r, p)), (coop, (coop.objective,)),
+             (Quant(((A, 2),), coop), (coop,)), (Next(p), (p,)),
+             (Globally(r), (r,)), (Until(p, r), (p, r))]
+    for node, kids in cases:
+        assert list(map(id, children(node))) == list(map(id, kids))
+        seen = []
+        rebuilt = map_children(node, lambda f: seen.append(f) or f)
+        assert list(map(id, seen)) == list(map(id, kids))
+        assert rebuilt.__class__ is node.__class__ and rebuilt == node
+        if not kids:
+            assert rebuilt is node
+    # the function's results are what the rebuilt node holds
+    assert map_children(Until(p, Top()), lambda f: NotF(f)) == \
+        Until(NotF(p), NotF(Top()))
+    assert map_children(coop, lambda f: Globally(f.arg)) == \
+        Coop(Nat(2), Y2, Globally(p))
 
 
 def test_size_counts_prefix_quantifiers():

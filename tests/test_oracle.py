@@ -1,8 +1,7 @@
 import pytest
 
 from hdmas.logic import Coop, Nat, Next, NotF, Prop, Quant, Top, Y1
-from hdmas.oracle import (EnumerationCapExceeded, Oracle, QuantifiedFormula,
-                          concrete_global_mc, concrete_pre_image)
+from hdmas.oracle import EnumerationCapExceeded, Oracle, QuantifiedFormula
 from hdmas.parsing import parse_formula
 
 p, q = Prop("p"), Prop("q")
@@ -42,7 +41,7 @@ def test_enumeration_cap():
 def test_cap_env_override(monkeypatch, fig2):
     monkeypatch.setenv("HDMAS_ENUM_CAP", "7")
     with pytest.raises(EnumerationCapExceeded):
-        concrete_pre_image(fig2, 5, 5, fig2.all_states())
+        Oracle(fig2).concrete_pre_image(5, 5, fig2.all_states())
 
 
 def test_global_mc_atoms(fig2_oracle):
@@ -92,5 +91,5 @@ def test_oracle_monotonicity(fig2_oracle):
 
 
 def test_module_level_wrappers(fig2):
-    got = concrete_global_mc(fig2, parse_formula("<<2,1>> G q"), {})
+    got = Oracle(fig2).global_mc(parse_formula("<<2,1>> G q"), {})
     assert set(fig2.names_of(got)) <= {"s5", "s6"}
