@@ -178,8 +178,8 @@ def _verify(model_path: str, opts: dict) -> int:
         targets = checker.global_mc(body.objective.arg, theta)
         t1 = _resolve_term(body.t1, theta, pfix)
         t2 = _resolve_term(body.t2, theta, pfix)
-        prf = quantified_prf(model, target_state, t1, t2, targets, pfix)
-        print(guard_to_str(prf))
+        game = quantified_prf(model, target_state, t1, t2, targets, pfix)
+        print(guard_to_str(game.formula()))
         return EXIT_OK
 
     stats = QeStats()

@@ -34,10 +34,10 @@ from .logic import (EXISTS, FORALL, AgentVar, AndF, Coop, Globally, Nat, Next,
                     term_symbol)
 from .model import IDLE_COUNTER, HdmasModel, StateSet, guard_union
 from .normalform import nf
-from .presburger import (Exists, Forall, LinTerm, PresFormula, atom_le, conj,
-                         free_vars, implies, num, simplify, substitute_all,
-                         var)
-from .qe import QeStats, decide
+from .presburger import (DVD, TRUE, Atom, AtomF, Exists, Forall,
+                         FreeVariableError, LinTerm, Not, Or, PresFormula,
+                         _canonical, _literal_atom, free_vars, simplify)
+from .qe import Game, QeStats, _conjuncts, decide
 
 Assignment = Mapping[str, int]
 
@@ -87,42 +87,93 @@ Count = Union[int, str, None]
 
 
 def build_prf(model: HdmasModel, state: str, t1: Count, t2: Count,
-              targets: StateSet) -> PresFormula:
-    """Per-state controllability formula for a target set:
-    ``∃k̄ (Σk ≤ t1 ∧ ∀l̄ (Σl ≤ t2 → G))``.
+              targets: StateSet) -> Game:
+    """Per-state controllability game for a target set:
+    ``∃k̄ (Σk ≤ t1 ∧ ∀l̄ (Σl ≤ t2 → G))``, as ``decide`` takes it.
 
     Counters split into controllable and adversarial shares ``k``/``l``.
-    Availability is resolved structurally: only counters that occur in the
-    guard union are quantified, and the idle counters are folded into
-    inequalities on the share sums.  A count is a natural, a variable name,
-    or None for a side that no total bounds, whose sum bound is left out.
+    The game is assembled from the compiled disjuncts of the guard union
+    (``_compiled``): the adversary's conjuncts are their negations, and
+    only the counters they mention get shares.  A union that holds a
+    disjunct beside its negation is true, as ``simplify`` folds it, and
+    leaves no adversary.  A count is a natural, a variable name, or None
+    for a side that no total bounds, whose sum bound is left out.
     """
-    grd = guard_union(model, state, targets)
-    used = free_vars(grd)
-    counters = [c for c in model.counters_at(state)
-                if c != IDLE_COUNTER and c in used]
-    names = [c.lstrip("#") for c in counters]
-    ks = [_share("k", n) for n in names]
-    ls = [_share("l", n) for n in names]
-    # one walk for all counters; no replacement mentions a counter
-    shifted = substitute_all(grd, {c: var(k).add(var(l))
-                                   for c, k, l in zip(counters, ks, ls)})
-    inner: PresFormula = shifted
+    union = guard_union(model, state, targets)
+    disjuncts: dict = {}
+    used: set[str] = set()
+    for g in union.args if isinstance(union, Or) else (union,):
+        simplified, counters, negated = _compiled(model, g)
+        if simplified not in disjuncts:
+            disjuncts[simplified] = negated
+            used |= counters
+    available = model.counters_at(state)
+    if not used.issubset(available):
+        raise FreeVariableError(sorted(used.difference(available)))
+    names = [c.lstrip("#") for c in available if c != IDLE_COUNTER and c in used]
+    ks = tuple(_share("k", n) for n in names)
+    ls = tuple(_share("l", n) for n in names)
+    conjuncts = [] if t1 is None else [_sum_at_most(ks, t1)]
+    if TRUE in disjuncts or any(isinstance(a, Not) and a.arg in disjuncts
+                                for a in disjuncts):
+        return Game(ks if conjuncts else (), conjuncts)
+    negated = [alts for n in disjuncts.values() for alts in n]
     if t2 is not None:
-        inner = implies(atom_le(_sum(ls), t2), inner)
-    for l in reversed(ls):
-        inner = Forall(l, inner)
-    body = inner if t1 is None else conj((atom_le(_sum(ks), t1), inner))
-    for k in reversed(ks):
-        body = Exists(k, body)
-    return simplify(body)
+        negated.insert(0, _sum_at_most(ls, t2))
+    return Game(ks, conjuncts, ((ls, negated),))
+
+
+def _compiled(model: HdmasModel, guard: PresFormula) -> tuple:
+    """A disjunct of a guard union, compiled once per model: simplified,
+    the counters it mentions, and the conjuncts (``qe._conjuncts``) of its
+    negation with each counter ``#a`` replaced by ``k_a + l_a``.  A
+    canonical literal stays canonical under that replacement, so the
+    literals are read once, over the counters, and then shifted."""
+    hit = model.compiled_guards.get(guard)
+    if hit is None:
+        simplified = simplify(guard)
+
+        def shift(lit):
+            if lit.__class__ is tuple:
+                part, side, value = lit
+                return _shares(part), side, value
+            atom = _literal_atom(lit)
+            new = AtomF(Atom(DVD, LinTerm(_shares(atom.term.coeffs),
+                                          atom.term.const), atom.divisor))
+            return Not(new) if isinstance(lit, Not) else new
+
+        hit = model.compiled_guards[guard] = (
+            simplified, free_vars(simplified),
+            tuple(tuple(tuple(map(shift, alt)) for alt in alts)
+                  for alts in _conjuncts(simplified, True)))
+    return hit
+
+
+def _sum_at_most(names: tuple[str, ...], t: Union[int, str]) -> list[tuple]:
+    """The alternatives of ``Σ names ≤ t`` as ``qe._to_dnf`` gives them,
+    one canonical bound (or none, when it holds), for ``t`` a natural or a
+    variable."""
+    coeffs = [(n, 1) for n in names]
+    if isinstance(t, str):
+        coeffs.append((t, -1))
+    value = 1 if isinstance(t, str) else t + 1
+    if not coeffs:
+        return [()] if value > 0 else []
+    return [(_canonical(tuple(sorted(coeffs)), 1, value),)]
+
+
+def _shares(coeffs: tuple) -> tuple:
+    """Sorted coefficient pairs with each counter ``#a`` replaced by
+    ``k_a + l_a``: every ``k`` share sorts before every ``l`` share."""
+    return tuple((_share(side, c.lstrip("#")), x)
+                 for side in "kl" for c, x in coeffs)
 
 
 def quantified_prf(model: HdmasModel, state: str, t1: Union[int, str],
                    t2: Union[int, str], targets: StateSet,
-                   pfix: QuantPrefix) -> PresFormula:
+                   pfix: QuantPrefix) -> Game:
     """``build_prf`` under the quantifier prefix that binds its ``y``
-    terms: the closed formula decided for ``state``.
+    terms: the closed game decided for ``state``.
 
     Innermost first, a prefix quantifier with no kept quantifier under it,
     whose variable is the count of its own side alone, is dropped with
@@ -148,17 +199,10 @@ def quantified_prf(model: HdmasModel, state: str, t1: Union[int, str],
             b2 = None
         else:
             kept.append((q, name))
-    phi = build_prf(model, state, b1, b2, targets)
+    game = build_prf(model, state, b1, b2, targets)
     for q, name in kept:
-        phi = Exists(name, phi) if q == EXISTS else Forall(name, phi)
-    return phi
-
-
-def _sum(names: list[str]) -> LinTerm:
-    total = num(0)
-    for n in names:
-        total = total.add(var(n))
-    return total
+        game = game.quantified(Exists if q == EXISTS else Forall, name)
+    return game
 
 
 def _share(side: str, action: str) -> str:
@@ -169,19 +213,20 @@ def _share(side: str, action: str) -> str:
 class ModelChecker:
     """Caching evaluator for one model.
 
-    Pre-image verdicts are cached before any formula is built, keyed on
+    Pre-image verdicts are cached before any game is built, keyed on
     ``(actions available at the state, ids of the guards into the target
-    set, t1, t2, prefix)``: that key fixes the per-state formula up to the
+    set, t1, t2, prefix)``: that key fixes the per-state game up to the
     order of its disjuncts, whichever state it came from.  Only a miss
-    builds the formula and decides it.
+    assembles the game from the model's compiled guards and decides it.
 
     Only states that can still change the answer are decided.  A
     pre-image examines the states with an edge into the targets; a G or U
     round, as the pre-image is monotone, only its candidates with an edge
     into the states that just changed.  G's candidates are the states of
     its set (its first round examines them all), U's those of ψ1 outside
-    its set (ψ2 counts as just joined in its first round).  Every round
-    yields the same set as the plain Kleene iteration.
+    its set (ψ2 counts as just joined in its first round).  A candidate
+    with no edge into the targets leaves the set with no game built.
+    Every round yields the same set as the plain Kleene iteration.
     Subformula extensions are memoised too; the instance is reusable
     across formulas and assignments.
     """
@@ -198,9 +243,9 @@ class ModelChecker:
         """``pre`` with the states in ``dirty`` re-examined against targets.
 
         A state left out keeps its membership in ``pre``.  One with no edge
-        into the targets need not be examined, in any model: its guard
-        union is ⊥, and ∃k̄ (Σk ≤ t1 ∧ ∀l̄ (Σl ≤ t2 → ⊥)) is false for every
-        natural t2 (take l̄ = 0), and so is each prefix's form.
+        into the targets is out of it, in any model, with no game built:
+        its guard union is ⊥, and ∃k̄ (Σk ≤ t1 ∧ ∀l̄ (Σl ≤ t2 → ⊥)) is false
+        for every natural t2 (take l̄ = 0), and so is each prefix's form.
         """
         if pfix not in PFIXES:
             raise EngineError(f"unsupported quantifier prefix {pfix}")
@@ -213,13 +258,15 @@ class ModelChecker:
             dirty ^= low
             i = low.bit_length() - 1
             state = model.states[i]
-            key = (model.avail[state],
-                   frozenset(gid for d, gid in out_edges[i] if targets >> d & 1),
-                   r1, r2, pfix)
+            gids = frozenset(gid for d, gid in out_edges[i] if targets >> d & 1)
+            if not gids:
+                pre &= ~low
+                continue
+            key = (model.avail[state], gids, r1, r2, pfix)
             hit = self._verdicts.get(key)
             if hit is None:
-                phi = quantified_prf(model, state, r1, r2, targets, pfix)
-                hit = self._verdicts[key] = decide(phi, self.stats)
+                game = quantified_prf(model, state, r1, r2, targets, pfix)
+                hit = self._verdicts[key] = decide(game, self.stats)
             pre = pre | low if hit else pre & ~low
         return pre
 

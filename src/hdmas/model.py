@@ -165,6 +165,12 @@ class HdmasModel:
     def adjacency(self) -> Adjacency:
         return Adjacency.build(self.states, self.guards)
 
+    @cached_property
+    def compiled_guards(self) -> dict[PresFormula, tuple]:
+        """Memo of ``engine._compiled``: each disjunct of a guard union,
+        compiled once per model for every game built from it."""
+        return {}
+
     # -- state sets as bitmasks ----------------------------------------
 
     def index(self, state: str) -> int:

@@ -244,13 +244,6 @@ def _parse_guard_and(ts: _Stream) -> PresFormula:
     return out
 
 
-def parse_guard(text: str) -> PresFormula:
-    ts = _Stream(tokenize(text))
-    out = _parse_guard_expr(ts)
-    ts.expect("eof")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # guard and formula printing
 
@@ -859,19 +852,3 @@ def parse_model(text: str) -> ModelDocument:
         checked.add(key)
 
     return ModelDocument(source=text, model=model, spans=reader.spans)
-
-
-def model_to_text(model: HdmasModel) -> str:
-    """Render a model back into the DSL; inverse of parse_model."""
-    lines = ["actions " + " ".join(model.table.actions) + ";"]
-    if model.props:
-        lines.append("props " + " ".join(model.props) + ";")
-    for s in model.states:
-        listed = " ".join(a for a in model.table.actions if a in model.avail[s])
-        labelled = " ".join(p for p in model.props if p in model.labels[s])
-        avail_part = f"avail: {listed};" if listed else "avail: ;"
-        label_part = f"label: {labelled};" if labelled else "label: ;"
-        lines.append(f"state {s} {{ {avail_part} {label_part} }}")
-    for (src, dst), g in model.guards.items():
-        lines.append(f"guard {src} -> {dst} : {guard_to_str(g)};")
-    return "\n".join(lines) + "\n"

@@ -12,7 +12,9 @@ part plus divisibility literals, with an interval box per variable.  It is
 the only code that combines bounds: quantifier elimination (``qe``)
 expands formulas into cells and eliminates variables from them, and the
 simplifier only folds constants, flattens and folds a formula beside its
-own negation.
+own negation.  A cell takes its literals canonical (``atom_alternatives``):
+a bound is canonicalised once, when it leaves its atom, not each time it
+joins a cell.
 """
 
 from __future__ import annotations
@@ -156,12 +158,6 @@ def atom_ne(lhs: TermLike, rhs: TermLike) -> PresFormula:
     return disj((atom_lt(lhs, rhs), atom_lt(rhs, lhs)))
 
 
-def atom_dvd(divisor: int, t: TermLike) -> PresFormula:
-    if divisor < 1:
-        raise ValueError("divisor must be >= 1")
-    return _fold_atom(Atom(DVD, as_term(t), divisor))
-
-
 def neg(phi: PresFormula) -> PresFormula:
     if isinstance(phi, TrueF):
         return FALSE
@@ -267,25 +263,6 @@ def is_quantifier_free(phi: PresFormula) -> bool:
     return True
 
 
-def atoms_of(phi: PresFormula) -> list[Atom]:
-    """All atoms in the tree, in traversal order (duplicates included)."""
-    out: list[Atom] = []
-
-    def walk(f: PresFormula) -> None:
-        if isinstance(f, AtomF):
-            out.append(f.atom)
-        elif isinstance(f, Not):
-            walk(f.arg)
-        elif isinstance(f, (And, Or)):
-            for a in f.args:
-                walk(a)
-        elif isinstance(f, (Exists, Forall)):
-            walk(f.body)
-
-    walk(phi)
-    return out
-
-
 # -- evaluation --------------------------------------------------------------
 
 
@@ -381,6 +358,10 @@ def substitute_all(phi: PresFormula,
 # it is the one representation of a conjunction of literals and the only
 # code that combines bounds, used by QE to expand and project formulas.
 # No other module reads or builds a window.
+#
+# A literal is canonical: a bound is ``(part, side, value)``, ``P > value``
+# (side 0), ``P < value`` (1) or ``P = value`` (2) as ``_canonical`` keys
+# it, and any other literal is a divisibility atom or its negation.
 
 
 def _literal_atom(lit: PresFormula) -> Atom:
@@ -391,18 +372,49 @@ def _literal_atom(lit: PresFormula) -> Atom:
     raise TypeError(lit)
 
 
-def complement(lit: PresFormula) -> PresFormula:
-    """The negation of a literal: one literal, or for an equality the
-    disjunction of two.  ``!(t < 0)`` is ``-t - 1 < 0``."""
-    if isinstance(lit, Not):
-        return lit.arg
-    a = lit.atom                                           # type: ignore[union-attr]
-    if a.kind == LT:
-        return _fold_atom(Atom(LT, a.term.scale(-1).shift(-1)))
-    if a.kind == EQ:
-        return disj((_fold_atom(Atom(LT, a.term)),
-                     _fold_atom(Atom(LT, a.term.scale(-1)))))
-    return Not(lit)
+def atom_alternatives(phi: AtomF, negated: bool = False) -> list[tuple]:
+    """The alternatives of an atom, or of its negation when ``negated``, each
+    a tuple of canonical literals: ``!(t < 0)`` is ``t > -1``, ``!(t = 0)``
+    is ``t < 0`` or ``t > 0``, and a negated divisibility atom stays one
+    literal.  [] when it is false, [()] when it is true."""
+    atom = phi.atom
+    if atom.kind == DVD:
+        return [(Not(phi) if negated else phi,)]
+    coeffs, value = atom.term.coeffs, -atom.term.const
+    if atom.kind == LT:
+        sides = ((0, value - 1),) if negated else ((1, value),)
+    else:
+        sides = ((1, value), (0, value)) if negated else ((2, value),)
+    out: list[tuple] = []
+    for side, v in sides:
+        if not coeffs:
+            if (v < 0, v > 0, v == 0)[side]:
+                out.append(())
+            continue
+        key = _canonical(coeffs, side, v)
+        if key is not None:
+            out.append((key,))
+    return out
+
+
+def literal_formula(lit) -> PresFormula:
+    """A canonical literal as a formula; a bound's atom is already folded."""
+    if lit.__class__ is not tuple:
+        return lit
+    part, side, value = lit
+    if side == 0:
+        return AtomF(Atom(LT, LinTerm(tuple((v, -c) for v, c in part), value)))
+    return AtomF(Atom(LT if side == 1 else EQ, LinTerm(part, -value)))
+
+
+def complement(lit):
+    """The negation of a canonical literal other than an equality: ``P > v``
+    gives ``P < v + 1``, ``P < v`` gives ``P > v - 1``, and a divisibility
+    literal is negated."""
+    if lit.__class__ is tuple:
+        part, side, value = lit
+        return (part, 1, value + 1) if side == 0 else (part, 0, value - 1)
+    return lit.arg if isinstance(lit, Not) else Not(lit)
 
 
 def _canonical(coeffs: tuple, side: int,
@@ -449,25 +461,11 @@ def _window_add(window: tuple, side: int, value: int) -> Optional[tuple]:
     return (lo, hi, None)
 
 
-def _window_atoms(part: tuple, window: tuple) -> list[Atom]:
-    """Unfolded atoms stating one window."""
-    lo, hi, eq = window
-    out = []
-    if eq is not None:
-        out.append(Atom(EQ, LinTerm(part, -eq)))
-    if hi is not None:
-        out.append(Atom(LT, LinTerm(part, -hi)))
-    if lo is not None:
-        out.append(Atom(LT, LinTerm(tuple((v, -c) for v, c in part), lo)))
-    return out
-
-
 def _tighten(windows: dict, coeffs: tuple, side: int,
              value: int) -> Optional[tuple]:
     """The part and window that a bound, as ``_canonical`` reads it, makes
     of ``windows``, without changing them: () when the bound adds nothing,
-    None when a window empties.  This is where a bound is canonicalised,
-    and a constant one checked."""
+    None when a window empties.  A constant bound is checked."""
     if not coeffs:
         holds = value < 0 if side == 0 else value > 0 if side == 1 else value == 0
         return () if holds else None
@@ -642,24 +640,22 @@ class Cell:
             out |= _literal_atom(d).term.vars()
         return out
 
-    def extend(self, lits: Iterable[PresFormula]) -> Optional["Cell"]:
-        """The cell with ``lits`` added: itself when they add nothing, None
-        when it becomes empty."""
+    def extend(self, lits: Iterable) -> Optional["Cell"]:
+        """The cell with the canonical literals ``lits`` added: itself when
+        they add nothing, None when it becomes empty."""
         windows, divs = self.windows, self.divs
         for lit in lits:
-            if isinstance(lit, AtomF) and lit.atom.kind != DVD:
-                t = lit.atom.term
-                change = _tighten(windows, t.coeffs, 1 if lit.atom.kind == LT else 2,
-                                  -t.const)
-                if change is None:
+            if lit.__class__ is tuple:
+                part, side, value = lit
+                old = windows.get(part, _OPEN)
+                window = _window_add(old, side, value)
+                if window is None:
                     return None
-                if change:
+                if window != old:
                     # copied on the first change only
                     windows = dict(windows) if windows is self.windows else windows
-                    windows[change[0]] = change[1]
-            elif isinstance(lit, FalseF):
-                return None
-            elif not isinstance(lit, TrueF) and lit not in divs:
+                    windows[part] = window
+            elif lit not in divs:
                 if complement(lit) in divs:
                     return None
                 divs = divs | {lit}
@@ -673,8 +669,10 @@ class Cell:
         windows = dict(other.windows)
         for part, window in self.windows.items():
             for side, value in enumerate(window):
-                if value is not None and not _narrow(windows, part, side, value):
-                    return False
+                if value is not None:
+                    windows[part] = _window_add(windows.get(part, _OPEN), side, value)
+                    if windows[part] is None:
+                        return False
         if any(complement(d) in other.divs for d in self.divs):
             return False
         return Cell(windows, self.divs | other.divs, other).box is not None
@@ -682,28 +680,27 @@ class Cell:
     def literals(self) -> list[PresFormula]:
         """Canonical literal list.  Window parts are primitive with a
         positive leading coefficient, so their atoms are already folded."""
-        out: list[PresFormula] = [AtomF(a) for part, window in self.key[0]
-                                  for a in _window_atoms(part, window)]
+        out = [literal_formula((part, side, value))
+               for part, (lo, hi, eq) in self.key[0]
+               for side, value in ((2, eq), (1, hi), (0, lo)) if value is not None]
         out.extend(sorted(self.divs, key=repr))
         return out
 
-    def clause(self) -> PresFormula:
-        """The negated cell, the complements of ``literals`` in their order,
-        built from the windows: ``P = e`` gives ``P - e < 0`` and ``-P + e <
-        0``, ``P < h`` gives ``-P + h - 1 < 0`` and ``P > l`` gives ``P - l -
-        1 < 0``, all folded and distinct, so they need no ``disj``."""
-        out: list[PresFormula] = []
+    def clause(self) -> tuple:
+        """The negated cell as canonical literals, the complements of
+        ``literals`` in their order, built from the windows: ``P = e`` gives
+        ``P < e`` and ``P > e``, ``P < h`` gives ``P > h - 1`` and ``P > l``
+        gives ``P < l + 1``, all distinct."""
+        out: list = []
         for part, (lo, hi, eq) in self.key[0]:
-            minus = tuple((v, -c) for v, c in part)
             if eq is not None:
-                out += [AtomF(Atom(LT, LinTerm(part, -eq))),
-                        AtomF(Atom(LT, LinTerm(minus, eq)))]
+                out += [(part, 1, eq), (part, 0, eq)]
             if hi is not None:
-                out.append(AtomF(Atom(LT, LinTerm(minus, hi - 1))))
+                out.append((part, 0, hi - 1))
             if lo is not None:
-                out.append(AtomF(Atom(LT, LinTerm(part, -lo - 1))))
+                out.append((part, 1, lo + 1))
         out.extend(complement(d) for d in sorted(self.divs, key=repr))
-        return Or(tuple(out)) if len(out) > 1 else out[0] if out else FALSE
+        return tuple(out)
 
     def drop_one_sided(self, names: Iterable[str]) -> Optional["Cell"]:
         """``exists >= 0`` of those ``names`` bounded from one side only and
@@ -822,8 +819,8 @@ class Cell:
             fresh.append(q)
             part = _combine((atom.term.coeffs, 1), (((q, 1),), -atom.divisor))
             residues = range(1, atom.divisor) if isinstance(lit, Not) else (0,)
-            cells = [cell.extend([AtomF(Atom(EQ, LinTerm(part, atom.term.const - r)))])
-                     for cell in cells for r in residues]
+            keys = [_canonical(part, 2, r - atom.term.const) for r in residues]
+            cells = [cell.extend([key]) for cell in cells for key in keys if key]
             cells = [c for c in cells if c is not None]
         for u in [v] + fresh:
             cells = [out for cell in cells for out in cell.project(u)]
@@ -848,8 +845,10 @@ class Cell:
                 if bound is not None and not _narrow(
                         out, q, side, scale * bound - a * sign * e):
                     return None
-        return Cell(out, self.divs, self).extend(
-            [_fold_atom(Atom(DVD, LinTerm(rest, -e), scale))])
+        cell = Cell(out, self.divs, self)
+        lit = _fold_atom(Atom(DVD, LinTerm(rest, -e), scale))
+        return cell if isinstance(lit, TrueF) else \
+            None if isinstance(lit, FalseF) else cell.extend([lit])
 
     def _shadow(self, v: str, windows: dict) -> list[Optional["Cell"]]:
         """``exists v`` of a cell whose constraints on ``v`` are all bounds:

@@ -49,23 +49,29 @@ a leaf whose literals on ``X`` come from the finitely many alternatives of
 alone (the complements of earlier ``W`` among them) pass through the
 projection, so no ``W`` repeats and they are drawn from a finite set.
 
-A block takes its body as built, unsimplified (``build_prf`` simplifies the
-formula it builds once); only the final result is simplified again
-(``eliminate_quantifiers``).  Bound variables need no renaming apart: a
-block's result mentions none of its variables, so a shadowed or repeated
-name is gone before any outer block sees it.
+Literals are canonical (``presburger.atom_alternatives``): a bound is
+canonicalised once, when the walk into DNF meets its atom, and every cell
+that takes it after that reads its window key as it is.  A ``Game`` hands
+``_block`` its conjuncts already walked: ``build_prf`` assembles one per
+state from guards compiled once per model, and ``decide`` takes it with no
+formula to walk.  A block takes its body as built, unsimplified; only the
+result of a formula is simplified (``eliminate_quantifiers``), and that of
+a closed game is a constant already.  Bound variables need no renaming
+apart: a block's result mentions none of its variables, so a shadowed or
+repeated name is gone before any outer block sees it.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .presburger import (And, AtomF, Cell, Exists, FalseF, Forall,
                          FreeVariableError, Not, Or, PresFormula, TrueF,
-                         _literal_atom, _quantifier_block, cheapest,
-                         complement, conj, disj, free_vars, neg, simplify)
+                         _literal_atom, _quantifier_block, _quantify,
+                         atom_alternatives, cheapest, complement, conj, disj,
+                         free_vars, literal_formula, neg, simplify)
 
 
 class QeStats:
@@ -101,15 +107,53 @@ def eliminate_quantifiers(phi: PresFormula,
     return simplify(_close(phi, QeStats() if stats is None else stats))
 
 
-def decide(phi: PresFormula, stats: Optional[QeStats] = None) -> bool:
-    """Truth over N of a closed formula, all quantifiers relativised to >= 0."""
-    fv = free_vars(phi)
-    if fv:
-        raise FreeVariableError(sorted(fv))
+class Game(NamedTuple):
+    """A closed decision as the pieces ``_block`` takes: ``exists names. C &
+    forall ys1. B1 & ...`` under the ``outer`` quantifiers, innermost first,
+    each ``(Exists or Forall, name)``.  ``conjuncts`` are ``C``'s and each
+    adversary is ``(ys, N)``, ``N`` the conjuncts of ``!B``: lists of
+    alternatives of canonical literals (``_conjuncts``)."""
+
+    names: tuple
+    conjuncts: Sequence
+    adversaries: tuple = ()
+    outer: tuple = ()
+
+    def quantified(self, kind: type, name: str) -> "Game":
+        """The game under one more quantifier: an existential right around
+        the block joins its names, as ``_quantifier_block`` would read it."""
+        if kind is Exists and not self.outer:
+            return Game((name, *self.names), self.conjuncts, self.adversaries)
+        return Game(self.names, self.conjuncts, self.adversaries,
+                    self.outer + ((kind, name),))
+
+    def formula(self) -> PresFormula:
+        """The formula the game decides, with no variable left free."""
+        body = conj((_conjuncts_formula(self.conjuncts),
+                     *(_quantify(Forall, list(ys), _negated_formula(negated))
+                       for ys, negated in self.adversaries)))
+        phi = _quantify(Exists, list(self.names), body)
+        for kind, name in self.outer:
+            phi = kind(name, phi)
+        return phi
+
+
+def decide(phi: Union[PresFormula, Game],
+           stats: Optional[QeStats] = None) -> bool:
+    """Truth over N of a closed formula or ``Game``, all quantifiers
+    relativised to >= 0.  The time it runs is added to ``stats.elapsed``
+    however it ends."""
+    if not isinstance(phi, Game):
+        fv = free_vars(phi)
+        if fv:
+            raise FreeVariableError(sorted(fv))
     stats = QeStats() if stats is None else stats
     started = time.perf_counter()
-    result = eliminate_quantifiers(phi, stats)
-    stats.elapsed += time.perf_counter() - started
+    try:
+        result = _close_game(phi, stats) if isinstance(phi, Game) else \
+            eliminate_quantifiers(phi, stats)
+    finally:
+        stats.elapsed += time.perf_counter() - started
     if isinstance(result, TrueF):
         return True
     if isinstance(result, FalseF):
@@ -161,7 +205,19 @@ def _close(phi: PresFormula, stats: QeStats) -> PresFormula:
     return phi
 
 
-def _block(names: list[str], conjuncts: list, games: list,
+def _close_game(game: Game, stats: QeStats) -> PresFormula:
+    """The game's block, then its outer quantifiers; a block of no
+    variables and no adversary is its conjunction, as ``simplify`` leaves a
+    quantifier of no variable out."""
+    phi = _cells_formula(_block(game.names, game.conjuncts, game.adversaries,
+                                stats)) if game.names or game.adversaries \
+        else _conjuncts_formula(game.conjuncts)
+    for kind, name in game.outer:
+        phi = kind(name, phi)
+    return _close(phi, stats)
+
+
+def _block(names: Sequence[str], conjuncts: Sequence, games: list,
            stats: QeStats) -> list[Cell]:
     """Cells of ``exists names. C & forall ys. !N``, for the conjunction
     ``C`` of ``conjuncts`` and each ``(ys, N)`` of ``games``, ``N`` the
@@ -217,13 +273,10 @@ def _adversary(cell: Cell, games: list, refuted: set, projections: dict,
     return False
 
 
-def _clause(cell: Cell) -> list[list[PresFormula]]:
+def _clause(cell: Cell) -> list[tuple]:
     """The negated cell (``Cell.clause``) as a conjunct of one-literal
     alternatives."""
-    clause = cell.clause()
-    lits = clause.args if isinstance(clause, Or) else \
-        () if isinstance(clause, FalseF) else (clause,)
-    return [[lit] for lit in lits]
+    return [(lit,) for lit in cell.clause()]
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +286,15 @@ def _clause(cell: Cell) -> list[list[PresFormula]]:
 # eliminated variable and once more when the block ends.
 
 
-def _blocking_literal(alt: list[PresFormula]) -> Optional[PresFormula]:
+def _blocking_literal(alt: tuple):
     """Complement of an alternative that is one literal over one variable,
-    when that complement is itself a literal."""
-    if len(alt) != 1 or len(free_vars(alt[0])) != 1:
+    when that complement is itself a literal (not for an equality)."""
+    if len(alt) != 1:
         return None
-    negated = complement(alt[0])
-    return None if isinstance(negated, Or) else negated
+    lit = alt[0]
+    if lit.__class__ is tuple:
+        return complement(lit) if len(lit[0]) == 1 and lit[1] != 2 else None
+    return complement(lit) if len(_literal_atom(lit).term.coeffs) == 1 else None
 
 
 def _open_conjuncts(cell: Cell, pending: list) -> Optional[tuple[list, tuple]]:
@@ -349,10 +404,32 @@ def _cells_formula(cells: list[Cell]) -> PresFormula:
 
 def _cells_clauses(cells: list[Cell]) -> PresFormula:
     """Conjunction of the negated cells, one clause per cell."""
-    return conj(tuple(cell.clause() for cell in cells))
+    return conj(tuple(disj(tuple(map(literal_formula, cell.clause())))
+                      for cell in cells))
 
 
-def _conjuncts(phi: PresFormula, negated: bool) -> list[list[list[PresFormula]]]:
+def _conjuncts_formula(conjuncts: Sequence) -> PresFormula:
+    """The conjunction of conjuncts of alternatives of literals."""
+    return conj(tuple(disj(tuple(conj(tuple(map(literal_formula, alt)))
+                                 for alt in alts)) for alts in conjuncts))
+
+
+def _negated_formula(conjuncts: Sequence) -> PresFormula:
+    """The negation of ``_conjuncts_formula``, pushed to the literals."""
+    return disj(tuple(conj(tuple(disj(tuple(map(_negated_literal, alt)))
+                                 for alt in alts)) for alts in conjuncts))
+
+
+def _negated_literal(lit) -> PresFormula:
+    """The negation of a canonical literal; an equality's is two bounds."""
+    if lit.__class__ is tuple and lit[1] == 2:
+        part, _, value = lit
+        return disj((literal_formula((part, 1, value)),
+                     literal_formula((part, 0, value))))
+    return literal_formula(complement(lit))
+
+
+def _conjuncts(phi: PresFormula, negated: bool) -> list[list[tuple]]:
     """The DNF (``_to_dnf``) of each top-level conjunct of ``phi``, or of
     ``!phi`` when ``negated``."""
     if isinstance(phi, Not):
@@ -362,24 +439,21 @@ def _conjuncts(phi: PresFormula, negated: bool) -> list[list[list[PresFormula]]]
     return [_to_dnf(phi, negated)]
 
 
-def _to_dnf(phi: PresFormula, negated: bool = False) -> list[list[PresFormula]]:
+def _to_dnf(phi: PresFormula, negated: bool = False) -> list[tuple]:
     """The alternatives of ``phi``, or of ``!phi`` when ``negated``, each a
-    list of literals.  The negation is pushed to the atoms: a negated bound
-    becomes its ``complement``, one literal or for an equality two
-    alternatives, and a negated divisibility atom stays a literal."""
+    tuple of canonical literals.  The negation is pushed to the atoms
+    (``atom_alternatives``): a negated bound is one literal or for an
+    equality two alternatives, and a negated divisibility atom a literal."""
     if isinstance(phi, AtomF):
-        if not negated:
-            return [[phi]]
-        lit = complement(phi)
-        return [[lit]] if isinstance(lit, Not) else _to_dnf(lit)
+        return atom_alternatives(phi, negated)
     if isinstance(phi, Not):
         return _to_dnf(phi.arg, not negated)
     if isinstance(phi, (TrueF, FalseF)):
-        return [[]] if isinstance(phi, TrueF) != negated else []
+        return [()] if isinstance(phi, TrueF) != negated else []
     if isinstance(phi, And if negated else Or):
         return [alt for a in phi.args for alt in _to_dnf(a, negated)]
     if isinstance(phi, Or if negated else And):
-        out: list[list[PresFormula]] = [[]]
+        out: list[tuple] = [()]
         for a in phi.args:
             sub = _to_dnf(a, negated)
             out = [x + y for x in out for y in sub]

@@ -9,13 +9,89 @@ from hdmas.logic import (EXISTS, AndF, Coop, Globally, Nat, Next, NotF, OrF,
                          Prop, Top, Until)
 from hdmas.model import (IDLE, IDLE_COUNTER, CheckOutcome,
                          WellformednessReport, guard_union, least_point)
-from hdmas.presburger import (DVD, EQ, FALSE, LT, TRUE, And, AtomF, Exists,
-                              FalseF, Forall, LinTerm, Not, Or, TrueF,
-                              atom_eq, atom_ge, atom_gt, atom_le, atom_lt,
-                              atom_ne, atoms_of, conj, disj, free_vars,
-                              implies, is_quantifier_free, neg, num, simplify,
-                              substitute, var)
-from hdmas.qe import decide
+from hdmas.parsing import _parse_guard_expr, _Stream, guard_to_str, tokenize
+from hdmas.presburger import (DVD, EQ, FALSE, LT, TRUE, And, Atom, AtomF,
+                              Cell, Exists, FalseF, Forall, LinTerm, Not, Or,
+                              TrueF, _fold_atom, as_term, atom_eq, atom_ge,
+                              atom_gt, atom_le, atom_lt, atom_ne, conj, disj,
+                              free_vars, implies, is_quantifier_free,
+                              literal_formula, neg, num, simplify, substitute,
+                              var)
+from hdmas.qe import _to_dnf, decide
+
+
+# ---------------------------------------------------------------------------
+# constructors and printers that only the tests use
+
+
+def atom_dvd(divisor, t):
+    """``divisor | t``, folded."""
+    if divisor < 1:
+        raise ValueError("divisor must be >= 1")
+    return _fold_atom(Atom(DVD, as_term(t), divisor))
+
+
+def atoms_of(phi):
+    """All atoms in the tree, in traversal order (duplicates included)."""
+    if isinstance(phi, AtomF):
+        return [phi.atom]
+    if isinstance(phi, Not):
+        return atoms_of(phi.arg)
+    if isinstance(phi, (And, Or)):
+        return [a for arg in phi.args for a in atoms_of(arg)]
+    if isinstance(phi, (Exists, Forall)):
+        return atoms_of(phi.body)
+    return []
+
+
+def parse_guard(text):
+    """A guard read alone, as the model reader reads one."""
+    ts = _Stream(tokenize(text))
+    out = _parse_guard_expr(ts)
+    ts.expect("eof")
+    return out
+
+
+def model_to_text(model):
+    """Render a model back into the DSL; inverse of parse_model."""
+    lines = ["actions " + " ".join(model.table.actions) + ";"]
+    if model.props:
+        lines.append("props " + " ".join(model.props) + ";")
+    for s in model.states:
+        listed = " ".join(a for a in model.table.actions if a in model.avail[s])
+        labelled = " ".join(p for p in model.props if p in model.labels[s])
+        avail_part = f"avail: {listed};" if listed else "avail: ;"
+        label_part = f"label: {labelled};" if labelled else "label: ;"
+        lines.append(f"state {s} {{ {avail_part} {label_part} }}")
+    for (src, dst), g in model.guards.items():
+        lines.append(f"guard {src} -> {dst} : {guard_to_str(g)};")
+    return "\n".join(lines) + "\n"
+
+
+def canonical(lit):
+    """The canonical literal (``presburger.atom_alternatives``) of a bound or
+    divisibility literal given as a formula: None when it is true, False
+    when it is false."""
+    alternatives = _to_dnf(lit)
+    assert len(alternatives) <= 1 and all(len(a) <= 1 for a in alternatives), lit
+    if not alternatives:
+        return False
+    return alternatives[0][0] if alternatives[0] else None
+
+
+def cell_of(literals, cell=None):
+    """``cell.extend``, by default from ``Cell()``, of literals given as
+    formulas; None when it empties."""
+    lits = [canonical(lit) for lit in literals]
+    if False in lits:
+        return None
+    return (Cell() if cell is None else cell).extend(
+        [lit for lit in lits if lit is not None])
+
+
+def dnf_formulas(dnf):
+    """Alternatives of canonical literals, each literal as a formula."""
+    return [[literal_formula(lit) for lit in alt] for alt in dnf]
 
 
 def np_eval(phi, arrays):
@@ -197,8 +273,13 @@ def sequential_prf(model, state, t1, t2, targets):
     return simplify(body)
 
 
+def built_prf(model, state, t1, t2, targets):
+    """The formula of ``build_prf``'s game."""
+    return build_prf(model, state, t1, t2, targets).formula()
+
+
 def reference_pre_image(model, t1, t2, targets, theta, pfix, decisions,
-                        build=build_prf):
+                        build=built_prf):
     """Pre-image by building with ``build`` and deciding every state's
     formula afresh.
 

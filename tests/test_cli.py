@@ -329,9 +329,9 @@ def test_an_empty_dump_prf_value_still_asks_for_the_dump(capsys):
 
 
 def test_dump_prf_keeps_the_quantifier_prefix(capsys, monkeypatch):
-    # the dump is the closed formula that the engine decides for the state:
-    # A y2 E y1 keeps its A y2, while E y1 leaves no quantifier, since its
-    # count bounds nothing
+    # the dump is the formula of the closed game that the engine decides for
+    # the state: A y2 E y1 keeps its A y2, while E y1 leaves no quantifier,
+    # since its count bounds nothing
     model = parse_model(pathlib.Path(FIG2).read_text()).model
     decided = []
     monkeypatch.setattr(hdmas.engine, "decide",
@@ -347,7 +347,7 @@ def test_dump_prf_keeps_the_quantifier_prefix(capsys, monkeypatch):
         decided.clear()
         ModelChecker(model)._pre_states(Y1, t2, model.prop_mask("p"), {},
                                         pfix, 0, 1 << model.index("s1"))
-        assert out == guard_to_str(decided[0]) + "\n", formula
+        assert out == guard_to_str(decided[0].formula()) + "\n", formula
 
 
 def test_main_reads_sys_argv_when_given_no_arguments(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,12 +9,12 @@ from helpers import (random_model_text, reference_g_fixpoint,
                      reference_pre_image, reference_u_fixpoint, ring_text,
                      sequential_prf, verbatim_prf)
 from hdmas.engine import (ModelChecker, NotNormalForm, UnassignedParameter,
-                          build_prf)
+                          _resolve_term, build_prf, quantified_prf)
 from hdmas.logic import (EXISTS, FORALL, Coop, Globally, Nat, Next, NotF,
                          Param, Prop, Quant, Top, Y1, Y2)
 from hdmas.normalform import nf
 from hdmas.parsing import guard_to_str, parse_formula, parse_model
-from hdmas.presburger import Exists, Forall
+from hdmas.presburger import Exists, Forall, FreeVariableError, Or
 from hdmas.qe import decide
 
 E, A = EXISTS, FORALL
@@ -42,31 +43,59 @@ def test_build_prf_empty_target(fig2):
 
 def test_build_prf_excludes_s3(fig2):
     targets = fig2.mask_of(["s2", "s3", "s4", "s5", "s6"])
-    phi = build_prf(fig2, "s3", "y1", "y2", targets)
-    assert decide(Exists("y1", Forall("y2", phi))) is False
+    game = build_prf(fig2, "s3", "y1", "y2", targets)
+    assert decide(game.quantified(Forall, "y2").quantified(Exists, "y1")) is False
 
 
 def test_build_prf_folds_a_guard_beside_its_negation(fig2):
     # s2's guards are g and !(g), so into all states their union is true
     # and no adversary share is left to quantify
     prf = build_prf(fig2, "s2", 3, 2, fig2.all_states())
-    assert "l_" not in guard_to_str(prf)
+    assert prf.adversaries == ()
+    assert "l_" not in guard_to_str(prf.formula())
+
+
+def test_build_prf_rejects_a_guard_over_an_unavailable_counter(fig2):
+    # the reader rejects such a model; one built directly gets a typed
+    # error naming the counter instead of a game with a free share
+    avail = dict(fig2.avail, s1=fig2.avail["s1"] - {"a2"})
+    model = dataclasses.replace(fig2, avail=avail)
+    with pytest.raises(FreeVariableError, match="#a2"):
+        build_prf(model, "s1", 3, 2, model.mask_of(["s2"]))
+
+
+def _prefixed(phi, pfix):
+    for q, y in reversed(pfix):
+        phi = Exists(f"y{y}", phi) if q == E else Forall(f"y{y}", phi)
+    return phi
+
+
+def _assert_games_match_verbatim(model, step=1):
+    # under each prefix form, the game and its formula against the paper's
+    # encoding with the prefix's quantifiers around it, on a spread of
+    # target sets
+    terms = VERBATIM_TERMS + [(Nat(0), Nat(0), ()), (Nat(7), Nat(5), ())]
+    for targets in range(0, model.all_states() + 1, step):
+        for s in model.states:
+            for t1, t2, pfix in terms:
+                r1, r2 = _resolve_term(t1, {}, pfix), _resolve_term(t2, {}, pfix)
+                game = quantified_prf(model, s, r1, r2, targets, pfix)
+                want = decide(_prefixed(verbatim_prf(model, s, r1, r2, targets),
+                                        pfix))
+                assert decide(game) == decide(game.formula()) == want, \
+                    (s, t1, t2, pfix, model.names_of(targets))
 
 
 def test_build_prf_verbatim_encoding_agrees(fig2, fortress):
-    # the resolved encoding against the paper's, on a spread of target sets
-    for model, step in ((fig2, 7), (fortress, 1)):
-        for targets in range(0, model.all_states() + 1, step):
-            for s in model.states:
-                for c, n in ((0, 0), (3, 2), (7, 5)):
-                    fast = decide(build_prf(model, s, c, n, targets))
-                    slow = decide(verbatim_prf(model, s, c, n, targets))
-                    assert fast == slow, (s, c, n, model.names_of(targets))
+    _assert_games_match_verbatim(fig2, 7)
+    _assert_games_match_verbatim(fortress)
 
 
 def test_build_prf_substitutes_every_counter_in_one_walk(fig2, fortress):
-    # the one-walk substitution gives exactly the formula that one walk per
-    # counter gave, on the fixtures and on generated models
+    # the game, shifted literal by literal from guards compiled once, and
+    # its formula decide as the formula built by one substitution walk per
+    # counter, on the fixtures and on generated models; open counts are
+    # closed by both alternating prefixes
     rng = random.Random(29)
     models = [fig2, fortress] + [parse_model(random_model_text(rng)).model
                                  for _ in range(25)]
@@ -78,9 +107,16 @@ def test_build_prf_substitutes_every_counter_in_one_walk(fig2, fortress):
         for s in model.names_of(everything):
             for targets in masks:
                 for t1, t2 in ((3, 2), ("y1", "y2"), (0, 5)):
-                    assert build_prf(model, s, t1, t2, targets) == \
-                        sequential_prf(model, s, t1, t2, targets), (s, targets)
-                    built += 1
+                    game = build_prf(model, s, t1, t2, targets)
+                    want = sequential_prf(model, s, t1, t2, targets)
+                    for pfix in (EA, AE) if t1 == "y1" else ((),):
+                        closed = game
+                        for q, y in reversed(pfix):
+                            closed = closed.quantified(
+                                Exists if q == E else Forall, f"y{y}")
+                        assert decide(closed) == decide(closed.formula()) == \
+                            decide(_prefixed(want, pfix)), (s, targets, pfix)
+                        built += 1
     assert built > 300
 
 
@@ -348,6 +384,15 @@ def test_generated_pre_images_match_the_verbatim_encoding(clone, seed):
     _assert_pre_images_match_verbatim(model, VERBATIM_TERMS)
 
 
+@pytest.mark.parametrize("clone, seed",
+                         [(False, s) for s in PLAIN_SEEDS]
+                         + [(True, s) for s in CLONE_SEEDS])
+def test_generated_games_match_the_verbatim_encoding(clone, seed):
+    model = parse_model(random_model_text(random.Random(seed),
+                                          clone=clone)).model
+    _assert_games_match_verbatim(model)
+
+
 @pytest.mark.parametrize("model_name", ["fig2", "ring7", *sorted(ILL_FORMED)])
 def test_fixpoints_match_kleene_rounds(model_name, request):
     model = named_model(model_name, request)
@@ -424,8 +469,9 @@ def test_only_candidates_with_an_edge_into_the_change_are_examined(
             for i, targets in builds:
                 j = trace.index(targets)
                 assert targets >> i & 1, ("G", psi, i)
-                assert j == 0 or edge(i, trace[j - 1] & ~targets), \
-                    ("G", psi, i)
+                assert edge(i, targets), ("G", psi, i)
+                if j:
+                    assert edge(i, trace[j - 1] & ~targets), ("G", psi, i)
 
             q1 = mc.global_mc(psi, {})
             for psi2 in props:
@@ -437,7 +483,8 @@ def test_only_candidates_with_an_edge_into_the_change_are_examined(
                     j = trace.index(targets)
                     joined = targets & ~(trace[j - 1] if j else 0)
                     assert (q1 & ~targets) >> i & 1, ("U", psi, psi2, i)
-                    assert edge(i, joined), ("U", psi, psi2, i)
+                    assert edge(i, targets) and edge(i, joined), \
+                        ("U", psi, psi2, i)
 
 
 @pytest.mark.parametrize("name", ["ring", "fortress"])
@@ -466,11 +513,39 @@ def test_each_block_is_expanded_once(monkeypatch, fortress, name):
 
 
 def test_build_prf_reads_the_guard_variables_once(monkeypatch, fortress):
-    # one free-variable walk of the guard union, not one per counter
+    # a guard's variables are read once, when it is compiled, once per
+    # model: not per counter, nor per build
+    model = dataclasses.replace(fortress)
     calls = []
     original = hdmas.engine.free_vars
     monkeypatch.setattr(hdmas.engine, "free_vars",
                         lambda phi: calls.append(phi) or original(phi))
-    targets = fortress.all_states() & ~fortress.prop_mask("captured")
-    build_prf(fortress, "s1", 3, 1, targets)
-    assert len(calls) == 1
+    targets = model.all_states() & ~model.prop_mask("captured")
+    build_prf(model, "s1", 3, 1, targets)
+    assert len(calls) == len(model.compiled_guards) == 1
+    calls.clear()
+    build_prf(model, "s1", 7, 4, targets)
+    assert calls == []
+
+
+@pytest.mark.parametrize("model_name", ["fig2", "fortress", "ring7"])
+def test_each_guard_is_compiled_at_most_once_per_model(model_name, request,
+                                                       monkeypatch):
+    # across G fixpoints under every prefix, with no cached verdict, each
+    # disjunct of a guard is compiled once, however many games it is in
+    model = dataclasses.replace(named_model(model_name, request))
+    compiled = []
+    original = hdmas.engine.simplify
+    monkeypatch.setattr(hdmas.engine, "simplify",
+                        lambda phi: compiled.append(phi) or original(phi))
+    mc = ModelChecker(model)
+    games = 0
+    for t1, t2, pfix in PREFIXED_TERMS:
+        for psi in state_formulas(model):
+            mc._verdicts.clear()
+            mc.g_fixpoint(t1, t2, psi, {}, pfix)
+            games += len(mc._verdicts)
+    assert len(compiled) == len(set(compiled)) < games
+    disjuncts = {d for g in model.adjacency.guard_by_id
+                 for d in (g.args if isinstance(g, Or) else (g,))}
+    assert set(compiled) <= disjuncts

@@ -11,8 +11,9 @@ import pytest
 from hdmas import logic, nodes
 from hdmas.logic import (AgentVar, AndF, Coop, Globally, Nat, Next, NotF, OrF,
                          Param, Prop, Quant, Top, Until)
+from helpers import atom_dvd
 from hdmas.presburger import (And, Atom, AtomF, Exists, FalseF, Forall, LinTerm,
-                              Not, Or, TrueF, atom_dvd, atom_lt, neg, var)
+                              Not, Or, TrueF, atom_lt, neg, var)
 
 A, B = atom_lt("x", 3), atom_lt("y", "x")
 P = Prop("p")

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (random_concrete_formula, random_model_text,
-                     reference_tokenize, ring_text)
+from helpers import (model_to_text, parse_guard, random_concrete_formula,
+                     random_model_text, reference_tokenize, ring_text)
 from hdmas.logic import (EXISTS, FORALL, AndF, Coop, Globally, Nat, Next,
                          NotF, OrF, Param, Prop, Quant, Top, Until, Y1, Y2)
 from hdmas.model import Adjacency
 from hdmas.parsing import (MAX_DEPTH, ParseError, SemanticError, formula_to_str,
-                           guard_to_str, model_to_text, parse_formula,
-                           parse_guard, parse_model, tokenize)
+                           guard_to_str, parse_formula, parse_model, tokenize)
 from hdmas.presburger import (atom_eq, atom_ge, atom_gt, atom_le, atom_lt,
                               atom_ne, conj, disj, evaluate, implies, neg,
                               var)

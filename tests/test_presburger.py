@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,13 +7,14 @@ import hdmas.presburger as pb
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import atom_dvd, canonical, dnf_formulas
 from hdmas.presburger import (DVD, And, AtomF, CaptureViolation, Exists,
                               LinTerm, Not, Or, QuantifiedInput,
-                              UnassignedVariable, atom_dvd, atom_eq, atom_ge,
+                              UnassignedVariable, atom_eq, atom_ge,
                               atom_gt, atom_le, atom_lt, atom_ne, complement,
-                              conj, disj, evaluate, free_vars, neg, num,
-                              simplify, substitute, substitute_all, var, TRUE,
-                              FALSE, Forall)
+                              conj, disj, evaluate, free_vars,
+                              literal_formula, neg, num, simplify, substitute,
+                              substitute_all, var, TRUE, FALSE, Forall)
 from hdmas.qe import _to_dnf
 
 X1, X2, X3 = var("x1"), var("x2"), var("x3")
@@ -78,32 +80,35 @@ def test_free_vars():
 
 
 def _dnf_holds(alternatives, val):
-    return any(all(evaluate(lit, val) for lit in alt) for alt in alternatives)
+    return any(all(evaluate(literal_formula(lit), val) for lit in alt)
+               for alt in alternatives)
 
 
 def test_nnf_of_negated_less_than():
     # one literal: not x1 < x2 is x2 <= x1
-    assert _to_dnf(neg(atom_lt(X1, X2))) == [[atom_le(X2, X1)]]
-    assert _to_dnf(atom_lt(X1, X2), True) == [[atom_le(X2, X1)]]
+    assert dnf_formulas(_to_dnf(neg(atom_lt(X1, X2)))) == [[atom_le(X2, X1)]]
+    assert dnf_formulas(_to_dnf(atom_lt(X1, X2), True)) == [[atom_le(X2, X1)]]
 
 
 def test_complement_is_the_negation_of_a_literal():
-    # one literal for a strict bound and a divisibility literal, two for an
-    # equality; complementing twice gives back the literal's truth
+    # one literal for a strict bound and a divisibility literal, two
+    # alternatives for an equality; complementing twice gives back the
+    # literal
     points = [{"x1": a, "x2": b} for a in range(6) for b in range(6)]
-    for lit, disjuncts in ((atom_lt(X1.scale(2), X2.shift(3)), 1),
-                           (atom_eq(X1.scale(3), X2), 2),
-                           (atom_dvd(3, X1.add(X2)), 1), (neg(atom_dvd(2, X1)), 1)):
-        negated = complement(lit)
-        assert (len(negated.args) if isinstance(negated, Or) else 1) == disjuncts
+    for lit in (atom_lt(X1.scale(2), X2.shift(3)), atom_dvd(3, X1.add(X2)),
+                neg(atom_dvd(2, X1))):
+        negated = complement(canonical(lit))
+        assert complement(negated) == canonical(lit)
         for p in points:
-            assert evaluate(negated, p) != evaluate(lit, p), (lit, p)
-            if not isinstance(negated, Or):
-                assert evaluate(complement(negated), p) == evaluate(lit, p)
+            assert evaluate(literal_formula(negated), p) != evaluate(lit, p), (lit, p)
+    equality = atom_eq(X1.scale(3), X2)
+    assert len(_to_dnf(equality, True)) == 2
+    for p in points:
+        assert _dnf_holds(_to_dnf(equality, True), p) != evaluate(equality, p)
 
 
 def test_nnf_double_negation():
-    assert _to_dnf(Not(Not(atom_lt(X1, X2)))) == [[atom_lt(X1, X2)]]
+    assert dnf_formulas(_to_dnf(Not(Not(atom_lt(X1, X2))))) == [[atom_lt(X1, X2)]]
 
 
 def test_nnf_equivalent_on_random_valuations():
@@ -195,13 +200,17 @@ def negated_atoms(draw, depth=3):
 @settings(max_examples=400, deadline=None)
 def test_to_dnf_alternatives_evaluate_like_the_formula(phi, negated, val):
     # the alternatives hold exactly where phi does, or !phi when negated;
-    # a negation reaches a literal only on a divisibility atom, since a cell
-    # files every negated literal as a divisibility one
+    # every bound is canonical, and a negation reaches a literal only on a
+    # divisibility atom, since a cell files every other literal as a
+    # divisibility one
     alternatives = _to_dnf(phi, negated)
     for alt in alternatives:
         for lit in alt:
-            assert isinstance(lit, AtomF) or (
-                isinstance(lit, Not) and lit.arg.atom.kind == DVD), lit
+            if isinstance(lit, tuple):
+                part, side, value = lit
+                assert part[0][1] > 0 and math.gcd(*(c for _, c in part)) == 1, lit
+            else:
+                assert (lit.arg if isinstance(lit, Not) else lit).atom.kind == DVD, lit
     assert _dnf_holds(alternatives, val) == (evaluate(phi, val) != negated)
 
 

@@ -2,11 +2,12 @@ import itertools
 import math
 import random
 import sys
+import time
 
 import numpy as np
 import pytest
-from helpers import (checked_block_truth, cooper_bound, enum_truth, np_eval,
-                     random_matrix)
+from helpers import (atom_dvd, canonical, cell_of, checked_block_truth,
+                     cooper_bound, enum_truth, np_eval, random_matrix)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,7 @@ from hdmas.parsing import parse_formula
 from hdmas.presburger import (EQ, FALSE, LT, TRUE, And, Atom, AtomF, Cell,
                               Exists, Forall, FreeVariableError, LinTerm, Not,
                               Or, _fold_atom,
-                              atom_dvd, atom_eq, atom_ge, atom_gt, atom_le,
+                              atom_eq, atom_ge, atom_gt, atom_le,
                               atom_lt, atom_ne, complement, conj, disj,
                               evaluate, free_vars, implies,
                               is_quantifier_free, neg, num,
@@ -311,6 +312,20 @@ def test_an_alternation_of_two_variable_blocks_agrees_with_enumeration(seed):
         assert brute == want, (seed, zv, used)
 
 
+def test_a_decision_that_raises_still_adds_its_time(monkeypatch):
+    # the time a decision ran is added to elapsed however it ends, also
+    # when it is cut short by an exception, as a deadline cuts it
+    def slow_failure(phi, stats):
+        time.sleep(0.05)
+        raise RuntimeError("cut short")
+
+    monkeypatch.setattr(qe, "_close", slow_failure)
+    stats = QeStats()
+    with pytest.raises(RuntimeError):
+        decide(Exists("x", atom_lt(X, num(3))), stats)
+    assert stats.elapsed >= 0.05
+
+
 def test_cells_over_block_variables_only_close_the_block_when_satisfiable():
     # 2 | x & 2 | x + 1 mentions no free variable and has no solution: the
     # block must go on to the cell that does depend on z
@@ -437,7 +452,7 @@ def test_cell_extend_canonicalises_every_bound():
             term = LinTerm.make([(v, rng.choice([-4, -2, -1, 1, 2, 3, 6]))
                                  for v in names], rng.randint(-12, 12))
             atoms.append(AtomF(Atom(rng.choice([LT, EQ]), term)))
-        cell = Cell().extend(atoms)
+        cell = cell_of(atoms)
         want = [all(evaluate(a, p) for a in atoms) for p in points]
         if cell is None:
             assert not any(want), atoms
@@ -449,17 +464,18 @@ def test_cell_extend_canonicalises_every_bound():
 
 def test_extend_returns_the_cell_itself_when_nothing_is_added():
     # the expansion's entailment test is identity
-    cell = Cell().extend([atom_lt(X, num(4)), atom_dvd(2, X.add(Y))])
-    assert cell.extend([atom_lt(X, num(9)), atom_dvd(2, X.add(Y)), TRUE]) is cell
-    assert cell.extend([atom_lt(X, num(3))]) not in (cell, None)
-    assert cell.extend([atom_gt(X, num(3))]) is None
-    assert cell.extend([neg(atom_dvd(2, X.add(Y)))]) is None
+    cell = cell_of([atom_lt(X, num(4)), atom_dvd(2, X.add(Y))])
+    assert cell_of([atom_lt(X, num(9)), atom_dvd(2, X.add(Y)), TRUE], cell) is cell
+    assert cell_of([atom_lt(X, num(3))], cell) not in (cell, None)
+    assert cell_of([atom_gt(X, num(3))], cell) is None
+    assert cell_of([neg(atom_dvd(2, X.add(Y)))], cell) is None
 
 
 def test_fortress_3_decision_simplifies_only_its_result(monkeypatch, fortress):
     # blocks take their bodies as built and the cells in between are never
-    # turned back into formulas to be simplified: the one simplify is that
-    # of the result
+    # turned back into formulas to be simplified: a game's result is a
+    # constant already, and the one simplify of its formula's decision is
+    # that of the result
     calls = []
     original = qe.simplify
 
@@ -469,8 +485,10 @@ def test_fortress_3_decision_simplifies_only_its_result(monkeypatch, fortress):
 
     monkeypatch.setattr(qe, "simplify", counting)
     targets = fortress.all_states() & ~fortress.prop_mask("captured")
-    phi = build_prf(fortress, "s1", 3, 1, targets)
-    assert decide(phi) is True
+    game = build_prf(fortress, "s1", 3, 1, targets)
+    assert decide(game) is True
+    assert calls == []
+    assert decide(game.formula()) is True
     assert len(calls) == 1, len(calls)
 
 
@@ -505,7 +523,7 @@ def block_cells(draw):
                             draw(st.integers(-3, 3)))
         dvd = atom_dvd(draw(st.integers(2, 4)), term)
         literals.append(neg(dvd) if draw(st.booleans()) else dvd)
-    cell = Cell().extend(literals)
+    cell = cell_of(literals)
     assume(cell is not None)
     return block, cell
 
@@ -571,35 +589,35 @@ def _some_witness(block, cell, z, bound):
 
 # z <= 3*x1 <= z + 1: the dark shadow is empty, the splinters 3*x1 = z and
 # 3*x1 = z + 1 hold the solutions
-SPLINTERED = (["x1"], Cell().extend([
+SPLINTERED = (["x1"], cell_of([
     atom_le(Z, X1.scale(3)), atom_le(X1.scale(3), Z.shift(1))]))
 # at z = 7 the least witness is x1 = 48, x2 = 9, x3 = 0: past a grid of 45,
 # but x1 is solved from the equality
-SOLVED = (BLOCK, Cell().extend([
+SOLVED = (BLOCK, cell_of([
     atom_gt(X1, num(0)), atom_eq(X1.sub(X2.scale(3)).sub(Z.scale(3)), num(0)),
     atom_gt(X2.sub(X3).sub(Z), num(1))]))
 # at z = 0 the least witness is x2 = 1, x3 = 13, x1 = 46: past a grid of 45,
 # but each variable is only bounded from below once the one above is gone
-CHAINED = (BLOCK, Cell().extend([
+CHAINED = (BLOCK, cell_of([
     atom_gt(X1, num(0)), atom_gt(X2, num(0)),
     atom_gt(X1, X3.scale(3).sub(Z.scale(3)).shift(6)),
     atom_gt(X3, X2.scale(3).sub(Z.scale(3)).shift(9))]))
 
 # x1 and x2 bounded above only, x3 from both sides through a part it
 # shares with x1: x1 = x2 = 0, then z - 4 < x3 < 4
-ABOVE_ONLY = (BLOCK, Cell().extend([
+ABOVE_ONLY = (BLOCK, cell_of([
     atom_lt(X1.add(X2.scale(2)), Z.shift(-1)),
     atom_gt(X3.sub(X1), Z.shift(-4)), atom_lt(X3, num(4))]))
 # x2 bounded below only through the part x1 - x2 - z, which also bounds x1
 # from above; x1 keeps its other bounds
-BELOW_ONLY = (["x1", "x2"], Cell().extend([
+BELOW_ONLY = (["x1", "x2"], cell_of([
     atom_lt(X1.sub(X2), Z.shift(-1)), atom_gt(X1, num(2)),
     atom_lt(X1.scale(2), Z.shift(5))]))
 # x1 looks bounded above only and x2 below only, but x1 sits in a
 # divisibility literal and x2 in an equality, so both are projected: the
 # cell holds for 1 <= z <= 2 (zeroing x1 would admit z = 0, dropping the
 # windows of x2 every z >= 3)
-LOOKS_ONE_SIDED = (["x1", "x2"], Cell().extend([
+LOOKS_ONE_SIDED = (["x1", "x2"], cell_of([
     atom_lt(X1, Z.shift(1)), atom_dvd(3, X1.add(Z).shift(1)),
     atom_gt(X2, Z), atom_eq(X2.add(Z), num(6))]))
 
@@ -631,7 +649,7 @@ def test_projecting_a_cell_agrees_with_enumeration(drawn):
 
 # an equality, both bounds on one part and two divisibility literals, one
 # of them negated
-DIVIDED = (["x1", "x2"], Cell().extend([
+DIVIDED = (["x1", "x2"], cell_of([
     atom_eq(X1.scale(2).sub(Z), num(3)), atom_lt(X2.sub(Z), num(4)),
     atom_gt(X2.sub(Z), num(-3)), atom_dvd(3, X1.add(Z)),
     neg(atom_dvd(2, X2.add(Z)))]))
@@ -643,10 +661,11 @@ DIVIDED = (["x1", "x2"], Cell().extend([
 @settings(max_examples=200, deadline=None)
 def test_a_clause_is_the_disjunction_of_the_complemented_literals(drawn):
     # the clause is built straight from the windows, with no round trip
-    # through the literals; it must be that round trip's formula, literal
-    # for literal and in the same order
+    # through the literals; it must be that round trip's negated literals,
+    # literal for literal and in the same order
     _, cell = drawn
-    assert cell.clause() == disj(tuple(complement(l) for l in cell.literals()))
+    assert cell.clause() == tuple(lit for l in cell.literals()
+                                  for (lit,) in qe._to_dnf(l, True))
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -676,7 +695,7 @@ def test_a_block_gives_the_same_result_on_a_simplified_body(seed):
 def _projected(names, literals):
     """``exists names`` of the literals at z = 0..11, by ``Cell.project`` of
     one variable after the other and by enumerating them in 0..14."""
-    cells = [Cell().extend(literals)]
+    cells = [cell_of(literals)]
     for v in names:
         cells = [out for cell in cells for out in cell.project(v)]
     for cell in cells:
@@ -715,7 +734,7 @@ def test_incremental_refutation_matches_from_scratch(literals):
     points = [dict(zip(BLOCK + ["z"], p)) for p in
               np.ndindex(6, 6, 6, 6)]
     for lit in literals:
-        ext = cell.extend([lit])
+        ext = cell_of([lit], cell)
         if ext is None:
             return
         incremental = ext.box
@@ -741,10 +760,10 @@ def test_propagation_follows_a_chain_of_windows():
     cell = Cell()
     for lit in (atom_gt(X1.sub(X2), num(3)), atom_gt(X2.sub(X3), num(3)),
                 atom_gt(X3, num(5))):
-        cell = cell.extend([lit])
+        cell = cell_of([lit], cell)
         assert cell.box is not None
     assert cell.box["x1"] == (14, None)
-    ext = cell.extend([atom_lt(X1, num(12))])
+    ext = cell_of([atom_lt(X1, num(12))], cell)
     assert ext.box is None
     assert Cell(ext.windows, ext.divs).box is None
 
