@@ -95,18 +95,14 @@ def build_prf(model: HdmasModel, state: str, t1: Count, t2: Count,
     The game is assembled from the compiled disjuncts of the guard union
     (``_compiled``): the adversary's conjuncts are their negations, and
     only the counters they mention get shares.  A union that holds a
-    disjunct beside its negation is true, as ``simplify`` folds it, and
-    leaves no adversary.  A count is a natural, a variable name, or None
+    disjunct beside its negation is true, as ``simplify`` would fold it,
+    and leaves no adversary.  A count is a natural, a variable name, or None
     for a side that no total bounds, whose sum bound is left out.
     """
     union = guard_union(model, state, targets)
-    disjuncts: dict = {}
-    used: set[str] = set()
-    for g in union.args if isinstance(union, Or) else (union,):
-        simplified, counters, negated = _compiled(model, g)
-        if simplified not in disjuncts:
-            disjuncts[simplified] = negated
-            used |= counters
+    disjuncts = union.args if isinstance(union, Or) else (union,)
+    compiled = [_compiled(model, g) for g in disjuncts]
+    used = set().union(*(counters for counters, _ in compiled))
     available = model.counters_at(state)
     if not used.issubset(available):
         raise FreeVariableError(sorted(used.difference(available)))
@@ -117,16 +113,16 @@ def build_prf(model: HdmasModel, state: str, t1: Count, t2: Count,
     if TRUE in disjuncts or any(isinstance(a, Not) and a.arg in disjuncts
                                 for a in disjuncts):
         return Game(ks if conjuncts else (), conjuncts)
-    negated = [alts for n in disjuncts.values() for alts in n]
+    negated = [alts for _, n in compiled for alts in n]
     if t2 is not None:
         negated.insert(0, _sum_at_most(ls, t2))
     return Game(ks, conjuncts, ((ls, negated),))
 
 
 def _compiled(model: HdmasModel, guard: PresFormula) -> tuple:
-    """A disjunct of a guard union, compiled once per model: simplified,
-    the counters it mentions, and the conjuncts (``qe._conjuncts``) of its
-    negation with each counter ``#a`` replaced by ``k_a + l_a``.  A
+    """A disjunct of a guard union, compiled once per model: the counters
+    it mentions, and the conjuncts (``qe._conjuncts``) of its negation,
+    simplified, with each counter ``#a`` replaced by ``k_a + l_a``.  A
     canonical literal stays canonical under that replacement, so the
     literals are read once, over the counters, and then shifted."""
     hit = model.compiled_guards.get(guard)
@@ -143,7 +139,7 @@ def _compiled(model: HdmasModel, guard: PresFormula) -> tuple:
             return Not(new) if isinstance(lit, Not) else new
 
         hit = model.compiled_guards[guard] = (
-            simplified, free_vars(simplified),
+            free_vars(simplified),
             tuple(tuple(tuple(map(shift, alt)) for alt in alts)
                   for alts in _conjuncts(simplified, True)))
     return hit
