@@ -73,6 +73,16 @@ def _is_numeral(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def _natural(text: str, what: str) -> int:
+    """The value of ASCII digits; an error naming ``what`` when there are
+    more of them than ``int`` reads."""
+    try:
+        return int(text)
+    except ValueError:
+        raise SemanticError(f"{what} has {len(text)} digits, more than "
+                            f"{sys.get_int_max_str_digits()}") from None
+
+
 def _parse_assignment(pairs: Sequence[str]) -> dict:
     theta = {}
     for pair in pairs:
@@ -84,13 +94,14 @@ def _parse_assignment(pairs: Sequence[str]) -> dict:
         # is not z1 and z0 names no parameter
         if not (key in ("y1", "y2") or (key.startswith("z")
                                         and _is_numeral(key[1:])
-                                        and key[1:] == str(int(key[1:]))
+                                        and key[1:] == str(_natural(
+                                            key[1:], "a parameter index"))
                                         and key != "z0")):
             raise SemanticError(
                 f"assignment key {key!r} is not y1, y2 or z<n> with n >= 1")
         if key in theta:
             raise SemanticError(f"{key} is assigned more than once")
-        theta[key] = int(raw)
+        theta[key] = _natural(raw, f"the value of {key}")
     return theta
 
 

@@ -34,9 +34,8 @@ from .logic import (EXISTS, FORALL, AgentVar, AndF, Coop, Globally, Nat, Next,
                     term_symbol)
 from .model import IDLE_COUNTER, HdmasModel, StateSet, guard_union
 from .normalform import nf
-from .presburger import (DVD, TRUE, Atom, AtomF, Exists, Forall,
-                         FreeVariableError, LinTerm, Not, Or, PresFormula,
-                         _canonical, _literal_atom, free_vars, simplify)
+from .presburger import (TRUE, Exists, Forall, FreeVariableError, Not, Or,
+                         PresFormula, _canonical, free_vars, simplify)
 from .qe import Game, QeStats, _conjuncts, decide
 
 Assignment = Mapping[str, int]
@@ -128,19 +127,10 @@ def _compiled(model: HdmasModel, guard: PresFormula) -> tuple:
     hit = model.compiled_guards.get(guard)
     if hit is None:
         simplified = simplify(guard)
-
-        def shift(lit):
-            if lit.__class__ is tuple:
-                part, side, value = lit
-                return _shares(part), side, value
-            atom = _literal_atom(lit)
-            new = AtomF(Atom(DVD, LinTerm(_shares(atom.term.coeffs),
-                                          atom.term.const), atom.divisor))
-            return Not(new) if isinstance(lit, Not) else new
-
         hit = model.compiled_guards[guard] = (
             free_vars(simplified),
-            tuple(tuple(tuple(map(shift, alt)) for alt in alts)
+            tuple(tuple(tuple((_shares(part), side, value)
+                              for part, side, value in alt) for alt in alts)
                   for alts in _conjuncts(simplified, True)))
     return hit
 

@@ -258,17 +258,6 @@ def children(phi: Formula) -> tuple[Formula, ...]:
     return tuple(f for f in phi._key() if isinstance(f, _FORMULAS))
 
 
-def size(phi: Formula) -> int:
-    """Node count of the tree, a shared node counted at each occurrence and
-    quantifier prefixes counted per quantifier; each distinct node is
-    visited once."""
-    def step(f: Formula, recurse) -> int:
-        extra = len(f.prefix) if isinstance(f, Quant) else 1
-        return extra + sum(recurse(c) for c in children(f))
-
-    return memo_walk(phi, step)
-
-
 def subformulas(phi: Formula) -> Iterator[Formula]:
     """Subformulas in preorder; a node shared by several parents is
     yielded once."""
@@ -386,7 +375,7 @@ def subst_term(phi: Formula, target: Term, k: int) -> Formula:
     return memo_walk(phi, step)
 
 
-# -- vacuous quantifiers and canonical shape ---------------------------------
+# -- vacuous quantifiers and merged prefixes --------------------------------
 
 
 def simplify_vacuous(phi: Formula) -> Formula:
@@ -418,36 +407,6 @@ def merge_quantifiers(phi: Formula) -> Formula:
         return map_children(f, recurse)
 
     return memo_walk(phi, step)
-
-
-def _reassoc(phi: Formula) -> Formula:
-    """Right-nest chains of the same binary connective, preserving order."""
-    def step(f: Formula, recurse) -> Formula:
-        if not isinstance(f, (AndF, OrF)):
-            return map_children(f, recurse)
-        ctor = AndF if isinstance(f, AndF) else OrF
-        parts: list[StateFormula] = []
-
-        def flatten(g: StateFormula) -> None:
-            if isinstance(g, ctor):
-                flatten(g.lhs)
-                flatten(g.rhs)
-            else:
-                parts.append(recurse(g))
-
-        flatten(f)
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = ctor(p, out)
-        return out
-
-    return memo_walk(phi, step)
-
-
-def canonical(phi: Formula) -> Formula:
-    """Shape used for structural comparison: vacuous quantifiers dropped,
-    prefixes merged, connective chains right-nested."""
-    return _reassoc(merge_quantifiers(simplify_vacuous(phi)))
 
 
 # -- syntax checking ---------------------------------------------------------

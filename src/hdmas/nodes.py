@@ -9,7 +9,7 @@ compare classes.  A node's hash is the hash of its ``_key``, as a frozen
 dataclass's is the hash of its field tuple, and is kept in the ``_hash``
 slot once computed: set order, and with it every printed formula,
 depends on that hash.  ``Node`` blocks assignment and prints the
-dataclass ``__repr__``, by which ``Cell.literals`` sorts.
+dataclass ``__repr__``.
 """
 
 from __future__ import annotations
@@ -108,9 +108,6 @@ class LinTerm(Node):
 
     def shift(self, k: int) -> "LinTerm":
         return LinTerm(self.coeffs, self.const + k)
-
-    def drop(self, var: str) -> "LinTerm":
-        return LinTerm(tuple((v, c) for v, c in self.coeffs if v != var), self.const)
 
     def is_const(self) -> bool:
         return not self.coeffs

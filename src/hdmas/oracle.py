@@ -9,6 +9,7 @@ code with the Presburger route.
 from __future__ import annotations
 
 import os
+import sys
 from typing import Mapping, Optional
 
 from .logic import (AndF, Coop, Globally, Nat, Next, NotF, OrF, Prop, Quant,
@@ -41,7 +42,11 @@ def configured_cap() -> int:
     value = raw.strip()
     if not (value.isascii() and value.isdigit()):
         raise BadEnumCap(f"HDMAS_ENUM_CAP={raw!r} is not a natural number")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise BadEnumCap(f"HDMAS_ENUM_CAP has {len(value)} digits, more than "
+                         f"{sys.get_int_max_str_digits()}") from None
 
 
 def _term_value(t: Term, theta: Mapping[str, int]) -> int:

@@ -16,6 +16,7 @@ starts a line comment.  Formulas follow
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from types import MappingProxyType
 from typing import NamedTuple, NoReturn, Optional
@@ -177,11 +178,22 @@ def _parse_guard_sum(ts: _Stream) -> LinTerm:
     return total
 
 
+def _numeral(text: str, tok: Token) -> int:
+    """The value of the digits ``text`` of a token; a parse error at the
+    token when there are more than ``int`` reads."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"a numeral of {len(text)} digits is longer than "
+                         f"{sys.get_int_max_str_digits()} digits",
+                         tok.line, tok.col) from None
+
+
 def _parse_guard_prod(ts: _Stream) -> LinTerm:
     tok = ts.peek()
     if tok.kind == "nat":
         ts.next()
-        value = int(tok.text)
+        value = _numeral(tok.text, tok)
         if ts.accept("sym", "*"):
             ctr = ts.expect("counter")
             return var("#" + ctr.text).scale(value)
@@ -412,7 +424,7 @@ def _parse_term(ts: _Stream) -> Term:
     tok = ts.peek()
     if tok.kind == "nat":
         ts.next()
-        return Nat(int(tok.text))
+        return Nat(_numeral(tok.text, tok))
     if tok.kind == "name":
         if tok.text == "y1":
             ts.next()
@@ -423,7 +435,7 @@ def _parse_term(ts: _Stream) -> Term:
         m = _Z_PATTERN.match(tok.text)
         if m:
             ts.next()
-            index = int(m.group(1))
+            index = _numeral(m.group(1), tok)
             if m.group(1) != str(index) and index:
                 raise ParseError(f"parameter {tok.text!r} has a leading zero",
                                  tok.line, tok.col)

@@ -12,9 +12,10 @@ part plus divisibility literals, with an interval box per variable.  It is
 the only code that combines bounds: quantifier elimination (``qe``)
 expands formulas into cells and eliminates variables from them, and the
 simplifier only folds constants, flattens and folds a formula beside its
-own negation.  A cell takes its literals canonical (``atom_alternatives``):
-a bound is canonicalised once, when it leaves its atom, not each time it
-joins a cell.
+own negation.  A cell takes its literals canonical (``atom_alternatives``),
+one tuple form for a bound and a divisibility literal alike: a literal is
+canonicalised once, when it leaves its atom, not each time it joins a
+cell, and ``literal_formula`` is the only way back to a formula.
 """
 
 from __future__ import annotations
@@ -87,49 +88,10 @@ Valuation = Mapping[str, int]
 
 
 def _fold_atom(atom: Atom) -> PresFormula:
-    t = atom.term
-    if atom.kind == LT:
-        if t.is_const():
-            return TRUE if t.const < 0 else FALSE
-        g = math.gcd(*(abs(c) for _, c in t.coeffs))
-        if g > 1:
-            # g*u + c < 0  iff  u <= floor((-c-1)/g)  iff  u - floor((-c-1)/g) - 1 < 0
-            c2 = -((-t.const - 1) // g) - 1
-            t = LinTerm(tuple((v, c // g) for v, c in t.coeffs), c2)
-        return AtomF(Atom(LT, t))
-    if atom.kind == EQ:
-        if t.is_const():
-            return TRUE if t.const == 0 else FALSE
-        g = math.gcd(*(abs(c) for _, c in t.coeffs))
-        if t.const % g != 0:
-            return FALSE
-        if g > 1:
-            t = LinTerm(tuple((v, c // g) for v, c in t.coeffs), t.const // g)
-        # fix sign of the leading coefficient for a unique representation
-        if t.coeffs[0][1] < 0:
-            t = t.scale(-1)
-        return AtomF(Atom(EQ, t))
-    # divisibility
-    d = atom.divisor
-    if d == 1:
-        return TRUE
-    if t.coeffs:
-        # d | g*u + c is solvable only if gcd(g, d) divides c, and then
-        # the whole relation divides through by that gcd
-        g = math.gcd(*(abs(c) for _, c in t.coeffs))
-        e = math.gcd(g, d)
-        if e > 1:
-            if t.const % e != 0:
-                return FALSE
-            t = LinTerm(tuple((v, c // e) for v, c in t.coeffs), t.const // e)
-            d //= e
-            if d == 1:
-                return TRUE
-    reduced = LinTerm(tuple((v, c % d) for v, c in t.coeffs if c % d != 0),
-                      t.const % d)
-    if reduced.is_const():
-        return TRUE if reduced.const % d == 0 else FALSE
-    return AtomF(Atom(DVD, reduced, d))
+    """The atom in its canonical form (``literal_formula``), or a constant."""
+    alts = atom_alternatives(AtomF(atom))
+    return literal_formula(alts[0][0]) if alts and alts[0] else \
+        TRUE if alts else FALSE
 
 
 def atom_lt(lhs: TermLike, rhs: TermLike) -> PresFormula:
@@ -354,67 +316,60 @@ def substitute_all(phi: PresFormula,
 #
 # A conjunction of bound atoms over a shared variable part P is one window
 # (lo, hi, eq): lo < P < hi, or P = eq, with None for no bound.  A Cell is
-# a window map plus a set of other literals (divisibility and negations);
-# it is the one representation of a conjunction of literals and the only
-# code that combines bounds, used by QE to expand and project formulas.
-# No other module reads or builds a window.
+# a window map plus a set of divisibility literals; it is the one
+# representation of a conjunction of literals and the only code that
+# combines bounds, used by QE to expand and project formulas.  No other
+# module reads or builds a window.
 #
-# A literal is canonical: a bound is ``(part, side, value)``, ``P > value``
-# (side 0), ``P < value`` (1) or ``P = value`` (2) as ``_canonical`` keys
-# it, and any other literal is a divisibility atom or its negation.
+# A literal is canonical, a tuple ``(part, side, value)``: a bound ``P >
+# value`` (side 0), ``P < value`` (1) or ``P = value`` (2) as ``_canonical``
+# keys it, or ``d | P + c`` (3) or its negation (4), with value ``(d, c)``,
+# as ``_divisible`` reduces it.
 
-
-def _literal_atom(lit: PresFormula) -> Atom:
-    if isinstance(lit, AtomF):
-        return lit.atom
-    if isinstance(lit, Not) and isinstance(lit.arg, AtomF):
-        return lit.arg.atom
-    raise TypeError(lit)
+_SIDES = {LT: 1, EQ: 2, DVD: 3}
 
 
 def atom_alternatives(phi: AtomF, negated: bool = False) -> list[tuple]:
     """The alternatives of an atom, or of its negation when ``negated``, each
-    a tuple of canonical literals: ``!(t < 0)`` is ``t > -1``, ``!(t = 0)``
-    is ``t < 0`` or ``t > 0``, and a negated divisibility atom stays one
-    literal.  [] when it is false, [()] when it is true."""
+    a tuple of canonical literals: the negation of a literal is its
+    ``complement``.  [] when it is false, [()] when it is true."""
     atom = phi.atom
-    if atom.kind == DVD:
-        return [(Not(phi) if negated else phi,)]
-    coeffs, value = atom.term.coeffs, -atom.term.const
-    if atom.kind == LT:
-        sides = ((0, value - 1),) if negated else ((1, value),)
+    t, side = atom.term, _SIDES[atom.kind]
+    if side == 3:
+        alts = _divisible(t.coeffs, side, (atom.divisor, t.const))
+    elif not t.coeffs:
+        alts = [()] if (t.const < 0 if side == 1 else t.const == 0) else []
     else:
-        sides = ((1, value), (0, value)) if negated else ((2, value),)
-    out: list[tuple] = []
-    for side, v in sides:
-        if not coeffs:
-            if (v < 0, v > 0, v == 0)[side]:
-                out.append(())
-            continue
-        key = _canonical(coeffs, side, v)
-        if key is not None:
-            out.append((key,))
-    return out
+        key = _canonical(t.coeffs, side, -t.const)
+        alts = [(key,)] if key else []
+    if not negated:
+        return alts
+    if alts and alts[0]:
+        return [(lit,) for lit in complement(alts[0][0])]
+    return [] if alts else [()]
 
 
-def literal_formula(lit) -> PresFormula:
-    """A canonical literal as a formula; a bound's atom is already folded."""
-    if lit.__class__ is not tuple:
-        return lit
+def literal_formula(lit: tuple) -> PresFormula:
+    """A canonical literal as a formula; its atom is already folded."""
     part, side, value = lit
     if side == 0:
         return AtomF(Atom(LT, LinTerm(tuple((v, -c) for v, c in part), value)))
+    if side > 2:
+        atom = AtomF(Atom(DVD, LinTerm(part, value[1]), value[0]))
+        return atom if side == 3 else Not(atom)
     return AtomF(Atom(LT if side == 1 else EQ, LinTerm(part, -value)))
 
 
-def complement(lit):
-    """The negation of a canonical literal other than an equality: ``P > v``
-    gives ``P < v + 1``, ``P < v`` gives ``P > v - 1``, and a divisibility
-    literal is negated."""
-    if lit.__class__ is tuple:
-        part, side, value = lit
-        return (part, 1, value + 1) if side == 0 else (part, 0, value - 1)
-    return lit.arg if isinstance(lit, Not) else Not(lit)
+def complement(lit: tuple) -> tuple:
+    """The alternatives of the negation of a canonical literal, one literal
+    each: ``P > v`` gives ``P < v + 1``, ``P < v`` gives ``P > v - 1``, ``P =
+    v`` gives ``P < v`` and ``P > v``, and a divisibility literal is negated."""
+    part, side, value = lit
+    if side == 2:
+        return (part, 1, value), (part, 0, value)
+    if side > 2:
+        return ((part, 7 - side, value),)
+    return ((part, 1, value + 1),) if side == 0 else ((part, 0, value - 1),)
 
 
 def _canonical(coeffs: tuple, side: int,
@@ -434,6 +389,24 @@ def _canonical(coeffs: tuple, side: int,
             return None
         value = -(-value // g) if side == 1 else value // g
     return coeffs, side, value
+
+
+def _divisible(coeffs: tuple, side: int, value: tuple) -> list[tuple]:
+    """The alternatives (``atom_alternatives``) of ``d | sum(coeffs) + c``
+    (side 3) or of its negation (4), for ``value`` ``(d, c)``: one literal
+    with the gcd of ``d`` and the coefficients divided out, then the
+    coefficients and ``c`` reduced mod ``d``, so that they lie in ``1..d-1``
+    and ``0..d-1``."""
+    d, c = value
+    g = math.gcd(d, *(x for _, x in coeffs))
+    holds = False         # d | g*u + c needs g | c, and then divides by g
+    if c % g == 0:
+        d, c = d // g, c // g % (d // g)
+        part = tuple((v, x // g % d) for v, x in coeffs if x // g % d)
+        if part:
+            return [((part, side, (d, c)),)]
+        holds = c == 0
+    return [()] if holds == (side == 3) else []
 
 
 _OPEN = (None, None, None)
@@ -586,8 +559,8 @@ def _propagate(windows: dict, box: dict, todo: Iterable) -> Optional[dict]:
 
 
 class Cell:
-    """An immutable conjunction of literals: a window per variable part,
-    never an open one, and a frozenset of divisibility and negated
+    """An immutable conjunction of canonical literals: a window per
+    variable part, never an open one, and a frozenset of divisibility
     literals.  Hash and equality go by a key computed once.
 
     The box, an inclusive interval per variable that holds every point, is
@@ -635,79 +608,61 @@ class Cell:
 
     @property
     def vars(self) -> set[str]:
-        out = {v for part in self.windows for v, _ in part}
-        for d in self.divs:
-            out |= _literal_atom(d).term.vars()
-        return out
+        parts = [*self.windows, *(part for part, _, _ in self.divs)]
+        return {v for part in parts for v, _ in part}
 
     def extend(self, lits: Iterable) -> Optional["Cell"]:
         """The cell with the canonical literals ``lits`` added: itself when
         they add nothing, None when it becomes empty."""
         windows, divs = self.windows, self.divs
         for lit in lits:
-            if lit.__class__ is tuple:
-                part, side, value = lit
-                old = windows.get(part, _OPEN)
-                window = _window_add(old, side, value)
-                if window is None:
-                    return None
-                if window != old:
-                    # copied on the first change only
-                    windows = dict(windows) if windows is self.windows else windows
-                    windows[part] = window
-            elif lit not in divs:
-                if complement(lit) in divs:
-                    return None
-                divs = divs | {lit}
+            part, side, value = lit
+            if side > 2:
+                if lit not in divs:
+                    if complement(lit)[0] in divs:
+                        return None
+                    divs = divs | {lit}
+                continue
+            old = windows.get(part, _OPEN)
+            window = _window_add(old, side, value)
+            if window is None:
+                return None
+            if window != old:
+                # copied on the first change only
+                windows = dict(windows) if windows is self.windows else windows
+                windows[part] = window
         if windows is self.windows and divs is self.divs:
             return self
         return Cell(windows, divs, self)
 
+    def canonical(self) -> list[tuple]:
+        """The cell's canonical literals in key order, divisibility ones
+        last."""
+        return [(part, side, value) for part, (lo, hi, eq) in self.key[0]
+                for side, value in ((2, eq), (1, hi), (0, lo))
+                if value is not None] + sorted(self.divs)
+
     def meets(self, other: "Cell") -> bool:
-        """Whether the two cells together keep a non-empty box, built on the
-        windows: False shows that they share no point."""
-        windows = dict(other.windows)
-        for part, window in self.windows.items():
-            for side, value in enumerate(window):
-                if value is not None:
-                    windows[part] = _window_add(windows.get(part, _OPEN), side, value)
-                    if windows[part] is None:
-                        return False
-        if any(complement(d) in other.divs for d in self.divs):
-            return False
-        return Cell(windows, self.divs | other.divs, other).box is not None
+        """Whether the two cells together keep a non-empty box: False shows
+        that they share no point."""
+        both = other.extend(self.canonical())
+        return both is not None and both.box is not None
 
     def literals(self) -> list[PresFormula]:
-        """Canonical literal list.  Window parts are primitive with a
-        positive leading coefficient, so their atoms are already folded."""
-        out = [literal_formula((part, side, value))
-               for part, (lo, hi, eq) in self.key[0]
-               for side, value in ((2, eq), (1, hi), (0, lo)) if value is not None]
-        out.extend(sorted(self.divs, key=repr))
-        return out
+        """The canonical literals as formulas."""
+        return list(map(literal_formula, self.canonical()))
 
     def clause(self) -> tuple:
         """The negated cell as canonical literals, the complements of
-        ``literals`` in their order, built from the windows: ``P = e`` gives
-        ``P < e`` and ``P > e``, ``P < h`` gives ``P > h - 1`` and ``P > l``
-        gives ``P < l + 1``, all distinct."""
-        out: list = []
-        for part, (lo, hi, eq) in self.key[0]:
-            if eq is not None:
-                out += [(part, 1, eq), (part, 0, eq)]
-            if hi is not None:
-                out.append((part, 0, hi - 1))
-            if lo is not None:
-                out.append((part, 1, lo + 1))
-        out.extend(complement(d) for d in sorted(self.divs, key=repr))
-        return tuple(out)
+        ``literals`` in their order, all distinct."""
+        return tuple(c for lit in self.canonical() for c in complement(lit))
 
     def drop_one_sided(self, names: Iterable[str]) -> Optional["Cell"]:
         """``exists >= 0`` of those ``names`` bounded from one side only and
         by no equality or other literal, in one pass (Pugh, CACM 1992): one
         bounded above only is 0, one bounded below only drops its windows.
         Itself when there is none, None when the cell empties."""
-        barred = {u for d in self.divs for u in _literal_atom(d).term.vars()}
+        barred = {u for part, _, _ in self.divs for u, _ in part}
         # 1: bounded above only, -1: below only, None: from both sides
         side = {u: 0 for u in names if u not in barred}
         for part, (lo, hi, _) in self.windows.items():
@@ -744,30 +699,29 @@ class Cell:
             return self
         families: dict = {}
         for lit in self.divs:
-            term, d = _literal_atom(lit).term, _literal_atom(lit).divisor
-            known = {v for v, _ in term.coeffs if v in fixed}
+            part, side, (d, c) = lit
+            known = {v for v, _ in part if v in fixed}
             if known:
                 pins |= known
-                folded = _fold_atom(Atom(DVD, LinTerm(
-                    tuple(p for p in term.coeffs if p[0] not in known),
-                    term.const + sum(c * fixed[v] for v, c in term.coeffs if v in known)), d))
-                lit = neg(folded) if isinstance(lit, Not) else folded
-                if isinstance(lit, FalseF):
+                alts = _divisible(
+                    tuple(p for p in part if p[0] not in known), side,
+                    (d, c + sum(x * fixed[v] for v, x in part if v in known)))
+                if not alts:
                     return None
-                if isinstance(lit, TrueF):
+                if not alts[0]:
                     continue
-                term, d = _literal_atom(lit).term, _literal_atom(lit).divisor
-            families.setdefault((term.coeffs, d), []).append(lit)
+                (lit,), = alts
+                part, side, (d, c) = lit
+            families.setdefault((part, d), []).append(lit)
         divs = set()
-        for (coeffs, d), lits in families.items():
+        for (part, d), lits in families.items():
             if len(lits) > 1:
                 left = [r for r in range(d) if all(
-                    ((r + _literal_atom(lit).term.const) % d == 0) != isinstance(lit, Not)
-                    for lit in lits)]
+                    ((r + c) % d == 0) == (side == 3) for _, side, (_, c) in lits)]
                 if not left:
                     return None
                 if len(left) == 1:
-                    lits = [_fold_atom(Atom(DVD, LinTerm(coeffs, -left[0]), d))]
+                    lits = [(part, 3, (d, -left[0] % d))]
             divs.update(lits)
         windows = self.windows
         for v in pins:
@@ -784,7 +738,7 @@ class Cell:
         ``v`` pivots it away, the one with the least coefficient on ``v``
         first, and bounds on it combine by ``_shadow``.  A divisibility
         literal on ``v`` is first unfolded into equalities by ``_unfold``."""
-        mention = [d for d in self.divs if _literal_atom(d).term.coeff(v)]
+        mention = [d for d in self.divs if _part_coeff(d[0], v)]
         if mention:
             return self._unfold(v, mention)
         unit = ((v, 1),)
@@ -813,15 +767,14 @@ class Cell:
         names = (f"%{i}" for i in itertools.count())
         fresh = []
         cells: list = [Cell(self.windows, self.divs - frozenset(mention), self)]
-        for lit in mention:
-            atom = _literal_atom(lit)
+        for coeffs, side, (d, c) in mention:
             q = next(n for n in names if n not in taken)
             fresh.append(q)
-            part = _combine((atom.term.coeffs, 1), (((q, 1),), -atom.divisor))
-            residues = range(1, atom.divisor) if isinstance(lit, Not) else (0,)
-            keys = [_canonical(part, 2, r - atom.term.const) for r in residues]
+            part = _combine((coeffs, 1), (((q, 1),), -d))
+            keys = [_canonical(part, 2, r - c)
+                    for r in (range(1, d) if side == 4 else (0,))]
             cells = [cell.extend([key]) for cell in cells for key in keys if key]
-            cells = [c for c in cells if c is not None]
+            cells = [cell for cell in cells if cell is not None]
         for u in [v] + fresh:
             cells = [out for cell in cells for out in cell.project(u)]
         return cells
@@ -845,10 +798,8 @@ class Cell:
                 if bound is not None and not _narrow(
                         out, q, side, scale * bound - a * sign * e):
                     return None
-        cell = Cell(out, self.divs, self)
-        lit = _fold_atom(Atom(DVD, LinTerm(rest, -e), scale))
-        return cell if isinstance(lit, TrueF) else \
-            None if isinstance(lit, FalseF) else cell.extend([lit])
+        alts = _divisible(rest, 3, (scale, -e))
+        return Cell(out, self.divs, self).extend(alts[0]) if alts else None
 
     def _shadow(self, v: str, windows: dict) -> list[Optional["Cell"]]:
         """``exists v`` of a cell whose constraints on ``v`` are all bounds:
@@ -893,7 +844,7 @@ def cheapest(names: list[str], cells: Iterable[Cell]) -> Optional[str]:
     for cell in cells:
         literals = [(part, 3 - window.count(None), window[2] is not None)
                     for part, window in cell.windows.items()]
-        literals += [(_literal_atom(d).term.coeffs, 1, False) for d in cell.divs]
+        literals += [(part, 1, False) for part, _, _ in cell.divs]
         for part, count, equality in literals:
             for u, c in part:
                 entry = cost.get(u)

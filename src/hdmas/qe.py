@@ -49,9 +49,11 @@ a leaf whose literals on ``X`` come from the finitely many alternatives of
 alone (the complements of earlier ``W`` among them) pass through the
 projection, so no ``W`` repeats and they are drawn from a finite set.
 
-Literals are canonical (``presburger.atom_alternatives``): a bound is
-canonicalised once, when the walk into DNF meets its atom, and every cell
-that takes it after that reads its window key as it is.  A ``Game`` hands
+Literals are canonical (``presburger.atom_alternatives``), one tuple
+``(part, side, value)`` for a bound and a divisibility literal alike: each
+is canonicalised once, when the walk into DNF meets its atom, every cell
+that takes it after that reads its key as it is, and its negation is its
+``complement``, as in a learned clause.  A ``Game`` hands
 ``_block`` its conjuncts already walked: ``build_prf`` assembles one per
 state from guards compiled once per model, and ``decide`` takes it with no
 formula to walk.  A block takes its body as built, unsimplified; only the
@@ -69,9 +71,9 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .presburger import (And, AtomF, Cell, Exists, FalseF, Forall,
                          FreeVariableError, Not, Or, PresFormula, TrueF,
-                         _literal_atom, _quantifier_block, _quantify,
-                         atom_alternatives, cheapest, complement, conj, disj,
-                         free_vars, literal_formula, neg, simplify)
+                         _quantifier_block, _quantify, atom_alternatives,
+                         cheapest, complement, conj, disj, free_vars,
+                         literal_formula, neg, simplify)
 
 
 class QeStats:
@@ -289,12 +291,9 @@ def _clause(cell: Cell) -> list[tuple]:
 def _blocking_literal(alt: tuple):
     """Complement of an alternative that is one literal over one variable,
     when that complement is itself a literal (not for an equality)."""
-    if len(alt) != 1:
+    if len(alt) != 1 or len(alt[0][0]) != 1 or alt[0][1] == 2:
         return None
-    lit = alt[0]
-    if lit.__class__ is tuple:
-        return complement(lit) if len(lit[0]) == 1 and lit[1] != 2 else None
-    return complement(lit) if len(_literal_atom(lit).term.coeffs) == 1 else None
+    return complement(alt[0])[0]
 
 
 def _open_conjuncts(cell: Cell, pending: list) -> Optional[tuple[list, tuple]]:
@@ -394,7 +393,7 @@ def _exists_block(names: list[str], cell: Cell,
                                sum(len(c.windows) * 2 + len(c.divs)
                                    for c in cells))
         stats.peak_divisor_lcm = max(stats.peak_divisor_lcm, math.lcm(
-            *(_literal_atom(d).divisor for c in cells for d in c.divs)))
+            *(d for c in cells for _, _, (d, _) in c.divs)))
 
 
 def _cells_formula(cells: list[Cell]) -> PresFormula:
@@ -416,17 +415,9 @@ def _conjuncts_formula(conjuncts: Sequence) -> PresFormula:
 
 def _negated_formula(conjuncts: Sequence) -> PresFormula:
     """The negation of ``_conjuncts_formula``, pushed to the literals."""
-    return disj(tuple(conj(tuple(disj(tuple(map(_negated_literal, alt)))
-                                 for alt in alts)) for alts in conjuncts))
-
-
-def _negated_literal(lit) -> PresFormula:
-    """The negation of a canonical literal; an equality's is two bounds."""
-    if lit.__class__ is tuple and lit[1] == 2:
-        part, _, value = lit
-        return disj((literal_formula((part, 1, value)),
-                     literal_formula((part, 0, value))))
-    return literal_formula(complement(lit))
+    return disj(tuple(conj(tuple(disj(tuple(
+        literal_formula(c) for lit in alt for c in complement(lit)))
+        for alt in alts)) for alts in conjuncts))
 
 
 def _conjuncts(phi: PresFormula, negated: bool) -> list[list[tuple]]:
@@ -442,8 +433,8 @@ def _conjuncts(phi: PresFormula, negated: bool) -> list[list[tuple]]:
 def _to_dnf(phi: PresFormula, negated: bool = False) -> list[tuple]:
     """The alternatives of ``phi``, or of ``!phi`` when ``negated``, each a
     tuple of canonical literals.  The negation is pushed to the atoms
-    (``atom_alternatives``): a negated bound is one literal or for an
-    equality two alternatives, and a negated divisibility atom a literal."""
+    (``atom_alternatives``): a negated literal is its ``complement``, one
+    literal or for an equality two alternatives."""
     if isinstance(phi, AtomF):
         return atom_alternatives(phi, negated)
     if isinstance(phi, Not):

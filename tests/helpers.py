@@ -6,7 +6,8 @@ import numpy as np
 
 from hdmas.engine import _resolve_term, _share, build_prf
 from hdmas.logic import (EXISTS, AndF, Coop, Globally, Nat, Next, NotF, OrF,
-                         Prop, Top, Until)
+                         Prop, Quant, Top, Until, children, map_children,
+                         memo_walk, merge_quantifiers, simplify_vacuous)
 from hdmas.model import (IDLE, IDLE_COUNTER, CheckOutcome,
                          WellformednessReport, guard_union, least_point)
 from hdmas.parsing import _parse_guard_expr, _Stream, guard_to_str, tokenize
@@ -87,6 +88,52 @@ def cell_of(literals, cell=None):
         return None
     return (Cell() if cell is None else cell).extend(
         [lit for lit in lits if lit is not None])
+
+
+def drop(term, v):
+    """The linear term without its ``v`` summand."""
+    return LinTerm(tuple((u, c) for u, c in term.coeffs if u != v), term.const)
+
+
+def size(phi):
+    """Node count of a state formula's tree, a shared node counted at each
+    occurrence and quantifier prefixes counted per quantifier; each
+    distinct node is visited once."""
+    def step(f, recurse):
+        extra = len(f.prefix) if isinstance(f, Quant) else 1
+        return extra + sum(recurse(c) for c in children(f))
+
+    return memo_walk(phi, step)
+
+
+def _reassoc(phi):
+    """Right-nest chains of the same binary connective, preserving order."""
+    def step(f, recurse):
+        if not isinstance(f, (AndF, OrF)):
+            return map_children(f, recurse)
+        ctor = AndF if isinstance(f, AndF) else OrF
+        parts = []
+
+        def flatten(g):
+            if isinstance(g, ctor):
+                flatten(g.lhs)
+                flatten(g.rhs)
+            else:
+                parts.append(recurse(g))
+
+        flatten(f)
+        out = parts[-1]
+        for p in reversed(parts[:-1]):
+            out = ctor(p, out)
+        return out
+
+    return memo_walk(phi, step)
+
+
+def canonical_shape(phi):
+    """Shape of a state formula used for structural comparison: vacuous
+    quantifiers dropped, prefixes merged, connective chains right-nested."""
+    return _reassoc(merge_quantifiers(simplify_vacuous(phi)))
 
 
 def dnf_formulas(dnf):

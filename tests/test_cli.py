@@ -306,6 +306,45 @@ def test_verify_oracle_bad_cap(capsys, monkeypatch, raw):
     assert err.count("\n") == 1 and "HDMAS_ENUM_CAP" in err
 
 
+# one digit more than int() reads from a string
+LONG = "9" * (sys.get_int_max_str_digits() + 1)
+
+
+# where a numeral comes from: the formula, its extra arguments, exit code
+LONG_NUMERALS = {
+    "guard-constant": ("<<1,1>> X p", (), 1),
+    "count": (f"<<{LONG},1>> X p", (), 1),
+    "parameter-index": (f"<<z{LONG},1>> X p", (), 1),
+    "assigned-value": ("<<z1,1>> X p", ("--assign", f"z1={LONG}"), 2),
+    "assigned-key": ("<<1,1>> X p", ("--assign", f"z{LONG}=1"), 2),
+    "enum-cap": ("<<1,1>> X p", ("--oracle",), 2),
+}
+
+
+@pytest.mark.parametrize("site", list(LONG_NUMERALS))
+def test_a_numeral_longer_than_int_reads_is_an_error(tmp_path, capsys,
+                                                     monkeypatch, site):
+    # int() raises past sys.get_int_max_str_digits() digits: a numeral in
+    # a model or formula is a parse error at the numeral, one on the
+    # command line or in HDMAS_ENUM_CAP an error, never a traceback
+    formula, extra, code = LONG_NUMERALS[site]
+    model, where = pathlib.Path(FIG2), "error: "
+    if site == "guard-constant":
+        text = model.read_text().replace("#a3 <= 3;", f"#a3 <= {LONG};", 1)
+        model = tmp_path / "long.hdmas"
+        model.write_text(text)
+        at = text.index(LONG)
+        line, col = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+        where = f"parse error: {line}:{col}: "
+    elif code == 1:
+        where = "parse error: 1:3: "
+    if site == "enum-cap":
+        monkeypatch.setenv("HDMAS_ENUM_CAP", LONG)
+    got, out, err = run_cli(capsys, "verify", str(model), "-f", formula, *extra)
+    assert (got, out) == (code, "")
+    assert err.startswith(where) and err.count("\n") == 1, err[:200]
+
+
 def test_dump_nf(capsys):
     code, out, _ = run_cli(capsys, "verify", FIG2,
                            "-f", "A y1 <<y1,5>> X p", "--dump-nf")

@@ -1,14 +1,16 @@
+import itertools
 import math
 import random
 
 import pytest
 
 import hdmas.presburger as pb
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import atom_dvd, canonical, dnf_formulas
-from hdmas.presburger import (DVD, And, AtomF, CaptureViolation, Exists,
+from hdmas.presburger import (DVD, EQ, LT, And, Atom, AtomF,
+                              CaptureViolation, Exists,
                               LinTerm, Not, Or, QuantifiedInput,
                               UnassignedVariable, atom_eq, atom_ge,
                               atom_gt, atom_le, atom_lt, atom_ne, complement,
@@ -91,20 +93,21 @@ def test_nnf_of_negated_less_than():
 
 
 def test_complement_is_the_negation_of_a_literal():
-    # one literal for a strict bound and a divisibility literal, two
-    # alternatives for an equality; complementing twice gives back the
-    # literal
+    # the alternatives of the negation: one literal for a strict bound and
+    # a divisibility literal, complementing which gives back the literal,
+    # and two for an equality, as the negated atom's alternatives
     points = [{"x1": a, "x2": b} for a in range(6) for b in range(6)]
     for lit in (atom_lt(X1.scale(2), X2.shift(3)), atom_dvd(3, X1.add(X2)),
                 neg(atom_dvd(2, X1))):
-        negated = complement(canonical(lit))
-        assert complement(negated) == canonical(lit)
+        (negated,) = complement(canonical(lit))
+        assert complement(negated) == (canonical(lit),)
         for p in points:
             assert evaluate(literal_formula(negated), p) != evaluate(lit, p), (lit, p)
     equality = atom_eq(X1.scale(3), X2)
-    assert len(_to_dnf(equality, True)) == 2
+    negated = [(c,) for c in complement(canonical(equality))]
+    assert len(negated) == 2 and negated == _to_dnf(equality, True)
     for p in points:
-        assert _dnf_holds(_to_dnf(equality, True), p) != evaluate(equality, p)
+        assert _dnf_holds(negated, p) != evaluate(equality, p)
 
 
 def test_nnf_double_negation():
@@ -200,18 +203,51 @@ def negated_atoms(draw, depth=3):
 @settings(max_examples=400, deadline=None)
 def test_to_dnf_alternatives_evaluate_like_the_formula(phi, negated, val):
     # the alternatives hold exactly where phi does, or !phi when negated;
-    # every bound is canonical, and a negation reaches a literal only on a
-    # divisibility atom, since a cell files every other literal as a
-    # divisibility one
+    # every literal is canonical: a bound (sides 0-2) over a primitive part
+    # with a positive lead, a divisibility literal or its negation (3, 4)
+    # with coefficients in 1..d-1, coprime to d, and a constant in 0..d-1
     alternatives = _to_dnf(phi, negated)
     for alt in alternatives:
-        for lit in alt:
-            if isinstance(lit, tuple):
-                part, side, value = lit
-                assert part[0][1] > 0 and math.gcd(*(c for _, c in part)) == 1, lit
+        for part, side, value in alt:
+            if side < 3:
+                assert part[0][1] > 0 and math.gcd(*(c for _, c in part)) == 1, alt
             else:
-                assert (lit.arg if isinstance(lit, Not) else lit).atom.kind == DVD, lit
+                d, c = value
+                assert side == 3 or side == 4, alt
+                assert all(0 < x < d for _, x in part) and 0 <= c < d, alt
+                assert part and math.gcd(d, *(x for _, x in part)) == 1, alt
     assert _dnf_holds(alternatives, val) == (evaluate(phi, val) != negated)
+
+
+@st.composite
+def canonical_literals(draw):
+    """A canonical literal of any of the five sides: the one literal of an
+    unfolded bound, equality or divisibility atom, or of its negation."""
+    kind = draw(st.sampled_from([LT, EQ, DVD]))
+    atom = AtomF(Atom(kind, draw(linterms()),
+                      draw(st.integers(2, 6)) if kind == DVD else 0))
+    alternatives = pb.atom_alternatives(atom, draw(st.booleans()))
+    assume(len(alternatives) == 1 and len(alternatives[0]) == 1)
+    return alternatives[0][0]
+
+
+@given(canonical_literals())
+@example(((("x1", 1), ("x2", -2)), 0, 3))
+@example(((("x1", 2), ("x3", 3)), 2, 5))
+@example(((("x1", 1), ("x2", 3)), 3, (4, 1)))
+@example(((("x2", 2),), 4, (3, 0)))
+@settings(max_examples=300, deadline=None)
+def test_a_canonical_literal_reads_back_from_its_formula(lit):
+    # the formula of a literal walks back into that literal, its negation
+    # into the complement's alternatives, and those hold exactly where the
+    # literal fails
+    assert _to_dnf(literal_formula(lit)) == [(lit,)]
+    negated = [(c,) for c in complement(lit)]
+    assert _to_dnf(literal_formula(lit), True) == negated
+    assert len(negated) == (2 if lit[1] == 2 else 1)
+    for point in itertools.product(range(7), repeat=3):
+        p = dict(zip(("x1", "x2", "x3"), point))
+        assert _dnf_holds(negated, p) != evaluate(literal_formula(lit), p), p
 
 
 @given(formulas())

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 from helpers import (atom_dvd, canonical, cell_of, checked_block_truth,
-                     cooper_bound, enum_truth, np_eval, random_matrix)
+                     cooper_bound, drop, enum_truth, np_eval, random_matrix)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -578,7 +578,7 @@ def _some_witness(block, cell, z, bound):
     valid = np.bool_(True)
     for v, term in solved:
         c = term.coeff(v)
-        rest = term.drop(v)
+        rest = drop(term, v)
         value = -np.int64(rest.const)
         for u, d in rest.coeffs:
             value = value - np.int64(d) * arrays[u]
@@ -660,12 +660,31 @@ DIVIDED = (["x1", "x2"], cell_of([
 @example(DIVIDED)
 @settings(max_examples=200, deadline=None)
 def test_a_clause_is_the_disjunction_of_the_complemented_literals(drawn):
-    # the clause is built straight from the windows, with no round trip
-    # through the literals; it must be that round trip's negated literals,
-    # literal for literal and in the same order
+    # the clause is the complements of the canonical literals, with no
+    # round trip through formulas; it must be that round trip's negated
+    # literals, literal for literal and in the same order
     _, cell = drawn
     assert cell.clause() == tuple(lit for l in cell.literals()
                                   for (lit,) in qe._to_dnf(l, True))
+
+
+@given(block_cells(), block_cells())
+@example(SOLVED, DIVIDED)
+@example(DIVIDED, DIVIDED)
+@example(LOOKS_ONE_SIDED, SPLINTERED)
+@settings(max_examples=200, deadline=None)
+def test_cells_with_a_common_point_meet(first, second):
+    # meets may be True for cells that share no point, never False for
+    # cells that share one: checked on a grid of the block variables and
+    # z, divisibility literals included
+    (_, a), (_, b) = first, second
+    axis = np.arange(7, dtype=np.int64)
+    grid = dict(zip(BLOCK + ["z"], np.meshgrid(*[axis] * 4, indexing="ij")))
+    holds = [np_eval(conj(tuple(c.literals())), grid) for c in (a, b)]
+    for c, inside in zip((a, b), holds):
+        assert c.meets(c) or not inside.any(), c.key
+    if (holds[0] & holds[1]).any():
+        assert a.meets(b) and b.meets(a), (a.key, b.key)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
