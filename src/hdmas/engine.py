@@ -30,8 +30,8 @@ from typing import Mapping, Optional, Union
 from .logic import (EXISTS, FORALL, AgentVar, AndF, Coop, Globally, Nat, Next,
                     NotF, OrF, Prop, Quant, QuantPrefix, StateFormula, Term,
                     Top, Until, assignment_symbols, check_syntax,
-                    is_normal_form, merge_quantifiers, simplify_vacuous,
-                    term_symbol)
+                    is_merged_normal_form, merge_quantifiers,
+                    simplify_vacuous, term_symbol)
 from .model import IDLE_COUNTER, HdmasModel, StateSet, guard_union
 from .normalform import nf
 from .presburger import (TRUE, Exists, Forall, FreeVariableError, Not, Or,
@@ -213,8 +213,12 @@ class ModelChecker:
     its set (ψ2 counts as just joined in its first round).  A candidate
     with no edge into the targets leaves the set with no game built.
     Every round yields the same set as the plain Kleene iteration.
-    Subformula extensions are memoised too; the instance is reusable
-    across formulas and assignments.
+
+    ``global_mc`` merges and checks its formula once, at entry, and cuts
+    the assignment down to the symbols the formula needs; below it every
+    subformula, fixpoint operands included, is normal already, and its
+    extension is memoised by the node and that assignment.  The instance
+    is reusable across formulas and assignments.
     """
 
     def __init__(self, model: HdmasModel, stats: Optional[QeStats] = None):
@@ -276,8 +280,9 @@ class ModelChecker:
     def g_fixpoint(self, t1: Term, t2: Term, psi: StateFormula,
                    theta: Assignment, pfix: QuantPrefix,
                    trace: Optional[list[StateSet]] = None) -> StateSet:
-        """Greatest fixpoint for invariance objectives."""
-        targets = self.global_mc(psi, theta)
+        """Greatest fixpoint for invariance objectives; ``psi`` is merged
+        and normal, as every operand below ``global_mc`` is."""
+        targets = self._extent(psi, theta)
         w = self.model.all_states()
         z = dirty = targets
         if trace is not None:
@@ -294,10 +299,11 @@ class ModelChecker:
     def u_fixpoint(self, t1: Term, t2: Term, psi1: StateFormula,
                    psi2: StateFormula, theta: Assignment, pfix: QuantPrefix,
                    trace: Optional[list[StateSet]] = None) -> StateSet:
-        """Least fixpoint for reachability-until objectives."""
-        q1 = self.global_mc(psi1, theta)
+        """Least fixpoint for reachability-until objectives; the operands
+        are merged and normal."""
+        q1 = self._extent(psi1, theta)
         w = 0
-        z = self.global_mc(psi2, theta)
+        z = self._extent(psi2, theta)
         if trace is not None:
             trace.append(z)
         while z & ~w:
@@ -312,9 +318,10 @@ class ModelChecker:
     def global_mc(self, phi: StateFormula, theta: Assignment) -> StateSet:
         """Extension of a normal-form formula under an assignment."""
         phi = merge_quantifiers(simplify_vacuous(phi))
-        if not is_normal_form(phi):
+        if not is_merged_normal_form(phi):
             raise NotNormalForm(phi)
-        return self._extent(phi, theta)
+        return self._extent(phi, {k: theta[k] for k in assignment_symbols(phi)
+                                  if k in theta})
 
     def check(self, state: str, phi: StateFormula, theta: Assignment) -> bool:
         """Local check of an arbitrary well-formed formula via normalisation."""
@@ -326,12 +333,8 @@ class ModelChecker:
 
     # -- internals -------------------------------------------------------
 
-    def _theta_key(self, phi: StateFormula, theta: Assignment) -> tuple:
-        return tuple(sorted((k, theta[k]) for k in assignment_symbols(phi)
-                            if k in theta))
-
     def _extent(self, phi: StateFormula, theta: Assignment) -> StateSet:
-        key = (phi, self._theta_key(phi, theta))
+        key = (phi, frozenset(theta.items()))
         hit = self._extents.get(key)
         if hit is not None:
             return hit

@@ -9,7 +9,7 @@ second, and a quantifier may only bind occurrences of positive polarity.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .nodes import Node, set_slot
 
@@ -73,13 +73,6 @@ def term_symbol(t: Term) -> Optional[str]:
     return None
 
 
-def assignment_symbols(phi: Formula) -> list[str]:
-    """The assignment keys a formula needs: ``z<n>`` for each parameter,
-    then ``y<i>`` for each free agent variable, each in index order."""
-    return ([f"z{i}" for i in sorted(params_of(phi))]
-            + [f"y{i}" for i in sorted(free_agent_vars(phi))])
-
-
 # -- formulas ----------------------------------------------------------------
 #
 # The parser shares subtrees (``a <-> b`` holds ``a`` and ``b`` twice), so
@@ -120,13 +113,13 @@ def _formula_eq(self, other: object) -> bool:
 
 
 class StateFormula(Node):
-    __slots__ = ()
+    __slots__ = ("_facts",)   # kept by ``facts``, like ``_hash``
     __eq__ = _formula_eq
     __hash__ = Node.__hash__
 
 
 class PathFormula(Node):
-    __slots__ = ()
+    __slots__ = ("_facts",)
     __eq__ = _formula_eq
     __hash__ = Node.__hash__
 
@@ -258,54 +251,60 @@ def children(phi: Formula) -> tuple[Formula, ...]:
     return tuple(f for f in phi._key() if isinstance(f, _FORMULAS))
 
 
-def subformulas(phi: Formula) -> Iterator[Formula]:
-    """Subformulas in preorder; a node shared by several parents is
-    yielded once."""
-    seen: set[int] = set()
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if id(f) in seen:
-            continue
-        seen.add(id(f))
-        yield f
-        stack.extend(reversed(children(f)))
+class Facts(NamedTuple):
+    """What a formula mentions: the negation parities (0 or 1) of the free
+    occurrences of y1 and of y2, its parameter indices and its
+    propositions."""
+    parities: tuple[frozenset[int], frozenset[int]]
+    params: frozenset[int]
+    props: frozenset[str]
+
+
+def facts(phi: Formula) -> Facts:
+    """The formula's ``Facts``, by one walk that keeps each node's facts on
+    the node, so that no node is walked for them twice."""
+    def step(f: Formula, recurse) -> Facts:
+        kept = getattr(f, "_facts", None)
+        if kept is not None:
+            return kept
+        below = [recurse(c) for c in children(f)]
+        parities = [frozenset().union(*(b.parities[j] for b in below))
+                    for j in (0, 1)]
+        params = frozenset().union(*(b.params for b in below))
+        props = frozenset().union(*(b.props for b in below))
+        if isinstance(f, Prop):
+            props = frozenset((f.name,))
+        elif isinstance(f, NotF):
+            parities = [frozenset(1 - n for n in found) for found in parities]
+        elif isinstance(f, Quant):
+            parities = [frozenset() if any(i == j + 1 for _, i in f.prefix)
+                        else found for j, found in enumerate(parities)]
+        elif isinstance(f, Coop):
+            for t in (f.t1, f.t2):
+                if isinstance(t, AgentVar):
+                    parities[t.index - 1] |= {0}
+                elif isinstance(t, Param):
+                    params |= {t.index}
+        kept = Facts(tuple(parities), params, props)
+        set_slot(f, "_facts", kept)
+        return kept
+
+    return getattr(phi, "_facts", None) or memo_walk(phi, step)
 
 
 def props_of(phi: Formula) -> frozenset[str]:
-    return frozenset(f.name for f in subformulas(phi) if isinstance(f, Prop))
-
-
-def params_of(phi: Formula) -> frozenset[int]:
-    out = set()
-    for f in subformulas(phi):
-        if isinstance(f, Coop):
-            for t in (f.t1, f.t2):
-                if isinstance(t, Param):
-                    out.add(t.index)
-    return frozenset(out)
-
-
-def _parities(phi: Formula, y: int) -> frozenset[int]:
-    """Negation parities (0 or 1) of the free occurrences of an agent
-    variable."""
-    def step(f: Formula, recurse) -> frozenset[int]:
-        if isinstance(f, NotF):
-            return frozenset(1 - n for n in recurse(f.arg))
-        if isinstance(f, Quant) and any(i == y for _, i in f.prefix):
-            return frozenset()
-        out: frozenset[int] = frozenset()
-        if isinstance(f, Coop) and AgentVar(y) in (f.t1, f.t2):
-            out = frozenset((0,))
-        for c in children(f):
-            out |= recurse(c)
-        return out
-
-    return memo_walk(phi, step)
+    return facts(phi).props
 
 
 def free_agent_vars(phi: Formula) -> frozenset[int]:
-    return frozenset(y for y in (1, 2) if _parities(phi, y))
+    return frozenset(y for y in (1, 2) if facts(phi).parities[y - 1])
+
+
+def assignment_symbols(phi: Formula) -> list[str]:
+    """The assignment keys a formula needs: ``z<n>`` for each parameter,
+    then ``y<i>`` for each free agent variable, each in index order."""
+    return ([f"z{i}" for i in sorted(facts(phi).params)]
+            + [f"y{i}" for i in sorted(free_agent_vars(phi))])
 
 
 def polarity(phi: Formula, y: int) -> str:
@@ -313,7 +312,7 @@ def polarity(phi: Formula, y: int) -> str:
 
     Returns one of ``all-positive``, ``all-negative``, ``mixed``, ``absent``.
     """
-    found = _parities(phi, y)
+    found = facts(phi).parities[y - 1]
     if not found:
         return "absent"
     if found == {0}:
@@ -327,32 +326,40 @@ def polarity(phi: Formula, y: int) -> str:
 
 
 def map_children(phi: Formula, fn) -> Formula:
-    """The node rebuilt with ``fn`` applied to each direct subformula; a
-    node without one (``Top``, ``Prop``) is returned as it is."""
+    """The node rebuilt with ``fn`` applied to each direct subformula; the
+    node itself when ``fn`` returns each of them as it is, or when it has
+    none (``Top``, ``Prop``)."""
     fields = phi._key()
-    if not any(isinstance(f, _FORMULAS) for f in fields):
+    mapped = [fn(f) if isinstance(f, _FORMULAS) else f for f in fields]
+    if all(new is old for new, old in zip(mapped, fields)):
         return phi
     # every formula class takes its fields in ``_key`` order
-    return phi.__class__(*[fn(f) if isinstance(f, _FORMULAS) else f
-                           for f in fields])
+    return phi.__class__(*mapped)
 
 
-def memo_walk(phi: Formula, step):
-    """``step(node, recurse)`` evaluated once per distinct node.
+def memo_walk(phi: Formula, step, *context):
+    """``step(node, recurse, *context)`` evaluated once per distinct node
+    and context.
 
-    ``recurse`` memoises on node identity for the duration of the call;
-    the memo holds each node it has seen, so no identity is reused while
-    it runs, not even one of a node that ``step`` builds on the fly.
+    ``recurse(node, *context)`` memoises on the node's identity and the
+    context for the duration of the call; the memo holds each node it has
+    seen, so no identity is reused while it runs, not even one of a node
+    that ``step`` builds on the fly.
     """
-    memo: dict[int, tuple] = {}
+    memo: dict[tuple, tuple] = {}
 
-    def recurse(f: Formula):
-        hit = memo.get(id(f))
+    def recurse(f: Formula, *context):
+        key = (id(f), context)
+        hit = memo.get(key)
         if hit is None:
-            hit = memo[id(f)] = (f, step(f, recurse))
+            hit = memo[key] = (f, step(f, recurse, *context))
         return hit[1]
 
-    return recurse(phi)
+    try:
+        return recurse(phi, *context)
+    finally:
+        # ``recurse`` refers to itself: emptying its cell leaves no cycle
+        del recurse
 
 
 # -- substitution ------------------------------------------------------------
@@ -383,11 +390,15 @@ def simplify_vacuous(phi: Formula) -> Formula:
     def step(f: Formula, recurse) -> Formula:
         if isinstance(f, Quant):
             body = recurse(f.body)
-            free = free_agent_vars(body)
+            # the body keeps its free variables, and its facts
+            free = free_agent_vars(f.body)
             kept = tuple(q for q in f.prefix if q[1] in free)
+            if kept == f.prefix and body is f.body:
+                return f
             return Quant(kept, body) if kept else body
         return map_children(f, recurse)
 
+    facts(phi)
     return memo_walk(phi, step)
 
 
@@ -403,6 +414,8 @@ def merge_quantifiers(phi: Formula) -> Formula:
                        i for _, i in body.prefix)):
                 prefix = prefix + body.prefix
                 body = body.body
+            if prefix is f.prefix and body is f.body:
+                return f
             return Quant(prefix, body)
         return map_children(f, recurse)
 
@@ -461,37 +474,31 @@ def check_syntax(phi: StateFormula) -> list[SyntaxIssue]:
     Vacuous quantifiers are simplified away before the polarity checks, per
     the convention that such quantification is removed automatically.
     """
-    issues: list[SyntaxIssue] = []
-    # shared nodes whose subtree raised nothing are not walked again
-    clean: set[int] = set()
-
-    def walk(f: Formula, path: tuple[int, ...]) -> None:
-        if id(f) in clean:
-            return
-        before = len(issues)
+    def step(f: Formula, recurse) -> list[SyntaxIssue]:
+        # paths are relative to ``f``; a parent puts its child's index first
+        issues: list[SyntaxIssue] = []
         if isinstance(f, Coop):
             if f.t1 == Y2:
-                issues.append(PositionViolation(path, 1))
+                issues.append(PositionViolation((), 1))
             if f.t2 == Y1:
-                issues.append(PositionViolation(path, 2))
+                issues.append(PositionViolation((), 2))
         if isinstance(f, Quant):
             admissible = (
                 1 <= len(f.prefix) <= 2
                 and all(q in (EXISTS, FORALL) and i in (1, 2) for q, i in f.prefix)
                 and len({i for _, i in f.prefix}) == len(f.prefix))
             if not admissible:
-                issues.append(InadmissiblePrefix(path, f.prefix))
+                issues.append(InadmissiblePrefix((), f.prefix))
             for _, i in f.prefix:
-                found = polarity(f.body, i)
+                found = polarity(f.body, i) if i in (1, 2) else "absent"
                 if found not in ("all-positive", "absent"):
-                    issues.append(PolarityViolation(path, i, found))
+                    issues.append(PolarityViolation((), i, found))
         for idx, c in enumerate(children(f)):
-            walk(c, path + (idx,))
-        if len(issues) == before:
-            clean.add(id(f))
+            issues += [issue.__class__((idx,) + issue.path, *issue._key()[1:])
+                       for issue in recurse(c)]
+        return issues
 
-    walk(simplify_vacuous(phi), ())
-    return issues
+    return memo_walk(simplify_vacuous(phi), step)
 
 
 # -- normal form -------------------------------------------------------------
@@ -501,47 +508,32 @@ def is_normal_form(phi: StateFormula) -> bool:
     """NF1: no universal y1 or existential y2 quantifiers anywhere.
     NF2: a strategic operator using a bound y1 (or y2) alone is directly
     under its binder, which is the innermost quantifier of that node.
-    NF3: one using both is directly under E y1 A y2 or A y2 E y1."""
-    target = merge_quantifiers(phi)
+    NF3: one using both is directly under E y1 A y2 or A y2 E y1.
+    Nested quantifiers are merged (``merge_quantifiers``) first."""
+    return is_merged_normal_form(merge_quantifiers(phi))
 
-    ok = True
-    seen: set[tuple] = set()
 
-    def walk(f: Formula, bound: frozenset[int],
-             parent_prefix: Optional[QuantPrefix]) -> None:
-        nonlocal ok
-        key = (id(f), bound, parent_prefix)
-        if not ok or key in seen:
-            return
-        seen.add(key)
+def is_merged_normal_form(phi: StateFormula) -> bool:
+    """``is_normal_form`` of a formula whose quantifiers are merged."""
+    def step(f: Formula, recurse, bound: frozenset[int],
+             parent_prefix: Optional[QuantPrefix]) -> bool:
         if isinstance(f, Quant):
-            for q, i in f.prefix:
-                if (q, i) in ((FORALL, 1), (EXISTS, 2)):
-                    ok = False
-                    return
+            if any(q in ((FORALL, 1), (EXISTS, 2)) for q in f.prefix):
+                return False
             inner = f.prefix if isinstance(f.body, Coop) else None
-            walk(f.body, bound | {i for _, i in f.prefix}, inner)
-            return
+            return recurse(f.body, bound | {i for _, i in f.prefix}, inner)
         if isinstance(f, Coop):
             b1 = f.t1 == Y1 and 1 in bound
             b2 = f.t2 == Y2 and 2 in bound
             if b1 and b2:
-                if parent_prefix not in (((EXISTS, 1), (FORALL, 2)),
-                                         ((FORALL, 2), (EXISTS, 1))):
-                    ok = False
-                    return
-            elif b1:
-                if not parent_prefix or parent_prefix[-1] != (EXISTS, 1):
-                    ok = False
-                    return
-            elif b2:
-                if not parent_prefix or parent_prefix[-1] != (FORALL, 2):
-                    ok = False
-                    return
-            walk(f.objective, bound, None)
-            return
-        for c in children(f):
-            walk(c, bound, None)
+                placed = parent_prefix in (((EXISTS, 1), (FORALL, 2)),
+                                           ((FORALL, 2), (EXISTS, 1)))
+            elif b1 or b2:
+                placed = bool(parent_prefix) and parent_prefix[-1] == (
+                    (EXISTS, 1) if b1 else (FORALL, 2))
+            else:
+                placed = True
+            return placed and recurse(f.objective, bound, None)
+        return all(recurse(c, bound, None) for c in children(f))
 
-    walk(target, frozenset(), None)
-    return ok
+    return memo_walk(phi, step, frozenset(), None)

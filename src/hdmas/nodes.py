@@ -88,12 +88,6 @@ class LinTerm(Node):
     def vars(self) -> frozenset[str]:
         return frozenset(v for v, _ in self.coeffs)
 
-    def coeff(self, var: str) -> int:
-        for v, c in self.coeffs:
-            if v == var:
-                return c
-        return 0
-
     def add(self, other: "LinTerm") -> "LinTerm":
         return LinTerm.make(tuple(self.coeffs) + tuple(other.coeffs),
                             self.const + other.const)
@@ -108,9 +102,6 @@ class LinTerm(Node):
 
     def shift(self, k: int) -> "LinTerm":
         return LinTerm(self.coeffs, self.const + k)
-
-    def is_const(self) -> bool:
-        return not self.coeffs
 
 
 class Atom(Node):

@@ -75,21 +75,11 @@ def push(prefix: QuantPrefix, xi: Formula) -> Formula:
     is also pushed into the temporal objective; at an inner quantifier the
     shadowed part of the prefix is dropped.
     """
-    # memoised on (prefix, node identity); the memo keeps each node alive
-    memo: dict[tuple, tuple] = {}
-
-    def go(prefix: QuantPrefix, xi: Formula) -> Formula:
-        key = (prefix, id(xi))
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = (xi, step(prefix, xi))
-        return hit[1]
-
-    def step(prefix: QuantPrefix, xi: Formula) -> Formula:
+    def step(xi: Formula, go, prefix: QuantPrefix) -> Formula:
         if isinstance(xi, NotF):
-            return NotF(go(_dual(prefix), xi.arg))
+            return NotF(go(xi.arg, _dual(prefix)))
         if isinstance(xi, Coop):
-            body = Coop(xi.t1, xi.t2, go(prefix, xi.objective))
+            body = Coop(xi.t1, xi.t2, go(xi.objective, prefix))
             if len(prefix) == 1:
                 q, i = prefix[0]
                 matches = (xi.t1 == Y1) if i == 1 else (xi.t2 == Y2)
@@ -109,15 +99,16 @@ def push(prefix: QuantPrefix, xi: Formula) -> Formula:
                 else Quant(xi.prefix[1:], xi.body)
             if len(prefix) == 1:
                 if prefix[0][1] == head[1]:
-                    return go((head,), rest)
-                return go((prefix[0], head), rest)
+                    return go(rest, (head,))
+                return go(rest, (prefix[0], head))
             first, second = prefix
             if first[1] == head[1]:
-                return go((second, head), rest)
-            return go((first, head), rest)
-        return map_children(xi, lambda c: go(prefix, c))
+                return go(rest, (second, head))
+            return go(rest, (first, head))
+        return map_children(xi, lambda c: go(c, prefix))
 
-    return go(prefix, xi)
+    # memoised on (node identity, prefix)
+    return memo_walk(xi, step, prefix)
 
 
 def nf(xi: Formula) -> Formula:

@@ -260,26 +260,33 @@ def _parse_guard_and(ts: _Stream) -> PresFormula:
 # guard and formula printing
 
 
+def _digits(n: int) -> str:
+    """``str(n)`` for a printed constant; an error naming the limit when
+    it has more digits than ``str`` writes, as a computed one may."""
+    try:
+        return str(n)
+    except ValueError:
+        raise SemanticError(f"a constant to print has more than "
+                            f"{sys.get_int_max_str_digits()} digits") from None
+
+
 def _term_sides(t: LinTerm) -> tuple[str, str]:
     def monomial(v: str, c: int) -> str:
-        return v if c == 1 else f"{c}*{v}"
+        return v if c == 1 else f"{_digits(c)}*{v}"
 
     left = [monomial(v, c) for v, c in t.coeffs if c > 0]
     right = [monomial(v, -c) for v, c in t.coeffs if c < 0]
     if t.const > 0:
-        left.append(str(t.const))
+        left.append(_digits(t.const))
     elif t.const < 0:
-        right.append(str(-t.const))
+        right.append(_digits(-t.const))
     return (" + ".join(left) or "0", " + ".join(right) or "0")
 
 
 def _signed_term(t: LinTerm) -> str:
-    parts = []
-    for v, c in t.coeffs:
-        name = v
-        parts.append(name if c == 1 else f"{c}*{name}")
+    parts = [v if c == 1 else f"{_digits(c)}*{v}" for v, c in t.coeffs]
     if t.const or not parts:
-        parts.append(str(t.const))
+        parts.append(_digits(t.const))
     return " + ".join(parts)
 
 
@@ -296,7 +303,7 @@ def guard_to_str(phi: PresFormula) -> str:
     if isinstance(phi, AtomF):
         a = phi.atom
         if a.kind == DVD:
-            return f"({a.divisor} | {_signed_term(a.term)})"
+            return f"({_digits(a.divisor)} | {_signed_term(a.term)})"
         lhs, rhs = _term_sides(a.term)
         op = "=" if a.kind == EQ else "<"
         return f"{lhs} {op} {rhs}"

@@ -698,7 +698,7 @@ class Cell:
         if not pins and not self.divs:
             return self
         families: dict = {}
-        for lit in self.divs:
+        for lit in sorted(self.divs):
             part, side, (d, c) = lit
             known = {v for v, _ in part if v in fixed}
             if known:
@@ -738,7 +738,7 @@ class Cell:
         ``v`` pivots it away, the one with the least coefficient on ``v``
         first, and bounds on it combine by ``_shadow``.  A divisibility
         literal on ``v`` is first unfolded into equalities by ``_unfold``."""
-        mention = [d for d in self.divs if _part_coeff(d[0], v)]
+        mention = [d for d in sorted(self.divs) if _part_coeff(d[0], v)]
         if mention:
             return self._unfold(v, mention)
         unit = ((v, 1),)

@@ -90,6 +90,11 @@ def cell_of(literals, cell=None):
         [lit for lit in lits if lit is not None])
 
 
+def coeff(term, v):
+    """The coefficient of ``v`` in a linear term, 0 when it has none."""
+    return dict(term.coeffs).get(v, 0)
+
+
 def drop(term, v):
     """The linear term without its ``v`` summand."""
     return LinTerm(tuple((u, c) for u, c in term.coeffs if u != v), term.const)

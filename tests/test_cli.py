@@ -1,14 +1,16 @@
+import gc
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
 import hdmas.engine
 from helpers import ring_text
-from hdmas import cli
+from hdmas import cli, logic
 from hdmas.cli import main
 from hdmas.engine import ModelChecker
 from hdmas.logic import EXISTS, FORALL, Nat, Y1, Y2
@@ -359,6 +361,16 @@ def test_dump_prf(capsys):
     assert "k_a" in out and "l_a" in out and "E " in out and "A " in out
 
 
+def test_a_dump_prf_constant_longer_than_str_writes_is_an_error(capsys):
+    # a count of as many nines as int reads: the game's sum bound is the
+    # constant t1 + 1, one digit longer than str writes
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "verify", FIG2, "-f",
+                             f"<<{'9' * limit},1>> X p", "--dump-prf", "s1")
+    assert (code, out) == (2, "")
+    assert err == f"error: a constant to print has more than {limit} digits\n"
+
+
 def test_an_empty_dump_prf_value_still_asks_for_the_dump(capsys):
     # the option is given, so the dump is asked for, and "" names no state
     code, out, err = run_cli(capsys, "verify", FIG2, "-f", "<<1,1>> X p",
@@ -704,3 +716,65 @@ def test_iff_chain_work_is_polynomial(capsys, leaves):
     small = _python_calls(capsys, _iff_chain(IFF_LEAVES[leaves], 8))
     large = _python_calls(capsys, _iff_chain(IFF_LEAVES[leaves], 12))
     assert large < 4 * small, (small, large)
+
+
+UNTIL = "E y1 <<y1,10>> ((A y2 E y1 <<y1,y2>> G p) U (A y2 <<0,y2>> G q))"
+# formula -> the most walks of one verify --json run, and of global_mc in it
+WALK_BOUNDS = {"<<3,2>> G p": (11, 3), UNTIL: (40, 4)}
+
+
+@pytest.mark.parametrize("formula", list(WALK_BOUNDS))
+def test_a_verify_run_walks_its_formula_a_bounded_number_of_times(
+        capsys, monkeypatch, formula):
+    # each fact of a formula is walked for once: the checker takes its
+    # normal form once and reads each node's symbols from kept facts
+    walks = {"run": 0, "global_mc": 0}
+    inside = []
+    walk, global_mc = logic.memo_walk, ModelChecker.global_mc
+
+    def counted(*args):
+        walks["run"] += 1
+        walks["global_mc"] += bool(inside)
+        return walk(*args)
+
+    def entered(self, *args):
+        inside.append(True)
+        try:
+            return global_mc(self, *args)
+        finally:
+            inside.pop()
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hdmas") and getattr(module, "memo_walk", None) is walk:
+            monkeypatch.setattr(module, "memo_walk", counted)
+    monkeypatch.setattr(ModelChecker, "global_mc", entered)
+    code, _, _ = run_cli(capsys, "verify", FIG2, "-f", formula, "--json")
+    most_run, most_global_mc = WALK_BOUNDS[formula]
+    assert code == 0
+    assert walks["run"] <= most_run and walks["global_mc"] <= most_global_mc, walks
+
+
+def _from_package(obj) -> bool:
+    """Whether an object's type, or the object as a function, is defined
+    in the package."""
+    module = getattr(obj, "__module__", None) if isinstance(
+        obj, types.FunctionType) else type(obj).__module__
+    return (module or "").split(".")[0] == "hdmas"
+
+
+@pytest.mark.parametrize("formula", list(WALK_BOUNDS))
+def test_a_verify_run_leaves_no_cyclic_garbage_from_the_package(capsys,
+                                                               formula):
+    # a walker that refers to itself would leave its closures, and the
+    # nodes they hold, for the cycle collector
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code, _, _ = run_cli(capsys, "verify", FIG2, "-f", formula, "--json")
+        gc.collect()
+        found = [obj for obj in gc.garbage if _from_package(obj)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert code == 0
+    assert found == []

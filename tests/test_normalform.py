@@ -1,11 +1,22 @@
+import contextlib
+import io
+import json
+import pathlib
 import random
+from unittest import mock
 
 from helpers import canonical_shape, size
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hdmas import cli
+from hdmas.engine import ModelChecker
 from hdmas.logic import (EXISTS, FORALL, AndF, Coop, Globally, Nat, Next,
                          NotF, OrF, Param, Prop, Quant, Top, Until, Y1, Y2,
-                         check_syntax, eventually, is_normal_form)
+                         check_syntax, eventually, is_normal_form,
+                         merge_quantifiers, simplify_vacuous)
 from hdmas.normalform import nf, pqe, push
+from hdmas.parsing import formula_to_str
 
 E, A = EXISTS, FORALL
 p, q = Prop("p"), Prop("q")
@@ -175,6 +186,31 @@ def test_nf_closure_and_idempotence_and_size():
         assert is_normal_form(normalised), (phi, normalised)
         assert nf(normalised) == normalised
         assert size(normalised) <= size(phi)
+
+
+FIG2 = str(pathlib.Path(cli.__file__).parent / "fixtures" / "fig2.hdmas")
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_the_cli_prints_the_normal_form_that_the_checker_evaluates(seed):
+    phi = _random_formula(random.Random(seed), 3)
+    evaluated = []
+    extent = ModelChecker._extent
+
+    def recording(self, f, theta):
+        evaluated.append(f)
+        return extent(self, f, theta)
+
+    out = io.StringIO()
+    with mock.patch.object(ModelChecker, "_extent", recording), \
+            contextlib.redirect_stdout(out):
+        code = cli.main(["verify", FIG2, "-f", formula_to_str(phi), "--json",
+                         "--assign", "z1=2", "--assign", "z2=1"])
+    assert code == 0
+    normal = evaluated[0]
+    assert json.loads(out.getvalue())["normal_form"] == formula_to_str(normal)
+    assert merge_quantifiers(simplify_vacuous(nf(normal))) == normal
 
 
 def test_nf_preserves_extensions_where_enumeration_applies(fig2):
