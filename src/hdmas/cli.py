@@ -32,8 +32,8 @@ import sys
 from typing import NoReturn, Optional, Sequence
 
 from .engine import EngineError, ModelChecker, quantified_prf, _resolve_term
-from .logic import (Coop, Quant, StateFormula, assignment_symbols,
-                    merge_quantifiers, props_of, simplify_vacuous, Next)
+from .logic import (Coop, Quant, StateFormula, assignment_symbols, props_of,
+                    Next)
 from .model import HdmasModel, StateSet, check_wellformed
 from .normalform import nf
 from .parsing import (ParseError, SemanticError, formula_to_str, guard_to_str,
@@ -161,7 +161,7 @@ def _verify(model_path: str, opts: dict) -> int:
         raise SemanticError("unknown propositions in the formula: "
                             + ", ".join(sorted(unknown)))
 
-    normal = merge_quantifiers(simplify_vacuous(nf(phi)))
+    normal = nf(phi)
 
     if "--dump-nf" in opts:
         print(formula_to_str(normal))

@@ -362,26 +362,6 @@ def memo_walk(phi: Formula, step, *context):
         del recurse
 
 
-# -- substitution ------------------------------------------------------------
-
-
-def subst_term(phi: Formula, target: Term, k: int) -> Formula:
-    """Uniform substitution of the free occurrences of a term by a numeral."""
-    replacement = Nat(k)
-
-    def step(f: Formula, recurse) -> Formula:
-        if isinstance(f, Coop):
-            return Coop(replacement if f.t1 == target else f.t1,
-                        replacement if f.t2 == target else f.t2,
-                        recurse(f.objective))
-        if (isinstance(f, Quant) and isinstance(target, AgentVar)
-                and any(i == target.index for _, i in f.prefix)):
-            return f            # every occurrence below is bound here
-        return map_children(f, recurse)
-
-    return memo_walk(phi, step)
-
-
 # -- vacuous quantifiers and merged prefixes --------------------------------
 
 

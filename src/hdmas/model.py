@@ -307,6 +307,17 @@ class CheckOutcome:
                 f" detail={self.detail!r})")
 
 
+def _witness_text(witness: Optional[dict[str, int]]) -> str:
+    """The witness as ``str`` writes it, each count through the printers'
+    digit guard."""
+    from .parsing import _digits
+
+    if witness is None:
+        return "None"
+    return "{" + ", ".join(f"{k!r}: {_digits(n)}"
+                           for k, n in witness.items()) + "}"
+
+
 class WellformednessReport:
     """Verdicts for every state and every ordered pair of declared edges
     out of a state.
@@ -333,13 +344,13 @@ class WellformednessReport:
         for s, v in self.scoping.items():
             out.append(f"guard-scoping     {s}: {'ok' if v.ok else 'FAIL ' + v.detail}")
         for s, v in self.totality.items():
-            suffix = "" if v.ok else f" witness {v.witness}"
+            suffix = "" if v.ok else f" witness {_witness_text(v.witness)}"
             out.append(f"totality          {s}: {'ok' if v.ok else 'FAIL' + suffix}")
         for (s, d1, d2), v in self.determinism.items():
             if v.ok:
                 continue
             out.append(f"determinism       {s}: edges to {d1} and {d2} overlap,"
-                       f" witness {v.witness}")
+                       f" witness {_witness_text(v.witness)}")
         if all(v.ok for v in self.determinism.values()):
             out.append("determinism       all ordered pairs: ok")
         return out

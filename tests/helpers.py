@@ -5,9 +5,10 @@ import math
 import numpy as np
 
 from hdmas.engine import _resolve_term, _share, build_prf
-from hdmas.logic import (EXISTS, AndF, Coop, Globally, Nat, Next, NotF, OrF,
-                         Prop, Quant, Top, Until, children, map_children,
-                         memo_walk, merge_quantifiers, simplify_vacuous)
+from hdmas.logic import (EXISTS, FORALL, Y1, Y2, AgentVar, AndF, Coop,
+                         Globally, Nat, Next, NotF, OrF, Prop, Quant, Top,
+                         Until, children, map_children, memo_walk,
+                         merge_quantifiers, simplify_vacuous)
 from hdmas.model import (IDLE, IDLE_COUNTER, CheckOutcome,
                          WellformednessReport, guard_union, least_point)
 from hdmas.parsing import _parse_guard_expr, _Stream, guard_to_str, tokenize
@@ -139,6 +140,129 @@ def canonical_shape(phi):
     """Shape of a state formula used for structural comparison: vacuous
     quantifiers dropped, prefixes merged, connective chains right-nested."""
     return _reassoc(merge_quantifiers(simplify_vacuous(phi)))
+
+
+# ---------------------------------------------------------------------------
+# the normal form as it was built before ``nf`` became two walks: ``pqe``
+# and ``push`` once per quantifier node, bottom-up, with a substitution of
+# 0 into the objective per collapsed pattern; its output is neither merged
+# nor free of vacuous quantifiers
+
+
+def _reference_subst_term(phi, target, k):
+    """Uniform substitution of the free occurrences of a term by a numeral."""
+    replacement = Nat(k)
+
+    def step(f, recurse):
+        if isinstance(f, Coop):
+            return Coop(replacement if f.t1 == target else f.t1,
+                        replacement if f.t2 == target else f.t2,
+                        recurse(f.objective))
+        if (isinstance(f, Quant) and isinstance(target, AgentVar)
+                and any(i == target.index for _, i in f.prefix)):
+            return f
+        return map_children(f, recurse)
+
+    return memo_walk(phi, step)
+
+
+def _reference_dual(prefix):
+    return tuple((FORALL if q == EXISTS else EXISTS, i) for q, i in prefix)
+
+
+def _reference_peel(phi):
+    quants = []
+    while isinstance(phi, Quant):
+        quants.extend(phi.prefix)
+        phi = phi.body
+    return quants, phi
+
+
+def _reference_rebuild(quants, core):
+    out = core
+    for q in reversed(quants):
+        out = Quant((q,), out)
+    return out
+
+
+def reference_pqe(xi):
+    zero = Nat(0)
+    subst_term = _reference_subst_term
+
+    def step(f, recurse):
+        if not isinstance(f, Quant):
+            return map_children(f, recurse)
+        quants, core = _reference_peel(f)
+        if len(quants) == 2 and isinstance(core, Coop) \
+                and core.t1 == Y1 and core.t2 == Y2:
+            pair = (quants[0], quants[1])
+            chi = recurse(core.objective)
+            if pair in (((FORALL, 1), (EXISTS, 2)), ((EXISTS, 2), (FORALL, 1))):
+                chi = subst_term(subst_term(chi, Y1, 0), Y2, 0)
+                return Coop(zero, zero, chi)
+            if pair in (((FORALL, 1), (FORALL, 2)), ((FORALL, 2), (FORALL, 1))):
+                return Quant(((FORALL, 2),),
+                             Coop(zero, Y2, subst_term(chi, Y1, 0)))
+            if pair in (((EXISTS, 1), (EXISTS, 2)), ((EXISTS, 2), (EXISTS, 1))):
+                return Quant(((EXISTS, 1),),
+                             Coop(Y1, zero, subst_term(chi, Y2, 0)))
+        if len(quants) == 1 and isinstance(core, Coop):
+            q = quants[0]
+            if q == (FORALL, 1) and core.t1 == Y1:
+                return Coop(zero, core.t2,
+                            subst_term(recurse(core.objective), Y1, 0))
+            if q == (EXISTS, 2) and core.t2 == Y2:
+                return Coop(core.t1, zero,
+                            subst_term(recurse(core.objective), Y2, 0))
+        return Quant((quants[0],),
+                     recurse(_reference_rebuild(quants[1:], core)))
+
+    return memo_walk(xi, step)
+
+
+def reference_push(prefix, xi):
+    def step(xi, go, prefix):
+        if isinstance(xi, NotF):
+            return NotF(go(xi.arg, _reference_dual(prefix)))
+        if isinstance(xi, Coop):
+            body = Coop(xi.t1, xi.t2, go(xi.objective, prefix))
+            if len(prefix) == 1:
+                q, i = prefix[0]
+                matches = (xi.t1 == Y1) if i == 1 else (xi.t2 == Y2)
+                return Quant(prefix, body) if matches else body
+            m1 = xi.t1 == Y1
+            m2 = xi.t2 == Y2
+            if m1 and m2:
+                return Quant(prefix, body)
+            if not m1 and not m2:
+                return body
+            keep = 1 if m1 else 2
+            entry = next(q for q in prefix if q[1] == keep)
+            return Quant((entry,), body)
+        if isinstance(xi, Quant):
+            head = xi.prefix[0]
+            rest = xi.body if len(xi.prefix) == 1 \
+                else Quant(xi.prefix[1:], xi.body)
+            if len(prefix) == 1:
+                if prefix[0][1] == head[1]:
+                    return go(rest, (head,))
+                return go(rest, (prefix[0], head))
+            first, second = prefix
+            if first[1] == head[1]:
+                return go(rest, (second, head))
+            return go(rest, (first, head))
+        return map_children(xi, lambda c: go(c, prefix))
+
+    return memo_walk(xi, step, prefix)
+
+
+def reference_nf(xi):
+    def step(f, recurse):
+        if isinstance(f, Quant):
+            return reference_pqe(reference_push(f.prefix, recurse(f.body)))
+        return map_children(f, recurse)
+
+    return memo_walk(xi, step)
 
 
 def dnf_formulas(dnf):

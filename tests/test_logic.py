@@ -8,8 +8,7 @@ from hdmas.logic import (EXISTS, FORALL, AndF, Coop, Globally, Nat, Next,
                          PositionViolation, Prop, Quant, Top, Until, Y1, Y2,
                          assignment_symbols, check_syntax, children, eventually,
                          free_agent_vars, is_normal_form, map_children,
-                         merge_quantifiers, polarity, simplify_vacuous,
-                         subst_term)
+                         merge_quantifiers, polarity, simplify_vacuous)
 
 E, A = EXISTS, FORALL
 captured = Prop("captured")
@@ -97,28 +96,6 @@ def test_normal_form_requires_adjacent_binder():
     assert is_normal_form(flipped)
     wrong_order = Quant(((E, 1), (A, 2)), Coop(Y1, Nat(3), Next(p)))
     assert not is_normal_form(wrong_order)
-
-
-def test_subst_term_under_coop():
-    phi = Coop(Y1, Param(1), Globally(Coop(Y1, Nat(2), Next(p))))
-    got = subst_term(phi, Y1, 0)
-    assert got == Coop(Nat(0), Param(1), Globally(Coop(Nat(0), Nat(2), Next(p))))
-
-
-def test_subst_term_respects_binding():
-    phi = Quant(((E, 1),), Coop(Y1, Nat(5), Next(p)))
-    assert subst_term(phi, Y1, 9) == phi
-
-
-def test_subst_term_parameter_both_positions():
-    phi = Coop(Param(1), Param(1), Next(p))
-    assert subst_term(phi, Param(1), 4) == Coop(Nat(4), Nat(4), Next(p))
-
-
-def test_subst_term_idempotent():
-    phi = Quant(((A, 2),), Coop(Nat(1), Y2, Until(p, Coop(Param(2), Y2, Next(p)))))
-    once = subst_term(phi, Param(2), 3)
-    assert subst_term(once, Param(2), 3) == once
 
 
 def test_vacuous_quantifier_simplification():

@@ -5,16 +5,17 @@ import pathlib
 import random
 from unittest import mock
 
-from helpers import canonical_shape, size
+import pytest
+from helpers import canonical_shape, reference_nf, size
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdmas import cli
+from hdmas import cli, normalform
 from hdmas.engine import ModelChecker
 from hdmas.logic import (EXISTS, FORALL, AndF, Coop, Globally, Nat, Next,
                          NotF, OrF, Param, Prop, Quant, Top, Until, Y1, Y2,
-                         check_syntax, eventually, is_normal_form,
-                         merge_quantifiers, simplify_vacuous)
+                         check_syntax, eventually, free_agent_vars,
+                         is_normal_form, merge_quantifiers, simplify_vacuous)
 from hdmas.normalform import nf, pqe, push
 from hdmas.parsing import formula_to_str
 
@@ -70,10 +71,44 @@ def test_pqe_collapsing_mixed_pairs():
         assert pqe(phi) == Coop(Nat(0), Nat(0), Next(p))
 
 
-def test_pqe_substitutes_free_occurrences_in_objective():
+def test_nf_collapses_free_occurrences_in_objective():
+    # push gives the inner y1 its own A y1, which collapses like the outer
     phi = Quant(((A, 1),), Coop(Y1, Nat(5), Next(Coop(Y1, Nat(1), Next(p)))))
-    assert pqe(phi) == Coop(Nat(0), Nat(5),
-                            Next(Coop(Nat(0), Nat(1), Next(p))))
+    assert nf(phi) == Coop(Nat(0), Nat(5),
+                           Next(Coop(Nat(0), Nat(1), Next(p))))
+
+
+def test_pqe_leaves_the_objective_as_it_is():
+    # after push every y1 of an objective is bound at its own operator
+    inner = Quant(((E, 1),), Coop(Y1, Nat(1), Next(p)))
+    phi = Quant(((A, 1),), Coop(Y1, Nat(5), Next(inner)))
+    got = pqe(phi)
+    assert got == Coop(Nat(0), Nat(5), Next(inner))
+    assert got.objective is phi.body.objective
+
+
+def test_nf_zeroes_a_collapsed_counter_under_an_operator():
+    phi = Quant(((A, 1),), Coop(Y1, Param(1), Globally(
+        Coop(Y1, Nat(2), Next(p)))))
+    assert nf(phi) == Coop(Nat(0), Param(1), Globally(
+        Coop(Nat(0), Nat(2), Next(p))))
+
+
+def test_nf_respects_an_inner_binding():
+    # the inner E y1 rebinds y1: the outer A y1 does not reach its operator
+    inner = Quant(((E, 1),), Coop(Y1, Nat(5), Next(p)))
+    got = nf(Quant(((A, 1),), Coop(Y1, Nat(3), Next(inner))))
+    assert got == Coop(Nat(0), Nat(3), Next(inner))
+    assert got.objective.arg is inner
+
+
+def test_nf_is_idempotent_beside_parameters():
+    phi = Quant(((A, 2),), Coop(Nat(1), Y2, Until(
+        p, Coop(Param(2), Y2, Next(p)))))
+    once = nf(phi)
+    assert once == Quant(((A, 2),), Coop(Nat(1), Y2, Until(
+        p, Quant(((A, 2),), Coop(Param(2), Y2, Next(p))))))
+    assert nf(once) is once
 
 
 def test_push_distributes_through_the_worked_example():
@@ -132,7 +167,7 @@ def test_nf_identity_on_normal_forms():
         OrF(p, NotF(q)),
     ]
     for phi in fixtures:
-        assert nf(phi) == phi
+        assert nf(phi) is phi
 
 
 def test_nf_trivial_boolean():
@@ -187,6 +222,77 @@ def test_nf_closure_and_idempotence_and_size():
         assert nf(normalised) == normalised
         assert size(normalised) <= size(phi)
 
+
+
+def _random_closed_formula(rng, depth, bound=frozenset()):
+    """A closed formula whose operators may also use a y1 or y2 bound by an
+    outer binder, over a whole subformula or at an outer operator; ``bound``
+    holds the variables an enclosing binder makes positive here."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.15:
+        return rng.choice([p, q, Top()])
+    if roll < 0.3:
+        # an outer binder's variable would occur negatively under the negation
+        return NotF(_random_closed_formula(rng, depth - 1))
+    if roll < 0.45:
+        return rng.choice((AndF, OrF))(
+            _random_closed_formula(rng, depth - 1, bound),
+            _random_closed_formula(rng, depth - 1, bound))
+    if roll < 0.6:
+        binds = rng.sample((1, 2), rng.choice((1, 2)))
+        return Quant(tuple((rng.choice((E, A)), i) for i in binds),
+                     _random_closed_formula(rng, depth - 1, bound | set(binds)))
+    binds = [i for i in (1, 2) if rng.random() < 0.35]
+    scope = bound | set(binds)
+    t1 = Y1 if 1 in scope and rng.random() < 0.7 \
+        else rng.choice([Nat(rng.randrange(5)), Param(1)])
+    t2 = Y2 if 2 in scope and rng.random() < 0.7 \
+        else rng.choice([Nat(rng.randrange(5)), Param(2)])
+    body = _random_closed_formula(rng, depth - 1, scope)
+    kind = rng.random()
+    if kind < 0.4:
+        objective = Next(body)
+    elif kind < 0.7:
+        objective = Globally(body)
+    else:
+        objective = Until(body, _random_closed_formula(rng, depth - 1, scope))
+    coop = Coop(t1, t2, objective)
+    rng.shuffle(binds)
+    prefix = tuple((rng.choice((E, A)), i) for i in binds)
+    return Quant(prefix, coop) if prefix else coop
+
+
+def test_nf_is_the_merged_reference_normal_form():
+    rng = random.Random(41)
+    for k in range(1500):
+        phi = _random_closed_formula(rng, 5) if k % 2 \
+            else _random_formula(rng, 4)
+        assert check_syntax(phi) == [] and not free_agent_vars(phi), phi
+        normal = nf(phi)
+        assert normal == merge_quantifiers(simplify_vacuous(reference_nf(phi)))
+        # already merged and free of vacuous quantifiers
+        assert simplify_vacuous(normal) is normal
+        assert merge_quantifiers(normal) is normal
+
+
+@pytest.mark.parametrize("depth", [5, 20])
+def test_nf_walks_a_formula_twice_whatever_its_nesting(monkeypatch, depth):
+    phi = p
+    for k in range(depth):
+        prefix = (((E, 1),), ((A, 1), (A, 2)), ((E, 2), (E, 1)))[k % 3]
+        phi = Quant(prefix, Coop(Y1, Y2, Next(phi)))
+    walks = []
+    walk = normalform.memo_walk
+
+    def counted(*args):
+        walks.append(True)
+        return walk(*args)
+
+    monkeypatch.setattr(normalform, "memo_walk", counted)
+    normal = nf(phi)
+    assert len(walks) == 2
+    assert is_normal_form(normal)
+    assert normal == merge_quantifiers(simplify_vacuous(reference_nf(phi)))
 
 FIG2 = str(pathlib.Path(cli.__file__).parent / "fixtures" / "fig2.hdmas")
 
