@@ -30,8 +30,7 @@ from typing import Mapping, Optional, Union
 from .logic import (EXISTS, FORALL, AgentVar, AndF, Coop, Globally, Nat, Next,
                     NotF, OrF, Prop, Quant, QuantPrefix, StateFormula, Term,
                     Top, Until, assignment_symbols, check_syntax,
-                    is_merged_normal_form, merge_quantifiers,
-                    simplify_vacuous, term_symbol)
+                    term_symbol)
 from .model import IDLE_COUNTER, HdmasModel, StateSet, guard_union
 from .normalform import nf
 from .presburger import (TRUE, Exists, Forall, FreeVariableError, Not, Or,
@@ -214,10 +213,10 @@ class ModelChecker:
     with no edge into the targets leaves the set with no game built.
     Every round yields the same set as the plain Kleene iteration.
 
-    ``global_mc`` merges and checks its formula once, at entry, and cuts
-    the assignment down to the symbols the formula needs; below it every
-    subformula, fixpoint operands included, is normal already, and its
-    extension is memoised by the node and that assignment.  The instance
+    ``global_mc`` takes ``nf``'s output as it is, with no walk to merge
+    or check it, and cuts the assignment down to the symbols the formula
+    needs; every subformula, fixpoint operands included, is normal, and
+    its extension is memoised by the node and that assignment.  The instance
     is reusable across formulas and assignments.
     """
 
@@ -238,7 +237,7 @@ class ModelChecker:
         for every natural t2 (take l̄ = 0), and so is each prefix's form.
         """
         if pfix not in PFIXES:
-            raise EngineError(f"unsupported quantifier prefix {pfix}")
+            raise NotNormalForm(f"unsupported quantifier prefix {pfix}")
         r1 = _resolve_term(t1, theta, pfix)
         r2 = _resolve_term(t2, theta, pfix)
         model = self.model
@@ -280,8 +279,8 @@ class ModelChecker:
     def g_fixpoint(self, t1: Term, t2: Term, psi: StateFormula,
                    theta: Assignment, pfix: QuantPrefix,
                    trace: Optional[list[StateSet]] = None) -> StateSet:
-        """Greatest fixpoint for invariance objectives; ``psi`` is merged
-        and normal, as every operand below ``global_mc`` is."""
+        """Greatest fixpoint for invariance objectives; ``psi`` is normal,
+        as every operand below ``global_mc`` is."""
         targets = self._extent(psi, theta)
         w = self.model.all_states()
         z = dirty = targets
@@ -300,7 +299,7 @@ class ModelChecker:
                    psi2: StateFormula, theta: Assignment, pfix: QuantPrefix,
                    trace: Optional[list[StateSet]] = None) -> StateSet:
         """Least fixpoint for reachability-until objectives; the operands
-        are merged and normal."""
+        are normal."""
         q1 = self._extent(psi1, theta)
         w = 0
         z = self._extent(psi2, theta)
@@ -316,10 +315,10 @@ class ModelChecker:
         return z
 
     def global_mc(self, phi: StateFormula, theta: Assignment) -> StateSet:
-        """Extension of a normal-form formula under an assignment."""
-        phi = merge_quantifiers(simplify_vacuous(phi))
-        if not is_merged_normal_form(phi):
-            raise NotNormalForm(phi)
+        """Extension of a formula in ``nf``'s normal form under an
+        assignment.  A quantifier node not directly on a strategic operator,
+        or a prefix outside ``PFIXES``, raises ``NotNormalForm`` where it is
+        met."""
         return self._extent(phi, {k: theta[k] for k in assignment_symbols(phi)
                                   if k in theta})
 

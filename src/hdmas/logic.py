@@ -362,7 +362,7 @@ def memo_walk(phi: Formula, step, *context):
         del recurse
 
 
-# -- vacuous quantifiers and merged prefixes --------------------------------
+# -- vacuous quantifiers ----------------------------------------------------
 
 
 def simplify_vacuous(phi: Formula) -> Formula:
@@ -379,26 +379,6 @@ def simplify_vacuous(phi: Formula) -> Formula:
         return map_children(f, recurse)
 
     facts(phi)
-    return memo_walk(phi, step)
-
-
-def merge_quantifiers(phi: Formula) -> Formula:
-    """Fuse nested quantifier nodes into maximal admissible prefixes."""
-    def step(f: Formula, recurse) -> Formula:
-        if isinstance(f, Quant):
-            body = recurse(f.body)
-            prefix = f.prefix
-            while (isinstance(body, Quant)
-                   and len(prefix) + len(body.prefix) <= 2
-                   and {i for _, i in prefix}.isdisjoint(
-                       i for _, i in body.prefix)):
-                prefix = prefix + body.prefix
-                body = body.body
-            if prefix is f.prefix and body is f.body:
-                return f
-            return Quant(prefix, body)
-        return map_children(f, recurse)
-
     return memo_walk(phi, step)
 
 
@@ -479,41 +459,3 @@ def check_syntax(phi: StateFormula) -> list[SyntaxIssue]:
         return issues
 
     return memo_walk(simplify_vacuous(phi), step)
-
-
-# -- normal form -------------------------------------------------------------
-
-
-def is_normal_form(phi: StateFormula) -> bool:
-    """NF1: no universal y1 or existential y2 quantifiers anywhere.
-    NF2: a strategic operator using a bound y1 (or y2) alone is directly
-    under its binder, which is the innermost quantifier of that node.
-    NF3: one using both is directly under E y1 A y2 or A y2 E y1.
-    Nested quantifiers are merged (``merge_quantifiers``) first."""
-    return is_merged_normal_form(merge_quantifiers(phi))
-
-
-def is_merged_normal_form(phi: StateFormula) -> bool:
-    """``is_normal_form`` of a formula whose quantifiers are merged."""
-    def step(f: Formula, recurse, bound: frozenset[int],
-             parent_prefix: Optional[QuantPrefix]) -> bool:
-        if isinstance(f, Quant):
-            if any(q in ((FORALL, 1), (EXISTS, 2)) for q in f.prefix):
-                return False
-            inner = f.prefix if isinstance(f.body, Coop) else None
-            return recurse(f.body, bound | {i for _, i in f.prefix}, inner)
-        if isinstance(f, Coop):
-            b1 = f.t1 == Y1 and 1 in bound
-            b2 = f.t2 == Y2 and 2 in bound
-            if b1 and b2:
-                placed = parent_prefix in (((EXISTS, 1), (FORALL, 2)),
-                                           ((FORALL, 2), (EXISTS, 1)))
-            elif b1 or b2:
-                placed = bool(parent_prefix) and parent_prefix[-1] == (
-                    (EXISTS, 1) if b1 else (FORALL, 2))
-            else:
-                placed = True
-            return placed and recurse(f.objective, bound, None)
-        return all(recurse(c, bound, None) for c in children(f))
-
-    return memo_walk(phi, step, frozenset(), None)

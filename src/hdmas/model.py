@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .presburger import (FALSE, Exists, PresFormula, _quantify, atom_le, conj,
-                         disj, evaluate, free_vars, is_quantifier_free, neg,
-                         substitute, var)
-from .qe import decide, is_valid
+from .presburger import (FALSE, PresFormula, conj, disj, evaluate, free_vars,
+                         is_quantifier_free, neg)
+from .qe import Game, _conjuncts, decide, is_valid
 
 # the idle action has no user-visible name and its counter never occurs
 # in guards
@@ -344,8 +343,10 @@ class WellformednessReport:
         for s, v in self.scoping.items():
             out.append(f"guard-scoping     {s}: {'ok' if v.ok else 'FAIL ' + v.detail}")
         for s, v in self.totality.items():
-            suffix = "" if v.ok else f" witness {_witness_text(v.witness)}"
-            out.append(f"totality          {s}: {'ok' if v.ok else 'FAIL' + suffix}")
+            # a state whose guards fail scoping is skipped: no witness
+            found = v.detail if v.witness is None else \
+                f"witness {_witness_text(v.witness)}"
+            out.append(f"totality          {s}: {'ok' if v.ok else 'FAIL ' + found}")
         for (s, d1, d2), v in self.determinism.items():
             if v.ok:
                 continue
@@ -361,18 +362,21 @@ def least_point(phi: PresFormula,
     """The lexicographically least natural point of ``phi`` in counter
     order, or None when it has none.
 
-    Each counter takes the least ``b`` with ``exists rest. c <= b & phi``,
-    found by doubling and then bisection, and is substituted before the
-    next: O(n log value) decisions, with no bound on the values.
+    Each counter takes the least ``b`` with ``exists counters. c <= b &
+    phi``, the counters before it pinned to their values, found by
+    doubling and then bisection: O(n log value) decisions, with no bound
+    on the values.  ``phi`` is walked into conjuncts once; each decision
+    adds one literal conjunct to them, and each found value one pin.
     """
     if is_valid(neg(phi), counters):
         return None
+    conjuncts = _conjuncts(phi, False)
     point: dict[str, int] = {}
-    for i, c in enumerate(counters):
-        rest = list(counters[i:])
+    for c in counters:
+        part = ((c, 1),)
 
         def holds(b: int) -> bool:
-            return decide(_quantify(Exists, rest, conj((atom_le(var(c), b), phi))))
+            return decide(Game(counters, [*conjuncts, [((part, 1, b + 1),)]]))
 
         lo, hi = -1, 0
         while not holds(hi):
@@ -381,7 +385,7 @@ def least_point(phi: PresFormula,
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if holds(mid) else (mid, hi)
         point[c] = hi
-        phi = substitute(phi, c, hi)
+        conjuncts.append([((part, 2, hi),)])
     return point
 
 

@@ -11,17 +11,13 @@ to the input on finite models.
 
 from __future__ import annotations
 
-from .logic import (EXISTS, FORALL, Coop, Formula, Nat, NotF, Quant,
-                    QuantPrefix, Y1, Y2, map_children, memo_walk)
+from .logic import (EXISTS, FORALL, Coop, Formula, Nat, Quant, QuantPrefix,
+                    Y1, Y2, map_children, memo_walk)
 
 _ZERO = Nat(0)
 # A y1 is worst at y1 = 0 and E y2 best at y2 = 0, in any prefix, so the
 # five collapsing patterns are the prefixes holding either of them
 _COLLAPSING = frozenset(((FORALL, 1), (EXISTS, 2)))
-
-
-def _dual(prefix: QuantPrefix) -> QuantPrefix:
-    return tuple((FORALL if q == EXISTS else EXISTS, i) for q, i in prefix)
 
 
 def pqe(xi: Formula) -> Formula:
@@ -44,15 +40,16 @@ def push(prefix: QuantPrefix, xi: Formula) -> Formula:
     """Distribute a quantifier prefix, empty or not, inward onto strategic
     operators.
 
-    Negation dualises the prefix; an inner quantifier joins it, in place
-    of the one over the same variable; at a strategic operator the prefix
-    stands as one quantifier node keeping exactly the quantifiers whose
-    variable is in the matching slot, and is also pushed into the temporal
-    objective.  A node that does not change comes back as it is.
+    An inner quantifier joins the prefix, in place of the one over the
+    same variable; at a strategic operator the prefix stands as one
+    quantifier node keeping exactly the quantifiers whose variable is in
+    the matching slot, and is also pushed into the temporal objective.  A
+    negation passes the prefix on unchanged: ``check_syntax`` makes every
+    bound variable occur positively, so an even number of negations lies
+    between a quantifier and each slot it binds, and their dualisations
+    would cancel.  A node that does not change comes back as it is.
     """
     def step(xi: Formula, go, prefix: QuantPrefix) -> Formula:
-        if isinstance(xi, NotF):
-            return map_children(xi, lambda c: go(c, _dual(prefix)))
         if isinstance(xi, Coop):
             body = map_children(xi, lambda c: go(c, prefix))
             binds = (xi.t1 == Y1, xi.t2 == Y2)

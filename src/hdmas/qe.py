@@ -1,79 +1,88 @@
-"""Deciding truth of Presburger formulas over the naturals.
+"""Deciding closed Presburger games over the naturals.
 
-The procedure is quantifier elimination over the integers with every
-quantified variable relativised by ``var >= 0``.  Elimination runs
-innermost-first, one block of same-kind quantifiers at a time, through
-cells (``presburger.Cell``, which owns the window arithmetic, the interval
-box and the elimination of variables).  A block walks its body once into
-a DNF per top-level conjunct, pushing negations to the atoms as it goes,
-and one depth-first walker (``_leaves``) expands those into cells,
-splitting one conjunct at a time as DPLL(T) case splitting does.
-Variables leave a cell in rounds: each takes out of every cell the
-variables it bounds from one side only, then projects the cheapest one
-left, after pinning it when the cell's box fixes its value.  A cell whose
-box empties is dropped, and the cell set is deduplicated after each
-round; no two cells are ever united.  Projection is the only
-elimination of a variable bounded from both sides; it unfolds a
-divisibility literal on the variable into an equality with a fresh
+Every decision is a ``Game``: ``exists X. C & forall Y1. B1 & ...`` under
+outer quantifiers, its conjuncts already walked into DNF.  ``build_prf``
+assembles one per state from guards compiled once per model, and
+validity and least points (``is_valid``, ``model.least_point``) build
+theirs from a quantifier-free formula; no quantified formula is ever
+built or walked.  The procedure is quantifier elimination over the
+integers with every quantified variable relativised by ``var >= 0``,
+through cells (``presburger.Cell``, which owns the window arithmetic, the
+interval box and the elimination of variables).  A quantifier-free
+formula is walked once into a DNF per top-level conjunct (``_conjuncts``),
+pushing negations to the atoms as it goes, and one depth-first walker
+(``_leaves``) expands conjuncts into cells, splitting one conjunct at a
+time as DPLL(T) case splitting does.  Variables leave a cell in rounds:
+each takes out of every cell the variables it bounds from one side only,
+then projects the cheapest one left, after pinning it when the cell's box
+fixes its value.  A cell whose box empties is dropped, and the cell set is
+deduplicated after each round; no two cells are ever united.  Projection
+is the only elimination of a variable bounded from both sides; it unfolds
+a divisibility literal on the variable into an equality with a fresh
 variable.
 
 Every block goes through one procedure, ``_block``, a two-player loop over
 cells (Monniaux, LPAR 2008; Bjorner & Janota, LPAR 2015).  It decides
-``exists X. C & forall Y1. B1 & ...`` (each ``Bj`` closed first, each ``Yj``
-apart from every other name, possibly no ``forall`` at all), so no
-``forall Yj`` under an existential block is eliminated.  A universal block
-``forall X. B`` is ``!exists X. !B``: the block without an adversary over
-the DNF of ``!B``, its cells returned as clauses.  (As ``exists {}. true &
-forall X. B`` it would build the complement of the adversary's cells as a
-DNF.)  The controller walks ``C`` and the clauses learned so far to a leaf
-``K``.  The adversary walks the DNF of each ``!Bj`` from ``K``; the literals
-on a leaf's path without ``K`` form a cell ``A``, and the cells of ``exists
-Yj. A`` (cached per ``A``) that are not learned yet and meet ``K``'s box are
-learned as clauses, and ``K`` is split by them.  With no such cell left,
-``K`` wins: ``W = exists X. K`` joins the result, and a ``W`` cell without
-literals makes the block true.  A win is learned as clauses over the free
-variables only when the block has an adversary.  Learning it always takes
-the open universal block over ``SLOW_ALONE`` (``tests/test_qe.py``) from
-3 ms to over 150 s, and learning it never takes fortress-7 ``E y1 A y2
-<<y1,y2>> G !captured`` from 0.21 s to 145 s.  The result is exact:
-learned adversary cells hold only points where some ``Yj`` falsifies
-``Bj``; every point of a winning ``K`` satisfies each ``Bj`` for all ``Yj``,
-since no adversary leaf under ``K`` has a point in it; and the walk ends
-only when each point of ``C`` is in a learned cell, in a winning leaf, or
-has its free part in a learned ``W``.  It ends.  Without an adversary
-nothing is learned and no leaf is revisited, so the loop is one walk of a
-finite tree.  With one, the adversary cells are finitely many, and each
-``W`` holds a free value no earlier ``W`` holds, while every ``W`` projects
-a leaf whose literals on ``X`` come from the finitely many alternatives of
-``C`` and of the adversary cells, and whose literals on free variables
-alone (the complements of earlier ``W`` among them) pass through the
-projection, so no ``W`` repeats and they are drawn from a finite set.
+``exists X. C & forall Y1. B1 & ...`` (each ``Yj`` apart from every other
+name, possibly no ``forall`` at all), so no ``forall Yj`` under an
+existential block is eliminated.  The controller walks ``C`` and the
+clauses learned so far to a leaf ``K``.  The adversary walks the DNF of
+each ``!Bj`` from ``K``; the literals on a leaf's path without ``K`` form a
+cell ``A``, and the cells of ``exists Yj. A`` (cached per ``A``) that are
+not learned yet and meet ``K``'s box are learned as clauses, and ``K`` is
+split by them.  With no such cell left, ``K`` wins: ``W = exists X. K``
+joins the result, and a ``W`` cell without literals makes the block true.
+A win is learned as clauses over the free variables only when the block
+has an adversary.  Learning it always takes the open universal block over
+``SLOW_ALONE`` (``tests/test_qe.py``) from 3 ms to over 150 s, and learning
+it never takes fortress-7 ``E y1 A y2 <<y1,y2>> G !captured`` from 0.21 s
+to 145 s.  The result is exact: learned adversary cells hold only points
+where some ``Yj`` falsifies ``Bj``; every point of a winning ``K``
+satisfies each ``Bj`` for all ``Yj``, since no adversary leaf under ``K``
+has a point in it; and the walk ends only when each point of ``C`` is in a
+learned cell, in a winning leaf, or has its free part in a learned ``W``.
+It ends.  Without an adversary nothing is learned and no leaf is
+revisited, so the loop is one walk of a finite tree.  With one, the
+adversary cells are finitely many, and each ``W`` holds a free value no
+earlier ``W`` holds, while every ``W`` projects a leaf whose literals on
+``X`` come from the finitely many alternatives of ``C`` and of the
+adversary cells, and whose literals on free variables alone (the
+complements of earlier ``W`` among them) pass through the projection, so
+no ``W`` repeats and they are drawn from a finite set.
+
+Each outer quantifier of a game is one more block of one variable, with
+no adversary, over the cells of the level below (``_close_game``).  Those
+cells stand for their disjunction, or, once a universal level has flipped
+the polarity, for its negation.  An existential level takes the
+disjunction as one conjunct whose alternatives are the cells' literals; a
+universal one, ``forall y. F`` as ``!exists y. !F``, takes the negation,
+one clause per cell, and flips the polarity.  A closed game ends with no
+cell or with the cell without literals, so its truth is whether a cell is
+left, against the polarity; a cell that still has a variable shows a game
+that is not closed.
 
 Literals are canonical (``presburger.atom_alternatives``), one tuple
 ``(part, side, value)`` for a bound and a divisibility literal alike: each
 is canonicalised once, when the walk into DNF meets its atom, every cell
 that takes it after that reads its key as it is, and its negation is its
-``complement``, as in a learned clause.  A ``Game`` hands
-``_block`` its conjuncts already walked: ``build_prf`` assembles one per
-state from guards compiled once per model, and ``decide`` takes it with no
-formula to walk.  A block takes its body as built, unsimplified; only the
-result of a formula is simplified (``eliminate_quantifiers``), and that of
-a closed game is a constant already.  Bound variables need no renaming
-apart: a block's result mentions none of its variables, so a shadowed or
-repeated name is gone before any outer block sees it.
+``complement``, as in a learned clause.  A block takes its conjuncts as
+built and its cells never become formulas, so nothing of a decision is
+simplified; ``is_valid`` simplifies only the quantifier-free formula its
+game is made from.  Bound variables need no renaming apart: a block's
+cells mention none of its variables, so a shadowed or repeated name is
+gone before any outer level sees it.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .presburger import (And, AtomF, Cell, Exists, FalseF, Forall,
                          FreeVariableError, Not, Or, PresFormula, TrueF,
-                         _quantifier_block, _quantify, atom_alternatives,
-                         cheapest, complement, conj, disj, free_vars,
-                         literal_formula, neg, simplify)
+                         _quantify, atom_alternatives, cheapest, complement,
+                         conj, disj, free_vars, literal_formula, simplify)
 
 
 class QeStats:
@@ -102,13 +111,6 @@ class QeStats:
         }
 
 
-def eliminate_quantifiers(phi: PresFormula,
-                          stats: Optional[QeStats] = None) -> PresFormula:
-    """Quantifier-free formula equivalent over N to ``phi``, with every
-    quantifier relativised to >= 0.  Free variables stay free."""
-    return simplify(_close(phi, QeStats() if stats is None else stats))
-
-
 class Game(NamedTuple):
     """A closed decision as the pieces ``_block`` takes: ``exists names. C &
     forall ys1. B1 & ...`` under the ``outer`` quantifiers, innermost first,
@@ -123,7 +125,7 @@ class Game(NamedTuple):
 
     def quantified(self, kind: type, name: str) -> "Game":
         """The game under one more quantifier: an existential right around
-        the block joins its names, as ``_quantifier_block`` would read it."""
+        the block joins its names, as a formula's block would read it."""
         if kind is Exists and not self.outer:
             return Game((name, *self.names), self.conjuncts, self.adversaries)
         return Game(self.names, self.conjuncts, self.adversaries,
@@ -140,83 +142,49 @@ class Game(NamedTuple):
         return phi
 
 
-def decide(phi: Union[PresFormula, Game],
-           stats: Optional[QeStats] = None) -> bool:
-    """Truth over N of a closed formula or ``Game``, all quantifiers
-    relativised to >= 0.  The time it runs is added to ``stats.elapsed``
-    however it ends."""
-    if not isinstance(phi, Game):
-        fv = free_vars(phi)
-        if fv:
-            raise FreeVariableError(sorted(fv))
+def decide(game: Game, stats: Optional[QeStats] = None) -> bool:
+    """Truth over N of a closed ``Game``, all quantifiers relativised to >=
+    0.  The time it runs is added to ``stats.elapsed`` however it ends."""
     stats = QeStats() if stats is None else stats
     started = time.perf_counter()
     try:
-        result = _close_game(phi, stats) if isinstance(phi, Game) else \
-            eliminate_quantifiers(phi, stats)
+        return _close_game(game, stats)
     finally:
         stats.elapsed += time.perf_counter() - started
-    if isinstance(result, TrueF):
-        return True
-    if isinstance(result, FalseF):
-        return False
-    raise AssertionError("closed formula did not reduce to a constant")
 
 
 def is_valid(phi: PresFormula, variables: Iterable[str],
              stats: Optional[QeStats] = None) -> bool:
-    """Whether a quantifier-free formula holds for every assignment over N."""
-    closed: PresFormula = phi
-    for v in sorted(set(variables) | set(free_vars(phi)), reverse=True):
-        closed = Forall(v, closed)
-    return decide(closed, stats)
+    """Whether a quantifier-free formula holds for every assignment over N:
+    whether ``exists variables. !phi`` is false."""
+    phi = simplify(phi)
+    names = tuple(sorted(set(variables) | free_vars(phi)))
+    return not decide(Game(names, _conjuncts(phi, True)), stats)
 
 
 # ---------------------------------------------------------------------------
 # quantifier structure
 
 
-def _close(phi: PresFormula, stats: QeStats) -> PresFormula:
-    """Eliminate all quantifiers bottom-up; result is quantifier-free.  An
-    existential block's top-level conjuncts are closed one by one, and a
-    universal block among them that shares no name with the rest becomes
-    a game of ``_block`` instead of being eliminated."""
-    if isinstance(phi, Exists):
-        names, body = _quantifier_block(phi)
-        taken = set(names) | free_vars(body)
-        plain, games = [], []
-        for part in body.args if isinstance(body, And) else (body,):
-            if isinstance(part, Forall):
-                ys, inner = _quantifier_block(part)
-                if taken.isdisjoint(ys):
-                    games.append((ys, _conjuncts(_close(inner, stats), True)))
-                    continue
-            plain.append(_close(part, stats))
-        return _cells_formula(
-            _block(names, _conjuncts(conj(plain), False), games, stats))
-    if isinstance(phi, Forall):
-        names, body = _quantifier_block(phi)
-        return _cells_clauses(
-            _block(names, _conjuncts(_close(body, stats), True), [], stats))
-    if isinstance(phi, Not):
-        return neg(_close(phi.arg, stats))
-    if isinstance(phi, And):
-        return conj(tuple(_close(a, stats) for a in phi.args))
-    if isinstance(phi, Or):
-        return disj(tuple(_close(a, stats) for a in phi.args))
-    return phi
-
-
-def _close_game(game: Game, stats: QeStats) -> PresFormula:
-    """The game's block, then its outer quantifiers; a block of no
-    variables and no adversary is its conjunction, as ``simplify`` leaves a
-    quantifier of no variable out."""
-    phi = _cells_formula(_block(game.names, game.conjuncts, game.adversaries,
-                                stats)) if game.names or game.adversaries \
-        else _conjuncts_formula(game.conjuncts)
+def _close_game(game: Game, stats: QeStats) -> bool:
+    """The game's block, then its outer quantifiers, one level each (see
+    the module docstring); ``negated`` is the polarity of ``cells``.  A
+    block of no variable and no adversary is the leaves of its conjuncts,
+    where ``_block`` would count a true one as an early exit."""
+    if game.names or game.adversaries:
+        cells = _block(game.names, game.conjuncts, game.adversaries, stats)
+    else:
+        cells = list(dict.fromkeys(c for c, _ in _leaves(Cell(), game.conjuncts)))
+    negated = False
     for kind, name in game.outer:
-        phi = kind(name, phi)
-    return _close(phi, stats)
+        universal = kind is Forall
+        conjuncts = list(map(_clause, cells)) if negated != universal \
+            else [[tuple(c.canonical()) for c in cells]]
+        cells, negated = _block((name,), conjuncts, [], stats), universal
+    free = set().union(*(c.vars for c in cells))
+    if free:
+        raise FreeVariableError(sorted(free))
+    return bool(cells) != negated
 
 
 def _block(names: Sequence[str], conjuncts: Sequence, games: list,
@@ -394,17 +362,6 @@ def _exists_block(names: list[str], cell: Cell,
                                    for c in cells))
         stats.peak_divisor_lcm = max(stats.peak_divisor_lcm, math.lcm(
             *(d for c in cells for _, _, (d, _) in c.divs)))
-
-
-def _cells_formula(cells: list[Cell]) -> PresFormula:
-    """Disjunction of the cells, one conjunct per cell."""
-    return disj(tuple(conj(tuple(cell.literals())) for cell in cells))
-
-
-def _cells_clauses(cells: list[Cell]) -> PresFormula:
-    """Conjunction of the negated cells, one clause per cell."""
-    return conj(tuple(disj(tuple(map(literal_formula, cell.clause())))
-                      for cell in cells))
 
 
 def _conjuncts_formula(conjuncts: Sequence) -> PresFormula:

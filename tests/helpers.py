@@ -8,18 +8,19 @@ from hdmas.engine import _resolve_term, _share, build_prf
 from hdmas.logic import (EXISTS, FORALL, Y1, Y2, AgentVar, AndF, Coop,
                          Globally, Nat, Next, NotF, OrF, Prop, Quant, Top,
                          Until, children, map_children, memo_walk,
-                         merge_quantifiers, simplify_vacuous)
+                         simplify_vacuous)
 from hdmas.model import (IDLE, IDLE_COUNTER, CheckOutcome,
                          WellformednessReport, guard_union, least_point)
 from hdmas.parsing import _parse_guard_expr, _Stream, guard_to_str, tokenize
 from hdmas.presburger import (DVD, EQ, FALSE, LT, TRUE, And, Atom, AtomF,
-                              Cell, Exists, FalseF, Forall, LinTerm, Not, Or,
-                              TrueF, _fold_atom, as_term, atom_eq, atom_ge,
+                              Cell, Exists, FalseF, Forall, FreeVariableError,
+                              LinTerm, Not, Or, TrueF, _fold_atom,
+                              _quantifier_block, as_term, atom_eq, atom_ge,
                               atom_gt, atom_le, atom_lt, atom_ne, conj, disj,
                               free_vars, implies, is_quantifier_free,
                               literal_formula, neg, num, simplify, substitute,
                               var)
-from hdmas.qe import _to_dnf, decide
+from hdmas.qe import QeStats, _block, _conjuncts, _to_dnf
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +141,64 @@ def canonical_shape(phi):
     """Shape of a state formula used for structural comparison: vacuous
     quantifiers dropped, prefixes merged, connective chains right-nested."""
     return _reassoc(merge_quantifiers(simplify_vacuous(phi)))
+
+
+# ---------------------------------------------------------------------------
+# merged quantifier prefixes and the normal-form predicate
+
+
+def merge_quantifiers(phi):
+    """Fuse nested quantifier nodes into maximal admissible prefixes."""
+    def step(f, recurse):
+        if isinstance(f, Quant):
+            body = recurse(f.body)
+            prefix = f.prefix
+            while (isinstance(body, Quant)
+                   and len(prefix) + len(body.prefix) <= 2
+                   and {i for _, i in prefix}.isdisjoint(
+                       i for _, i in body.prefix)):
+                prefix = prefix + body.prefix
+                body = body.body
+            if prefix is f.prefix and body is f.body:
+                return f
+            return Quant(prefix, body)
+        return map_children(f, recurse)
+
+    return memo_walk(phi, step)
+
+
+def is_normal_form(phi):
+    """NF1: no universal y1 or existential y2 quantifiers anywhere.
+    NF2: a strategic operator using a bound y1 (or y2) alone is directly
+    under its binder, which is the innermost quantifier of that node.
+    NF3: one using both is directly under E y1 A y2 or A y2 E y1.
+    Nested quantifiers are merged (``merge_quantifiers``) first."""
+    return is_merged_normal_form(merge_quantifiers(phi))
+
+
+def is_merged_normal_form(phi):
+    """``is_normal_form`` of a formula whose quantifiers are merged."""
+    def step(f, recurse, bound, parent_prefix):
+        if isinstance(f, Quant):
+            if any(q in ((FORALL, 1), (EXISTS, 2)) for q in f.prefix):
+                return False
+            inner = f.prefix if isinstance(f.body, Coop) else None
+            return recurse(f.body, bound | {i for _, i in f.prefix}, inner)
+        if isinstance(f, Coop):
+            b1 = f.t1 == Y1 and 1 in bound
+            b2 = f.t2 == Y2 and 2 in bound
+            if b1 and b2:
+                placed = parent_prefix in (((EXISTS, 1), (FORALL, 2)),
+                                           ((FORALL, 2), (EXISTS, 1)))
+            elif b1 or b2:
+                placed = bool(parent_prefix) and parent_prefix[-1] == (
+                    (EXISTS, 1) if b1 else (FORALL, 2))
+            else:
+                placed = True
+            return placed and recurse(f.objective, bound, None)
+        return all(recurse(c, bound, None) for c in children(f))
+
+    return memo_walk(phi, step, frozenset(), None)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +324,71 @@ def reference_nf(xi):
     return memo_walk(xi, step)
 
 
+# ---------------------------------------------------------------------------
+# the formula front end of the decision procedure: quantifiers anywhere in
+# a formula, each block closed through ``qe._block`` and its cells turned
+# back into a formula
+
+
+def _close(phi, stats):
+    """Eliminate all quantifiers bottom-up; result is quantifier-free.  An
+    existential block's top-level conjuncts are closed one by one, and a
+    universal block among them that shares no name with the rest becomes
+    an adversary of ``_block`` instead of being eliminated."""
+    if isinstance(phi, Exists):
+        names, body = _quantifier_block(phi)
+        taken = set(names) | free_vars(body)
+        plain, games = [], []
+        for part in body.args if isinstance(body, And) else (body,):
+            if isinstance(part, Forall):
+                ys, inner = _quantifier_block(part)
+                if taken.isdisjoint(ys):
+                    games.append((ys, _conjuncts(_close(inner, stats), True)))
+                    continue
+            plain.append(_close(part, stats))
+        return _cells_formula(
+            _block(names, _conjuncts(conj(plain), False), games, stats))
+    if isinstance(phi, Forall):
+        names, body = _quantifier_block(phi)
+        return _cells_clauses(
+            _block(names, _conjuncts(_close(body, stats), True), [], stats))
+    if isinstance(phi, Not):
+        return neg(_close(phi.arg, stats))
+    if isinstance(phi, And):
+        return conj(tuple(_close(a, stats) for a in phi.args))
+    if isinstance(phi, Or):
+        return disj(tuple(_close(a, stats) for a in phi.args))
+    return phi
+
+
+def _cells_formula(cells):
+    """Disjunction of the cells, one conjunct per cell."""
+    return disj(tuple(conj(tuple(cell.literals())) for cell in cells))
+
+
+def _cells_clauses(cells):
+    """Conjunction of the negated cells, one clause per cell."""
+    return conj(tuple(disj(tuple(map(literal_formula, cell.clause())))
+                      for cell in cells))
+
+
+def eliminate_quantifiers(phi, stats=None):
+    """Quantifier-free formula equivalent over N to ``phi``, with every
+    quantifier relativised to >= 0.  Free variables stay free."""
+    return simplify(_close(phi, QeStats() if stats is None else stats))
+
+
+def decide_formula(phi):
+    """Truth over N of a closed formula, all quantifiers relativised to
+    >= 0."""
+    fv = free_vars(phi)
+    if fv:
+        raise FreeVariableError(sorted(fv))
+    result = eliminate_quantifiers(phi)
+    assert result in (TRUE, FALSE), result
+    return result == TRUE
+
+
 def dnf_formulas(dnf):
     """Alternatives of canonical literals, each literal as a formula."""
     return [[literal_formula(lit) for lit in alt] for alt in dnf]
@@ -350,7 +474,7 @@ def checked_block_truth(block, names, matrix):
     closed = matrix
     for n in reversed(names):
         closed = Exists(n, closed) if block == "E" else Forall(n, closed)
-    symbolic = decide(closed)
+    symbolic = decide_formula(closed)
     bound = cooper_bound(matrix, names)
     oracle = enum_truth(block, names, matrix, bound)
     used = bound
@@ -469,7 +593,7 @@ def reference_pre_image(model, t1, t2, targets, theta, pfix, decisions,
         for q, y in reversed(pfix):
             phi = Exists(f"y{y}", phi) if q == EXISTS else Forall(f"y{y}", phi)
         if phi not in decisions:
-            decisions[phi] = decide(phi)
+            decisions[phi] = decide_formula(phi)
         if decisions[phi]:
             out |= 1 << i
     return out

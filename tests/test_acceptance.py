@@ -9,11 +9,12 @@ import random
 import time
 
 import pytest
-from helpers import canonical_shape, checked_block_truth, random_matrix
+from helpers import (canonical_shape, checked_block_truth, is_normal_form,
+                     random_matrix)
 
 from hdmas.logic import (EXISTS, FORALL, AndF, Coop, Globally, Nat, Next,
                          NotF, OrF, Prop, Quant, Top, Until, Y1, Y2,
-                         eventually, is_normal_form)
+                         eventually)
 from hdmas.model import check_wellformed
 from hdmas.normalform import nf, push
 from hdmas.parsing import parse_formula, parse_model

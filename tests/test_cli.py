@@ -10,7 +10,7 @@ import pytest
 
 import hdmas.engine
 from helpers import ring_text
-from hdmas import cli, logic
+from hdmas import cli, logic, nodes
 from hdmas.cli import main
 from hdmas.engine import ModelChecker
 from hdmas.logic import EXISTS, FORALL, Nat, Y1, Y2
@@ -736,7 +736,7 @@ def test_iff_chain_work_is_polynomial(capsys, leaves):
 
 UNTIL = "E y1 <<y1,10>> ((A y2 E y1 <<y1,y2>> G p) U (A y2 <<0,y2>> G q))"
 # formula -> the most walks of one verify --json run, and of global_mc in it
-WALK_BOUNDS = {"<<3,2>> G p": (8, 3), UNTIL: (8, 3)}
+WALK_BOUNDS = {"<<3,2>> G p": (5, 0), UNTIL: (5, 0)}
 
 
 @pytest.mark.parametrize("formula", list(WALK_BOUNDS))
@@ -794,3 +794,36 @@ def test_a_verify_run_leaves_no_cyclic_garbage_from_the_package(capsys,
         gc.garbage.clear()
     assert code == 0
     assert found == []
+
+
+# queries of every prefix form on both fixtures: the decisions of a verify
+# run and the validity and least-point checks of check-model are games
+NO_BINDER_RUNS = [
+    ("verify", FIG2, "-f", text, "--json") for text in (
+        "<<3,2>> G p", "<<7,5>> X (p|q)", "E y1 <<y1,4>> X p",
+        "A y2 <<3,y2>> F q", "E y1 A y2 <<y1,y2>> X (p|q)",
+        "A y2 E y1 <<y1,y2>> G p", UNTIL)
+] + [
+    ("verify", FORTRESS, "-f", text, "--json") for text in (
+        "<<4,1>> G !captured", "E y1 <<y1,2>> X captured",
+        "A y2 <<5,y2>> G !captured", "E y1 A y2 <<y1,y2>> G !captured",
+        "A y2 E y1 <<y1,y2>> G !captured")
+] + [("check-model", FIG2), ("check-model", FORTRESS)]
+
+
+def test_no_run_builds_a_quantified_presburger_formula(capsys, monkeypatch):
+    # every decision is a game decided on cells, outer quantifiers and
+    # validity included: only --dump-prf writes a game as a formula
+    built = []
+    for binder in (nodes.Exists, nodes.Forall):
+        def recording(self, var, body, _original=binder.__init__):
+            built.append((type(self).__name__, var))
+            _original(self, var, body)
+        monkeypatch.setattr(binder, "__init__", recording)
+    for argv in NO_BINDER_RUNS:
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+    assert built == []
+    code, out, _ = run_cli(capsys, "verify", FIG2, "-f", "<<7,5>> X p",
+                           "--dump-prf", "s1")
+    assert code == 0 and out.startswith("E k_") and built

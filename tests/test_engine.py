@@ -5,7 +5,7 @@ import pytest
 
 import hdmas.engine
 import hdmas.qe as qe
-from helpers import (random_model_text, reference_g_fixpoint,
+from helpers import (decide_formula, random_model_text, reference_g_fixpoint,
                      reference_pre_image, reference_u_fixpoint, ring_text,
                      sequential_prf, verbatim_prf)
 from hdmas.engine import (ModelChecker, NotNormalForm, UnassignedParameter,
@@ -80,9 +80,9 @@ def _assert_games_match_verbatim(model, step=1):
             for t1, t2, pfix in terms:
                 r1, r2 = _resolve_term(t1, {}, pfix), _resolve_term(t2, {}, pfix)
                 game = quantified_prf(model, s, r1, r2, targets, pfix)
-                want = decide(_prefixed(verbatim_prf(model, s, r1, r2, targets),
-                                        pfix))
-                assert decide(game) == decide(game.formula()) == want, \
+                want = decide_formula(_prefixed(
+                    verbatim_prf(model, s, r1, r2, targets), pfix))
+                assert decide(game) == decide_formula(game.formula()) == want, \
                     (s, t1, t2, pfix, model.names_of(targets))
 
 
@@ -114,8 +114,10 @@ def test_build_prf_substitutes_every_counter_in_one_walk(fig2, fortress):
                         for q, y in reversed(pfix):
                             closed = closed.quantified(
                                 Exists if q == E else Forall, f"y{y}")
-                        assert decide(closed) == decide(closed.formula()) == \
-                            decide(_prefixed(want, pfix)), (s, targets, pfix)
+                        assert decide(closed) == \
+                            decide_formula(closed.formula()) == \
+                            decide_formula(_prefixed(want, pfix)), \
+                            (s, targets, pfix)
                         built += 1
     assert built > 300
 
@@ -236,7 +238,7 @@ def test_global_mc_rejects_non_normal_form(fig2_checker):
 def test_global_mc_vacuous_quantifier_is_harmless(fig2_checker):
     fig2 = fig2_checker.model
     plain = fig2_checker.global_mc(p, {})
-    wrapped = fig2_checker.global_mc(Quant(EY1, p), {})
+    wrapped = fig2_checker.global_mc(nf(Quant(EY1, p)), {})
     assert plain == wrapped == fig2.prop_mask("p")
 
 

@@ -1,14 +1,15 @@
 import random
 
 import pytest
-from helpers import canonical_shape, size
+from helpers import (canonical_shape, is_normal_form, merge_quantifiers,
+                     size)
 
 from hdmas.logic import (EXISTS, FORALL, AndF, Coop, Globally, Nat, Next,
                          NotF, OrF, Param, PolarityViolation,
                          PositionViolation, Prop, Quant, Top, Until, Y1, Y2,
                          assignment_symbols, check_syntax, children, eventually,
-                         free_agent_vars, is_normal_form, map_children,
-                         merge_quantifiers, polarity, simplify_vacuous)
+                         free_agent_vars, map_children, polarity,
+                         simplify_vacuous)
 
 E, A = EXISTS, FORALL
 captured = Prop("captured")

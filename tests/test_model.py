@@ -213,6 +213,13 @@ def test_wellformed_matches_all_pairs_reference(model):
     assert got.lines() == ref.lines()
 
 
+def test_a_state_that_fails_scoping_prints_why_its_totality_was_skipped():
+    # it has no witness to print, only the reason it has none
+    lines = check_wellformed(_bad_scoping_and_overlap()).lines()
+    assert "totality          s1: FAIL skipped: bad scoping" in lines
+    assert not any("witness None" in line for line in lines), lines
+
+
 def test_wellformed_decides_each_distinct_check_once(monkeypatch):
     calls = []
     real = model_module.is_valid

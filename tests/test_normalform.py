@@ -6,7 +6,8 @@ import random
 from unittest import mock
 
 import pytest
-from helpers import canonical_shape, reference_nf, size
+from helpers import (canonical_shape, is_normal_form, merge_quantifiers,
+                     reference_nf, size)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from hdmas.engine import ModelChecker
 from hdmas.logic import (EXISTS, FORALL, AndF, Coop, Globally, Nat, Next,
                          NotF, OrF, Param, Prop, Quant, Top, Until, Y1, Y2,
                          check_syntax, eventually, free_agent_vars,
-                         is_normal_form, merge_quantifiers, simplify_vacuous)
+                         simplify_vacuous)
 from hdmas.normalform import nf, pqe, push
 from hdmas.parsing import formula_to_str
 
@@ -143,6 +144,18 @@ def test_push_dualizes_under_negation():
     phi = NotF(Quant(((A, 2),), Coop(Nat(1), Y2, Next(p))))
     got = push(((E, 1),), phi)
     assert got == NotF(Quant(((A, 2),), Coop(Nat(1), Y2, Next(p))))
+
+
+def test_a_prefix_passes_through_an_even_number_of_negations(fig2_checker):
+    # a bound variable occurs only positively, so an even number of
+    # negations lies between a prefix and each slot it binds, and the
+    # prefix reaches the operator as it is
+    coop = Coop(Y1, Nat(2), Next(p))
+    phi = Quant(((E, 1),), NotF(NotF(coop)))
+    assert check_syntax(phi) == []
+    assert nf(phi) == NotF(NotF(Quant(((E, 1),), coop)))
+    assert fig2_checker.global_mc(nf(phi), {}) == \
+        fig2_checker.global_mc(Quant(((E, 1),), coop), {})
 
 
 def test_nf_reproduces_worked_example():

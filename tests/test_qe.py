@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import math
 import os
@@ -10,12 +11,13 @@ import time
 import numpy as np
 import pytest
 from helpers import (atom_dvd, canonical, cell_of, checked_block_truth,
-                     coeff, cooper_bound, drop, enum_truth, np_eval,
+                     coeff, cooper_bound, decide_formula, drop,
+                     eliminate_quantifiers, enum_truth, np_eval,
                      random_matrix)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hdmas.engine import ModelChecker, build_prf
+from hdmas.engine import ModelChecker, build_prf, quantified_prf
 from hdmas.normalform import nf
 from hdmas.parsing import parse_formula
 from hdmas.presburger import (EQ, FALSE, LT, TRUE, And, Atom, AtomF, Cell,
@@ -26,8 +28,9 @@ from hdmas.presburger import (EQ, FALSE, LT, TRUE, And, Atom, AtomF, Cell,
                               evaluate, free_vars, implies,
                               is_quantifier_free, neg, num,
                               simplify, substitute, var)
+import helpers
 import hdmas.qe as qe
-from hdmas.qe import QeStats, decide, eliminate_quantifiers, is_valid
+from hdmas.qe import Game, QeStats, decide, is_valid
 
 X, Y, Z = var("x"), var("y"), var("z")
 X1, X2, X3 = var("x1"), var("x2"), var("x3")
@@ -37,7 +40,7 @@ G2 = conj((atom_le(X1.add(X2).add(X3), 10), atom_gt(X3, 3)))
 
 
 def test_eliminate_even_witness():
-    assert decide(Exists("x", atom_eq(X.add(X), num(6)))) is True
+    assert decide_formula(Exists("x", atom_eq(X.add(X), num(6)))) is True
     res = eliminate_quantifiers(Exists("x", atom_eq(X.add(X), num(6))))
     assert is_quantifier_free(res)
     assert simplify(res) == TRUE
@@ -102,7 +105,7 @@ def _brute(phi, env, bound=8):
 ])
 def test_shadowed_and_repeated_bound_names(phi):
     # of a repeated name only the innermost quantifier binds
-    assert decide(phi) == _brute(phi, {})
+    assert decide_formula(phi) == _brute(phi, {})
 
 
 def test_bound_name_that_is_also_free_stays_free():
@@ -111,16 +114,23 @@ def test_bound_name_that_is_also_free_stays_free():
 
 
 def test_decide_successor_exists():
-    assert decide(Forall("x", Exists("y", atom_eq(Y, X.shift(1))))) is True
+    assert decide_formula(Forall("x", Exists("y", atom_eq(Y, X.shift(1))))) is True
 
 
 def test_decide_strict_upper_bound_fails():
-    assert decide(Forall("x", atom_lt(X, num(5)))) is False
+    assert decide_formula(Forall("x", atom_lt(X, num(5)))) is False
 
 
 def test_decide_requires_closed():
+    # a variable left in a cell once every level is closed shows a game
+    # that is not closed; so does a free variable of a formula
     with pytest.raises(FreeVariableError):
-        decide(atom_lt(X, num(5)))
+        decide(Game((), qe._conjuncts(atom_lt(X, num(5)), False)))
+    with pytest.raises(FreeVariableError):
+        decide(Game(("y",), qe._conjuncts(atom_lt(X.add(Y), num(5)), False))
+               .quantified(Forall, "z"))
+    with pytest.raises(FreeVariableError):
+        decide_formula(atom_lt(X, num(5)))
 
 
 def test_is_valid_guard_disjointness():
@@ -138,16 +148,16 @@ def test_divisibility_reasoning():
     two = Exists("x", atom_eq(Y, X.scale(2)))
     three = Exists("x", atom_eq(Y, X.scale(3)))
     claim = Forall("y", disj((neg(six), conj((two, three)))))
-    assert decide(claim) is True
+    assert decide_formula(claim) is True
     backwards = Forall("y", disj((neg(conj((two, three))), six)))
-    assert decide(backwards) is True
+    assert decide_formula(backwards) is True
 
 
 def test_alternation_three_blocks():
     # for every x there is some y with x <= 3y < x + 3
     phi = Forall("x", Exists("y", conj((atom_le(X, Y.scale(3)),
                                         atom_lt(Y.scale(3), X.shift(3))))))
-    assert decide(phi) is True
+    assert decide_formula(phi) is True
 
 
 def test_decide_negation_duality():
@@ -156,7 +166,7 @@ def test_decide_negation_duality():
     for _ in range(60):
         matrix = random_matrix(rng, names, max_coeff=3, max_const=8, atoms=2)
         closed = Exists("x", Forall("y", matrix))
-        assert decide(neg(closed)) == (not decide(closed))
+        assert decide_formula(neg(closed)) == (not decide_formula(closed))
 
 
 def test_decide_agrees_with_enumeration_one_block():
@@ -223,10 +233,10 @@ def test_universal_and_alternating_blocks_with_a_free_variable():
 # divisibility literals were unfolded in the order of a set of strings
 SEED_62 = """
 import json, random
-from helpers import random_matrix
 from hdmas.parsing import guard_to_str
 from hdmas.presburger import Exists, Forall
-from hdmas.qe import QeStats, eliminate_quantifiers
+from helpers import eliminate_quantifiers, random_matrix
+from hdmas.qe import QeStats
 matrix = random_matrix(random.Random(62), ["x1", "x2", "y1", "y2", "z"],
                        max_coeff=3, max_const=9, atoms=4)
 stats = QeStats()
@@ -354,14 +364,14 @@ def test_an_alternation_of_two_variable_blocks_agrees_with_enumeration(seed):
 def test_a_decision_that_raises_still_adds_its_time(monkeypatch):
     # the time a decision ran is added to elapsed however it ends, also
     # when it is cut short by an exception, as a deadline cuts it
-    def slow_failure(phi, stats):
+    def slow_failure(game, stats):
         time.sleep(0.05)
         raise RuntimeError("cut short")
 
-    monkeypatch.setattr(qe, "_close", slow_failure)
+    monkeypatch.setattr(qe, "_close_game", slow_failure)
     stats = QeStats()
     with pytest.raises(RuntimeError):
-        decide(Exists("x", atom_lt(X, num(3))), stats)
+        decide(Game(("x",), qe._conjuncts(atom_lt(X, num(3)), False)), stats)
     assert stats.elapsed >= 0.05
 
 
@@ -408,8 +418,10 @@ def test_two_variable_blocks_agree_with_enumeration():
 
 
 def test_stats_are_recorded():
+    # forall x exists y. 2y = 2x: the block and one outer level
     stats = QeStats()
-    decide(Forall("x", Exists("y", atom_eq(Y.scale(2), X.add(X)))), stats)
+    game = Game(("y",), qe._conjuncts(atom_eq(Y.scale(2), X.add(X)), False))
+    assert decide(game.quantified(Forall, "x"), stats) is True
     assert stats.eliminated == 2
     assert stats.elapsed > 0
     payload = stats.to_json()
@@ -418,7 +430,7 @@ def test_stats_are_recorded():
 
 def test_decide_deterministic():
     phi = Exists("x", Forall("y", disj((atom_lt(Y, X), atom_lt(Y, num(4))))))
-    assert decide(phi) == decide(phi)
+    assert decide_formula(phi) == decide_formula(phi)
 
 
 def test_cooper_bound_accounts_for_coefficients():
@@ -512,9 +524,9 @@ def test_extend_returns_the_cell_itself_when_nothing_is_added():
 
 def test_fortress_3_decision_simplifies_only_its_result(monkeypatch, fortress):
     # blocks take their bodies as built and the cells in between are never
-    # turned back into formulas to be simplified: a game's result is a
-    # constant already, and the one simplify of its formula's decision is
-    # that of the result
+    # turned back into formulas to be simplified: a game's decision
+    # simplifies nothing, the formula front end only its result, and a
+    # validity check only the quantifier-free formula it is given
     calls = []
     original = qe.simplify
 
@@ -523,12 +535,16 @@ def test_fortress_3_decision_simplifies_only_its_result(monkeypatch, fortress):
         return original(phi)
 
     monkeypatch.setattr(qe, "simplify", counting)
+    monkeypatch.setattr(helpers, "simplify", counting)
     targets = fortress.all_states() & ~fortress.prop_mask("captured")
     game = build_prf(fortress, "s1", 3, 1, targets)
     assert decide(game) is True
     assert calls == []
-    assert decide(game.formula()) is True
+    assert decide_formula(game.formula()) is True
     assert len(calls) == 1, len(calls)
+    guard = fortress.guards[("s1", "s2")]
+    assert is_valid(disj((guard, neg(guard))), free_vars(guard)) is True
+    assert len(calls) == 2, len(calls)
 
 
 # -- projection on cells and incremental interval refutation -----------------
@@ -828,15 +844,16 @@ def test_propagation_follows_a_chain_of_windows():
 
 def test_projection_never_turns_cells_into_literals(monkeypatch, fig2,
                                                      fortress):
-    # cells become literals only for a block's result; eliminating a
+    # a decision never turns cells into literals, outer levels included;
+    # the formula front end does only for a block's result.  Eliminating a
     # variable works on the windows, divisibility literals included
     callers = {}
     original = Cell.literals
 
     def counting(self):
-        # the nearest named function of qe on the stack
+        # the nearest named function of qe or of the front end on the stack
         frame = sys._getframe(1)
-        while (frame.f_code.co_filename != qe.__file__
+        while (frame.f_code.co_filename not in (qe.__file__, helpers.__file__)
                or frame.f_code.co_name.startswith("<")):
             frame = frame.f_back
         name = frame.f_code.co_name
@@ -854,10 +871,50 @@ def test_projection_never_turns_cells_into_literals(monkeypatch, fig2,
                      f"A y2 E y1 <<y1,y2>> X {prop}"):
             checker.global_mc(nf(parse_formula(text)), {})
     assert projected
-    assert set(callers) <= {"_cells_formula", "_cells_clauses"}, callers
+    assert callers == {}, callers
     # so does a divisibility literal on the variable
     count = len(projected)
-    decide(Exists("x", Forall("y", disj((atom_dvd(2, X.add(Y)),
-                                         atom_lt(X, Y))))))
+    decide_formula(Exists("x", Forall("y", disj((atom_dvd(2, X.add(Y)),
+                                                 atom_lt(X, Y))))))
     assert len(projected) > count
-    assert set(callers) <= {"_cells_formula", "_cells_clauses"}, callers
+    assert set(callers) <= {"_cells_formula"}, callers
+
+
+def test_the_fig2_decisions_keep_their_exact_counters(fig2):
+    # the decisions of scripts/qe_stats.py, its five prefixes on the six
+    # fig2 states, with their counters summed as it sums them: a change
+    # that runs a block more or less often, or exits it early more or less
+    # often, shows here even when every verdict stays right
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "qe_stats.py"
+    spec = importlib.util.spec_from_file_location("qe_stats", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    targets = fig2.mask_of(["s2", "s3", "s4", "s5", "s6"])
+    grand = QeStats()
+    for t1, t2, prefix in script.PREFIXES.values():
+        for state in fig2.states:
+            stats = QeStats()
+            decide(quantified_prf(fig2, state, t1, t2, targets, prefix), stats)
+            script._accumulate(grand, stats)
+    counters = grand.to_json()
+    del counters["elapsed_seconds"]
+    assert counters == {"eliminated_quantifiers": 96, "one_sided_eliminated": 66,
+                        "peak_divisor_lcm": 1, "peak_atom_count": 6,
+                        "early_exits": 15, "refutations": 15}
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_outer_levels_close_on_cells_as_the_formula_does(seed):
+    # a block over x under outer quantifiers over y and z of either kind,
+    # in either order, repeats included: each level closes on the cells
+    # of the one below, of either polarity, and decides as the game's
+    # formula does through the formula front end
+    rng = random.Random(seed)
+    matrix = random_matrix(rng, ["x", "y", "z"], max_coeff=3, max_const=9,
+                           atoms=rng.randint(1, 3))
+    outer = tuple((rng.choice((Exists, Forall)), rng.choice("yz"))
+                  for _ in range(rng.randint(2, 3)))
+    outer += tuple((Forall, v) for v in "yz")
+    game = Game(("x",), qe._conjuncts(matrix, False), (), outer)
+    assert decide(game) == decide_formula(game.formula()), (matrix, outer)
